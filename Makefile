@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: build test verify verify-quick bench bench-all pause-json bench-fleet \
 	bench-scan bench-cow bench-remus bench-cluster bench-web fmt-check \
-	static-check ci bench-drift scenarios
+	static-check ci bench-drift scenarios test-procs
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,16 @@ verify-quick:
 		-trace /tmp/crimes-verify-trace-cluster.jsonl -metrics /tmp/crimes-verify-metrics-cluster.txt >/dev/null
 	$(GO) run -race ./cmd/crimes -vms 8 -stagger -epochs 4 -slo 2500us \
 		-trace /tmp/crimes-verify-trace-slo.jsonl -metrics /tmp/crimes-verify-metrics-slo.txt >/dev/null
+
+# Scheduling-independence gate: the packages with long-lived goroutines
+# (restore loop, pipelined shipper, CoW copier, the controller driving
+# them) must pass repeatedly on one, two and eight processors — what an
+# epoch reports is a function of its inputs, never of which goroutine
+# won a race.
+test-procs:
+	for p in 1 2 8; do \
+		GOMAXPROCS=$$p $(GO) test -count=5 ./internal/remus ./internal/checkpoint ./internal/core || exit 1; \
+	done
 
 # gofmt gate: fail listing any file that is not gofmt-clean.
 fmt-check:
@@ -74,6 +84,7 @@ ci: fmt-check static-check build
 	$(GO) vet ./...
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race ./...
+	$(MAKE) test-procs
 	$(MAKE) scenarios
 	$(MAKE) bench-drift
 

@@ -5,6 +5,7 @@
 //	crimes-bench            # run every experiment
 //	crimes-bench -list      # list experiment IDs
 //	crimes-bench -exp fig3  # run one experiment
+//	crimes-bench -exp remus -cpuprofile cpu.prof -memprofile mem.prof
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -23,7 +25,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (retErr error) {
 	var (
 		list        = flag.Bool("list", false, "list experiment IDs and exit")
 		exp         = flag.String("exp", "", "run a single experiment by ID")
@@ -35,8 +37,20 @@ func run() error {
 		remusJSON   = flag.String("remus-json", "", "write the delta-replication benchmark as JSON to this path and exit")
 		clusterJSON = flag.String("cluster-json", "", "write the multi-host cluster benchmark as JSON to this path and exit")
 		webJSON     = flag.String("web-json", "", "write the web-scale load benchmark as JSON to this path and exit")
+		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (goroutines labeled vm, role=shipper|cow-copier|restore)")
+		memProf     = flag.String("memprofile", "", "write an allocation profile of the run to this file on exit")
 	)
 	flag.Parse()
+
+	stopProf, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err := stopProf(); err != nil && retErr == nil {
+			retErr = err
+		}
+	}()
 
 	if *list {
 		for _, e := range experiments.All() {

@@ -73,8 +73,20 @@ func run() (retErr error) {
 		scenTrace  = flag.String("scenario-trace-dir", "", "write each scenario's JSONL obs trace into this directory")
 		webUsers   = flag.Int64("web", 0, "closed-loop web users: replay this run's epoch timeline into the cohort load generator and report client tail latency (single-VM mode)")
 		sloTarget  = flag.Duration("slo", 0, "client p99 objective: enable the adaptive SLO controller steering interval, workers, and pause-gate K (0 = off)")
+		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (goroutines labeled vm, role=shipper|cow-copier|restore)")
+		memProf    = flag.String("memprofile", "", "write an allocation profile of the run to this file on exit")
 	)
 	flag.Parse()
+
+	stopProf, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err := stopProf(); err != nil && retErr == nil {
+			retErr = err
+		}
+	}()
 
 	if *scenList {
 		return listScenarios(os.Stdout)

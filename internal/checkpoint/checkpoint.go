@@ -13,8 +13,10 @@
 package checkpoint
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"sort"
 	"sync"
 	"time"
@@ -107,13 +109,22 @@ type Checkpointer struct {
 	// Pipelined remote shipping (workers > 1): the ship is
 	// availability-only, so it leaves the pause window — committed page
 	// data is snapshotted from the backup and handed to a shipper
-	// goroutine, acks drain at the next epoch boundary, and a bounded
-	// in-flight window applies backpressure.
+	// goroutine. The in-flight window is bounded: a commit that would
+	// overfill it first settles the oldest shipment (see settleShipment),
+	// which is the only point a commit ever waits for the shipper.
+	// shipFree holds the snapshot buffers of settled shipments for reuse;
+	// drained totals the shipments settled outside any commit.
 	shipCh   chan shipment
 	shipRes  chan shipResult
 	shipDone chan struct{}
 	inFlight int
-	shipErr  error
+	shipFree []shipment
+	drained  ShipReport
+
+	// The current commit's exact v2 wire accounting, per conduit: summed
+	// from what each Send returned, never read off a conduit under the
+	// lock a concurrent Send holds.
+	localRepl, remoteRepl cost.ReplicationCounts
 
 	// Undo log: the backup pages/blocks about to be overwritten by the
 	// current commit, captured so a mid-commit failure can be unwound
@@ -195,9 +206,9 @@ func (c *Checkpointer) observeCommit() {
 // CommitReport describes the recovery events and measured phase
 // timings of the most recent checkpoint commit attempt.
 type CommitReport struct {
-	// RemoteRetries counts transient remote-ship failures retried
-	// during the commit (including retries inside the pipelined
-	// shipper, folded in when its result drains).
+	// RemoteRetries counts transient remote-ship failures retried during
+	// the commit, plus the retries of the pipelined shipments this commit
+	// settled.
 	RemoteRetries int
 	// RemoteDegraded is true when remote replication was disabled
 	// during the commit after a persistent failure.
@@ -209,11 +220,27 @@ type CommitReport struct {
 	// RemoteInFlight is the number of pipelined remote shipments still
 	// awaiting acknowledgement when the commit returned.
 	RemoteInFlight int
-	// RemoteAcked counts pipelined shipments whose acknowledgements
-	// drained during this commit (at the epoch boundary or under
-	// window backpressure).
+	// RemoteAcked counts the acknowledged pipelined shipments this commit
+	// settled: the one that had to leave the full window, or the whole
+	// window when replication degraded.
 	RemoteAcked int
 }
+
+// ShipReport totals the outcome of settled pipelined remote shipments.
+type ShipReport struct {
+	// Acked counts shipments the remote backup acknowledged.
+	Acked int
+	// Retries counts transient send failures the shipper retried.
+	Retries int
+	// Repl is the shipments' exact v2 wire accounting (zero in raw mode).
+	Repl cost.ReplicationCounts
+}
+
+// Drained totals the pipelined shipments settled outside any commit — by
+// Close, DetachRemote or DisableRemoteReplication. A shipment's outcome
+// is reported exactly once: in the CommitReport (and Counts.RemoteRepl)
+// of the commit that settled it, or here.
+func (c *Checkpointer) Drained() ShipReport { return c.drained }
 
 // PhaseTimings is the measured wall-clock breakdown of one commit's
 // pause-path phases. Virtual-time pricing lives in internal/cost; these
@@ -443,7 +470,7 @@ func (c *Checkpointer) DetachRemote() (*hv.Domain, error) {
 	if c.remote == nil {
 		return nil, errors.New("checkpoint: no remote replication session")
 	}
-	if err := c.stopShipper(); err != nil {
+	if err := c.drainShipper(); err != nil {
 		c.degradeRemote(err)
 		return nil, fmt.Errorf("checkpoint: detach remote: drain shipper: %w", err)
 	}
@@ -465,7 +492,7 @@ func (c *Checkpointer) DisableRemoteReplication() error {
 	if c.remote == nil {
 		return nil
 	}
-	shipErr := c.stopShipper()
+	shipErr := c.drainShipper()
 	closeErr := c.remoteConduit.Close()
 	destroyErr := c.remoteHV.DestroyDomain(c.remote.ID())
 	c.remote, c.remoteConduit, c.remoteHV = nil, nil, nil
@@ -478,7 +505,18 @@ func (c *Checkpointer) shipRemote(dirty []mem.PFN) error {
 		return err
 	}
 	defer fmP.Unmap()
-	return c.remoteConduit.SendCheckpoint(dirty, fmP.Page)
+	return sendAcked(c.remoteConduit, &c.remoteRepl, dirty, fmP.Page)
+}
+
+// sendAcked is Conduit.SendCheckpoint that also adds the batch's wire
+// accounting to into.
+func sendAcked(conduit *remus.Conduit, into *cost.ReplicationCounts, pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) error {
+	stats, err := conduit.Send(pfns, page)
+	if err != nil {
+		return err
+	}
+	into.Add(replCounts(stats))
+	return conduit.AwaitAck()
 }
 
 // Backup returns the backup domain holding the most recent clean
@@ -595,7 +633,7 @@ func (c *Checkpointer) Checkpoint() (cost.Counts, error) {
 	if err := c.primary.HarvestDirty(c.dirty); err != nil {
 		return cost.Counts{}, err
 	}
-	return c.checkpointDirty()
+	return c.commitDirty()
 }
 
 // CheckpointBitmap is Checkpoint for a caller that already harvested
@@ -608,32 +646,7 @@ func (c *Checkpointer) CheckpointBitmap(dirty *mem.Bitmap) (cost.Counts, error) 
 	if err := c.dirty.CopyFrom(dirty); err != nil {
 		return cost.Counts{}, err
 	}
-	return c.checkpointDirty()
-}
-
-// checkpointDirty commits the harvested dirty set. In the delta wire
-// modes it brackets the commit with conduit-stats snapshots so the
-// returned counts carry this epoch's replication traffic; raw mode adds
-// no bookkeeping to the seed path. Pipelined remote shipments that
-// complete after the commit returns are picked up by a later epoch's
-// delta (the cumulative totals stay exact).
-func (c *Checkpointer) checkpointDirty() (cost.Counts, error) {
-	if c.remusMode == remus.ModeRaw {
-		return c.commitDirty()
-	}
-	// Hold the conduit pointers: a mid-commit degradation nils
-	// c.remoteConduit, but the traffic it carried this epoch still
-	// counts (Stats stays readable on a closed conduit).
-	local, remote := c.conduit, c.remoteConduit
-	localBase := local.Stats()
-	remoteBase := remote.Stats()
-	counts, err := c.commitDirty()
-	if err != nil {
-		return counts, err
-	}
-	counts.LocalRepl = replCounts(local.Stats().Sub(localBase))
-	counts.RemoteRepl = replCounts(remote.Stats().Sub(remoteBase))
-	return counts, nil
+	return c.commitDirty()
 }
 
 // replCounts converts conduit stream accounting into the cost model's
@@ -653,8 +666,13 @@ func replCounts(s remus.StreamStats) cost.ReplicationCounts {
 	}
 }
 
+// commitDirty commits the harvested dirty set. The returned counts carry
+// the commit's exact replication traffic in the delta wire modes: what
+// the local conduit and a serial remote ship sent, plus the traffic of
+// the pipelined shipments this commit settled.
 func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 	c.report = CommitReport{Timings: PhaseTimings{Workers: c.workers}}
+	c.localRepl, c.remoteRepl = cost.ReplicationCounts{}, cost.ReplicationCounts{}
 	if c.obsr != nil {
 		defer c.observeCommit()
 	}
@@ -668,25 +686,6 @@ func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 		if err := c.quiesceCoW(); err != nil {
 			_ = c.primary.MergeDirty(c.dirty)
 			return cost.Counts{}, fmt.Errorf("checkpoint: cow convergence: %w", err)
-		}
-	}
-
-	// Epoch boundary: drain acknowledgements of previously pipelined
-	// remote shipments without blocking; a persistent ship failure
-	// surfaces here and degrades replication to local-only before this
-	// commit does any remote work.
-	if c.shipCh != nil {
-		c.drainShipResults(false)
-		if c.shipErr != nil {
-			err := c.shipErr
-			c.shipErr = nil
-			// Stopping drains the rest of the window; a second in-flight
-			// failure surfacing there is folded into this degradation
-			// rather than left parked for a future commit to trip over.
-			if e2 := c.stopShipper(); e2 != nil && err == nil {
-				err = e2
-			}
-			c.degradeRemote(err)
 		}
 	}
 
@@ -799,29 +798,40 @@ func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 		counts.DiskBlocks = len(diskDirty)
 		counts.BytesCopied += len(diskDirty) * vdisk.BlockSize
 	}
-	if c.remote != nil {
-		// Remote replication is an availability add-on (§4.1): it must
-		// never fail the security-critical local commit. Serial mode
-		// ships inside the commit (transient failures retried, a
-		// persistent failure downgrades to local-only); parallel mode
-		// pipelines the ship behind the resumed guest and only pays the
-		// committed-page snapshot plus any window backpressure here.
-		shipStart := time.Now()
-		if c.workers > 1 {
-			if c.enqueueShipment(dirty) {
-				counts.RemotePages = len(dirty)
-			}
-		} else {
-			if err := c.shipRemoteRetry(dirty); err != nil {
-				c.degradeRemote(err)
-			} else {
-				counts.RemotePages = len(dirty)
-			}
-		}
-		c.report.Timings.RemoteShip = time.Since(shipStart)
+	c.replicateRemote(dirty, &counts)
+	return c.finishCommit(counts), nil
+}
+
+// replicateRemote ships the committed dirty pages to the remote backup,
+// when there is one. Remote replication is an availability add-on
+// (§4.1): it must never fail the security-critical local commit. Serial
+// mode ships inside the commit (transient failures retried, a persistent
+// failure downgrades to local-only); parallel mode pipelines the ship
+// behind the resumed guest and only pays the committed-page snapshot
+// plus any window backpressure here.
+func (c *Checkpointer) replicateRemote(dirty []mem.PFN, counts *cost.Counts) {
+	if c.remote == nil {
+		return
 	}
+	shipStart := time.Now()
+	if c.workers > 1 {
+		if c.enqueueShipment(dirty) {
+			counts.RemotePages = len(dirty)
+		}
+	} else if err := c.shipSerial(dirty); err != nil {
+		c.degradeRemote(err)
+	} else {
+		counts.RemotePages = len(dirty)
+	}
+	c.report.Timings.RemoteShip = time.Since(shipStart)
+}
+
+// finishCommit stamps a successful commit's replication accounting into
+// its report and counts.
+func (c *Checkpointer) finishCommit(counts cost.Counts) cost.Counts {
 	c.report.RemoteInFlight = c.inFlight
-	return counts, nil
+	counts.LocalRepl, counts.RemoteRepl = c.localRepl, c.remoteRepl
+	return counts
 }
 
 // copyMemory dispatches to the optimization level's page-copy path.
@@ -899,9 +909,15 @@ func (c *Checkpointer) applyDiskUndo(diskDirty []mem.PFN) {
 	}
 }
 
-// shipRemoteRetry ships dirty pages to the remote backup, retrying
-// transient conduit failures up to maxRemoteRetries times.
-func (c *Checkpointer) shipRemoteRetry(dirty []mem.PFN) error {
+// shipSerial ships dirty pages to the remote backup inside the commit,
+// retrying transient conduit failures up to maxRemoteRetries times. A
+// pipeline left running by an earlier parallel commit (the worker count
+// can be retuned between epochs) is settled first, so the conduit never
+// carries two senders.
+func (c *Checkpointer) shipSerial(dirty []mem.PFN) error {
+	if err := c.stopShipper(c.settleInCommit); err != nil {
+		return err
+	}
 	for retries := 0; ; retries++ {
 		err := c.shipRemote(dirty)
 		if err == nil {
@@ -937,40 +953,70 @@ type shipment struct {
 	data []byte // len(pfns) * mem.PageSize
 }
 
-// shipResult is the shipper goroutine's outcome for one shipment.
+// shipResult is the shipper goroutine's outcome for one shipment: the
+// error and retry count, the exact wire accounting of what it sent, and
+// the shipment itself so its buffers can be reused.
 type shipResult struct {
 	err     error
 	retries int
+	repl    cost.ReplicationCounts
+	ship    shipment
 }
+
+// newShipment returns a shipment for dirty with its PFN list copied and
+// its data buffer sized, reusing a settled shipment's buffers when they
+// fit. The PFN list must be snapshotted along with the data: dirty
+// aliases the checkpointer's reusable scratch slice, which the next
+// epoch's scan overwrites while this shipment may still be in flight. A
+// buffer more than four times too large is dropped rather than reused,
+// so one huge epoch (a post-rollback full resync) does not pin its
+// snapshot for the rest of the session.
+func (c *Checkpointer) newShipment(dirty []mem.PFN) shipment {
+	var s shipment
+	if n := len(c.shipFree); n > 0 {
+		s, c.shipFree = c.shipFree[n-1], c.shipFree[:n-1]
+	}
+	need := len(dirty) * mem.PageSize
+	if cap(s.data) < need || cap(s.data) > 4*need+sparePages*mem.PageSize {
+		s.data = make([]byte, need)
+	}
+	s.data = s.data[:need]
+	s.pfns = append(s.pfns[:0], dirty...)
+	return s
+}
+
+// sparePages is the snapshot-buffer slack newShipment always tolerates,
+// so small epochs of varying size share one buffer.
+const sparePages = 64
 
 // enqueueShipment snapshots the committed pages from the backup and
 // hands them to the shipper goroutine, blocking only when the in-flight
 // window is full. It reports whether the shipment was enqueued; false
-// means replication degraded while draining the window.
+// means replication degraded while settling the window.
 func (c *Checkpointer) enqueueShipment(dirty []mem.PFN) bool {
 	if c.shipCh == nil {
 		c.shipCh = make(chan shipment, maxShipsInFlight)
-		c.shipRes = make(chan shipResult, maxShipsInFlight+1)
+		c.shipRes = make(chan shipResult, maxShipsInFlight)
 		c.shipDone = make(chan struct{})
-		go c.shipper(c.remoteConduit, c.shipCh, c.shipRes, c.shipDone)
+		conduit, in, out, done := c.remoteConduit, c.shipCh, c.shipRes, c.shipDone
+		go pprof.Do(context.Background(), pprof.Labels("vm", c.primary.Name(), "role", "shipper"),
+			func(context.Context) { shipper(conduit, in, out, done) })
 	}
 	if c.inFlight >= maxShipsInFlight {
-		// Window backpressure: wait for the oldest shipment to drain.
-		c.drainShipResults(true)
-		if c.shipErr != nil {
-			err := c.shipErr
-			c.shipErr = nil
-			if e2 := c.stopShipper(); e2 != nil && err == nil {
-				err = e2
-			}
+		// Window backpressure: the oldest shipment must leave the window.
+		// This is the one point a commit consumes a shipper result, so
+		// which commit reports which shipment depends on the commit
+		// sequence alone, never on how far the shipper happened to get.
+		if err := c.settleShipment(c.settleInCommit); err != nil {
+			// Stopping settles the rest of the window into this commit
+			// too; a second failure surfacing there is part of the same
+			// degradation.
+			_ = c.stopShipper(c.settleInCommit)
 			c.degradeRemote(err)
 			return false
 		}
 	}
-	// The PFN list must be snapshotted along with the data: dirty
-	// aliases the checkpointer's reusable scratch slice, which the next
-	// epoch's scan overwrites while this shipment may still be in flight.
-	s := shipment{pfns: append([]mem.PFN(nil), dirty...), data: make([]byte, len(dirty)*mem.PageSize)}
+	s := c.newShipment(dirty)
 	// Snapshot through the worker pool: the backup is immutable until
 	// the next commit, and shards write disjoint regions. Under CoW the
 	// backup is still converging toward this epoch, so the snapshot
@@ -991,7 +1037,7 @@ func (c *Checkpointer) enqueueShipment(dirty []mem.PFN) bool {
 	}); err != nil {
 		// Snapshot failure is local, not a conduit failure; degrade the
 		// same way rather than fail the already-committed epoch.
-		_ = c.stopShipper()
+		_ = c.stopShipper(c.settleInCommit)
 		c.degradeRemote(fmt.Errorf("checkpoint: snapshot for remote ship: %w", err))
 		return false
 	}
@@ -1003,20 +1049,16 @@ func (c *Checkpointer) enqueueShipment(dirty []mem.PFN) bool {
 // shipper is the pipelined replication goroutine: it serializes,
 // encrypts, and sends each queued shipment and waits for the backup's
 // acknowledgement, overlapping all of it with the resumed guest's
-// execution. Transient conduit failures are retried in place; the
-// result (error and retry count) is reported for the committing
-// goroutine to drain at the next epoch boundary.
-func (c *Checkpointer) shipper(conduit *remus.Conduit, in <-chan shipment, out chan<- shipResult, done chan<- struct{}) {
+// execution. Transient conduit failures are retried in place; each
+// shipment's result is delivered in order for a commit (or the final
+// drain) to settle.
+func shipper(conduit *remus.Conduit, in <-chan shipment, out chan<- shipResult, done chan<- struct{}) {
 	defer close(done)
 	for s := range in {
-		var res shipResult
+		res := shipResult{ship: s}
 		for {
-			err := shipSnapshot(conduit, s)
-			if err == nil {
-				break
-			}
-			if !fault.IsTransient(err) || res.retries >= maxRemoteRetries {
-				res.err = err
+			res.err = shipSnapshot(conduit, s, &res.repl)
+			if res.err == nil || !fault.IsTransient(res.err) || res.retries >= maxRemoteRetries {
 				break
 			}
 			res.retries++
@@ -1027,72 +1069,79 @@ func (c *Checkpointer) shipper(conduit *remus.Conduit, in <-chan shipment, out c
 
 // shipSnapshot sends one snapshotted shipment over the conduit and
 // waits for its ack.
-func shipSnapshot(conduit *remus.Conduit, s shipment) error {
-	if err := conduit.Send(s.pfns, func(pfn mem.PFN) ([]byte, error) {
+func shipSnapshot(conduit *remus.Conduit, s shipment, into *cost.ReplicationCounts) error {
+	return sendAcked(conduit, into, s.pfns, func(pfn mem.PFN) ([]byte, error) {
 		i := sort.Search(len(s.pfns), func(i int) bool { return s.pfns[i] >= pfn })
 		if i >= len(s.pfns) || s.pfns[i] != pfn {
 			return nil, fmt.Errorf("checkpoint: shipment missing pfn %d", pfn)
 		}
 		return s.data[i*mem.PageSize : (i+1)*mem.PageSize], nil
-	}); err != nil {
-		return err
-	}
-	return conduit.AwaitAck()
+	})
 }
 
-// drainShipResults folds completed shipper results into the report.
-// With block set it waits for at least one outstanding result; it then
-// keeps consuming whatever has already completed without blocking. The
-// first persistent failure is parked in c.shipErr for the caller to
-// turn into a degradation.
-func (c *Checkpointer) drainShipResults(block bool) {
-	for c.inFlight > 0 {
-		if block {
-			res := <-c.shipRes
-			c.noteShipResult(res)
-			block = false
-			continue
-		}
-		select {
-		case res := <-c.shipRes:
-			c.noteShipResult(res)
-		default:
-			return
-		}
-	}
-}
-
-func (c *Checkpointer) noteShipResult(res shipResult) {
+// settleShipment consumes the oldest in-flight shipment's result,
+// waiting for the shipper to deliver it, hands the outcome to note, and
+// returns the shipment's persistent failure, if any. Its snapshot
+// buffers go back on the free list.
+func (c *Checkpointer) settleShipment(note func(ShipReport)) error {
+	res := <-c.shipRes
 	c.inFlight--
-	c.report.RemoteRetries += res.retries
-	if res.err != nil {
-		if c.shipErr == nil {
-			c.shipErr = res.err
-		}
-		return
+	if len(c.shipFree) < maxShipsInFlight {
+		c.shipFree = append(c.shipFree, res.ship)
 	}
-	c.report.RemoteAcked++
+	r := ShipReport{Retries: res.retries, Repl: res.repl}
+	if res.err == nil {
+		r.Acked = 1
+	}
+	note(r)
+	return res.err
 }
 
-// stopShipper shuts the pipelined shipper down, draining every
-// outstanding acknowledgement first (shipRes is buffered to the window
-// size, so the shipper never blocks after its input closes). Any
-// failure drained while stopping is returned WITH c.shipErr cleared:
-// leaving it parked would make a dead shipper's error sticky, failing
-// commits long after replication already degraded — and tearing down a
-// healthy remote if replication is later re-enabled.
-func (c *Checkpointer) stopShipper() error {
+// settleInCommit folds a shipment settled by the running commit into
+// that commit's report and counts.
+func (c *Checkpointer) settleInCommit(r ShipReport) {
+	c.report.RemoteAcked += r.Acked
+	c.report.RemoteRetries += r.Retries
+	c.remoteRepl.Add(r.Repl)
+}
+
+// settleDrained folds a shipment settled outside any commit into the
+// drain report and the metric series a commit would have fed.
+func (c *Checkpointer) settleDrained(r ShipReport) {
+	c.drained.Acked += r.Acked
+	c.drained.Retries += r.Retries
+	c.drained.Repl.Add(r.Repl)
+	c.met.acked.Add(int64(r.Acked))
+	c.met.retries.Add(int64(r.Retries))
+}
+
+// stopShipper shuts the pipelined shipper down, settling every
+// outstanding shipment first (shipRes is buffered to the window size, so
+// the shipper never blocks after its input closes), and returns the
+// first persistent failure among them. Nothing stays parked: a dead
+// shipper's error must not fail commits long after replication already
+// degraded, nor tear down a healthy remote re-enabled later.
+func (c *Checkpointer) stopShipper(note func(ShipReport)) error {
 	if c.shipCh == nil {
 		return nil
 	}
 	close(c.shipCh)
+	var first error
 	for c.inFlight > 0 {
-		c.noteShipResult(<-c.shipRes)
+		if err := c.settleShipment(note); err != nil && first == nil {
+			first = err
+		}
 	}
 	<-c.shipDone
 	c.shipCh, c.shipRes, c.shipDone = nil, nil, nil
-	err := c.shipErr
-	c.shipErr = nil
+	return first
+}
+
+// drainShipper is stopShipper outside a commit: the tail of the window
+// lands in the drain report.
+func (c *Checkpointer) drainShipper() error {
+	err := c.stopShipper(c.settleDrained)
+	c.met.inFlight.Set(0)
 	return err
 }
 
@@ -1158,7 +1207,7 @@ func (c *Checkpointer) copySocket(dirty []mem.PFN) error {
 		return err
 	}
 	defer fmP.Unmap()
-	return c.conduit.SendCheckpoint(dirty, fmP.Page)
+	return sendAcked(c.conduit, &c.localRepl, dirty, fmP.Page)
 }
 
 // Rollback copies the backup's memory back into the primary — the
@@ -1217,7 +1266,7 @@ func (c *Checkpointer) Close() error {
 		_ = c.quiesceCoW()
 		c.primary.SetWriteFaultHandler(nil)
 	}
-	if err := c.stopShipper(); err != nil {
+	if err := c.drainShipper(); err != nil {
 		if c.remote != nil {
 			c.degradeRemote(err)
 		}

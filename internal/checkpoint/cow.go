@@ -21,8 +21,10 @@
 package checkpoint
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -79,7 +81,8 @@ func (c *Checkpointer) EnableCoW() error {
 	}
 	c.cow = cw
 	c.primary.SetWriteFaultHandler(c.handleCoWFault)
-	go c.cowCopier()
+	go pprof.Do(context.Background(), pprof.Labels("vm", c.primary.Name(), "role", "cow-copier"),
+		func(context.Context) { c.cowCopier() })
 	return nil
 }
 
@@ -146,25 +149,11 @@ func (c *Checkpointer) commitCoW(dirty, diskDirty []mem.PFN, counts cost.Counts)
 		counts.DiskBlocks = len(diskDirty)
 		counts.BytesCopied += len(diskDirty) * vdisk.BlockSize
 	}
-	if c.remote != nil {
-		// Same availability-only contract as the eager path; the
-		// pipelined snapshot reads the paused primary (see
-		// enqueueShipment), so it must run before the guest resumes —
-		// and before arming, so the snapshot reads take no faults.
-		shipStart := time.Now()
-		if c.workers > 1 {
-			if c.enqueueShipment(dirty) {
-				counts.RemotePages = len(dirty)
-			}
-		} else {
-			if err := c.shipRemoteRetry(dirty); err != nil {
-				c.degradeRemote(err)
-			} else {
-				counts.RemotePages = len(dirty)
-			}
-		}
-		c.report.Timings.RemoteShip = time.Since(shipStart)
-	}
+	// Same availability-only contract as the eager path; the pipelined
+	// snapshot reads the paused primary (see enqueueShipment), so it must
+	// run before the guest resumes — and before arming, so the snapshot
+	// reads take no faults.
+	c.replicateRemote(dirty, &counts)
 	memStart := time.Now()
 	if err := c.armCoW(dirty, diskDirty); err != nil {
 		// Arming failed before any protection landed. Converge inline:
@@ -176,8 +165,7 @@ func (c *Checkpointer) commitCoW(dirty, diskDirty []mem.PFN, counts cost.Counts)
 		}
 	}
 	c.report.Timings.MemCopy = time.Since(memStart)
-	c.report.RemoteInFlight = c.inFlight
-	return counts, nil
+	return c.finishCommit(counts), nil
 }
 
 // armCoW records the commit's dirty metadata, write-protects the pages,

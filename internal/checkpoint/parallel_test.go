@@ -214,8 +214,8 @@ func TestPipelinedRemoteConverges(t *testing.T) {
 
 // TestPipelinedRemoteDegradesDeterministically injects a fatal send
 // fault into the pipelined shipper and asserts replication degrades to
-// local-only at the next epoch boundary without failing any local
-// commit.
+// local-only at exactly the commit that takes the failed shipment out of
+// the window, without failing any local commit.
 func TestPipelinedRemoteDegradesDeterministically(t *testing.T) {
 	h := hv.New(4*domPages + 8)
 	inj := fault.NewInjector()
@@ -243,10 +243,14 @@ func TestPipelinedRemoteDegradesDeterministically(t *testing.T) {
 	if _, err := c.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint 1: %v", err)
 	}
-	// By checkpoint 3 the boundary drain must have seen the failure and
-	// degraded (the failed result may still be in flight at boundary 2).
+	// The failed shipment leaves the full window at checkpoint
+	// 1+maxShipsInFlight: that commit degrades, none before it — however
+	// early the shipper hit the failure.
 	degraded := false
-	for i := 2; i <= 3 && !degraded; i++ {
+	for i := 2; i <= 1+maxShipsInFlight; i++ {
+		if degraded {
+			t.Fatalf("degraded before checkpoint %d settled the failed shipment", 1+maxShipsInFlight)
+		}
 		if err := d.WritePhys(0, []byte{byte(i)}); err != nil {
 			t.Fatalf("WritePhys: %v", err)
 		}

@@ -411,8 +411,10 @@ type Controller struct {
 
 	// Delta-replication accounting (zero / unused when cfg.Remus is
 	// RemusRaw): the cumulative wire-protocol counters across local and
-	// remote conduits, for fleet roll-ups.
-	replStats cost.ReplicationCounts
+	// remote conduits, for fleet roll-ups. tailFolded records that Close
+	// already added the shipments settled outside any epoch.
+	replStats  cost.ReplicationCounts
+	tailFolded bool
 
 	epoch      int
 	virtualNow time.Duration
@@ -818,8 +820,37 @@ func (c *Controller) History() []HistoryEntry {
 	return out
 }
 
-// Close releases the checkpointer resources.
-func (c *Controller) Close() error { return c.ckpt.Close() }
+// Close releases the checkpointer resources. Pipelined remote shipments
+// still in flight are settled first; their outcome belongs to no epoch,
+// so it joins ReplicationTotals and the replication series here and a
+// traced run gets one closing replicate event. Every shipment is thus
+// reported exactly once: by the epoch whose commit settled it, or by
+// Close.
+func (c *Controller) Close() error {
+	err := c.ckpt.Close()
+	tail := c.ckpt.Drained()
+	if c.tailFolded || tail == (checkpoint.ShipReport{}) {
+		return err
+	}
+	c.tailFolded = true
+	c.replStats.Add(tail.Repl)
+	if c.obs != nil {
+		c.recordReplication(tail.Repl)
+		c.emit(obs.Event{Phase: obs.PhaseReplicate, Acked: tail.Acked, Retries: tail.Retries,
+			Action: "drain", Repl: replEvent(tail.Repl)})
+	}
+	return err
+}
+
+// replEvent is the trace block for one report's delta-replication
+// traffic; nil when there was none.
+func replEvent(r cost.ReplicationCounts) *obs.Replication {
+	if r == (cost.ReplicationCounts{}) {
+		return nil
+	}
+	return &obs.Replication{WireBytes: r.WireBytes, RawBytes: r.RawBytes,
+		Raw: r.RawPages, Delta: r.DeltaPages, Same: r.SamePages, Dup: r.DupPages, Zero: r.ZeroPages}
+}
 
 // EpochResult reports what one epoch did.
 type EpochResult struct {
@@ -1169,14 +1200,7 @@ func (c *Controller) runEpoch(work func(*guestos.Guest) error) (*EpochResult, er
 		}
 		if c.cfg.Remus != RemusRaw {
 			c.recordReplication(res.Replication)
-			if res.Replication != (cost.ReplicationCounts{}) {
-				ev.Repl = &obs.Replication{
-					WireBytes: res.Replication.WireBytes, RawBytes: res.Replication.RawBytes,
-					Raw: res.Replication.RawPages, Delta: res.Replication.DeltaPages,
-					Same: res.Replication.SamePages, Dup: res.Replication.DupPages,
-					Zero: res.Replication.ZeroPages,
-				}
-			}
+			ev.Repl = replEvent(res.Replication)
 		}
 		c.emit(ev)
 		if rep.RemoteAcked > 0 || rep.RemoteInFlight > 0 || rep.RemoteDegraded || counts.RemotePages > 0 {

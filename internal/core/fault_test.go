@@ -126,9 +126,29 @@ func TestFaultInjectedEpochs(t *testing.T) {
 				t.Fatalf("clean epoch: %v", err)
 			}
 
-			// Epoch 2: the injected fault.
-			inj.FailNext(tc.site, 1, tc.transient)
+			// Epoch 2: the injected fault. The remote cases schedule it by
+			// absolute occurrence — send 1 is the initial sync, send 2 epoch
+			// 1's ship, send 3 epoch 2's — because a pipelined shipper may
+			// still be working on epoch 1's ship when FailNext would count.
+			if tc.remote {
+				inj.Fail(tc.site, 3, 1, tc.transient)
+			} else {
+				inj.FailNext(tc.site, 1, tc.transient)
+			}
 			res, err := ctl.RunEpoch(work)
+			// A pipelined ship leaves the pause window: its outcome is
+			// reported by the commit that takes its shipment out of the
+			// in-flight window — RemoteInFlight commits later, whatever the
+			// goroutine scheduling — and the epochs in between are clean.
+			if tc.remote && err == nil {
+				for lag := res.Commit.RemoteInFlight; lag > 0 && err == nil; lag-- {
+					if !res.Recovery.Clean() {
+						t.Fatalf("epoch %d needed recovery before the faulted shipment left the window: %+v",
+							res.Epoch, res.Recovery)
+					}
+					res, err = ctl.RunEpoch(work)
+				}
+			}
 			if inj.Tripped(tc.site) == 0 {
 				t.Fatalf("fault at %s never fired", tc.site)
 			}

@@ -3,7 +3,9 @@ package remus
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/hv"
 	"repro/internal/mem"
@@ -60,35 +62,58 @@ func FuzzRestoreDecodeV2(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint32(nil, 0xFFFFFFFF))                               // absurd count
 	f.Add(fuzzBatch(fuzzRecord(2, opRaw, 1, 2, 3)))                                        // truncated raw payload
 	f.Add([]byte{1, 0})                                                                    // truncated header
+	// Streams that end inside the restore side's read buffer: mid record
+	// header, mid payload, between records, one byte short.
+	whole := fuzzBatch(fuzzRecord(2, opRaw, rawPage...), fuzzRecord(1, opDelta, deltaPayload...),
+		fuzzRecord(4, opDup, binary.LittleEndian.AppendUint64(nil, 2)...), fuzzRecord(3, opZero))
+	for _, cut := range []int{4 + 5, 4 + 9 + 100, 4 + 9 + mem.PageSize, 4 + 9 + mem.PageSize + 9 + 1,
+		4 + 9 + mem.PageSize + 9 + 2 + len(delta) + 9 + 3, len(whole) - 1} {
+		f.Add(whole[:cut])
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h := hv.New(fuzzPages + 2)
-		backup, err := h.CreateDomain("backup", fuzzPages)
-		if err != nil {
-			t.Fatalf("CreateDomain: %v", err)
-		}
-		// Pre-seed recognizable content so corruption is detectable.
-		want := make([][]byte, fuzzPages)
-		for pfn := 0; pfn < fuzzPages; pfn++ {
-			page := bytes.Repeat([]byte{byte(0x10 + pfn)}, mem.PageSize)
-			if err := backup.WritePhys(uint64(pfn)*mem.PageSize, page); err != nil {
-				t.Fatalf("WritePhys: %v", err)
+		// decode runs data through a fresh decoder and backup domain.
+		decode := func(src io.Reader) ([][]byte, error) {
+			h := hv.New(fuzzPages + 2)
+			backup, err := h.CreateDomain("backup", fuzzPages)
+			if err != nil {
+				t.Fatalf("CreateDomain: %v", err)
 			}
-			want[pfn] = page
-		}
-		c := &Conduit{backup: backup, mode: ModeDeltaDedup}
-		pageBuf := make([]byte, mem.PageSize)
-		deltaBuf := make([]byte, mem.PageSize)
-		// Must not panic, whatever the input.
-		decodeErr := c.applyBatchV2(bytes.NewReader(data), nopStream{}, pageBuf, deltaBuf)
+			// Pre-seed recognizable content so corruption is detectable.
+			for pfn := 0; pfn < fuzzPages; pfn++ {
+				page := bytes.Repeat([]byte{byte(0x10 + pfn)}, mem.PageSize)
+				if err := backup.WritePhys(uint64(pfn)*mem.PageSize, page); err != nil {
+					t.Fatalf("WritePhys: %v", err)
+				}
+			}
+			c := &Conduit{backup: backup, mode: ModeDeltaDedup}
+			// Must not panic, whatever the input.
+			decodeErr := c.applyBatchV2(newWireReader(src, nopStream{}), make([]byte, mem.PageSize))
 
-		// The domain must stay fully readable, and on error the decoder
-		// must not have touched pages outside what a valid prefix of the
-		// batch could legitimately address.
-		got := make([]byte, mem.PageSize)
-		for pfn := 0; pfn < fuzzPages; pfn++ {
-			if err := backup.ReadPhys(uint64(pfn)*mem.PageSize, got); err != nil {
-				t.Fatalf("ReadPhys pfn %d after decode (err=%v): %v", pfn, decodeErr, err)
+			// The domain must stay fully readable, and on error the decoder
+			// must not have touched pages outside what a valid prefix of the
+			// batch could legitimately address.
+			got := make([][]byte, fuzzPages)
+			for pfn := range got {
+				got[pfn] = make([]byte, mem.PageSize)
+				if err := backup.ReadPhys(uint64(pfn)*mem.PageSize, got[pfn]); err != nil {
+					t.Fatalf("ReadPhys pfn %d after decode (err=%v): %v", pfn, decodeErr, err)
+				}
+			}
+			return got, decodeErr
+		}
+		// How the stream is cut into reads must not matter: a pipe that
+		// delivers one byte at a time (every field straddles a refill)
+		// decodes to the same pages and the same verdict as one that
+		// delivers the whole batch at once.
+		bulk, bulkErr := decode(bytes.NewReader(data))
+		drip, dripErr := decode(iotest.OneByteReader(bytes.NewReader(data)))
+		if (bulkErr == nil) != (dripErr == nil) {
+			t.Fatalf("verdict depends on read sizes: bulk err=%v, byte-wise err=%v", bulkErr, dripErr)
+		}
+		for pfn := range bulk {
+			if !bytes.Equal(bulk[pfn], drip[pfn]) {
+				t.Fatalf("pfn %d depends on read sizes (bulk err=%v, byte-wise err=%v)", pfn, bulkErr, dripErr)
 			}
 		}
 	})

@@ -8,6 +8,7 @@
 package remus
 
 import (
+	"context"
 	"crypto/aes"
 	"crypto/cipher"
 	"encoding/binary"
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -160,12 +162,14 @@ func NewConduitMode(h *hv.Hypervisor, backup *hv.Domain, key []byte, mode Mode, 
 		done:    make(chan struct{}),
 	}
 	dec := cipher.NewCTR(decBlock, iv)
-	if mode == ModeRaw {
-		go c.restore(restoreSide, ackRestore, dec)
-	} else {
+	restore := c.restore
+	if mode != ModeRaw {
 		c.table = newVersionTable(budgetPages)
-		go c.restoreV2(restoreSide, ackRestore, dec)
+		restore = c.restoreV2
 	}
+	go pprof.Do(context.Background(), pprof.Labels("vm", backup.Name(), "role", "restore"), func(context.Context) {
+		restore(restoreSide, ackRestore, dec)
+	})
 	return c, nil
 }
 
@@ -176,7 +180,7 @@ func NewConduitMode(h *hv.Hypervisor, backup *hv.Domain, key []byte, mode Mode, 
 // shipper calls the two phases separately so encrypt/transmit of one
 // batch overlaps the ack wait of the previous one.
 func (c *Conduit) SendCheckpoint(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) error {
-	if err := c.Send(pfns, page); err != nil {
+	if _, err := c.Send(pfns, page); err != nil {
 		return err
 	}
 	return c.AwaitAck()
@@ -184,18 +188,21 @@ func (c *Conduit) SendCheckpoint(pfns []mem.PFN, page func(mem.PFN) ([]byte, err
 
 // Send serializes, encrypts, and transmits one checkpoint batch without
 // waiting for the backup's acknowledgement. Every successful Send must
-// eventually be paired with one AwaitAck; acks arrive in send order.
-func (c *Conduit) Send(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) error {
+// eventually be paired with one AwaitAck; acks arrive in send order. It
+// returns the batch's own v2 wire accounting (zero in ModeRaw), so a
+// caller's per-batch bookkeeping never has to take the conduit lock that
+// a concurrent Send holds for its whole encode.
+func (c *Conduit) Send(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) (StreamStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return ErrClosed
+		return StreamStats{}, ErrClosed
 	}
 	if err := c.hv.Faults().Check(FaultSend); err != nil {
-		return fmt.Errorf("remus: send checkpoint: %w", err)
+		return StreamStats{}, fmt.Errorf("remus: send checkpoint: %w", err)
 	}
 	if c.mode == ModeRaw {
-		return c.sendRaw(pfns, page)
+		return StreamStats{}, c.sendRaw(pfns, page)
 	}
 	return c.sendV2(pfns, page)
 }

@@ -12,13 +12,16 @@
 package remus
 
 import (
+	"bufio"
 	"bytes"
 	"container/list"
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 
 	"repro/internal/mem"
@@ -52,20 +55,50 @@ const (
 var zeroPage [mem.PageSize]byte
 var zeroHash = hashPage(zeroPage[:])
 
-// hashPage is FNV-1a over the page contents: cheap, deterministic, and
-// collision-checked (every hash match is confirmed with bytes.Equal
-// before a reference record is emitted).
+// Lane multipliers and the fixed seed of hashPage (the 64-bit primes
+// xxHash uses; any odd constants with good bit dispersion would do).
+const (
+	hashPrime1 = 0x9E3779B185EBCA87
+	hashPrime2 = 0xC2B2AE3D27D4EB4F
+	hashPrime3 = 0x165667B19E3779F9
+	hashSeed   = 0x27D4EB2F165667C5
+)
+
+// hashPage is a deterministic, fixed-seed 64-bit content hash read a
+// word at a time into four independent multiply-rotate lanes, so the
+// multiplies of one 32-byte stripe overlap instead of forming one
+// 4096-step dependency chain. It is not cryptographic and need not be:
+// every hash match is confirmed with bytes.Equal before a reference
+// record is emitted, so a collision costs a missed dedup, never a wrong
+// page.
 func hashPage(p []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= prime64
+	v1 := uint64(hashSeed)
+	v2 := v1 + hashPrime1
+	v3 := v1 + hashPrime2
+	v4 := v1 + hashPrime3
+	n := uint64(len(p))
+	for len(p) >= 32 {
+		v1 = hashLane(v1, binary.LittleEndian.Uint64(p[0:8]))
+		v2 = hashLane(v2, binary.LittleEndian.Uint64(p[8:16]))
+		v3 = hashLane(v3, binary.LittleEndian.Uint64(p[16:24]))
+		v4 = hashLane(v4, binary.LittleEndian.Uint64(p[24:32]))
+		p = p[32:]
 	}
+	h := bits.RotateLeft64(v1, 1) + bits.RotateLeft64(v2, 7) +
+		bits.RotateLeft64(v3, 12) + bits.RotateLeft64(v4, 18) + n
+	for _, b := range p { // sub-stripe tail; empty for whole pages
+		h = bits.RotateLeft64(h^uint64(b)*hashPrime3, 11) * hashPrime1
+	}
+	h ^= h >> 33
+	h *= hashPrime2
+	h ^= h >> 29
+	h *= hashPrime3
+	h ^= h >> 32
 	return h
+}
+
+func hashLane(acc, w uint64) uint64 {
+	return bits.RotateLeft64(acc+w*hashPrime2, 31) * hashPrime1
 }
 
 // ventry is one shipped-version table entry: the last content shipped
@@ -74,6 +107,11 @@ type ventry struct {
 	pfn  mem.PFN
 	hash uint64
 	data []byte // mem.PageSize copy of the last-shipped contents
+
+	// Dedup bucket links: entries sharing a hash form a ring in insertion
+	// order, so re-indexing a page on every content change allocates
+	// nothing.
+	hnext, hprev *ventry
 }
 
 // versionTable is the sender-side shipped-version table: per-PFN hash
@@ -85,7 +123,7 @@ type versionTable struct {
 	budget  int                       // max entries; <= 0 is unbounded
 	entries map[mem.PFN]*list.Element // element value is *ventry
 	lru     *list.List                // front = most recently shipped
-	byHash  map[uint64][]*ventry      // dedup index, bucket in insert order
+	byHash  map[uint64]*ventry        // dedup index: oldest entry of each hash's ring
 }
 
 func newVersionTable(budget int) *versionTable {
@@ -93,7 +131,7 @@ func newVersionTable(budget int) *versionTable {
 		budget:  budget,
 		entries: make(map[mem.PFN]*list.Element),
 		lru:     list.New(),
-		byHash:  make(map[uint64][]*ventry),
+		byHash:  make(map[uint64]*ventry),
 	}
 }
 
@@ -110,9 +148,13 @@ func (t *versionTable) lookup(pfn mem.PFN) *ventry {
 // Bucket order is deterministic (insertion order), so the chosen
 // reference is reproducible run to run.
 func (t *versionTable) findDup(pfn mem.PFN, hash uint64, page []byte) (mem.PFN, bool) {
-	for _, e := range t.byHash[hash] {
+	head := t.byHash[hash]
+	for e := head; e != nil; {
 		if e.pfn != pfn && bytes.Equal(e.data, page) {
 			return e.pfn, true
+		}
+		if e = e.hnext; e == head {
+			break
 		}
 	}
 	return 0, false
@@ -127,7 +169,7 @@ func (t *versionTable) update(pfn mem.PFN, hash uint64, page []byte) {
 		if e.hash != hash {
 			t.unindex(e)
 			e.hash = hash
-			t.byHash[hash] = append(t.byHash[hash], e)
+			t.index(e)
 		}
 		copy(e.data, page)
 		t.lru.MoveToFront(el)
@@ -142,22 +184,32 @@ func (t *versionTable) update(pfn mem.PFN, hash uint64, page []byte) {
 	}
 	e := &ventry{pfn: pfn, hash: hash, data: append(make([]byte, 0, mem.PageSize), page...)}
 	t.entries[pfn] = t.lru.PushFront(e)
-	t.byHash[hash] = append(t.byHash[hash], e)
+	t.index(e)
+}
+
+// index appends e to its hash's ring (the head's hprev is the tail).
+func (t *versionTable) index(e *ventry) {
+	head := t.byHash[e.hash]
+	if head == nil {
+		e.hnext, e.hprev = e, e
+		t.byHash[e.hash] = e
+		return
+	}
+	e.hnext, e.hprev = head, head.hprev
+	head.hprev.hnext = e
+	head.hprev = e
 }
 
 func (t *versionTable) unindex(e *ventry) {
-	bucket := t.byHash[e.hash]
-	for i, x := range bucket {
-		if x == e {
-			bucket = append(bucket[:i], bucket[i+1:]...)
-			break
-		}
-	}
-	if len(bucket) == 0 {
+	if e.hnext == e {
 		delete(t.byHash, e.hash)
 	} else {
-		t.byHash[e.hash] = bucket
+		e.hprev.hnext, e.hnext.hprev = e.hnext, e.hprev
+		if t.byHash[e.hash] == e {
+			t.byHash[e.hash] = e.hnext
+		}
 	}
+	e.hnext, e.hprev = nil, nil
 }
 
 // minGap is the shortest unchanged run worth encoding as a skip: a
@@ -168,37 +220,89 @@ const minGap = 4
 // encodeDelta appends the XOR delta of page against base to dst as
 // (skip uvarint, literal-length uvarint, XOR literal bytes) runs; bytes
 // not covered by any run are unchanged. ok is false when the encoding
-// reached mem.PageSize — the caller falls back to a raw record. dst is
-// returned either way so its capacity is reused.
-func encodeDelta(dst, base, page []byte) (_ []byte, ok bool) {
-	pos, i := 0, 0
-	for i < mem.PageSize {
-		for i < mem.PageSize && page[i] == base[i] {
-			i++
+// would reach mem.PageSize — the caller falls back to a raw record, and
+// the page is abandoned as soon as its literals alone spend that budget.
+// dst is returned either way so its capacity is reused.
+func encodeDelta(dst, baseb, pageb []byte) (_ []byte, ok bool) {
+	base, page := (*[mem.PageSize]byte)(baseb), (*[mem.PageSize]byte)(pageb)
+	pos := 0
+	for {
+		start := nextDiff(base, page, pos)
+		if start == mem.PageSize {
+			return dst, true
 		}
-		if i == mem.PageSize {
-			break
-		}
-		start := i
-		end := i + 1
-		for j := i + 1; j < mem.PageSize; j++ {
-			if page[j] != base[j] {
-				end = j + 1
-			} else if j-end+1 >= minGap {
-				break
-			}
+		// A run costs its literal bytes plus at least two varint bytes.
+		end := runEnd(base, page, start, mem.PageSize-2-len(dst))
+		if end < 0 {
+			return dst, false
 		}
 		dst = binary.AppendUvarint(dst, uint64(start-pos))
 		dst = binary.AppendUvarint(dst, uint64(end-start))
-		for k := start; k < end; k++ {
-			dst = append(dst, page[k]^base[k])
-		}
-		if len(dst) >= mem.PageSize {
+		if len(dst)+end-start >= mem.PageSize {
 			return dst, false
 		}
-		pos, i = end, end
+		n := len(dst)
+		dst = append(dst, page[start:end]...)
+		subtle.XORBytes(dst[n:], dst[n:], base[start:end])
+		pos = end
 	}
-	return dst, true
+}
+
+// nextDiff returns the first index >= i at which page and base differ,
+// or mem.PageSize. Unchanged stretches are skipped eight bytes at a time.
+func nextDiff(base, page *[mem.PageSize]byte, i int) int {
+	for ; i+8 <= mem.PageSize; i += 8 {
+		if x := binary.LittleEndian.Uint64(page[i:]) ^ binary.LittleEndian.Uint64(base[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for i < mem.PageSize && page[i] == base[i] {
+		i++
+	}
+	return i
+}
+
+// runEnd returns the end of the literal run starting at the differing
+// byte start: one past the last differing byte before minGap unchanged
+// bytes (or the page end). It returns -1 once the run outgrows budget
+// bytes, without looking further. Words with no unchanged byte extend
+// the run, an all-unchanged word ends it; only mixed words are walked
+// byte by byte.
+func runEnd(base, page *[mem.PageSize]byte, start, budget int) int {
+	end := start + 1
+	j := end
+	for ; j+8 <= mem.PageSize; j += 8 {
+		if end-start >= budget {
+			return -1
+		}
+		x := binary.LittleEndian.Uint64(page[j:]) ^ binary.LittleEndian.Uint64(base[j:])
+		if x == 0 {
+			return end // eight unchanged bytes: a gap of at least minGap
+		}
+		const lo, hi = 0x0101010101010101, 0x8080808080808080
+		if (x-lo)&^x&hi == 0 {
+			end = j + 8 // no unchanged byte in this word
+			continue
+		}
+		for k := j; k < j+8; k, x = k+1, x>>8 {
+			if byte(x) != 0 {
+				end = k + 1
+			} else if k-end+1 >= minGap {
+				return end
+			}
+		}
+	}
+	for ; j < mem.PageSize; j++ {
+		if page[j] != base[j] {
+			end = j + 1
+		} else if j-end+1 >= minGap {
+			return end
+		}
+	}
+	if end-start >= budget {
+		return -1
+	}
+	return end
 }
 
 // applyDelta applies an encoded XOR delta in place to page (the
@@ -225,9 +329,8 @@ func applyDelta(page, delta []byte) error {
 			return errors.New("remus: delta: truncated literal")
 		}
 		pos += int(skip)
-		for k := 0; k < int(lit); k++ {
-			page[pos+k] ^= delta[off+k]
-		}
+		run := page[pos : pos+int(lit)]
+		subtle.XORBytes(run, run, delta[off:off+int(lit)])
 		off += int(lit)
 		pos += int(lit)
 	}
@@ -292,8 +395,9 @@ func (c *Conduit) Stats() StreamStats {
 	return c.stats
 }
 
-// sendV2 serializes one batch in the v2 wire format under c.mu.
-func (c *Conduit) sendV2(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) error {
+// sendV2 serializes one batch in the v2 wire format under c.mu and
+// returns the batch's own wire accounting.
+func (c *Conduit) sendV2(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) (StreamStats, error) {
 	buf := append(c.sendBuf[:0], 0, 0, 0, 0)
 	binary.LittleEndian.PutUint32(buf[:4], uint32(len(pfns)))
 	var d StreamStats
@@ -301,7 +405,7 @@ func (c *Conduit) sendV2(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) err
 		p, err := page(pfn)
 		if err != nil {
 			c.sendBuf = buf
-			return fmt.Errorf("remus: read pfn %d: %w", pfn, err)
+			return StreamStats{}, fmt.Errorf("remus: read pfn %d: %w", pfn, err)
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(pfn))
 		buf = c.encodePage(buf, pfn, p, &d)
@@ -310,7 +414,7 @@ func (c *Conduit) sendV2(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) err
 	c.enc.XORKeyStream(buf, buf)
 	c.applyTamper(buf)
 	if _, err := c.conn.Write(buf); err != nil {
-		return fmt.Errorf("remus: send checkpoint: %w", err)
+		return StreamStats{}, fmt.Errorf("remus: send checkpoint: %w", err)
 	}
 	c.sentBytes.Add(int64(len(buf)))
 	d.Batches = 1
@@ -319,7 +423,7 @@ func (c *Conduit) sendV2(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) err
 	d.RawBytes = int64(4 + len(pfns)*(8+mem.PageSize))
 	c.stats.add(d)
 	c.trimSendBuf(len(buf))
-	return nil
+	return d, nil
 }
 
 // encodePage appends one page's record (opcode + payload; the PFN is
@@ -363,16 +467,45 @@ func (c *Conduit) encodePage(buf []byte, pfn mem.PFN, p []byte, d *StreamStats) 
 	return append(buf, p...)
 }
 
+// wireChunk is the restore side's read size: one pipe rendezvous and one
+// bulk decrypt per chunk instead of one per record field.
+const wireChunk = 64 << 10
+
+// wireReader is the v2 restore side's view of the encrypted stream: the
+// pipe is read a chunk at a time, each chunk decrypted as it arrives (CTR
+// is positional, so chunking does not change the plaintext), and record
+// fields are handed out as slices of the buffer.
+type wireReader struct{ *bufio.Reader }
+
+func newWireReader(src io.Reader, dec cipher.Stream) wireReader {
+	return wireReader{bufio.NewReaderSize(cipher.StreamReader{S: dec, R: src}, wireChunk)}
+}
+
+// next returns the next n (<= mem.PageSize) plaintext bytes, valid until
+// the following call. A stream that ends inside them is
+// io.ErrUnexpectedEOF; one that ends before the first is io.EOF.
+func (b wireReader) next(n int) ([]byte, error) {
+	p, err := b.Peek(n)
+	if err != nil {
+		if err == io.EOF && len(p) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	_, _ = b.Discard(n) // cannot fail: Peek just buffered n bytes
+	return p, nil
+}
+
 // restoreV2 is the backup-side loop for the v2 protocol: apply one
 // validated batch, acknowledge it, repeat. Any failure tears the
 // conduit's restore side down so blocked senders unblock and can read
 // the recorded cause.
 func (c *Conduit) restoreV2(conn, ackConn net.Conn, dec cipher.Stream) {
 	defer close(c.done)
+	r := newWireReader(conn, dec)
 	pageBuf := make([]byte, mem.PageSize)
-	deltaBuf := make([]byte, mem.PageSize)
 	for {
-		if err := c.applyBatchV2(conn, dec, pageBuf, deltaBuf); err != nil {
+		if err := c.applyBatchV2(r, pageBuf); err != nil {
 			c.failRestore(conn, ackConn, err)
 			return
 		}
@@ -383,57 +516,53 @@ func (c *Conduit) restoreV2(conn, ackConn net.Conn, dec cipher.Stream) {
 	}
 }
 
-// applyBatchV2 reads, decrypts, validates, and applies one v2 batch to
-// the backup domain. It fails closed: malformed counts, out-of-range
-// PFNs, bad opcodes, oversized deltas, and truncated records all return
-// an error before any unvalidated byte reaches the domain — a rejected
-// record never partially applies.
-func (c *Conduit) applyBatchV2(r io.Reader, dec cipher.Stream, pageBuf, deltaBuf []byte) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// applyBatchV2 reads, validates, and applies one v2 batch to the backup
+// domain. It fails closed: malformed counts, out-of-range PFNs, bad
+// opcodes, oversized deltas, and truncated records all return an error
+// before any unvalidated byte reaches the domain — a rejected record
+// never partially applies.
+func (c *Conduit) applyBatchV2(r wireReader, pageBuf []byte) error {
+	hdr, err := r.next(4)
+	if err != nil {
 		return err
 	}
-	dec.XORKeyStream(hdr[:], hdr[:])
-	count := binary.LittleEndian.Uint32(hdr[:])
+	count := binary.LittleEndian.Uint32(hdr)
 	pages := uint64(c.backup.Pages())
 	if uint64(count) > pages {
 		return fmt.Errorf("remus: restore: batch of %d pages exceeds domain's %d", count, pages)
 	}
-	var head [9]byte
 	for i := uint32(0); i < count; i++ {
-		if _, err := io.ReadFull(r, head[:]); err != nil {
+		head, err := r.next(9)
+		if err != nil {
 			return fmt.Errorf("remus: restore: record header: %w", err)
 		}
-		dec.XORKeyStream(head[:], head[:])
-		pfn := binary.LittleEndian.Uint64(head[:8])
+		pfn, op := binary.LittleEndian.Uint64(head[:8]), head[8]
 		if pfn >= pages {
 			return fmt.Errorf("remus: restore: pfn %d out of range", pfn)
 		}
 		pa := pfn * mem.PageSize
-		switch head[8] {
+		switch op {
 		case opRaw:
-			if _, err := io.ReadFull(r, pageBuf); err != nil {
+			raw, err := r.next(mem.PageSize)
+			if err != nil {
 				return fmt.Errorf("remus: restore: raw page: %w", err)
 			}
-			dec.XORKeyStream(pageBuf, pageBuf)
-			if err := c.backup.WritePhys(pa, pageBuf); err != nil {
+			if err := c.backup.WritePhys(pa, raw); err != nil {
 				return err
 			}
 		case opDelta:
-			var ln [2]byte
-			if _, err := io.ReadFull(r, ln[:]); err != nil {
+			ln, err := r.next(2)
+			if err != nil {
 				return fmt.Errorf("remus: restore: delta length: %w", err)
 			}
-			dec.XORKeyStream(ln[:], ln[:])
-			n := int(binary.LittleEndian.Uint16(ln[:]))
+			n := int(binary.LittleEndian.Uint16(ln))
 			if n >= mem.PageSize {
 				return fmt.Errorf("remus: restore: %d-byte delta not shorter than a page", n)
 			}
-			delta := deltaBuf[:n]
-			if _, err := io.ReadFull(r, delta); err != nil {
+			delta, err := r.next(n)
+			if err != nil {
 				return fmt.Errorf("remus: restore: delta payload: %w", err)
 			}
-			dec.XORKeyStream(delta, delta)
 			if err := c.backup.ReadPhys(pa, pageBuf); err != nil {
 				return err
 			}
@@ -450,12 +579,11 @@ func (c *Conduit) applyBatchV2(r io.Reader, dec cipher.Stream, pageBuf, deltaBuf
 				return err
 			}
 		case opDup:
-			var refb [8]byte
-			if _, err := io.ReadFull(r, refb[:]); err != nil {
+			refb, err := r.next(8)
+			if err != nil {
 				return fmt.Errorf("remus: restore: dup reference: %w", err)
 			}
-			dec.XORKeyStream(refb[:], refb[:])
-			ref := binary.LittleEndian.Uint64(refb[:])
+			ref := binary.LittleEndian.Uint64(refb)
 			if ref >= pages {
 				return fmt.Errorf("remus: restore: dup reference pfn %d out of range", ref)
 			}
@@ -466,7 +594,7 @@ func (c *Conduit) applyBatchV2(r io.Reader, dec cipher.Stream, pageBuf, deltaBuf
 				return err
 			}
 		default:
-			return fmt.Errorf("remus: restore: bad opcode %#x", head[8])
+			return fmt.Errorf("remus: restore: bad opcode %#x", op)
 		}
 	}
 	return nil

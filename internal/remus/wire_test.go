@@ -3,6 +3,7 @@ package remus
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -105,6 +106,11 @@ func TestModeFidelity(t *testing.T) {
 			}
 			if s.WireBytes >= s.RawBytes {
 				t.Fatalf("wire bytes %d not below raw bytes %d", s.WireBytes, s.RawBytes)
+			}
+			// The wire format is pinned: a codec change that moves one byte
+			// of this stream is a protocol change, not an optimisation.
+			if want := map[Mode]int64{ModeDelta: 74142, ModeDeltaDedup: 8608}[mode]; s.WireBytes != want {
+				t.Fatalf("wire bytes = %d, want %d", s.WireBytes, want)
 			}
 			if s.DeltaPages == 0 {
 				t.Fatal("no delta records emitted")
@@ -321,7 +327,7 @@ func TestAwaitAckSurfacesRestoreError(t *testing.T) {
 			if err := h.DestroyDomain(backup.ID()); err != nil {
 				t.Fatalf("DestroyDomain: %v", err)
 			}
-			if err := c.Send([]mem.PFN{0}, pageReader(h, primary)); err != nil {
+			if _, err := c.Send([]mem.PFN{0}, pageReader(h, primary)); err != nil {
 				t.Fatalf("Send: %v", err)
 			}
 			err = c.AwaitAck()
@@ -330,6 +336,55 @@ func TestAwaitAckSurfacesRestoreError(t *testing.T) {
 			}
 			if !errors.Is(err, hv.ErrBadState) {
 				t.Fatalf("AwaitAck error %v does not wrap the restore cause (hv.ErrBadState)", err)
+			}
+		})
+	}
+}
+
+// A batch that ends inside the restore side's read buffer — the sending
+// host died mid-write — must not leave an ack waiter hanging on a
+// half-read record: the restore loop records the truncation as the
+// conduit's terminal error and tears its pipe ends down, and AwaitAck
+// surfaces that cause.
+func TestTruncatedBatchUnblocksAckWaiter(t *testing.T) {
+	raw := bytes.Repeat([]byte{0xC3}, mem.PageSize)
+	batch := fuzzBatch(fuzzRecord(1, opRaw, raw...), fuzzRecord(2, opRaw, raw...))
+	for name, cut := range map[string]int{
+		"in-record-header": 4 + 9 + mem.PageSize + 5,
+		"in-raw-payload":   4 + 9 + mem.PageSize + 9 + 1000,
+	} {
+		cut := cut
+		t.Run(name, func(t *testing.T) {
+			const pages = 4
+			h := hv.New(pages + 4)
+			backup, err := h.CreateDomain("backup", pages)
+			if err != nil {
+				t.Fatalf("CreateDomain: %v", err)
+			}
+			c, err := NewConduitMode(h, backup, []byte("0123456789abcdef"), ModeDeltaDedup, 0)
+			if err != nil {
+				t.Fatalf("NewConduitMode: %v", err)
+			}
+			defer c.Close()
+			wire := append([]byte(nil), batch[:cut]...)
+			c.enc.XORKeyStream(wire, wire)
+			if _, err := c.conn.Write(wire); err != nil {
+				t.Fatalf("Write: %v", err)
+			}
+			if err := c.conn.Close(); err != nil {
+				t.Fatalf("Close sender side: %v", err)
+			}
+			err = c.AwaitAck()
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("AwaitAck error %v does not wrap the recorded truncation (io.ErrUnexpectedEOF)", err)
+			}
+			// The complete first record was applied; the cut one was not.
+			got := make([]byte, mem.PageSize)
+			if err := backup.ReadPhys(1*mem.PageSize, got); err != nil || !bytes.Equal(got, raw) {
+				t.Fatalf("complete record before the cut not applied (err=%v)", err)
+			}
+			if err := backup.ReadPhys(2*mem.PageSize, got); err != nil || !bytes.Equal(got, make([]byte, mem.PageSize)) {
+				t.Fatalf("truncated record partially applied (err=%v)", err)
 			}
 		})
 	}
