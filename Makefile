@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: build test verify verify-quick bench bench-all pause-json bench-fleet \
 	bench-scan bench-cow bench-remus bench-cluster bench-web fmt-check \
-	static-check ci bench-drift scenarios test-procs
+	static-check ci bench-drift scenarios test-procs traced-runs
 
 build:
 	$(GO) build ./...
@@ -19,23 +19,36 @@ verify: build
 # Short race pass over just the packages with real concurrency: the
 # sharded checkpoint copy, the concurrent detector scan, the controller
 # that drives both, the fleet scheduler running many controllers on one
-# shared hypervisor, and the observability layer they all emit into.
-# The final steps drive traced fleet runs end-to-end under the race
-# detector: many VMs emitting into one shared tracer and registry, once
-# eagerly and once with the CoW commit's background copier and write
-# faults live.
-verify-quick:
+# shared hypervisor, and the observability layer they all emit into —
+# then the traced end-to-end runs.
+verify-quick: traced-runs
 	$(GO) test -race ./internal/checkpoint ./internal/detect ./internal/core ./internal/hv ./internal/fleet ./internal/cluster ./internal/obs
-	$(GO) run -race ./cmd/crimes -vms 3 -stagger -epochs 2 \
-		-trace /tmp/crimes-verify-trace.jsonl -metrics /tmp/crimes-verify-metrics.txt >/dev/null
-	$(GO) run -race ./cmd/crimes -vms 3 -stagger -epochs 2 -cow \
-		-trace /tmp/crimes-verify-trace-cow.jsonl -metrics /tmp/crimes-verify-metrics-cow.txt >/dev/null
-	$(GO) run -race ./cmd/crimes -vms 3 -stagger -epochs 2 -remus delta+dedup -opt noopt \
-		-trace /tmp/crimes-verify-trace-delta.jsonl -metrics /tmp/crimes-verify-metrics-delta.txt >/dev/null
-	$(GO) run -race ./cmd/crimes -hosts 3 -vms 6 -epochs 4 -host-kill host1:3 \
-		-trace /tmp/crimes-verify-trace-cluster.jsonl -metrics /tmp/crimes-verify-metrics-cluster.txt >/dev/null
-	$(GO) run -race ./cmd/crimes -vms 8 -stagger -epochs 4 -slo 2500us \
-		-trace /tmp/crimes-verify-trace-slo.jsonl -metrics /tmp/crimes-verify-metrics-slo.txt >/dev/null
+
+# Traced end-to-end runs under the race detector, the one copy of the
+# commands and their assertions (CI and verify-quick both call this):
+# many VMs emitting into one shared tracer and registry — eagerly, with
+# the CoW commit's background copier and write faults live, over the
+# delta+dedup wire, across a host kill, and under the SLO controller.
+# Every run must leave a non-empty trace and metrics dump; the mode's
+# own events and series must be in them.
+TRACED_DIR ?= /tmp/crimes-traced-runs
+define traced
+$(GO) run -race ./cmd/crimes $(2) -trace $(TRACED_DIR)/$(1).jsonl -metrics $(TRACED_DIR)/$(1).txt >/dev/null
+test -s $(TRACED_DIR)/$(1).jsonl && test -s $(TRACED_DIR)/$(1).txt
+endef
+traced-runs:
+	mkdir -p $(TRACED_DIR)
+	$(call traced,fleet,-vms 3 -stagger -epochs 2)
+	$(call traced,cow,-vms 3 -stagger -epochs 2 -cow)
+	$(call traced,delta,-vms 3 -stagger -epochs 2 -remus delta+dedup -opt noopt)
+	grep -q crimes_remus_bytes_total $(TRACED_DIR)/delta.txt
+	$(call traced,cluster,-hosts 3 -vms 6 -epochs 4 -host-kill host1:3)
+	grep -q '"hostdown"' $(TRACED_DIR)/cluster.jsonl
+	grep -q '"promote"' $(TRACED_DIR)/cluster.jsonl
+	grep -q 'crimes_cluster_lost_vms 0' $(TRACED_DIR)/cluster.txt
+	$(call traced,slo,-vms 8 -stagger -epochs 4 -slo 2500us)
+	grep -q '"slo"' $(TRACED_DIR)/slo.jsonl
+	grep -q crimes_slo_steps_total $(TRACED_DIR)/slo.txt
 
 # Scheduling-independence gate: the packages with long-lived goroutines
 # (restore loop, pipelined shipper, CoW copier, the controller driving
@@ -85,6 +98,7 @@ ci: fmt-check static-check build
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race ./...
 	$(MAKE) test-procs
+	$(MAKE) traced-runs
 	$(MAKE) scenarios
 	$(MAKE) bench-drift
 

@@ -118,7 +118,7 @@ func BenchmarkCheckpointPath(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c, err := checkpoint.New(h, dom, opt)
+			c, err := checkpoint.NewWithParams(h, dom, checkpoint.Params{Opt: opt})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -145,7 +145,7 @@ func BenchmarkCheckpointPath(b *testing.B) {
 
 // BenchmarkPauseParallel measures the parallel pause path on a 64 MiB
 // dirty set at 1, 2, 4 and 8 workers. The reported vpause_ms metric is
-// the calibrated cost model's virtual pause time (CheckpointParallel),
+// the calibrated cost model's virtual pause time (cost.Model.Pause),
 // which is deterministic and shows the >=2x speedup at 4 workers even
 // on hosts where GOMAXPROCS limits real concurrency; ns/op is the
 // substrate's real wall-clock commit time.
@@ -159,7 +159,7 @@ func BenchmarkPauseParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c, err := checkpoint.NewWithWorkers(h, dom, cost.Full, workers)
+			c, err := checkpoint.NewWithParams(h, dom, checkpoint.Params{Opt: cost.Full, Workers: workers})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -176,8 +176,8 @@ func BenchmarkPauseParallel(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			vpause := m.CheckpointParallel(cost.Full, counts, workers).Total()
-			b.ReportMetric(float64(vpause)/1e6, "vpause_ms")
+			vpause, _ := m.Pause(cost.Full, counts, cost.PauseCtx{Workers: workers})
+			b.ReportMetric(float64(vpause.Total())/1e6, "vpause_ms")
 		})
 	}
 }
@@ -232,8 +232,8 @@ func BenchmarkFleet(b *testing.B) {
 						DirtyPages:  s.DirtyPages / epochs,
 						BytesCopied: s.DirtyPages / epochs * mem.PageSize,
 					}
-					syncAgg += time.Duration(epochs) *
-						m.CheckpointContended(cost.Full, perEpoch, 4, vms).Total()
+					contended, _ := m.Pause(cost.Full, perEpoch, cost.PauseCtx{Workers: 4, Concurrent: vms})
+					syncAgg += time.Duration(epochs) * contended.Total()
 				}
 				if err := f.Close(); err != nil {
 					b.Fatal(err)

@@ -45,11 +45,12 @@ func run() error {
 	m := cost.Default()
 	epoch := 200 * time.Millisecond
 	dirty := spec.DirtyPages(epoch)
-	pause := m.Checkpoint(cost.Full, cost.Counts{
+	phases, _ := m.Pause(cost.Full, cost.Counts{
 		TotalPages:  workload.PaperVMPages,
 		DirtyPages:  dirty,
 		BytesCopied: dirty * 4096,
-	}).Total()
+	}, cost.PauseCtx{})
+	pause := phases.Total()
 
 	fmt.Println("scenario 1: unprotected")
 	if err := runUnprotected(); err != nil {

@@ -36,11 +36,12 @@ func run() error {
 	for _, e := range []time.Duration{20, 50, 100, 200} {
 		epoch := e * time.Millisecond
 		dirty := spec.DirtyPages(epoch)
-		pause := model.Checkpoint(cost.Full, cost.Counts{
+		phases, _ := model.Pause(cost.Full, cost.Counts{
 			TotalPages:  workload.PaperVMPages,
 			DirtyPages:  dirty,
 			BytesCopied: dirty * 4096,
-		}).Total()
+		}, cost.PauseCtx{})
+		pause := phases.Total()
 
 		params := websim.DefaultParams()
 		params.Epoch = epoch

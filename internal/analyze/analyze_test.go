@@ -46,7 +46,7 @@ func setupOverflow(t *testing.T, extraOps func(*guestos.Guest, uint32, uint64) e
 	if err != nil {
 		t.Fatalf("Malloc: %v", err)
 	}
-	ckpt, err := checkpoint.New(h, dom, cost.Full)
+	ckpt, err := checkpoint.NewWithParams(h, dom, checkpoint.Params{Opt: cost.Full})
 	if err != nil {
 		t.Fatalf("checkpoint.New: %v", err)
 	}

@@ -269,24 +269,7 @@ type PhaseTimings struct {
 // attempt.
 func (c *Checkpointer) LastReport() CommitReport { return c.report }
 
-// New creates a checkpointer for the primary domain at the given
-// optimization level, allocates the backup domain (doubling the VM's
-// memory cost, §3.3), and performs the initial full synchronization.
-// The pause path is serial; NewWithWorkers parallelizes it.
-func New(h *hv.Hypervisor, primary *hv.Domain, opt cost.Optimization) (*Checkpointer, error) {
-	return NewWithWorkers(h, primary, opt, 1)
-}
-
-// NewWithWorkers is New with a parallel pause path: scan, undo capture,
-// and page copy shard across the given number of workers, the disk copy
-// overlaps the memory copy, and remote replication (when enabled) is
-// pipelined out of the pause window. workers <= 1 is the exact serial
-// path, byte-for-byte and fault-for-fault identical to New's.
-func NewWithWorkers(h *hv.Hypervisor, primary *hv.Domain, opt cost.Optimization, workers int) (*Checkpointer, error) {
-	return NewWithParams(h, primary, Params{Opt: opt, Workers: workers})
-}
-
-// Params configures a checkpointer beyond the optimization level.
+// Params configures a checkpointer.
 type Params struct {
 	// Opt is the paper's optimization level.
 	Opt cost.Optimization
@@ -300,8 +283,9 @@ type Params struct {
 	RemusBudgetPages int
 }
 
-// NewWithParams is the fully parameterized constructor: optimization
-// level, pause-path parallelism, and the replication wire protocol.
+// NewWithParams creates a checkpointer for the primary domain: it
+// allocates the backup domain (doubling the VM's memory cost, §3.3) and
+// performs the initial full synchronization. It is the only constructor.
 func NewWithParams(h *hv.Hypervisor, primary *hv.Domain, p Params) (*Checkpointer, error) {
 	if p.Workers < 1 {
 		p.Workers = 1
@@ -666,10 +650,16 @@ func replCounts(s remus.StreamStats) cost.ReplicationCounts {
 	}
 }
 
-// commitDirty commits the harvested dirty set. The returned counts carry
-// the commit's exact replication traffic in the delta wire modes: what
-// the local conduit and a serial remote ship sent, plus the traffic of
-// the pipelined shipments this commit settled.
+// commitDirty commits the harvested dirty set as one staged sequence:
+// quiesce, scan, disk harvest, undo capture, copy, remote replication,
+// CoW arm, finish. The eager and copy-on-write strategies share every
+// stage and its unwind; they differ only in which pages the two memory
+// stages handle under pause — all of them (eager), or none (CoW, which
+// arms write protection instead and lets the copies land lazily behind
+// the resumed guest). The returned counts carry the commit's exact
+// replication traffic in the delta wire modes: what the local conduit
+// and a serial remote ship sent, plus the traffic of the pipelined
+// shipments this commit settled.
 func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 	c.report = CommitReport{Timings: PhaseTimings{Workers: c.workers}}
 	c.localRepl, c.remoteRepl = cost.ReplicationCounts{}, cost.ReplicationCounts{}
@@ -677,7 +667,7 @@ func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 		defer c.observeCommit()
 	}
 
-	// CoW: the previous commit's lazy copies must settle before this
+	// Quiesce: the previous commit's lazy copies must settle before this
 	// commit reads or overwrites the backup. A convergence failure
 	// surfaces here as a commit failure — the backup has already been
 	// reverted to the prior epoch's snapshot by the CoW undo, so the
@@ -689,20 +679,7 @@ func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 		}
 	}
 
-	// Dirty bitmap scan: the Full level uses the word-granularity scan,
-	// sharded across the worker pool for large bitmaps.
-	scanStart := time.Now()
-	if c.opt >= cost.Full {
-		if c.workers > 1 {
-			c.scratch = c.dirty.ScanWordsParallel(c.scratch[:0], c.workers)
-		} else {
-			c.scratch = c.dirty.ScanWords(c.scratch[:0])
-		}
-	} else {
-		c.scratch = c.dirty.ScanBits(c.scratch[:0])
-	}
-	c.report.Timings.Scan = time.Since(scanStart)
-	dirty := c.scratch
+	dirty := c.scanDirty()
 
 	// Harvest the disk's dirty blocks up front so the undo log covers
 	// them; a failed commit re-marks them so a retry sees them again.
@@ -712,94 +689,142 @@ func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 		diskDirty = c.diskScratch
 	}
 
+	// BytesCopied keeps the memory bytes under CoW too — they are still
+	// copied, just off the pause-window critical path; the cost model's
+	// CoW pricing is what moves them out of the pause.
 	counts := cost.Counts{
 		TotalPages:  c.primary.Pages(),
 		DirtyPages:  len(dirty),
 		BytesCopied: len(dirty) * mem.PageSize,
 	}
-
-	// CoW takes over from here: dirty metadata is recorded, write
-	// protection armed, and the page copies happen lazily behind the
-	// resumed guest. BytesCopied keeps the memory bytes — they are still
-	// copied, just off the pause-window critical path; the cost model's
-	// CoW pricing is what moves them out of the pause.
+	// eager is the page set copied (and so undo-logged) under pause. Disk
+	// blocks are always eager: they have no write-fault machinery and are
+	// few.
+	eager := dirty
 	if c.cow != nil {
-		return c.commitCoW(dirty, diskDirty, counts)
+		eager = nil
 	}
 
-	// Capture the backup pages and blocks this commit will overwrite.
-	// The invariant the undo log protects: the backup is a consistent
-	// snapshot of SOME audited epoch at every instant, so rollback is
-	// always safe — even when a copy path dies halfway through.
-	// remark restores the dirty logs a failed commit consumed — the
-	// harvested pages back into the primary's log and the harvested
-	// blocks back into the disk's — so a retried Checkpoint still
-	// covers them.
-	remark := func() {
-		_ = c.primary.MergeDirty(c.dirty)
-		if c.disk != nil {
-			c.disk.MarkDirty(diskDirty)
-		}
-	}
-	fail := func(err error) (cost.Counts, error) {
-		c.applyUndo(dirty, diskDirty)
-		remark()
-		return cost.Counts{}, err
-	}
-	// The undo-log invariant under concurrency: undo capture COMPLETES
-	// — across every shard, for memory and disk — before any copy
-	// worker writes a byte into the backup. A worker failing mid-commit
-	// therefore always finds a complete undo log to restore from.
+	// Undo capture. The invariant the undo log protects: the backup is a
+	// consistent snapshot of SOME audited epoch at every instant, so
+	// rollback is always safe — even when a copy path dies halfway
+	// through. Under concurrency that means capture COMPLETES — across
+	// every shard, for memory and disk — before any copy worker writes a
+	// byte into the backup, so a worker failing mid-commit always finds a
+	// complete undo log to restore from.
 	undoStart := time.Now()
-	if err := c.captureUndo(dirty, diskDirty); err != nil {
+	if err := c.captureUndo(eager, diskDirty); err != nil {
 		// Nothing was modified yet; just restore the dirty logs.
-		remark()
+		c.remark(diskDirty)
 		return cost.Counts{}, err
 	}
 	c.report.Timings.Undo = time.Since(undoStart)
 
-	// Copy phase: pages shard across the worker pool; the disk-block
-	// copy is independent of the memory copy (disjoint storage), so
-	// with workers > 1 it runs concurrently with it. The memory copy's
-	// error takes precedence, matching the serial path's report; either
-	// failure unwinds both via the undo log.
-	var memErr, diskErr error
-	var diskTime time.Duration
-	memStart := time.Now()
-	if c.disk != nil && c.workers > 1 {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			diskStart := time.Now()
-			diskErr = c.disk.CopyBlocksTo(c.backupDisk, diskDirty)
-			diskTime = time.Since(diskStart)
-		}()
-		memErr = c.copyMemory(dirty)
-		c.report.Timings.MemCopy = time.Since(memStart)
-		wg.Wait()
-	} else {
-		memErr = c.copyMemory(dirty)
-		c.report.Timings.MemCopy = time.Since(memStart)
-		if memErr == nil && c.disk != nil {
-			diskStart := time.Now()
-			diskErr = c.disk.CopyBlocksTo(c.backupDisk, diskDirty)
-			diskTime = time.Since(diskStart)
-		}
-	}
-	c.report.Timings.DiskCopy = diskTime
-	if memErr != nil {
-		return fail(memErr)
-	}
-	if diskErr != nil {
-		return fail(diskErr)
+	if err := c.copyEager(eager, diskDirty); err != nil {
+		return c.failCommit(eager, diskDirty, err)
 	}
 	if c.disk != nil {
 		counts.DiskBlocks = len(diskDirty)
 		counts.BytesCopied += len(diskDirty) * vdisk.BlockSize
 	}
+
+	// The pipelined snapshot reads the paused primary under CoW (see
+	// enqueueShipment), so it must run before the guest resumes — and
+	// before arming, so the snapshot reads take no faults.
 	c.replicateRemote(dirty, &counts)
-	return c.finishCommit(counts), nil
+
+	if c.cow != nil {
+		armStart := time.Now()
+		if err := c.armCoW(dirty, diskDirty); err != nil {
+			// Arming failed before any protection landed. Converge inline:
+			// the commit completes eagerly instead of lazily.
+			if qerr := c.quiesceCoW(); qerr != nil {
+				return c.failCommit(eager, diskDirty, qerr)
+			}
+		}
+		c.report.Timings.MemCopy = time.Since(armStart)
+	}
+	c.report.RemoteInFlight = c.inFlight
+	counts.LocalRepl, counts.RemoteRepl = c.localRepl, c.remoteRepl
+	return counts, nil
+}
+
+// scanDirty is the dirty bitmap scan: the Full level uses the
+// word-granularity scan, sharded across the worker pool for large
+// bitmaps.
+func (c *Checkpointer) scanDirty() []mem.PFN {
+	start := time.Now()
+	switch {
+	case c.opt < cost.Full:
+		c.scratch = c.dirty.ScanBits(c.scratch[:0])
+	case c.workers > 1:
+		c.scratch = c.dirty.ScanWordsParallel(c.scratch[:0], c.workers)
+	default:
+		c.scratch = c.dirty.ScanWords(c.scratch[:0])
+	}
+	c.report.Timings.Scan = time.Since(start)
+	return c.scratch
+}
+
+// copyEager is the copy stage: pages shard across the worker pool, and
+// the disk-block copy is independent of the memory copy (disjoint
+// storage), so with workers > 1 the two overlap. The memory copy's
+// error takes precedence, matching the serial path's report; the caller
+// unwinds either failure via the undo log.
+func (c *Checkpointer) copyEager(pages, diskDirty []mem.PFN) error {
+	switch {
+	case c.cow != nil:
+		// No memory copy under pause; MemCopy times the arm stage.
+	case c.disk != nil && c.workers > 1:
+		var diskErr error
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			diskErr = c.copyDisk(diskDirty)
+		}()
+		memErr := c.copyMemory(pages)
+		wg.Wait()
+		if memErr != nil {
+			return memErr
+		}
+		return diskErr
+	default:
+		if err := c.copyMemory(pages); err != nil {
+			return err
+		}
+	}
+	if c.disk == nil {
+		return nil
+	}
+	return c.copyDisk(diskDirty)
+}
+
+// copyDisk copies the dirty blocks into the backup disk.
+func (c *Checkpointer) copyDisk(diskDirty []mem.PFN) error {
+	start := time.Now()
+	err := c.disk.CopyBlocksTo(c.backupDisk, diskDirty)
+	c.report.Timings.DiskCopy = time.Since(start)
+	return err
+}
+
+// remark restores the dirty logs a failed commit consumed — the
+// harvested pages back into the primary's log and the harvested blocks
+// back into the disk's — so a retried Checkpoint still covers them.
+func (c *Checkpointer) remark(diskDirty []mem.PFN) {
+	_ = c.primary.MergeDirty(c.dirty)
+	if c.disk != nil {
+		c.disk.MarkDirty(diskDirty)
+	}
+}
+
+// failCommit is the one unwind of a commit that failed after the undo
+// log was captured: revert what the eager stages wrote into the backup,
+// then restore the dirty logs.
+func (c *Checkpointer) failCommit(pages, diskDirty []mem.PFN, err error) (cost.Counts, error) {
+	c.applyUndo(pages, diskDirty)
+	c.remark(diskDirty)
+	return cost.Counts{}, err
 }
 
 // replicateRemote ships the committed dirty pages to the remote backup,
@@ -826,58 +851,49 @@ func (c *Checkpointer) replicateRemote(dirty []mem.PFN, counts *cost.Counts) {
 	c.report.Timings.RemoteShip = time.Since(shipStart)
 }
 
-// finishCommit stamps a successful commit's replication accounting into
-// its report and counts.
-func (c *Checkpointer) finishCommit(counts cost.Counts) cost.Counts {
-	c.report.RemoteInFlight = c.inFlight
-	counts.LocalRepl, counts.RemoteRepl = c.localRepl, c.remoteRepl
-	return counts
-}
-
 // copyMemory dispatches to the optimization level's page-copy path.
-func (c *Checkpointer) copyMemory(dirty []mem.PFN) error {
+func (c *Checkpointer) copyMemory(dirty []mem.PFN) (err error) {
+	start := time.Now()
 	switch {
 	case c.opt >= cost.Premap:
-		return c.copyPremapped(dirty)
+		err = c.copyPremapped(dirty)
 	case c.opt == cost.Memcpy:
-		return c.copyMapped(dirty)
+		err = c.copyMapped(dirty)
 	default:
-		return c.copySocket(dirty)
+		err = c.copySocket(dirty)
 	}
+	c.report.Timings.MemCopy = time.Since(start)
+	return err
 }
 
 // captureUndo saves the backup pages and disk blocks the commit is
 // about to overwrite into reusable scratch buffers. The page loop
 // shards across the worker pool: each worker reads a disjoint PFN range
 // into a disjoint region of the undo buffer. Capture is complete for
-// every shard before the caller starts any copy worker.
-func (c *Checkpointer) captureUndo(dirty, diskDirty []mem.PFN) error {
-	need := len(dirty) * mem.PageSize
+// every shard before the caller starts any copy worker. Under CoW pages
+// is empty: the memory undo is captured lazily, page by page, as the
+// backup copies land (cowCopyLocked).
+func (c *Checkpointer) captureUndo(pages, diskDirty []mem.PFN) error {
+	need := len(pages) * mem.PageSize
 	if cap(c.undoMem) < need {
 		c.undoMem = make([]byte, need)
 	}
 	c.undoMem = c.undoMem[:need]
-	if err := c.runSharded(len(dirty), func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			pfn := dirty[i]
-			off := i * mem.PageSize
-			if err := c.backup.ReadPhys(uint64(pfn)*mem.PageSize, c.undoMem[off:off+mem.PageSize]); err != nil {
-				return fmt.Errorf("checkpoint: undo capture pfn %d: %w", pfn, err)
+	if len(pages) > 0 {
+		if err := c.runSharded(len(pages), func(lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				pfn := pages[i]
+				off := i * mem.PageSize
+				if err := c.backup.ReadPhys(uint64(pfn)*mem.PageSize, c.undoMem[off:off+mem.PageSize]); err != nil {
+					return fmt.Errorf("checkpoint: undo capture pfn %d: %w", pfn, err)
+				}
 			}
+			return nil
+		}); err != nil {
+			return err
 		}
-		return nil
-	}); err != nil {
-		return err
 	}
-	return c.captureDiskUndo(diskDirty)
-}
-
-// captureDiskUndo saves the backup disk blocks the commit is about to
-// overwrite. The CoW commit path uses it alone: disk blocks are still
-// committed eagerly under pause, while the memory undo is captured
-// lazily, page by page, as the backup copies land.
-func (c *Checkpointer) captureDiskUndo(diskDirty []mem.PFN) error {
-	need := len(diskDirty) * vdisk.BlockSize
+	need = len(diskDirty) * vdisk.BlockSize
 	if cap(c.undoDisk) < need {
 		c.undoDisk = make([]byte, need)
 	}
@@ -893,15 +909,16 @@ func (c *Checkpointer) captureDiskUndo(diskDirty []mem.PFN) error {
 
 // applyUndo restores the backup pages and blocks saved by captureUndo,
 // reverting a partially applied commit.
-func (c *Checkpointer) applyUndo(dirty, diskDirty []mem.PFN) {
-	for i, pfn := range dirty {
+func (c *Checkpointer) applyUndo(pages, diskDirty []mem.PFN) {
+	for i, pfn := range pages {
 		off := i * mem.PageSize
 		_ = c.backup.WritePhys(uint64(pfn)*mem.PageSize, c.undoMem[off:off+mem.PageSize])
 	}
 	c.applyDiskUndo(diskDirty)
 }
 
-// applyDiskUndo restores the backup disk blocks saved by captureDiskUndo.
+// applyDiskUndo restores the backup disk blocks saved by captureUndo; a
+// lazy CoW copy failure calls it alone (cowFailLocked).
 func (c *Checkpointer) applyDiskUndo(diskDirty []mem.PFN) {
 	for i, b := range diskDirty {
 		off := i * vdisk.BlockSize

@@ -14,6 +14,11 @@ import (
 
 const domPages = 64
 
+// newCkpt is the tests' shorthand for the one constructor.
+func newCkpt(h *hv.Hypervisor, d *hv.Domain, opt cost.Optimization, workers int) (*Checkpointer, error) {
+	return NewWithParams(h, d, Params{Opt: opt, Workers: workers})
+}
+
 func newPair(t *testing.T, opt cost.Optimization) (*hv.Hypervisor, *hv.Domain, *Checkpointer) {
 	t.Helper()
 	h := hv.New(2*domPages + 8)
@@ -21,7 +26,7 @@ func newPair(t *testing.T, opt cost.Optimization) (*hv.Hypervisor, *hv.Domain, *
 	if err != nil {
 		t.Fatalf("CreateDomain: %v", err)
 	}
-	c, err := New(h, d, opt)
+	c, err := newCkpt(h, d, opt, 1)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -62,7 +67,7 @@ func TestInitialSyncEqualizesBackup(t *testing.T) {
 			if err := d.WritePhys(5*mem.PageSize, []byte("pre-existing state")); err != nil {
 				t.Fatalf("WritePhys: %v", err)
 			}
-			c, err := New(h, d, opt)
+			c, err := newCkpt(h, d, opt, 1)
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
@@ -182,7 +187,7 @@ func TestRollbackRestoresPrimary(t *testing.T) {
 func TestCheckpointAfterCloseFails(t *testing.T) {
 	h := hv.New(2*domPages + 8)
 	d, _ := h.CreateDomain("vm", domPages)
-	c, err := New(h, d, cost.NoOpt)
+	c, err := newCkpt(h, d, cost.NoOpt, 1)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -201,7 +206,7 @@ func TestBackupDoublesMemoryCost(t *testing.T) {
 	h := hv.New(2*domPages + 8)
 	free0 := h.Machine().FreeFrames()
 	d, _ := h.CreateDomain("vm", domPages)
-	c, err := New(h, d, cost.Full)
+	c, err := newCkpt(h, d, cost.Full, 1)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -217,7 +222,7 @@ func TestHypercallCountsReflectOptimizations(t *testing.T) {
 	perEpochMaps := func(opt cost.Optimization) int {
 		h := hv.New(2*domPages + 8)
 		d, _ := h.CreateDomain("vm", domPages)
-		c, err := New(h, d, opt)
+		c, err := newCkpt(h, d, opt, 1)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -251,7 +256,7 @@ func TestRemoteReplication(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateDomain: %v", err)
 	}
-	c, err := New(h, d, cost.Full)
+	c, err := newCkpt(h, d, cost.Full, 1)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -286,13 +291,13 @@ func TestRemoteReplicationCostsExtra(t *testing.T) {
 	// paper notes it "would incur minimal overhead on top of the cost
 	// of Remus" — i.e. the socket cost returns.
 	m := cost.Default()
-	local := m.Checkpoint(cost.Full, cost.Counts{
+	local, _ := m.Pause(cost.Full, cost.Counts{
 		TotalPages: 1000, DirtyPages: 100, BytesCopied: 100 * mem.PageSize,
-	})
-	remote := m.Checkpoint(cost.Full, cost.Counts{
+	}, cost.PauseCtx{})
+	remote, _ := m.Pause(cost.Full, cost.Counts{
 		TotalPages: 1000, DirtyPages: 100, BytesCopied: 100 * mem.PageSize,
 		RemotePages: 100,
-	})
+	}, cost.PauseCtx{})
 	if remote.Copy <= local.Copy {
 		t.Fatal("remote replication priced as free")
 	}
@@ -301,7 +306,7 @@ func TestRemoteReplicationCostsExtra(t *testing.T) {
 func TestDiskCheckpointStandalone(t *testing.T) {
 	h := hv.New(2*domPages + 8)
 	d, _ := h.CreateDomain("vm", domPages)
-	c, err := New(h, d, cost.Full)
+	c, err := newCkpt(h, d, cost.Full, 1)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -26,11 +26,9 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"sync"
-	"time"
 
 	"repro/internal/cost"
 	"repro/internal/mem"
-	"repro/internal/vdisk"
 )
 
 // cowState is the copy-on-write commit machinery of one Checkpointer.
@@ -117,55 +115,6 @@ func (c *Checkpointer) Quiesce() error {
 		return nil
 	}
 	return c.quiesceCoW()
-}
-
-// commitCoW is the copy-on-write tail of checkpointDirty: the bitmap is
-// already scanned and the disk blocks harvested; the previous commit is
-// fully quiesced. Disk blocks are committed eagerly under pause (they
-// have no write-fault machinery and are few), the remote ship snapshots
-// the paused primary, and arming runs last so the guest resumes with
-// the full dirty set protected.
-func (c *Checkpointer) commitCoW(dirty, diskDirty []mem.PFN, counts cost.Counts) (cost.Counts, error) {
-	remark := func() {
-		_ = c.primary.MergeDirty(c.dirty)
-		if c.disk != nil {
-			c.disk.MarkDirty(diskDirty)
-		}
-	}
-	undoStart := time.Now()
-	if err := c.captureDiskUndo(diskDirty); err != nil {
-		remark()
-		return cost.Counts{}, err
-	}
-	c.report.Timings.Undo = time.Since(undoStart)
-	if c.disk != nil {
-		diskStart := time.Now()
-		if err := c.disk.CopyBlocksTo(c.backupDisk, diskDirty); err != nil {
-			c.applyDiskUndo(diskDirty)
-			remark()
-			return cost.Counts{}, err
-		}
-		c.report.Timings.DiskCopy = time.Since(diskStart)
-		counts.DiskBlocks = len(diskDirty)
-		counts.BytesCopied += len(diskDirty) * vdisk.BlockSize
-	}
-	// Same availability-only contract as the eager path; the pipelined
-	// snapshot reads the paused primary (see enqueueShipment), so it must
-	// run before the guest resumes — and before arming, so the snapshot
-	// reads take no faults.
-	c.replicateRemote(dirty, &counts)
-	memStart := time.Now()
-	if err := c.armCoW(dirty, diskDirty); err != nil {
-		// Arming failed before any protection landed. Converge inline:
-		// the commit completes eagerly instead of lazily.
-		if qerr := c.quiesceCoW(); qerr != nil {
-			c.applyDiskUndo(diskDirty)
-			remark()
-			return cost.Counts{}, qerr
-		}
-	}
-	c.report.Timings.MemCopy = time.Since(memStart)
-	return c.finishCommit(counts), nil
 }
 
 // armCoW records the commit's dirty metadata, write-protects the pages,

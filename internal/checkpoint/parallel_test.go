@@ -25,9 +25,9 @@ func newPairWorkers(t *testing.T, opt cost.Optimization, pages, workers int) (*h
 	if err != nil {
 		t.Fatalf("CreateDomain: %v", err)
 	}
-	c, err := NewWithWorkers(h, d, opt, workers)
+	c, err := newCkpt(h, d, opt, workers)
 	if err != nil {
-		t.Fatalf("NewWithWorkers: %v", err)
+		t.Fatalf("NewWithParams: %v", err)
 	}
 	t.Cleanup(func() {
 		if err := c.Close(); err != nil {
@@ -115,9 +115,9 @@ func TestParallelWorkerFaultRestoresUndo(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateDomain: %v", err)
 	}
-	c, err := NewWithWorkers(h, d, cost.Full, 4)
+	c, err := newCkpt(h, d, cost.Full, 4)
 	if err != nil {
-		t.Fatalf("NewWithWorkers: %v", err)
+		t.Fatalf("NewWithParams: %v", err)
 	}
 	defer c.Close()
 	disk := vdisk.New(16)
@@ -178,9 +178,9 @@ func TestPipelinedRemoteConverges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateDomain: %v", err)
 	}
-	c, err := NewWithWorkers(h, d, cost.Full, 4)
+	c, err := newCkpt(h, d, cost.Full, 4)
 	if err != nil {
-		t.Fatalf("NewWithWorkers: %v", err)
+		t.Fatalf("NewWithParams: %v", err)
 	}
 	if err := c.EnableRemoteReplication([]byte("0123456789abcdef")); err != nil {
 		t.Fatalf("EnableRemoteReplication: %v", err)
@@ -224,9 +224,9 @@ func TestPipelinedRemoteDegradesDeterministically(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateDomain: %v", err)
 	}
-	c, err := NewWithWorkers(h, d, cost.Full, 4)
+	c, err := newCkpt(h, d, cost.Full, 4)
 	if err != nil {
-		t.Fatalf("NewWithWorkers: %v", err)
+		t.Fatalf("NewWithParams: %v", err)
 	}
 	defer c.Close()
 	if err := c.EnableRemoteReplication([]byte("0123456789abcdef")); err != nil {

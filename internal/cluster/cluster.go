@@ -452,7 +452,9 @@ func (cl *Cluster) failHost(h *Host, round int, cause error) {
 // the session cannot settle cleanly) is lost.
 func (cl *Cluster) promote(vm *VM, round int, alive int) {
 	halted := vm.cur.Controller.Halted()
-	dead := vm.cur.Stats()
+	// Fold, don't overwrite: a VM promoted before already carries the
+	// epochs of its earlier incarnations in prior.
+	history := addStats(vm.prior, vm.cur.Stats())
 	ckpt := vm.cur.Controller.Checkpointer()
 	remoteHV := ckpt.RemoteHV()
 	dom, err := ckpt.DetachRemote()
@@ -466,7 +468,7 @@ func (cl *Cluster) promote(vm *VM, round int, alive int) {
 	// last clean snapshot as evidence, but nothing resumes. Its stats
 	// keep reporting the halt.
 	if halted {
-		vm.prior = dead
+		vm.prior = history
 		vm.Retired = true
 		vm.evidence, vm.evidenceHV = dom, remoteHV
 		return
@@ -488,7 +490,7 @@ func (cl *Cluster) promote(vm *VM, round int, alive int) {
 		cl.lostVMs++
 		return
 	}
-	vm.prior = dead
+	vm.prior = history
 	vm.host = newHost
 	vm.replicaHost = nil
 	vm.cur = fleet.NewVM(vm.Index, vm.Name, newHost.Name, g, ctl)

@@ -329,3 +329,43 @@ func TestClusterKillHostConcurrent(t *testing.T) {
 		t.Errorf("TotalEpochs=%d, want %d", rep.TotalEpochs, vms*epochs)
 	}
 }
+
+// A VM promoted twice — its host dies, then the host it was promoted
+// onto dies too — keeps the epochs of every dead incarnation: its
+// folded stats cover the whole run, and the cluster's epoch total
+// matches a run with no kills at all.
+func TestClusterDoublePromotionKeepsHistory(t *testing.T) {
+	const hosts, vms, rounds = 4, 8, 8
+	run := func(kill bool) (*Cluster, *Report) {
+		cfg := Config{Hosts: hosts, VMs: vms, Seed: 17}
+		cfg.Core.Workers = 1
+		cl := newTestCluster(t, cfg)
+		if kill {
+			vm0 := cl.VMs()[0]
+			cl.KillHostAt(vm0.HostName(), 3)
+			// vm0 is promoted onto its replica host; kill that one next.
+			cl.KillHostAt(vm0.ReplicaHostName(), 6)
+		}
+		work, _ := testWork(t, vms, 10*time.Millisecond)
+		return cl, cl.Run(rounds, work)
+	}
+	_, control := run(false)
+	cl, rep := run(true)
+
+	if rep.DeadHosts != 2 || rep.LostVMs != 0 {
+		t.Fatalf("dead=%d lost=%d, want 2 dead and nothing lost\n%s", rep.DeadHosts, rep.LostVMs, rep.Render())
+	}
+	vm0 := cl.VMs()[0]
+	if vm0.Promotions != 2 {
+		t.Fatalf("%s promoted %d times, want 2", vm0.Name, vm0.Promotions)
+	}
+	for _, vm := range cl.VMs() {
+		if s := vm.Stats(); s.Epochs != rounds || s.CleanEpochs != rounds {
+			t.Errorf("%s (promoted %dx): epochs=%d clean=%d across incarnations, want %d",
+				vm.Name, vm.Promotions, s.Epochs, s.CleanEpochs, rounds)
+		}
+	}
+	if rep.TotalEpochs != control.TotalEpochs {
+		t.Errorf("TotalEpochs=%d with two kills, %d with none", rep.TotalEpochs, control.TotalEpochs)
+	}
+}

@@ -508,7 +508,7 @@ func New(h *hv.Hypervisor, g *guestos.Guest, cfg Config) (*Controller, error) {
 		c.scanCache.Flush()
 	}
 	c.vmiCtx = ctx
-	c.setupTime += time.Duration(cfg.Model.VMIInitNs + cfg.Model.VMIPreprocessNs)
+	c.setupTime = cfg.Model.Setup(cfg.Opt, c.dom.Pages())
 
 	c.detector = detect.NewDetector(cfg.Modules...)
 	c.detector.SetWorkers(cfg.Workers)
@@ -535,9 +535,6 @@ func New(h *hv.Hypervisor, g *guestos.Guest, cfg Config) (*Controller, error) {
 			return nil, err
 		}
 	}
-	if cfg.Opt >= cost.Premap {
-		c.setupTime += cfg.Model.PremapStartup(2 * c.dom.Pages())
-	}
 	if cfg.Scan == ScanAsync {
 		bctx, err := vmi.NewContext(c.ckpt.Backup(), g.Profile(), g.SystemMap())
 		if err != nil {
@@ -552,48 +549,8 @@ func New(h *hv.Hypervisor, g *guestos.Guest, cfg Config) (*Controller, error) {
 	if cfg.Obs.Enabled() {
 		c.obs = cfg.Obs
 		c.obsVM = c.dom.Name()
-		reg := cfg.Obs.Registry()
-		vm := c.obsVM
-		c.met = coreMetrics{
-			epochs:      reg.Counter("crimes_epochs_total", "vm", vm),
-			findings:    reg.Counter("crimes_findings_total", "vm", vm),
-			incidents:   reg.Counter("crimes_incidents_total", "vm", vm),
-			retries:     reg.Counter("crimes_retries_total", "vm", vm),
-			pauseNs:     reg.Histogram("crimes_pause_virtual_ns", obs.DurationBuckets(), "vm", vm),
-			dirtyPages:  reg.Histogram("crimes_dirty_pages", obs.PageBuckets(), "vm", vm),
-			gateWaitNs:  reg.Histogram("crimes_gate_wait_ns", obs.DurationBuckets(), "vm", vm),
-			hcMap:       reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "map_page"),
-			hcUnmap:     reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "unmap_page"),
-			hcTranslate: reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "translate"),
-			hcDirtyRead: reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "dirty_read"),
-			hcEvent:     reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "event_config"),
-		}
-		if cfg.ScanCache != ScanCacheOff {
-			c.met.scHits = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "hit")
-			c.met.scMisses = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "miss")
-			c.met.scUnmaps = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "unmap")
-			c.met.scSwept = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "sweep")
-			c.met.scMemoHits = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "memo_hit")
-			c.met.scMemoMisses = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "memo_miss")
-		}
-		if cfg.CoW {
-			c.met.cowArmed = reg.Counter("crimes_cow_total", "vm", vm, "op", "armed")
-			c.met.cowFaults = reg.Counter("crimes_cow_total", "vm", vm, "op", "write_fault")
-			c.met.cowDrained = reg.Counter("crimes_cow_total", "vm", vm, "op", "drained")
-		}
-		if cfg.Remus != RemusRaw {
-			c.met.remusWire = reg.Counter("crimes_remus_bytes_total", "vm", vm, "kind", "wire")
-			c.met.remusRaw = reg.Counter("crimes_remus_bytes_total", "vm", vm, "kind", "raw")
-			c.met.remusOpRaw = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "raw")
-			c.met.remusOpDelta = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "delta")
-			c.met.remusOpSame = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "same")
-			c.met.remusOpDup = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "dup")
-			c.met.remusOpZero = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "zero")
-		}
-		if cfg.SLO.Enabled() {
-			c.met.sloSteps = reg.Counter("crimes_slo_steps_total", "vm", vm)
-		}
-		c.ckpt.SetObserver(cfg.Obs, vm)
+		c.met = newCoreMetrics(cfg, c.obsVM)
+		c.ckpt.SetObserver(cfg.Obs, c.obsVM)
 	}
 	// Seed the SLO controller with the system's actual starting knobs so
 	// its first decision steps relative to the configured state.
@@ -603,6 +560,52 @@ func New(h *hv.Hypervisor, g *guestos.Guest, cfg Config) (*Controller, error) {
 		CachePages: cfg.ScanCacheCapacity,
 	})
 	return c, nil
+}
+
+// newCoreMetrics resolves the controller's metric handles once, at
+// construction.
+func newCoreMetrics(cfg Config, vm string) coreMetrics {
+	reg := cfg.Obs.Registry()
+	met := coreMetrics{
+		epochs:      reg.Counter("crimes_epochs_total", "vm", vm),
+		findings:    reg.Counter("crimes_findings_total", "vm", vm),
+		incidents:   reg.Counter("crimes_incidents_total", "vm", vm),
+		retries:     reg.Counter("crimes_retries_total", "vm", vm),
+		pauseNs:     reg.Histogram("crimes_pause_virtual_ns", obs.DurationBuckets(), "vm", vm),
+		dirtyPages:  reg.Histogram("crimes_dirty_pages", obs.PageBuckets(), "vm", vm),
+		gateWaitNs:  reg.Histogram("crimes_gate_wait_ns", obs.DurationBuckets(), "vm", vm),
+		hcMap:       reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "map_page"),
+		hcUnmap:     reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "unmap_page"),
+		hcTranslate: reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "translate"),
+		hcDirtyRead: reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "dirty_read"),
+		hcEvent:     reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "event_config"),
+	}
+	if cfg.ScanCache != ScanCacheOff {
+		met.scHits = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "hit")
+		met.scMisses = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "miss")
+		met.scUnmaps = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "unmap")
+		met.scSwept = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "sweep")
+		met.scMemoHits = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "memo_hit")
+		met.scMemoMisses = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "memo_miss")
+	}
+	if cfg.CoW {
+		met.cowArmed = reg.Counter("crimes_cow_total", "vm", vm, "op", "armed")
+		met.cowFaults = reg.Counter("crimes_cow_total", "vm", vm, "op", "write_fault")
+		met.cowDrained = reg.Counter("crimes_cow_total", "vm", vm, "op", "drained")
+	}
+	if cfg.Remus != RemusRaw {
+		met.remusWire = reg.Counter("crimes_remus_bytes_total", "vm", vm, "kind", "wire")
+		met.remusRaw = reg.Counter("crimes_remus_bytes_total", "vm", vm, "kind", "raw")
+		met.remusOpRaw = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "raw")
+		met.remusOpDelta = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "delta")
+		met.remusOpSame = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "same")
+		met.remusOpDup = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "dup")
+		met.remusOpZero = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "zero")
+	}
+	if cfg.SLO.Enabled() {
+		met.sloSteps = reg.Counter("crimes_slo_steps_total", "vm", vm)
+	}
+	return met
 }
 
 // emit fills the event's identity fields (VM, epoch, virtual clock) and
@@ -1006,81 +1009,152 @@ func (c *Controller) RunEpoch(work func(*guestos.Guest) error) (*EpochResult, er
 	return res, err
 }
 
+// epochState is what one RunEpoch hands from phase to phase. It lives
+// on runEpoch's stack: phases take a pointer and never retain it.
+type epochState struct {
+	res *EpochResult
+	// hcBefore (observed runs) and cowBefore (CoW runs) are the
+	// since-epoch-start baselines the commit phase turns into deltas.
+	hcBefore  hv.Hypercalls
+	cowBefore cowSnapshot
+	// scanCounts accumulates the audit's VMI work — the sync audit's
+	// under pause, or the async audit's after resume.
+	scanCounts *detect.ScanCounts
+	findings   []detect.Finding
+	counts     cost.Counts
+}
+
 // runEpoch is RunEpoch's body; the wrapper folds the result into the
-// per-VM metrics when observability is enabled.
+// per-VM metrics when observability is enabled. The epoch is a sequence
+// of named phases. Each phase emits its own trace events and owns its
+// own unwind: a phase that returns an error has already left the domain
+// Running again (unwindResume, unwindRollback) or deliberately halted
+// (haltDomain) — between Pause succeeding and Resume there is no other
+// way out.
 func (c *Controller) runEpoch(work func(*guestos.Guest) error) (*EpochResult, error) {
 	if c.halted {
 		return nil, ErrHalted
 	}
 	c.epoch++
 	res := &EpochResult{Epoch: c.epoch}
-	var hcBefore hv.Hypercalls
+	ep := epochState{res: res, scanCounts: &detect.ScanCounts{}}
 	if c.obs != nil {
-		hcBefore = c.domainCalls()
+		ep.hcBefore = c.domainCalls()
 	}
-	var cowBefore cowSnapshot
 	if c.cfg.CoW {
-		cowBefore = c.cowSnap()
+		ep.cowBefore = c.cowSnap()
 	}
 
-	// Speculative execution.
+	if err := c.speculate(&ep, work); err != nil {
+		return nil, err
+	}
+	// With a PauseGate configured, a pause slot is acquired first and
+	// held until RunEpoch returns: the fleet scheduler uses this to
+	// stagger epoch boundaries so at most K co-located VMs are paused or
+	// committing at once.
+	if c.cfg.PauseGate != nil {
+		c.acquireGate()
+		defer c.cfg.PauseGate.Release()
+	}
+	if err := c.pauseAndHarvest(&ep); err != nil {
+		return res, err
+	}
+	if c.cfg.Scan == ScanSync {
+		if err := c.audit(&ep); err != nil {
+			return res, err
+		}
+		if len(ep.findings) > 0 {
+			return res, c.incident(&ep)
+		}
+	}
+	if err := c.commit(&ep); err != nil {
+		return res, err
+	}
+	if err := c.releaseAndResume(&ep); err != nil {
+		return res, err
+	}
+	if c.cfg.Scan == ScanAsync {
+		if err := c.auditAsync(&ep); err != nil {
+			return res, err
+		}
+	}
+	c.price(&ep)
+	c.applySLO(res)
+	return res, nil
+}
+
+// speculate runs the epoch's guest work with outputs buffered and
+// advances the virtual clock by the (possibly jittered) interval. The
+// domain is Running throughout, so a workload failure needs no unwind.
+func (c *Controller) speculate(ep *epochState, work func(*guestos.Guest) error) error {
 	c.guest.BeginEpoch()
 	if work != nil {
 		if err := work(c.guest); err != nil {
 			c.emit(obs.Event{Phase: obs.PhaseRun, Err: err.Error()})
-			return nil, fmt.Errorf("core: epoch %d workload: %w", c.epoch, err)
+			return fmt.Errorf("core: epoch %d workload: %w", c.epoch, err)
 		}
 	}
-	interval := c.cfg.EpochIntervalAt(c.epoch)
-	res.Interval = interval
-	c.virtualNow += interval
-	c.emit(obs.Event{Phase: obs.PhaseRun, DurNs: int64(interval)})
+	ep.res.Interval = c.cfg.EpochIntervalAt(c.epoch)
+	c.virtualNow += ep.res.Interval
+	c.emit(obs.Event{Phase: obs.PhaseRun, DurNs: int64(ep.res.Interval)})
+	return nil
+}
 
-	// Pause at the epoch boundary. With a PauseGate configured, a pause
-	// slot is acquired first and held until RunEpoch returns: the fleet
-	// scheduler uses this to stagger epoch boundaries so at most K
-	// co-located VMs are paused or committing at once.
-	if c.cfg.PauseGate != nil {
-		if c.obs != nil {
-			gateStart := time.Now()
-			c.cfg.PauseGate.Acquire()
-			c.met.gateWaitNs.ObserveDuration(int64(time.Since(gateStart)))
-		} else {
-			c.cfg.PauseGate.Acquire()
-		}
-		defer c.cfg.PauseGate.Release()
+// acquireGate takes the pause slot, recording the measured wait when
+// observability is on.
+func (c *Controller) acquireGate() {
+	if c.obs == nil {
+		c.cfg.PauseGate.Acquire()
+		return
 	}
-	// Until Pause succeeds the domain is still Running, so a pause
-	// failure needs no unwind.
+	gateStart := time.Now()
+	c.cfg.PauseGate.Acquire()
+	c.met.gateWaitNs.ObserveDuration(int64(time.Since(gateStart)))
+}
+
+// pauseAndHarvest stops the domain at the epoch boundary and harvests
+// the epoch's dirty bitmap. Unwind: until Pause succeeds the domain is
+// still Running, so a pause failure needs none; after it, a failure
+// resumes the domain (nothing was harvested, so nothing is merged back).
+func (c *Controller) pauseAndHarvest(ep *epochState) error {
+	res := ep.res
 	if err := c.retryOp(res, c.dom.Pause); err != nil {
 		c.emit(obs.Event{Phase: obs.PhasePause, Err: err.Error()})
 		res.VirtualTime = c.virtualNow
-		return res, fmt.Errorf("core: epoch %d pause: %w", c.epoch, err)
+		return fmt.Errorf("core: epoch %d pause: %w", c.epoch, err)
 	}
 	// From here until Resume the domain is stopped: every early return
 	// must take an unwind path that leaves it Running again (or
 	// deliberately halted) — never silently stranded in Suspended.
 	if err := c.retryOp(res, c.dom.Suspend); err != nil {
 		c.emit(obs.Event{Phase: obs.PhasePause, Err: err.Error(), Action: UnwindResume})
-		return res, c.unwindResume(res, false, fmt.Errorf("core: epoch %d suspend: %w", c.epoch, err))
+		return c.unwindResume(res, false, fmt.Errorf("core: epoch %d suspend: %w", c.epoch, err))
 	}
 	if err := c.retryOp(res, func() error { return c.dom.HarvestDirty(c.dirty) }); err != nil {
 		c.emit(obs.Event{Phase: obs.PhasePause, Err: err.Error(), Action: UnwindResume})
-		return res, c.unwindResume(res, false, fmt.Errorf("core: epoch %d harvest: %w", c.epoch, err))
+		return c.unwindResume(res, false, fmt.Errorf("core: epoch %d harvest: %w", c.epoch, err))
 	}
 	if c.obs != nil {
 		c.emit(obs.Event{Phase: obs.PhasePause, Pages: c.dirty.Count(), Retries: res.Recovery.Retries})
 	}
+	return nil
+}
 
+// audit is the synchronous audit under pause, scoped to the harvested
+// dirty pages, leaving its findings in ep. Unwind: nothing was committed
+// and no output released, so a failed audit resumes with the harvested
+// dirty pages merged back into the domain's log — the next epoch's audit
+// and checkpoint still cover them.
+func (c *Controller) audit(ep *epochState) error {
+	res := ep.res
 	// Epoch-boundary cache invalidation: pages the guest wrote during
 	// the epoch must be remapped and the structure walks that touched
 	// them re-run; everything else stays cached across the boundary. The
 	// counter snapshots are taken first so the sweep itself is billed to
 	// this epoch's scan phase.
-	scanActive := c.scanCache != nil && c.cfg.Scan == ScanSync
 	var cacheBefore hv.ScanCacheStats
 	var memoBefore vmi.MemoStats
-	if scanActive {
+	if c.scanCache != nil {
 		cacheBefore = c.scanCache.Stats()
 		if c.scanMemo != nil {
 			memoBefore = c.scanMemo.Stats()
@@ -1090,69 +1164,70 @@ func (c *Controller) runEpoch(work func(*guestos.Guest) error) (*EpochResult, er
 			c.scanMemo.Invalidate(c.dirty)
 		}
 	}
-
-	scanCounts := &detect.ScanCounts{}
-	var findings []detect.Finding
-	if c.cfg.Scan == ScanSync {
-		var err error
-		findings, err = c.detector.Scan(&detect.ScanContext{
-			VMI: c.vmiCtx, Dirty: c.dirty, Counts: scanCounts,
-			Packets: c.buf.PendingPackets(), DiskWrites: c.buf.PendingDisks(),
-		})
-		if scanActive && c.cfg.ScanCache == ScanCacheUncached {
-			// The no-page-cache baseline tears every mapping down after
-			// each audit, so the next epoch maps from scratch.
-			c.scanCache.Flush()
-		}
-		if err != nil {
-			// Pre-commit audit failure: nothing was committed and no
-			// output released. Resume with the harvested dirty pages
-			// merged back into the domain's log so the next epoch's
-			// audit and checkpoint still cover them.
-			c.emit(obs.Event{Phase: obs.PhaseScan, Err: err.Error(), Action: UnwindResume})
-			return res, c.unwindResume(res, true, fmt.Errorf("core: epoch %d audit: %w", c.epoch, err))
-		}
-		ev := obs.Event{Phase: obs.PhaseScan, Findings: len(findings)}
-		if scanActive {
-			res.ScanCache = c.scanCacheDelta(cacheBefore, memoBefore)
-			c.scanStats.Add(res.ScanCache)
-			if c.obs != nil {
-				c.recordScanCache(res.ScanCache)
-				ev.ScanCache = &obs.ScanCache{
-					Hits: res.ScanCache.CacheHits, Misses: res.ScanCache.CacheMisses,
-					Unmaps: res.ScanCache.CacheUnmaps, Swept: res.ScanCache.CacheSwept,
-					MemoHits: res.ScanCache.MemoHits, MemoMisses: res.ScanCache.MemoMisses,
-				}
+	findings, err := c.detector.Scan(&detect.ScanContext{
+		VMI: c.vmiCtx, Dirty: c.dirty, Counts: ep.scanCounts,
+		Packets: c.buf.PendingPackets(), DiskWrites: c.buf.PendingDisks(),
+	})
+	if c.cfg.ScanCache == ScanCacheUncached {
+		// The no-page-cache baseline tears every mapping down after
+		// each audit, so the next epoch maps from scratch.
+		c.scanCache.Flush()
+	}
+	if err != nil {
+		c.emit(obs.Event{Phase: obs.PhaseScan, Err: err.Error(), Action: UnwindResume})
+		return c.unwindResume(res, true, fmt.Errorf("core: epoch %d audit: %w", c.epoch, err))
+	}
+	ep.findings = findings
+	ev := obs.Event{Phase: obs.PhaseScan, Findings: len(findings)}
+	if c.scanCache != nil {
+		res.ScanCache = c.scanCacheDelta(cacheBefore, memoBefore)
+		c.scanStats.Add(res.ScanCache)
+		if c.obs != nil {
+			c.recordScanCache(res.ScanCache)
+			ev.ScanCache = &obs.ScanCache{
+				Hits: res.ScanCache.CacheHits, Misses: res.ScanCache.CacheMisses,
+				Unmaps: res.ScanCache.CacheUnmaps, Swept: res.ScanCache.CacheSwept,
+				MemoHits: res.ScanCache.MemoHits, MemoMisses: res.ScanCache.MemoMisses,
 			}
 		}
-		c.emit(ev)
 	}
+	c.emit(ev)
+	return nil
+}
 
-	if len(findings) > 0 {
-		inc, err := c.respond(findings, scanCounts)
-		if err != nil {
-			// The incident-response machinery itself failed. With
-			// evidence of an attack in hand the VM must not resume on a
-			// best-effort basis: quarantine it deliberately.
-			return res, c.haltDomain(res, fmt.Errorf("core: epoch %d respond: %w", c.epoch, err))
-		}
-		res.Findings = findings
-		res.Incident = inc
-		res.VirtualTime = c.virtualNow
-		c.halted = true
-		c.emit(obs.Event{Phase: obs.PhaseHalt, Action: "incident", Findings: len(findings)})
-		return res, nil
+// incident ends the epoch on a failed audit: outputs discarded, dumps
+// captured, the attack pinpointed, the VM left halted. Unwind: if the
+// incident-response machinery itself fails, the VM must not resume on a
+// best-effort basis with evidence of an attack in hand — it is
+// quarantined deliberately.
+func (c *Controller) incident(ep *epochState) error {
+	res := ep.res
+	inc, err := c.respond(ep.findings, ep.scanCounts)
+	if err != nil {
+		return c.haltDomain(res, fmt.Errorf("core: epoch %d respond: %w", c.epoch, err))
 	}
+	res.Findings = ep.findings
+	res.Incident = inc
+	res.VirtualTime = c.virtualNow
+	c.halted = true
+	c.emit(obs.Event{Phase: obs.PhaseHalt, Action: "incident", Findings: len(ep.findings)})
+	return nil
+}
 
-	// Audit passed (or deferred): commit the epoch.
-	var counts cost.Counts
+// commit checkpoints the audited (or, in async mode, to-be-audited)
+// epoch and folds the commit's report and strategy counters into the
+// result. Unwind: on a mid-commit failure the checkpointer's undo log
+// has restored the backup to the last clean checkpoint; the primary is
+// rolled back to it and resumed.
+func (c *Controller) commit(ep *epochState) error {
+	res := ep.res
 	var commitStart time.Time
 	if c.obs != nil {
 		commitStart = time.Now()
 	}
 	err := c.retryOp(res, func() error {
 		var cerr error
-		counts, cerr = c.ckpt.CheckpointBitmap(c.dirty)
+		ep.counts, cerr = c.ckpt.CheckpointBitmap(c.dirty)
 		return cerr
 	})
 	rep := c.ckpt.LastReport()
@@ -1162,19 +1237,16 @@ func (c *Controller) runEpoch(work func(*guestos.Guest) error) (*EpochResult, er
 		res.Recovery.Degradations = append(res.Recovery.Degradations, rep.Warnings...)
 	}
 	if err != nil {
-		// Mid-commit failure: the checkpointer's undo log has restored
-		// the backup to the last clean checkpoint; roll the primary
-		// back to it and resume.
 		c.emit(obs.Event{Phase: obs.PhaseCommit, Err: err.Error(), Action: UnwindRollback,
 			Retries: res.Recovery.Retries})
-		return res, c.unwindRollback(res, fmt.Errorf("core: epoch %d commit: %w", c.epoch, err))
+		return c.unwindRollback(res, fmt.Errorf("core: epoch %d commit: %w", c.epoch, err))
 	}
 	if c.cfg.CoW {
 		// The commit quiesced the previous epoch's arm set on entry and
 		// armed this epoch's dirty pages on exit: whatever the guest did
 		// not fault on during the epoch was (or will be) settled by the
 		// background copier.
-		res.CoW = c.cowDelta(cowBefore)
+		res.CoW = c.cowDelta(ep.cowBefore)
 		if res.CoW.DrainPages = c.cowPrevArmed - res.CoW.WriteFaults; res.CoW.DrainPages < 0 {
 			res.CoW.DrainPages = 0
 		}
@@ -1182,37 +1254,47 @@ func (c *Controller) runEpoch(work func(*guestos.Guest) error) (*EpochResult, er
 		c.cowStats.Add(res.CoW)
 	}
 	if c.cfg.Remus != RemusRaw {
-		res.Replication = counts.LocalRepl
-		res.Replication.Add(counts.RemoteRepl)
+		res.Replication = ep.counts.LocalRepl
+		res.Replication.Add(ep.counts.RemoteRepl)
 		c.replStats.Add(res.Replication)
 	}
-	if c.obs != nil {
-		delta := hypercallDelta(hcBefore, c.domainCalls())
-		c.recordHypercalls(delta)
-		ev := obs.Event{Phase: obs.PhaseCommit, DurNs: int64(time.Since(commitStart)),
-			Pages: counts.DirtyPages, Retries: res.Recovery.Retries, Hypercalls: &delta}
-		if c.cfg.CoW {
-			c.recordCoW(res.CoW)
-			if res.CoW != (cost.CoWCounts{}) {
-				ev.CoW = &obs.CoW{Armed: res.CoW.ArmedPages,
-					WriteFaults: res.CoW.WriteFaults, Drained: res.CoW.DrainPages}
-			}
-		}
-		if c.cfg.Remus != RemusRaw {
-			c.recordReplication(res.Replication)
-			ev.Repl = replEvent(res.Replication)
-		}
-		c.emit(ev)
-		if rep.RemoteAcked > 0 || rep.RemoteInFlight > 0 || rep.RemoteDegraded || counts.RemotePages > 0 {
-			action := ""
-			if rep.RemoteDegraded {
-				action = "degraded"
-			}
-			c.emit(obs.Event{Phase: obs.PhaseReplicate, Pages: counts.RemotePages,
-				InFlight: rep.RemoteInFlight, Acked: rep.RemoteAcked,
-				Retries: rep.RemoteRetries, Action: action})
+	if c.obs == nil {
+		return nil
+	}
+	delta := hypercallDelta(ep.hcBefore, c.domainCalls())
+	c.recordHypercalls(delta)
+	ev := obs.Event{Phase: obs.PhaseCommit, DurNs: int64(time.Since(commitStart)),
+		Pages: ep.counts.DirtyPages, Retries: res.Recovery.Retries, Hypercalls: &delta}
+	if c.cfg.CoW {
+		c.recordCoW(res.CoW)
+		if res.CoW != (cost.CoWCounts{}) {
+			ev.CoW = &obs.CoW{Armed: res.CoW.ArmedPages,
+				WriteFaults: res.CoW.WriteFaults, Drained: res.CoW.DrainPages}
 		}
 	}
+	if c.cfg.Remus != RemusRaw {
+		c.recordReplication(res.Replication)
+		ev.Repl = replEvent(res.Replication)
+	}
+	c.emit(ev)
+	if rep.RemoteAcked > 0 || rep.RemoteInFlight > 0 || rep.RemoteDegraded || ep.counts.RemotePages > 0 {
+		action := ""
+		if rep.RemoteDegraded {
+			action = "degraded"
+		}
+		c.emit(obs.Event{Phase: obs.PhaseReplicate, Pages: ep.counts.RemotePages,
+			InFlight: rep.RemoteInFlight, Acked: rep.RemoteAcked,
+			Retries: rep.RemoteRetries, Action: action})
+	}
+	return nil
+}
+
+// releaseAndResume lets the committed epoch's buffered outputs go,
+// retains the checkpoint for forensics, and returns the domain to
+// execution. Unwind: the epoch committed, so a domain that cannot
+// resume is quarantined deliberately.
+func (c *Controller) releaseAndResume(ep *epochState) error {
+	res := ep.res
 	c.buf.Release()
 	c.lastState = c.guest.CloneState()
 	if c.cfg.HistoryDepth > 0 {
@@ -1224,80 +1306,67 @@ func (c *Controller) runEpoch(work func(*guestos.Guest) error) (*EpochResult, er
 		}
 	}
 	if err := c.retryOp(res, c.dom.Resume); err != nil {
-		// The epoch committed but the domain cannot return to
-		// execution: quarantine it deliberately.
-		return res, c.haltDomain(res, fmt.Errorf("core: epoch %d resume: %w", c.epoch, err))
+		return c.haltDomain(res, fmt.Errorf("core: epoch %d resume: %w", c.epoch, err))
 	}
+	return nil
+}
 
-	// Asynchronous audits inspect the checkpoint just committed while
-	// the VM continues to run.
-	if c.cfg.Scan == ScanAsync {
-		findings, err = c.detector.Scan(&detect.ScanContext{
-			VMI: c.vmiBackup, Counts: scanCounts,
-		})
+// auditAsync inspects the checkpoint just committed while the VM
+// continues to run. Unwind: the commit stands and the VM is already
+// Running, so a failed audit is reported without unwinding; findings
+// arrive too late to withhold outputs, but the VM is still paused and
+// halted — and quarantined if even that fails.
+func (c *Controller) auditAsync(ep *epochState) error {
+	res := ep.res
+	findings, err := c.detector.Scan(&detect.ScanContext{
+		VMI: c.vmiBackup, Counts: ep.scanCounts,
+	})
+	if err != nil {
+		res.VirtualTime = c.virtualNow
+		return fmt.Errorf("core: epoch %d async audit: %w", c.epoch, err)
+	}
+	res.Findings = findings
+	if len(findings) > 0 {
+		if err := c.retryOp(res, c.dom.Pause); err != nil {
+			return c.haltDomain(res, fmt.Errorf("core: epoch %d async pause: %w", c.epoch, err))
+		}
+		inc, err := c.respondAsync(findings)
 		if err != nil {
-			// The commit stands and the VM is already Running; the
-			// deferred audit simply failed. Report without unwinding.
-			res.VirtualTime = c.virtualNow
-			return res, fmt.Errorf("core: epoch %d async audit: %w", c.epoch, err)
+			return c.haltDomain(res, fmt.Errorf("core: epoch %d async respond: %w", c.epoch, err))
 		}
-		res.Findings = findings
-		if len(findings) > 0 {
-			// Too late to withhold outputs; still halt and report.
-			if err := c.retryOp(res, c.dom.Pause); err != nil {
-				return res, c.haltDomain(res, fmt.Errorf("core: epoch %d async pause: %w", c.epoch, err))
-			}
-			inc, err := c.respondAsync(findings)
-			if err != nil {
-				return res, c.haltDomain(res, fmt.Errorf("core: epoch %d async respond: %w", c.epoch, err))
-			}
-			res.Incident = inc
-			c.halted = true
-		}
+		res.Incident = inc
+		c.halted = true
 	}
+	return nil
+}
 
+// price converts the epoch's real operation counts into its virtual
+// pause and advances the clocks. All pricing arithmetic lives behind
+// cost.Model.Pause; this phase only says what the configuration was.
+func (c *Controller) price(ep *epochState) {
+	res := ep.res
 	// Fold the scan counters in only now: in async mode the deferred
-	// audit above contributes this epoch's VMI node and canary counts,
-	// so capturing them before the scan would lose them.
-	counts.VMINodes = scanCounts.NodesWalked
-	counts.Canaries = scanCounts.CanariesChecked
-	res.Counts = counts
-	if c.cfg.CoW {
-		// The CoW commit arms the dirty pages instead of copying them
-		// under pause; faults taken during the epoch are guest-time
-		// overhead (the guest was running), not pause, so they advance
-		// the virtual clock directly.
-		var faultNs time.Duration
-		res.Phases, faultNs = c.cfg.Model.CheckpointCoW(c.cfg.Opt, counts, c.cfg.Workers, res.CoW, c.cfg.EpochIntervalAt(c.epoch))
-		c.virtualNow += faultNs
-	} else {
-		res.Phases = c.cfg.Model.CheckpointParallel(c.cfg.Opt, counts, c.cfg.Workers)
-	}
-	if c.cfg.Workers > 1 && len(c.cfg.Modules) > 1 && c.cfg.Scan == ScanSync {
-		// Detector modules scanned concurrently; the cost model leaves
-		// audit concurrency to the caller, which knows the module count.
-		conc := c.cfg.Workers
-		if m := len(c.cfg.Modules); m < conc {
-			conc = m
-		}
-		res.Phases.VMI = time.Duration(float64(res.Phases.VMI) / c.cfg.Model.Speedup(conc))
-	}
-	if c.cfg.Scan == ScanAsync {
-		// The audit does not extend the pause in async mode.
-		res.Phases.VMI = 0
-	}
-	if scanActive {
-		// Price the audit's real mapping traffic: map/unmap hypercalls
-		// the cache performed plus its lookup/sweep/memo bookkeeping.
-		// The base VMI term above already shrank on memo hits (memoized
-		// walks report zero nodes walked).
-		res.Phases.VMI += c.cfg.Model.ScanCacheOverhead(res.ScanCache)
-	}
+	// audit contributes this epoch's VMI node and canary counts, so
+	// capturing them before that scan would lose them.
+	ep.counts.VMINodes = ep.scanCounts.NodesWalked
+	ep.counts.Canaries = ep.scanCounts.CanariesChecked
+	res.Counts = ep.counts
+	var guestNs time.Duration
+	res.Phases, guestNs = c.cfg.Model.Pause(c.cfg.Opt, ep.counts, cost.PauseCtx{
+		Workers:      c.cfg.Workers,
+		AuditModules: len(c.cfg.Modules),
+		AsyncScan:    c.cfg.Scan == ScanAsync,
+		ScanCache:    res.ScanCache,
+		CoW:          c.cfg.CoW,
+		CoWCounts:    res.CoW,
+		Epoch:        res.Interval,
+	})
+	// CoW write faults were taken while the guest was running, so they
+	// advance the virtual clock directly rather than extend the pause.
+	c.virtualNow += guestNs
 	c.totalPause += res.Phases.Total()
 	c.virtualNow += res.Phases.Total()
 	res.VirtualTime = c.virtualNow
-	c.applySLO(res)
-	return res, nil
 }
 
 // applySLO folds a clean epoch into the tail-latency controller and
@@ -1399,8 +1468,7 @@ func (c *Controller) unwindRollback(res *EpochResult, cause error) error {
 			c.scanMemo.InvalidateAll()
 		}
 	}
-	// Price the rollback as the incident path does: a full-VM memcpy.
-	rollbackCost := time.Duration(c.cfg.Model.MemcpyByteNs * float64(c.dom.MemBytes()))
+	rollbackCost := c.cfg.Model.Rollback(c.dom.MemBytes())
 	c.virtualNow += rollbackCost
 	c.emit(obs.Event{Phase: obs.PhaseRollback, DurNs: int64(rollbackCost),
 		Retries: res.Recovery.Retries})
@@ -1470,7 +1538,7 @@ func (c *Controller) respond(findings []detect.Finding, scanCounts *detect.ScanC
 		// Pinpointing rolls the VM back to the last clean checkpoint and
 		// replays the epoch's operations one at a time.
 		c.emit(obs.Event{Phase: obs.PhaseRollback, Action: "incident",
-			DurNs: int64(time.Duration(c.cfg.Model.MemcpyByteNs * float64(c.dom.MemBytes())))})
+			DurNs: int64(c.cfg.Model.Rollback(c.dom.MemBytes()))})
 		pin, err := analyze.ReplayPinpoint(c.guest, c.ckpt, c.lastState, ops, findings)
 		if err != nil && !errors.Is(err, analyze.ErrNotPinpointed) {
 			c.emit(obs.Event{Phase: obs.PhaseReplay, Err: err.Error()})
@@ -1494,7 +1562,7 @@ func (c *Controller) respond(findings []detect.Finding, scanCounts *detect.ScanC
 		return nil, err
 	}
 	inc.Report = report
-	inc.Timeline = c.timeline(findings, inc.Pinpoint, ops, scanCounts)
+	inc.Timeline = c.timeline(inc.Pinpoint, ops, scanCounts)
 	return inc, nil
 }
 
@@ -1524,9 +1592,7 @@ func hasOverflow(findings []detect.Finding) bool {
 }
 
 // timeline prices the Figure 8 attack-response sequence.
-func (c *Controller) timeline(findings []detect.Finding, pin *analyze.Pinpoint, ops []guestos.Op, sc *detect.ScanCounts) Timeline {
-	m := c.cfg.Model
-	var tl Timeline
+func (c *Controller) timeline(pin *analyze.Pinpoint, ops []guestos.Op, sc *detect.ScanCounts) Timeline {
 	// Position of the attack op within the epoch (fraction of interval).
 	frac := 0.5
 	if pin != nil && len(ops) > 0 {
@@ -1537,14 +1603,8 @@ func (c *Controller) timeline(findings []detect.Finding, pin *analyze.Pinpoint, 
 			}
 		}
 	}
-	tl.AttackToEpochEnd = time.Duration((1 - frac) * float64(c.cfg.EpochIntervalAt(c.epoch)))
-	scanNs := m.VMIScanBaseNs + m.VMIPerNodeNs*float64(sc.NodesWalked) + m.CanaryCheckNs*float64(sc.CanariesChecked)
-	tl.SuspendAndScan = time.Duration(m.SuspendNs + scanNs)
-	// Rollback restores the full VM from the local backup (a memcpy of
-	// guest memory) and resumes.
-	rollbackNs := m.MemcpyByteNs * float64(c.dom.MemBytes())
-	tl.ReplayReady = tl.SuspendAndScan + time.Duration(rollbackNs+m.ResumeNs)
-	tl.MemDump = time.Duration(m.VolatilityDumpNs)
-	tl.CheckpointsToDisk = time.Duration(m.CheckpointToDiskNs)
+	tl := Timeline{AttackToEpochEnd: time.Duration((1 - frac) * float64(c.cfg.EpochIntervalAt(c.epoch)))}
+	tl.SuspendAndScan, tl.ReplayReady, tl.MemDump, tl.CheckpointsToDisk =
+		c.cfg.Model.Response(sc.NodesWalked, sc.CanariesChecked, c.dom.MemBytes())
 	return tl
 }

@@ -13,7 +13,11 @@ package cost
 import "time"
 
 // Model holds the calibrated cost constants. All "...Ns" values are
-// nanoseconds; byte costs are fractional nanoseconds per byte.
+// nanoseconds; byte costs are fractional nanoseconds per byte. Each
+// group after the paper's own (scan cache, CoW, delta replication,
+// cluster, parallel pause) is consulted only when Counts or PauseCtx
+// turn its feature on, so every feature-off configuration reproduces
+// the paper-calibrated numbers bit-for-bit.
 type Model struct {
 	// Domain pause/unpause transitions (Table 1: suspend ~1 ms,
 	// resume ~1.5 ms).
@@ -70,9 +74,7 @@ type Model struct {
 	// MapPageNs foreign map and every cache drop (eviction,
 	// invalidation, flush) an UnmapPageNs, reusing the mapping constants
 	// above; the constants here price the bookkeeping that is unique to
-	// the cache. None of them is consulted unless the scan cache is
-	// enabled, so the cache-off configuration reproduces existing
-	// numbers bit-for-bit (mirroring how Workers=1 reproduces Table 1).
+	// the cache.
 	ScanCacheHitNs   float64 // LRU lookup + bump for a cached page
 	ScanSweepEntryNs float64 // per cached entry examined by an invalidation sweep
 	ScanMemoHitNs    float64 // returning one memoized structure walk
@@ -83,9 +85,7 @@ type Model struct {
 	// (CowArmPageNs, ~27x cheaper than memcpying the page). Each write
 	// fault the guest then takes on a protected page costs a VM exit
 	// plus an eager copy-before-write (CowFaultNs), charged to guest
-	// execution time rather than the pause window. None of these is
-	// consulted unless CoW is enabled, so the CoW-off configuration
-	// reproduces existing numbers bit-for-bit.
+	// execution time rather than the pause window.
 	CowArmBaseNs float64
 	CowArmPageNs float64
 	CowFaultNs   float64
@@ -95,8 +95,7 @@ type Model struct {
 	// last-shipped base exists, run through the XOR/run-length encoder
 	// (DeltaEncodeByteNs per page byte). The CPU spent is charged
 	// against the socket bytes saved, so the tradeoff is visible in
-	// virtual time. Neither constant is consulted in raw mode, so the
-	// raw configuration reproduces existing numbers bit-for-bit.
+	// virtual time.
 	DeltaHashPageNs   float64
 	DeltaEncodeByteNs float64
 
@@ -107,9 +106,7 @@ type Model struct {
 	// (CrossHostRTTNs). A host failover pays PromoteBaseNs once per
 	// affected VM (detection, replica adoption, controller re-init),
 	// and ring-membership churn pays RebalancePageNs per page moved to
-	// its new home. None of these is consulted unless the cluster runs
-	// more than one host, so single-host configurations reproduce
-	// existing numbers bit-for-bit.
+	// its new home.
 	CrossHostByteNs float64
 	CrossHostRTTNs  float64
 	PromoteBaseNs   float64
@@ -119,8 +116,7 @@ type Model struct {
 	// WorkerSerialFrac is the fraction of each parallelized phase that
 	// stays serial (shard dispatch, cache-line and memory-bus
 	// contention), and WorkerSpawnNs is the per-worker fork/join cost
-	// added to every parallelized phase. Workers=1 bypasses both, so
-	// single-worker pricing is bit-identical to Checkpoint's.
+	// added to every parallelized phase.
 	WorkerSerialFrac float64
 	WorkerSpawnNs    float64
 }
@@ -302,20 +298,70 @@ func (p Phases) Total() time.Duration {
 	return p.Suspend + p.VMI + p.Bitscan + p.Map + p.Copy + p.Resume
 }
 
-// Checkpoint prices one checkpoint at a given optimization level.
-func (m Model) Checkpoint(opt Optimization, c Counts) Phases {
-	var p Phases
-	p.Suspend = ns(m.SuspendNs)
-	p.Resume = ns(m.ResumeNs)
-	p.VMI = ns(m.VMIScanBaseNs + m.VMIPerNodeNs*float64(c.VMINodes) + m.CanaryCheckNs*float64(c.Canaries))
+// PauseCtx is everything besides the optimization level and the real
+// operation counts that decides what one pause costs. The zero value is
+// the paper's configuration (one VM, one host, serial pause path,
+// synchronous single-module audit, no scan cache, eager commit), and a
+// field left at zero contributes nothing: each degenerate argument
+// reproduces the simpler configuration's numbers bit-for-bit.
+type PauseCtx struct {
+	// Workers is the host's pause-path worker pool; <= 1 is the exact
+	// serial path of Table 1 / Figure 3 / Figure 4.
+	Workers int
+	// Concurrent is the number of co-located VMs inside overlapping
+	// pause windows: the fleet scheduler's K bound when staggered, the
+	// whole fleet when epoch boundaries are synchronized.
+	Concurrent int
+	// Hosts is the cluster size; with more than one the replica is
+	// anti-affine on another host.
+	Hosts int
+	// AuditModules is the number of detector modules a synchronous audit
+	// scans concurrently on the worker pool.
+	AuditModules int
+	// AsyncScan audits the committed checkpoint while the guest runs.
+	AsyncScan bool
+	// ScanCache is the audit's real scan-path cache traffic.
+	ScanCache ScanCacheCounts
+	// CoW selects the copy-on-write commit, CoWCounts its real counts,
+	// and Epoch the interval the lazy copies may overlap.
+	CoW       bool
+	CoWCounts CoWCounts
+	Epoch     time.Duration
+}
 
-	if opt >= Full {
-		words := (c.TotalPages + 63) / 64
-		p.Bitscan = ns(m.WordScanPerWordNs*float64(words) + m.WordScanPerDirtyNs*float64(c.DirtyPages))
-	} else {
-		p.Bitscan = ns(m.BitScanPerPageNs * float64(c.TotalPages))
+// Pause prices one checkpoint's paused interval — the only place a
+// pause is priced — plus the guest-visible overhead (CoW write faults)
+// the caller charges to epoch execution time rather than the pause. The
+// configuration's layers compose in the fixed order of the steps below.
+func (m Model) Pause(opt Optimization, c Counts, ctx PauseCtx) (p Phases, guestOverhead time.Duration) {
+	// 1. CoW byte strip: armed pages are not copied while the guest is
+	// frozen; eagerly committed disk blocks keep their bytes.
+	cw := ctx.CoWCounts
+	if ctx.CoW {
+		if c.BytesCopied -= cw.ArmedPages * 4096; c.BytesCopied < 0 {
+			c.BytesCopied = 0
+		}
+	}
+	// 2. Worker split: concurrent VMs divide the pool evenly, at least
+	// one worker each. With more than one worker the remote HA ship is
+	// pipelined behind the resumed guest, so it leaves the pause.
+	workers, queue := ctx.Workers, 0.0
+	if ctx.Concurrent > 1 {
+		pool := max(workers, 1)
+		workers = max(pool/ctx.Concurrent, 1)
+		if ctx.Concurrent > pool {
+			queue = float64(ctx.Concurrent) / float64(pool)
+		}
+	}
+	if workers > 1 {
+		c.RemotePages = 0
 	}
 
+	p.Suspend = ns(m.SuspendNs)
+	p.Resume = ns(m.ResumeNs)
+	p.VMI = ns(m.auditNs(c.VMINodes, c.Canaries))
+	p.Bitscan = m.BitmapScan(c.TotalPages, c.DirtyPages, opt >= Full)
+	perPage := m.MapPageNs + m.UnmapPageNs
 	switch {
 	case opt >= Premap:
 		// Global mapping established once at startup; per-epoch map
@@ -323,13 +369,10 @@ func (m Model) Checkpoint(opt Optimization, c Counts) Phases {
 		p.Map = ns(m.DirtyHarvestCallNs)
 	case opt == Memcpy:
 		// Maps both the primary and the backup VM's pages each epoch.
-		perPage := m.MapPageNs + m.UnmapPageNs
 		p.Map = ns(2*perPage*float64(c.DirtyPages) + m.DirtyHarvestCallNs)
 	default:
-		perPage := m.MapPageNs + m.UnmapPageNs
 		p.Map = ns(perPage*float64(c.DirtyPages) + m.DirtyHarvestCallNs)
 	}
-
 	switch {
 	case opt >= Memcpy:
 		p.Copy = ns(m.MemcpyByteNs * float64(c.BytesCopied))
@@ -344,23 +387,73 @@ func (m Model) Checkpoint(opt Optimization, c Counts) Phases {
 			p.Copy += ns(m.SocketByteNs * b * (1 + b/m.SocketSatBytes))
 		}
 	default:
-		bytes := float64(c.BytesCopied)
-		factor := 1 + bytes/m.SocketSatBytes
-		p.Copy = ns(m.SocketEpochNs + m.SocketByteNs*bytes*factor)
+		p.Copy = m.socket(float64(c.BytesCopied))
 	}
-	if c.RemotePages > 0 {
-		if c.RemoteRepl.Batches > 0 {
-			// Delta-mode remote ship: pay for the wire bytes it used.
-			p.Copy += m.ReplicateDelta(c.RemoteRepl)
-		} else {
-			// Remote HA replication always pays the socket path, whatever
-			// the local optimization level.
-			bytes := float64(c.RemotePages) * 4096
-			factor := 1 + bytes/m.SocketSatBytes
-			p.Copy += ns(m.SocketEpochNs + m.SocketByteNs*bytes*factor)
+	switch {
+	case c.RemotePages <= 0:
+	case c.RemoteRepl.Batches > 0:
+		// Delta-mode remote ship: pay for the wire bytes it used.
+		p.Copy += m.ReplicateDelta(c.RemoteRepl)
+	default:
+		// Remote HA replication always pays the socket path, whatever
+		// the local optimization level.
+		p.Copy += m.socket(float64(c.RemotePages) * 4096)
+	}
+
+	// The sharded phases — the Full level's word scan and the memcpy copy
+	// — obey Amdahl's law; the socket path is inherently serial and
+	// suspend, resume and per-epoch mapping are hypercall paths.
+	if workers > 1 {
+		speedup := m.Speedup(workers)
+		spawn := ns(m.WorkerSpawnNs * float64(workers))
+		if opt >= Full {
+			p.Bitscan = time.Duration(float64(p.Bitscan)/speedup) + spawn
+		}
+		if opt >= Memcpy {
+			p.Copy = time.Duration(float64(p.Copy)/speedup) + spawn
 		}
 	}
-	return p
+	// 3. Contention queue: with more VMs contending than workers the
+	// excess pause windows serialize on the pool-sharded phases.
+	if queue > 0 {
+		p.Bitscan = time.Duration(float64(p.Bitscan) * queue)
+		p.Copy = time.Duration(float64(p.Copy) * queue)
+	}
+	// 4. CoW arm and lazy excess: the previous commit's lazy copies
+	// overlap the epoch and only their excess extends the pause (the
+	// next commit waits for convergence); faults are guest time.
+	if ctx.CoW {
+		p.Copy += ns(m.CowArmBaseNs + m.CowArmPageNs*float64(cw.ArmedPages))
+		if lazy := ns(m.MemcpyByteNs * float64(cw.DrainPages) * 4096); lazy > ctx.Epoch {
+			p.Copy += lazy - ctx.Epoch
+		}
+		guestOverhead = ns(m.CowFaultNs * float64(cw.WriteFaults))
+	}
+	// 5. Cross-host ack: the pause holds until the anti-affine replica
+	// acknowledges the epoch's dirty pages.
+	p.Copy += m.ReplicateCrossHost(c.DirtyPages, ctx.Hosts)
+	// 6. VMI adjustments: an async audit leaves the pause; a synchronous
+	// one scans its modules concurrently, then pays its scan-cache traffic.
+	switch {
+	case ctx.AsyncScan:
+		p.VMI = 0
+	case workers > 1 && ctx.AuditModules > 1:
+		p.VMI = time.Duration(float64(p.VMI) / m.Speedup(min(workers, ctx.AuditModules)))
+	}
+	p.VMI += m.ScanCacheOverhead(ctx.ScanCache)
+	return p, guestOverhead
+}
+
+// auditNs is one VMI audit: the fixed scan base plus the kernel list
+// nodes walked and the canaries validated.
+func (m Model) auditNs(nodes, canaries int) float64 {
+	return m.VMIScanBaseNs + m.VMIPerNodeNs*float64(nodes) + m.CanaryCheckNs*float64(canaries)
+}
+
+// socket prices one epoch's raw ship through the encrypted socket path.
+func (m Model) socket(bytes float64) time.Duration {
+	factor := 1 + bytes/m.SocketSatBytes
+	return ns(m.SocketEpochNs + m.SocketByteNs*bytes*factor)
 }
 
 // Speedup is the Amdahl-law speedup the model predicts for a
@@ -370,72 +463,6 @@ func (m Model) Speedup(workers int) float64 {
 		return 1
 	}
 	return 1 / (m.WorkerSerialFrac + (1-m.WorkerSerialFrac)/float64(workers))
-}
-
-// CheckpointParallel prices one checkpoint executed by a sharded worker
-// pool (the parallel pause path). workers <= 1 delegates to Checkpoint
-// exactly, preserving the paper's Table 1 / Figure 3 / Figure 4 shapes.
-// With workers > 1:
-//
-//   - the copy phase (undo capture + page copy, memcpy paths) and the
-//     Full level's word-granularity bitmap scan are divided by the
-//     Amdahl speedup, plus a per-worker fork/join cost;
-//   - the remote HA ship leaves the pause window entirely: it is
-//     pipelined behind the resumed guest with a bounded in-flight
-//     window, so RemotePages contribute nothing to the pause;
-//   - suspend, resume, per-epoch mapping, and the VMI audit base are
-//     unchanged (module-level audit concurrency is priced separately
-//     by the caller when it knows the module count).
-//
-// The socket copy path (No-opt) is inherently serial and is never
-// scaled.
-func (m Model) CheckpointParallel(opt Optimization, c Counts, workers int) Phases {
-	if workers <= 1 {
-		return m.Checkpoint(opt, c)
-	}
-	local := c
-	local.RemotePages = 0
-	p := m.Checkpoint(opt, local)
-	speedup := m.Speedup(workers)
-	spawn := ns(m.WorkerSpawnNs * float64(workers))
-	if opt >= Full {
-		p.Bitscan = time.Duration(float64(p.Bitscan)/speedup) + spawn
-	}
-	if opt >= Memcpy {
-		p.Copy = time.Duration(float64(p.Copy)/speedup) + spawn
-	}
-	return p
-}
-
-// CheckpointContended prices one VM's checkpoint when it shares the
-// host's pause-path worker pool with other co-located VMs. concurrent
-// is the number of VMs inside overlapping pause windows — the fleet
-// scheduler's K bound under staggered scheduling, or the whole fleet
-// when epoch boundaries are synchronized. The pool divides evenly:
-// each VM's parallelizable phases run with workers/concurrent workers
-// (at least one), and when more VMs contend than there are workers the
-// excess pause windows serialize, scaling the pool-sharded phases
-// (bitmap scan and copy) by concurrent/workers. concurrent <= 1
-// delegates to CheckpointParallel exactly, so a fleet of one VM prices
-// byte-for-byte like the single-VM pause path.
-func (m Model) CheckpointContended(opt Optimization, c Counts, workers, concurrent int) Phases {
-	if concurrent <= 1 {
-		return m.CheckpointParallel(opt, c, workers)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	eff := workers / concurrent
-	if eff < 1 {
-		eff = 1
-	}
-	p := m.CheckpointParallel(opt, c, eff)
-	if concurrent > workers {
-		queue := float64(concurrent) / float64(workers)
-		p.Bitscan = time.Duration(float64(p.Bitscan) * queue)
-		p.Copy = time.Duration(float64(p.Copy) * queue)
-	}
-	return p
 }
 
 // ReplicateCrossHost prices shipping one epoch's dirty pages to an
@@ -449,32 +476,12 @@ func (m Model) ReplicateCrossHost(pages, hosts int) time.Duration {
 	return ns(m.CrossHostRTTNs + m.CrossHostByteNs*float64(pages)*4096)
 }
 
-// CheckpointCluster prices one VM's checkpoint in an H-host cluster
-// whose replica placement is anti-affine. hosts <= 1 delegates to
-// CheckpointContended exactly — a single host has nowhere anti-affine
-// to put replicas, so single-host cluster numbers reproduce the fleet's
-// bit-for-bit. With more hosts, the Remus-style cross-host commit
-// extends the copy phase: the epoch's dirty pages go over the
-// inter-host link and the pause holds until the replica acknowledges.
-func (m Model) CheckpointCluster(opt Optimization, c Counts, workers, concurrent, hosts int) Phases {
-	p := m.CheckpointContended(opt, c, workers, concurrent)
-	if hosts <= 1 {
-		return p
-	}
-	p.Copy += m.ReplicateCrossHost(c.DirtyPages, hosts)
-	return p
-}
-
 // Promote prices one VM's failover after its host dies: the fixed
 // promotion cost (failure detection amortized per VM, replica adoption,
 // controller re-initialization) plus a full cross-host resync to re-arm
 // a fresh anti-affine replica elsewhere.
 func (m Model) Promote(guestPages, hosts int) time.Duration {
-	d := ns(m.PromoteBaseNs)
-	if hosts > 1 {
-		d += m.ReplicateCrossHost(guestPages, hosts)
-	}
-	return d
+	return ns(m.PromoteBaseNs) + m.ReplicateCrossHost(guestPages, hosts)
 }
 
 // RebalanceChurn prices ring-membership churn: every page whose VM
@@ -511,12 +518,11 @@ func (s *ScanCacheCounts) Add(o ScanCacheCounts) {
 
 // ScanCacheOverhead prices one epoch's scan-path cache traffic: the
 // map/unmap hypercalls the cache actually performed plus its lookup,
-// sweep, and memo bookkeeping. The caller adds this to the VMI phase
-// when (and only when) the scan cache is enabled; the base VMI term
-// already shrinks on memo hits because memoized walks report zero nodes
-// walked. The uncached configuration — every touched page mapped and
-// unmapped again each epoch — is priced by the same formula, since
-// there every read is a miss and every mapping is flushed.
+// sweep, and memo bookkeeping. The base VMI term already shrinks on memo
+// hits because memoized walks report zero nodes walked. The uncached
+// configuration — every touched page mapped and unmapped again each
+// epoch — is priced by the same formula, since there every read is a
+// miss and every mapping is flushed.
 func (m Model) ScanCacheOverhead(s ScanCacheCounts) time.Duration {
 	return ns(m.MapPageNs*float64(s.CacheMisses) +
 		m.UnmapPageNs*float64(s.CacheUnmaps) +
@@ -542,38 +548,32 @@ func (c *CoWCounts) Add(o CoWCounts) {
 	c.DrainPages += o.DrainPages
 }
 
-// CheckpointCoW prices one copy-on-write commit: the pause window plus
-// the guest-visible overhead charged to epoch execution time.
-//
-// Under CoW the dirty memory pages are not copied while the guest is
-// frozen — the pause pays only write-protection arming (one batched
-// hypercall plus a per-page permission flip), so the copy phase loses
-// its O(dirty bytes) memcpy term and pause grows sublinearly in the
-// working set. Disk blocks are still committed eagerly under pause, so
-// their bytes stay in the copy phase. The pages are copied into the
-// backup behind the resumed guest: lazy copies overlap the next epoch's
-// execution and only their excess beyond the epoch interval extends the
-// pause (the next commit must wait for convergence), while each eager
-// copy-before-write costs the guest a write-fault VM exit, returned as
-// overhead for the caller to charge to the virtual clock.
-func (m Model) CheckpointCoW(opt Optimization, c Counts, workers int, cw CoWCounts, epoch time.Duration) (Phases, time.Duration) {
-	local := c
-	local.BytesCopied -= cw.ArmedPages * 4096
-	if local.BytesCopied < 0 {
-		local.BytesCopied = 0
+// Setup prices the one-time initialization: VMI init and preprocessing
+// (Table 3) plus, at Premap and above, the global mapping of both the
+// primary's and the backup's guestPages.
+func (m Model) Setup(opt Optimization, guestPages int) time.Duration {
+	d := ns(m.VMIInitNs + m.VMIPreprocessNs)
+	if opt >= Premap {
+		d += ns((m.MapPageNs + m.UnmapPageNs) * float64(2*guestPages))
 	}
-	p := m.CheckpointParallel(opt, local, workers)
-	p.Copy += ns(m.CowArmBaseNs + m.CowArmPageNs*float64(cw.ArmedPages))
-	if lazy := ns(m.MemcpyByteNs * float64(cw.DrainPages) * 4096); lazy > epoch {
-		p.Copy += lazy - epoch
-	}
-	overhead := ns(m.CowFaultNs * float64(cw.WriteFaults))
-	return p, overhead
+	return d
 }
 
-// PremapStartup prices the one-time global mapping for Premap/Full.
-func (m Model) PremapStartup(totalPages int) time.Duration {
-	return ns((m.MapPageNs + m.UnmapPageNs) * float64(totalPages))
+// Rollback prices restoring the full VM from the local backup: a memcpy
+// of guest memory.
+func (m Model) Rollback(memBytes uint64) time.Duration {
+	return ns(m.MemcpyByteNs * float64(memBytes))
+}
+
+// Response prices the fixed steps of Figure 8's incident response: the
+// pause plus audit at detection, the point the rolled-back VM has
+// resumed for replay (detection + full-VM rollback + resume), the
+// Volatility process-dump extraction, and persisting the full system
+// checkpoints for later analysis.
+func (m Model) Response(nodes, canaries int, memBytes uint64) (suspendAndScan, replayReady, memDump, toDisk time.Duration) {
+	suspendAndScan = ns(m.SuspendNs + m.auditNs(nodes, canaries))
+	replayReady = suspendAndScan + ns(m.MemcpyByteNs*float64(memBytes)+m.ResumeNs)
+	return suspendAndScan, replayReady, ns(m.VolatilityDumpNs), ns(m.CheckpointToDiskNs)
 }
 
 // BitmapScan prices a standalone dirty-bitmap scan (Figure 6b's

@@ -17,12 +17,19 @@ func swaptionsCounts() Counts {
 	}
 }
 
+// pause prices one pause and drops the guest overhead, which is zero
+// whenever ctx.CoW is off.
+func pause(m Model, opt Optimization, c Counts, ctx PauseCtx) Phases {
+	p, _ := m.Pause(opt, c, ctx)
+	return p
+}
+
 func TestOptimizationOrdering(t *testing.T) {
 	m := Default()
 	c := swaptionsCounts()
 	var prev time.Duration = 1 << 62
 	for _, opt := range []Optimization{NoOpt, Memcpy, Premap, Full} {
-		total := m.Checkpoint(opt, c).Total()
+		total := pause(m, opt, c, PauseCtx{}).Total()
 		if total >= prev {
 			t.Fatalf("%v pause %v not cheaper than previous %v", opt, total, prev)
 		}
@@ -33,8 +40,8 @@ func TestOptimizationOrdering(t *testing.T) {
 func TestFigure4Calibration(t *testing.T) {
 	m := Default()
 	c := swaptionsCounts()
-	noopt := m.Checkpoint(NoOpt, c).Total()
-	full := m.Checkpoint(Full, c).Total()
+	noopt := pause(m, NoOpt, c, PauseCtx{}).Total()
+	full := pause(m, Full, c, PauseCtx{}).Total()
 	// Paper: 29.86 ms -> 10.21 ms (67% reduction). Accept +-20%.
 	if got := noopt.Seconds() * 1000; got < 24 || got > 36 {
 		t.Fatalf("No-opt pause = %.2f ms, want ~30", got)
@@ -52,7 +59,7 @@ func TestCopyDominatesNoOpt(t *testing.T) {
 	// Paper: "Copying data from the primary to backup alone takes about
 	// 70% of the total time spent in the paused state."
 	m := Default()
-	p := m.Checkpoint(NoOpt, swaptionsCounts())
+	p := pause(m, NoOpt, swaptionsCounts(), PauseCtx{})
 	share := float64(p.Copy) / float64(p.Total())
 	if share < 0.6 || share > 0.85 {
 		t.Fatalf("copy share = %.2f, want ~0.7", share)
@@ -62,8 +69,8 @@ func TestCopyDominatesNoOpt(t *testing.T) {
 func TestBitscanOptimization(t *testing.T) {
 	m := Default()
 	c := swaptionsCounts()
-	slow := m.Checkpoint(Premap, c).Bitscan
-	fast := m.Checkpoint(Full, c).Bitscan
+	slow := pause(m, Premap, c, PauseCtx{}).Bitscan
+	fast := pause(m, Full, c, PauseCtx{}).Bitscan
 	if fast*5 > slow {
 		t.Fatalf("word scan %v not much faster than bit scan %v", fast, slow)
 	}
@@ -79,13 +86,13 @@ func TestBitscanOptimization(t *testing.T) {
 func TestMemcpyMapsBothVMs(t *testing.T) {
 	m := Default()
 	c := swaptionsCounts()
-	memcpyMap := m.Checkpoint(Memcpy, c).Map
-	nooptMap := m.Checkpoint(NoOpt, c).Map
+	memcpyMap := pause(m, Memcpy, c, PauseCtx{}).Map
+	nooptMap := pause(m, NoOpt, c, PauseCtx{}).Map
 	ratio := float64(memcpyMap) / float64(nooptMap)
 	if ratio < 1.8 || ratio > 2.2 {
 		t.Fatalf("memcpy/no-opt map ratio = %.2f, want ~2 (maps both VMs)", ratio)
 	}
-	if premap := m.Checkpoint(Premap, c).Map; premap >= nooptMap/10 {
+	if premap := pause(m, Premap, c, PauseCtx{}).Map; premap >= nooptMap/10 {
 		t.Fatalf("premap map cost %v not near-constant", premap)
 	}
 }
@@ -94,14 +101,14 @@ func TestSocketSaturation(t *testing.T) {
 	m := Default()
 	small := Counts{TotalPages: 1000, DirtyPages: 100, BytesCopied: 100 * 4096}
 	big := Counts{TotalPages: 1000, DirtyPages: 100, BytesCopied: 100 * 4096 * 300}
-	perByteSmall := float64(m.Checkpoint(NoOpt, small).Copy) / float64(small.BytesCopied)
-	perByteBig := float64(m.Checkpoint(NoOpt, big).Copy) / float64(big.BytesCopied)
+	perByteSmall := float64(pause(m, NoOpt, small, PauseCtx{}).Copy) / float64(small.BytesCopied)
+	perByteBig := float64(pause(m, NoOpt, big, PauseCtx{}).Copy) / float64(big.BytesCopied)
 	if perByteBig <= perByteSmall {
 		t.Fatal("socket path does not saturate with epoch size")
 	}
 	// The memcpy path must stay linear.
-	mSmall := float64(m.Checkpoint(Full, small).Copy) / float64(small.BytesCopied)
-	mBig := float64(m.Checkpoint(Full, big).Copy) / float64(big.BytesCopied)
+	mSmall := float64(pause(m, Full, small, PauseCtx{}).Copy) / float64(small.BytesCopied)
+	mBig := float64(pause(m, Full, big, PauseCtx{}).Copy) / float64(big.BytesCopied)
 	if mBig != mSmall {
 		t.Fatal("memcpy path is not linear")
 	}
@@ -159,23 +166,26 @@ func TestBitmapScanStandalone(t *testing.T) {
 
 func TestPremapStartupScalesWithVMSize(t *testing.T) {
 	m := Default()
-	if m.PremapStartup(2000) <= m.PremapStartup(1000) {
+	if m.Setup(Full, 2000) <= m.Setup(Full, 1000) {
 		t.Fatal("premap startup not increasing with pages")
+	}
+	if vmi := ns(m.VMIInitNs + m.VMIPreprocessNs); m.Setup(Memcpy, 1000) != vmi || m.Setup(Memcpy, 2000) != vmi {
+		t.Fatal("setup below Premap is not the VMI init + preprocess alone")
 	}
 }
 
 // TestCheckpointParallelSerialInvariant pins the reproduction
 // guarantee: at one worker (or fewer) the parallel pricing is
-// bit-identical to Checkpoint's, so Table 1 / Figure 3 / Figure 4 are
-// unaffected by the parallel pause path.
+// bit-identical to the serial path's, so Table 1 / Figure 3 / Figure 4
+// are unaffected by the parallel pause path.
 func TestCheckpointParallelSerialInvariant(t *testing.T) {
 	m := Default()
 	counts := Counts{TotalPages: 1 << 18, DirtyPages: 9000, BytesCopied: 9000 * 4096,
 		VMINodes: 12, Canaries: 500, RemotePages: 9000}
 	for _, opt := range []Optimization{NoOpt, Memcpy, Premap, Full} {
-		want := m.Checkpoint(opt, counts)
+		want := pause(m, opt, counts, PauseCtx{})
 		for _, w := range []int{-1, 0, 1} {
-			if got := m.CheckpointParallel(opt, counts, w); got != want {
+			if got := pause(m, opt, counts, PauseCtx{Workers: w}); got != want {
 				t.Fatalf("%s workers=%d: %+v != serial %+v", opt, w, got, want)
 			}
 		}
@@ -189,8 +199,8 @@ func TestCheckpointParallelSpeedup(t *testing.T) {
 	m := Default()
 	const pages = 16384 // 64 MiB dirty
 	counts := Counts{TotalPages: pages, DirtyPages: pages, BytesCopied: pages * 4096}
-	p1 := m.CheckpointParallel(Full, counts, 1).Total()
-	p4 := m.CheckpointParallel(Full, counts, 4).Total()
+	p1 := pause(m, Full, counts, PauseCtx{Workers: 1}).Total()
+	p4 := pause(m, Full, counts, PauseCtx{Workers: 4}).Total()
 	if ratio := float64(p1) / float64(p4); ratio < 2 {
 		t.Fatalf("4-worker pause speedup = %.2fx, want >= 2x (p1=%v p4=%v)", ratio, p1, p4)
 	}
@@ -199,25 +209,25 @@ func TestCheckpointParallelSpeedup(t *testing.T) {
 	}
 	remote := counts
 	remote.RemotePages = pages
-	if got := m.CheckpointParallel(Full, remote, 4); got != m.CheckpointParallel(Full, counts, 4) {
+	if got := pause(m, Full, remote, PauseCtx{Workers: 4}); got != pause(m, Full, counts, PauseCtx{Workers: 4}) {
 		t.Fatal("remote pages still charged inside the parallel pause window")
 	}
 }
 
 // TestCheckpointContendedIdentity pins the fleet reproduction
 // guarantee: with at most one concurrent checkpoint there is no
-// contention, so the contended pricing is bit-identical to
-// CheckpointParallel at every worker count — a one-VM fleet reproduces
-// the single-VM numbers exactly.
+// contention, so the contended pricing is bit-identical to the
+// uncontended one at every worker count — a one-VM fleet reproduces the
+// single-VM numbers exactly.
 func TestCheckpointContendedIdentity(t *testing.T) {
 	m := Default()
 	counts := Counts{TotalPages: 1 << 18, DirtyPages: 9000, BytesCopied: 9000 * 4096,
 		VMINodes: 12, Canaries: 500}
 	for _, opt := range []Optimization{NoOpt, Memcpy, Premap, Full} {
 		for _, w := range []int{1, 2, 4, 8} {
-			want := m.CheckpointParallel(opt, counts, w)
+			want := pause(m, opt, counts, PauseCtx{Workers: w})
 			for _, conc := range []int{-1, 0, 1} {
-				if got := m.CheckpointContended(opt, counts, w, conc); got != want {
+				if got := pause(m, opt, counts, PauseCtx{Workers: w, Concurrent: conc}); got != want {
 					t.Fatalf("%s workers=%d concurrent=%d: %+v != uncontended %+v",
 						opt, w, conc, got, want)
 				}
@@ -235,21 +245,21 @@ func TestCheckpointContendedDegrades(t *testing.T) {
 	const pages = 16384
 	counts := Counts{TotalPages: pages, DirtyPages: pages, BytesCopied: pages * 4096}
 	const workers = 8
-	prev := m.CheckpointContended(Full, counts, workers, 1).Total()
+	prev := pause(m, Full, counts, PauseCtx{Workers: workers, Concurrent: 1}).Total()
 	for _, conc := range []int{2, 4, 8, 16} {
-		cur := m.CheckpointContended(Full, counts, workers, conc).Total()
+		cur := pause(m, Full, counts, PauseCtx{Workers: workers, Concurrent: conc}).Total()
 		if cur < prev {
 			t.Fatalf("contended pause shrank at concurrency %d: %v < %v", conc, cur, prev)
 		}
 		prev = cur
 	}
 	// Pool fully divided (8 VMs on 8 workers) == each running serial.
-	serial := m.CheckpointParallel(Full, counts, 1).Total()
-	if got := m.CheckpointContended(Full, counts, workers, workers).Total(); got != serial {
+	serial := pause(m, Full, counts, PauseCtx{Workers: 1}).Total()
+	if got := pause(m, Full, counts, PauseCtx{Workers: workers, Concurrent: workers}).Total(); got != serial {
 		t.Fatalf("fully divided pool %v != serial %v", got, serial)
 	}
 	// Oversubscribed (16 VMs on 8 workers) must exceed the serial floor.
-	if got := m.CheckpointContended(Full, counts, workers, 16).Total(); got <= serial {
+	if got := pause(m, Full, counts, PauseCtx{Workers: workers, Concurrent: 16}).Total(); got <= serial {
 		t.Fatalf("oversubscribed pause %v not above serial floor %v", got, serial)
 	}
 }
@@ -294,5 +304,176 @@ func TestScanCacheCountsAdd(t *testing.T) {
 	want := ScanCacheCounts{CacheHits: 2, CacheMisses: 4, CacheUnmaps: 6, CacheSwept: 8, MemoHits: 10, MemoMisses: 12}
 	if b != want {
 		t.Fatalf("Add = %+v, want %+v", b, want)
+	}
+}
+
+// pinCounts is the operation-count set the Pause table is pinned on: a
+// 1 GiB VM, a 9000-page epoch, remote HA replication on.
+var pinCounts = Counts{TotalPages: 1 << 18, DirtyPages: 9000, BytesCopied: 9000 * 4096,
+	VMINodes: 12, Canaries: 500, RemotePages: 9000}
+
+// TestPauseTable walks {opt} x {workers 1,4} x {concurrent 1,2,8} x
+// {hosts 1,3} x {CoW off,on} and checks, in every cell, the identities
+// the single entry point inherits from the delegation chain it replaced:
+// workers <= 1 is the serial path, concurrent <= 1 the uncontended one,
+// hosts <= 1 the single-host one; more hosts add exactly the cross-host
+// ship; CoW with zero counts is the eager commit plus the arm base; and
+// write faults are charged to the guest, never to the pause.
+func TestPauseTable(t *testing.T) {
+	m := Default()
+	c := pinCounts
+	cw := CoWCounts{ArmedPages: 4000, WriteFaults: 10, DrainPages: 100}
+	for _, opt := range []Optimization{NoOpt, Memcpy, Premap, Full} {
+		for _, w := range []int{1, 4} {
+			for _, conc := range []int{1, 2, 8} {
+				for _, hosts := range []int{1, 3} {
+					for _, cow := range []bool{false, true} {
+						ctx := PauseCtx{Workers: w, Concurrent: conc, Hosts: hosts, CoW: cow, Epoch: 200 * time.Millisecond}
+						if cow {
+							ctx.CoWCounts = cw
+						}
+						got, over := m.Pause(opt, c, ctx)
+						same := func(what string, alt PauseCtx) {
+							t.Helper()
+							if p, o := m.Pause(opt, c, alt); p != got || o != over {
+								t.Errorf("%v %+v: %s gives %+v/%v, want %+v/%v", opt, ctx, what, p, o, got, over)
+							}
+						}
+						for _, d := range []int{0, -1} {
+							if alt := ctx; w == 1 {
+								alt.Workers = d
+								same("degenerate workers", alt)
+							}
+							if alt := ctx; conc == 1 {
+								alt.Concurrent = d
+								same("degenerate concurrent", alt)
+							}
+							if alt := ctx; hosts == 1 {
+								alt.Hosts = d
+								same("degenerate hosts", alt)
+							}
+						}
+						if hosts > 1 {
+							alt := ctx
+							alt.Hosts = 1
+							want := pause(m, opt, c, alt)
+							want.Copy += m.ReplicateCrossHost(c.DirtyPages, hosts)
+							if got != want {
+								t.Errorf("%v %+v: %+v, want single-host plus cross-host ship %+v", opt, ctx, got, want)
+							}
+						}
+						if !cow {
+							alt := ctx
+							alt.CoWCounts = cw
+							same("CoW counts with CoW off", alt)
+							continue
+						}
+						if want := ns(m.CowFaultNs * float64(cw.WriteFaults)); over != want {
+							t.Errorf("%v %+v: guest overhead %v, want %v", opt, ctx, over, want)
+						}
+						zero, eager := ctx, ctx
+						zero.CoWCounts = CoWCounts{}
+						eager.CoW = false
+						want := pause(m, opt, c, eager)
+						want.Copy += ns(m.CowArmBaseNs)
+						if p, o := m.Pause(opt, c, zero); p != want || o != 0 {
+							t.Errorf("%v %+v: zero CoW counts give %+v/%v, want eager plus arm base %+v", opt, ctx, p, o, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPausePinned holds Pause to literal values captured at the parent
+// commit from the delegation chain of five Checkpoint* methods it
+// replaced (the cluster-level one for the eager rows, the CoW one for
+// the CoW rows), so the fold is pinned independently of the BENCH
+// artifacts.
+func TestPausePinned(t *testing.T) {
+	pin := pinCounts
+	delta := pin
+	delta.BytesCopied += 64 * 4096
+	delta.DiskBlocks = 64
+	delta.LocalRepl = ReplicationCounts{Batches: 1, Pages: 9000, RawPages: 1000, DeltaPages: 5000,
+		SamePages: 3000, EncodedPages: 6000, WireBytes: 5 << 20, RawBytes: 9000 * 4096}
+	delta.RemoteRepl = ReplicationCounts{Batches: 2, Pages: 9000, RawPages: 500, DeltaPages: 8500,
+		EncodedPages: 9000, WireBytes: 3 << 20, RawBytes: 9000 * 4096}
+	for i, row := range []struct {
+		opt      Optimization
+		c        Counts
+		ctx      PauseCtx
+		want     Phases
+		overhead time.Duration
+	}{
+		{NoOpt, pin, PauseCtx{Workers: 1, Concurrent: 1, Hosts: 1}, Phases{Suspend: 1000000, VMI: 329500, Bitscan: 2621440, Map: 11750000, Copy: 226147200, Resume: 1500000}, 0},
+		{Memcpy, pin, PauseCtx{Workers: 1, Concurrent: 1, Hosts: 1}, Phases{Suspend: 1000000, VMI: 329500, Bitscan: 2621440, Map: 23450000, Copy: 142564800, Resume: 1500000}, 0},
+		{Premap, pin, PauseCtx{Workers: 4, Concurrent: 1, Hosts: 1}, Phases{Suspend: 1000000, VMI: 329500, Bitscan: 2621440, Map: 50000, Copy: 8558720, Resume: 1500000}, 0},
+		{Full, pin, PauseCtx{Workers: 1, Concurrent: 1, Hosts: 1}, Phases{Suspend: 1000000, VMI: 329500, Bitscan: 212880, Map: 50000, Copy: 142564800, Resume: 1500000}, 0},
+		{Full, pin, PauseCtx{Workers: 4, Concurrent: 1, Hosts: 1}, Phases{Suspend: 1000000, VMI: 329500, Bitscan: 141202, Map: 50000, Copy: 8558720, Resume: 1500000}, 0},
+		{Full, pin, PauseCtx{Workers: 4, Concurrent: 2, Hosts: 1}, Phases{Suspend: 1000000, VMI: 329500, Bitscan: 151762, Map: 50000, Copy: 15522880, Resume: 1500000}, 0},
+		{Full, pin, PauseCtx{Workers: 4, Concurrent: 8, Hosts: 1}, Phases{Suspend: 1000000, VMI: 329500, Bitscan: 425760, Map: 50000, Copy: 285129600, Resume: 1500000}, 0},
+		{Full, pin, PauseCtx{Workers: 8, Concurrent: 1, Hosts: 3}, Phases{Suspend: 1000000, VMI: 329500, Bitscan: 195923, Map: 50000, Copy: 123301440, Resume: 1500000}, 0},
+		{Full, pin, PauseCtx{Workers: 4, Concurrent: 8, Hosts: 3}, Phases{Suspend: 1000000, VMI: 329500, Bitscan: 425760, Map: 50000, Copy: 403294400, Resume: 1500000}, 0},
+		{NoOpt, delta, PauseCtx{Workers: 1, Concurrent: 1, Hosts: 1}, Phases{Suspend: 1000000, VMI: 329500, Bitscan: 2621440, Map: 11750000, Copy: 60251500, Resume: 1500000}, 0},
+		{NoOpt, pin, PauseCtx{Workers: 4, Concurrent: 8, Hosts: 3}, Phases{Suspend: 1000000, VMI: 329500, Bitscan: 5242880, Map: 11750000, Copy: 570459200, Resume: 1500000}, 0},
+		{Memcpy, pin, PauseCtx{Workers: 4, Concurrent: 2, Hosts: 1}, Phases{Suspend: 1000000, VMI: 329500, Bitscan: 2621440, Map: 23450000, Copy: 15522880, Resume: 1500000}, 0},
+		{NoOpt, delta, PauseCtx{Workers: 4, Concurrent: 1, Hosts: 3}, Phases{Suspend: 1000000, VMI: 329500, Bitscan: 2621440, Map: 11750000, Copy: 148057606, Resume: 1500000}, 0},
+		{Full, pin, PauseCtx{Workers: 1, CoW: true, CoWCounts: CoWCounts{ArmedPages: 9000, WriteFaults: 750, DrainPages: 8000}, Epoch: 20 * time.Millisecond}, Phases{Suspend: 1000000, VMI: 329500, Bitscan: 212880, Map: 50000, Copy: 120418000, Resume: 1500000}, 6000000},
+		{Premap, pin, PauseCtx{Workers: 4, CoW: true, CoWCounts: CoWCounts{ArmedPages: 4000, WriteFaults: 10, DrainPages: 100}, Epoch: 200 * time.Millisecond}, Phases{Suspend: 1000000, VMI: 329500, Bitscan: 2621440, Map: 50000, Copy: 5320399, Resume: 1500000}, 80000},
+		{Full, pin, PauseCtx{Workers: 4, CoW: true, Epoch: 200 * time.Millisecond}, Phases{Suspend: 1000000, VMI: 329500, Bitscan: 141202, Map: 50000, Copy: 8608720, Resume: 1500000}, 0},
+	} {
+		if got, over := Default().Pause(row.opt, row.c, row.ctx); got != row.want || over != row.overhead {
+			t.Errorf("row %d (%v %+v): %+v/%v, want %+v/%v", i, row.opt, row.ctx, got, over, row.want, row.overhead)
+		}
+	}
+}
+
+// TestPauseVMIAdjustments: what core.runEpoch used to do inline to the
+// VMI phase — module concurrency, the async audit, scan-cache traffic —
+// in the order it did it.
+func TestPauseVMIAdjustments(t *testing.T) {
+	m := Default()
+	base := pause(m, Full, pinCounts, PauseCtx{Workers: 4})
+	sc := ScanCacheCounts{CacheHits: 190, CacheMisses: 10, CacheUnmaps: 10, CacheSwept: 200, MemoHits: 4}
+	for _, tc := range []struct {
+		name string
+		ctx  PauseCtx
+		want time.Duration
+	}{
+		{"one module is a serial audit", PauseCtx{Workers: 4, AuditModules: 1}, base.VMI},
+		{"one worker is a serial audit", PauseCtx{Workers: 1, AuditModules: 4}, base.VMI},
+		{"modules bound the audit's concurrency", PauseCtx{Workers: 4, AuditModules: 2}, time.Duration(float64(base.VMI) / m.Speedup(2))},
+		{"workers bound the audit's concurrency", PauseCtx{Workers: 4, AuditModules: 9}, time.Duration(float64(base.VMI) / m.Speedup(4))},
+		{"async audit leaves the pause", PauseCtx{Workers: 4, AuditModules: 4, AsyncScan: true}, 0},
+		{"scan cache adds its traffic after the split", PauseCtx{Workers: 4, AuditModules: 2, ScanCache: sc},
+			time.Duration(float64(base.VMI)/m.Speedup(2)) + m.ScanCacheOverhead(sc)},
+	} {
+		got := pause(m, Full, pinCounts, tc.ctx)
+		if got.VMI != tc.want {
+			t.Errorf("%s: VMI = %v, want %v", tc.name, got.VMI, tc.want)
+		}
+		if want := pause(m, Full, pinCounts, PauseCtx{Workers: tc.ctx.Workers}); got.Total()-got.VMI != want.Total()-want.VMI {
+			t.Errorf("%s: a VMI adjustment moved another phase", tc.name)
+		}
+	}
+}
+
+func TestRollbackAndResponse(t *testing.T) {
+	m := Default()
+	const memBytes = 512 * 4096
+	if got, want := m.Rollback(memBytes), ns(m.MemcpyByteNs*memBytes); got != want {
+		t.Fatalf("Rollback = %v, want a full-VM memcpy %v", got, want)
+	}
+	detect, replay, dump, toDisk := m.Response(12, 400, memBytes)
+	if want := ns(m.SuspendNs + m.VMIScanBaseNs + m.VMIPerNodeNs*12 + m.CanaryCheckNs*400); detect != want {
+		t.Fatalf("suspend-and-scan = %v, want %v", detect, want)
+	}
+	if want := detect + ns(m.MemcpyByteNs*memBytes+m.ResumeNs); replay != want {
+		t.Fatalf("replay-ready = %v, want %v", replay, want)
+	}
+	if dump != ns(m.VolatilityDumpNs) || toDisk != ns(m.CheckpointToDiskNs) {
+		t.Fatalf("dump = %v, to disk = %v", dump, toDisk)
 	}
 }

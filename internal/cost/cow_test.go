@@ -11,8 +11,8 @@ import (
 func TestCheckpointCoWZeroCountsMatchesEager(t *testing.T) {
 	m := Default()
 	c := swaptionsCounts()
-	eager := m.CheckpointParallel(Full, c, 4)
-	cow, overhead := m.CheckpointCoW(Full, c, 4, CoWCounts{}, 200*time.Millisecond)
+	eager := pause(m, Full, c, PauseCtx{Workers: 4})
+	cow, overhead := m.Pause(Full, c, PauseCtx{Workers: 4, CoW: true, Epoch: 200 * time.Millisecond})
 	if overhead != 0 {
 		t.Fatalf("fault overhead = %v with zero faults, want 0", overhead)
 	}
@@ -29,8 +29,8 @@ func TestCheckpointCoWRemovesCopyFromPause(t *testing.T) {
 	m := Default()
 	c := swaptionsCounts()
 	cw := CoWCounts{ArmedPages: c.DirtyPages}
-	eager := m.CheckpointParallel(Full, c, 1)
-	cow, _ := m.CheckpointCoW(Full, c, 1, cw, 200*time.Millisecond)
+	eager := pause(m, Full, c, PauseCtx{Workers: 1})
+	cow, _ := m.Pause(Full, c, PauseCtx{Workers: 1, CoW: true, CoWCounts: cw, Epoch: 200 * time.Millisecond})
 	if cow.Total() >= eager.Total() {
 		t.Fatalf("CoW pause %v not below eager %v with all pages armed", cow.Total(), eager.Total())
 	}
@@ -51,8 +51,8 @@ func TestCheckpointCoWClampsBytes(t *testing.T) {
 	cw := CoWCounts{ArmedPages: 100}
 	local := c
 	local.BytesCopied = 0
-	base := m.CheckpointParallel(Premap, local, 1)
-	cow, _ := m.CheckpointCoW(Premap, c, 1, cw, time.Second)
+	base := pause(m, Premap, local, PauseCtx{Workers: 1})
+	cow, _ := m.Pause(Premap, c, PauseCtx{Workers: 1, CoW: true, CoWCounts: cw, Epoch: time.Second})
 	arm := ns(m.CowArmBaseNs + m.CowArmPageNs*float64(cw.ArmedPages))
 	if got, want := cow.Copy, base.Copy+arm; got != want {
 		t.Fatalf("over-armed copy phase = %v, want clamp at %v", got, want)
@@ -67,14 +67,14 @@ func TestCheckpointCoWLazyDrainExcess(t *testing.T) {
 	cw := CoWCounts{ArmedPages: 1000, DrainPages: 1000}
 	lazy := ns(m.MemcpyByteNs * float64(cw.DrainPages) * 4096)
 
-	fits, _ := m.CheckpointCoW(Full, c, 1, cw, 2*lazy)
-	hidden, _ := m.CheckpointCoW(Full, c, 1, CoWCounts{ArmedPages: 1000}, 2*lazy)
+	fits, _ := m.Pause(Full, c, PauseCtx{Workers: 1, CoW: true, CoWCounts: cw, Epoch: 2 * lazy})
+	hidden, _ := m.Pause(Full, c, PauseCtx{Workers: 1, CoW: true, CoWCounts: CoWCounts{ArmedPages: 1000}, Epoch: 2 * lazy})
 	if fits.Copy != hidden.Copy {
 		t.Fatalf("drain inside the epoch extended the pause: %v vs %v", fits.Copy, hidden.Copy)
 	}
 
 	epoch := lazy / 4
-	spills, _ := m.CheckpointCoW(Full, c, 1, cw, epoch)
+	spills, _ := m.Pause(Full, c, PauseCtx{Workers: 1, CoW: true, CoWCounts: cw, Epoch: epoch})
 	if got, want := spills.Copy-fits.Copy, lazy-epoch; got != want {
 		t.Fatalf("drain excess charged %v, want lazy %v - epoch %v = %v", got, lazy, epoch, want)
 	}
@@ -85,8 +85,8 @@ func TestCheckpointCoWLazyDrainExcess(t *testing.T) {
 func TestCheckpointCoWFaultOverhead(t *testing.T) {
 	m := Default()
 	c := swaptionsCounts()
-	quiet, none := m.CheckpointCoW(Full, c, 4, CoWCounts{ArmedPages: 10}, 200*time.Millisecond)
-	noisy, some := m.CheckpointCoW(Full, c, 4, CoWCounts{ArmedPages: 10, WriteFaults: 750}, 200*time.Millisecond)
+	quiet, none := m.Pause(Full, c, PauseCtx{Workers: 4, CoW: true, CoWCounts: CoWCounts{ArmedPages: 10}, Epoch: 200 * time.Millisecond})
+	noisy, some := m.Pause(Full, c, PauseCtx{Workers: 4, CoW: true, CoWCounts: CoWCounts{ArmedPages: 10, WriteFaults: 750}, Epoch: 200 * time.Millisecond})
 	if none != 0 {
 		t.Fatalf("overhead = %v with zero faults", none)
 	}

@@ -24,7 +24,7 @@ func AblationSummary() (*Result, error) {
 	var b strings.Builder
 	renderHeader(&b, "Ablation summary (modeled, swaptions, 200ms epoch, Full opt)")
 	fmt.Fprintf(&b, "%-46s %12s %10s\n", "Configuration", "pause (ms)", "vs base")
-	basePause := m.Checkpoint(cost.Full, base).Total()
+	basePause := pause(m, cost.Full, base, cost.PauseCtx{}).Total()
 	row := func(name string, p time.Duration) {
 		fmt.Fprintf(&b, "%-46s %12.2f %9.2fx\n", name, ms(p), float64(p)/float64(basePause))
 	}
@@ -33,20 +33,17 @@ func AblationSummary() (*Result, error) {
 	withDisk := base
 	withDisk.DiskBlocks = 256
 	withDisk.BytesCopied += withDisk.DiskBlocks * 4096
-	row("+ disk snapshots (256 dirty blocks)", m.Checkpoint(cost.Full, withDisk).Total())
+	row("+ disk snapshots (256 dirty blocks)", pause(m, cost.Full, withDisk, cost.PauseCtx{}).Total())
 
 	withRemote := base
 	withRemote.RemotePages = base.DirtyPages
-	row("+ remote HA replication", m.Checkpoint(cost.Full, withRemote).Total())
+	row("+ remote HA replication", pause(m, cost.Full, withRemote, cost.PauseCtx{}).Total())
 
-	asyncScan := base
-	p := m.Checkpoint(cost.Full, asyncScan)
-	p.VMI = 0 // async: the audit runs off the pause path
-	row("async scan (audit off the pause path)", p.Total())
+	row("async scan (audit off the pause path)", pause(m, cost.Full, base, cost.PauseCtx{AsyncScan: true}).Total())
 
 	noScope := base
 	noScope.Canaries = 2048 // full canary table instead of dirty-scoped
-	row("full canary scan (no dirty scoping)", m.Checkpoint(cost.Full, noScope).Total())
+	row("full canary scan (no dirty scoping)", pause(m, cost.Full, noScope, cost.PauseCtx{}).Total())
 
 	fmt.Fprintf(&b, "\nDeep psscan of a %d-page VM at audit time would add ~%.0f ms —\n",
 		workload.PaperVMPages, m.VolatilityScanNs/1e6)

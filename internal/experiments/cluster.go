@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -116,7 +115,7 @@ func clusterHostNames(n int) []string {
 
 // ClusterSweep prices the multi-host sweep and runs the real failover
 // case study. The hosts=1 point has nowhere anti-affine to replicate,
-// so it prices through CheckpointContended exactly and reproduces the
+// so it prices exactly like one fleet host and reproduces the
 // BENCH_fleet.json vms=8 staggered numbers byte-for-byte.
 func ClusterSweep() (*ClusterBench, error) {
 	spec, err := workload.ParsecByName("swaptions")
@@ -138,7 +137,7 @@ func ClusterSweep() (*ClusterBench, error) {
 	}
 	for _, h := range clusterHostCounts {
 		vms := h * clusterVMsPerHost
-		pause := m.CheckpointCluster(cost.Full, counts, fleetWorkers, fleetStaggerK, h).Total()
+		pause := pause(m, cost.Full, counts, cost.PauseCtx{Workers: fleetWorkers, Concurrent: fleetStaggerK, Hosts: h}).Total()
 		roundWall := (epoch + pause).Seconds()
 		clean := float64(vms) / roundWall
 		p := ClusterPoint{
@@ -284,20 +283,6 @@ func clusterFailoverRun() (*ClusterFailover, error) {
 		DigestsMatchNoKill: match,
 		FailoverMs:         ms(failed.rep.FailoverTime),
 	}, nil
-}
-
-// ClusterSweepJSON renders the cluster benchmark as indented JSON for
-// BENCH_cluster.json.
-func ClusterSweepJSON() ([]byte, error) {
-	bench, err := ClusterSweep()
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }
 
 // ClusterScaling regenerates the multi-host sweep as a text experiment

@@ -4,8 +4,8 @@ import "testing"
 
 // TestClusterSweepAnchors is the cluster acceptance gate: the hosts=1
 // point must reproduce the fleet sweep's staggered vms=8 numbers
-// byte-for-byte (a lone host prices through CheckpointContended
-// exactly), the real host-kill run must lose nothing and leave
+// byte-for-byte (a lone host prices exactly like one fleet host), the
+// real host-kill run must lose nothing and leave
 // evidence identical to the no-kill control, and rolling failures must
 // only ever discount throughput.
 func TestClusterSweepAnchors(t *testing.T) {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -201,20 +200,6 @@ func CoWSweep() (*CoWBench, error) {
 	return bench, nil
 }
 
-// CoWSweepJSON renders the CoW benchmark as indented JSON for
-// BENCH_cow.json.
-func CoWSweepJSON() ([]byte, error) {
-	bench, err := CoWSweep()
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
 // CoWComparison regenerates the CoW comparison as a text experiment
 // ("cow"): per-working-set pause under the eager and CoW commits.
 func CoWComparison() (*Result, error) {
@@ -222,6 +207,11 @@ func CoWComparison() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return bench.render(), nil
+}
+
+// render is the sweep's text and CSV rendering.
+func (bench *CoWBench) render() *Result {
 	var b strings.Builder
 	renderHeader(&b, fmt.Sprintf(
 		"CoW commit: steady-state pause (ms) vs working-set size, eager vs copy-on-write, %d-page guest",
@@ -246,5 +236,5 @@ func CoWComparison() (*Result, error) {
 		Title: "CoW commit: pause vs working-set size",
 		Text:  b.String(),
 		CSV:   csv.String(),
-	}, nil
+	}
 }

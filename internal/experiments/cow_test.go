@@ -11,10 +11,7 @@ import (
 // pause stays near-flat (it only arms write faults under pause) — a
 // floor asserted here, not just recorded in the bench artifact.
 func TestCoWSweepSublinearPause(t *testing.T) {
-	bench, err := CoWSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bench := sharedCoW.get(t)
 	if bench.OffPauseGrowth < 3 {
 		t.Fatalf("eager pause growth = %.2fx across the sweep, want >= 3x (linear in working set)",
 			bench.OffPauseGrowth)
@@ -45,16 +42,16 @@ func TestCoWSweepSublinearPause(t *testing.T) {
 // fixed seed, so its JSON rendering is byte-stable — `make bench-cow`
 // regenerates BENCH_cow.json deterministically.
 func TestCoWSweepJSONDeterministic(t *testing.T) {
-	a, err := CoWSweepJSON()
+	a, err := marshal(sharedCoW.get(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CoWSweepJSON()
+	b, err := marshal(CoWSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
-		t.Fatal("CoWSweepJSON not deterministic across calls")
+		t.Fatal("CoWSweep JSON not deterministic across runs")
 	}
 	if !strings.Contains(string(a), "\"cow_pause_growth\"") {
 		t.Fatalf("JSON missing growth field:\n%s", a)
@@ -63,7 +60,7 @@ func TestCoWSweepJSONDeterministic(t *testing.T) {
 
 // The text rendering carries the headline line.
 func TestCoWExperimentText(t *testing.T) {
-	text := run(t, "cow")
+	text := rendered(t, "cow", sharedCoW.get(t).render())
 	if !strings.Contains(text, "pause growth") {
 		t.Fatalf("cow text missing growth summary:\n%s", text)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -234,20 +233,6 @@ func DeltaSweep() (*DeltaBench, error) {
 	return bench, nil
 }
 
-// DeltaSweepJSON renders the delta-replication benchmark as indented
-// JSON for BENCH_remus.json.
-func DeltaSweepJSON() ([]byte, error) {
-	bench, err := DeltaSweep()
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
 // DeltaWireComparison regenerates the wire-protocol comparison as a
 // text experiment ("delta"): per-sweep-point wire bytes and pause under
 // raw, delta, and delta+dedup replication.
@@ -256,6 +241,11 @@ func DeltaWireComparison() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return bench.render(), nil
+}
+
+// render is the sweep's text and CSV rendering.
+func (bench *DeltaBench) render() *Result {
 	var b strings.Builder
 	renderHeader(&b, fmt.Sprintf(
 		"Delta replication: steady-state wire bytes/epoch and pause vs dirty set and rewrite locality, %d-page guest",
@@ -278,5 +268,5 @@ func DeltaWireComparison() (*Result, error) {
 		Title: "Delta replication: wire bytes vs dirty set and locality",
 		Text:  b.String(),
 		CSV:   csv.String(),
-	}, nil
+	}
 }

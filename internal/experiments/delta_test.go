@@ -12,10 +12,7 @@ import (
 // the full-rewrite point must show the adaptive raw fallback (near-raw
 // wire bytes, never a blow-up past ~raw + per-record framing).
 func TestDeltaSweepReductionFloor(t *testing.T) {
-	bench, err := DeltaSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bench := sharedDelta.get(t)
 	if bench.SmallWriteSteadyReduction < 0.5 {
 		t.Fatalf("small-write steady-state reduction = %.1f%%, want >= 50%%",
 			100*bench.SmallWriteSteadyReduction)
@@ -50,16 +47,16 @@ func TestDeltaSweepReductionFloor(t *testing.T) {
 // fixed seed, so its JSON rendering is byte-stable — `make bench-remus`
 // regenerates BENCH_remus.json deterministically.
 func TestDeltaSweepJSONDeterministic(t *testing.T) {
-	a, err := DeltaSweepJSON()
+	a, err := marshal(sharedDelta.get(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DeltaSweepJSON()
+	b, err := marshal(DeltaSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
-		t.Fatal("DeltaSweepJSON not deterministic across calls")
+		t.Fatal("DeltaSweep JSON not deterministic across runs")
 	}
 	if !strings.Contains(string(a), "\"small_write_steady_reduction\"") {
 		t.Fatalf("JSON missing headline field:\n%s", a)
@@ -68,7 +65,7 @@ func TestDeltaSweepJSONDeterministic(t *testing.T) {
 
 // The text rendering carries the headline line.
 func TestDeltaExperimentText(t *testing.T) {
-	text := run(t, "delta")
+	text := rendered(t, "delta", sharedDelta.get(t).render())
 	if !strings.Contains(text, "small-write steady-state dedup cut") {
 		t.Fatalf("delta text missing headline summary:\n%s", text)
 	}

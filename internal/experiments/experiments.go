@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -77,6 +78,46 @@ func ByID(id string) (Generator, error) {
 	return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 }
 
+// Artifact is one machine-readable benchmark file: crimes-bench
+// regenerates it behind Flag, and the copy committed at the repo root as
+// File is what the drift gate diffs against.
+type Artifact struct {
+	Flag  string // crimes-bench flag taking the output path
+	File  string // committed artifact name
+	Sweep func() (any, error)
+}
+
+// Artifacts returns the benchmark-artifact registry, in `make
+// bench-all` order.
+func Artifacts() []Artifact {
+	return []Artifact{
+		{"pause-json", "BENCH_pause.json", func() (any, error) { return PauseBreakdown() }},
+		{"fleet-json", "BENCH_fleet.json", func() (any, error) { return FleetSweep() }},
+		{"scan-json", "BENCH_scan.json", func() (any, error) { return ScanSweep() }},
+		{"cow-json", "BENCH_cow.json", func() (any, error) { return CoWSweep() }},
+		{"remus-json", "BENCH_remus.json", func() (any, error) { return DeltaSweep() }},
+		{"cluster-json", "BENCH_cluster.json", func() (any, error) { return ClusterSweep() }},
+		{"web-json", "BENCH_web.json", func() (any, error) { return WebSweep() }},
+	}
+}
+
+// JSON runs the artifact's sweep and renders it as the file's bytes.
+func (a Artifact) JSON() ([]byte, error) { return marshal(a.Sweep()) }
+
+// marshal renders a sweep result as indented, newline-terminated JSON —
+// the one encoding every BENCH_*.json shares. It takes the sweep's
+// (value, error) pair directly.
+func marshal(bench any, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	out, err := json.MarshalIndent(bench, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(out, '\n'), nil
+}
+
 // --- shared cost helpers ---------------------------------------------------
 
 // epochCounts builds the per-checkpoint operation counts for a workload
@@ -92,9 +133,16 @@ func epochCounts(spec workload.Spec, epoch time.Duration) cost.Counts {
 	}
 }
 
-// pausedTime prices one checkpoint pause.
+// pause prices one pause, dropping the guest-time overhead: the sweeps
+// priced here run eager commits, which have none.
+func pause(m cost.Model, opt cost.Optimization, c cost.Counts, ctx cost.PauseCtx) cost.Phases {
+	p, _ := m.Pause(opt, c, ctx)
+	return p
+}
+
+// pausedTime prices one serial checkpoint pause of a workload spec.
 func pausedTime(m cost.Model, opt cost.Optimization, spec workload.Spec, epoch time.Duration) cost.Phases {
-	return m.Checkpoint(opt, epochCounts(spec, epoch))
+	return pause(m, opt, epochCounts(spec, epoch), cost.PauseCtx{})
 }
 
 // normRuntime is the workload's normalized runtime under checkpointing:

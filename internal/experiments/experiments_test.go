@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,6 +25,42 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// shared computes an expensive sweep once per test binary and hands the
+// same result to every test that reads it; the sweeps are deterministic
+// (asserted by each *JSONDeterministic test against one fresh run), so
+// the shared value is the value any test would have computed itself.
+type shared[T any] struct {
+	sweep func() (T, error)
+	once  sync.Once
+	bench T
+	err   error
+}
+
+func (s *shared[T]) get(t *testing.T) T {
+	t.Helper()
+	s.once.Do(func() { s.bench, s.err = s.sweep() })
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	return s.bench
+}
+
+var (
+	sharedWeb   = shared[*WebBench]{sweep: WebSweep}
+	sharedCoW   = shared[*CoWBench]{sweep: CoWSweep}
+	sharedDelta = shared[*DeltaBench]{sweep: DeltaSweep}
+)
+
+// rendered checks a shared sweep's rendering the way run checks a
+// registry generator's.
+func rendered(t *testing.T, id string, res *Result) string {
+	t.Helper()
+	if res.ID != id || res.Text == "" {
+		t.Fatalf("%s: empty result", id)
+	}
+	return res.Text
+}
+
 func run(t *testing.T, id string) string {
 	t.Helper()
 	gen, err := ByID(id)
@@ -34,10 +71,7 @@ func run(t *testing.T, id string) string {
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
-	if res.ID != id || res.Text == "" {
-		t.Fatalf("%s: empty result", id)
-	}
-	return res.Text
+	return rendered(t, id, res)
 }
 
 func TestTable1Shape(t *testing.T) {
@@ -254,7 +288,7 @@ func TestPauseParallelExperiment(t *testing.T) {
 	if last := bench.Points[len(bench.Points)-1].SpeedupVs1; last < 2 {
 		t.Fatalf("8-worker speedup %.2fx, want >= 2x", last)
 	}
-	if _, err := PauseBreakdownJSON(); err != nil {
+	if _, err := marshal(PauseBreakdown()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -315,16 +349,16 @@ func TestFleetScalingExperiment(t *testing.T) {
 // rendering is byte-stable — `make bench-fleet` regenerates
 // BENCH_fleet.json deterministically.
 func TestFleetSweepJSONDeterministic(t *testing.T) {
-	a, err := FleetSweepJSON()
+	a, err := marshal(FleetSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FleetSweepJSON()
+	b, err := marshal(FleetSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
-		t.Fatal("FleetSweepJSON not deterministic across calls")
+		t.Fatal("FleetSweep JSON not deterministic across calls")
 	}
 	if !strings.Contains(string(a), "\"aggregate_saving_vs_sync\"") {
 		t.Fatalf("JSON missing saving field:\n%s", a)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -76,8 +75,8 @@ func FleetSweep() (*FleetBench, error) {
 		StaggerK: fleetStaggerK,
 	}
 	for _, n := range fleetVMCounts {
-		syncPause := m.CheckpointContended(cost.Full, counts, fleetWorkers, n).Total()
-		stagPause := m.CheckpointContended(cost.Full, counts, fleetWorkers, fleetStaggerK).Total()
+		syncPause := pause(m, cost.Full, counts, cost.PauseCtx{Workers: fleetWorkers, Concurrent: n}).Total()
+		stagPause := pause(m, cost.Full, counts, cost.PauseCtx{Workers: fleetWorkers, Concurrent: fleetStaggerK}).Total()
 		syncAgg := time.Duration(n) * syncPause
 		stagAgg := time.Duration(n) * stagPause
 		bench.Points = append(bench.Points, FleetPoint{
@@ -90,20 +89,6 @@ func FleetSweep() (*FleetBench, error) {
 		})
 	}
 	return bench, nil
-}
-
-// FleetSweepJSON renders the fleet benchmark as indented JSON for
-// BENCH_fleet.json.
-func FleetSweepJSON() ([]byte, error) {
-	bench, err := FleetSweep()
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }
 
 // FleetScaling regenerates the fleet-scheduling comparison as a text

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -40,7 +39,7 @@ type PauseBench struct {
 
 // PauseBreakdown computes the pause breakdown for the swaptions
 // workload at the Full optimization level across the worker sweep. The
-// Workers=1 row is priced by the exact serial model (Checkpoint), so it
+// Workers=1 row is priced by the exact serial path, so it
 // matches Figure 4's Full row bit-for-bit.
 func PauseBreakdown() (*PauseBench, error) {
 	spec, err := workload.ParsecByName("swaptions")
@@ -55,9 +54,9 @@ func PauseBreakdown() (*PauseBench, error) {
 		Opt:      cost.Full.String(),
 		EpochMs:  ms(epoch),
 	}
-	base := m.CheckpointParallel(cost.Full, counts, 1).Total()
+	base := pause(m, cost.Full, counts, cost.PauseCtx{Workers: 1}).Total()
 	for _, w := range pauseWorkerCounts {
-		p := m.CheckpointParallel(cost.Full, counts, w)
+		p := pause(m, cost.Full, counts, cost.PauseCtx{Workers: w})
 		bench.Points = append(bench.Points, PausePoint{
 			Workers:    w,
 			SuspendMs:  ms(p.Suspend),
@@ -71,20 +70,6 @@ func PauseBreakdown() (*PauseBench, error) {
 		})
 	}
 	return bench, nil
-}
-
-// PauseBreakdownJSON renders the pause benchmark as indented JSON for
-// BENCH_pause.json.
-func PauseBreakdownJSON() ([]byte, error) {
-	bench, err := PauseBreakdown()
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }
 
 // PauseParallel regenerates the parallel pause-path breakdown as a

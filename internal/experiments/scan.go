@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -166,20 +165,6 @@ func ScanSweep() (*ScanBench, error) {
 		bench.SteadyScanSpeedup = steadyUncMs / steadyCachedMs
 	}
 	return bench, nil
-}
-
-// ScanSweepJSON renders the scan benchmark as indented JSON for
-// BENCH_scan.json.
-func ScanSweepJSON() ([]byte, error) {
-	bench, err := ScanSweep()
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }
 
 // ScanCacheComparison regenerates the scan-path comparison as a text

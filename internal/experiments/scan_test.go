@@ -41,16 +41,16 @@ func TestScanSweepSteadyStateReduction(t *testing.T) {
 // fixed seed, so its JSON rendering is byte-stable — `make bench-scan`
 // regenerates BENCH_scan.json deterministically.
 func TestScanSweepJSONDeterministic(t *testing.T) {
-	a, err := ScanSweepJSON()
+	a, err := marshal(ScanSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ScanSweepJSON()
+	b, err := marshal(ScanSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
-		t.Fatal("ScanSweepJSON not deterministic across calls")
+		t.Fatal("ScanSweep JSON not deterministic across calls")
 	}
 	if !strings.Contains(string(a), "\"steady_state_map_reduction\"") {
 		t.Fatalf("JSON missing steady-state field:\n%s", a)

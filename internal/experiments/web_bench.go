@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -434,20 +433,6 @@ func WebSweep() (*WebBench, error) {
 	return bench, nil
 }
 
-// WebSweepJSON renders the web-scale benchmark as indented JSON for
-// BENCH_web.json.
-func WebSweepJSON() ([]byte, error) {
-	bench, err := WebSweep()
-	if err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
 // WebScaleComparison renders the benchmark as a text experiment
 // ("webscale"): users served per host at the p99 target, adaptive vs
 // the static arms, per VM-count sweep point.
@@ -456,6 +441,11 @@ func WebScaleComparison() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return bench.render(), nil
+}
+
+// render is the sweep's text and CSV rendering.
+func (bench *WebBench) render() *Result {
 	var b strings.Builder
 	renderHeader(&b, fmt.Sprintf(
 		"Web scale: users served per host at p99 <= %.1f ms (Best Effort, %d-page guests)",
@@ -494,5 +484,5 @@ func WebScaleComparison() (*Result, error) {
 		Title: "Web scale: SLO-adaptive vs static arms",
 		Text:  b.String(),
 		CSV:   csv.String(),
-	}, nil
+	}
 }

@@ -26,10 +26,7 @@ func skipUnderRace(t *testing.T) {
 // the scale the cohort generator exists to reach.
 func TestWebSweepAdaptiveBeatsStatics(t *testing.T) {
 	skipUnderRace(t)
-	bench, err := WebSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bench := sharedWeb.get(t)
 	adaptive := make(map[int]int64, len(bench.Adaptive))
 	for _, p := range bench.Adaptive {
 		adaptive[p.VMs] = p.UsersPerHost
@@ -66,10 +63,7 @@ func TestWebSweepAdaptiveBeatsStatics(t *testing.T) {
 // row is just the baseline measured twice).
 func TestWebSweepAdaptiveSteers(t *testing.T) {
 	skipUnderRace(t)
-	bench, err := WebSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bench := sharedWeb.get(t)
 	base := webBaseConfig()
 	for _, p := range bench.Adaptive {
 		if p.SLOSteps == 0 {
@@ -88,16 +82,16 @@ func TestWebSweepAdaptiveSteers(t *testing.T) {
 // deterministically.
 func TestWebSweepJSONDeterministic(t *testing.T) {
 	skipUnderRace(t)
-	a, err := WebSweepJSON()
+	a, err := marshal(sharedWeb.get(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := WebSweepJSON()
+	b, err := marshal(WebSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
-		t.Fatal("WebSweepJSON not deterministic across calls")
+		t.Fatal("WebSweep JSON not deterministic across runs")
 	}
 	if !strings.Contains(string(a), "\"adaptive_gain\"") {
 		t.Fatalf("JSON missing headline gain field:\n%s", a)
@@ -107,7 +101,7 @@ func TestWebSweepJSONDeterministic(t *testing.T) {
 // The text rendering carries the per-sweep-point headline comparison.
 func TestWebExperimentText(t *testing.T) {
 	skipUnderRace(t)
-	text := run(t, "webscale")
+	text := rendered(t, "webscale", sharedWeb.get(t).render())
 	if !strings.Contains(text, "vs best static") {
 		t.Fatalf("webscale text missing headline comparison:\n%s", text)
 	}
