@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: build test verify verify-quick bench bench-all pause-json bench-fleet \
 	bench-scan bench-cow bench-remus bench-cluster bench-web fmt-check \
-	static-check ci bench-drift scenarios test-procs traced-runs
+	static-check ci bench-drift scenarios test-procs traced-runs loc
 
 build:
 	$(GO) build ./...
@@ -104,6 +104,21 @@ ci: fmt-check static-check build
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
+
+# Go line counts (wc -l) per package directory, non-test and test files
+# apart, with the sum — over every package, or over the directories in
+# PKGS (make loc PKGS="internal/core internal/obs"). The before/after
+# table of a simplicity PR comes from here.
+loc:
+	@dirs="$(PKGS)"; \
+	[ -n "$$dirs" ] || dirs=$$(find . -name '*.go' -not -path './.bench_build/*' -exec dirname {} + | sort -u | sed 's|^\./||'); \
+	count() { ls $$1/*.go 2>/dev/null | grep $$2 '_test\.go$$' | xargs -r cat | wc -l; }; \
+	printf '%-28s %9s %9s\n' package non-test test; \
+	for d in $$dirs; do \
+		n=$$(count $$d -v); t=$$(count $$d -e); sn=$$((sn+n)); st=$$((st+t)); \
+		printf '%-28s %9d %9d\n' $$d $$n $$t; \
+	done; \
+	printf '%-28s %9d %9d\n' sum $$sn $$st
 
 # Regenerate the machine-readable parallel pause-path benchmark.
 pause-json:

@@ -1,13 +1,10 @@
 package crimes
 
 import (
-	"crypto/sha256"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/cost"
-	"repro/internal/guestos"
 )
 
 // The CoW equivalence property: the copy-on-write commit strategy is an
@@ -18,121 +15,13 @@ import (
 // eager commit path produces. Scripts reuse the scan-cache property
 // generator so both suites draw from the same workload distribution.
 
-type cowEpochOutcome struct {
-	findings []Finding
-	incident bool
-	cow      cost.CoWCounts
-}
-
-type cowRun struct {
-	epochs        []cowEpochOutcome
-	primaryDigest [32]byte
-	backupDigest  [32]byte
-}
-
-func runCowArm(t *testing.T, seed int64, cfg Config, script []propOp, attack string) *cowRun {
-	t.Helper()
-	cfg.Modules = DefaultModules()
-	cfg.EpochInterval = 20 * time.Millisecond
-	sys, err := Launch(Options{GuestPages: 512, Seed: seed, Config: cfg})
-	if err != nil {
-		t.Fatalf("Launch: %v", err)
-	}
-	defer sys.Close()
-
-	var pids []uint32
-	type alloc struct {
-		pid  uint32
-		va   uint64
-		size int
-	}
-	var allocs []alloc
-	run := &cowRun{}
-	next := 0
-	for e := 1; e <= propEpochs; e++ {
-		res, err := sys.RunEpoch(func(g *guestos.Guest) error {
-			for ; next < len(script) && script[next].epoch == e; next++ {
-				op := script[next]
-				switch op.kind {
-				case "start":
-					pid, err := g.StartProcess("cowproc", 1000, op.size)
-					if err != nil {
-						return err
-					}
-					pids = append(pids, pid)
-				case "compute":
-					if err := g.Compute(pids[0], op.n); err != nil {
-						return err
-					}
-				case "malloc":
-					va, err := g.Malloc(pids[len(pids)-1], op.size)
-					if err != nil {
-						return err
-					}
-					allocs = append(allocs, alloc{pids[len(pids)-1], va, op.size})
-				case "write":
-					if len(allocs) == 0 {
-						continue
-					}
-					a := allocs[op.n%len(allocs)]
-					buf := make([]byte, 1+op.n%a.size)
-					for i := range buf {
-						buf[i] = byte(op.n + i)
-					}
-					if err := g.WriteUser(a.pid, a.va, buf); err != nil {
-						return err
-					}
-				case "packet":
-					payload := make([]byte, op.size)
-					if err := g.SendPacket(pids[0], [4]byte{10, 0, 0, 9}, 443, payload); err != nil {
-						return err
-					}
-				}
-			}
-			if e == propEpochs && attack != "" {
-				return injectPropAttack(g, pids[len(pids)-1], attack)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("seed %d attack %q epoch %d: %v", seed, attack, e, err)
-		}
-		run.epochs = append(run.epochs, cowEpochOutcome{
-			findings: res.Findings,
-			incident: res.Incident != nil,
-			cow:      res.CoW,
-		})
-		if res.Incident != nil {
-			break
-		}
-	}
-
-	// Settle in-flight lazy copies, then digest both domains: with the
-	// copier drained the CoW backup must equal the eager-commit backup.
-	ckpt := sys.Controller.Checkpointer()
-	if err := ckpt.Quiesce(); err != nil {
-		t.Fatalf("seed %d attack %q: quiesce: %v", seed, attack, err)
-	}
-	prim, err := ckpt.Primary().DumpMemory()
-	if err != nil {
-		t.Fatalf("dump primary: %v", err)
-	}
-	back, err := ckpt.Backup().DumpMemory()
-	if err != nil {
-		t.Fatalf("dump backup: %v", err)
-	}
-	run.primaryDigest = sha256.Sum256(prim.Mem)
-	run.backupDigest = sha256.Sum256(back.Mem)
-	return run
-}
-
 func TestCoWPropertyEquivalence(t *testing.T) {
 	attacks := []string{"", "", "overflow", "malware", "hijack", "hidden"}
 	for i, attack := range attacks {
 		seed := int64(400 + 23*i)
 		script := genScript(seed)
-		off := runCowArm(t, seed, Config{}, script, attack)
-		on := runCowArm(t, seed, Config{CoW: true}, script, attack)
+		off := runPropArm(t, seed, Config{}, script, attack, false)
+		on := runPropArm(t, seed, Config{CoW: true}, script, attack, false)
 
 		if len(on.epochs) != len(off.epochs) {
 			t.Fatalf("seed %d attack %q: CoW arm ran %d epochs, eager ran %d",

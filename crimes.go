@@ -203,19 +203,14 @@ func Launch(opts Options) (*System, error) {
 		prof = guestos.WindowsProfile()
 	}
 	h := hv.New(2*opts.GuestPages + 16)
-	dom, err := h.CreateDomain("guest", opts.GuestPages)
+	ctl, err := core.Launch(h, core.GuestSpec{
+		Name: "guest", Pages: opts.GuestPages,
+		Boot: guestos.BootConfig{Profile: prof, Seed: opts.Seed},
+	}, opts.Config)
 	if err != nil {
 		return nil, fmt.Errorf("crimes: %w", err)
 	}
-	g, err := guestos.Boot(dom, guestos.BootConfig{Profile: prof, Seed: opts.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("crimes: %w", err)
-	}
-	ctl, err := core.New(h, g, opts.Config)
-	if err != nil {
-		return nil, fmt.Errorf("crimes: %w", err)
-	}
-	return &System{HV: h, Guest: g, Controller: ctl}, nil
+	return &System{HV: h, Guest: ctl.Guest(), Controller: ctl}, nil
 }
 
 // RunEpoch executes one epoch of guest work under protection.

@@ -499,7 +499,7 @@ func sendAcked(conduit *remus.Conduit, into *cost.ReplicationCounts, pfns []mem.
 	if err != nil {
 		return err
 	}
-	into.Add(replCounts(stats))
+	into.Add(stats)
 	return conduit.AwaitAck()
 }
 
@@ -631,23 +631,6 @@ func (c *Checkpointer) CheckpointBitmap(dirty *mem.Bitmap) (cost.Counts, error) 
 		return cost.Counts{}, err
 	}
 	return c.commitDirty()
-}
-
-// replCounts converts conduit stream accounting into the cost model's
-// replication counts.
-func replCounts(s remus.StreamStats) cost.ReplicationCounts {
-	return cost.ReplicationCounts{
-		Batches:      s.Batches,
-		Pages:        s.Pages,
-		RawPages:     s.RawPages,
-		DeltaPages:   s.DeltaPages,
-		SamePages:    s.SamePages,
-		DupPages:     s.DupPages,
-		ZeroPages:    s.ZeroPages,
-		EncodedPages: s.EncodedPages,
-		WireBytes:    s.WireBytes,
-		RawBytes:     s.RawBytes,
-	}
 }
 
 // commitDirty commits the harvested dirty set as one staged sequence:

@@ -112,8 +112,10 @@ func TestPipelinedAccountingExact(t *testing.T) {
 		t.Fatalf("Close drained %+v, want the %d shipments left in the window", tail, maxShipsInFlight)
 	}
 	sum.Add(tail.Repl)
-	if want := replCounts(conduit.Stats().Sub(base)); sum != want {
-		t.Fatalf("per-commit replication + drain = %+v\nconduit's cumulative stats   = %+v", sum, want)
+	want := base
+	want.Add(sum)
+	if got := conduit.Stats(); got != want {
+		t.Fatalf("initial sync + per-commit replication + drain = %+v\nconduit's cumulative stats                      = %+v", want, got)
 	}
 	if sum.DeltaPages == 0 || sum.ZeroPages == 0 || sum.DupPages == 0 || sum.RawPages == 0 {
 		t.Fatalf("epochs did not exercise every record kind: %+v", sum)

@@ -266,24 +266,17 @@ func New(cfg Config) (*Cluster, error) {
 		name := fmt.Sprintf("vm%d", i)
 		placement := cl.ring.LookupN(name, 2)
 		host := cl.hosts[placement[0]]
-		dom, err := host.hv.CreateDomain(name, cfg.GuestPages)
-		if err != nil {
-			cl.Close()
-			return nil, fmt.Errorf("cluster: create %s on %s: %w", name, host.Name, err)
-		}
 		seed := cfg.Seed + int64(i)
-		g, err := guestos.Boot(dom, guestos.BootConfig{Profile: prof, Seed: seed})
+		ctl, err := core.Launch(host.hv, core.GuestSpec{
+			Name: name, Pages: cfg.GuestPages,
+			Boot: guestos.BootConfig{Profile: prof, Seed: seed},
+		}, cl.coreCfg(host))
 		if err != nil {
 			cl.Close()
-			return nil, fmt.Errorf("cluster: boot %s: %w", name, err)
-		}
-		ctl, err := core.New(host.hv, g, cl.coreCfg(host))
-		if err != nil {
-			cl.Close()
-			return nil, fmt.Errorf("cluster: attach controller to %s: %w", name, err)
+			return nil, fmt.Errorf("cluster: on %s: %w", host.Name, err)
 		}
 		vm := &VM{Index: i, Name: name, Seed: seed, host: host}
-		vm.cur = fleet.NewVM(i, name, host.Name, g, ctl)
+		vm.cur = fleet.NewVM(i, name, host.Name, ctl.Guest(), ctl)
 		if cfg.Stagger {
 			off := interval * time.Duration(perHost[host.Name]) / time.Duration(cfg.VMs)
 			vm.cur.SetStaggerOffset(off)
@@ -298,7 +291,7 @@ func New(cfg Config) (*Cluster, error) {
 			}
 			vm.replicaHost = replica
 		}
-		vm.lastState = g.CloneState()
+		vm.lastState = ctl.Guest().CloneState()
 		cl.vms = append(cl.vms, vm)
 	}
 	return cl, nil
@@ -478,13 +471,13 @@ func (cl *Cluster) promote(vm *VM, round int, alive int) {
 	if cl.cfg.Windows {
 		prof = guestos.WindowsProfile()
 	}
-	g, err := guestos.Adopt(dom, guestos.BootConfig{Profile: prof, Seed: vm.Seed}, vm.lastState)
-	if err != nil {
-		vm.Lost = true
-		cl.lostVMs++
-		return
-	}
-	ctl, err := core.New(newHost.hv, g, cl.coreCfg(newHost))
+	// Launch owns the detached replica from here: a failed adoption or a
+	// failed controller attach destroys it rather than leaving it behind
+	// on a live host where Close, skipping a lost VM, would never find it.
+	ctl, err := core.Launch(newHost.hv, core.GuestSpec{
+		Boot:    guestos.BootConfig{Profile: prof, Seed: vm.Seed},
+		Replica: dom, State: vm.lastState,
+	}, cl.coreCfg(newHost))
 	if err != nil {
 		vm.Lost = true
 		cl.lostVMs++
@@ -493,7 +486,7 @@ func (cl *Cluster) promote(vm *VM, round int, alive int) {
 	vm.prior = history
 	vm.host = newHost
 	vm.replicaHost = nil
-	vm.cur = fleet.NewVM(vm.Index, vm.Name, newHost.Name, g, ctl)
+	vm.cur = fleet.NewVM(vm.Index, vm.Name, newHost.Name, ctl.Guest(), ctl)
 	vm.Promotions++
 	cl.promotions++
 	cl.failoverTime += cl.model.Promote(cl.cfg.GuestPages, alive)
@@ -572,22 +565,7 @@ func (cl *Cluster) Report() *Report {
 		r.Hypercalls.Add(h.hv.Calls())
 	}
 	for _, vm := range cl.vms {
-		s := vm.Stats()
-		r.VMs = append(r.VMs, s)
-		r.AggregatePause += s.PauseTotal
-		if s.PauseTotal > r.WorstPause {
-			r.WorstPause = s.PauseTotal
-		}
-		r.TotalEpochs += s.Epochs
-		r.TotalFindings += s.Findings
-		r.TotalIncidents += s.Incidents
-		if s.Halted {
-			r.HaltedVMs++
-		}
-		r.ScanCache.Add(s.ScanCache)
-		r.ScanCachePages += s.ScanCachePages
-		r.CoW.Add(s.CoW)
-		r.Replication.Add(s.Replication)
+		r.Fold(vm.Stats())
 	}
 	if cl.cfg.Core.Obs.Enabled() {
 		reg := cl.cfg.Core.Obs.Registry()

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/guestos"
+	"repro/internal/hv"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -367,5 +369,56 @@ func TestClusterDoublePromotionKeepsHistory(t *testing.T) {
 	}
 	if rep.TotalEpochs != control.TotalEpochs {
 		t.Errorf("TotalEpochs=%d with two kills, %d with none", rep.TotalEpochs, control.TotalEpochs)
+	}
+}
+
+// A promotion that fails after the replica was detached — here the new
+// controller cannot create its backup domain on the promotion target —
+// loses the VM but not the target's memory: the detached replica is
+// destroyed with the failed attempt, so after Close the surviving host
+// has every frame back. It used to stay behind for good: the VM was
+// marked lost, and Close skips a lost VM's domains.
+func TestClusterFailedPromotionReleasesReplica(t *testing.T) {
+	const hosts, vms, rounds = 2, 4, 4
+	cfg := Config{Hosts: hosts, VMs: vms, Seed: 23}
+	cfg.Core.Workers = 1
+	cl := newTestCluster(t, cfg)
+
+	victim := cl.VMs()[0].HostName()
+	var survivor *Host
+	onVictim := 0
+	for _, h := range cl.Hosts() {
+		if h.Name != victim {
+			survivor = h
+		}
+	}
+	for _, vm := range cl.VMs() {
+		if vm.HostName() == victim {
+			onVictim++
+		}
+	}
+	// With one host left nothing re-arms, so the only domains created on
+	// the survivor are the promoted controllers' backups: fail the first.
+	inj := fault.NewInjector()
+	survivor.HV().InjectFaults(inj)
+	inj.FailNext(hv.FaultCreateDomain, 1, false)
+	cl.KillHostAt(victim, 3)
+
+	work, _ := testWork(t, vms, 10*time.Millisecond)
+	rep := cl.Run(rounds, work)
+	if inj.Tripped(hv.FaultCreateDomain) != 1 {
+		t.Fatalf("create-domain fault fired %d times, want once", inj.Tripped(hv.FaultCreateDomain))
+	}
+	if rep.LostVMs != 1 || rep.Promotions != onVictim-1 {
+		t.Fatalf("lost=%d promotions=%d, want 1 lost and %d promoted\n%s",
+			rep.LostVMs, rep.Promotions, onVictim-1, rep.Render())
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	m := survivor.HV().Machine()
+	if free, total := m.FreeFrames(), m.TotalFrames(); free != total {
+		t.Errorf("host %s leaked frames: %d free of %d (failed promotion's replica left behind)",
+			survivor.Name, free, total)
 	}
 }

@@ -123,66 +123,33 @@ func ParseScanCacheMode(s string) (ScanCacheMode, error) {
 	}
 }
 
-// RemusMode selects the replication conduit's wire protocol.
-type RemusMode int
+// RemusMode selects the replication conduit's wire protocol: it is the
+// conduit's own remus.Mode, re-exported so a Config reads in one
+// vocabulary. The zero value is RemusRaw, so existing configurations
+// are untouched: the conduit ships every dirty page as a full encrypted
+// copy, exactly as before, and every priced number is bit-identical to
+// previous releases (mirroring how ScanCacheOff preserves the
+// direct-read audit).
+type RemusMode = remus.Mode
 
-// Replication wire-protocol modes. The zero value is RemusRaw, so
-// existing configurations are untouched: the conduit ships every dirty
-// page as a full encrypted copy, exactly as before, and every priced
-// number is bit-identical to previous releases (mirroring how
-// ScanCacheOff preserves the direct-read audit).
+// Replication wire-protocol modes.
 const (
-	// RemusRaw ships full 4 KiB pages — today's v1 wire protocol,
+	// RemusRaw ships full 4 KiB pages — the v1 wire protocol,
 	// byte-for-byte.
-	RemusRaw RemusMode = iota
+	RemusRaw = remus.ModeRaw
 	// RemusDelta keeps a bounded shipped-version table on the sender and
 	// emits XOR-delta records against the last-shipped copy of each
 	// page, falling back to raw when a page has no table entry or the
 	// delta does not compress.
-	RemusDelta
+	RemusDelta = remus.ModeDelta
 	// RemusDeltaDedup adds content-hash deduplication on top of delta
 	// encoding: unchanged pages, all-zero pages, and cross-page
 	// duplicates ship as constant-size references.
-	RemusDeltaDedup
+	RemusDeltaDedup = remus.ModeDeltaDedup
 )
 
-// String renders the replication mode.
-func (m RemusMode) String() string {
-	switch m {
-	case RemusDelta:
-		return "delta"
-	case RemusDeltaDedup:
-		return "delta+dedup"
-	default:
-		return "raw"
-	}
-}
-
 // ParseRemusMode parses "raw", "delta", or "delta+dedup".
-func ParseRemusMode(s string) (RemusMode, error) {
-	switch s {
-	case "raw", "":
-		return RemusRaw, nil
-	case "delta":
-		return RemusDelta, nil
-	case "delta+dedup", "dedup":
-		return RemusDeltaDedup, nil
-	default:
-		return 0, fmt.Errorf("core: unknown remus mode %q (want raw|delta|delta+dedup)", s)
-	}
-}
-
-// wire maps the config-level mode onto the conduit's wire protocol.
-func (m RemusMode) wire() remus.Mode {
-	switch m {
-	case RemusDelta:
-		return remus.ModeDelta
-	case RemusDeltaDedup:
-		return remus.ModeDeltaDedup
-	default:
-		return remus.ModeRaw
-	}
-}
+var ParseRemusMode = remus.ParseMode
 
 // Config configures a CRIMES controller.
 type Config struct {
@@ -443,20 +410,14 @@ type coreMetrics struct {
 	dirtyPages *obs.Histogram
 	gateWaitNs *obs.Histogram // measured wall-clock pause-gate wait
 
-	hcMap, hcUnmap, hcTranslate, hcDirtyRead, hcEvent *obs.Counter
-
-	// Scan-cache series; registered only when the scan cache is enabled
-	// so cache-off metric dumps are unchanged.
-	scHits, scMisses, scUnmaps, scSwept, scMemoHits, scMemoMisses *obs.Counter
-
-	// CoW series; registered only when CoW checkpointing is enabled so
-	// CoW-off metric dumps are unchanged.
-	cowArmed, cowFaults, cowDrained *obs.Counter
-
-	// Delta-replication series; registered only when the v2 wire
-	// protocol is enabled so raw-mode metric dumps are unchanged.
-	remusWire, remusRaw                                            *obs.Counter
-	remusOpRaw, remusOpDelta, remusOpSame, remusOpDup, remusOpZero *obs.Counter
+	// One handle per counter set, bound to the series the set's own field
+	// tags declare. The scan-cache, CoW and delta-replication sets are
+	// bound only when their mode is on, so mode-off metric dumps are
+	// unchanged; an unbound set is inert.
+	hypercalls obs.SetCounters[obs.Hypercalls]
+	scanCache  obs.SetCounters[obs.ScanCache]
+	cow        obs.SetCounters[obs.CoW]
+	repl       obs.SetCounters[obs.Replication]
 
 	// SLO-controller series; registered only when a controller is
 	// configured so untuned metric dumps are unchanged.
@@ -468,13 +429,8 @@ type coreMetrics struct {
 // backup domain and performs the initial synchronization.
 func New(h *hv.Hypervisor, g *guestos.Guest, cfg Config) (*Controller, error) {
 	cfg.setDefaults()
-	if cfg.CoW {
-		if cfg.Opt < cost.Premap {
-			return nil, fmt.Errorf("core: CoW commit requires Opt >= Premap (got %v): the background copier and fault handler run over the premapped global frames", cfg.Opt)
-		}
-		if cfg.Scan != ScanSync {
-			return nil, fmt.Errorf("core: CoW commit requires the synchronous audit: the async audit scans the backup, which is still converging while the guest runs")
-		}
+	if cfg.CoW && cfg.Scan != ScanSync {
+		return nil, fmt.Errorf("core: CoW commit requires the synchronous audit: the async audit scans the backup, which is still converging while the guest runs")
 	}
 	c := &Controller{
 		cfg:   cfg,
@@ -513,37 +469,31 @@ func New(h *hv.Hypervisor, g *guestos.Guest, cfg Config) (*Controller, error) {
 	c.detector = detect.NewDetector(cfg.Modules...)
 	c.detector.SetWorkers(cfg.Workers)
 	c.buf = netbuf.New(cfg.Safety, cfg.Deliverer)
-	g.SetOutputSink(c.buf)
 
 	if c.ckpt, err = checkpoint.NewWithParams(h, c.dom, checkpoint.Params{
 		Opt:              cfg.Opt,
 		Workers:          cfg.Workers,
-		Remus:            cfg.Remus.wire(),
+		Remus:            cfg.Remus,
 		RemusBudgetPages: cfg.RemusBudgetPages,
 	}); err != nil {
 		return nil, err
 	}
-	if cfg.DiskBlocks > 0 {
-		disk := vdisk.New(cfg.DiskBlocks)
+	disk, err := c.armCheckpointer(g)
+	if err != nil {
+		// A failed New hands the caller nothing to close, so what the
+		// checkpointer holds is given back here: its restore goroutine and
+		// premapped frames (Close) and its backup domain.
+		backup := c.ckpt.Backup()
+		_ = c.ckpt.Close()
+		_ = h.DestroyDomain(backup.ID())
+		return nil, err
+	}
+	// Nothing below can fail, so only a fully built controller touches
+	// the guest: its outputs now flow into the buffer and its disk, if
+	// any, is the checkpointed one.
+	g.SetOutputSink(c.buf)
+	if disk != nil {
 		g.AttachDisk(disk)
-		if err := c.ckpt.AttachDisk(disk); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.CoW {
-		if err := c.ckpt.EnableCoW(); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Scan == ScanAsync {
-		bctx, err := vmi.NewContext(c.ckpt.Backup(), g.Profile(), g.SystemMap())
-		if err != nil {
-			return nil, fmt.Errorf("core: backup vmi init: %w", err)
-		}
-		if err := bctx.Preprocess(); err != nil {
-			return nil, fmt.Errorf("core: backup vmi preprocess: %w", err)
-		}
-		c.vmiBackup = bctx
 	}
 	c.lastState = g.CloneState()
 	if cfg.Obs.Enabled() {
@@ -562,45 +512,104 @@ func New(h *hv.Hypervisor, g *guestos.Guest, cfg Config) (*Controller, error) {
 	return c, nil
 }
 
+// armCheckpointer configures the freshly built checkpointer for the
+// controller's strategy: the disk to checkpoint alongside memory (which
+// it returns, not yet attached to the guest), the copy-on-write commit —
+// whose own check rejects an Opt below Premap, the copier and fault
+// handler running over the premapped global frames — and, for the
+// asynchronous audit, introspection of the backup domain.
+func (c *Controller) armCheckpointer(g *guestos.Guest) (*vdisk.Disk, error) {
+	var disk *vdisk.Disk
+	if c.cfg.DiskBlocks > 0 {
+		disk = vdisk.New(c.cfg.DiskBlocks)
+		if err := c.ckpt.AttachDisk(disk); err != nil {
+			return nil, err
+		}
+	}
+	if c.cfg.CoW {
+		if err := c.ckpt.EnableCoW(); err != nil {
+			return nil, fmt.Errorf("core: CoW commit: %w", err)
+		}
+	}
+	if c.cfg.Scan == ScanAsync {
+		bctx, err := vmi.NewContext(c.ckpt.Backup(), g.Profile(), g.SystemMap())
+		if err != nil {
+			return nil, fmt.Errorf("core: backup vmi init: %w", err)
+		}
+		if err := bctx.Preprocess(); err != nil {
+			return nil, fmt.Errorf("core: backup vmi preprocess: %w", err)
+		}
+		c.vmiBackup = bctx
+	}
+	return disk, nil
+}
+
+// GuestSpec says where Launch gets its guest: a fresh domain of Pages
+// pages named Name, booted from Boot — or, when Replica is set, an
+// existing domain on the same hypervisor that already holds the guest's
+// replicated memory (a promoted Remus replica), adopted together with
+// State, the kernel bookkeeping that belongs to that memory.
+type GuestSpec struct {
+	Name    string
+	Pages   int
+	Boot    guestos.BootConfig
+	Replica *hv.Domain
+	State   *guestos.State
+}
+
+// Launch is the one way to put a guest under protection: create (or
+// adopt) its domain on h, boot the guest in it and attach a controller.
+// Launch owns the domain from the call on — on any failure the domain
+// and everything New built on it are destroyed, so the caller holds
+// either a running protected VM (the guest is Controller.Guest) or
+// nothing.
+func Launch(h *hv.Hypervisor, spec GuestSpec, cfg Config) (*Controller, error) {
+	var (
+		g   *guestos.Guest
+		ctl *Controller
+		err error
+	)
+	dom := spec.Replica
+	if dom != nil {
+		g, err = guestos.Adopt(dom, spec.Boot, spec.State)
+	} else {
+		if dom, err = h.CreateDomain(spec.Name, spec.Pages); err != nil {
+			return nil, fmt.Errorf("core: launch %s: %w", spec.Name, err)
+		}
+		g, err = guestos.Boot(dom, spec.Boot)
+	}
+	if err == nil {
+		ctl, err = New(h, g, cfg)
+	}
+	if err != nil {
+		_ = h.DestroyDomain(dom.ID())
+		return nil, fmt.Errorf("core: launch %s: %w", dom.Name(), err)
+	}
+	return ctl, nil
+}
+
 // newCoreMetrics resolves the controller's metric handles once, at
 // construction.
 func newCoreMetrics(cfg Config, vm string) coreMetrics {
 	reg := cfg.Obs.Registry()
 	met := coreMetrics{
-		epochs:      reg.Counter("crimes_epochs_total", "vm", vm),
-		findings:    reg.Counter("crimes_findings_total", "vm", vm),
-		incidents:   reg.Counter("crimes_incidents_total", "vm", vm),
-		retries:     reg.Counter("crimes_retries_total", "vm", vm),
-		pauseNs:     reg.Histogram("crimes_pause_virtual_ns", obs.DurationBuckets(), "vm", vm),
-		dirtyPages:  reg.Histogram("crimes_dirty_pages", obs.PageBuckets(), "vm", vm),
-		gateWaitNs:  reg.Histogram("crimes_gate_wait_ns", obs.DurationBuckets(), "vm", vm),
-		hcMap:       reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "map_page"),
-		hcUnmap:     reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "unmap_page"),
-		hcTranslate: reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "translate"),
-		hcDirtyRead: reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "dirty_read"),
-		hcEvent:     reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "event_config"),
+		epochs:     reg.Counter("crimes_epochs_total", "vm", vm),
+		findings:   reg.Counter("crimes_findings_total", "vm", vm),
+		incidents:  reg.Counter("crimes_incidents_total", "vm", vm),
+		retries:    reg.Counter("crimes_retries_total", "vm", vm),
+		pauseNs:    reg.Histogram("crimes_pause_virtual_ns", obs.DurationBuckets(), "vm", vm),
+		dirtyPages: reg.Histogram("crimes_dirty_pages", obs.PageBuckets(), "vm", vm),
+		gateWaitNs: reg.Histogram("crimes_gate_wait_ns", obs.DurationBuckets(), "vm", vm),
+		hypercalls: obs.BindCounters[obs.Hypercalls](reg, vm),
 	}
 	if cfg.ScanCache != ScanCacheOff {
-		met.scHits = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "hit")
-		met.scMisses = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "miss")
-		met.scUnmaps = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "unmap")
-		met.scSwept = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "sweep")
-		met.scMemoHits = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "memo_hit")
-		met.scMemoMisses = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "memo_miss")
+		met.scanCache = obs.BindCounters[obs.ScanCache](reg, vm)
 	}
 	if cfg.CoW {
-		met.cowArmed = reg.Counter("crimes_cow_total", "vm", vm, "op", "armed")
-		met.cowFaults = reg.Counter("crimes_cow_total", "vm", vm, "op", "write_fault")
-		met.cowDrained = reg.Counter("crimes_cow_total", "vm", vm, "op", "drained")
+		met.cow = obs.BindCounters[obs.CoW](reg, vm)
 	}
 	if cfg.Remus != RemusRaw {
-		met.remusWire = reg.Counter("crimes_remus_bytes_total", "vm", vm, "kind", "wire")
-		met.remusRaw = reg.Counter("crimes_remus_bytes_total", "vm", vm, "kind", "raw")
-		met.remusOpRaw = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "raw")
-		met.remusOpDelta = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "delta")
-		met.remusOpSame = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "same")
-		met.remusOpDup = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "dup")
-		met.remusOpZero = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "zero")
+		met.repl = obs.BindCounters[obs.Replication](reg, vm)
 	}
 	if cfg.SLO.Enabled() {
 		met.sloSteps = reg.Counter("crimes_slo_steps_total", "vm", vm)
@@ -622,43 +631,14 @@ func (c *Controller) emit(ev obs.Event) {
 	c.obs.Emit(ev)
 }
 
-// domainCalls sums the per-domain hypercall attribution across every
+// Hypercalls sums the per-domain hypercall attribution across every
 // domain this VM's checkpointer touches (primary, backup, remote).
-func (c *Controller) domainCalls() hv.Hypercalls {
+func (c *Controller) Hypercalls() hv.Hypercalls {
 	var total hv.Hypercalls
 	for _, d := range c.ckpt.Domains() {
 		total.Add(d.Calls())
 	}
 	return total
-}
-
-// hypercallDelta converts the since-epoch-start hypercall delta into
-// the obs representation, clamping negatives (a remote backup destroyed
-// mid-epoch takes its attributed calls with it) to zero.
-func hypercallDelta(before, after hv.Hypercalls) obs.Hypercalls {
-	clamp := func(v int) int {
-		if v < 0 {
-			return 0
-		}
-		return v
-	}
-	return obs.Hypercalls{
-		MapPage:     clamp(after.MapPage - before.MapPage),
-		UnmapPage:   clamp(after.UnmapPage - before.UnmapPage),
-		Translate:   clamp(after.Translate - before.Translate),
-		DirtyRead:   clamp(after.DirtyRead - before.DirtyRead),
-		EventConfig: clamp(after.EventConfig - before.EventConfig),
-	}
-}
-
-// recordHypercalls folds an epoch's hypercall delta into the per-VM
-// metric counters.
-func (c *Controller) recordHypercalls(d obs.Hypercalls) {
-	c.met.hcMap.Add(int64(d.MapPage))
-	c.met.hcUnmap.Add(int64(d.UnmapPage))
-	c.met.hcTranslate.Add(int64(d.Translate))
-	c.met.hcDirtyRead.Add(int64(d.DirtyRead))
-	c.met.hcEvent.Add(int64(d.EventConfig))
 }
 
 // scanCacheDelta converts since-snapshot cache and memo counters into
@@ -679,60 +659,15 @@ func (c *Controller) scanCacheDelta(cacheBefore hv.ScanCacheStats, memoBefore vm
 	return out
 }
 
-// recordScanCache folds an epoch's scan-cache delta into the per-VM
-// metric counters.
-func (c *Controller) recordScanCache(d cost.ScanCacheCounts) {
-	c.met.scHits.Add(int64(d.CacheHits))
-	c.met.scMisses.Add(int64(d.CacheMisses))
-	c.met.scUnmaps.Add(int64(d.CacheUnmaps))
-	c.met.scSwept.Add(int64(d.CacheSwept))
-	c.met.scMemoHits.Add(int64(d.MemoHits))
-	c.met.scMemoMisses.Add(int64(d.MemoMisses))
-}
-
-// cowSnapshot captures the cumulative CoW counters at an epoch
-// boundary so the per-epoch delta can be derived at commit time.
-type cowSnapshot struct {
-	armed  int
-	faults uint64
-}
-
-func (c *Controller) cowSnap() cowSnapshot {
-	return cowSnapshot{
-		armed:  c.ckpt.CoWStats().ArmedPages,
-		faults: c.dom.WriteFaults(),
-	}
-}
-
-// cowDelta converts since-epoch-start CoW counters into one epoch's
-// cost-model counts. ArmedPages is the page count write-protected at
-// this epoch's commit; WriteFaults the faults the guest took during the
-// epoch on the previous commit's armed pages.
-func (c *Controller) cowDelta(before cowSnapshot) cost.CoWCounts {
-	now := c.cowSnap()
+// cowSnap reads the cumulative CoW counters — pages armed across all
+// commits, write faults the guest has taken — in the set's own shape, so
+// commit derives the epoch's share by subtracting the snapshot taken at
+// the epoch's start.
+func (c *Controller) cowSnap() cost.CoWCounts {
 	return cost.CoWCounts{
-		ArmedPages:  now.armed - before.armed,
-		WriteFaults: int(now.faults - before.faults),
+		ArmedPages:  c.ckpt.CoWStats().ArmedPages,
+		WriteFaults: int(c.dom.WriteFaults()),
 	}
-}
-
-// recordCoW folds an epoch's CoW delta into the per-VM metric counters.
-func (c *Controller) recordCoW(d cost.CoWCounts) {
-	c.met.cowArmed.Add(int64(d.ArmedPages))
-	c.met.cowFaults.Add(int64(d.WriteFaults))
-	c.met.cowDrained.Add(int64(d.DrainPages))
-}
-
-// recordReplication folds an epoch's delta-replication counters into
-// the per-VM metric counters.
-func (c *Controller) recordReplication(d cost.ReplicationCounts) {
-	c.met.remusWire.Add(d.WireBytes)
-	c.met.remusRaw.Add(d.RawBytes)
-	c.met.remusOpRaw.Add(int64(d.RawPages))
-	c.met.remusOpDelta.Add(int64(d.DeltaPages))
-	c.met.remusOpSame.Add(int64(d.SamePages))
-	c.met.remusOpDup.Add(int64(d.DupPages))
-	c.met.remusOpZero.Add(int64(d.ZeroPages))
 }
 
 // recordEpochMetrics rolls one completed RunEpoch (clean or not) into
@@ -838,21 +773,21 @@ func (c *Controller) Close() error {
 	c.tailFolded = true
 	c.replStats.Add(tail.Repl)
 	if c.obs != nil {
-		c.recordReplication(tail.Repl)
+		c.met.repl.Add(tail.Repl)
 		c.emit(obs.Event{Phase: obs.PhaseReplicate, Acked: tail.Acked, Retries: tail.Retries,
-			Action: "drain", Repl: replEvent(tail.Repl)})
+			Action: "drain", Repl: traced(tail.Repl)})
 	}
 	return err
 }
 
-// replEvent is the trace block for one report's delta-replication
-// traffic; nil when there was none.
-func replEvent(r cost.ReplicationCounts) *obs.Replication {
-	if r == (cost.ReplicationCounts{}) {
+// traced returns a counter set as a trace event's optional block: nil
+// when the set is all zero, so the event omits it.
+func traced[T comparable](set T) *T {
+	var zero T
+	if set == zero {
 		return nil
 	}
-	return &obs.Replication{WireBytes: r.WireBytes, RawBytes: r.RawBytes,
-		Raw: r.RawPages, Delta: r.DeltaPages, Same: r.SamePages, Dup: r.DupPages, Zero: r.ZeroPages}
+	return &set
 }
 
 // EpochResult reports what one epoch did.
@@ -1016,7 +951,7 @@ type epochState struct {
 	// hcBefore (observed runs) and cowBefore (CoW runs) are the
 	// since-epoch-start baselines the commit phase turns into deltas.
 	hcBefore  hv.Hypercalls
-	cowBefore cowSnapshot
+	cowBefore cost.CoWCounts
 	// scanCounts accumulates the audit's VMI work — the sync audit's
 	// under pause, or the async audit's after resume.
 	scanCounts *detect.ScanCounts
@@ -1039,7 +974,7 @@ func (c *Controller) runEpoch(work func(*guestos.Guest) error) (*EpochResult, er
 	res := &EpochResult{Epoch: c.epoch}
 	ep := epochState{res: res, scanCounts: &detect.ScanCounts{}}
 	if c.obs != nil {
-		ep.hcBefore = c.domainCalls()
+		ep.hcBefore = c.Hypercalls()
 	}
 	if c.cfg.CoW {
 		ep.cowBefore = c.cowSnap()
@@ -1183,12 +1118,9 @@ func (c *Controller) audit(ep *epochState) error {
 		res.ScanCache = c.scanCacheDelta(cacheBefore, memoBefore)
 		c.scanStats.Add(res.ScanCache)
 		if c.obs != nil {
-			c.recordScanCache(res.ScanCache)
-			ev.ScanCache = &obs.ScanCache{
-				Hits: res.ScanCache.CacheHits, Misses: res.ScanCache.CacheMisses,
-				Unmaps: res.ScanCache.CacheUnmaps, Swept: res.ScanCache.CacheSwept,
-				MemoHits: res.ScanCache.MemoHits, MemoMisses: res.ScanCache.MemoMisses,
-			}
+			c.met.scanCache.Add(res.ScanCache)
+			sc := res.ScanCache
+			ev.ScanCache = &sc
 		}
 	}
 	c.emit(ev)
@@ -1245,11 +1177,13 @@ func (c *Controller) commit(ep *epochState) error {
 		// The commit quiesced the previous epoch's arm set on entry and
 		// armed this epoch's dirty pages on exit: whatever the guest did
 		// not fault on during the epoch was (or will be) settled by the
-		// background copier.
-		res.CoW = c.cowDelta(ep.cowBefore)
-		if res.CoW.DrainPages = c.cowPrevArmed - res.CoW.WriteFaults; res.CoW.DrainPages < 0 {
-			res.CoW.DrainPages = 0
-		}
+		// background copier. ArmedPages is the page count write-protected
+		// at this commit, WriteFaults the faults taken during the epoch on
+		// the previous commit's armed pages.
+		now := c.cowSnap()
+		res.CoW.ArmedPages = now.ArmedPages - ep.cowBefore.ArmedPages
+		res.CoW.WriteFaults = now.WriteFaults - ep.cowBefore.WriteFaults
+		res.CoW.DrainPages = max(c.cowPrevArmed-res.CoW.WriteFaults, 0)
 		c.cowPrevArmed = res.CoW.ArmedPages
 		c.cowStats.Add(res.CoW)
 	}
@@ -1261,22 +1195,13 @@ func (c *Controller) commit(ep *epochState) error {
 	if c.obs == nil {
 		return nil
 	}
-	delta := hypercallDelta(ep.hcBefore, c.domainCalls())
-	c.recordHypercalls(delta)
-	ev := obs.Event{Phase: obs.PhaseCommit, DurNs: int64(time.Since(commitStart)),
-		Pages: ep.counts.DirtyPages, Retries: res.Recovery.Retries, Hypercalls: &delta}
-	if c.cfg.CoW {
-		c.recordCoW(res.CoW)
-		if res.CoW != (cost.CoWCounts{}) {
-			ev.CoW = &obs.CoW{Armed: res.CoW.ArmedPages,
-				WriteFaults: res.CoW.WriteFaults, Drained: res.CoW.DrainPages}
-		}
-	}
-	if c.cfg.Remus != RemusRaw {
-		c.recordReplication(res.Replication)
-		ev.Repl = replEvent(res.Replication)
-	}
-	c.emit(ev)
+	delta := c.Hypercalls().Sub(ep.hcBefore)
+	c.met.hypercalls.Add(delta)
+	c.met.cow.Add(res.CoW)
+	c.met.repl.Add(res.Replication)
+	c.emit(obs.Event{Phase: obs.PhaseCommit, DurNs: int64(time.Since(commitStart)),
+		Pages: ep.counts.DirtyPages, Retries: res.Recovery.Retries,
+		Hypercalls: &delta, CoW: traced(res.CoW), Repl: traced(res.Replication)})
 	if rep.RemoteAcked > 0 || rep.RemoteInFlight > 0 || rep.RemoteDegraded || ep.counts.RemotePages > 0 {
 		action := ""
 		if rep.RemoteDegraded {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/cost"
 	"repro/internal/detect"
 	"repro/internal/fault"
 	"repro/internal/guestos"
@@ -377,5 +378,70 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	}
 	if _, err := ctl.RunEpoch(nil); err != nil {
 		t.Fatalf("follow-up epoch: %v", err)
+	}
+}
+
+// TestNewReleasesResourcesOnLateFailure covers the constructor leak: a
+// step failing after the checkpointer was built (the initial disk sync,
+// the CoW switch) used to return nil with the backup domain alive, its
+// premapped frames held and the guest's outputs pointed at a buffer
+// nobody owned — and the caller had no handle to any of it. The third
+// late step, introspecting the backup for the asynchronous audit, shares
+// the same unwind but cannot be made to fail from outside: the backup is
+// a byte copy of a primary whose own introspection just succeeded.
+func TestNewReleasesResourcesOnLateFailure(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		site string // fault site to fail once, if any
+	}{
+		{name: "disk-sync", cfg: Config{DiskBlocks: 16}, site: vdisk.FaultCopy},
+		{name: "enable-cow", cfg: Config{CoW: true, Opt: cost.Memcpy}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := hv.New(2*guestPages + 16)
+			inj := fault.NewInjector()
+			h.InjectFaults(inj)
+			dom, err := h.CreateDomain("guest", guestPages)
+			if err != nil {
+				t.Fatalf("CreateDomain: %v", err)
+			}
+			g, err := guestos.Boot(dom, guestos.BootConfig{Profile: guestos.LinuxProfile(), Seed: 7})
+			if err != nil {
+				t.Fatalf("Boot: %v", err)
+			}
+			doms0, free0 := h.DomainCount(), h.Machine().FreeFrames()
+			if tc.site != "" {
+				inj.Fail(tc.site, 1, 1, false)
+			}
+			tc.cfg.Modules = defaultModules()
+			tc.cfg.Workers = 1
+			if ctl, err := New(h, g, tc.cfg); err == nil {
+				ctl.Close()
+				t.Fatal("New survived a failing late step")
+			}
+			if tc.site != "" && inj.Tripped(tc.site) != 1 {
+				t.Fatalf("fault at %s fired %d times, want once", tc.site, inj.Tripped(tc.site))
+			}
+			if got := h.DomainCount(); got != doms0 {
+				t.Errorf("DomainCount = %d after failed New, want %d (backup leaked)", got, doms0)
+			}
+			if got := h.Machine().FreeFrames(); got != free0 {
+				t.Errorf("FreeFrames = %d after failed New, want %d (frames leaked)", got, free0)
+			}
+			if g.Disk() != nil {
+				t.Error("failed New left a disk attached to the guest")
+			}
+			// The guest is untouched: a corrected retry must succeed.
+			ctl, err := New(h, g, Config{Modules: defaultModules(), Workers: 1, DiskBlocks: tc.cfg.DiskBlocks})
+			if err != nil {
+				t.Fatalf("retry New: %v", err)
+			}
+			defer ctl.Close()
+			if _, err := ctl.RunEpoch(dirtyingWork(t)); err != nil {
+				t.Fatalf("epoch after retried New: %v", err)
+			}
+		})
 	}
 }

@@ -23,27 +23,16 @@ type replRun struct {
 	totals cost.ReplicationCounts
 }
 
-// runReplicated drives a delta+dedup, remote-replicated guest through
-// epochs of seeded page rewrites. faultAt > 0 makes that occurrence of
-// the conduit send fail transiently (occurrence 1 is the initial sync,
-// occurrence n+1 epoch n's ship).
-func runReplicated(t *testing.T, cfg Config, epochs, faultAt int) replRun {
-	t.Helper()
-	cfg.EpochInterval = 20 * time.Millisecond
-	cfg.Modules = defaultModules()
-	cfg.Remus = RemusDeltaDedup
-	ctl, inj, _ := newFaultController(t, cfg)
-	if faultAt > 0 {
-		inj.Fail(remus.FaultSend, faultAt, 1, true)
-	}
-	if err := ctl.Checkpointer().EnableRemoteReplication([]byte("0123456789abcdef")); err != nil {
-		t.Fatalf("EnableRemoteReplication: %v", err)
-	}
+// scriptedWork returns a deterministic epoch workload over a 24-page
+// arena: stamps, full rewrites, duplicates and zero fills by page (so the
+// v2 wire emits every opcode), one packet, and — when disk is set — one
+// block write per epoch.
+func scriptedWork(disk bool) func(*guestos.Guest) error {
 	const arena = 24
 	var pid uint32
 	var bufVA uint64
 	epoch := 0
-	work := func(g *guestos.Guest) error {
+	return func(g *guestos.Guest) error {
 		if pid == 0 {
 			var err error
 			if pid, err = g.StartProcess("app", 0, arena+8); err != nil {
@@ -79,13 +68,32 @@ func runReplicated(t *testing.T, cfg Config, epochs, faultAt int) replRun {
 				return err
 			}
 		}
-		if cfg.DiskBlocks > 0 {
+		if disk {
 			if err := g.WriteBlock(pid, 1, 0, []byte{byte(epoch)}); err != nil {
 				return err
 			}
 		}
 		return g.SendPacket(pid, [4]byte{10, 0, 0, 1}, 80, []byte("out"))
 	}
+}
+
+// runReplicated drives a delta+dedup, remote-replicated guest through
+// epochs of seeded page rewrites. faultAt > 0 makes that occurrence of
+// the conduit send fail transiently (occurrence 1 is the initial sync,
+// occurrence n+1 epoch n's ship).
+func runReplicated(t *testing.T, cfg Config, epochs, faultAt int) replRun {
+	t.Helper()
+	cfg.EpochInterval = 20 * time.Millisecond
+	cfg.Modules = defaultModules()
+	cfg.Remus = RemusDeltaDedup
+	ctl, inj, _ := newFaultController(t, cfg)
+	if faultAt > 0 {
+		inj.Fail(remus.FaultSend, faultAt, 1, true)
+	}
+	if err := ctl.Checkpointer().EnableRemoteReplication([]byte("0123456789abcdef")); err != nil {
+		t.Fatalf("EnableRemoteReplication: %v", err)
+	}
+	work := scriptedWork(cfg.DiskBlocks > 0)
 	var run replRun
 	for n := 1; n <= epochs; n++ {
 		res, err := ctl.RunEpoch(work)

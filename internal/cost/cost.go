@@ -227,45 +227,6 @@ type Counts struct {
 	RemoteRepl ReplicationCounts
 }
 
-// ReplicationCounts are the real wire-protocol counts one epoch's
-// delta-mode replication produced (mirroring remus.StreamStats, carried
-// here so pricing needs no dependency on the wire package).
-type ReplicationCounts struct {
-	Batches      int   // checkpoint batches sent
-	Pages        int   // pages carried (each one content-hashed)
-	RawPages     int   // full raw records
-	DeltaPages   int   // XOR-delta records
-	SamePages    int   // unchanged-page references
-	DupPages     int   // cross-page duplicate references
-	ZeroPages    int   // zero-page references
-	EncodedPages int   // pages run through the XOR encoder (deltas + raw fallbacks)
-	WireBytes    int64 // bytes actually on the wire
-	RawBytes     int64 // bytes the v1 raw protocol would have shipped
-}
-
-// Add accumulates another counter set into r.
-func (r *ReplicationCounts) Add(o ReplicationCounts) {
-	r.Batches += o.Batches
-	r.Pages += o.Pages
-	r.RawPages += o.RawPages
-	r.DeltaPages += o.DeltaPages
-	r.SamePages += o.SamePages
-	r.DupPages += o.DupPages
-	r.ZeroPages += o.ZeroPages
-	r.EncodedPages += o.EncodedPages
-	r.WireBytes += o.WireBytes
-	r.RawBytes += o.RawBytes
-}
-
-// Reduction is the fraction of raw bytes the wire protocol saved
-// (0 when nothing was shipped).
-func (r ReplicationCounts) Reduction() float64 {
-	if r.RawBytes == 0 {
-		return 0
-	}
-	return 1 - float64(r.WireBytes)/float64(r.RawBytes)
-}
-
 // ReplicateDelta prices one epoch's delta-mode replication: the socket
 // path over the bytes actually on the wire (same saturating formula as
 // the raw path) plus the protocol's CPU — a content hash per carried
@@ -494,28 +455,6 @@ func (m Model) RebalanceChurn(pagesMoved int) time.Duration {
 	return ns(m.RebalancePageNs * float64(pagesMoved))
 }
 
-// ScanCacheCounts are the real scan-path cache operation counts one
-// epoch's audit produced: page-cache traffic from hv.CachedMapping and
-// walk-memo traffic from vmi.WalkMemo.
-type ScanCacheCounts struct {
-	CacheHits   int // page reads served by a live mapping
-	CacheMisses int // page reads that performed a MapPage
-	CacheUnmaps int // mappings dropped (evicted, invalidated, or flushed)
-	CacheSwept  int // cached entries examined by invalidation sweeps
-	MemoHits    int // structure walks answered from the memo
-	MemoMisses  int // structure walks that ran against guest memory
-}
-
-// Add accumulates another counter set into s.
-func (s *ScanCacheCounts) Add(o ScanCacheCounts) {
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.CacheUnmaps += o.CacheUnmaps
-	s.CacheSwept += o.CacheSwept
-	s.MemoHits += o.MemoHits
-	s.MemoMisses += o.MemoMisses
-}
-
 // ScanCacheOverhead prices one epoch's scan-path cache traffic: the
 // map/unmap hypercalls the cache actually performed plus its lookup,
 // sweep, and memo bookkeeping. The base VMI term already shrinks on memo
@@ -529,23 +468,6 @@ func (m Model) ScanCacheOverhead(s ScanCacheCounts) time.Duration {
 		m.ScanCacheHitNs*float64(s.CacheHits) +
 		m.ScanSweepEntryNs*float64(s.CacheSwept) +
 		m.ScanMemoHitNs*float64(s.MemoHits))
-}
-
-// CoWCounts are the real copy-on-write commit counts one epoch
-// produced. All three are deterministic functions of the guest's
-// behavior — the background copier's racy eager/lazy split never
-// appears here, so CoW pricing is reproducible run to run.
-type CoWCounts struct {
-	ArmedPages  int // dirty pages write-protected at this commit
-	WriteFaults int // write faults taken on armed pages since the previous commit
-	DrainPages  int // previous commit's armed pages settled lazily (armed - faulted)
-}
-
-// Add accumulates another counter set into c.
-func (c *CoWCounts) Add(o CoWCounts) {
-	c.ArmedPages += o.ArmedPages
-	c.WriteFaults += o.WriteFaults
-	c.DrainPages += o.DrainPages
 }
 
 // Setup prices the one-time initialization: VMI init and preprocessing

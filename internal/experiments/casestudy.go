@@ -10,24 +10,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/guestos"
-	"repro/internal/hv"
 	"repro/internal/workload"
 )
 
 const caseStudyPages = 1024
-
-func newCaseController(prof *guestos.Profile, cfg core.Config) (*core.Controller, error) {
-	h := hv.New(2*caseStudyPages + 16)
-	dom, err := h.CreateDomain("guest", caseStudyPages)
-	if err != nil {
-		return nil, err
-	}
-	g, err := guestos.Boot(dom, guestos.BootConfig{Profile: prof, Seed: 2018})
-	if err != nil {
-		return nil, err
-	}
-	return core.New(h, g, cfg)
-}
 
 // Fig8AttackTimeline regenerates Figure 8 / Case Study 1: a heap buffer
 // overflow under 50 ms epochs, detected at the epoch boundary, rolled
@@ -35,7 +21,7 @@ func newCaseController(prof *guestos.Profile, cfg core.Config) (*core.Controller
 // dumped. The whole CRIMES stack runs for real; the timeline durations
 // are priced by the cost model.
 func Fig8AttackTimeline() (*Result, error) {
-	ctl, err := newCaseController(guestos.LinuxProfile(), core.Config{
+	ctl, err := launch("guest", caseStudyPages, guestos.LinuxProfile(), 2018, core.Config{
 		EpochInterval:    50 * time.Millisecond,
 		Modules:          []detect.Module{detect.CanaryModule{}},
 		ReplayOnIncident: true,
@@ -105,7 +91,7 @@ func Fig8AttackTimeline() (*Result, error) {
 // in an unmodified Windows guest and the automatically generated
 // forensic report.
 func Case2MalwareReport() (*Result, error) {
-	ctl, err := newCaseController(guestos.WindowsProfile(), core.Config{
+	ctl, err := launch("guest", caseStudyPages, guestos.WindowsProfile(), 2018, core.Config{
 		EpochInterval: 50 * time.Millisecond,
 		Modules:       []detect.Module{detect.NewMalwareModule(nil)},
 	})

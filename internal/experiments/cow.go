@@ -9,7 +9,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/detect"
 	"repro/internal/guestos"
-	"repro/internal/hv"
 	"repro/internal/mem"
 )
 
@@ -76,21 +75,12 @@ type cowArmResult struct {
 // ws-page hot set, under the eager or CoW commit, and returns the
 // steady-state averages.
 func runCowArm(ws int, cow bool) (*cowArmResult, error) {
-	h := hv.New(2*cowBenchPages + 16)
-	dom, err := h.CreateDomain("guest", cowBenchPages)
-	if err != nil {
-		return nil, err
-	}
-	g, err := guestos.Boot(dom, guestos.BootConfig{Profile: guestos.LinuxProfile(), Seed: cowBenchSeed})
-	if err != nil {
-		return nil, err
-	}
 	mods, err := detect.ModulesByName("default")
 	if err != nil {
 		return nil, err
 	}
 	epoch := 100 * time.Millisecond
-	ctl, err := core.New(h, g, core.Config{
+	ctl, err := launch("guest", cowBenchPages, guestos.LinuxProfile(), cowBenchSeed, core.Config{
 		EpochInterval: epoch,
 		Modules:       mods,
 		Workers:       1, // exact serial path: deterministic accounting

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/detect"
 	"repro/internal/guestos"
-	"repro/internal/hv"
 	"repro/internal/mem"
 )
 
@@ -68,7 +67,17 @@ type DeltaPoint struct {
 	DeltaPauseMs float64 `json:"delta_pause_ms"`
 	DedupPauseMs float64 `json:"dedup_pause_ms"`
 	// The dedup arm's per-opcode page mix across the steady state.
-	Pages cost.ReplicationCounts `json:"dedup_pages"`
+	Pages dedupPages `json:"dedup_pages"`
+}
+
+// dedupPages is the artifact's own schema for the dedup arm's counters:
+// BENCH_remus.json has carried them under these names, in this order,
+// zeros included, since it was first committed, and a counter added to
+// (or a trace key renamed on) cost.ReplicationCounts must not move the
+// file.
+type dedupPages struct {
+	Batches, Pages, RawPages, DeltaPages, SamePages, DupPages, ZeroPages, EncodedPages int
+	WireBytes, RawBytes                                                                int64
 }
 
 // DeltaBench is the machine-readable delta-replication benchmark
@@ -95,20 +104,11 @@ type deltaArmResult struct {
 // runDeltaArm drives deltaBenchEpochs epochs of the sweep-point
 // workload under one wire protocol and returns steady-state averages.
 func runDeltaArm(ws, writeBytes int, mode core.RemusMode) (*deltaArmResult, error) {
-	h := hv.New(2*deltaBenchPages + 16)
-	dom, err := h.CreateDomain("guest", deltaBenchPages)
-	if err != nil {
-		return nil, err
-	}
-	g, err := guestos.Boot(dom, guestos.BootConfig{Profile: guestos.LinuxProfile(), Seed: deltaBenchSeed})
-	if err != nil {
-		return nil, err
-	}
 	mods, err := detect.ModulesByName("default")
 	if err != nil {
 		return nil, err
 	}
-	ctl, err := core.New(h, g, core.Config{
+	ctl, err := launch("guest", deltaBenchPages, guestos.LinuxProfile(), deltaBenchSeed, core.Config{
 		EpochInterval: 100 * time.Millisecond,
 		Modules:       mods,
 		Workers:       1,          // exact serial path: deterministic accounting
@@ -211,7 +211,7 @@ func DeltaSweep() (*DeltaBench, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := int64(dedup.steady)
+		n, r := int64(dedup.steady), dedup.repl
 		p := DeltaPoint{
 			WSSPages:   sp.ws,
 			WriteBytes: sp.writeBytes,
@@ -225,7 +225,8 @@ func DeltaSweep() (*DeltaBench, error) {
 			RawPauseMs:     raw.pauseMs,
 			DeltaPauseMs:   delta.pauseMs,
 			DedupPauseMs:   dedup.pauseMs,
-			Pages:          dedup.repl,
+			Pages: dedupPages{r.Batches, r.Pages, r.RawPages, r.DeltaPages, r.SamePages, r.DupPages,
+				r.ZeroPages, r.EncodedPages, r.WireBytes, r.RawBytes},
 		}
 		bench.Points = append(bench.Points, p)
 	}

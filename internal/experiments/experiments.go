@@ -19,9 +19,21 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/guestos"
+	"repro/internal/hv"
 	"repro/internal/workload"
 )
+
+// launch boots a guest of the given size on a hypervisor of its own and
+// puts it under a controller: how every experiment that drives the real
+// stack gets its VM.
+func launch(name string, pages int, prof *guestos.Profile, seed int64, cfg core.Config) (*core.Controller, error) {
+	return core.Launch(hv.New(2*pages+16), core.GuestSpec{
+		Name: name, Pages: pages, Boot: guestos.BootConfig{Profile: prof, Seed: seed},
+	}, cfg)
+}
 
 // Result is one regenerated table or figure.
 type Result struct {

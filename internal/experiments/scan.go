@@ -9,7 +9,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/detect"
 	"repro/internal/guestos"
-	"repro/internal/hv"
 	"repro/internal/workload"
 )
 
@@ -74,21 +73,12 @@ func runScanArm(mode core.ScanCacheMode) ([]scanArmEpoch, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := hv.New(2*scanBenchPages + 16)
-	dom, err := h.CreateDomain("guest", scanBenchPages)
-	if err != nil {
-		return nil, err
-	}
-	g, err := guestos.Boot(dom, guestos.BootConfig{Profile: guestos.LinuxProfile(), Seed: scanBenchSeed})
-	if err != nil {
-		return nil, err
-	}
 	mods, err := detect.ModulesByName("default")
 	if err != nil {
 		return nil, err
 	}
 	epoch := 200 * time.Millisecond
-	ctl, err := core.New(h, g, core.Config{
+	ctl, err := launch("guest", scanBenchPages, guestos.LinuxProfile(), scanBenchSeed, core.Config{
 		EpochInterval: epoch,
 		Modules:       mods,
 		Workers:       1, // exact serial path: deterministic accounting

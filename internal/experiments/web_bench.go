@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/guestos"
-	"repro/internal/hv"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/slo"
@@ -135,16 +134,7 @@ func webBaseConfig() core.Config {
 // actual (interval, priced pause) pair. The observe hook runs after
 // every epoch so the adaptive arm can close its feedback loop.
 func runWebCapture(cfg core.Config, n int, observe func(res *core.EpochResult)) ([]websim.Cycle, error) {
-	h := hv.New(2*webBenchPages + 16)
-	dom, err := h.CreateDomain("web", webBenchPages)
-	if err != nil {
-		return nil, err
-	}
-	g, err := guestos.Boot(dom, guestos.BootConfig{Profile: guestos.LinuxProfile(), Seed: webBenchSeed})
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := core.New(h, g, cfg)
+	ctl, err := launch("web", webBenchPages, guestos.LinuxProfile(), webBenchSeed, cfg)
 	if err != nil {
 		return nil, err
 	}

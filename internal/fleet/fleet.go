@@ -188,17 +188,6 @@ func New(cfg Config) (*Fleet, error) {
 		if i < len(cfg.Names) && cfg.Names[i] != "" {
 			name = cfg.Names[i]
 		}
-		dom, err := f.hv.CreateDomain(name, cfg.GuestPages)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("fleet: create %s: %w", name, err)
-		}
-		g, err := guestos.Boot(dom, guestos.BootConfig{Profile: prof, Seed: cfg.Seed + int64(i)})
-		if err != nil {
-			_ = f.hv.DestroyDomain(dom.ID())
-			f.Close()
-			return nil, fmt.Errorf("fleet: boot %s: %w", name, err)
-		}
 		ccfg := cfg.Core
 		ccfg.PauseGate = f.gate
 		if cfg.ScanCacheBudgetPages > 0 && ccfg.ScanCache != core.ScanCacheOff {
@@ -225,13 +214,15 @@ func New(cfg Config) (*Fleet, error) {
 			scfg.VMs = cfg.VMs
 			ccfg.SLO = slo.New(scfg)
 		}
-		ctl, err := core.New(f.hv, g, ccfg)
+		ctl, err := core.Launch(f.hv, core.GuestSpec{
+			Name: name, Pages: cfg.GuestPages,
+			Boot: guestos.BootConfig{Profile: prof, Seed: cfg.Seed + int64(i)},
+		}, ccfg)
 		if err != nil {
-			_ = f.hv.DestroyDomain(dom.ID())
 			f.Close()
-			return nil, fmt.Errorf("fleet: attach controller to %s: %w", name, err)
+			return nil, fmt.Errorf("fleet: %w", err)
 		}
-		vm := NewVM(i, name, "", g, ctl)
+		vm := NewVM(i, name, "", ctl.Guest(), ctl)
 		if cfg.Stagger {
 			vm.stats.StaggerOffset = interval * time.Duration(i) / time.Duration(cfg.VMs)
 		}
@@ -351,9 +342,7 @@ func (vm *VM) Stats() Stats {
 	s.Halted = vm.Controller.Halted()
 	s.PauseTotal = vm.Controller.TotalPause()
 	s.VirtualTime = vm.Controller.VirtualTime()
-	for _, d := range vm.Controller.Checkpointer().Domains() {
-		s.Hypercalls.Add(d.Calls())
-	}
+	s.Hypercalls = vm.Controller.Hypercalls()
 	s.ScanCache = vm.Controller.ScanCacheTotals()
 	s.ScanCachePages, s.ScanCacheCapacity = vm.Controller.ScanCacheLive()
 	s.CoW = vm.Controller.CoWTotals()
@@ -406,22 +395,7 @@ func (f *Fleet) Report() *Report {
 		Hypercalls:        f.hv.Calls(),
 	}
 	for _, vm := range f.vms {
-		s := vm.Stats()
-		r.VMs = append(r.VMs, s)
-		r.AggregatePause += s.PauseTotal
-		if s.PauseTotal > r.WorstPause {
-			r.WorstPause = s.PauseTotal
-		}
-		r.TotalEpochs += s.Epochs
-		r.TotalFindings += s.Findings
-		if s.Halted {
-			r.HaltedVMs++
-		}
-		r.TotalIncidents += s.Incidents
-		r.ScanCache.Add(s.ScanCache)
-		r.ScanCachePages += s.ScanCachePages
-		r.CoW.Add(s.CoW)
-		r.Replication.Add(s.Replication)
+		r.Fold(vm.Stats())
 	}
 	if f.cfg.Core.Obs.Enabled() {
 		reg := f.cfg.Core.Obs.Registry()
@@ -431,6 +405,27 @@ func (f *Fleet) Report() *Report {
 		reg.Gauge("crimes_fleet_peak_paused").Set(int64(r.MaxPausedObserved))
 	}
 	return r
+}
+
+// Fold appends one VM's stats to the table and adds them to the
+// roll-ups. Fleet.Report and the cluster control plane's report both
+// build their aggregates through it.
+func (r *Report) Fold(s Stats) {
+	r.VMs = append(r.VMs, s)
+	r.AggregatePause += s.PauseTotal
+	if s.PauseTotal > r.WorstPause {
+		r.WorstPause = s.PauseTotal
+	}
+	r.TotalEpochs += s.Epochs
+	r.TotalFindings += s.Findings
+	r.TotalIncidents += s.Incidents
+	if s.Halted {
+		r.HaltedVMs++
+	}
+	r.ScanCache.Add(s.ScanCache)
+	r.ScanCachePages += s.ScanCachePages
+	r.CoW.Add(s.CoW)
+	r.Replication.Add(s.Replication)
 }
 
 // Render formats the per-VM fleet table and the aggregate summary.
@@ -444,20 +439,15 @@ func (r *Report) Render() string {
 		len(r.VMs), mode, r.MaxPaused, r.MaxPausedObserved)
 	// The host column appears only when some VM carries a host label, so
 	// single-host fleet output is unchanged.
-	hosts := false
+	host := func(string) string { return "" }
 	for _, s := range r.VMs {
 		if s.Host != "" {
-			hosts = true
+			host = func(h string) string { return fmt.Sprintf("%-10s ", h) }
 			break
 		}
 	}
-	if hosts {
-		fmt.Fprintf(&b, "%-10s %-10s %6s %6s %8s %9s %7s %12s %12s %10s %s\n",
-			"vm", "host", "epochs", "clean", "findings", "incidents", "dirty", "pause", "vtime", "hcalls", "status")
-	} else {
-		fmt.Fprintf(&b, "%-10s %6s %6s %8s %9s %7s %12s %12s %10s %s\n",
-			"vm", "epochs", "clean", "findings", "incidents", "dirty", "pause", "vtime", "hcalls", "status")
-	}
+	fmt.Fprintf(&b, "%-10s %s%6s %6s %8s %9s %7s %12s %12s %10s %s\n",
+		"vm", host("host"), "epochs", "clean", "findings", "incidents", "dirty", "pause", "vtime", "hcalls", "status")
 	for _, s := range r.VMs {
 		status := "ok"
 		switch {
@@ -466,47 +456,19 @@ func (r *Report) Render() string {
 		case s.Err != "":
 			status = "error"
 		}
-		hcalls := s.Hypercalls.MapPage + s.Hypercalls.UnmapPage + s.Hypercalls.Translate +
-			s.Hypercalls.DirtyRead + s.Hypercalls.EventConfig
-		if hosts {
-			fmt.Fprintf(&b, "%-10s %-10s %6d %6d %8d %9d %7d %12v %12v %10d %s\n",
-				s.Name, s.Host, s.Epochs, s.CleanEpochs, s.Findings, s.Incidents, s.DirtyPages,
-				s.PauseTotal.Round(time.Microsecond), s.VirtualTime.Round(time.Millisecond),
-				hcalls, status)
-		} else {
-			fmt.Fprintf(&b, "%-10s %6d %6d %8d %9d %7d %12v %12v %10d %s\n",
-				s.Name, s.Epochs, s.CleanEpochs, s.Findings, s.Incidents, s.DirtyPages,
-				s.PauseTotal.Round(time.Microsecond), s.VirtualTime.Round(time.Millisecond),
-				hcalls, status)
-		}
+		fmt.Fprintf(&b, "%-10s %s%6d %6d %8d %9d %7d %12v %12v %10d %s\n",
+			s.Name, host(s.Host), s.Epochs, s.CleanEpochs, s.Findings, s.Incidents, s.DirtyPages,
+			s.PauseTotal.Round(time.Microsecond), s.VirtualTime.Round(time.Millisecond),
+			s.Hypercalls.Total(), status)
 	}
 	fmt.Fprintf(&b, "aggregate: pause=%v worst=%v epochs=%d findings=%d incidents=%d halted=%d\n",
 		r.AggregatePause.Round(time.Microsecond), r.WorstPause.Round(time.Microsecond),
 		r.TotalEpochs, r.TotalFindings, r.TotalIncidents, r.HaltedVMs)
-	// The scan-cache line appears only when the cache did work, so the
-	// default (cache-off) report is unchanged.
-	if r.ScanCache != (cost.ScanCacheCounts{}) {
-		sc := r.ScanCache
-		rate := 0.0
-		if reads := sc.CacheHits + sc.CacheMisses; reads > 0 {
-			rate = 100 * float64(sc.CacheHits) / float64(reads)
-		}
-		fmt.Fprintf(&b, "scan cache: hits=%d misses=%d (%.1f%% hit) unmaps=%d swept=%d memo=%d/%d live=%d pages\n",
-			sc.CacheHits, sc.CacheMisses, rate, sc.CacheUnmaps, sc.CacheSwept,
-			sc.MemoHits, sc.MemoHits+sc.MemoMisses, r.ScanCachePages)
-	}
-	// Likewise the CoW line: absent unless CoW commits did work.
-	if r.CoW != (cost.CoWCounts{}) {
-		fmt.Fprintf(&b, "cow: armed=%d write_faults=%d drained=%d\n",
-			r.CoW.ArmedPages, r.CoW.WriteFaults, r.CoW.DrainPages)
-	}
-	// And the replication line: absent unless the v2 conduit shipped.
-	if r.Replication != (cost.ReplicationCounts{}) {
-		rp := r.Replication
-		fmt.Fprintf(&b, "replication: wire=%d raw=%d (%.1f%% cut) pages raw=%d delta=%d same=%d dup=%d zero=%d\n",
-			rp.WireBytes, rp.RawBytes, 100*rp.Reduction(),
-			rp.RawPages, rp.DeltaPages, rp.SamePages, rp.DupPages, rp.ZeroPages)
-	}
+	// Each mode's line appears only when the mode did work (Summary is
+	// "" otherwise), so the default report is unchanged.
+	b.WriteString(r.ScanCache.Summary(fmt.Sprint(r.ScanCachePages)))
+	b.WriteString(r.CoW.Summary())
+	b.WriteString(r.Replication.Summary())
 	return b.String()
 }
 

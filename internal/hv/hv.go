@@ -135,13 +135,16 @@ type MemEvent struct {
 }
 
 // Hypercalls counts the hypervisor operations a client performed, so
-// experiments can price them with a cost model.
+// experiments can price them with a cost model and a commit event can
+// attribute them to its epoch. It is one of the four per-epoch counter
+// sets (see internal/cost/counters.go): each field's tags name its key
+// in the trace event and its metric series.
 type Hypercalls struct {
-	MapPage     int // per-page foreign map operations
-	UnmapPage   int // per-page unmap operations
-	Translate   int // PFN-to-MFN translation lookups via hypercall
-	DirtyRead   int // dirty-bitmap harvest hypercalls
-	EventConfig int // memory-event (un)watch configuration calls
+	MapPage     int `json:"map_page,omitempty" series:"crimes_hypercalls_total,op=map_page"`         // per-page foreign map operations
+	UnmapPage   int `json:"unmap_page,omitempty" series:"crimes_hypercalls_total,op=unmap_page"`     // per-page unmap operations
+	Translate   int `json:"translate,omitempty" series:"crimes_hypercalls_total,op=translate"`       // PFN-to-MFN translation lookups via hypercall
+	DirtyRead   int `json:"dirty_read,omitempty" series:"crimes_hypercalls_total,op=dirty_read"`     // dirty-bitmap harvest hypercalls
+	EventConfig int `json:"event_config,omitempty" series:"crimes_hypercalls_total,op=event_config"` // memory-event (un)watch configuration calls
 }
 
 // Add accumulates another counter set into h.
@@ -151,6 +154,24 @@ func (h *Hypercalls) Add(o Hypercalls) {
 	h.Translate += o.Translate
 	h.DirtyRead += o.DirtyRead
 	h.EventConfig += o.EventConfig
+}
+
+// Sub returns h minus o with every counter clamped at zero: a domain
+// destroyed mid-epoch (a degraded remote backup) takes its attributed
+// calls with it, and an epoch's delta must not go negative for that.
+func (h Hypercalls) Sub(o Hypercalls) Hypercalls {
+	return Hypercalls{
+		MapPage:     max(h.MapPage-o.MapPage, 0),
+		UnmapPage:   max(h.UnmapPage-o.UnmapPage, 0),
+		Translate:   max(h.Translate-o.Translate, 0),
+		DirtyRead:   max(h.DirtyRead-o.DirtyRead, 0),
+		EventConfig: max(h.EventConfig-o.EventConfig, 0),
+	}
+}
+
+// Total sums the counters.
+func (h Hypercalls) Total() int {
+	return h.MapPage + h.UnmapPage + h.Translate + h.DirtyRead + h.EventConfig
 }
 
 // Hypervisor owns machine memory and the domains running on a host. It

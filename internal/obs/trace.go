@@ -3,13 +3,13 @@
 // pluggable sink) and a metrics registry (counters, gauges, fixed-
 // bucket histograms) with a deterministic Prometheus-format text dump.
 //
-// The package depends only on the standard library so every layer of
-// the system — hypervisor substrate, checkpointer, replication conduit,
-// controller, fleet scheduler — can be instrumented without import
-// cycles. All entry points are nil-safe: a nil *Observer, *Tracer,
-// *Registry, or metric handle is an inert no-op, so instrumented code
-// pays a single nil check when observability is disabled and the
-// cost-model outputs are untouched.
+// Besides the standard library it imports only cost and hv, the leaves
+// declaring the counter sets its events carry, so every layer above
+// them — checkpointer, conduit, controller, fleet scheduler — can be
+// instrumented without import cycles. All entry points are nil-safe: a
+// nil *Observer, *Tracer, *Registry, or metric handle is an inert no-op,
+// so instrumented code pays a single nil check when observability is
+// disabled and the cost-model outputs are untouched.
 package obs
 
 import (
@@ -47,61 +47,6 @@ const (
 	// DurNs carries the new epoch interval and Action the knob moved.
 	PhaseSLO Phase = "slo"
 )
-
-// Hypercalls is a per-event hypercall delta attribution. The fields
-// mirror hv.Hypercalls as plain ints so this package stays free of
-// intra-repo dependencies.
-type Hypercalls struct {
-	MapPage     int `json:"map_page,omitempty"`
-	UnmapPage   int `json:"unmap_page,omitempty"`
-	Translate   int `json:"translate,omitempty"`
-	DirtyRead   int `json:"dirty_read,omitempty"`
-	EventConfig int `json:"event_config,omitempty"`
-}
-
-// Total sums the counters.
-func (h Hypercalls) Total() int {
-	return h.MapPage + h.UnmapPage + h.Translate + h.DirtyRead + h.EventConfig
-}
-
-// IsZero reports whether every counter is zero.
-func (h Hypercalls) IsZero() bool { return h == Hypercalls{} }
-
-// ScanCache is a per-event scan-path cache delta: page-mapping cache
-// and walk-memo activity for one epoch's audit. Plain ints keep this
-// package dependency-free, mirroring Hypercalls.
-type ScanCache struct {
-	Hits       int `json:"hits,omitempty"`
-	Misses     int `json:"misses,omitempty"`
-	Unmaps     int `json:"unmaps,omitempty"`
-	Swept      int `json:"swept,omitempty"`
-	MemoHits   int `json:"memo_hits,omitempty"`
-	MemoMisses int `json:"memo_misses,omitempty"`
-}
-
-// CoW is a per-event copy-on-write commit delta: pages write-protected
-// at the commit, write faults taken on armed pages during the epoch,
-// and previously armed pages the background copier settled lazily.
-// Plain ints keep this package dependency-free, mirroring Hypercalls.
-type CoW struct {
-	Armed       int `json:"armed,omitempty"`
-	WriteFaults int `json:"write_faults,omitempty"`
-	Drained     int `json:"drained,omitempty"`
-}
-
-// Replication is a per-event delta-replication delta: wire bytes shipped
-// by the v2 conduit protocol this epoch against the raw-protocol bytes
-// the same pages would have cost, plus the per-opcode page mix. Plain
-// ints keep this package dependency-free, mirroring Hypercalls.
-type Replication struct {
-	WireBytes int64 `json:"wire_bytes,omitempty"`
-	RawBytes  int64 `json:"raw_bytes,omitempty"`
-	Raw       int   `json:"raw,omitempty"`
-	Delta     int   `json:"delta,omitempty"`
-	Same      int   `json:"same,omitempty"`
-	Dup       int   `json:"dup,omitempty"`
-	Zero      int   `json:"zero,omitempty"`
-}
 
 // Event is one trace record: a single phase of a single VM's epoch.
 // Virtual durations (run, rollback) are deterministic cost-model time;

@@ -24,10 +24,13 @@ import (
 	"math/bits"
 	"net"
 
+	"repro/internal/cost"
 	"repro/internal/mem"
 )
 
-// Mode selects the conduit's wire protocol.
+// Mode selects the conduit's wire protocol. The zero value is ModeRaw,
+// so an unset configuration ships every dirty page as a full encrypted
+// copy, byte-for-byte the v1 channel.
 type Mode int
 
 const (
@@ -41,6 +44,32 @@ const (
 	// instead of payloads.
 	ModeDeltaDedup
 )
+
+// String renders the mode as its flag value.
+func (m Mode) String() string {
+	switch m {
+	case ModeDelta:
+		return "delta"
+	case ModeDeltaDedup:
+		return "delta+dedup"
+	default:
+		return "raw"
+	}
+}
+
+// ParseMode parses "raw", "delta", or "delta+dedup".
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "raw", "":
+		return ModeRaw, nil
+	case "delta":
+		return ModeDelta, nil
+	case "delta+dedup", "dedup":
+		return ModeDeltaDedup, nil
+	default:
+		return 0, fmt.Errorf("remus: unknown mode %q (want raw|delta|delta+dedup)", s)
+	}
+}
 
 // v2 per-record opcodes. Each record is an 8-byte little-endian PFN,
 // one opcode byte, and an opcode-dependent payload.
@@ -337,52 +366,10 @@ func applyDelta(page, delta []byte) error {
 	return nil
 }
 
-// StreamStats is a conduit's cumulative v2 wire accounting. RawBytes is
-// what the v1 protocol would have shipped for the same batches, so
-// RawBytes-WireBytes is the protocol's saving. All fields stay zero on
-// a ModeRaw conduit.
-type StreamStats struct {
-	Batches      int   // checkpoint batches sent
-	Pages        int   // pages carried (hashed) across all batches
-	RawPages     int   // pages shipped as full raw records
-	DeltaPages   int   // pages shipped as XOR deltas
-	SamePages    int   // pages elided: unchanged since last ship
-	DupPages     int   // pages shipped as cross-page duplicate references
-	ZeroPages    int   // pages shipped as zero-page references
-	EncodedPages int   // pages run through the XOR encoder (deltas + raw fallbacks)
-	WireBytes    int64 // bytes actually written to the wire
-	RawBytes     int64 // bytes the v1 raw protocol would have written
-}
-
-// Sub returns s minus o, for deriving one epoch's traffic from two
-// cumulative snapshots.
-func (s StreamStats) Sub(o StreamStats) StreamStats {
-	return StreamStats{
-		Batches:      s.Batches - o.Batches,
-		Pages:        s.Pages - o.Pages,
-		RawPages:     s.RawPages - o.RawPages,
-		DeltaPages:   s.DeltaPages - o.DeltaPages,
-		SamePages:    s.SamePages - o.SamePages,
-		DupPages:     s.DupPages - o.DupPages,
-		ZeroPages:    s.ZeroPages - o.ZeroPages,
-		EncodedPages: s.EncodedPages - o.EncodedPages,
-		WireBytes:    s.WireBytes - o.WireBytes,
-		RawBytes:     s.RawBytes - o.RawBytes,
-	}
-}
-
-func (s *StreamStats) add(o StreamStats) {
-	s.Batches += o.Batches
-	s.Pages += o.Pages
-	s.RawPages += o.RawPages
-	s.DeltaPages += o.DeltaPages
-	s.SamePages += o.SamePages
-	s.DupPages += o.DupPages
-	s.ZeroPages += o.ZeroPages
-	s.EncodedPages += o.EncodedPages
-	s.WireBytes += o.WireBytes
-	s.RawBytes += o.RawBytes
-}
+// StreamStats is a conduit's v2 wire accounting, cumulative (Stats) or
+// per batch (Send); the one declaration is cost.ReplicationCounts. All
+// fields stay zero on a ModeRaw conduit.
+type StreamStats = cost.ReplicationCounts
 
 // Stats returns a snapshot of the conduit's cumulative wire accounting.
 // Nil-safe; a ModeRaw conduit always reports zeroes.
@@ -421,7 +408,7 @@ func (c *Conduit) sendV2(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) (St
 	d.Pages = len(pfns)
 	d.WireBytes = int64(len(buf))
 	d.RawBytes = int64(4 + len(pfns)*(8+mem.PageSize))
-	c.stats.add(d)
+	c.stats.Add(d)
 	c.trimSendBuf(len(buf))
 	return d, nil
 }

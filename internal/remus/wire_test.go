@@ -58,7 +58,7 @@ func domainPagesEqual(t *testing.T, a, b *hv.Domain, pages int) {
 func TestModeFidelity(t *testing.T) {
 	for _, mode := range []Mode{ModeDelta, ModeDeltaDedup} {
 		mode := mode
-		t.Run(mode.modeName(), func(t *testing.T) {
+		t.Run(mode.String(), func(t *testing.T) {
 			const pages = 16
 			h, primary, backup, c := newModeConduitPair(t, pages, mode, 0)
 			rng := rand.New(rand.NewSource(7))
@@ -127,23 +127,12 @@ func TestModeFidelity(t *testing.T) {
 	}
 }
 
-func (m Mode) modeName() string {
-	switch m {
-	case ModeRaw:
-		return "raw"
-	case ModeDelta:
-		return "delta"
-	default:
-		return "delta+dedup"
-	}
-}
-
 // Randomized fidelity across all three modes: whatever mix of writes,
 // the backup must converge to the primary.
 func TestModeFidelityRandom(t *testing.T) {
 	for _, mode := range []Mode{ModeRaw, ModeDelta, ModeDeltaDedup} {
 		mode := mode
-		t.Run(mode.modeName(), func(t *testing.T) {
+		t.Run(mode.String(), func(t *testing.T) {
 			const pages = 12
 			h, primary, backup, c := newModeConduitPair(t, pages, mode, 0)
 			rng := rand.New(rand.NewSource(42))
@@ -206,9 +195,9 @@ func TestVersionTableBudgetEviction(t *testing.T) {
 	if err := c.SendCheckpoint([]mem.PFN{1, 2, 0}, pageReader(h, primary)); err != nil {
 		t.Fatalf("SendCheckpoint: %v", err)
 	}
-	d := c.Stats().Sub(base)
-	if d.RawPages != 1 || d.DeltaPages != 2 {
-		t.Fatalf("after eviction raw=%d delta=%d, want 1/2", d.RawPages, d.DeltaPages)
+	now := c.Stats()
+	if raw, delta := now.RawPages-base.RawPages, now.DeltaPages-base.DeltaPages; raw != 1 || delta != 2 {
+		t.Fatalf("after eviction raw=%d delta=%d, want 1/2", raw, delta)
 	}
 	domainPagesEqual(t, primary, backup, pages)
 }
@@ -265,7 +254,7 @@ func TestEncodeApplyDeltaRoundTrip(t *testing.T) {
 func TestSendBufShrinksAfterLargeBatch(t *testing.T) {
 	for _, mode := range []Mode{ModeRaw, ModeDelta} {
 		mode := mode
-		t.Run(mode.modeName(), func(t *testing.T) {
+		t.Run(mode.String(), func(t *testing.T) {
 			const pages = 256
 			h, primary, _, c := newModeConduitPair(t, pages, mode, 0)
 			all := make([]mem.PFN, pages)
@@ -304,7 +293,7 @@ func TestSendBufShrinksAfterLargeBatch(t *testing.T) {
 func TestAwaitAckSurfacesRestoreError(t *testing.T) {
 	for _, mode := range []Mode{ModeRaw, ModeDeltaDedup} {
 		mode := mode
-		t.Run(mode.modeName(), func(t *testing.T) {
+		t.Run(mode.String(), func(t *testing.T) {
 			const pages = 4
 			h := hv.New(2*pages + 4)
 			primary, err := h.CreateDomain("primary", pages)

@@ -1,6 +1,10 @@
 package scenario_test
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/scenario"
@@ -186,5 +190,32 @@ func TestScenarioInterval(t *testing.T) {
 	}
 	if s.Interval != 0 {
 		t.Fatalf("catalog scenarios should use the default interval, got %v", s.Interval)
+	}
+}
+
+// TestCIShardsMatchFamilies holds the CI workflow's scenario shard list
+// to the catalog: ci.yml runs one job per entry of its `family:` matrix,
+// so a family added to the catalog but not to the list would never run
+// in CI, and a stale entry would run an empty shard.
+func TestCIShardsMatchFamilies(t *testing.T) {
+	yml, err := os.ReadFile(filepath.Join("..", "..", ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shards []string
+	inList := false
+	for _, line := range strings.Split(string(yml), "\n") {
+		item, isItem := strings.CutPrefix(strings.TrimSpace(line), "- ")
+		switch {
+		case strings.TrimSpace(line) == "family:":
+			inList = true
+		case inList && isItem:
+			shards = append(shards, item)
+		case inList:
+			inList = false
+		}
+	}
+	if want := scenario.Families(); !reflect.DeepEqual(shards, want) {
+		t.Errorf("ci.yml family matrix = %v, scenario.Families() = %v", shards, want)
 	}
 }

@@ -1,13 +1,10 @@
 package crimes
 
 import (
-	"crypto/sha256"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/cost"
-	"repro/internal/guestos"
 )
 
 // The delta-replication equivalence property: the v2 wire protocol is a
@@ -21,125 +18,20 @@ import (
 // reuse the scan-cache property generator so every equivalence suite
 // draws from the same workload distribution.
 
-type remusEpochOutcome struct {
-	findings []Finding
-	incident bool
-	repl     cost.ReplicationCounts
-	vtime    time.Duration
-}
-
-type remusRun struct {
-	epochs        []remusEpochOutcome
-	primaryDigest [32]byte
-	backupDigest  [32]byte
-}
-
-func runRemusArm(t *testing.T, seed int64, cfg Config, script []propOp, attack string) *remusRun {
-	t.Helper()
-	cfg.Modules = DefaultModules()
-	cfg.EpochInterval = 20 * time.Millisecond
-	cfg.Opt = OptNone // every dirty page goes through the encrypted conduit
-	sys, err := Launch(Options{GuestPages: 512, Seed: seed, Config: cfg})
-	if err != nil {
-		t.Fatalf("Launch: %v", err)
-	}
-	defer sys.Close()
-
-	var pids []uint32
-	type alloc struct {
-		pid  uint32
-		va   uint64
-		size int
-	}
-	var allocs []alloc
-	run := &remusRun{}
-	next := 0
-	for e := 1; e <= propEpochs; e++ {
-		res, err := sys.RunEpoch(func(g *guestos.Guest) error {
-			for ; next < len(script) && script[next].epoch == e; next++ {
-				op := script[next]
-				switch op.kind {
-				case "start":
-					pid, err := g.StartProcess("remusproc", 1000, op.size)
-					if err != nil {
-						return err
-					}
-					pids = append(pids, pid)
-				case "compute":
-					if err := g.Compute(pids[0], op.n); err != nil {
-						return err
-					}
-				case "malloc":
-					va, err := g.Malloc(pids[len(pids)-1], op.size)
-					if err != nil {
-						return err
-					}
-					allocs = append(allocs, alloc{pids[len(pids)-1], va, op.size})
-				case "write":
-					if len(allocs) == 0 {
-						continue
-					}
-					a := allocs[op.n%len(allocs)]
-					buf := make([]byte, 1+op.n%a.size)
-					for i := range buf {
-						buf[i] = byte(op.n + i)
-					}
-					if err := g.WriteUser(a.pid, a.va, buf); err != nil {
-						return err
-					}
-				case "packet":
-					payload := make([]byte, op.size)
-					if err := g.SendPacket(pids[0], [4]byte{10, 0, 0, 9}, 443, payload); err != nil {
-						return err
-					}
-				}
-			}
-			if e == propEpochs && attack != "" {
-				return injectPropAttack(g, pids[len(pids)-1], attack)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("seed %d attack %q epoch %d: %v", seed, attack, e, err)
-		}
-		run.epochs = append(run.epochs, remusEpochOutcome{
-			findings: res.Findings,
-			incident: res.Incident != nil,
-			repl:     res.Replication,
-			vtime:    res.VirtualTime,
-		})
-		if res.Incident != nil {
-			break
-		}
-	}
-
-	ckpt := sys.Controller.Checkpointer()
-	prim, err := ckpt.Primary().DumpMemory()
-	if err != nil {
-		t.Fatalf("dump primary: %v", err)
-	}
-	back, err := ckpt.Backup().DumpMemory()
-	if err != nil {
-		t.Fatalf("dump backup: %v", err)
-	}
-	run.primaryDigest = sha256.Sum256(prim.Mem)
-	run.backupDigest = sha256.Sum256(back.Mem)
-	return run
-}
-
 func TestRemusPropertyEquivalence(t *testing.T) {
 	attacks := []string{"", "", "overflow", "malware", "hijack", "hidden"}
 	for i, attack := range attacks {
 		seed := int64(600 + 31*i)
 		script := genScript(seed)
-		def := runRemusArm(t, seed, Config{}, script, attack)
-		raw := runRemusArm(t, seed, Config{Remus: RemusRaw}, script, attack)
-		delta := runRemusArm(t, seed, Config{Remus: RemusDelta}, script, attack)
-		dedup := runRemusArm(t, seed, Config{Remus: RemusDeltaDedup}, script, attack)
+		// OptNone: every dirty page goes through the encrypted conduit.
+		def := runPropArm(t, seed, Config{Opt: OptNone}, script, attack, false)
+		raw := runPropArm(t, seed, Config{Opt: OptNone, Remus: RemusRaw}, script, attack, false)
+		delta := runPropArm(t, seed, Config{Opt: OptNone, Remus: RemusDelta}, script, attack, false)
+		dedup := runPropArm(t, seed, Config{Opt: OptNone, Remus: RemusDeltaDedup}, script, attack, false)
 
 		arms := []struct {
 			name string
-			run  *remusRun
+			run  *propRun
 		}{{"raw", raw}, {"delta", delta}, {"delta+dedup", dedup}}
 		for _, arm := range arms {
 			if len(arm.run.epochs) != len(def.epochs) {

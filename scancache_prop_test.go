@@ -1,6 +1,7 @@
 package crimes
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/guestos"
+	"repro/internal/hv"
 	"repro/internal/workload"
 )
 
@@ -54,28 +56,55 @@ func genScript(seed int64) []propOp {
 	return ops
 }
 
-// propArm replays a script on one freshly-launched system and records
-// each epoch's findings, incident flag, and scan-cache delta.
+// propEpochOutcome is what one epoch of one arm reported: the audit's
+// verdict, the virtual clock after it, and each mode's counter set (zero
+// when the mode is off).
 type propEpochOutcome struct {
 	findings []Finding
 	incident bool
+	vtime    time.Duration
 	scan     cost.ScanCacheCounts
+	cow      cost.CoWCounts
+	repl     cost.ReplicationCounts
 }
 
+// propRun is one arm's whole run: per-epoch outcomes, the final virtual
+// clock, and digests of the primary, of the backup once any lazy CoW
+// copies have been settled, and — for an arm with a remote replica — of
+// the replica once the shipper has drained.
 type propRun struct {
-	epochs      []propEpochOutcome
-	virtualTime time.Duration
+	epochs        []propEpochOutcome
+	virtualTime   time.Duration
+	primaryDigest [32]byte
+	backupDigest  [32]byte
+	remoteDigest  [32]byte
 }
 
-func runPropArm(t *testing.T, seed int64, cfg Config, script []propOp, attack string) *propRun {
+const propPages = 512
+
+// runPropArm replays a script on one freshly-launched system under cfg;
+// with remote set, every commit is also shipped to a remote replica over
+// the configured wire. Every equivalence suite — scan cache, CoW,
+// replication wire, and their combination — runs its arms through this
+// one interpreter, so they all draw from the same workload distribution.
+func runPropArm(t *testing.T, seed int64, cfg Config, script []propOp, attack string, remote bool) *propRun {
 	t.Helper()
 	cfg.Modules = DefaultModules()
 	cfg.EpochInterval = 20 * time.Millisecond
-	sys, err := Launch(Options{GuestPages: 512, Seed: seed, Config: cfg})
+	// Room for the primary, its backup and a remote replica.
+	ctl, err := core.Launch(hv.New(3*propPages+64), core.GuestSpec{
+		Name: "guest", Pages: propPages, Boot: guestos.BootConfig{Seed: seed},
+	}, cfg)
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	defer sys.Close()
+	t.Cleanup(func() { ctl.Close() })
+	ckpt := ctl.Checkpointer()
+	if remote {
+		if err := ckpt.EnableRemoteReplication([]byte("0123456789abcdef")); err != nil {
+			t.Fatalf("EnableRemoteReplication: %v", err)
+		}
+	}
 
 	var pids []uint32
 	type alloc struct {
@@ -87,7 +116,7 @@ func runPropArm(t *testing.T, seed int64, cfg Config, script []propOp, attack st
 	run := &propRun{}
 	next := 0
 	for e := 1; e <= propEpochs; e++ {
-		res, err := sys.RunEpoch(func(g *guestos.Guest) error {
+		res, err := ctl.RunEpoch(func(g *guestos.Guest) error {
 			for ; next < len(script) && script[next].epoch == e; next++ {
 				op := script[next]
 				switch op.kind {
@@ -137,12 +166,38 @@ func runPropArm(t *testing.T, seed int64, cfg Config, script []propOp, attack st
 		run.epochs = append(run.epochs, propEpochOutcome{
 			findings: res.Findings,
 			incident: res.Incident != nil,
+			vtime:    res.VirtualTime,
 			scan:     res.ScanCache,
+			cow:      res.CoW,
+			repl:     res.Replication,
 		})
-		run.virtualTime = sys.Controller.VirtualTime()
+		run.virtualTime = ctl.VirtualTime()
 		if res.Incident != nil {
 			break
 		}
+	}
+
+	// Settle in-flight lazy copies (a no-op unless CoW is on), then digest
+	// both domains: with the copier drained the backup must equal the one
+	// an eager commit produces.
+	if err := ckpt.Quiesce(); err != nil {
+		t.Fatalf("seed %d attack %q: quiesce: %v", seed, attack, err)
+	}
+	digest := func(d *hv.Domain) [32]byte {
+		snap, err := d.DumpMemory()
+		if err != nil {
+			t.Fatalf("dump %s: %v", d.Name(), err)
+		}
+		return sha256.Sum256(snap.Mem)
+	}
+	run.primaryDigest = digest(ckpt.Primary())
+	run.backupDigest = digest(ckpt.Backup())
+	if remote {
+		// Close settles the shipments still in the pipeline's window.
+		if err := ctl.Close(); err != nil {
+			t.Fatalf("seed %d attack %q: close: %v", seed, attack, err)
+		}
+		run.remoteDigest = digest(ckpt.Remote())
 	}
 	return run
 }
@@ -173,10 +228,10 @@ func TestScanCachePropertyEquivalence(t *testing.T) {
 		seed := int64(100 + 17*i)
 		script := genScript(seed)
 		arms := map[string]*propRun{
-			"default":  runPropArm(t, seed, Config{}, script, attack),
-			"off":      runPropArm(t, seed, Config{ScanCache: ScanCacheOff}, script, attack),
-			"uncached": runPropArm(t, seed, Config{ScanCache: ScanCacheUncached}, script, attack),
-			"on":       runPropArm(t, seed, Config{ScanCache: ScanCacheOn}, script, attack),
+			"default":  runPropArm(t, seed, Config{}, script, attack, false),
+			"off":      runPropArm(t, seed, Config{ScanCache: ScanCacheOff}, script, attack, false),
+			"uncached": runPropArm(t, seed, Config{ScanCache: ScanCacheUncached}, script, attack, false),
+			"on":       runPropArm(t, seed, Config{ScanCache: ScanCacheOn}, script, attack, false),
 		}
 		base := arms["default"]
 
