@@ -1,8 +1,8 @@
 GO ?= go
 
 .PHONY: build test verify verify-quick bench bench-all pause-json bench-fleet \
-	bench-scan bench-cow bench-remus bench-cluster bench-web fmt-check \
-	static-check ci bench-drift scenarios test-procs traced-runs loc
+	bench-scan bench-cow bench-remus bench-cluster bench-web experiments-golden \
+	fmt-check static-check ci bench-drift scenarios test-procs traced-runs loc
 
 build:
 	$(GO) build ./...
@@ -81,16 +81,18 @@ static-check:
 scenarios: build
 	$(GO) run ./cmd/crimes -scenario all
 
-# Regenerate every BENCH_*.json artifact in one pass; the single source
-# of truth for what "all benchmarks" means.
-bench-all: pause-json bench-fleet bench-scan bench-cow bench-remus bench-cluster bench-web
+# Regenerate every committed artifact in one pass — the BENCH_*.json
+# files and the experiments' text/CSV goldens; the single source of
+# truth for what "all benchmarks" means.
+bench-all: pause-json bench-fleet bench-scan bench-cow bench-remus bench-cluster bench-web experiments-golden
 
-# Benchmark drift gate: the BENCH_*.json artifacts are priced by the
-# deterministic cost model, so regenerating them must be a no-op. Any
-# diff means a change altered the priced pause path (or the artifacts
-# were not regenerated) and must be committed deliberately.
+# Benchmark drift gate: the BENCH_*.json artifacts and the experiment
+# goldens are priced by the deterministic cost model, so regenerating
+# them must be a no-op. Any diff means a change altered the priced pause
+# path or a table's layout (or the artifacts were not regenerated) and
+# must be committed deliberately.
 bench-drift: bench-all
-	git diff --exit-code BENCH_*.json
+	git diff --exit-code BENCH_*.json internal/experiments/testdata
 
 # Everything the CI workflow runs, in the same order, for local use.
 ci: fmt-check static-check build
@@ -156,6 +158,11 @@ bench-remus:
 # byte-stable.
 bench-web:
 	$(GO) run ./cmd/crimes-bench -web-json BENCH_web.json
+
+# Regenerate the text and CSV goldens of the 18 deterministic
+# experiments (internal/experiments/testdata/<id>.txt, .csv).
+experiments-golden:
+	$(GO) test ./internal/experiments -run TestExperimentGoldens -count=1 -update
 
 # Regenerate the machine-readable multi-host cluster benchmark: the
 # scale and ring sections are priced by the deterministic cost model

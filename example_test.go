@@ -76,14 +76,16 @@ func ExampleLaunch_malware() {
 	// blacklisted process "reg_read.exe" running as pid 1
 }
 
-// ExampleSimulate reproduces the paper's unprotected web baseline.
-func ExampleSimulate() {
-	res, err := websim.Simulate(websim.DefaultParams())
+// Example_webBaseline reproduces the paper's unprotected web baseline: ten
+// seconds of the wrk client against an unprotected server.
+func Example_webBaseline() {
+	g, err := websim.NewGen(websim.GenParams{Classes: []websim.Class{websim.WrkClient}})
 	if err != nil {
 		fmt.Println("simulate:", err)
 		return
 	}
-	fmt.Printf("throughput ~%dk req/s\n", int(res.Throughput)/1000)
+	g.Run(10 * time.Second)
+	fmt.Printf("throughput %.0f req/s\n", g.Snapshot().Throughput)
 	// Output:
-	// throughput ~17k req/s
+	// throughput 17094 req/s
 }

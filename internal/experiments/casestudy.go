@@ -21,7 +21,7 @@ const caseStudyPages = 1024
 // dumped. The whole CRIMES stack runs for real; the timeline durations
 // are priced by the cost model.
 func Fig8AttackTimeline() (*Result, error) {
-	ctl, err := launch("guest", caseStudyPages, guestos.LinuxProfile(), 2018, core.Config{
+	ctl, err := launch(caseStudyPages, guestos.LinuxProfile(), 2018, core.Config{
 		EpochInterval:    50 * time.Millisecond,
 		Modules:          []detect.Module{detect.CanaryModule{}},
 		ReplayOnIncident: true,
@@ -91,7 +91,7 @@ func Fig8AttackTimeline() (*Result, error) {
 // in an unmodified Windows guest and the automatically generated
 // forensic report.
 func Case2MalwareReport() (*Result, error) {
-	ctl, err := launch("guest", caseStudyPages, guestos.WindowsProfile(), 2018, core.Config{
+	ctl, err := launch(caseStudyPages, guestos.WindowsProfile(), 2018, core.Config{
 		EpochInterval: 50 * time.Millisecond,
 		Modules:       []detect.Module{detect.NewMalwareModule(nil)},
 	})

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -285,42 +284,34 @@ func clusterFailoverRun() (*ClusterFailover, error) {
 	}, nil
 }
 
-// ClusterScaling regenerates the multi-host sweep as a text experiment
-// ("cluster"): aggregate epoch throughput by cluster size under rolling
-// host failures, ring placement balance and churn, and the real
-// host-kill case study.
-func ClusterScaling() (*Result, error) {
-	bench, err := ClusterSweep()
-	if err != nil {
-		return nil, err
-	}
-	var b strings.Builder
-	renderHeader(&b, fmt.Sprintf(
+// clusterTable is the "cluster" experiment's scale-table layout. The
+// last header has always sat one column right of its cells; the spaces
+// in it keep the text byte-identical.
+var clusterTable = table[ClusterPoint]{
+	{"hosts", -6, "%d", "hosts", "%d", func(p ClusterPoint) any { return p.Hosts }},
+	{"vms", 6, "%d", "vms", "%d", func(p ClusterPoint) any { return p.VMs }},
+	{"pause/vm", 12, "%.3f", "staggered_pause_ms_per_vm", "%.3f", func(p ClusterPoint) any { return p.PauseMsPerVM }},
+	{"agg-pause", 12, "%.3f", "staggered_aggregate_ms", "%.3f", func(p ClusterPoint) any { return p.AggregatePauseMs }},
+	{"clean-ep/s", 14, "%.2f", "clean_epochs_per_sec", "%.2f", func(p ClusterPoint) any { return p.CleanEpochsPerSec }},
+	{"failure-ep/s", 14, "%.2f", "epochs_per_sec_under_failures", "%.2f", func(p ClusterPoint) any { return p.FailureEpochsPerSec }},
+	{"       avail", 11, "%.4f", "availability", "%.4f", func(p ClusterPoint) any { return p.Availability }},
+}
+
+// render is the "cluster" text experiment: aggregate epoch throughput by
+// cluster size under rolling host failures, ring placement balance and
+// churn, and the real host-kill case study.
+func (bench *ClusterBench) render() *Result {
+	s := newSheet(fmt.Sprintf(
 		"Cluster scaling: %s epoch throughput by host count, %d VMs/host, host MTBF %d epochs",
 		bench.Workload, bench.VMsPerHost, bench.MTBFEpochs))
-	fmt.Fprintf(&b, "%-6s %6s %12s %12s %14s %14s %12s\n",
-		"hosts", "vms", "pause/vm", "agg-pause", "clean-ep/s", "failure-ep/s", "avail")
-	var csv strings.Builder
-	csv.WriteString("hosts,vms,staggered_pause_ms_per_vm,staggered_aggregate_ms,clean_epochs_per_sec,epochs_per_sec_under_failures,availability\n")
-	for _, p := range bench.Scale {
-		fmt.Fprintf(&b, "%-6d %6d %12.3f %12.3f %14.2f %14.2f %11.4f\n",
-			p.Hosts, p.VMs, p.PauseMsPerVM, p.AggregatePauseMs,
-			p.CleanEpochsPerSec, p.FailureEpochsPerSec, p.Availability)
-		fmt.Fprintf(&csv, "%d,%d,%.3f,%.3f,%.2f,%.2f,%.4f\n",
-			p.Hosts, p.VMs, p.PauseMsPerVM, p.AggregatePauseMs,
-			p.CleanEpochsPerSec, p.FailureEpochsPerSec, p.Availability)
-	}
+	clusterTable.header(s)
+	clusterTable.rows(s, bench.Scale...)
 	r := bench.Ring
-	fmt.Fprintf(&b, "\nring: %d hosts x %d vnodes, %d VMs: %d..%d per host; join moves %d VMs (%.1f%%, %.0f ms churn), leave moves %d (%.0f ms)\n",
+	fmt.Fprintf(&s.text, "\nring: %d hosts x %d vnodes, %d VMs: %d..%d per host; join moves %d VMs (%.1f%%, %.0f ms churn), leave moves %d (%.0f ms)\n",
 		r.Hosts, r.Vnodes, r.VMs, r.MinPerHost, r.MaxPerHost,
 		r.JoinMoved, 100*r.JoinMovedFrac, r.JoinChurnMs, r.LeaveMoved, r.LeaveChurnMs)
 	f := bench.Failover
-	fmt.Fprintf(&b, "failover: killed 1 of %d hosts at round %d/%d: %d promotions, %d rearms, %d lost; evidence identical to no-kill run: %v\n",
+	fmt.Fprintf(&s.text, "failover: killed 1 of %d hosts at round %d/%d: %d promotions, %d rearms, %d lost; evidence identical to no-kill run: %v\n",
 		f.Hosts, f.KillRound, f.Epochs, f.Promotions, f.Rearms, f.LostVMs, f.DigestsMatchNoKill)
-	return &Result{
-		ID:    "cluster",
-		Title: "Cluster control plane: placement, throughput under host failures, failover transparency",
-		Text:  b.String(),
-		CSV:   csv.String(),
-	}, nil
+	return s.result("cluster", "Cluster control plane: placement, throughput under host failures, failover transparency")
 }

@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/detect"
 	"repro/internal/guestos"
 	"repro/internal/mem"
 )
@@ -24,6 +22,7 @@ const (
 	cowBenchPages  = 8192
 	cowBenchSeed   = 7
 	cowBenchEpochs = 6
+	cowBenchEpoch  = 100 * time.Millisecond
 	// cowWarmupEpochs are excluded from the steady-state aggregates:
 	// the first epoch allocates the arena (dirtying it wholesale) and
 	// the second takes the first armed commit.
@@ -75,70 +74,54 @@ type cowArmResult struct {
 // ws-page hot set, under the eager or CoW commit, and returns the
 // steady-state averages.
 func runCowArm(ws int, cow bool) (*cowArmResult, error) {
-	mods, err := detect.ModulesByName("default")
+	cfg, err := serialConfig(cowBenchEpoch)
 	if err != nil {
 		return nil, err
 	}
-	epoch := 100 * time.Millisecond
-	ctl, err := launch("guest", cowBenchPages, guestos.LinuxProfile(), cowBenchSeed, core.Config{
-		EpochInterval: epoch,
-		Modules:       mods,
-		Workers:       1, // exact serial path: deterministic accounting
-		CoW:           cow,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer ctl.Close()
-
+	cfg.CoW = cow
 	var pid uint32
 	var arena uint64
+	work := func(g *guestos.Guest, e int, _ time.Duration) error {
+		if e == 1 {
+			// Set up the hot set inside the first (warmup) epoch:
+			// one process whose arena spans the working set.
+			if pid, err = g.StartProcess("cowbench", 1000, ws+3); err != nil {
+				return err
+			}
+			if arena, err = g.Malloc(pid, ws*mem.PageSize-64); err != nil {
+				return err
+			}
+		}
+		// Rewrite one 8-byte stamp per hot page, skipping a
+		// rotating quarter of the set each epoch: the skipped
+		// pages stay armed until the background copier settles
+		// them, so the steady state exercises both the write-fault
+		// and the lazy-drain path.
+		var stamp [8]byte
+		for p := 0; p < ws; p++ {
+			if ws >= 4 && (p+e)%4 == 0 {
+				continue
+			}
+			v := uint64(e)<<32 | uint64(p)
+			for i := range stamp {
+				stamp[i] = byte(v >> (8 * i))
+			}
+			if err := g.WriteUser(pid, arena+uint64(p)*mem.PageSize+8, stamp[:]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	out := &cowArmResult{}
 	steady := 0
-	for e := 1; e <= cowBenchEpochs; e++ {
-		res, err := ctl.RunEpoch(func(g *guestos.Guest) error {
-			if e == 1 {
-				// Set up the hot set inside the first (warmup) epoch:
-				// one process whose arena spans the working set.
-				if pid, err = g.StartProcess("cowbench", 1000, ws+3); err != nil {
-					return err
-				}
-				if arena, err = g.Malloc(pid, ws*mem.PageSize-64); err != nil {
-					return err
-				}
-			}
-			// Rewrite one 8-byte stamp per hot page, skipping a
-			// rotating quarter of the set each epoch: the skipped
-			// pages stay armed until the background copier settles
-			// them, so the steady state exercises both the write-fault
-			// and the lazy-drain path.
-			var stamp [8]byte
-			for p := 0; p < ws; p++ {
-				if ws >= 4 && (p+e)%4 == 0 {
-					continue
-				}
-				v := uint64(e)<<32 | uint64(p)
-				for i := range stamp {
-					stamp[i] = byte(v >> (8 * i))
-				}
-				if err := g.WriteUser(pid, arena+uint64(p)*mem.PageSize+8, stamp[:]); err != nil {
-					return err
-				}
-			}
-			return nil
+	err = runEpochs(fmt.Sprintf("cow bench (ws=%d cow=%v)", ws, cow), cowBenchPages, cowBenchSeed, cfg,
+		cowBenchEpochs, cowWarmupEpochs, work, func(res *core.EpochResult) {
+			steady++
+			out.pauseMs += ms(res.Phases.Total())
+			out.cow.Add(res.CoW)
 		})
-		if err != nil {
-			return nil, fmt.Errorf("cow bench (ws=%d cow=%v) epoch %d: %w", ws, cow, e, err)
-		}
-		if res.Incident != nil {
-			return nil, fmt.Errorf("cow bench (ws=%d cow=%v) epoch %d: unexpected incident", ws, cow, e)
-		}
-		if e <= cowWarmupEpochs {
-			continue
-		}
-		steady++
-		out.pauseMs += ms(res.Phases.Total())
-		out.cow.Add(res.CoW)
+	if err != nil {
+		return nil, err
 	}
 	out.pauseMs /= float64(steady)
 	out.cow.ArmedPages /= steady
@@ -153,7 +136,7 @@ func CoWSweep() (*CoWBench, error) {
 	model := cost.Default()
 	bench := &CoWBench{
 		GuestPages: cowBenchPages,
-		EpochMs:    100,
+		EpochMs:    ms(cowBenchEpoch),
 		Epochs:     cowBenchEpochs,
 		Warmup:     cowWarmupEpochs,
 	}
@@ -190,41 +173,27 @@ func CoWSweep() (*CoWBench, error) {
 	return bench, nil
 }
 
-// CoWComparison regenerates the CoW comparison as a text experiment
-// ("cow"): per-working-set pause under the eager and CoW commits.
-func CoWComparison() (*Result, error) {
-	bench, err := CoWSweep()
-	if err != nil {
-		return nil, err
-	}
-	return bench.render(), nil
+// cowTable is the "cow" experiment's layout.
+var cowTable = table[CoWPoint]{
+	{"wss-pages", -10, "%d", "wss_pages", "%d", func(p CoWPoint) any { return p.WSSPages }},
+	{"eager-ms", 12, "%.3f", "off_pause_ms", "%.3f", func(p CoWPoint) any { return p.OffPauseMs }},
+	{"cow-ms", 12, "%.3f", "cow_pause_ms", "%.3f", func(p CoWPoint) any { return p.CowPauseMs }},
+	{"fault-ms", 12, "%.3f", "cow_fault_overhead_ms", "%.3f", func(p CoWPoint) any { return p.CowFaultMs }},
+	{"faults", 8, "%d", "cow_write_faults", "%d", func(p CoWPoint) any { return p.WriteFaults }},
+	{"drained", 8, "%d", "cow_drained_pages", "%d", func(p CoWPoint) any { return p.DrainedPages }},
+	{"pause-cut", 9, "%v", "pause_reduction", "%.3f", func(p CoWPoint) any { return percent(p.PauseReduction) }},
 }
 
-// render is the sweep's text and CSV rendering.
+// render is the "cow" text experiment: per-working-set pause under the
+// eager and CoW commits.
 func (bench *CoWBench) render() *Result {
-	var b strings.Builder
-	renderHeader(&b, fmt.Sprintf(
+	s := newSheet(fmt.Sprintf(
 		"CoW commit: steady-state pause (ms) vs working-set size, eager vs copy-on-write, %d-page guest",
 		bench.GuestPages))
-	fmt.Fprintf(&b, "%-10s %12s %12s %12s %8s %8s %9s\n",
-		"wss-pages", "eager-ms", "cow-ms", "fault-ms", "faults", "drained", "pause-cut")
-	var csv strings.Builder
-	csv.WriteString("wss_pages,off_pause_ms,cow_pause_ms,cow_fault_overhead_ms,cow_write_faults,cow_drained_pages,pause_reduction\n")
-	for _, p := range bench.Points {
-		fmt.Fprintf(&b, "%-10d %12.3f %12.3f %12.3f %8d %8d %8.1f%%\n",
-			p.WSSPages, p.OffPauseMs, p.CowPauseMs, p.CowFaultMs,
-			p.WriteFaults, p.DrainedPages, 100*p.PauseReduction)
-		fmt.Fprintf(&csv, "%d,%.3f,%.3f,%.3f,%d,%d,%.3f\n",
-			p.WSSPages, p.OffPauseMs, p.CowPauseMs, p.CowFaultMs,
-			p.WriteFaults, p.DrainedPages, p.PauseReduction)
-	}
-	fmt.Fprintf(&b, "pause growth %dx working set: eager %.2fx, cow %.2fx\n",
-		cowBenchSweep[len(cowBenchSweep)-1]/cowBenchSweep[0],
+	cowTable.header(s)
+	cowTable.rows(s, bench.Points...)
+	fmt.Fprintf(&s.text, "pause growth %dx working set: eager %.2fx, cow %.2fx\n",
+		bench.Points[len(bench.Points)-1].WSSPages/bench.Points[0].WSSPages,
 		bench.OffPauseGrowth, bench.CowPauseGrowth)
-	return &Result{
-		ID:    "cow",
-		Title: "CoW commit: pause vs working-set size",
-		Text:  b.String(),
-		CSV:   csv.String(),
-	}
+	return s.result("cow", "CoW commit: pause vs working-set size")
 }

@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/detect"
 	"repro/internal/guestos"
 	"repro/internal/mem"
 )
@@ -27,6 +25,7 @@ const (
 	deltaBenchPages  = 4096
 	deltaBenchSeed   = 11
 	deltaBenchEpochs = 6
+	deltaBenchEpoch  = 100 * time.Millisecond
 	// deltaWarmupEpochs are excluded from the steady-state aggregates:
 	// the first epoch allocates the arena (dirtying it wholesale) and
 	// the second ships the first stamped copies into the version table.
@@ -104,86 +103,71 @@ type deltaArmResult struct {
 // runDeltaArm drives deltaBenchEpochs epochs of the sweep-point
 // workload under one wire protocol and returns steady-state averages.
 func runDeltaArm(ws, writeBytes int, mode core.RemusMode) (*deltaArmResult, error) {
-	mods, err := detect.ModulesByName("default")
+	cfg, err := serialConfig(deltaBenchEpoch)
 	if err != nil {
 		return nil, err
 	}
-	ctl, err := launch("guest", deltaBenchPages, guestos.LinuxProfile(), deltaBenchSeed, core.Config{
-		EpochInterval: 100 * time.Millisecond,
-		Modules:       mods,
-		Workers:       1,          // exact serial path: deterministic accounting
-		Opt:           cost.NoOpt, // every dirty page goes through the conduit
-		Remus:         mode,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer ctl.Close()
-
+	cfg.Opt = cost.NoOpt // every dirty page goes through the conduit
+	cfg.Remus = mode
 	var pid uint32
 	var arena uint64
-	out := &deltaArmResult{}
 	buf := make([]byte, writeBytes)
-	for e := 1; e <= deltaBenchEpochs; e++ {
-		res, err := ctl.RunEpoch(func(g *guestos.Guest) error {
-			if e == 1 {
-				if pid, err = g.StartProcess("deltabench", 1000, ws+3); err != nil {
-					return err
-				}
-				if arena, err = g.Malloc(pid, ws*mem.PageSize-64); err != nil {
-					return err
-				}
+	work := func(g *guestos.Guest, e int, _ time.Duration) error {
+		if e == 1 {
+			if pid, err = g.StartProcess("deltabench", 1000, ws+3); err != nil {
+				return err
 			}
-			// Full-page writes land at arena+8, so each one spills 8 bytes
-			// into the next page; stop one page short so the last write
-			// stays inside the allocation instead of smashing its canary.
-			pmax := ws
+			if arena, err = g.Malloc(pid, ws*mem.PageSize-64); err != nil {
+				return err
+			}
+		}
+		// Full-page writes land at arena+8, so each one spills 8 bytes
+		// into the next page; stop one page short so the last write
+		// stays inside the allocation instead of smashing its canary.
+		pmax := ws
+		if writeBytes >= mem.PageSize {
+			pmax = ws - 1
+		}
+		for p := 0; p < pmax; p++ {
+			// The stamp keys on the page *pair*, so neighboring pages
+			// carry identical content (cross-page dups for the dedup
+			// arm); every fourth page takes an epoch-independent
+			// stamp, so it is dirtied but unchanged after the first
+			// write (the unchanged-content case). Full-page rewrites
+			// instead key on (epoch, page): content never repeats, so
+			// deltas cannot compress and the encoder must fall back
+			// to raw.
+			v := uint64(e)<<32 | uint64(p/2)
 			if writeBytes >= mem.PageSize {
-				pmax = ws - 1
+				v = uint64(e)<<32 | uint64(p)
+			} else if p%4 == 3 {
+				v = uint64(p / 2)
 			}
-			for p := 0; p < pmax; p++ {
-				// The stamp keys on the page *pair*, so neighboring pages
-				// carry identical content (cross-page dups for the dedup
-				// arm); every fourth page takes an epoch-independent
-				// stamp, so it is dirtied but unchanged after the first
-				// write (the unchanged-content case). Full-page rewrites
-				// instead key on (epoch, page): content never repeats, so
-				// deltas cannot compress and the encoder must fall back
-				// to raw.
-				v := uint64(e)<<32 | uint64(p/2)
+			for i := range buf {
+				buf[i] = byte(v >> (8 * (i % 8)))
 				if writeBytes >= mem.PageSize {
-					v = uint64(e)<<32 | uint64(p)
-				} else if p%4 == 3 {
-					v = uint64(p / 2)
-				}
-				for i := range buf {
-					buf[i] = byte(v >> (8 * (i % 8)))
-					if writeBytes >= mem.PageSize {
-						// Scramble every byte with the epoch so successive
-						// rewrites share nothing: the XOR delta is a full-
-						// page literal and the encoder must fall back to
-						// shipping the raw page.
-						buf[i] ^= byte(i*31 + e*131)
-					}
-				}
-				if err := g.WriteUser(pid, arena+uint64(p)*mem.PageSize+8, buf); err != nil {
-					return err
+					// Scramble every byte with the epoch so successive
+					// rewrites share nothing: the XOR delta is a full-
+					// page literal and the encoder must fall back to
+					// shipping the raw page.
+					buf[i] ^= byte(i*31 + e*131)
 				}
 			}
-			return nil
+			if err := g.WriteUser(pid, arena+uint64(p)*mem.PageSize+8, buf); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	out := &deltaArmResult{}
+	err = runEpochs(fmt.Sprintf("delta bench (ws=%d wb=%d mode=%v)", ws, writeBytes, mode), deltaBenchPages, deltaBenchSeed, cfg,
+		deltaBenchEpochs, deltaWarmupEpochs, work, func(res *core.EpochResult) {
+			out.steady++
+			out.pauseMs += ms(res.Phases.Total())
+			out.repl.Add(res.Replication)
 		})
-		if err != nil {
-			return nil, fmt.Errorf("delta bench (ws=%d wb=%d mode=%v) epoch %d: %w", ws, writeBytes, mode, e, err)
-		}
-		if res.Incident != nil {
-			return nil, fmt.Errorf("delta bench (ws=%d wb=%d mode=%v) epoch %d: unexpected incident", ws, writeBytes, mode, e)
-		}
-		if e <= deltaWarmupEpochs {
-			continue
-		}
-		out.steady++
-		out.pauseMs += ms(res.Phases.Total())
-		out.repl.Add(res.Replication)
+	if err != nil {
+		return nil, err
 	}
 	out.pauseMs /= float64(out.steady)
 	return out, nil
@@ -194,7 +178,7 @@ func runDeltaArm(ws, writeBytes int, mode core.RemusMode) (*deltaArmResult, erro
 func DeltaSweep() (*DeltaBench, error) {
 	bench := &DeltaBench{
 		GuestPages: deltaBenchPages,
-		EpochMs:    100,
+		EpochMs:    ms(deltaBenchEpoch),
 		Epochs:     deltaBenchEpochs,
 		Warmup:     deltaWarmupEpochs,
 	}
@@ -234,40 +218,27 @@ func DeltaSweep() (*DeltaBench, error) {
 	return bench, nil
 }
 
-// DeltaWireComparison regenerates the wire-protocol comparison as a
-// text experiment ("delta"): per-sweep-point wire bytes and pause under
-// raw, delta, and delta+dedup replication.
-func DeltaWireComparison() (*Result, error) {
-	bench, err := DeltaSweep()
-	if err != nil {
-		return nil, err
-	}
-	return bench.render(), nil
+// deltaTable is the "delta" experiment's layout.
+var deltaTable = table[DeltaPoint]{
+	{"wss-pages", -10, "%d", "wss_pages", "%d", func(p DeltaPoint) any { return p.WSSPages }},
+	{"wr-bytes", 8, "%d", "write_bytes", "%d", func(p DeltaPoint) any { return p.WriteBytes }},
+	{"raw-B", 12, "%d", "raw_wire_bytes", "%d", func(p DeltaPoint) any { return p.RawWireBytes }},
+	{"delta-B", 12, "%d", "delta_wire_bytes", "%d", func(p DeltaPoint) any { return p.DeltaWireBytes }},
+	{"dedup-B", 12, "%d", "dedup_wire_bytes", "%d", func(p DeltaPoint) any { return p.DedupWireBytes }},
+	{"delta-cut", 9, "%v", "delta_reduction", "%.4f", func(p DeltaPoint) any { return percent(p.DeltaReduction) }},
+	{"dedup-cut", 9, "%v", "dedup_reduction", "%.4f", func(p DeltaPoint) any { return percent(p.DedupReduction) }},
+	{"raw-ms", 10, "%.3f", "raw_pause_ms", "%.3f", func(p DeltaPoint) any { return p.RawPauseMs }},
+	{"dedup-ms", 10, "%.3f", "dedup_pause_ms", "%.3f", func(p DeltaPoint) any { return p.DedupPauseMs }},
 }
 
-// render is the sweep's text and CSV rendering.
+// render is the "delta" text experiment: per-sweep-point wire bytes and
+// pause under raw, delta, and delta+dedup replication.
 func (bench *DeltaBench) render() *Result {
-	var b strings.Builder
-	renderHeader(&b, fmt.Sprintf(
+	s := newSheet(fmt.Sprintf(
 		"Delta replication: steady-state wire bytes/epoch and pause vs dirty set and rewrite locality, %d-page guest",
 		bench.GuestPages))
-	fmt.Fprintf(&b, "%-10s %8s %12s %12s %12s %9s %9s %10s %10s\n",
-		"wss-pages", "wr-bytes", "raw-B", "delta-B", "dedup-B", "delta-cut", "dedup-cut", "raw-ms", "dedup-ms")
-	var csv strings.Builder
-	csv.WriteString("wss_pages,write_bytes,raw_wire_bytes,delta_wire_bytes,dedup_wire_bytes,delta_reduction,dedup_reduction,raw_pause_ms,dedup_pause_ms\n")
-	for _, p := range bench.Points {
-		fmt.Fprintf(&b, "%-10d %8d %12d %12d %12d %8.1f%% %8.1f%% %10.3f %10.3f\n",
-			p.WSSPages, p.WriteBytes, p.RawWireBytes, p.DeltaWireBytes, p.DedupWireBytes,
-			100*p.DeltaReduction, 100*p.DedupReduction, p.RawPauseMs, p.DedupPauseMs)
-		fmt.Fprintf(&csv, "%d,%d,%d,%d,%d,%.4f,%.4f,%.3f,%.3f\n",
-			p.WSSPages, p.WriteBytes, p.RawWireBytes, p.DeltaWireBytes, p.DedupWireBytes,
-			p.DeltaReduction, p.DedupReduction, p.RawPauseMs, p.DedupPauseMs)
-	}
-	fmt.Fprintf(&b, "small-write steady-state dedup cut: %.1f%%\n", 100*bench.SmallWriteSteadyReduction)
-	return &Result{
-		ID:    "delta",
-		Title: "Delta replication: wire bytes vs dirty set and locality",
-		Text:  b.String(),
-		CSV:   csv.String(),
-	}
+	deltaTable.header(s)
+	deltaTable.rows(s, bench.Points...)
+	fmt.Fprintf(&s.text, "small-write steady-state dedup cut: %.1f%%\n", 100*bench.SmallWriteSteadyReduction)
+	return s.result("delta", "Delta replication: wire bytes vs dirty set and locality")
 }

@@ -15,12 +15,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/detect"
 	"repro/internal/guestos"
 	"repro/internal/hv"
 	"repro/internal/workload"
@@ -29,10 +29,45 @@ import (
 // launch boots a guest of the given size on a hypervisor of its own and
 // puts it under a controller: how every experiment that drives the real
 // stack gets its VM.
-func launch(name string, pages int, prof *guestos.Profile, seed int64, cfg core.Config) (*core.Controller, error) {
+func launch(pages int, prof *guestos.Profile, seed int64, cfg core.Config) (*core.Controller, error) {
 	return core.Launch(hv.New(2*pages+16), core.GuestSpec{
-		Name: name, Pages: pages, Boot: guestos.BootConfig{Profile: prof, Seed: seed},
+		Name: "guest", Pages: pages, Boot: guestos.BootConfig{Profile: prof, Seed: seed},
 	}, cfg)
+}
+
+// runEpochs is the one epoch loop under every sweep that drives the real
+// stack: launch a Linux guest under cfg, run n epochs of work (handed the
+// 1-based epoch number and that epoch's actual interval), fail on an
+// error or an incident, and pass each epoch after the warmup to steady.
+func runEpochs(what string, pages int, seed int64, cfg core.Config, n, warmup int,
+	work func(g *guestos.Guest, e int, interval time.Duration) error, steady func(*core.EpochResult)) error {
+	ctl, err := launch(pages, guestos.LinuxProfile(), seed, cfg)
+	if err != nil {
+		return err
+	}
+	defer ctl.Close()
+	for e := 1; e <= n; e++ {
+		interval := ctl.EpochIntervalAt(e)
+		res, err := ctl.RunEpoch(func(g *guestos.Guest) error { return work(g, e, interval) })
+		if err != nil {
+			return fmt.Errorf("%s epoch %d: %w", what, e, err)
+		}
+		if res.Incident != nil {
+			return fmt.Errorf("%s epoch %d: unexpected incident", what, e)
+		}
+		if e > warmup {
+			steady(res)
+		}
+	}
+	return nil
+}
+
+// serialConfig is the configuration those sweeps share: the default
+// detector set on the exact serial pause path (Workers=1), whose
+// accounting is deterministic.
+func serialConfig(epoch time.Duration) (core.Config, error) {
+	mods, err := detect.ModulesByName("default")
+	return core.Config{EpochInterval: epoch, Modules: mods, Workers: 1}, err
 }
 
 // Result is one regenerated table or figure.
@@ -48,15 +83,27 @@ type Result struct {
 // Generator produces one experiment result.
 type Generator func() (*Result, error)
 
-// All returns the experiment registry in presentation order.
-func All() []struct {
+// rendering turns a benchmark sweep into its text experiment: run the
+// sweep, render what it returned.
+func rendering[B interface{ render() *Result }](sweep func() (B, error)) Generator {
+	return func() (*Result, error) {
+		bench, err := sweep()
+		if err != nil {
+			return nil, err
+		}
+		return bench.render(), nil
+	}
+}
+
+// Experiment is one registry entry.
+type Experiment struct {
 	ID  string
 	Gen Generator
-} {
-	return []struct {
-		ID  string
-		Gen Generator
-	}{
+}
+
+// All returns the experiment registry in presentation order.
+func All() []Experiment {
+	return []Experiment{
 		{"table1", Table1CostBreakdown},
 		{"table2", Table2ParsecSuite},
 		{"table3", Table3VMICosts},
@@ -70,13 +117,13 @@ func All() []struct {
 		{"case2", Case2MalwareReport},
 		{"remus", RemusComparison},
 		{"ablation", AblationSummary},
-		{"pause", PauseParallel},
-		{"fleet", FleetScaling},
-		{"scan", ScanCacheComparison},
-		{"cow", CoWComparison},
-		{"delta", DeltaWireComparison},
-		{"cluster", ClusterScaling},
-		{"webscale", WebScaleComparison},
+		{"pause", rendering(PauseBreakdown)},
+		{"fleet", rendering(FleetSweep)},
+		{"scan", rendering(ScanSweep)},
+		{"cow", rendering(CoWSweep)},
+		{"delta", rendering(DeltaSweep)},
+		{"cluster", rendering(ClusterSweep)},
+		{"webscale", rendering(WebSweep)},
 	}
 }
 
@@ -179,11 +226,75 @@ func renderHeader(b *strings.Builder, title string) {
 	fmt.Fprintf(b, "%s\n%s\n", title, strings.Repeat("-", len(title)))
 }
 
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// sheet accumulates one experiment's text and CSV renderings.
+type sheet struct{ text, csv strings.Builder }
+
+func newSheet(title string) *sheet {
+	s := &sheet{}
+	renderHeader(&s.text, title)
+	return s
+}
+
+func (s *sheet) result(id, title string) *Result {
+	return &Result{ID: id, Title: title, Text: s.text.String(), CSV: s.csv.String()}
+}
+
+// col declares one table column, once: its text header, the width
+// header and cells are padded to (negative = left-aligned) and the
+// cell's verb; its CSV name and verb; and the cell's value.
+type col[R any] struct {
+	head    string
+	width   int
+	verb    string
+	csv     string
+	csvVerb string
+	val     func(R) any
+}
+
+// percent is a fraction that prints as a percentage under %v and as the
+// fraction under %f: one value serves a text "cut" column and its CSV
+// twin.
+type percent float64
+
+func (p percent) String() string { return fmt.Sprintf("%.1f%%", 100*float64(p)) }
+
+// table is one experiment's columns, the only place its text and CSV
+// layouts are written down.
+type table[R any] []col[R]
+
+// line pads one string per column to the column widths.
+func (t table[R]) line(cells ...string) string {
+	for i, c := range t {
+		cells[i] = fmt.Sprintf("%*s", c.width, cells[i])
 	}
-	sort.Strings(keys)
-	return keys
+	return strings.Join(cells, " ") + "\n"
+}
+
+// header writes the text header line and the CSV name line.
+func (t table[R]) header(s *sheet) {
+	heads, names := make([]string, len(t)), make([]string, len(t))
+	for i, c := range t {
+		heads[i], names[i] = c.head, c.csv
+	}
+	s.text.WriteString(t.line(heads...))
+	s.csv.WriteString(strings.Join(names, ",") + "\n")
+}
+
+// format renders one row as its text line and its CSV line.
+func (t table[R]) format(r R) (text, csv string) {
+	cells, vals := make([]string, len(t)), make([]string, len(t))
+	for i, c := range t {
+		v := c.val(r)
+		cells[i], vals[i] = fmt.Sprintf(c.verb, v), fmt.Sprintf(c.csvVerb, v)
+	}
+	return t.line(cells...), strings.Join(vals, ",") + "\n"
+}
+
+// rows writes the rows to both renderings.
+func (t table[R]) rows(s *sheet, rs ...R) {
+	for _, r := range rs {
+		text, csv := t.format(r)
+		s.text.WriteString(text)
+		s.csv.WriteString(csv)
+	}
 }

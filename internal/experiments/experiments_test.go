@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -164,7 +165,11 @@ func TestFig4Reduction(t *testing.T) {
 
 func TestFig5Monotonicity(t *testing.T) {
 	m := cost.Default()
-	for _, spec := range fig5Benchmarks() {
+	specs, err := fig5Benchmarks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range specs {
 		var prevNorm = 1e18
 		var prevPause, prevDirty = time.Duration(0), 0
 		for _, e := range sweepIntervals() {
@@ -205,9 +210,35 @@ func TestFig6bRealSpeedup(t *testing.T) {
 }
 
 func TestFig7Shapes(t *testing.T) {
-	text := run(t, "fig7")
-	if !strings.Contains(text, "Baseline") || !strings.Contains(text, "sync") {
+	res, err := Fig7WebServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := rendered(t, "fig7", res)
+	if !strings.Contains(text, "Baseline (no protection): 17094 req/s") || !strings.Contains(text, "sync") {
 		t.Fatalf("fig7 incomplete:\n%s", text)
+	}
+	// Paper shapes: Best Effort stays near 1.0 and never below
+	// Synchronous; from 60 ms on Synchronous latency grows and
+	// throughput falls with the interval.
+	var prev fig7Row
+	for _, line := range strings.Split(strings.TrimSpace(res.CSV), "\n")[1:] {
+		var r fig7Row
+		if _, err := fmt.Sscanf(line, "%d,%f,%f,%f,%f", &r.epochMs, &r.syncLat, &r.syncTput, &r.beLat, &r.beTput); err != nil {
+			t.Fatalf("fig7 CSV line %q: %v", line, err)
+		}
+		if r.beTput < 0.7 || r.beTput > 1 || r.beLat > 1.4 || r.beTput < r.syncTput {
+			t.Errorf("%d ms: best effort lat %.2f tput %.2f (sync tput %.2f), want ~1 and >= sync",
+				r.epochMs, r.beLat, r.beTput, r.syncTput)
+		}
+		if r.epochMs > 60 && (r.syncLat <= prev.syncLat || r.syncTput >= prev.syncTput) {
+			t.Errorf("%d ms: sync lat %.2f tput %.2f not worse than %d ms (%.2f, %.2f)",
+				r.epochMs, r.syncLat, r.syncTput, prev.epochMs, prev.syncLat, prev.syncTput)
+		}
+		prev = r
+	}
+	if prev.epochMs != 200 {
+		t.Fatalf("fig7 CSV ends at %d ms, want 200", prev.epochMs)
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cost"
@@ -91,32 +90,24 @@ func FleetSweep() (*FleetBench, error) {
 	return bench, nil
 }
 
-// FleetScaling regenerates the fleet-scheduling comparison as a text
-// experiment ("fleet"): aggregate pause for synchronized versus
-// staggered epoch boundaries at 1, 2, 4 and 8 co-located VMs.
-func FleetScaling() (*Result, error) {
-	bench, err := FleetSweep()
-	if err != nil {
-		return nil, err
-	}
-	var b strings.Builder
-	renderHeader(&b, fmt.Sprintf(
+// fleetTable is the "fleet" experiment's layout.
+var fleetTable = table[FleetPoint]{
+	{"vms", -6, "%d", "vms", "%d", func(p FleetPoint) any { return p.VMs }},
+	{"sync/vm", 14, "%.3f", "sync_pause_ms_per_vm", "%.3f", func(p FleetPoint) any { return p.SyncPauseMsPerVM }},
+	{"sync-agg", 14, "%.3f", "sync_aggregate_ms", "%.3f", func(p FleetPoint) any { return p.SyncAggregateMs }},
+	{"stagger/vm", 14, "%.3f", "staggered_pause_ms_per_vm", "%.3f", func(p FleetPoint) any { return p.StaggerPauseMsPerVM }},
+	{"stagger-agg", 14, "%.3f", "staggered_aggregate_ms", "%.3f", func(p FleetPoint) any { return p.StaggerAggregateMs }},
+	{"saving", 8, "%.2fx", "aggregate_saving_vs_sync", "%.3f", func(p FleetPoint) any { return p.SavingVsSync }},
+}
+
+// render is the "fleet" text experiment: aggregate pause for
+// synchronized versus staggered epoch boundaries at 1, 2, 4 and 8
+// co-located VMs.
+func (bench *FleetBench) render() *Result {
+	s := newSheet(fmt.Sprintf(
 		"Fleet scheduling: %s aggregate pause (ms) by fleet size, %d shared workers, stagger K=%d",
 		bench.Workload, bench.Workers, bench.StaggerK))
-	fmt.Fprintf(&b, "%-6s %14s %14s %14s %14s %8s\n",
-		"vms", "sync/vm", "sync-agg", "stagger/vm", "stagger-agg", "saving")
-	var csv strings.Builder
-	csv.WriteString("vms,sync_pause_ms_per_vm,sync_aggregate_ms,staggered_pause_ms_per_vm,staggered_aggregate_ms,aggregate_saving_vs_sync\n")
-	for _, p := range bench.Points {
-		fmt.Fprintf(&b, "%-6d %14.3f %14.3f %14.3f %14.3f %7.2fx\n",
-			p.VMs, p.SyncPauseMsPerVM, p.SyncAggregateMs, p.StaggerPauseMsPerVM, p.StaggerAggregateMs, p.SavingVsSync)
-		fmt.Fprintf(&csv, "%d,%.3f,%.3f,%.3f,%.3f,%.3f\n",
-			p.VMs, p.SyncPauseMsPerVM, p.SyncAggregateMs, p.StaggerPauseMsPerVM, p.StaggerAggregateMs, p.SavingVsSync)
-	}
-	return &Result{
-		ID:    "fleet",
-		Title: "Fleet scheduling: synchronized vs staggered epoch boundaries",
-		Text:  b.String(),
-		CSV:   csv.String(),
-	}, nil
+	fleetTable.header(s)
+	fleetTable.rows(s, bench.Points...)
+	return s.result("fleet", "Fleet scheduling: synchronized vs staggered epoch boundaries")
 }

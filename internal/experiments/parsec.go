@@ -40,39 +40,62 @@ func Table2ParsecSuite() (*Result, error) {
 	return &Result{ID: "table2", Title: "PARSEC benchmark suite", Text: b.String()}, nil
 }
 
+// figOpts are the optimization levels Figures 3, 4 and 6a compare.
+var figOpts = []cost.Optimization{cost.Full, cost.Premap, cost.Memcpy, cost.NoOpt}
+
+// normRow is one line of a normalized-runtime table: a label and one
+// value per remaining column.
+type normRow struct {
+	label any
+	norm  []float64
+}
+
+// normCol is the normalized-runtime column reading norm[i].
+func normCol(head, csv string, i int) col[normRow] {
+	return col[normRow]{head, 8, "%.2f", csv, "%.4f", func(r normRow) any { return r.norm[i] }}
+}
+
+// fig3Table and fig6aTable are the two figures' layouts.
+var (
+	fig3Table = table[normRow]{
+		{"Benchmark", -15, "%s", "benchmark", "%s", func(r normRow) any { return r.label }},
+		normCol("Full", "full", 0), normCol("Pre-map", "premap", 1),
+		normCol("Memcpy", "memcpy", 2), normCol("No-opt", "noopt", 3), normCol("AS", "as", 4),
+	}
+	fig6aTable = table[normRow]{
+		{"epoch(ms)", -10, "%d", "epoch_ms", "%d", func(r normRow) any { return r.label }},
+		normCol("Full", "full", 0), normCol("Pre-map", "premap", 1),
+		normCol("Memcpy", "memcpy", 2), normCol("No-opt", "noopt", 3),
+	}
+)
+
 // Fig3ParsecNormalized regenerates Figure 3: normalized PARSEC runtime
 // under Full/Pre-map/Memcpy/No-opt/AddressSanitizer at a 200 ms epoch.
 func Fig3ParsecNormalized() (*Result, error) {
 	m := cost.Default()
 	epoch := 200 * time.Millisecond
-	opts := []cost.Optimization{cost.Full, cost.Premap, cost.Memcpy, cost.NoOpt}
-
-	var b, csv strings.Builder
-	renderHeader(&b, "Figure 3: normalized PARSEC runtime, 200ms epoch")
-	fmt.Fprintf(&b, "%-15s %8s %8s %8s %8s %8s\n", "Benchmark", "Full", "Pre-map", "Memcpy", "No-opt", "AS")
-	csv.WriteString("benchmark,full,premap,memcpy,noopt,as\n")
-	perOpt := make(map[cost.Optimization][]float64)
-	var asAll []float64
+	s := newSheet("Figure 3: normalized PARSEC runtime, 200ms epoch")
+	fig3Table.header(s)
+	perCol := make([][]float64, len(figOpts)+1)
 	for _, spec := range workload.Parsec() {
-		fmt.Fprintf(&b, "%-15s", spec.Name)
-		fmt.Fprintf(&csv, "%s", spec.Name)
-		for _, opt := range opts {
-			n := normRuntime(m, opt, spec, epoch)
-			perOpt[opt] = append(perOpt[opt], n)
-			fmt.Fprintf(&b, " %8.2f", n)
-			fmt.Fprintf(&csv, ",%.4f", n)
+		row := normRow{label: spec.Name}
+		for _, opt := range figOpts {
+			row.norm = append(row.norm, normRuntime(m, opt, spec, epoch))
 		}
-		fmt.Fprintf(&b, " %8.2f\n", spec.ASanFactor)
-		fmt.Fprintf(&csv, ",%.4f\n", spec.ASanFactor)
-		asAll = append(asAll, spec.ASanFactor)
+		row.norm = append(row.norm, spec.ASanFactor)
+		for i, n := range row.norm {
+			perCol[i] = append(perCol[i], n)
+		}
+		fig3Table.rows(s, row)
 	}
-	fmt.Fprintf(&b, "%-15s", "Geometric-Mean")
-	for _, opt := range opts {
-		fmt.Fprintf(&b, " %8.2f", geomean(perOpt[opt]))
+	mean := normRow{label: "Geometric-Mean"}
+	for _, c := range perCol {
+		mean.norm = append(mean.norm, geomean(c))
 	}
-	fmt.Fprintf(&b, " %8.2f\n", geomean(asAll))
-	fmt.Fprintf(&b, "\nPaper: Full geomean +9.8%%; No-opt/AS +40-60%%; fluidanimate No-opt ~4.7x.\n")
-	return &Result{ID: "fig3", Title: "Normalized PARSEC performance", Text: b.String(), CSV: csv.String()}, nil
+	text, _ := fig3Table.format(mean) // a text-only row
+	s.text.WriteString(text)
+	fmt.Fprintf(&s.text, "\nPaper: Full geomean +9.8%%; No-opt/AS +40-60%%; fluidanimate No-opt ~4.7x.\n")
+	return s.result("fig3", "Normalized PARSEC performance"), nil
 }
 
 // Fig4SwaptionsBreakdown regenerates Figure 4: the absolute paused-time
@@ -89,7 +112,7 @@ func Fig4SwaptionsBreakdown() (*Result, error) {
 	fmt.Fprintf(&b, "%-8s %8s %8s %8s %8s %8s %8s %8s\n",
 		"Opt", "suspend", "vmi", "bitscan", "map", "copy", "resume", "TOTAL")
 	var noopt, full float64
-	for _, opt := range []cost.Optimization{cost.Full, cost.Premap, cost.Memcpy, cost.NoOpt} {
+	for _, opt := range figOpts {
 		p := pausedTime(m, opt, spec, epoch)
 		fmt.Fprintf(&b, "%-8s %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f\n",
 			opt, ms(p.Suspend), ms(p.VMI), ms(p.Bitscan), ms(p.Map), ms(p.Copy), ms(p.Resume), ms(p.Total()))
@@ -106,15 +129,16 @@ func Fig4SwaptionsBreakdown() (*Result, error) {
 }
 
 // fig5Benchmarks are the four benchmarks Figure 5 sweeps.
-func fig5Benchmarks() []workload.Spec {
+func fig5Benchmarks() ([]workload.Spec, error) {
 	var out []workload.Spec
 	for _, name := range []string{"freqmine", "swaptions", "volrend", "water-spatial"} {
 		s, err := workload.ParsecByName(name)
-		if err == nil {
-			out = append(out, s)
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, s)
 	}
-	return out
+	return out, nil
 }
 
 func sweepIntervals() []time.Duration {
@@ -130,7 +154,10 @@ func sweepIntervals() []time.Duration {
 // for four benchmarks under Full optimization.
 func Fig5IntervalSweep() (*Result, error) {
 	m := cost.Default()
-	specs := fig5Benchmarks()
+	specs, err := fig5Benchmarks()
+	if err != nil {
+		return nil, err
+	}
 	intervals := sweepIntervals()
 
 	var b strings.Builder
@@ -168,25 +195,18 @@ func Fig6aFluidanimate() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := []cost.Optimization{cost.Full, cost.Premap, cost.Memcpy, cost.NoOpt}
-	var b, csv strings.Builder
-	renderHeader(&b, "Figure 6a: fluidanimate normalized runtime vs epoch interval")
-	fmt.Fprintf(&b, "%-10s %8s %8s %8s %8s\n", "epoch(ms)", "Full", "Pre-map", "Memcpy", "No-opt")
-	csv.WriteString("epoch_ms,full,premap,memcpy,noopt\n")
+	s := newSheet("Figure 6a: fluidanimate normalized runtime vs epoch interval")
+	fig6aTable.header(s)
 	for _, e := range sweepIntervals() {
-		fmt.Fprintf(&b, "%-10d", e.Milliseconds())
-		fmt.Fprintf(&csv, "%d", e.Milliseconds())
-		for _, opt := range opts {
-			n := normRuntime(m, opt, spec, e)
-			fmt.Fprintf(&b, " %8.2f", n)
-			fmt.Fprintf(&csv, ",%.4f", n)
+		row := normRow{label: e.Milliseconds()}
+		for _, opt := range figOpts {
+			row.norm = append(row.norm, normRuntime(m, opt, spec, e))
 		}
-		b.WriteString("\n")
-		csv.WriteString("\n")
+		fig6aTable.rows(s, row)
 	}
 	full60 := normRuntime(m, cost.Full, spec, 60*time.Millisecond)
 	noopt60 := normRuntime(m, cost.NoOpt, spec, 60*time.Millisecond)
-	fmt.Fprintf(&b, "\nAt 60ms, Full is %.1fx faster than No-opt (paper: ~3.5x).\n",
+	fmt.Fprintf(&s.text, "\nAt 60ms, Full is %.1fx faster than No-opt (paper: ~3.5x).\n",
 		(noopt60-1)/(full60-1))
-	return &Result{ID: "fig6a", Title: "Fluidanimate optimization benefit", Text: b.String(), CSV: csv.String()}, nil
+	return s.result("fig6a", "Fluidanimate optimization benefit"), nil
 }

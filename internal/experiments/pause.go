@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cost"
@@ -72,30 +70,24 @@ func PauseBreakdown() (*PauseBench, error) {
 	return bench, nil
 }
 
-// PauseParallel regenerates the parallel pause-path breakdown as a
-// text experiment ("pause"): the swaptions paused-time phases at 1, 2,
-// 4 and 8 workers.
-func PauseParallel() (*Result, error) {
-	bench, err := PauseBreakdown()
-	if err != nil {
-		return nil, err
-	}
-	var b strings.Builder
-	renderHeader(&b, "Parallel pause path: swaptions breakdown (ms) by worker count, Full opt, 200ms epoch")
-	fmt.Fprintf(&b, "%-8s %8s %8s %8s %8s %8s %8s %8s %8s\n",
-		"workers", "suspend", "vmi", "bitscan", "map", "copy", "resume", "total", "speedup")
-	var csv strings.Builder
-	csv.WriteString("workers,suspend_ms,vmi_ms,bitscan_ms,map_ms,copy_ms,resume_ms,total_ms,speedup_vs_1\n")
-	for _, p := range bench.Points {
-		fmt.Fprintf(&b, "%-8d %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f %7.2fx\n",
-			p.Workers, p.SuspendMs, p.VMIMs, p.BitscanMs, p.MapMs, p.CopyMs, p.ResumeMs, p.TotalMs, p.SpeedupVs1)
-		fmt.Fprintf(&csv, "%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n",
-			p.Workers, p.SuspendMs, p.VMIMs, p.BitscanMs, p.MapMs, p.CopyMs, p.ResumeMs, p.TotalMs, p.SpeedupVs1)
-	}
-	return &Result{
-		ID:    "pause",
-		Title: "Parallel pause path breakdown",
-		Text:  b.String(),
-		CSV:   csv.String(),
-	}, nil
+// pauseTable is the "pause" experiment's layout.
+var pauseTable = table[PausePoint]{
+	{"workers", -8, "%d", "workers", "%d", func(p PausePoint) any { return p.Workers }},
+	{"suspend", 8, "%.3f", "suspend_ms", "%.3f", func(p PausePoint) any { return p.SuspendMs }},
+	{"vmi", 8, "%.3f", "vmi_ms", "%.3f", func(p PausePoint) any { return p.VMIMs }},
+	{"bitscan", 8, "%.3f", "bitscan_ms", "%.3f", func(p PausePoint) any { return p.BitscanMs }},
+	{"map", 8, "%.3f", "map_ms", "%.3f", func(p PausePoint) any { return p.MapMs }},
+	{"copy", 8, "%.3f", "copy_ms", "%.3f", func(p PausePoint) any { return p.CopyMs }},
+	{"resume", 8, "%.3f", "resume_ms", "%.3f", func(p PausePoint) any { return p.ResumeMs }},
+	{"total", 8, "%.3f", "total_ms", "%.3f", func(p PausePoint) any { return p.TotalMs }},
+	{"speedup", 8, "%.2fx", "speedup_vs_1", "%.3f", func(p PausePoint) any { return p.SpeedupVs1 }},
+}
+
+// render is the "pause" text experiment: the swaptions paused-time
+// phases at 1, 2, 4 and 8 workers.
+func (bench *PauseBench) render() *Result {
+	s := newSheet("Parallel pause path: swaptions breakdown (ms) by worker count, Full opt, 200ms epoch")
+	pauseTable.header(s)
+	pauseTable.rows(s, bench.Points...)
+	return s.result("pause", "Parallel pause path breakdown")
 }

@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/detect"
 	"repro/internal/guestos"
 	"repro/internal/workload"
 )
@@ -65,60 +63,42 @@ type scanArmEpoch struct {
 	scanMs float64
 }
 
-// runScanArm drives scanBenchEpochs audited epochs of the swaptions
-// workload under the given scan-cache mode and returns the per-epoch
-// scan-phase accounting.
-func runScanArm(mode core.ScanCacheMode) ([]scanArmEpoch, error) {
-	spec, err := workload.ParsecByName("swaptions")
-	if err != nil {
-		return nil, err
-	}
-	mods, err := detect.ModulesByName("default")
-	if err != nil {
-		return nil, err
-	}
-	epoch := 200 * time.Millisecond
-	ctl, err := launch("guest", scanBenchPages, guestos.LinuxProfile(), scanBenchSeed, core.Config{
-		EpochInterval: epoch,
-		Modules:       mods,
-		Workers:       1, // exact serial path: deterministic accounting
-		ScanCache:     mode,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer ctl.Close()
-
+// runScanArm drives scanBenchEpochs audited epochs of the workload
+// under the given scan-cache mode and returns the per-epoch scan-phase
+// accounting.
+func runScanArm(spec workload.Spec, cfg core.Config, mode core.ScanCacheMode) ([]scanArmEpoch, error) {
+	cfg.ScanCache = mode
 	runner := workload.NewRunner(spec, scanBenchSeed)
 	out := make([]scanArmEpoch, 0, scanBenchEpochs)
-	for i := 0; i < scanBenchEpochs; i++ {
-		res, err := ctl.RunEpoch(func(g *guestos.Guest) error {
-			return runner.RunEpoch(g, epoch)
+	err := runEpochs(fmt.Sprintf("scan bench (%v)", mode), scanBenchPages, scanBenchSeed, cfg, scanBenchEpochs, 0,
+		func(g *guestos.Guest, _ int, interval time.Duration) error { return runner.RunEpoch(g, interval) },
+		func(res *core.EpochResult) {
+			out = append(out, scanArmEpoch{cache: res.ScanCache, scanMs: ms(res.Phases.VMI)})
 		})
-		if err != nil {
-			return nil, fmt.Errorf("scan bench (%v) epoch %d: %w", mode, i+1, err)
-		}
-		if res.Incident != nil {
-			return nil, fmt.Errorf("scan bench (%v) epoch %d: unexpected incident", mode, i+1)
-		}
-		out = append(out, scanArmEpoch{cache: res.ScanCache, scanMs: ms(res.Phases.VMI)})
-	}
-	return out, nil
+	return out, err
 }
 
 // ScanSweep runs both arms and assembles the benchmark.
 func ScanSweep() (*ScanBench, error) {
-	uncached, err := runScanArm(core.ScanCacheUncached)
+	spec, err := workload.ParsecByName("swaptions")
 	if err != nil {
 		return nil, err
 	}
-	cached, err := runScanArm(core.ScanCacheOn)
+	cfg, err := serialConfig(200 * time.Millisecond)
+	if err != nil {
+		return nil, err
+	}
+	uncached, err := runScanArm(spec, cfg, core.ScanCacheUncached)
+	if err != nil {
+		return nil, err
+	}
+	cached, err := runScanArm(spec, cfg, core.ScanCacheOn)
 	if err != nil {
 		return nil, err
 	}
 	bench := &ScanBench{
-		Workload:   "swaptions",
-		EpochMs:    200,
+		Workload:   spec.Name,
+		EpochMs:    ms(cfg.EpochInterval),
 		GuestPages: scanBenchPages,
 		Epochs:     scanBenchEpochs,
 		Warmup:     scanWarmupEpochs,
@@ -157,36 +137,27 @@ func ScanSweep() (*ScanBench, error) {
 	return bench, nil
 }
 
-// ScanCacheComparison regenerates the scan-path comparison as a text
-// experiment ("scan"): per-epoch audit map hypercalls and scan-phase
-// time, uncached versus cached.
-func ScanCacheComparison() (*Result, error) {
-	bench, err := ScanSweep()
-	if err != nil {
-		return nil, err
-	}
-	var b strings.Builder
-	renderHeader(&b, fmt.Sprintf(
+// scanTable is the "scan" experiment's layout.
+var scanTable = table[ScanPoint]{
+	{"epoch", -6, "%d", "epoch", "%d", func(p ScanPoint) any { return p.Epoch }},
+	{"unc-maps", 10, "%d", "uncached_map_hypercalls", "%d", func(p ScanPoint) any { return p.UncachedMapCalls }},
+	{"unc-ms", 10, "%.3f", "uncached_scan_ms", "%.3f", func(p ScanPoint) any { return p.UncachedScanMs }},
+	{"cach-maps", 10, "%d", "cached_map_hypercalls", "%d", func(p ScanPoint) any { return p.CachedMapCalls }},
+	{"hits", 8, "%d", "cached_hits", "%d", func(p ScanPoint) any { return p.CachedHits }},
+	{"memo-hits", 10, "%d", "cached_memo_hits", "%d", func(p ScanPoint) any { return p.CachedMemoHits }},
+	{"cach-ms", 10, "%.3f", "cached_scan_ms", "%.3f", func(p ScanPoint) any { return p.CachedScanMs }},
+	{"map-cut", 10, "%v", "map_call_reduction", "%.3f", func(p ScanPoint) any { return percent(p.MapReduction) }},
+}
+
+// render is the "scan" text experiment: per-epoch audit map hypercalls
+// and scan-phase time, uncached versus cached.
+func (bench *ScanBench) render() *Result {
+	s := newSheet(fmt.Sprintf(
 		"Scan path: %s audit map hypercalls and scan time (ms), uncached vs cached, %d-epoch run",
 		bench.Workload, bench.Epochs))
-	fmt.Fprintf(&b, "%-6s %10s %10s %10s %8s %10s %10s %10s\n",
-		"epoch", "unc-maps", "unc-ms", "cach-maps", "hits", "memo-hits", "cach-ms", "map-cut")
-	var csv strings.Builder
-	csv.WriteString("epoch,uncached_map_hypercalls,uncached_scan_ms,cached_map_hypercalls,cached_hits,cached_memo_hits,cached_scan_ms,map_call_reduction\n")
-	for _, p := range bench.Points {
-		fmt.Fprintf(&b, "%-6d %10d %10.3f %10d %8d %10d %10.3f %9.1f%%\n",
-			p.Epoch, p.UncachedMapCalls, p.UncachedScanMs, p.CachedMapCalls,
-			p.CachedHits, p.CachedMemoHits, p.CachedScanMs, 100*p.MapReduction)
-		fmt.Fprintf(&csv, "%d,%d,%.3f,%d,%d,%d,%.3f,%.3f\n",
-			p.Epoch, p.UncachedMapCalls, p.UncachedScanMs, p.CachedMapCalls,
-			p.CachedHits, p.CachedMemoHits, p.CachedScanMs, p.MapReduction)
-	}
-	fmt.Fprintf(&b, "steady state (epochs %d-%d): map hypercalls cut %.1f%%, scan time %.2fx faster\n",
+	scanTable.header(s)
+	scanTable.rows(s, bench.Points...)
+	fmt.Fprintf(&s.text, "steady state (epochs %d-%d): map hypercalls cut %.1f%%, scan time %.2fx faster\n",
 		bench.Warmup+1, bench.Epochs, 100*bench.SteadyMapReduction, bench.SteadyScanSpeedup)
-	return &Result{
-		ID:    "scan",
-		Title: "Scan path: cached vs uncached audit",
-		Text:  b.String(),
-		CSV:   csv.String(),
-	}, nil
+	return s.result("scan", "Scan path: cached vs uncached audit")
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -129,36 +128,22 @@ func webBaseConfig() core.Config {
 	}
 }
 
-// runWebCapture boots one guest under cfg, drives webCaptureEpochs (or
-// n, if larger) epochs of the web workload, and returns each epoch's
-// actual (interval, priced pause) pair. The observe hook runs after
-// every epoch so the adaptive arm can close its feedback loop.
+// runWebCapture drives webCaptureEpochs (or n, if larger) epochs of the
+// web workload under cfg and returns each epoch's actual (interval,
+// priced pause) pair. The observe hook runs after every epoch so the
+// adaptive arm can close its feedback loop.
 func runWebCapture(cfg core.Config, n int, observe func(res *core.EpochResult)) ([]websim.Cycle, error) {
-	ctl, err := launch("web", webBenchPages, guestos.LinuxProfile(), webBenchSeed, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer ctl.Close()
-
 	runner := workload.NewRunner(workload.Web(workload.WebMedium), webBenchSeed)
 	out := make([]websim.Cycle, 0, n)
-	for i := 0; i < n; i++ {
-		epoch := ctl.EpochIntervalAt(ctl.Epoch() + 1)
-		res, err := ctl.RunEpoch(func(g *guestos.Guest) error {
-			return runner.RunEpoch(g, epoch)
+	err := runEpochs("web bench", webBenchPages, webBenchSeed, cfg, n, 0,
+		func(g *guestos.Guest, _ int, interval time.Duration) error { return runner.RunEpoch(g, interval) },
+		func(res *core.EpochResult) {
+			out = append(out, websim.Cycle{Run: res.Interval, Pause: res.Phases.Total()})
+			if observe != nil {
+				observe(res)
+			}
 		})
-		if err != nil {
-			return nil, fmt.Errorf("web bench epoch %d: %w", i+1, err)
-		}
-		if res.Incident != nil {
-			return nil, fmt.Errorf("web bench epoch %d: unexpected incident", i+1)
-		}
-		out = append(out, websim.Cycle{Run: res.Interval, Pause: res.Phases.Total()})
-		if observe != nil {
-			observe(res)
-		}
-	}
-	return out, nil
+	return out, err
 }
 
 // webStaticCycles captures a static arm's timeline once; the cluster
@@ -170,12 +155,11 @@ func webStaticCycles(armName string) ([]websim.Cycle, error) {
 		return nil, err
 	}
 	cfg := webBaseConfig()
-	if arm.Cluster {
-		// The control plane runs each VM with the base config; the
-		// failover itself is priced separately in webPerVM.
-		return runWebCapture(cfg, webCaptureEpochs, nil)
+	// The cluster arm keeps the base config — its control plane runs each
+	// VM with it, and the failover itself is priced in webPerVM.
+	if !arm.Cluster {
+		arm.Apply(&cfg)
 	}
-	arm.Apply(&cfg)
 	if cfg.SLO != nil {
 		return nil, fmt.Errorf("web bench: arm %q is not static", armName)
 	}
@@ -193,82 +177,38 @@ func webPerVM(armName string, cycles []websim.Cycle, vms int) [][]websim.Cycle {
 	return perVM
 }
 
-// driveMeasured replays one VM's gate-adjusted schedule into its
-// generator, resetting the measurement window exactly at webWarmup so
-// every VM reports the same (warmup, horizon] interval. Segments are
-// split at the warmup boundary; splitting is safe because the bench
-// runs Best Effort (an unbuffered pause has no release edge).
-func driveMeasured(g *websim.Gen, cycles []websim.Cycle) {
-	reset := false
-	advance := func(d time.Duration, pause bool) {
-		for d > 0 {
-			step := d
-			if !reset && g.Now()+step > webWarmup {
-				step = webWarmup - g.Now()
-			}
-			if g.Now()+step > webHorizon {
-				step = webHorizon - g.Now()
-			}
-			if step > 0 {
-				if pause {
-					g.Pause(step)
-				} else {
-					g.Run(step)
-				}
-				d -= step
-			}
-			if !reset && g.Now() >= webWarmup {
-				g.ResetMeasure()
-				reset = true
-			}
-			if g.Now() >= webHorizon {
-				return
-			}
-		}
-	}
-	for _, c := range cycles {
-		if g.Now() >= webHorizon {
-			return
-		}
-		advance(c.Run, false)
-		advance(c.Pause, true)
-	}
-	if rest := webHorizon - g.Now(); rest > 0 {
-		advance(rest, false)
-	}
-}
-
 // webMeasure drives one generator per VM over the fleet schedule and
-// returns the host-merged p99 and aggregate completed throughput for
-// the measurement window.
-func webMeasure(perVM [][]websim.Cycle, k int, usersPerVM int64) (time.Duration, float64, error) {
+// records the host-merged p99 and aggregate completed throughput of the
+// measurement window in p.
+func webMeasure(p *WebArmPoint, perVM [][]websim.Cycle, k int) error {
 	sched := websim.FleetSchedule(perVM, k, webHorizon)
 	merged := obs.NewHistogram(websim.LatencyBuckets())
-	var tput float64
 	for i := range sched {
-		g, err := websim.NewGen(websim.GenParams{Classes: websim.DefaultClasses(usersPerVM)})
+		g, err := websim.NewGen(websim.GenParams{Classes: websim.DefaultClasses(p.UsersPerVM)})
 		if err != nil {
-			return 0, 0, err
+			return err
 		}
-		driveMeasured(g, sched[i])
+		websim.DriveGen(g, sched[i], webWarmup, webHorizon)
 		merged.Merge(g.Hist())
-		tput += g.Snapshot().Throughput
+		p.ThroughputPerHost += g.Snapshot().Throughput
 	}
-	return time.Duration(merged.Quantile(0.99)), tput, nil
+	p.P99Ms = ms(time.Duration(merged.Quantile(0.99)))
+	return nil
 }
 
-// webSearchLadder finds the largest ladder rung whose measured p99
-// meets the target. eval returns the point measured at one rung; the
-// p99-vs-load curve is monotone, so a binary search suffices. Returns
-// the passing point, or nil when even the bottom rung fails.
-func webSearchLadder(eval func(users int64) (*WebArmPoint, error)) (*WebArmPoint, error) {
-	var best *WebArmPoint
+// webSearchLadder finds the largest ladder rung at which arm, on vms
+// VMs, meets the p99 target. measure completes the point for one rung
+// (its user counts are preset); the p99-vs-load curve is monotone, so a
+// binary search suffices. When even the bottom rung fails, the point
+// carries only the arm and the VM count.
+func webSearchLadder(arm string, vms int, measure func(p *WebArmPoint) error) (WebArmPoint, error) {
+	best := WebArmPoint{Arm: arm, VMs: vms}
 	lo, hi := 0, len(webLadder)-1
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		p, err := eval(webLadder[mid])
-		if err != nil {
-			return nil, err
+		p := WebArmPoint{Arm: arm, VMs: vms, UsersPerVM: webLadder[mid], UsersPerHost: webLadder[mid] * int64(vms)}
+		if err := measure(&p); err != nil {
+			return WebArmPoint{}, err
 		}
 		if p.P99Ms <= ms(webTargetP99) {
 			best = p
@@ -282,25 +222,9 @@ func webSearchLadder(eval func(users int64) (*WebArmPoint, error)) (*WebArmPoint
 
 // webStaticPoint benchmarks one static arm at one VM count.
 func webStaticPoint(armName string, cycles []websim.Cycle, vms int) (WebArmPoint, error) {
-	point, err := webSearchLadder(func(users int64) (*WebArmPoint, error) {
-		perVM := webPerVM(armName, cycles, vms)
-		p99, tput, err := webMeasure(perVM, vms, users)
-		if err != nil {
-			return nil, err
-		}
-		return &WebArmPoint{
-			Arm: armName, VMs: vms,
-			UsersPerVM: users, UsersPerHost: users * int64(vms),
-			ThroughputPerHost: tput, P99Ms: ms(p99),
-		}, nil
+	return webSearchLadder(armName, vms, func(p *WebArmPoint) error {
+		return webMeasure(p, webPerVM(armName, cycles, vms), vms)
 	})
-	if err != nil {
-		return WebArmPoint{}, err
-	}
-	if point == nil {
-		return WebArmPoint{Arm: armName, VMs: vms}, nil
-	}
-	return *point, nil
 }
 
 // webAdaptivePoint benchmarks the SLO-adaptive arm at one VM count: for
@@ -308,10 +232,10 @@ func webStaticPoint(armName string, cycles []websim.Cycle, vms int) (WebArmPoint
 // feedback generator at that load, and the steady-state tuned timeline
 // is then measured fleet-wide under the tuned gate K.
 func webAdaptivePoint(vms int) (WebArmPoint, error) {
-	point, err := webSearchLadder(func(users int64) (*WebArmPoint, error) {
-		fb, err := websim.NewGen(websim.GenParams{Classes: websim.DefaultClasses(users)})
+	return webSearchLadder("slo-adaptive", vms, func(p *WebArmPoint) error {
+		fb, err := websim.NewGen(websim.GenParams{Classes: websim.DefaultClasses(p.UsersPerVM)})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Band 0.13 puts the loosen threshold between the 2.863 and
 		// 3.292 ms histogram buckets: a tail in the higher bucket always
@@ -343,33 +267,17 @@ func webAdaptivePoint(vms int) (WebArmPoint, error) {
 			sctl.ObserveP99(p99, n)
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		steady := cycles[len(cycles)-webCaptureEpochs:]
 		tun := sctl.Tunables()
-		k := tun.GateK
-		if k < 1 {
-			k = vms
+		p.GateK = tun.GateK
+		if p.GateK < 1 {
+			p.GateK = vms
 		}
-		p99, tput, err := webMeasure(websim.Replicate(steady, vms), k, users)
-		if err != nil {
-			return nil, err
-		}
-		return &WebArmPoint{
-			Arm: "slo-adaptive", VMs: vms,
-			UsersPerVM: users, UsersPerHost: users * int64(vms),
-			ThroughputPerHost: tput, P99Ms: ms(p99),
-			GateK: k, Workers: tun.Workers,
-			IntervalMs: ms(tun.Interval), SLOSteps: sctl.Steps(),
-		}, nil
+		p.Workers, p.IntervalMs, p.SLOSteps = tun.Workers, ms(tun.Interval), sctl.Steps()
+		return webMeasure(p, websim.Replicate(steady, vms), p.GateK)
 	})
-	if err != nil {
-		return WebArmPoint{}, err
-	}
-	if point == nil {
-		return WebArmPoint{Arm: "slo-adaptive", VMs: vms}, nil
-	}
-	return *point, nil
 }
 
 // WebSweep runs the full benchmark: every static arm and the adaptive
@@ -423,56 +331,42 @@ func WebSweep() (*WebBench, error) {
 	return bench, nil
 }
 
-// WebScaleComparison renders the benchmark as a text experiment
-// ("webscale"): users served per host at the p99 target, adaptive vs
-// the static arms, per VM-count sweep point.
-func WebScaleComparison() (*Result, error) {
-	bench, err := WebSweep()
-	if err != nil {
-		return nil, err
-	}
-	return bench.render(), nil
+// webTable is the "webscale" experiment's layout.
+var webTable = table[WebArmPoint]{
+	{"arm", -14, "%s", "arm", "%s", func(p WebArmPoint) any { return p.Arm }},
+	{"vms", 5, "%d", "vms", "%d", func(p WebArmPoint) any { return p.VMs }},
+	{"users/vm", 12, "%d", "users_per_vm", "%d", func(p WebArmPoint) any { return p.UsersPerVM }},
+	{"users/host", 14, "%d", "users_per_host", "%d", func(p WebArmPoint) any { return p.UsersPerHost }},
+	{"rps/host", 14, "%.0f", "throughput_per_host_rps", "%.0f", func(p WebArmPoint) any { return p.ThroughputPerHost }},
+	{"p99(ms)", 9, "%.3f", "p99_ms", "%.3f", func(p WebArmPoint) any { return p.P99Ms }},
+	{"gateK", 7, "%d", "gate_k", "%d", func(p WebArmPoint) any { return p.GateK }},
+	{"workers", 8, "%d", "workers", "%d", func(p WebArmPoint) any { return p.Workers }},
+	{"intvl(ms)", 10, "%.0f", "interval_ms", "%.0f", func(p WebArmPoint) any { return p.IntervalMs }},
 }
 
-// render is the sweep's text and CSV rendering.
+// render is the "webscale" text experiment: users served per host at
+// the p99 target, adaptive vs the static arms, per VM-count sweep point.
 func (bench *WebBench) render() *Result {
-	var b strings.Builder
-	renderHeader(&b, fmt.Sprintf(
+	s := newSheet(fmt.Sprintf(
 		"Web scale: users served per host at p99 <= %.1f ms (Best Effort, %d-page guests)",
 		bench.TargetP99Ms, bench.GuestPages))
-	var csv strings.Builder
-	csv.WriteString("arm,vms,users_per_vm,users_per_host,throughput_per_host_rps,p99_ms,gate_k,workers,interval_ms\n")
-	fmt.Fprintf(&b, "%-14s %5s %12s %14s %14s %9s %7s %8s %10s\n",
-		"arm", "vms", "users/vm", "users/host", "rps/host", "p99(ms)", "gateK", "workers", "intvl(ms)")
-	row := func(p WebArmPoint) {
-		fmt.Fprintf(&b, "%-14s %5d %12d %14d %14.0f %9.3f %7d %8d %10.0f\n",
-			p.Arm, p.VMs, p.UsersPerVM, p.UsersPerHost, p.ThroughputPerHost,
-			p.P99Ms, p.GateK, p.Workers, p.IntervalMs)
-		fmt.Fprintf(&csv, "%s,%d,%d,%d,%.0f,%.3f,%d,%d,%.0f\n",
-			p.Arm, p.VMs, p.UsersPerVM, p.UsersPerHost, p.ThroughputPerHost,
-			p.P99Ms, p.GateK, p.Workers, p.IntervalMs)
-	}
+	webTable.header(s)
 	for _, vms := range bench.VMSweep {
 		for _, p := range bench.Static {
 			if p.VMs == vms {
-				row(p)
+				webTable.rows(s, p)
 			}
 		}
 		for _, p := range bench.Adaptive {
 			if p.VMs == vms {
-				row(p)
+				webTable.rows(s, p)
 			}
 		}
-		b.WriteByte('\n')
+		s.text.WriteByte('\n')
 	}
 	for _, h := range bench.Headline {
-		fmt.Fprintf(&b, "%d VMs: adaptive %d users/host vs best static (%s) %d — %.2fx\n",
+		fmt.Fprintf(&s.text, "%d VMs: adaptive %d users/host vs best static (%s) %d — %.2fx\n",
 			h.VMs, h.AdaptiveUsersPerHost, h.BestStaticArm, h.BestStaticUsersPerHost, h.Gain)
 	}
-	return &Result{
-		ID:    "webscale",
-		Title: "Web scale: SLO-adaptive vs static arms",
-		Text:  b.String(),
-		CSV:   csv.String(),
-	}
+	return s.result("webscale", "Web scale: SLO-adaptive vs static arms")
 }

@@ -124,18 +124,13 @@ func (c *Conduit) SetObserver(o *obs.Observer, vm string) {
 	c.sentBytes = reg.Counter("crimes_conduit_bytes_total", "vm", vm)
 }
 
-// NewConduit starts a restore process for the backup domain and returns
-// the primary-side channel, speaking the v1 raw wire protocol. key must
-// be 16, 24 or 32 bytes (AES).
-func NewConduit(h *hv.Hypervisor, backup *hv.Domain, key []byte) (*Conduit, error) {
-	return NewConduitMode(h, backup, key, ModeRaw, 0)
-}
-
-// NewConduitMode is NewConduit with an explicit wire protocol.
-// budgetPages bounds the sender's shipped-version table in
-// ModeDelta/ModeDeltaDedup (<= 0 is unbounded); pages evicted from the
-// table lose their delta/dedup base and ship raw on their next change.
-// ModeRaw ignores the budget and is byte-for-byte the v1 channel.
+// NewConduitMode starts a restore process for the backup domain and
+// returns the primary-side channel speaking the given wire protocol. key
+// must be 16, 24 or 32 bytes (AES). budgetPages bounds the sender's
+// shipped-version table in ModeDelta/ModeDeltaDedup (<= 0 is unbounded);
+// pages evicted from the table lose their delta/dedup base and ship raw
+// on their next change. ModeRaw ignores the budget and is byte-for-byte
+// the v1 channel.
 func NewConduitMode(h *hv.Hypervisor, backup *hv.Domain, key []byte, mode Mode, budgetPages int) (*Conduit, error) {
 	if err := h.Faults().Check(FaultConduitNew); err != nil {
 		return nil, fmt.Errorf("remus: connect: %w", err)

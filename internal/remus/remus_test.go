@@ -21,9 +21,9 @@ func newConduitPair(t *testing.T, pages int) (*hv.Hypervisor, *hv.Domain, *hv.Do
 	if err != nil {
 		t.Fatalf("CreateDomain: %v", err)
 	}
-	c, err := NewConduit(h, backup, []byte("0123456789abcdef"))
+	c, err := NewConduitMode(h, backup, []byte("0123456789abcdef"), ModeRaw, 0)
 	if err != nil {
-		t.Fatalf("NewConduit: %v", err)
+		t.Fatalf("NewConduitMode: %v", err)
 	}
 	t.Cleanup(func() {
 		if err := c.Close(); err != nil {
@@ -144,9 +144,9 @@ func TestReplicationFidelityProperty(t *testing.T) {
 func TestSendAfterClose(t *testing.T) {
 	h := hv.New(8)
 	backup, _ := h.CreateDomain("backup", 2)
-	c, err := NewConduit(h, backup, []byte("0123456789abcdef"))
+	c, err := NewConduitMode(h, backup, []byte("0123456789abcdef"), ModeRaw, 0)
 	if err != nil {
-		t.Fatalf("NewConduit: %v", err)
+		t.Fatalf("NewConduitMode: %v", err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -163,7 +163,7 @@ func TestSendAfterClose(t *testing.T) {
 func TestBadKeyRejected(t *testing.T) {
 	h := hv.New(8)
 	backup, _ := h.CreateDomain("backup", 2)
-	if _, err := NewConduit(h, backup, []byte("short")); err == nil {
+	if _, err := NewConduitMode(h, backup, []byte("short"), ModeRaw, 0); err == nil {
 		t.Fatal("bad AES key accepted")
 	}
 }
@@ -176,9 +176,9 @@ func TestPayloadIsEncryptedOnTheWire(t *testing.T) {
 	h := hv.New(8)
 	primary, _ := h.CreateDomain("p", 2)
 	backup, _ := h.CreateDomain("b", 2)
-	c, err := NewConduit(h, backup, []byte("0123456789abcdef"))
+	c, err := NewConduitMode(h, backup, []byte("0123456789abcdef"), ModeRaw, 0)
 	if err != nil {
-		t.Fatalf("NewConduit: %v", err)
+		t.Fatalf("NewConduitMode: %v", err)
 	}
 	defer c.Close()
 	plain := bytes.Repeat([]byte("secret page data"), 16)

@@ -214,3 +214,215 @@ func TestGenBadParams(t *testing.T) {
 		t.Fatal("think below tick accepted")
 	}
 }
+
+// --- the §5.4 wrk client (WrkClient): what Figure 7 rests on ---------------
+
+// wrk measures ten seconds of a one-cohort client against a server
+// protected by a fixed {epoch, pause} cycle (unprotected when epoch is
+// zero), the way Figure 7 drives it.
+func wrk(t *testing.T, c Class, epoch, pause time.Duration, buffered bool) LoadStats {
+	t.Helper()
+	const horizon = 10 * time.Second
+	g, err := NewGen(GenParams{Classes: []Class{c}, Buffered: buffered})
+	if err != nil {
+		t.Fatalf("NewGen: %v", err)
+	}
+	var cycles []Cycle
+	if epoch > 0 {
+		cycles = FleetSchedule([][]Cycle{{{Run: epoch, Pause: pause}}}, 1, horizon)[0]
+	}
+	DriveGen(g, cycles, 0, horizon)
+	return g.Snapshot()
+}
+
+func TestBaselineMatchesPaper(t *testing.T) {
+	// No protection: the paper's baseline measured 17,094 req/s at
+	// 2.83 ms average latency.
+	res := wrk(t, WrkClient, 0, 0, false)
+	if res.Throughput < 16000 || res.Throughput > 18000 {
+		t.Fatalf("baseline throughput = %.0f req/s, want ~17094", res.Throughput)
+	}
+	ms := res.AvgLatency.Seconds() * 1000
+	// Closed-loop with pipelining: latency = outstanding/throughput.
+	if ms < 2.0 || ms > 60 {
+		t.Fatalf("baseline latency = %.2f ms", ms)
+	}
+}
+
+// syncIntervals are the epoch intervals (ms) the Figure 7 shape tests
+// walk under Synchronous Safety with a 5 ms pause.
+var syncIntervals = []time.Duration{60, 100, 140, 200}
+
+func TestSyncThroughputFallsWithInterval(t *testing.T) {
+	// Figure 7b: under Synchronous Safety, normalized throughput falls
+	// as the epoch interval grows (responses are held longer and the
+	// closed-loop client cannot fill the server).
+	var prev float64 = 1e18
+	for _, epoch := range syncIntervals {
+		res := wrk(t, WrkClient, epoch*time.Millisecond, 5*time.Millisecond, true)
+		if res.Throughput >= prev {
+			t.Fatalf("throughput not decreasing at %dms: %.0f >= %.0f", epoch, res.Throughput, prev)
+		}
+		prev = res.Throughput
+	}
+}
+
+func TestSyncLatencyGrowsWithInterval(t *testing.T) {
+	// Figure 7a: normalized latency grows with the epoch interval.
+	var prev time.Duration
+	for _, epoch := range syncIntervals {
+		res := wrk(t, WrkClient, epoch*time.Millisecond, 5*time.Millisecond, true)
+		if res.AvgLatency <= prev {
+			t.Fatalf("latency not increasing at %dms: %v <= %v", epoch, res.AvgLatency, prev)
+		}
+		prev = res.AvgLatency
+	}
+}
+
+func TestBestEffortNearBaseline(t *testing.T) {
+	// §5.4: "In the case of best-effort safety ... the performance is
+	// almost equal with having no protection at all."
+	base := wrk(t, WrkClient, 0, 0, false)
+	for _, epoch := range []time.Duration{20, 200} {
+		res := wrk(t, WrkClient, epoch*time.Millisecond, 2*time.Millisecond, false)
+		if ratio := res.Throughput / base.Throughput; ratio < 0.85 {
+			t.Fatalf("best effort at %dms = %.2f of baseline, want ~1", epoch, ratio)
+		}
+	}
+}
+
+func TestBestEffortBeatsSync(t *testing.T) {
+	// Best Effort throughput is never below Synchronous, at any
+	// interval; where buffering bites, it is strictly better on both
+	// axes.
+	for _, epoch := range []time.Duration{20, 60, 100, 200} {
+		sync := wrk(t, WrkClient, epoch*time.Millisecond, 5*time.Millisecond, true)
+		be := wrk(t, WrkClient, epoch*time.Millisecond, 5*time.Millisecond, false)
+		if be.Throughput < sync.Throughput {
+			t.Fatalf("%dms: best effort (%.0f req/s) below sync (%.0f req/s)", epoch, be.Throughput, sync.Throughput)
+		}
+	}
+	sync := wrk(t, WrkClient, 100*time.Millisecond, 5*time.Millisecond, true)
+	be := wrk(t, WrkClient, 100*time.Millisecond, 5*time.Millisecond, false)
+	if be.Throughput <= sync.Throughput {
+		t.Fatalf("best effort (%.0f) not faster than sync (%.0f)", be.Throughput, sync.Throughput)
+	}
+	if be.AvgLatency >= sync.AvgLatency {
+		t.Fatalf("best effort latency (%v) not lower than sync (%v)", be.AvgLatency, sync.AvgLatency)
+	}
+}
+
+func TestPauseReducesBestEffortThroughput(t *testing.T) {
+	// Even unbuffered, the VM serves nothing while paused.
+	small := wrk(t, WrkClient, 20*time.Millisecond, time.Millisecond, false)
+	big := wrk(t, WrkClient, 20*time.Millisecond, 10*time.Millisecond, false)
+	if big.Throughput >= small.Throughput {
+		t.Fatalf("larger pause did not reduce throughput: %.0f >= %.0f", big.Throughput, small.Throughput)
+	}
+}
+
+func TestServiceSpansPause(t *testing.T) {
+	// A request arriving just before the pause finishes after it: the
+	// server makes no progress while the VM is paused.
+	one := Class{Name: "one", Users: 1, Think: 100 * time.Microsecond, Service: 10 * time.Millisecond}
+	res := wrk(t, one, 15*time.Millisecond, 50*time.Millisecond, false)
+	// Each 65ms cycle has 15ms of service capacity; a 10ms request fits
+	// one per cycle at most: throughput well below 1/service.
+	if res.Throughput > 1.0/one.Service.Seconds()/2 {
+		t.Fatalf("throughput %.0f ignores pauses", res.Throughput)
+	}
+	if res.Completed == 0 {
+		t.Fatal("no requests completed")
+	}
+}
+
+func TestClosedLoopLittlesLaw(t *testing.T) {
+	// Single server, closed loop: throughput is capped at 1/service
+	// regardless of the population, and latency grows with the number
+	// of outstanding requests (Little's law: L = X * W).
+	c := Class{Name: "slow", Users: 1, Think: 100 * time.Microsecond, Service: 500 * time.Microsecond}
+	low := wrk(t, c, 0, 0, false)
+	c.Users = 48
+	high := wrk(t, c, 0, 0, false)
+	cap := 1.0 / c.Service.Seconds()
+	for _, r := range []LoadStats{low, high} {
+		if r.Throughput > cap*1.05 {
+			t.Fatalf("throughput %.0f exceeds server capacity %.0f", r.Throughput, cap)
+		}
+	}
+	if high.AvgLatency < 40*low.AvgLatency {
+		t.Fatalf("latency did not scale with outstanding requests: %v vs %v",
+			high.AvgLatency, low.AvgLatency)
+	}
+	// Little's law within 10%: L = X * W.
+	l := high.Throughput * high.AvgLatency.Seconds()
+	if l < 43 || l > 53 {
+		t.Fatalf("Little's law violated: L = %.1f, want ~48", l)
+	}
+}
+
+func TestBufferedReleaseAtCycleBoundary(t *testing.T) {
+	// With buffering nothing served during an epoch is delivered until
+	// the pause ends, and all of it is delivered then.
+	g, err := NewGen(GenParams{Classes: []Class{WrkClient}, Buffered: true})
+	if err != nil {
+		t.Fatalf("NewGen: %v", err)
+	}
+	g.Run(50 * time.Millisecond)
+	held := g.pendingN
+	if s := g.Snapshot(); s.Completed != 0 || held == 0 {
+		t.Fatalf("mid-epoch: %d delivered, %d held; want 0 delivered, some held", s.Completed, held)
+	}
+	g.Pause(5 * time.Millisecond)
+	if s := g.Snapshot(); s.Completed != held || g.pendingN != 0 {
+		t.Fatalf("pause end: %d delivered, %d still held; want all %d released", s.Completed, g.pendingN, held)
+	}
+	// So every observed latency includes the wait for the boundary: the
+	// mean must exceed best effort's.
+	two := WrkClient
+	two.Users = 2
+	sync := wrk(t, two, 50*time.Millisecond, 5*time.Millisecond, true)
+	be := wrk(t, two, 50*time.Millisecond, 5*time.Millisecond, false)
+	if sync.AvgLatency <= be.AvgLatency {
+		t.Fatalf("buffered latency %v not above unbuffered %v", sync.AvgLatency, be.AvgLatency)
+	}
+}
+
+// Regression pin for the paper baseline: ten unprotected seconds of the
+// wrk cohort complete 170,940 requests — 17,094 req/s exactly — and the
+// closed-loop accounting balances: all 768 users are in the system when
+// the horizon ends, 766 with a request in flight and two thinking.
+func TestBaselineAccountingPinned(t *testing.T) {
+	res := wrk(t, WrkClient, 0, 0, false)
+	if res.Completed != 170940 {
+		t.Fatalf("baseline Completed = %d, want 170940", res.Completed)
+	}
+	if res.Throughput != 17094.0 {
+		t.Fatalf("baseline Throughput = %v, want 17094 exactly", res.Throughput)
+	}
+	if want := 44827428 * time.Nanosecond; res.AvgLatency != want {
+		t.Fatalf("baseline AvgLatency = %v, want %v", res.AvgLatency, want)
+	}
+	if res.Abandoned != 766 {
+		t.Fatalf("Abandoned = %d, want 766 (the whole pipeline bar two thinking users)", res.Abandoned)
+	}
+	if res.Offered != res.Completed+res.Abandoned {
+		t.Fatalf("Offered %d != Completed %d + Abandoned %d", res.Offered, res.Completed, res.Abandoned)
+	}
+}
+
+// The accounting identity holds under protection too, in both safety
+// modes: nothing offered is lost, it is either completed or abandoned.
+func TestAccountingBalances(t *testing.T) {
+	for _, buffered := range []bool{false, true} {
+		res := wrk(t, WrkClient, 200*time.Millisecond, 4*time.Millisecond, buffered)
+		if res.Offered != res.Completed+res.Abandoned {
+			t.Fatalf("buffered=%v: Offered %d != Completed %d + Abandoned %d",
+				buffered, res.Offered, res.Completed, res.Abandoned)
+		}
+		if res.Abandoned == 0 || res.Abandoned > WrkClient.Users {
+			t.Fatalf("buffered=%v: Abandoned = %d, want in (0, %d] in-flight pipeline slots",
+				buffered, res.Abandoned, WrkClient.Users)
+		}
+	}
+}

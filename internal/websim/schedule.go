@@ -130,35 +130,38 @@ func FleetSchedule(perVM [][]Cycle, k int, horizon time.Duration) [][]Cycle {
 	return out
 }
 
-// DriveGen replays a gate-adjusted schedule into a generator up to
-// horizon, clamping the final segment so every VM's clock ends exactly
-// at horizon.
-func DriveGen(g *Gen, cycles []Cycle, horizon time.Duration) {
+// DriveGen replays one VM's schedule into its generator up to horizon,
+// clamping the final segment so every VM's clock ends exactly there, and
+// restarts the measurement window (ResetMeasure) exactly at measureFrom,
+// so every VM reports the same (measureFrom, horizon] interval. A segment
+// that straddles measureFrom is split there; a split pause would be an
+// extra release edge under Buffered, so buffered drivers measure from 0.
+func DriveGen(g *Gen, cycles []Cycle, measureFrom, horizon time.Duration) {
+	measuring := false
+	seg := func(d time.Duration, advance func(time.Duration)) {
+		if rest := horizon - g.Now(); d > rest {
+			d = rest
+		}
+		if pre := measureFrom - g.Now(); !measuring && pre <= d {
+			if pre > 0 {
+				advance(pre)
+				d -= pre
+			}
+			g.ResetMeasure()
+			measuring = true
+		}
+		if d > 0 {
+			advance(d)
+		}
+	}
 	for _, c := range cycles {
 		if g.Now() >= horizon {
 			return
 		}
-		run := c.Run
-		if g.Now()+run > horizon {
-			run = horizon - g.Now()
-		}
-		if run > 0 {
-			g.Run(run)
-		}
-		if g.Now() >= horizon {
-			return
-		}
-		pause := c.Pause
-		if g.Now()+pause > horizon {
-			pause = horizon - g.Now()
-		}
-		if pause > 0 {
-			g.Pause(pause)
-		}
+		seg(c.Run, g.Run)
+		seg(c.Pause, g.Pause)
 	}
-	if rest := horizon - g.Now(); rest > 0 {
-		// Schedule exhausted early (outage-heavy timelines): the VM
-		// runs unprotected to the horizon.
-		g.Run(rest)
-	}
+	// Schedule exhausted early (no protection, or an outage-heavy
+	// timeline): the VM runs unprotected to the horizon.
+	seg(horizon-g.Now(), g.Run)
 }

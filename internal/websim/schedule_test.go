@@ -110,7 +110,7 @@ func TestDriveGenHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	cycles := FleetSchedule(Replicate([]Cycle{{Run: 200 * time.Millisecond, Pause: 4 * time.Millisecond}}, 2), 1, 2*time.Second)
-	DriveGen(g, cycles[1], 2*time.Second)
+	DriveGen(g, cycles[1], 0, 2*time.Second)
 	if g.Now() != 2*time.Second {
 		t.Fatalf("clock = %v, want exactly 2s", g.Now())
 	}

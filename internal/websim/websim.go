@@ -1,16 +1,16 @@
-// Package websim is the discrete-event simulation of the §5.4 web
-// experiment: an NGINX-like server inside the protected VM, driven by a
-// closed-loop wrk-style client. Under Synchronous Safety every response
-// is held in the output buffer until the epoch's audit commits; under
-// Best Effort responses leave immediately. The VM serves no requests
-// while paused for checkpoints.
+// Package websim is the virtual-time model of the §5.4 web experiment:
+// an NGINX-like server inside the protected VM, driven by closed-loop
+// clients. Under Synchronous Safety every response is held in the output
+// buffer until the epoch's audit commits; under Best Effort responses
+// leave immediately. The VM serves no requests while paused for
+// checkpoints.
 //
-// Two generators live here. Simulate is the original per-request model
-// (one heap event per in-flight request) that reproduces the paper's
-// Figure 7 numbers. Gen (loadgen.go) is the production-scale cohort
-// model: millions of closed-loop users collapsed into per-class
-// aggregate state, driven by real controller timelines (schedule.go),
-// reporting streaming latency percentiles.
+// One client model serves every reported number. Gen (loadgen.go)
+// collapses closed-loop users into per-class cohorts — WrkClient is the
+// paper's wrk run behind Figure 7, DefaultClasses the million-user mix
+// behind BENCH_web.json — and DriveGen (schedule.go) is the one function
+// that replays a protection timeline, fixed or captured from a real
+// controller run, into a generator.
 package websim
 
 import (
@@ -18,215 +18,17 @@ import (
 	"time"
 )
 
-// Params configures one simulation run.
-type Params struct {
-	// Connections is the number of closed-loop client connections
-	// (each sends its next request only after receiving a response).
-	Connections int
-	// Pipeline is the number of in-flight requests per connection
-	// (wrk-style HTTP pipelining).
-	Pipeline int
-	// Service is the server's per-request processing time.
-	Service time.Duration
-	// Epoch is the speculative-execution interval; Pause is the
-	// checkpoint-plus-audit pause after each epoch.
-	Epoch time.Duration
-	Pause time.Duration
-	// Buffered selects Synchronous Safety (responses released at the
-	// end of the pause) versus Best Effort (immediate).
-	Buffered bool
-	// Horizon is the simulated duration.
-	Horizon time.Duration
-}
-
-// Result reports a run's client-observed performance. Requests counts
-// deliveries inside the horizon (it equals Completed and is retained
-// under its original name for the paper-baseline call sites); Offered,
-// Completed, and Abandoned make the closed-loop accounting explicit:
-// every request sent before the horizon is either delivered inside it
-// (completed) or still in flight when the horizon cuts the run off
-// (abandoned). Offered == Completed + Abandoned always holds.
-type Result struct {
-	Requests   int
-	Throughput float64 // requests per second
-	AvgLatency time.Duration
-
-	Offered   int // requests sent before the horizon
-	Completed int // delivered inside the horizon (== Requests)
-	Abandoned int // in flight when the horizon ended
-}
-
-// DefaultParams reproduces the paper's baseline: 17,094 req/s at 2.83 ms
-// average latency with no protection enabled.
-func DefaultParams() Params {
-	return Params{
-		Connections: 48,
-		Pipeline:    16,
-		Service:     58500 * time.Nanosecond,
-		Horizon:     10 * time.Second,
-	}
-}
-
-// ErrBadParams reports an invalid simulation configuration.
+// ErrBadParams reports an invalid generator configuration.
 var ErrBadParams = errors.New("websim: invalid parameters")
 
-type event struct {
-	at   time.Duration
-	conn int
-}
-
-// eventHeap is a typed binary min-heap on event.at. It replaces the
-// container/heap implementation: push and pop are direct methods with
-// no interface{} boxing, so the steady-state event path (pop one
-// delivery, push the next request into the same slot) does not allocate.
-type eventHeap []event
-
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent].at <= s[i].at {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s[l].at < s[min].at {
-			min = l
-		}
-		if r < n && s[r].at < s[min].at {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
-}
-
-// Simulate runs the closed-loop experiment and returns client-observed
-// throughput and latency.
-func Simulate(p Params) (Result, error) {
-	if p.Connections <= 0 || p.Pipeline <= 0 || p.Service <= 0 || p.Horizon <= 0 {
-		return Result{}, ErrBadParams
-	}
-	protected := p.Epoch > 0
-	cycle := p.Epoch + p.Pause
-
-	// cycleEnd returns the time the buffer for the epoch containing t
-	// is released: the end of that epoch's pause.
-	cycleEnd := func(t time.Duration) time.Duration {
-		if !protected {
-			return t
-		}
-		k := t / cycle
-		end := k*cycle + cycle
-		if t == k*cycle && t != 0 {
-			// Exactly at a boundary: that instant is the release.
-			return t
-		}
-		return end
-	}
-	// skipPause moves t forward out of a pause window (the server does
-	// not run while the VM is paused).
-	skipPause := func(t time.Duration) time.Duration {
-		if !protected {
-			return t
-		}
-		k := t / cycle
-		within := t - k*cycle
-		if within >= p.Epoch {
-			return (k + 1) * cycle
-		}
-		return t
-	}
-	// addBusy advances from start by service time counted only while
-	// the VM runs.
-	addBusy := func(start, service time.Duration) time.Duration {
-		t := skipPause(start)
-		for protected {
-			k := t / cycle
-			epochEnd := k*cycle + p.Epoch
-			if t+service <= epochEnd {
-				return t + service
-			}
-			service -= epochEnd - t
-			t = (k + 1) * cycle
-		}
-		return t + service
-	}
-
-	// Seed: every connection starts its pipeline at t=0.
-	h := make(eventHeap, 0, p.Connections*p.Pipeline)
-	for c := 0; c < p.Connections; c++ {
-		for i := 0; i < p.Pipeline; i++ {
-			h.push(event{at: 0, conn: c})
-		}
-	}
-
-	var (
-		serverFree time.Duration
-		completed  int
-		offered    int
-		abandoned  int
-		latencySum time.Duration
-	)
-	for len(h) > 0 {
-		ev := h.pop()
-		if ev.at >= p.Horizon {
-			// Never sent: the connection's previous response arrived at
-			// or after the horizon, so this request does not count as
-			// offered load.
-			continue
-		}
-		offered++
-		start := ev.at
-		if serverFree > start {
-			start = serverFree
-		}
-		finish := addBusy(start, p.Service)
-		serverFree = finish
-		delivery := finish
-		if p.Buffered && protected {
-			delivery = cycleEnd(finish)
-		}
-		if delivery >= p.Horizon {
-			// Sent but still in flight (queued, in service, or held in
-			// the output buffer) when the horizon ended.
-			abandoned++
-			continue
-		}
-		completed++
-		latencySum += delivery - ev.at
-		h.push(event{at: delivery, conn: ev.conn})
-	}
-
-	res := Result{
-		Requests:  completed,
-		Offered:   offered,
-		Completed: completed,
-		Abandoned: abandoned,
-	}
-	if completed > 0 {
-		res.Throughput = float64(completed) / p.Horizon.Seconds()
-		res.AvgLatency = latencySum / time.Duration(completed)
-	}
-	return res, nil
+// WrkClient is the paper's §5.4 client as one cohort: wrk's 48
+// connections x 16 pipelined requests are 768 closed-loop users that
+// resend one tick after each response, against a 58.5 µs request. Ten
+// unprotected seconds complete 170,940 requests — the paper's 17,094
+// req/s baseline exactly.
+var WrkClient = Class{
+	Name:    "wrk",
+	Users:   48 * 16,
+	Think:   100 * time.Microsecond,
+	Service: 58500 * time.Nanosecond,
 }
