@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: build test verify verify-quick bench bench-all pause-json bench-fleet \
 	bench-scan bench-cow bench-remus bench-cluster bench-web experiments-golden \
-	fmt-check static-check ci bench-drift scenarios test-procs traced-runs loc
+	fmt-check static-check ci bench-drift scenarios test-procs traced-runs loc fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -94,11 +94,18 @@ bench-all: pause-json bench-fleet bench-scan bench-cow bench-remus bench-cluster
 bench-drift: bench-all
 	git diff --exit-code BENCH_*.json internal/experiments/testdata
 
+# Short fuzz pass over the page-wise Volatility scanners: besides never
+# panicking, they must return exactly what the linear reference scans of
+# the contiguous image return.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzPsScan -fuzztime 10s ./internal/volatility
+
 # Everything the CI workflow runs, in the same order, for local use.
 ci: fmt-check static-check build
 	$(GO) vet ./...
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race ./...
+	$(MAKE) fuzz-smoke
 	$(MAKE) test-procs
 	$(MAKE) traced-runs
 	$(MAKE) scenarios

@@ -1,0 +1,93 @@
+package crimes
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/hv"
+)
+
+// The evidence equivalence property: retained history and incident
+// dumps are derived from the previous image plus the dirty log instead
+// of copied in full, and that must be invisible. On the combined
+// property arms with HistoryDepth = 2, every history entry equals a full
+// dump of the backup taken right after its epoch, byte for byte and in
+// the vCPU, and at an incident the last-good dump equals a full dump of
+// the backup and the audit-fail dump one of the primary as the audit
+// left it. Keeping history changes no finding.
+func TestHistoryEvidenceProperty(t *testing.T) {
+	arms := []struct {
+		name   string
+		cfg    Config
+		remote bool
+	}{
+		{"seed-path", Config{Opt: OptNone}, false},
+		{"full", Config{}, false},
+		{"premap-delta-uncached", Config{Opt: OptPremap, Remus: RemusDelta, ScanCache: ScanCacheUncached, Workers: 2}, false},
+		{"cow", Config{CoW: true}, false},
+		{"combined", Config{CoW: true, ScanCache: ScanCacheOn, Remus: RemusDeltaDedup, Workers: 2}, true},
+		{"replay", Config{ReplayOnIncident: true, ScanCache: ScanCacheOn}, false},
+	}
+	attacks := []string{"", "overflow", "malware", "hijack", "hidden"}
+	for i, attack := range attacks {
+		seed := int64(900 + 41*i)
+		script := genScript(seed)
+		for _, arm := range arms {
+			plain := runPropArm(t, seed, arm.cfg, script, attack, arm.remote)
+			cfg := arm.cfg
+			cfg.HistoryDepth = 2
+			kept := runPropArm(t, seed, cfg, script, attack, arm.remote)
+			if len(kept.epochs) != len(plain.epochs) {
+				t.Fatalf("seed %d attack %q arm %s: %d epochs with history, %d without",
+					seed, attack, arm.name, len(kept.epochs), len(plain.epochs))
+			}
+			for e := range plain.epochs {
+				if !reflect.DeepEqual(kept.epochs[e].findings, plain.epochs[e].findings) ||
+					kept.epochs[e].incident != plain.epochs[e].incident {
+					t.Errorf("seed %d attack %q arm %s epoch %d: keeping history changed the audit",
+						seed, attack, arm.name, e+1)
+				}
+			}
+			if attack != "" && !kept.epochs[len(kept.epochs)-1].incident {
+				t.Errorf("seed %d arm %s: attack %q went undetected", seed, arm.name, attack)
+			}
+		}
+	}
+}
+
+// evidenceRef holds full dumps of the backup taken right after each
+// clean epoch, the reference every history entry is held to.
+type evidenceRef map[int]*hv.Snapshot
+
+// check holds the controller's evidence after one epoch to full dumps.
+// With replay on, the primary has been rewound past the failed audit by
+// the time the epoch returns, so only the last-good dump is checked.
+func (ref evidenceRef) check(t *testing.T, ctl *core.Controller, res *core.EpochResult, replay bool) {
+	t.Helper()
+	ckpt := ctl.Checkpointer()
+	full := func(d *hv.Domain) *hv.Snapshot {
+		s, err := d.DumpMemory()
+		if err != nil {
+			t.Fatalf("DumpMemory: %v", err)
+		}
+		return s
+	}
+	same := func(what string, got, want *hv.Snapshot) {
+		if got.VCPU != want.VCPU || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("epoch %d: %s differs from a full dump taken at the same point", res.Epoch, what)
+		}
+	}
+	if inc := res.Incident; inc != nil {
+		same("last-good dump", inc.Dumps.LastGood.Snapshot, full(ckpt.Backup()))
+		if !replay {
+			same("audit-fail dump", inc.Dumps.AuditFail.Snapshot, full(ckpt.Primary()))
+		}
+		return
+	}
+	ref[res.Epoch] = full(ckpt.Backup())
+	for _, h := range ctl.History() {
+		same("history entry", h.Snapshot, ref[h.Epoch])
+	}
+}

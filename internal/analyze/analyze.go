@@ -172,13 +172,29 @@ type Dumps struct {
 }
 
 // CaptureDumps snapshots the backup (last good) and primary (current)
-// domains as forensic dumps.
+// domains as full forensic dumps.
 func CaptureDumps(g *guestos.Guest, ckpt *checkpoint.Checkpointer) (*Dumps, error) {
-	goodSnap, err := ckpt.Backup().DumpMemory()
-	if err != nil {
-		return nil, fmt.Errorf("analyze: dump backup: %w", err)
+	return CaptureDumpsSince(g, ckpt, nil, nil)
+}
+
+// CaptureDumpsSince is CaptureDumps for a caller that holds the backup's
+// image as of the last commit (lastGood) and the primary's pages dirtied
+// since (dirty): that image is the last-good dump as it stands, and the
+// audit-fail dump shares every page with it except dirty, which are
+// copied from the primary. The domain must have stayed paused since
+// dirty was harvested. A nil lastGood takes both dumps in full.
+func CaptureDumpsSince(g *guestos.Guest, ckpt *checkpoint.Checkpointer, lastGood *hv.Snapshot, dirty []mem.PFN) (*Dumps, error) {
+	goodSnap := lastGood
+	var badSnap *hv.Snapshot
+	var err error
+	if goodSnap == nil {
+		if goodSnap, err = ckpt.Backup().DumpMemory(); err != nil {
+			return nil, fmt.Errorf("analyze: dump backup: %w", err)
+		}
+		badSnap, err = ckpt.Primary().DumpMemory()
+	} else {
+		badSnap, err = ckpt.Primary().DumpDirty(goodSnap, dirty)
 	}
-	badSnap, err := ckpt.Primary().DumpMemory()
 	if err != nil {
 		return nil, fmt.Errorf("analyze: dump primary: %w", err)
 	}

@@ -48,7 +48,7 @@ func domainsEqual(t *testing.T, a, b *hv.Domain) bool {
 	if err != nil {
 		t.Fatalf("DumpMemory: %v", err)
 	}
-	return bytes.Equal(sa.Mem, sb.Mem)
+	return bytes.Equal(sa.Bytes(), sb.Bytes())
 }
 
 func allOpts() []cost.Optimization {

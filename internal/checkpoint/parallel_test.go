@@ -90,7 +90,7 @@ func TestParallelCopyMatchesSerial(t *testing.T) {
 					if err != nil {
 						t.Fatalf("DumpMemory: %v", err)
 					}
-					if !bytes.Equal(sSnap.Mem, pSnap.Mem) {
+					if !bytes.Equal(sSnap.Bytes(), pSnap.Bytes()) {
 						t.Fatalf("epoch %d: parallel backup differs from serial backup", epoch)
 					}
 					if !domainsEqual(t, dPar, cPar.Backup()) {
@@ -149,7 +149,7 @@ func TestParallelWorkerFaultRestoresUndo(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DumpMemory: %v", err)
 	}
-	if !bytes.Equal(preMem.Mem, postMem.Mem) {
+	if !bytes.Equal(preMem.Bytes(), postMem.Bytes()) {
 		t.Fatal("backup memory inconsistent after failed parallel commit")
 	}
 	if !bytes.Equal(preDisk, c.BackupDisk().Snapshot()) {

@@ -169,7 +169,7 @@ func TestPartialCommitUndoRestoresBackup(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DumpMemory: %v", err)
 	}
-	if !bytes.Equal(preMem.Mem, postMem.Mem) {
+	if !bytes.Equal(preMem.Bytes(), postMem.Bytes()) {
 		t.Fatal("backup memory inconsistent after failed commit")
 	}
 	if !bytes.Equal(preDisk, c.BackupDisk().Snapshot()) {

@@ -276,7 +276,7 @@ func TestClusterFailoverEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("dump backup %s: %v", vm.Name, err)
 			}
-			d[0], d[1] = sha256.Sum256(prim.Mem), sha256.Sum256(back.Mem)
+			d[0], d[1] = sha256.Sum256(prim.Bytes()), sha256.Sum256(back.Bytes())
 			a.digests = append(a.digests, d)
 		}
 		return a

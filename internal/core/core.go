@@ -390,6 +390,13 @@ type Controller struct {
 	halted     bool
 
 	history []HistoryEntry
+	// backupImg is the backup's memory image as of the last successful
+	// commit, kept while HistoryDepth > 0 and nil when stale (before the
+	// first retain, after a failed retain or commit). dirtyPFNs is the
+	// reused list of the harvested bitmap that derived images are built
+	// from.
+	backupImg *hv.Snapshot
+	dirtyPFNs []mem.PFN
 
 	// Observability: obs is nil when disabled (every emit is then a
 	// single nil check); obsVM labels this VM's events and metric
@@ -752,6 +759,8 @@ func (c *Controller) ScanCacheLive() (used, capacity int) {
 func (c *Controller) Halted() bool { return c.halted }
 
 // History returns the retained checkpoint history (most recent last).
+// The snapshots are immutable and share unchanged pages with each
+// other, so they are safe to keep and read after later epochs.
 func (c *Controller) History() []HistoryEntry {
 	out := make([]HistoryEntry, len(c.history))
 	copy(out, c.history)
@@ -1377,6 +1386,7 @@ func (c *Controller) unwindResume(res *EpochResult, remerge bool, cause error) e
 func (c *Controller) unwindRollback(res *EpochResult, cause error) error {
 	res.Recovery.Unwind = UnwindRollback
 	c.buf.Discard()
+	c.backupImg = nil
 	if err := c.retryOp(res, c.ckpt.Rollback); err != nil {
 		return c.haltDomain(res, errors.Join(cause, err))
 	}
@@ -1417,15 +1427,30 @@ func (c *Controller) haltDomain(res *EpochResult, cause error) error {
 	return fmt.Errorf("core: epoch %d: VM halted after unrecoverable fault: %w", c.epoch, cause)
 }
 
+// retainHistory keeps the backup's image after a successful commit,
+// derived from the previous one: the commit copied exactly the harvested
+// dirty pages into the backup, so the new image copies those and shares
+// every other page with the last — O(dirty), not O(guest). That is the
+// same dirty-log completeness every commit already relies on. With no
+// valid base (the first retain after launch, after a failed retain or a
+// failed commit) the image is a full dump.
 func (c *Controller) retainHistory() error {
 	// History snapshots the backup, so the CoW lazy copies armed by the
 	// commit just above must settle first. This makes HistoryDepth > 0
 	// an effective eager drain every epoch — correct, but it forfeits
 	// most of the CoW pause win.
 	if err := c.ckpt.Quiesce(); err != nil {
+		c.backupImg = nil
 		return fmt.Errorf("core: retain history: %w", err)
 	}
-	snap, err := c.ckpt.Backup().DumpMemory()
+	var snap *hv.Snapshot
+	var err error
+	if c.backupImg == nil {
+		snap, err = c.ckpt.Backup().DumpMemory()
+	} else {
+		snap, err = c.ckpt.Backup().DumpDirty(c.backupImg, c.dirtyList())
+	}
+	c.backupImg = snap
 	if err != nil {
 		return fmt.Errorf("core: retain history: %w", err)
 	}
@@ -1440,6 +1465,16 @@ func (c *Controller) retainHistory() error {
 	return nil
 }
 
+// dirtyList returns the harvested bitmap's PFNs in a buffer the
+// controller reuses across epochs.
+func (c *Controller) dirtyList() []mem.PFN {
+	if c.dirtyPFNs == nil {
+		c.dirtyPFNs = make([]mem.PFN, 0, c.dirty.Len())
+	}
+	c.dirtyPFNs = c.dirty.ScanWords(c.dirtyPFNs[:0])
+	return c.dirtyPFNs
+}
+
 // respond is the synchronous failed-audit path: discard outputs,
 // capture dumps, optionally replay to pinpoint, and build the report.
 func (c *Controller) respond(findings []detect.Finding, scanCounts *detect.ScanCounts) (*Incident, error) {
@@ -1451,7 +1486,11 @@ func (c *Controller) respond(findings []detect.Finding, scanCounts *detect.ScanC
 	if err := c.ckpt.Quiesce(); err != nil {
 		return nil, err
 	}
-	dumps, err := analyze.CaptureDumps(c.guest, c.ckpt)
+	// The domain has stayed paused since the harvest, so the primary is
+	// the last commit's image plus the harvested pages: the last-good
+	// dump is that image as it stands, the audit-fail dump derives from
+	// it.
+	dumps, err := analyze.CaptureDumpsSince(c.guest, c.ckpt, c.backupImg, c.dirtyList())
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -98,6 +99,7 @@ func TestFaultInjectedEpochs(t *testing.T) {
 
 			var pid uint32
 			var bufVA uint64
+			var stamp byte
 			work := func(g *guestos.Guest) error {
 				if pid == 0 {
 					var err error
@@ -108,9 +110,11 @@ func TestFaultInjectedEpochs(t *testing.T) {
 						return err
 					}
 				}
-				// Dirty a few pages so every epoch's commit copies work.
+				// Dirty a few pages so every epoch's commit copies work, with
+				// a value of its own so retained history differs per epoch.
+				stamp++
 				for i := 0; i < 4; i++ {
-					if err := g.WriteUser(pid, bufVA+uint64(i*mem.PageSize), []byte{0xAB}); err != nil {
+					if err := g.WriteUser(pid, bufVA+uint64(i*mem.PageSize), []byte{stamp}); err != nil {
 						return err
 					}
 				}
@@ -220,7 +224,71 @@ func TestFaultInjectedEpochs(t *testing.T) {
 			if !res.Recovery.Clean() {
 				t.Fatalf("follow-up epoch needed recovery: %+v", res.Recovery)
 			}
+			if tc.history {
+				checkHistoryRecovers(t, ctl, work)
+			}
 		})
+	}
+}
+
+// checkHistoryRecovers follows an hv.dump failure at the second retain
+// (epoch 2, just run along with the clean epoch 3): the failure left no
+// base to derive from, so epoch 3's entry is a full dump sharing no page
+// with epoch 1's, and every entry from then on equals a full dump of the
+// backup taken right after its epoch — the later ones derived again,
+// sharing their unchanged pages with their predecessor.
+func checkHistoryRecovers(t *testing.T, ctl *Controller, work func(*guestos.Guest) error) {
+	t.Helper()
+	hist := ctl.History()
+	if len(hist) != 2 || hist[0].Epoch != 1 || hist[1].Epoch != 3 {
+		t.Fatalf("history after a failed retain = %v, want epochs 1 and 3", historyEpochs(hist))
+	}
+	if n := sharedPages(hist[0].Snapshot, hist[1].Snapshot); n != 0 {
+		t.Fatalf("entry after the failed retain shares %d pages with the one before it", n)
+	}
+	assertBackupImage(t, ctl, hist[1].Snapshot)
+	for e := 4; e <= 5; e++ {
+		if _, err := ctl.RunEpoch(work); err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
+		}
+		hist = ctl.History()
+		assertBackupImage(t, ctl, hist[1].Snapshot)
+		if sharedPages(hist[0].Snapshot, hist[1].Snapshot) == 0 {
+			t.Fatalf("epoch %d: entry was not derived from its predecessor", e)
+		}
+	}
+}
+
+func historyEpochs(hist []HistoryEntry) []int {
+	var out []int
+	for _, h := range hist {
+		out = append(out, h.Epoch)
+	}
+	return out
+}
+
+// sharedPages counts the pages two snapshots hold in common by identity.
+func sharedPages(a, b *hv.Snapshot) int {
+	n := 0
+	for pfn := 0; pfn < a.Pages; pfn++ {
+		pa, _ := a.ReadPage(mem.PFN(pfn))
+		pb, _ := b.ReadPage(mem.PFN(pfn))
+		if &pa[0] == &pb[0] {
+			n++
+		}
+	}
+	return n
+}
+
+// assertBackupImage checks snap against a full dump of the backup now.
+func assertBackupImage(t *testing.T, ctl *Controller, snap *hv.Snapshot) {
+	t.Helper()
+	full, err := ctl.Checkpointer().Backup().DumpMemory()
+	if err != nil {
+		t.Fatalf("DumpMemory: %v", err)
+	}
+	if snap.VCPU != full.VCPU || !bytes.Equal(snap.Bytes(), full.Bytes()) {
+		t.Fatal("retained image differs from a full dump of the backup")
 	}
 }
 

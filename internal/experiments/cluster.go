@@ -247,7 +247,7 @@ func clusterFailoverRun() (*ClusterFailover, error) {
 				return nil, err
 			}
 			res.digests = append(res.digests,
-				[2][32]byte{sha256.Sum256(prim.Mem), sha256.Sum256(back.Mem)})
+				[2][32]byte{sha256.Sum256(prim.Bytes()), sha256.Sum256(back.Bytes())})
 		}
 		return res, nil
 	}

@@ -488,7 +488,7 @@ func TestReplayIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DumpMemory: %v", err)
 	}
-	if !bytes.Equal(after.Mem, replayed.Mem) {
+	if !bytes.Equal(after.Bytes(), replayed.Bytes()) {
 		t.Fatal("replayed memory differs from live epoch")
 	}
 }
@@ -576,8 +576,7 @@ func TestCanaryTableParseViaDump(t *testing.T) {
 		t.Fatalf("DumpMemory: %v", err)
 	}
 	entries, err := ParseCanaryTable(g.Profile(), g.Layout(), func(pa uint64, buf []byte) error {
-		copy(buf, snap.Mem[pa:])
-		return nil
+		return snap.ReadPhys(pa, buf)
 	})
 	if err != nil {
 		t.Fatalf("ParseCanaryTable: %v", err)

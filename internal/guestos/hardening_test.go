@@ -112,7 +112,7 @@ func TestCloakProcessReplayDeterminism(t *testing.T) {
 		}
 	}
 	replayed, _ := dom.DumpMemory()
-	if !bytesEqual(after.Mem, replayed.Mem) {
+	if !bytesEqual(after.Bytes(), replayed.Bytes()) {
 		t.Fatal("cloak replay diverged")
 	}
 }
@@ -271,7 +271,7 @@ func TestTraceSaveLoadReplay(t *testing.T) {
 		t.Fatalf("ReplayAll: %v", err)
 	}
 	replayed, _ := dom.DumpMemory()
-	if !bytesEqual(after.Mem, replayed.Mem) {
+	if !bytesEqual(after.Bytes(), replayed.Bytes()) {
 		t.Fatal("trace replay diverged from the recorded epoch")
 	}
 }
@@ -355,7 +355,7 @@ func TestRegistryReplayDeterminism(t *testing.T) {
 		t.Fatalf("ReplayAll: %v", err)
 	}
 	replayed, _ := dom.DumpMemory()
-	if !bytesEqual(after.Mem, replayed.Mem) {
+	if !bytesEqual(after.Bytes(), replayed.Bytes()) {
 		t.Fatal("registry replay diverged")
 	}
 }

@@ -24,7 +24,7 @@ const (
 	FaultResume       = "hv.resume"       // Domain.Resume
 	FaultHarvestDirty = "hv.harvest"      // Domain.HarvestDirty
 	FaultMapPage      = "hv.map"          // per-page MapForeign / MapAll
-	FaultDump         = "hv.dump"         // Domain.DumpMemory
+	FaultDump         = "hv.dump"         // Domain.DumpMemory, Domain.DumpDirty
 	FaultRestore      = "hv.restore"      // Domain.RestoreMemory
 	FaultCreateDomain = "hv.createdomain" // Hypervisor.CreateDomain
 )

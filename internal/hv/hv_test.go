@@ -318,10 +318,67 @@ func TestSnapshotSizeMismatch(t *testing.T) {
 	if err := d.RestoreMemory(snap); err == nil {
 		t.Fatal("RestoreMemory with size mismatch succeeded")
 	}
+	if _, err := d.DumpDirty(snap, nil); err == nil {
+		t.Fatal("DumpDirty over a base of another size succeeded")
+	}
+	own, err := d.DumpMemory()
+	if err != nil {
+		t.Fatalf("DumpMemory: %v", err)
+	}
+	if _, err := d.DumpDirty(own, []mem.PFN{2}); !errors.Is(err, ErrBadAddress) {
+		t.Fatalf("DumpDirty of a PFN past the end: err = %v, want ErrBadAddress", err)
+	}
 }
 
-func TestSnapshotCloneIsDeep(t *testing.T) {
-	_, d := newTestDomain(t, 1)
+// Snapshots of a guest too large for one directory level derive and
+// read back exactly like small ones: every page through the deeper
+// table, the derived one sharing all but its re-copied pages.
+func TestSnapshotDeepTable(t *testing.T) {
+	const pages = 5000 // beyond the 4096 pages one directory level covers
+	_, d := newTestDomain(t, pages)
+	for _, pfn := range []uint64{0, 4095, 4096, pages - 1} {
+		if err := d.WritePhys(pfn*mem.PageSize, []byte{byte(pfn), 1}); err != nil {
+			t.Fatalf("WritePhys: %v", err)
+		}
+	}
+	base, err := d.DumpMemory()
+	if err != nil {
+		t.Fatalf("DumpMemory: %v", err)
+	}
+	dirty := []mem.PFN{1, 4096, pages - 1}
+	for _, pfn := range dirty {
+		if err := d.WritePhys(uint64(pfn)*mem.PageSize+2, []byte{9}); err != nil {
+			t.Fatalf("WritePhys: %v", err)
+		}
+	}
+	derived, err := d.DumpDirty(base, dirty)
+	if err != nil {
+		t.Fatalf("DumpDirty: %v", err)
+	}
+	full, err := d.DumpMemory()
+	if err != nil {
+		t.Fatalf("DumpMemory: %v", err)
+	}
+	if !bytes.Equal(derived.Bytes(), full.Bytes()) {
+		t.Fatal("derived snapshot differs from a full dump")
+	}
+	shared := 0
+	for pfn := 0; pfn < pages; pfn++ {
+		a, _ := base.ReadPage(mem.PFN(pfn))
+		b, _ := derived.ReadPage(mem.PFN(pfn))
+		if &a[0] == &b[0] {
+			shared++
+		}
+	}
+	if shared != pages-len(dirty) {
+		t.Fatalf("derived snapshot shares %d pages with its base, want %d", shared, pages-len(dirty))
+	}
+}
+
+// A snapshot does not change when the domain it was taken from is
+// written or restored afterwards, nor when a snapshot derived from it is.
+func TestSnapshotIsImmutable(t *testing.T) {
+	_, d := newTestDomain(t, 3)
 	if err := d.WritePhys(0, []byte{1}); err != nil {
 		t.Fatalf("WritePhys: %v", err)
 	}
@@ -329,10 +386,31 @@ func TestSnapshotCloneIsDeep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DumpMemory: %v", err)
 	}
-	c := s.Clone()
-	c.Mem[0] = 42
-	if s.Mem[0] == 42 {
-		t.Fatal("Clone shares memory with original")
+	want := s.Bytes()
+	if err := d.WritePhys(0, []byte{42}); err != nil {
+		t.Fatalf("WritePhys: %v", err)
+	}
+	if err := d.WritePhys(2*mem.PageSize, []byte{7}); err != nil {
+		t.Fatalf("WritePhys: %v", err)
+	}
+	derived, err := d.DumpDirty(s, []mem.PFN{0})
+	if err != nil {
+		t.Fatalf("DumpDirty: %v", err)
+	}
+	if err := d.RestoreMemory(derived); err != nil {
+		t.Fatalf("RestoreMemory: %v", err)
+	}
+	if err := d.WritePhys(1, []byte{9}); err != nil {
+		t.Fatalf("WritePhys: %v", err)
+	}
+	if !bytes.Equal(s.Bytes(), want) {
+		t.Fatal("snapshot changed after later writes, derivation and restore")
+	}
+	if p, _ := derived.ReadPage(0); p[0] != 42 || p[1] != 0 {
+		t.Fatalf("derived page 0 = %v, want the write at derivation time", p[:2])
+	}
+	if p, _ := derived.ReadPage(2); p[0] != 0 {
+		t.Fatal("derived snapshot copied a page outside its pfns")
 	}
 }
 
@@ -451,7 +529,7 @@ func TestSnapshotRestoreIdentityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return bytes.Equal(before.Mem, after.Mem)
+		return bytes.Equal(before.Bytes(), after.Bytes())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

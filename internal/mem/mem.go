@@ -136,6 +136,24 @@ func (m *Machine) Frame(mfn MFN) ([]byte, error) {
 	return m.frames[mfn], nil
 }
 
+// EachFrame resolves n frames under one read lock of the frame table,
+// calling fn(i, frame) with the frame of mfn(i) for i = 0..n-1 in order,
+// and stops at the first unallocated one. Bulk copies (memory dumps and
+// restores) use it instead of one Frame call per page. fn runs under
+// the lock, so it must not allocate or free frames.
+func (m *Machine) EachFrame(n int, mfn func(i int) MFN, fn func(i int, frame []byte)) error {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for i := range n {
+		f := mfn(i)
+		if err := m.checkLocked(f); err != nil {
+			return err
+		}
+		fn(i, m.frames[f])
+	}
+	return nil
+}
+
 func (m *Machine) checkLocked(mfn MFN) error {
 	if uint64(mfn) >= uint64(len(m.frames)) || !m.allocated[mfn] {
 		return fmt.Errorf("mem: frame %d: %w", mfn, ErrBadFrame)

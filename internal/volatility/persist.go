@@ -34,7 +34,7 @@ func (d *Dump) Save(w io.Writer) error {
 		Name:      d.Snapshot.Name,
 		Pages:     d.Snapshot.Pages,
 		VCPU:      d.Snapshot.VCPU,
-		Mem:       d.Snapshot.Mem,
+		Mem:       d.Snapshot.Bytes(),
 		Profile:   *d.Profile,
 		SystemMap: d.SystemMap,
 	})
@@ -80,14 +80,13 @@ func Load(r io.Reader) (*Dump, error) {
 		return nil, fmt.Errorf("volatility: load dump: %d pages but %d bytes: %w",
 			df.Pages, len(df.Mem), ErrBadDump)
 	}
+	snap, err := hv.SnapshotFromImage(df.Name, df.VCPU, df.Mem)
+	if err != nil {
+		return nil, fmt.Errorf("volatility: load dump: %v: %w", err, ErrBadDump)
+	}
 	prof := df.Profile
 	return &Dump{
-		Snapshot: &hv.Snapshot{
-			Name:  df.Name,
-			Pages: df.Pages,
-			VCPU:  df.VCPU,
-			Mem:   df.Mem,
-		},
+		Snapshot:  snap,
 		Profile:   &prof,
 		SystemMap: df.SystemMap,
 	}, nil

@@ -15,24 +15,18 @@ import (
 // in-memory signature.
 func ModScan(d *Dump) ([]vmi.ModuleInfo, error) {
 	p := d.Profile
-	memory := d.Snapshot.Mem
 	var out []vmi.ModuleInfo
-	limit := len(memory) - p.ModuleSize
-	for off := 0; off <= limit; off += 4 {
-		if binary.LittleEndian.Uint32(memory[off:]) != p.ModuleMagic {
-			continue
-		}
-		rec := memory[off : off+p.ModuleSize]
+	scanRecords(d, p.ModuleMagic, p.ModuleSize, func(off uint64, rec []byte) {
 		name := vmi.CStr(rec[p.ModuleOffName : p.ModuleOffName+p.ModuleNameLen])
 		if name == "" || !printableASCII(name) {
-			continue
+			return
 		}
 		out = append(out, vmi.ModuleInfo{
-			VA:   uint64(off) + p.KernelVirtBase,
+			VA:   off + p.KernelVirtBase,
 			Name: name,
 			Size: binary.LittleEndian.Uint64(rec[p.ModuleOffSize:]),
 		})
-	}
+	})
 	return out, nil
 }
 

@@ -142,7 +142,7 @@ func TestDumpSaveLoadRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if !bytes.Equal(loaded.Snapshot.Mem, orig.Snapshot.Mem) {
+	if !bytes.Equal(loaded.Snapshot.Bytes(), orig.Snapshot.Bytes()) {
 		t.Fatal("memory image corrupted by round trip")
 	}
 	// The loaded dump is fully analyzable.

@@ -6,6 +6,7 @@
 package volatility
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,17 +35,55 @@ func NewDump(s *hv.Snapshot, prof *guestos.Profile, systemMap string) *Dump {
 
 // ReadPhys implements vmi.PhysReader over the dump.
 func (d *Dump) ReadPhys(paddr uint64, buf []byte) error {
-	end := paddr + uint64(len(buf))
-	if end > uint64(len(d.Snapshot.Mem)) || end < paddr {
-		return fmt.Errorf("volatility: read [%#x,%#x) beyond dump of %d bytes: %w",
-			paddr, end, len(d.Snapshot.Mem), ErrBadDump)
+	if err := d.Snapshot.ReadPhys(paddr, buf); err != nil {
+		return fmt.Errorf("volatility: %v: %w", err, ErrBadDump)
 	}
-	copy(buf, d.Snapshot.Mem[paddr:end])
 	return nil
 }
 
 // MemBytes implements vmi.PhysReader.
-func (d *Dump) MemBytes() uint64 { return uint64(len(d.Snapshot.Mem)) }
+func (d *Dump) MemBytes() uint64 { return d.Snapshot.MemBytes() }
+
+// scanRecords finds every size-byte record that starts at a 4-aligned
+// offset with the little-endian magic and lies wholly inside the dump,
+// calling fn with its offset and bytes in ascending offset order. Each
+// page is searched for the magic on its own: the magic is 4 bytes at a
+// 4-aligned offset, so it never straddles a page seam, while a record
+// that does is read through the snapshot into a scratch buffer. rec is
+// only valid during the call.
+func scanRecords(d *Dump, magic uint32, size int, fn func(off uint64, rec []byte)) {
+	var pat [4]byte
+	binary.LittleEndian.PutUint32(pat[:], magic)
+	limit := int64(d.MemBytes()) - int64(size)
+	var scratch []byte
+	for pfn := 0; pfn < d.Snapshot.Pages; pfn++ {
+		pg, _ := d.Snapshot.ReadPage(mem.PFN(pfn))
+		base := int64(pfn) * mem.PageSize
+		for i := 0; ; i += 4 {
+			j := bytes.Index(pg[i:], pat[:])
+			if j < 0 {
+				break
+			}
+			i += j &^ 3
+			if j&3 != 0 {
+				continue // misaligned hit; resume at the next aligned slot
+			}
+			off := base + int64(i)
+			if off > limit {
+				return
+			}
+			rec := pg[i:min(i+size, mem.PageSize)]
+			if len(rec) < size {
+				if scratch == nil {
+					scratch = make([]byte, size)
+				}
+				rec = scratch
+				_ = d.Snapshot.ReadPhys(uint64(off), rec)
+			}
+			fn(uint64(off), rec)
+		}
+	}
+}
 
 // Context builds an introspection context over the dump.
 func (d *Dump) Context() (*vmi.Context, error) {
@@ -67,29 +106,22 @@ func PsList(d *Dump) ([]vmi.ProcessInfo, error) {
 // that were unlinked or have exited.
 func PsScan(d *Dump) ([]vmi.ProcessInfo, error) {
 	p := d.Profile
-	memory := d.Snapshot.Mem
 	var out []vmi.ProcessInfo
 	// Scan at 4-byte alignment so records are found regardless of slab
 	// placement.
-	limit := len(memory) - p.TaskSize
-	for off := 0; off <= limit; off += 4 {
-		if binary.LittleEndian.Uint32(memory[off:]) != p.TaskMagic {
-			continue
-		}
-		rec := memory[off : off+p.TaskSize]
+	scanRecords(d, p.TaskMagic, p.TaskSize, func(off uint64, rec []byte) {
 		info := vmi.ProcessInfo{
-			TaskVA:    uint64(off) + p.KernelVirtBase,
+			TaskVA:    off + p.KernelVirtBase,
 			PID:       binary.LittleEndian.Uint32(rec[p.TaskOffPID:]),
 			UID:       binary.LittleEndian.Uint32(rec[p.TaskOffUID:]),
 			State:     binary.LittleEndian.Uint32(rec[p.TaskOffState:]),
 			Name:      vmi.CStr(rec[p.TaskOffComm : p.TaskOffComm+p.TaskCommLen]),
 			StartTime: binary.LittleEndian.Uint64(rec[p.TaskOffStart:]),
 		}
-		if !plausibleTask(info) {
-			continue
+		if plausibleTask(info) {
+			out = append(out, info)
 		}
-		out = append(out, info)
-	}
+	})
 	return out, nil
 }
 
@@ -280,27 +312,20 @@ func ProcMaps(d *Dump, pid uint32) (string, error) {
 // DiffPages compares two dumps page by page and returns the PFNs that
 // differ. CRIMES maintains dumps from the last-good checkpoint and the
 // failed audit; their difference localizes the attack's footprint.
+// Dumps derived from one another share their unchanged pages, and a
+// shared page is equal without comparing its bytes.
 func DiffPages(a, b *Dump) ([]mem.PFN, error) {
-	if len(a.Snapshot.Mem) != len(b.Snapshot.Mem) {
+	if a.MemBytes() != b.MemBytes() {
 		return nil, fmt.Errorf("volatility diff: dump sizes differ (%d vs %d): %w",
-			len(a.Snapshot.Mem), len(b.Snapshot.Mem), ErrBadDump)
+			a.MemBytes(), b.MemBytes(), ErrBadDump)
 	}
 	var out []mem.PFN
-	pages := len(a.Snapshot.Mem) / mem.PageSize
-	for p := 0; p < pages; p++ {
-		lo, hi := p*mem.PageSize, (p+1)*mem.PageSize
-		if !bytesEqual(a.Snapshot.Mem[lo:hi], b.Snapshot.Mem[lo:hi]) {
+	for p := 0; p < a.Snapshot.Pages; p++ {
+		pa, _ := a.Snapshot.ReadPage(mem.PFN(p))
+		pb, _ := b.Snapshot.ReadPage(mem.PFN(p))
+		if &pa[0] != &pb[0] && !bytes.Equal(pa, pb) {
 			out = append(out, mem.PFN(p))
 		}
 	}
 	return out, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

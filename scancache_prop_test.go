@@ -114,6 +114,7 @@ func runPropArm(t *testing.T, seed int64, cfg Config, script []propOp, attack st
 	}
 	var allocs []alloc
 	run := &propRun{}
+	fulls := evidenceRef{}
 	next := 0
 	for e := 1; e <= propEpochs; e++ {
 		res, err := ctl.RunEpoch(func(g *guestos.Guest) error {
@@ -163,6 +164,9 @@ func runPropArm(t *testing.T, seed int64, cfg Config, script []propOp, attack st
 		if err != nil {
 			t.Fatalf("seed %d attack %q epoch %d: %v", seed, attack, e, err)
 		}
+		if cfg.HistoryDepth > 0 {
+			fulls.check(t, ctl, res, cfg.ReplayOnIncident)
+		}
 		run.epochs = append(run.epochs, propEpochOutcome{
 			findings: res.Findings,
 			incident: res.Incident != nil,
@@ -188,7 +192,7 @@ func runPropArm(t *testing.T, seed int64, cfg Config, script []propOp, attack st
 		if err != nil {
 			t.Fatalf("dump %s: %v", d.Name(), err)
 		}
-		return sha256.Sum256(snap.Mem)
+		return sha256.Sum256(snap.Bytes())
 	}
 	run.primaryDigest = digest(ckpt.Primary())
 	run.backupDigest = digest(ckpt.Backup())
