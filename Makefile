@@ -52,12 +52,13 @@ traced-runs:
 
 # Scheduling-independence gate: the packages with long-lived goroutines
 # (restore loop, pipelined shipper, CoW copier, the controller driving
-# them) must pass repeatedly on one, two and eight processors — what an
-# epoch reports is a function of its inputs, never of which goroutine
-# won a race.
+# them, the committed-image reader running alongside the copier, the
+# cluster promoting from controller state) must pass repeatedly on one,
+# two and eight processors — what an epoch reports is a function of its
+# inputs, never of which goroutine won a race.
 test-procs:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p $(GO) test -count=5 ./internal/remus ./internal/checkpoint ./internal/core || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=5 ./internal/remus ./internal/checkpoint ./internal/core ./internal/cluster ./internal/detect || exit 1; \
 	done
 
 # gofmt gate: fail listing any file that is not gofmt-clean.

@@ -568,9 +568,9 @@ func runHoneypot(sys *crimes.System, pid uint32) error {
 // family, config arm, and expected outcome, then the family and arm
 // vocabularies the -scenario selectors accept.
 func listScenarios(w io.Writer) error {
-	fmt.Fprintf(w, "%-24s %-14s %-12s %s\n", "SCENARIO", "FAMILY", "ARM", "EXPECTED")
+	fmt.Fprintf(w, "%-28s %-14s %-15s %s\n", "SCENARIO", "FAMILY", "ARM", "EXPECTED")
 	for _, s := range scenario.Catalog() {
-		fmt.Fprintf(w, "%-24s %-14s %-12s %s\n", s.Name, s.Family, s.Arm, s.Expect.Outcome)
+		fmt.Fprintf(w, "%-28s %-14s %-15s %s\n", s.Name, s.Family, s.Arm, s.Expect.Outcome)
 	}
 	fmt.Fprintf(w, "\nfamilies: %s\n", strings.Join(scenario.Families(), ", "))
 	fmt.Fprintf(w, "arms:     %s\n", strings.Join(scenario.ArmNames(), ", "))
@@ -599,7 +599,7 @@ func runScenarios(w io.Writer, sel, traceDir string) error {
 		list = []scenario.Scenario{s}
 	}
 	failed := 0
-	fmt.Fprintf(w, "%-24s %-14s %-12s %-9s %-9s %s\n",
+	fmt.Fprintf(w, "%-28s %-14s %-15s %-9s %-9s %s\n",
 		"SCENARIO", "FAMILY", "ARM", "EXPECTED", "ACTUAL", "STATUS")
 	for _, s := range list {
 		r, err := scenario.Run(s, scenario.Options{TraceDir: traceDir})
@@ -611,7 +611,7 @@ func runScenarios(w io.Writer, sel, traceDir string) error {
 			status = "FAIL: " + r.Why
 			failed++
 		}
-		fmt.Fprintf(w, "%-24s %-14s %-12s %-9s %-9s %s\n",
+		fmt.Fprintf(w, "%-28s %-14s %-15s %-9s %-9s %s\n",
 			r.Name, r.Family, r.Arm, r.Expected, r.Actual, status)
 	}
 	fmt.Fprintf(w, "\n%d/%d scenarios matched their expected outcome\n", len(list)-failed, len(list))

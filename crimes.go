@@ -160,14 +160,7 @@ const (
 // DefaultModules returns the full detector stack: guest-aided canary
 // scanning plus the unaided malware, syscall-integrity, and
 // hidden-process scans.
-func DefaultModules() []Module {
-	return []Module{
-		detect.CanaryModule{},
-		detect.NewMalwareModule(nil),
-		detect.SyscallModule{},
-		detect.HiddenProcessModule{},
-	}
-}
+func DefaultModules() []Module { return detect.DefaultModules() }
 
 // Options configures Launch.
 type Options struct {

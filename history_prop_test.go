@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/guestos"
 	"repro/internal/hv"
 )
 
@@ -14,9 +15,11 @@ import (
 // of copied in full, and that must be invisible. On the combined
 // property arms with HistoryDepth = 2, every history entry equals a full
 // dump of the backup taken right after its epoch, byte for byte and in
-// the vCPU, and at an incident the last-good dump equals a full dump of
-// the backup and the audit-fail dump one of the primary as the audit
-// left it. Keeping history changes no finding.
+// the vCPU, and carries the guest bookkeeping of that same commit (the
+// newest entry the controller's committed state itself). At an incident
+// the last-good dump equals a full dump of the backup and the
+// audit-fail dump one of the primary as the audit left it. Keeping
+// history changes no finding.
 func TestHistoryEvidenceProperty(t *testing.T) {
 	arms := []struct {
 		name   string
@@ -57,9 +60,15 @@ func TestHistoryEvidenceProperty(t *testing.T) {
 	}
 }
 
-// evidenceRef holds full dumps of the backup taken right after each
-// clean epoch, the reference every history entry is held to.
-type evidenceRef map[int]*hv.Snapshot
+// evidenceRef holds, for each clean epoch, a full dump of the backup and
+// a clone of the guest bookkeeping taken right after it: the reference
+// every history entry is held to.
+type evidenceRef map[int]evidence
+
+type evidence struct {
+	snap  *hv.Snapshot
+	state *guestos.State
+}
 
 // check holds the controller's evidence after one epoch to full dumps.
 // With replay on, the primary has been rewound past the failed audit by
@@ -86,8 +95,16 @@ func (ref evidenceRef) check(t *testing.T, ctl *core.Controller, res *core.Epoch
 		}
 		return
 	}
-	ref[res.Epoch] = full(ckpt.Backup())
-	for _, h := range ctl.History() {
-		same("history entry", h.Snapshot, ref[h.Epoch])
+	ref[res.Epoch] = evidence{full(ckpt.Backup()), ctl.Guest().CloneState()}
+	hist := ctl.History()
+	for _, h := range hist {
+		same("history entry", h.Snapshot, ref[h.Epoch].snap)
+		if !reflect.DeepEqual(h.State, ref[h.Epoch].state) {
+			t.Errorf("epoch %d: history entry %d's state differs from a clone taken at its commit",
+				res.Epoch, h.Epoch)
+		}
+	}
+	if n := len(hist); n > 0 && hist[n-1].State != ctl.CommittedState() {
+		t.Errorf("epoch %d: newest history entry holds a copy of the committed state", res.Epoch)
 	}
 }

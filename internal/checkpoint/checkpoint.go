@@ -510,6 +510,28 @@ func (c *Checkpointer) Backup() *hv.Domain { return c.backup }
 // Primary returns the protected domain.
 func (c *Checkpointer) Primary() *hv.Domain { return c.primary }
 
+// ReadCommitted copies page pfn of the last committed memory image into
+// dst (one page): the image Rollback would restore. That is the backup's
+// page — or, for a page the copy-on-write copier has not settled yet,
+// the primary's, which the write trap keeps at the committed bytes
+// until it is copied. The read holds the CoW lock, so it never sees a
+// page mid-copy.
+func (c *Checkpointer) ReadCommitted(pfn mem.PFN, dst []byte) error {
+	if cw := c.cow; cw != nil {
+		cw.mu.Lock()
+		defer cw.mu.Unlock()
+		if _, ok := cw.pending[pfn]; ok {
+			src, err := c.gmPrimary.Page(pfn)
+			if err != nil {
+				return err
+			}
+			copy(dst, src)
+			return nil
+		}
+	}
+	return c.backup.ReadPhys(uint64(pfn)*mem.PageSize, dst[:mem.PageSize])
+}
+
 // Domains returns every domain this checkpointer touches: the primary,
 // the local backup, and the remote backup when remote replication is
 // enabled. A fleet uses it to charge a VM's full checkpointing

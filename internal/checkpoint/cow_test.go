@@ -169,3 +169,77 @@ func TestCoWRollbackRestoresPausedInstant(t *testing.T) {
 		t.Fatalf("WatchCount = %d after rollback, want 0", d.WatchCount())
 	}
 }
+
+// readCommitted reads one page of the committed image.
+func readCommitted(t *testing.T, c *Checkpointer, pfn mem.PFN) []byte {
+	t.Helper()
+	got := make([]byte, mem.PageSize)
+	if err := c.ReadCommitted(pfn, got); err != nil {
+		t.Fatalf("ReadCommitted pfn %d: %v", pfn, err)
+	}
+	return got
+}
+
+// ReadCommitted serves the image Rollback would restore while the CoW
+// commit is still converging: a page the copier has not settled yet is
+// read from the primary, whose write trap keeps it at the committed
+// bytes; once a guest write faults it into the backup, from the backup.
+func TestReadCommittedPendingPageFromPrimary(t *testing.T) {
+	_, d, c := newCoWCheckpointer(t)
+	// Retire the copier so a committed page stays pending until the
+	// guest faults on it. Close closes stop again, so it gets a fresh one.
+	close(c.cow.stop)
+	<-c.cow.done
+	c.cow.stop = make(chan struct{})
+	pending := func(pfn mem.PFN) bool {
+		c.cow.mu.Lock()
+		defer c.cow.mu.Unlock()
+		_, ok := c.cow.pending[pfn]
+		return ok
+	}
+
+	const pfn = 5
+	fillPage(t, d, pfn, 0xAA)
+	if _, err := c.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if !pending(pfn) {
+		t.Fatal("committed page is not pending with the copier stopped")
+	}
+	checkPage(t, c.Backup(), pfn, 0x00, "backup before the lazy copy")
+	if got := readCommitted(t, c, pfn); !bytes.Equal(got, bytes.Repeat([]byte{0xAA}, mem.PageSize)) {
+		t.Fatal("pending page not read from the primary's committed bytes")
+	}
+
+	fillPage(t, d, pfn, 0xBB)
+	if pending(pfn) {
+		t.Fatal("guest write did not settle the pending page")
+	}
+	if got := readCommitted(t, c, pfn); !bytes.Equal(got, bytes.Repeat([]byte{0xAA}, mem.PageSize)) {
+		t.Fatal("settled page not read from the backup's committed bytes")
+	}
+}
+
+// With the copier live, every committed page reads back at its
+// at-commit bytes however the copier and the guest's faults interleave
+// with the reads.
+func TestReadCommittedAlongsideCopier(t *testing.T) {
+	_, d, c := newCoWCheckpointer(t)
+	for round := 1; round <= 3; round++ {
+		for pfn := mem.PFN(0); pfn < domPages; pfn++ {
+			fillPage(t, d, pfn, byte(round))
+		}
+		if _, err := c.Checkpoint(); err != nil {
+			t.Fatalf("round %d Checkpoint: %v", round, err)
+		}
+		want := bytes.Repeat([]byte{byte(round)}, mem.PageSize)
+		for pfn := mem.PFN(0); pfn < domPages; pfn++ {
+			if pfn%4 == 0 {
+				fillPage(t, d, pfn, 0xFF) // faults the page into the backup
+			}
+			if got := readCommitted(t, c, pfn); !bytes.Equal(got, want) {
+				t.Fatalf("round %d pfn %d: committed image differs from the at-commit bytes", round, pfn)
+			}
+		}
+	}
+}

@@ -99,10 +99,7 @@ func (cfg *Config) setDefaults() {
 		cfg.Faults = fault.NewInjector()
 	}
 	if cfg.Core.Modules == nil {
-		mods, err := detect.ModulesByName("default")
-		if err == nil {
-			cfg.Core.Modules = mods
-		}
+		cfg.Core.Modules = detect.DefaultModules()
 	}
 }
 
@@ -122,10 +119,13 @@ func (h *Host) HV() *hv.Hypervisor { return h.hv }
 func (h *Host) Dead() bool { return h.dead }
 
 // VM is one protected guest from the cluster's point of view: the
-// current fleet incarnation (guest + controller on some host), the
-// control-plane metadata needed to promote it (last committed kernel
-// state), and stats folded across incarnations so failover does not
-// reset the VM's history.
+// current fleet incarnation (guest + controller on some host), where
+// its replica lives, and stats folded across incarnations so failover
+// does not reset the VM's history. It keeps no copy of the committed
+// state: promotion adopts the replica — the committed memory the Remus
+// conduit carried — together with the controller's committed kernel
+// bookkeeping (core.Controller.CommittedState), both from the same
+// last commit.
 type VM struct {
 	Index int
 	Name  string
@@ -138,12 +138,6 @@ type VM struct {
 	// prior accumulates the stats of dead incarnations (hosts that
 	// failed under this VM); Stats() folds the live incarnation in.
 	prior fleet.Stats
-	// lastState is the guest kernel's Go-side bookkeeping at the last
-	// committed epoch — the control plane's replicated metadata, the
-	// Remus conduit having carried the memory itself. lastEpoch is the
-	// round it was captured at.
-	lastState *guestos.State
-	lastEpoch int
 
 	// Promotions counts how many times this VM failed over. Lost marks
 	// a VM whose host died with no promotable replica — its evidence is
@@ -195,7 +189,6 @@ type Work func(vm *VM, round int) func(*guestos.Guest) error
 // them.
 type Cluster struct {
 	cfg    Config
-	model  cost.Model
 	ring   *Ring
 	hosts  map[string]*Host
 	order  []string // host names in creation order
@@ -226,13 +219,8 @@ type Cluster struct {
 // armed anti-affine on the next distinct ring host.
 func New(cfg Config) (*Cluster, error) {
 	cfg.setDefaults()
-	model := cfg.Core.Model
-	if model == (cost.Model{}) {
-		model = cost.Default()
-	}
 	cl := &Cluster{
 		cfg:    cfg,
-		model:  model,
 		ring:   NewRing(cfg.Vnodes),
 		hosts:  make(map[string]*Host),
 		faults: cfg.Faults,
@@ -291,7 +279,6 @@ func New(cfg Config) (*Cluster, error) {
 			}
 			vm.replicaHost = replica
 		}
-		vm.lastState = ctl.Guest().CloneState()
 		cl.vms = append(cl.vms, vm)
 	}
 	return cl, nil
@@ -382,16 +369,6 @@ func (cl *Cluster) Run(epochs int, work Work) *Report {
 			}(vm, cl.round)
 		}
 		wg.Wait()
-		// Capture the control plane's replicated metadata: the kernel
-		// bookkeeping at the epoch just committed. The Remus conduit
-		// carried the memory; this is the piece promotion restores
-		// alongside it.
-		for _, vm := range cl.vms {
-			if !vm.Lost && !vm.Retired && !vm.cur.Controller.Halted() {
-				vm.lastState = vm.cur.Guest.CloneState()
-				vm.lastEpoch = cl.round
-			}
-		}
 	}
 	return cl.Report()
 }
@@ -438,10 +415,10 @@ func (cl *Cluster) failHost(h *Host, round int, cause error) {
 }
 
 // promote fails one VM over: settle and detach its remote replica,
-// adopt the replica domain as the new primary (replicated memory plus
-// the control plane's kernel-state snapshot), attach a fresh controller
-// on the backup host, re-arm a new anti-affine replica, and resume the
-// epoch schedule there. A VM that cannot be promoted (no replica, or
+// adopt the replica domain as the new primary (the last commit's memory
+// plus the controller's kernel bookkeeping from that same commit),
+// attach a fresh controller on the backup host, re-arm a new
+// anti-affine replica, and resume the epoch schedule there. A VM that cannot be promoted (no replica, or
 // the session cannot settle cleanly) is lost.
 func (cl *Cluster) promote(vm *VM, round int, alive int) {
 	halted := vm.cur.Controller.Halted()
@@ -450,6 +427,7 @@ func (cl *Cluster) promote(vm *VM, round int, alive int) {
 	history := addStats(vm.prior, vm.cur.Stats())
 	ckpt := vm.cur.Controller.Checkpointer()
 	remoteHV := ckpt.RemoteHV()
+	state := vm.cur.Controller.CommittedState()
 	dom, err := ckpt.DetachRemote()
 	_ = vm.cur.Controller.Close() // dead host's Go-side goroutines are bookkeeping
 	if err != nil || alive < 1 {
@@ -476,7 +454,7 @@ func (cl *Cluster) promote(vm *VM, round int, alive int) {
 	// on a live host where Close, skipping a lost VM, would never find it.
 	ctl, err := core.Launch(newHost.hv, core.GuestSpec{
 		Boot:    guestos.BootConfig{Profile: prof, Seed: vm.Seed},
-		Replica: dom, State: vm.lastState,
+		Replica: dom, State: state,
 	}, cl.coreCfg(newHost))
 	if err != nil {
 		vm.Lost = true
@@ -489,7 +467,7 @@ func (cl *Cluster) promote(vm *VM, round int, alive int) {
 	vm.cur = fleet.NewVM(vm.Index, vm.Name, newHost.Name, ctl.Guest(), ctl)
 	vm.Promotions++
 	cl.promotions++
-	cl.failoverTime += cl.model.Promote(cl.cfg.GuestPages, alive)
+	cl.failoverTime += cost.Default().Promote(cl.cfg.GuestPages, alive)
 	cl.emit(obs.Event{Phase: obs.PhasePromote, VM: vm.Name, Host: newHost.Name, Epoch: round})
 	cl.rearmReplica(vm, alive)
 }
@@ -515,7 +493,7 @@ func (cl *Cluster) rearmReplica(vm *VM, alive int) {
 	vm.replicaHost = replica
 	cl.rearms++
 	// Re-arming ships a full resync across the inter-host link.
-	cl.failoverTime += cl.model.ReplicateCrossHost(cl.cfg.GuestPages, alive)
+	cl.failoverTime += cost.Default().ReplicateCrossHost(cl.cfg.GuestPages, alive)
 }
 
 // emit forwards a control-plane event to the observer, if any.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"crypto/sha256"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/guestos"
 	"repro/internal/hv"
 	"repro/internal/obs"
+	"repro/internal/vmi"
 	"repro/internal/workload"
 )
 
@@ -420,5 +422,54 @@ func TestClusterFailedPromotionReleasesReplica(t *testing.T) {
 	if free, total := m.FreeFrames(), m.TotalFrames(); free != total {
 		t.Errorf("host %s leaked frames: %d free of %d (failed promotion's replica left behind)",
 			survivor.Name, free, total)
+	}
+}
+
+// Promotion adopts the replica's memory together with the kernel
+// bookkeeping of the same commit. Round 3's epoch starts a process but
+// fails before its commit (a fatal suspend fault, undone by resuming),
+// so the replica never receives that process; when the host dies at
+// round 4 the promoted guest must not believe it has it.
+func TestPromotionStateMatchesReplicaMemory(t *testing.T) {
+	cfg := Config{Hosts: 2, VMs: 1, GuestPages: 256, Seed: 29}
+	cfg.Core.Workers = 1
+	cl := newTestCluster(t, cfg)
+	vm := cl.VMs()[0]
+	inj := fault.NewInjector()
+	cl.hosts[vm.HostName()].HV().InjectFaults(inj)
+	inj.FailNth(hv.FaultSuspend, 3)
+	cl.KillHostAt(vm.HostName(), 4)
+
+	rep := cl.Run(4, func(_ *VM, round int) func(*guestos.Guest) error {
+		if round != 3 {
+			return nil
+		}
+		return func(g *guestos.Guest) error {
+			_, err := g.StartProcess("uncommitted", 0, 4)
+			return err
+		}
+	})
+	if inj.Tripped(hv.FaultSuspend) != 1 || vm.Promotions != 1 {
+		t.Fatalf("suspend faults=%d promotions=%d, want 1 and 1\n%s",
+			inj.Tripped(hv.FaultSuspend), vm.Promotions, rep.Render())
+	}
+	g := vm.Current().Guest
+	ctx, err := vmi.NewContext(g.Domain(), g.Profile(), g.SystemMap())
+	if err != nil {
+		t.Fatalf("vmi.NewContext: %v", err)
+	}
+	walked, err := ctx.ProcessList()
+	if err != nil {
+		t.Fatalf("ProcessList: %v", err)
+	}
+	inMemory := make([]uint32, 0, len(walked))
+	for _, p := range walked {
+		inMemory = append(inMemory, p.PID)
+	}
+	booked := g.Processes()
+	slices.Sort(inMemory)
+	slices.Sort(booked)
+	if !slices.Equal(booked, inMemory) {
+		t.Fatalf("promoted guest's bookkeeping has processes %v, its memory %v", booked, inMemory)
 	}
 }

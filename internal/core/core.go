@@ -162,8 +162,6 @@ type Config struct {
 	Scan ScanMode
 	// Opt is the checkpointing optimization level.
 	Opt cost.Optimization
-	// Model prices operations in virtual time.
-	Model cost.Model
 	// Modules are the detector scan modules.
 	Modules []detect.Module
 	// Deliverer receives released outputs; nil collects them internally.
@@ -182,10 +180,6 @@ type Config struct {
 	// hypervisor and conduit operations within one epoch (default 3;
 	// negative disables retries entirely).
 	MaxRetries int
-	// RetryBackoff is the initial virtual-time delay charged between
-	// retries of a transiently failing operation; it doubles on each
-	// successive retry (default 1 ms).
-	RetryBackoff time.Duration
 	// Workers is the pause-path parallelism: the dirty-bitmap scan, undo
 	// capture, and page copy shard across this many goroutines, detector
 	// modules scan concurrently, the disk copy overlaps the memory copy,
@@ -285,9 +279,6 @@ func (c *Config) setDefaults() {
 	if c.Opt == 0 {
 		c.Opt = cost.Full
 	}
-	if c.Model == (cost.Model{}) {
-		c.Model = cost.Default()
-	}
 	if c.Deliverer == nil {
 		c.Deliverer = &netbuf.CollectDeliverer{}
 	}
@@ -295,9 +286,6 @@ func (c *Config) setDefaults() {
 		c.MaxRetries = 3
 	} else if c.MaxRetries < 0 {
 		c.MaxRetries = 0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = time.Millisecond
 	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -358,8 +346,14 @@ type Controller struct {
 	ckpt      *checkpoint.Checkpointer
 	buf       *netbuf.Buffer
 
-	dirty     *mem.Bitmap
+	dirty *mem.Bitmap
+	// lastState is the guest bookkeeping at the last commit, taken once
+	// per commit and never mutated: rollback, replay, history and
+	// failover all read this one copy. Its memory half is the
+	// checkpointer's committed image, which the synchronous audit reads
+	// through committed, bound once here so no audit allocates it.
 	lastState *guestos.State
+	committed func(mem.PFN, []byte) error
 
 	// Scan-path acceleration (nil / unused when cfg.ScanCache is off):
 	// scanCache is the cross-epoch page-mapping cache the audit reads
@@ -471,7 +465,7 @@ func New(h *hv.Hypervisor, g *guestos.Guest, cfg Config) (*Controller, error) {
 		c.scanCache.Flush()
 	}
 	c.vmiCtx = ctx
-	c.setupTime = cfg.Model.Setup(cfg.Opt, c.dom.Pages())
+	c.setupTime = cost.Default().Setup(cfg.Opt, c.dom.Pages())
 
 	c.detector = detect.NewDetector(cfg.Modules...)
 	c.detector.SetWorkers(cfg.Workers)
@@ -503,6 +497,7 @@ func New(h *hv.Hypervisor, g *guestos.Guest, cfg Config) (*Controller, error) {
 		g.AttachDisk(disk)
 	}
 	c.lastState = g.CloneState()
+	c.committed = c.ckpt.ReadCommitted
 	if cfg.Obs.Enabled() {
 		c.obs = cfg.Obs
 		c.obsVM = c.dom.Name()
@@ -754,6 +749,12 @@ func (c *Controller) ScanCacheLive() (used, capacity int) {
 	}
 	return c.scanCache.Len(), c.scanCache.Cap()
 }
+
+// CommittedState returns the guest kernel's bookkeeping at the last
+// commit — the half of the committed state that the memory image does
+// not hold. It is immutable: RestoreState and guestos.Adopt copy out of
+// it, so a caller may keep it after the controller moves on or closes.
+func (c *Controller) CommittedState() *guestos.State { return c.lastState }
 
 // Halted reports whether an incident has stopped the VM.
 func (c *Controller) Halted() bool { return c.halted }
@@ -1111,6 +1112,7 @@ func (c *Controller) audit(ep *epochState) error {
 	findings, err := c.detector.Scan(&detect.ScanContext{
 		VMI: c.vmiCtx, Dirty: c.dirty, Counts: ep.scanCounts,
 		Packets: c.buf.PendingPackets(), DiskWrites: c.buf.PendingDisks(),
+		Committed: c.committed,
 	})
 	if c.cfg.ScanCache == ScanCacheUncached {
 		// The no-page-cache baseline tears every mapping down after
@@ -1286,7 +1288,7 @@ func (c *Controller) price(ep *epochState) {
 	ep.counts.Canaries = ep.scanCounts.CanariesChecked
 	res.Counts = ep.counts
 	var guestNs time.Duration
-	res.Phases, guestNs = c.cfg.Model.Pause(c.cfg.Opt, ep.counts, cost.PauseCtx{
+	res.Phases, guestNs = cost.Default().Pause(c.cfg.Opt, ep.counts, cost.PauseCtx{
 		Workers:      c.cfg.Workers,
 		AuditModules: len(c.cfg.Modules),
 		AsyncScan:    c.cfg.Scan == ScanAsync,
@@ -1339,11 +1341,15 @@ func (c *Controller) applySLO(res *EpochResult) {
 	}
 }
 
+// retryBackoff is the virtual-time delay charged before the first retry
+// of a transiently failing operation; it doubles on each successive one.
+const retryBackoff = time.Millisecond
+
 // retryOp runs op, retrying transient failures with exponential
 // virtual-time backoff up to cfg.MaxRetries times. Fatal failures and
 // exhausted budgets return the last error.
 func (c *Controller) retryOp(res *EpochResult, op func() error) error {
-	backoff := c.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		err := op()
 		if err == nil {
@@ -1403,7 +1409,7 @@ func (c *Controller) unwindRollback(res *EpochResult, cause error) error {
 			c.scanMemo.InvalidateAll()
 		}
 	}
-	rollbackCost := c.cfg.Model.Rollback(c.dom.MemBytes())
+	rollbackCost := cost.Default().Rollback(c.dom.MemBytes())
 	c.virtualNow += rollbackCost
 	c.emit(obs.Event{Phase: obs.PhaseRollback, DurNs: int64(rollbackCost),
 		Retries: res.Recovery.Retries})
@@ -1457,7 +1463,7 @@ func (c *Controller) retainHistory() error {
 	c.history = append(c.history, HistoryEntry{
 		Epoch:    c.epoch,
 		Snapshot: snap,
-		State:    c.guest.CloneState(),
+		State:    c.lastState,
 	})
 	if len(c.history) > c.cfg.HistoryDepth {
 		c.history = c.history[len(c.history)-c.cfg.HistoryDepth:]
@@ -1502,7 +1508,7 @@ func (c *Controller) respond(findings []detect.Finding, scanCounts *detect.ScanC
 		// Pinpointing rolls the VM back to the last clean checkpoint and
 		// replays the epoch's operations one at a time.
 		c.emit(obs.Event{Phase: obs.PhaseRollback, Action: "incident",
-			DurNs: int64(c.cfg.Model.Rollback(c.dom.MemBytes()))})
+			DurNs: int64(cost.Default().Rollback(c.dom.MemBytes()))})
 		pin, err := analyze.ReplayPinpoint(c.guest, c.ckpt, c.lastState, ops, findings)
 		if err != nil && !errors.Is(err, analyze.ErrNotPinpointed) {
 			c.emit(obs.Event{Phase: obs.PhaseReplay, Err: err.Error()})
@@ -1569,6 +1575,6 @@ func (c *Controller) timeline(pin *analyze.Pinpoint, ops []guestos.Op, sc *detec
 	}
 	tl := Timeline{AttackToEpochEnd: time.Duration((1 - frac) * float64(c.cfg.EpochIntervalAt(c.epoch)))}
 	tl.SuspendAndScan, tl.ReplayReady, tl.MemDump, tl.CheckpointsToDisk =
-		c.cfg.Model.Response(sc.NodesWalked, sc.CanariesChecked, c.dom.MemBytes())
+		cost.Default().Response(sc.NodesWalked, sc.CanariesChecked, c.dom.MemBytes())
 	return tl
 }

@@ -46,19 +46,10 @@ func newController(t *testing.T, prof *guestos.Profile, cfg Config) (*Controller
 	return ctl, out
 }
 
-func defaultModules() []detect.Module {
-	return []detect.Module{
-		detect.CanaryModule{},
-		detect.NewMalwareModule(nil),
-		detect.SyscallModule{},
-		detect.HiddenProcessModule{},
-	}
-}
-
 func TestCleanEpochsCommitAndRelease(t *testing.T) {
 	ctl, out := newController(t, guestos.LinuxProfile(), Config{
 		EpochInterval: 50 * time.Millisecond,
-		Modules:       defaultModules(),
+		Modules:       detect.DefaultModules(),
 	})
 	var pid uint32
 	for i := 0; i < 3; i++ {
@@ -103,7 +94,7 @@ func TestCleanEpochsCommitAndRelease(t *testing.T) {
 func TestOverflowIncidentEndToEnd(t *testing.T) {
 	ctl, out := newController(t, guestos.LinuxProfile(), Config{
 		EpochInterval:    50 * time.Millisecond,
-		Modules:          defaultModules(),
+		Modules:          detect.DefaultModules(),
 		ReplayOnIncident: true,
 	})
 
@@ -291,7 +282,7 @@ func TestHiddenProcessDetected(t *testing.T) {
 func TestBestEffortReleasesImmediately(t *testing.T) {
 	ctl, out := newController(t, guestos.LinuxProfile(), Config{
 		Safety:  netbuf.BestEffort,
-		Modules: defaultModules(),
+		Modules: detect.DefaultModules(),
 	})
 	if _, err := ctl.RunEpoch(func(g *guestos.Guest) error {
 		pid, err := g.StartProcess("app", 0, 4)
@@ -343,7 +334,7 @@ func TestAsyncScanDetectsOneEpochLate(t *testing.T) {
 
 func TestHistoryDepth(t *testing.T) {
 	ctl, _ := newController(t, guestos.LinuxProfile(), Config{
-		Modules:      defaultModules(),
+		Modules:      detect.DefaultModules(),
 		HistoryDepth: 2,
 	})
 	var pid uint32
@@ -393,7 +384,7 @@ func TestScanModeString(t *testing.T) {
 func TestDiskCheckpointAndRollback(t *testing.T) {
 	ctl, _ := newController(t, guestos.LinuxProfile(), Config{
 		EpochInterval:    50 * time.Millisecond,
-		Modules:          defaultModules(),
+		Modules:          detect.DefaultModules(),
 		ReplayOnIncident: true,
 		DiskBlocks:       32,
 	})
@@ -444,7 +435,7 @@ func TestDiskCheckpointAndRollback(t *testing.T) {
 
 func TestDiskStateSurvivesCleanEpochs(t *testing.T) {
 	ctl, _ := newController(t, guestos.LinuxProfile(), Config{
-		Modules:    defaultModules(),
+		Modules:    detect.DefaultModules(),
 		DiskBlocks: 8,
 	})
 	var pid uint32
@@ -558,7 +549,7 @@ func TestDeepScanAsyncIntegration(t *testing.T) {
 func TestIncidentSaveDumps(t *testing.T) {
 	ctl, _ := newController(t, guestos.LinuxProfile(), Config{
 		EpochInterval:    20 * time.Millisecond,
-		Modules:          defaultModules(),
+		Modules:          detect.DefaultModules(),
 		ReplayOnIncident: true,
 	})
 	var pid uint32
@@ -616,7 +607,7 @@ func TestMultiTenantIsolation(t *testing.T) {
 		out := &netbuf.CollectDeliverer{}
 		ctl, err := New(h, g, Config{
 			EpochInterval: 20 * time.Millisecond,
-			Modules:       defaultModules(),
+			Modules:       detect.DefaultModules(),
 			Deliverer:     out,
 		})
 		if err != nil {
@@ -679,7 +670,7 @@ func TestFilesystemTamperingRolledBack(t *testing.T) {
 	// on the primary (post-replay) still recovers the deleted inode.
 	ctl, _ := newController(t, guestos.LinuxProfile(), Config{
 		EpochInterval:    50 * time.Millisecond,
-		Modules:          defaultModules(),
+		Modules:          detect.DefaultModules(),
 		ReplayOnIncident: true,
 		DiskBlocks:       64,
 	})

@@ -82,7 +82,7 @@ func TestFaultInjectedEpochs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
 				EpochInterval: 20 * time.Millisecond,
-				Modules:       defaultModules(),
+				Modules:       detect.DefaultModules(),
 			}
 			if tc.disk {
 				cfg.DiskBlocks = 16
@@ -357,7 +357,7 @@ func TestScanErrorResumesAndPreservesDirtyPages(t *testing.T) {
 func TestAsyncScanCountsAccounted(t *testing.T) {
 	ctl, _, _ := newFaultController(t, Config{
 		Scan:    ScanAsync,
-		Modules: defaultModules(),
+		Modules: detect.DefaultModules(),
 	})
 	res, err := ctl.RunEpoch(func(g *guestos.Guest) error {
 		_, err := g.StartProcess("app", 0, 4)
@@ -377,7 +377,7 @@ func TestAsyncScanCountsAccounted(t *testing.T) {
 func TestRollbackRecommitsEverything(t *testing.T) {
 	ctl, inj, _ := newFaultController(t, Config{
 		EpochInterval: 20 * time.Millisecond,
-		Modules:       defaultModules(),
+		Modules:       detect.DefaultModules(),
 	})
 	var pid uint32
 	var bufVA uint64
@@ -423,7 +423,7 @@ func TestRollbackRecommitsEverything(t *testing.T) {
 func TestRetryBudgetExhaustion(t *testing.T) {
 	ctl, inj, _ := newFaultController(t, Config{
 		EpochInterval: 20 * time.Millisecond,
-		Modules:       defaultModules(),
+		Modules:       detect.DefaultModules(),
 		MaxRetries:    2,
 	})
 	if _, err := ctl.RunEpoch(nil); err != nil {
@@ -483,7 +483,7 @@ func TestNewReleasesResourcesOnLateFailure(t *testing.T) {
 			if tc.site != "" {
 				inj.Fail(tc.site, 1, 1, false)
 			}
-			tc.cfg.Modules = defaultModules()
+			tc.cfg.Modules = detect.DefaultModules()
 			tc.cfg.Workers = 1
 			if ctl, err := New(h, g, tc.cfg); err == nil {
 				ctl.Close()
@@ -502,7 +502,7 @@ func TestNewReleasesResourcesOnLateFailure(t *testing.T) {
 				t.Error("failed New left a disk attached to the guest")
 			}
 			// The guest is untouched: a corrected retry must succeed.
-			ctl, err := New(h, g, Config{Modules: defaultModules(), Workers: 1, DiskBlocks: tc.cfg.DiskBlocks})
+			ctl, err := New(h, g, Config{Modules: detect.DefaultModules(), Workers: 1, DiskBlocks: tc.cfg.DiskBlocks})
 			if err != nil {
 				t.Fatalf("retry New: %v", err)
 			}

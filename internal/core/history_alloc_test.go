@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/detect"
 	"repro/internal/guestos"
 	"repro/internal/hv"
 )
@@ -28,7 +29,7 @@ func TestCleanEpochAllocsIndependentOfGuestSize(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Boot: %v", err)
 		}
-		ctl, err := New(h, g, Config{Modules: defaultModules(), HistoryDepth: 2, Workers: 1})
+		ctl, err := New(h, g, Config{Modules: detect.DefaultModules(), HistoryDepth: 2, Workers: 1})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}

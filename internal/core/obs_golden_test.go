@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/detect"
 	"repro/internal/obs"
 )
 
@@ -27,7 +28,7 @@ func obsSurface(t *testing.T, cfg Config, remote bool) (trace, metrics string) {
 	t.Helper()
 	o, sink := newCollector()
 	cfg.EpochInterval = 20 * time.Millisecond
-	cfg.Modules = defaultModules()
+	cfg.Modules = detect.DefaultModules()
 	cfg.Workers = 1
 	cfg.Obs = o
 	ctl, _, _ := newFaultController(t, cfg)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/detect"
 	"repro/internal/guestos"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -82,7 +83,7 @@ func TestTraceCleanEpochSequence(t *testing.T) {
 	o, sink := newCollector()
 	ctl, _ := newController(t, guestos.LinuxProfile(), Config{
 		EpochInterval: 50 * time.Millisecond,
-		Modules:       defaultModules(),
+		Modules:       detect.DefaultModules(),
 		Obs:           o,
 	})
 	const epochs = 3
@@ -149,7 +150,7 @@ func TestTraceRollbackSequence(t *testing.T) {
 	o, sink := newCollector()
 	ctl, inj, _ := newFaultController(t, Config{
 		EpochInterval: 20 * time.Millisecond,
-		Modules:       defaultModules(),
+		Modules:       detect.DefaultModules(),
 		Obs:           o,
 	})
 	work := dirtyingWork(t)
@@ -196,7 +197,7 @@ func TestTraceIncidentSequence(t *testing.T) {
 	o, sink := newCollector()
 	ctl, _ := newController(t, guestos.LinuxProfile(), Config{
 		EpochInterval:    50 * time.Millisecond,
-		Modules:          defaultModules(),
+		Modules:          detect.DefaultModules(),
 		ReplayOnIncident: true,
 		Obs:              o,
 	})
@@ -261,7 +262,7 @@ func TestObsPreservesVirtualTime(t *testing.T) {
 	run := func(o *obs.Observer) (time.Duration, time.Duration, []time.Duration) {
 		ctl, _ := newController(t, guestos.LinuxProfile(), Config{
 			EpochInterval: 50 * time.Millisecond,
-			Modules:       defaultModules(),
+			Modules:       detect.DefaultModules(),
 			Obs:           o,
 		})
 		var pauses []time.Duration

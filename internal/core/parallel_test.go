@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/detect"
 	"repro/internal/guestos"
 )
 
@@ -16,7 +17,7 @@ func TestParallelEpochsMatchSerialDetection(t *testing.T) {
 	run := func(workers int) (pause time.Duration, packets int, incident bool) {
 		ctl, out := newController(t, guestos.LinuxProfile(), Config{
 			EpochInterval: 50 * time.Millisecond,
-			Modules:       defaultModules(),
+			Modules:       detect.DefaultModules(),
 			Workers:       workers,
 		})
 		var pid uint32

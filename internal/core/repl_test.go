@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/cost"
+	"repro/internal/detect"
 	"repro/internal/guestos"
 	"repro/internal/mem"
 	"repro/internal/remus"
@@ -84,7 +85,7 @@ func scriptedWork(disk bool) func(*guestos.Guest) error {
 func runReplicated(t *testing.T, cfg Config, epochs, faultAt int) replRun {
 	t.Helper()
 	cfg.EpochInterval = 20 * time.Millisecond
-	cfg.Modules = defaultModules()
+	cfg.Modules = detect.DefaultModules()
 	cfg.Remus = RemusDeltaDedup
 	ctl, inj, _ := newFaultController(t, cfg)
 	if faultAt > 0 {

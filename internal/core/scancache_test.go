@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/cost"
+	"repro/internal/detect"
 	"repro/internal/guestos"
 	"repro/internal/obs"
 )
@@ -16,7 +17,7 @@ import (
 func TestScanCacheOffKeepsZeroCounters(t *testing.T) {
 	ctl, _ := newController(t, guestos.LinuxProfile(), Config{
 		EpochInterval: 20 * time.Millisecond,
-		Modules:       defaultModules(),
+		Modules:       detect.DefaultModules(),
 	})
 	for i := 0; i < 3; i++ {
 		res, err := ctl.RunEpoch(dirtyingWork(t))
@@ -41,7 +42,7 @@ func TestScanCacheOffKeepsZeroCounters(t *testing.T) {
 func TestScanCacheOnEpochCounters(t *testing.T) {
 	ctl, _ := newController(t, guestos.LinuxProfile(), Config{
 		EpochInterval: 20 * time.Millisecond,
-		Modules:       defaultModules(),
+		Modules:       detect.DefaultModules(),
 		ScanCache:     ScanCacheOn,
 	})
 	var sum cost.ScanCacheCounts
@@ -82,7 +83,7 @@ func TestScanCacheUncachedFlushesEveryEpoch(t *testing.T) {
 	run := func(mode ScanCacheMode) (*Controller, []cost.ScanCacheCounts) {
 		ctl, _ := newController(t, guestos.LinuxProfile(), Config{
 			EpochInterval: 20 * time.Millisecond,
-			Modules:       defaultModules(),
+			Modules:       detect.DefaultModules(),
 			ScanCache:     mode,
 		})
 		var per []cost.ScanCacheCounts
@@ -131,7 +132,7 @@ func TestScanCacheUncachedFlushesEveryEpoch(t *testing.T) {
 func TestScanCacheRollbackFlushes(t *testing.T) {
 	ctl, inj, _ := newFaultController(t, Config{
 		EpochInterval: 20 * time.Millisecond,
-		Modules:       defaultModules(),
+		Modules:       detect.DefaultModules(),
 		ScanCache:     ScanCacheOn,
 	})
 	if _, err := ctl.RunEpoch(dirtyingWork(t)); err != nil {
@@ -171,7 +172,7 @@ func TestScanCacheRollbackFlushes(t *testing.T) {
 func TestScanCacheAsyncAuditIgnoresCache(t *testing.T) {
 	ctl, _ := newController(t, guestos.LinuxProfile(), Config{
 		EpochInterval: 20 * time.Millisecond,
-		Modules:       defaultModules(),
+		Modules:       detect.DefaultModules(),
 		Scan:          ScanAsync,
 		ScanCache:     ScanCacheOn,
 	})
@@ -200,7 +201,7 @@ func TestScanCacheObsSeries(t *testing.T) {
 		o, sink := newCollector()
 		cfg := Config{
 			EpochInterval: 20 * time.Millisecond,
-			Modules:       defaultModules(),
+			Modules:       detect.DefaultModules(),
 			ScanCache:     tc.mode,
 			Obs:           o,
 		}

@@ -1,8 +1,10 @@
 package detect
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/guestos"
@@ -10,13 +12,14 @@ import (
 	"repro/internal/vmi"
 )
 
-// This file holds the cross-epoch detectors: modules that retain state
-// from previous audit boundaries so they can catch epoch-aware
-// adversaries — attacks staged and cleaned up entirely between two
-// audits, which every single-snapshot module is structurally blind to.
-// Both are stateful and keyed per guest image (the VMI context's
-// reader), like IncrementalDeepScanModule, so one instance shared
-// across a fleet keeps each VM's history separate.
+// This file holds the cross-epoch detectors: modules that look past the
+// current audit boundary so they can catch epoch-aware adversaries —
+// attacks staged and cleaned up entirely between two audits, which
+// every single-snapshot module is structurally blind to. The census
+// retains state keyed per guest image (the VMI context's reader), like
+// IncrementalDeepScanModule, so one instance shared across a fleet keeps
+// each VM's history separate; the revert diff reads the last commit
+// through the scan context and holds no state at all.
 
 // zombieState mirrors the guest kernel's task zombie state: an exited
 // process whose slab record remains as forensic evidence.
@@ -159,32 +162,18 @@ func sweepTaskSlab(ctx *ScanContext, wantState uint32) ([]rawCandidate, error) {
 // who mutates a kernel structure mid-epoch (say, unlinks a task) and
 // restores the exact prior bytes before the boundary looks clean to
 // every content check — but the dirty bitmap still records the writes.
-// The module retains a copy of the kernel-structure regions (task slab,
-// pid hash, syscall table) from the previous boundary; a page that is
-// dirty this epoch yet byte-identical to its retained copy was written
-// and then restored, which no benign kernel path does to these regions.
-type CrossEpochRevertModule struct {
-	mu      sync.Mutex
-	byGuest map[vmi.PhysReader]*revertState
-}
+// A watched kernel-structure page (task slab, pid hash, syscall table)
+// that is dirty this epoch yet byte-identical to the last committed
+// image was written and then restored, which no benign kernel path does
+// to these regions. The module keeps no copies of its own: the
+// committed image is the checkpointer's, read through
+// ScanContext.Committed — the same bytes a rollback would restore.
+type CrossEpochRevertModule struct{}
 
-type revertState struct {
-	mu sync.Mutex
-	// retained maps page number -> that page's bytes at the previous
-	// audit boundary, covering only the watched kernel regions.
-	retained map[int][]byte
-}
-
-var _ Module = (*CrossEpochRevertModule)(nil)
-
-// NewCrossEpochRevert returns a retained-snapshot diff detector over
-// the guest's kernel-structure regions.
-func NewCrossEpochRevert() *CrossEpochRevertModule {
-	return &CrossEpochRevertModule{byGuest: make(map[vmi.PhysReader]*revertState)}
-}
+var _ Module = CrossEpochRevertModule{}
 
 // Name implements Module.
-func (*CrossEpochRevertModule) Name() string { return "cross-epoch-revert" }
+func (CrossEpochRevertModule) Name() string { return "cross-epoch-revert" }
 
 // watchedRegions returns the [pa, pa+len) spans of the kernel
 // structures worth diffing across epochs.
@@ -209,75 +198,54 @@ func watchedRegions(ctx *ScanContext) ([][2]uint64, error) {
 }
 
 // Scan implements Module.
-func (m *CrossEpochRevertModule) Scan(ctx *ScanContext) ([]Finding, error) {
-	m.mu.Lock()
-	st := m.byGuest[ctx.VMI.Reader()]
-	if st == nil {
-		st = &revertState{}
-		m.byGuest[ctx.VMI.Reader()] = st
+func (CrossEpochRevertModule) Scan(ctx *ScanContext) ([]Finding, error) {
+	// No committed image (asynchronous audit, replay forensics) or no
+	// bitmap means nothing to diff against. A rollback restores memory to
+	// the committed image and marks the VM fully dirty — every watched
+	// page would then read as dirty-but-identical. A real in-guest revert
+	// only dirties the handful of pages it touched, so a blanket-dirty
+	// bitmap is a rollback, not an attack.
+	if ctx.Committed == nil || ctx.Dirty == nil ||
+		ctx.Dirty.Count() >= int(ctx.VMI.MemBytes()/mem.PageSize) {
+		return nil, nil
 	}
-	m.mu.Unlock()
-
-	st.mu.Lock()
-	defer st.mu.Unlock()
-
 	spans, err := watchedRegions(ctx)
 	if err != nil {
 		return nil, err
 	}
-	// Collect the watched page set.
-	pages := make(map[int]bool)
+	var pages []int
 	for _, s := range spans {
 		for pa := s[0] &^ (mem.PageSize - 1); pa < s[0]+s[1]; pa += mem.PageSize {
-			pages[int(pa/mem.PageSize)] = true
+			if p := int(pa / mem.PageSize); ctx.Dirty.Test(p) {
+				pages = append(pages, p)
+			}
 		}
 	}
-	// A rollback restores memory to the prior boundary and marks the VM
-	// fully dirty — every watched page would then read as dirty-but-
-	// identical. A real in-guest revert only dirties the handful of
-	// pages it touched, so a blanket-dirty bitmap means the baseline
-	// must reset, not that an attack happened.
-	diff := ctx.Dirty != nil
-	if diff {
-		numPages := int(ctx.VMI.MemBytes() / mem.PageSize)
-		if ctx.Dirty.Count() >= numPages {
-			diff = false
-		}
+	if len(pages) == 0 {
+		return nil, nil
 	}
+	slices.Sort(pages)
+	pages = slices.Compact(pages)
 	var out []Finding
-	buf := make([]byte, mem.PageSize)
-	fresh := make(map[int][]byte, len(pages))
-	for p := range pages {
-		if err := ctx.VMI.ReadPA(uint64(p)*mem.PageSize, buf); err != nil {
+	cur := make([]byte, mem.PageSize)
+	committed := make([]byte, mem.PageSize)
+	for _, p := range pages {
+		if err := ctx.VMI.ReadPA(uint64(p)*mem.PageSize, cur); err != nil {
 			return nil, fmt.Errorf("cross-epoch revert read page %d: %w", p, err)
 		}
-		prev, have := st.retained[p]
-		if have && diff && ctx.Dirty.Test(p) && bytesEqual(prev, buf) {
+		if err := ctx.Committed(mem.PFN(p), committed); err != nil {
+			return nil, fmt.Errorf("cross-epoch revert read committed page %d: %w", p, err)
+		}
+		if bytes.Equal(cur, committed) {
 			out = append(out, Finding{
 				Module: "cross-epoch-revert",
 				Kind:   KindWriteRevert,
 				TaskVA: uint64(p) * mem.PageSize,
 				Description: fmt.Sprintf(
-					"kernel structure page %d was written during the epoch yet matches the prior boundary byte-for-byte (write-then-revert DKOM)",
+					"kernel structure page %d was written during the epoch yet matches the last commit byte-for-byte (write-then-revert DKOM)",
 					p),
 			})
 		}
-		fresh[p] = append([]byte(nil), buf...)
 	}
-	// A rollback re-runs the scan against restored memory with a full
-	// bitmap; retaining the fresh copies keeps the baseline coherent.
-	st.retained = fresh
 	return out, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -87,6 +87,11 @@ type ScanContext struct {
 	Packets []guestos.Packet
 	// DiskWrites are the epoch's buffered disk writes.
 	DiskWrites []guestos.DiskWrite
+	// Committed copies one page of the last committed memory image —
+	// the image a rollback would restore — into dst. Only the
+	// synchronous audit sets it; nil (the asynchronous audit, replay
+	// forensics) means there is no commit to diff against.
+	Committed func(pfn mem.PFN, dst []byte) error
 }
 
 // ScanCounts tallies audit work for the cost model.
@@ -184,6 +189,7 @@ func (d *Detector) scanParallel(ctx *ScanContext) ([]Finding, error) {
 				Counts:     &counts[i],
 				Packets:    ctx.Packets,
 				DiskWrites: ctx.DiskWrites,
+				Committed:  ctx.Committed,
 			}
 			fs, err := m.Scan(sub)
 			if err != nil {

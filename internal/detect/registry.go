@@ -18,7 +18,14 @@ var registry = map[string]func() Module{
 	"deep-psscan":        func() Module { return DeepScanModule{} },
 	"deep-psscan-inc":    func() Module { return NewIncrementalDeepScan() },
 	"transient-census":   func() Module { return NewTransientCensus() },
-	"cross-epoch-revert": func() Module { return NewCrossEpochRevert() },
+	"cross-epoch-revert": func() Module { return CrossEpochRevertModule{} },
+}
+
+// DefaultModules returns the standard per-checkpoint stack: guest-aided
+// canary scanning plus the unaided malware, syscall-integrity, and
+// hidden-process scans.
+func DefaultModules() []Module {
+	return []Module{CanaryModule{}, NewMalwareModule(nil), SyscallModule{}, HiddenProcessModule{}}
 }
 
 // AvailableModules lists the registered module names.
@@ -41,8 +48,7 @@ func ModulesByName(spec string) ([]Module, error) {
 			continue
 		}
 		if name == "default" {
-			out = append(out,
-				CanaryModule{}, NewMalwareModule(nil), SyscallModule{}, HiddenProcessModule{})
+			out = append(out, DefaultModules()...)
 			continue
 		}
 		ctor, ok := registry[name]

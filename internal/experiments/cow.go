@@ -74,13 +74,13 @@ type cowArmResult struct {
 // ws-page hot set, under the eager or CoW commit, and returns the
 // steady-state averages.
 func runCowArm(ws int, cow bool) (*cowArmResult, error) {
-	cfg, err := serialConfig(cowBenchEpoch)
-	if err != nil {
-		return nil, err
-	}
+	cfg := serialConfig(cowBenchEpoch)
 	cfg.CoW = cow
-	var pid uint32
-	var arena uint64
+	var (
+		pid   uint32
+		arena uint64
+		err   error
+	)
 	work := func(g *guestos.Guest, e int, _ time.Duration) error {
 		if e == 1 {
 			// Set up the hot set inside the first (warmup) epoch:

@@ -103,14 +103,14 @@ type deltaArmResult struct {
 // runDeltaArm drives deltaBenchEpochs epochs of the sweep-point
 // workload under one wire protocol and returns steady-state averages.
 func runDeltaArm(ws, writeBytes int, mode core.RemusMode) (*deltaArmResult, error) {
-	cfg, err := serialConfig(deltaBenchEpoch)
-	if err != nil {
-		return nil, err
-	}
+	cfg := serialConfig(deltaBenchEpoch)
 	cfg.Opt = cost.NoOpt // every dirty page goes through the conduit
 	cfg.Remus = mode
-	var pid uint32
-	var arena uint64
+	var (
+		pid   uint32
+		arena uint64
+		err   error
+	)
 	buf := make([]byte, writeBytes)
 	work := func(g *guestos.Guest, e int, _ time.Duration) error {
 		if e == 1 {

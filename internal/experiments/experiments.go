@@ -65,9 +65,8 @@ func runEpochs(what string, pages int, seed int64, cfg core.Config, n, warmup in
 // serialConfig is the configuration those sweeps share: the default
 // detector set on the exact serial pause path (Workers=1), whose
 // accounting is deterministic.
-func serialConfig(epoch time.Duration) (core.Config, error) {
-	mods, err := detect.ModulesByName("default")
-	return core.Config{EpochInterval: epoch, Modules: mods, Workers: 1}, err
+func serialConfig(epoch time.Duration) core.Config {
+	return core.Config{EpochInterval: epoch, Modules: detect.DefaultModules(), Workers: 1}
 }
 
 // Result is one regenerated table or figure.

@@ -84,10 +84,7 @@ func ScanSweep() (*ScanBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := serialConfig(200 * time.Millisecond)
-	if err != nil {
-		return nil, err
-	}
+	cfg := serialConfig(200 * time.Millisecond)
 	uncached, err := runScanArm(spec, cfg, core.ScanCacheUncached)
 	if err != nil {
 		return nil, err

@@ -66,15 +66,11 @@ var (
 )
 
 // webStaticArms are the scenario catalog's fixed-config arms the
-// adaptive controller is benchmarked against.
+// adaptive controller is benchmarked against, named here so a config arm
+// added for the scenario matrix alone does not reshape BENCH_web.json.
 func webStaticArms() []string {
-	var out []string
-	for _, name := range scenario.ArmNames() {
-		if name != "slo-adaptive" {
-			out = append(out, name)
-		}
-	}
-	return out
+	return []string{"baseline", "workers4", "scan-cache", "cow", "cross-epoch",
+		"jitter", "hardened", "remus-raw", "remus-dedup", "cluster"}
 }
 
 // WebArmPoint is one (arm, VM-count) sweep cell.

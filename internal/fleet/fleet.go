@@ -79,10 +79,7 @@ func (cfg *Config) setDefaults() {
 		cfg.MaxPaused = cfg.VMs
 	}
 	if cfg.Core.Modules == nil {
-		mods, err := detect.ModulesByName("default")
-		if err == nil {
-			cfg.Core.Modules = mods
-		}
+		cfg.Core.Modules = detect.DefaultModules()
 	}
 }
 

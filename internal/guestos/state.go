@@ -3,7 +3,9 @@ package guestos
 // State is an opaque snapshot of the guest kernel's Go-side bookkeeping
 // (allocator cursors, process table, slot maps). A CRIMES checkpoint is
 // a domain memory snapshot plus a State; restoring both reproduces the
-// guest exactly, which is what makes epoch replay deterministic.
+// guest exactly, which is what makes epoch replay deterministic. A State
+// is immutable once CloneState returns it — RestoreState and Adopt copy
+// out of it — so one snapshot can be shared by every reader of a commit.
 type State struct {
 	now          uint64
 	nextPID      uint32

@@ -29,7 +29,7 @@ type Arm struct {
 func crossEpochModules() []detect.Module {
 	return append(crimes.DefaultModules(),
 		detect.NewTransientCensus(),
-		detect.NewCrossEpochRevert(),
+		detect.CrossEpochRevertModule{},
 	)
 }
 
@@ -67,6 +67,14 @@ var arms = []Arm{
 		Name:  "cross-epoch",
 		Desc:  "adds transient-census and cross-epoch-revert detectors",
 		Apply: func(cfg *crimes.Config) { cfg.Modules = crossEpochModules() },
+	},
+	{
+		Name: "cross-epoch-cow",
+		Desc: "cross-epoch detectors over the copy-on-write commit",
+		Apply: func(cfg *crimes.Config) {
+			cfg.Modules = crossEpochModules()
+			cfg.CoW = true
+		},
 	},
 	{
 		Name:  "jitter",

@@ -269,6 +269,10 @@ func Catalog() []Scenario {
 		transient("hardened", Expectation{Outcome: OutcomeDetected, ByEpoch: 3,
 			Kinds: []detect.Kind{detect.KindTransientProcess}},
 			"census detection is unaffected by jittered boundaries"),
+		transient("cross-epoch-cow", Expectation{Outcome: OutcomeDetected, ByEpoch: 3,
+			Kinds: []detect.Kind{detect.KindTransientProcess}},
+			"the census reads the paused primary, so the copy-on-write commit's lazy "+
+				"copies in flight change nothing"),
 	)
 
 	// --- dkom-restore: hide at epoch start, restore before the
@@ -299,6 +303,11 @@ func Catalog() []Scenario {
 		dkom("hardened", 6, Expectation{Outcome: OutcomeDetected, ByEpoch: 2},
 			"caught at epoch 2 either way: a punctual boundary sees the byte-identical "+
 				"revert, an early one sees the still-hidden victim"),
+		dkom("cross-epoch-cow", 6, Expectation{Outcome: OutcomeDetected, ByEpoch: 2,
+			Kinds: []detect.Kind{detect.KindWriteRevert}},
+			"the diff reads the committed image the copy-on-write commit is still "+
+				"converging on — the backup's page, or the primary's while its lazy copy is "+
+				"pending — and sees the same byte-identical revert as the eager commit"),
 	)
 
 	// --- repl-tamper: attacker on the replication channel -----------
