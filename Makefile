@@ -53,12 +53,14 @@ traced-runs:
 # Scheduling-independence gate: the packages with long-lived goroutines
 # (restore loop, pipelined shipper, CoW copier, the controller driving
 # them, the committed-image reader running alongside the copier, the
-# cluster promoting from controller state) must pass repeatedly on one,
-# two and eight processors — what an epoch reports is a function of its
-# inputs, never of which goroutine won a race.
+# cluster promoting from controller state, guest processes shared
+# copy-on-write across guests and States, module forks sharing the walk
+# memo's trace set) must pass repeatedly on one, two and eight
+# processors — what an epoch reports is a function of its inputs, never
+# of which goroutine won a race.
 test-procs:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p $(GO) test -count=5 ./internal/remus ./internal/checkpoint ./internal/core ./internal/cluster ./internal/detect || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=5 ./internal/remus ./internal/checkpoint ./internal/core ./internal/cluster ./internal/detect ./internal/guestos ./internal/vmi || exit 1; \
 	done
 
 # gofmt gate: fail listing any file that is not gofmt-clean.
@@ -95,11 +97,13 @@ bench-all: pause-json bench-fleet bench-scan bench-cow bench-remus bench-cluster
 bench-drift: bench-all
 	git diff --exit-code BENCH_*.json internal/experiments/testdata
 
-# Short fuzz pass over the page-wise Volatility scanners: besides never
-# panicking, they must return exactly what the linear reference scans of
-# the contiguous image return.
+# Short fuzz pass over the page-wise Volatility scanners and the VMI
+# canary-table decoder: besides never panicking, they must return
+# exactly what their linear reference decoders return — the scanners
+# over the contiguous image, the canary table over any header words.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPsScan -fuzztime 10s ./internal/volatility
+	$(GO) test -run '^$$' -fuzz '^FuzzCanaryTable$$' -fuzztime 10s ./internal/vmi
 
 # Everything the CI workflow runs, in the same order, for local use.
 ci: fmt-check static-check build

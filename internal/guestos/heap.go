@@ -16,7 +16,7 @@ const heapAlign = 16
 // after the object, and registers the canary in the guest's canary
 // lookup table for the hypervisor-side scanner.
 func (g *Guest) doAlloc(pid uint32, size int) (uint64, error) {
-	p, err := g.Process(pid)
+	p, err := g.writable(pid)
 	if err != nil {
 		return 0, err
 	}
@@ -64,7 +64,7 @@ func (g *Guest) doAlloc(pid uint32, size int) (uint64, error) {
 
 // doFree releases a heap object and retires its canary entry.
 func (g *Guest) doFree(pid uint32, va uint64) error {
-	p, err := g.Process(pid)
+	p, err := g.writable(pid)
 	if err != nil {
 		return err
 	}
@@ -185,11 +185,28 @@ func ParseCanaryTable(prof *Profile, layout Layout, readPhys func(uint64, []byte
 	if err := readPhys(layout.CanaryTablePA+canaryHeaderSize, raw); err != nil {
 		return nil, fmt.Errorf("guestos: read canary entries: %w", err)
 	}
+	return DecodeCanaryTable(prof, binary.LittleEndian.Uint32(hdr[0:]), raw), nil
+}
+
+// DecodeCanaryTable decodes the active records of a canary table body
+// (the records after the header, len(body)/prof.CanaryEntrySize of
+// them) in one pass. live is the header's live count. The guest writes
+// it, so it only sizes the result: it is clamped to the table's
+// capacity, and if it is too low the result grows once, to capacity.
+// The result's capacity never exceeds the table's.
+func DecodeCanaryTable(prof *Profile, live uint32, body []byte) []CanaryEntry {
+	capacity := len(body) / prof.CanaryEntrySize
 	var out []CanaryEntry
+	if n := min(int64(live), int64(capacity)); n > 0 {
+		out = make([]CanaryEntry, 0, n)
+	}
 	for i := 0; i < capacity; i++ {
-		rec := raw[i*prof.CanaryEntrySize:]
+		rec := body[i*prof.CanaryEntrySize:]
 		if binary.LittleEndian.Uint32(rec[prof.CanaryOffState:]) == 0 {
 			continue
+		}
+		if len(out) == cap(out) {
+			out = append(make([]CanaryEntry, 0, capacity), out...)
 		}
 		out = append(out, CanaryEntry{
 			Index: i,
@@ -197,7 +214,7 @@ func ParseCanaryTable(prof *Profile, layout Layout, readPhys func(uint64, []byte
 			Value: binary.LittleEndian.Uint64(rec[prof.CanaryOffValue:]),
 		})
 	}
-	return out, nil
+	return out
 }
 
 func alignUp(n, align int) int {

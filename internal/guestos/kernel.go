@@ -47,7 +47,8 @@ type Guest struct {
 
 	nextPID      uint32
 	nextFreePage int
-	procs        map[uint32]*Process
+	procs        map[uint32]*Process // shared copy-on-write with States
+	gen          uint64              // ownership generation; see writable
 	taskSlots    [MaxTasks]bool
 	moduleSlots  [MaxModules]bool
 	sockSlots    [MaxSockets]bool
@@ -85,6 +86,7 @@ func Boot(dom *hv.Domain, cfg BootConfig) (*Guest, error) {
 		nextFreePage: layout.FirstFreePage,
 		procs:        make(map[uint32]*Process),
 	}
+	g.newGeneration()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g.canarySecret = rng.Uint64() | 1 // never zero
 
@@ -120,7 +122,6 @@ func Adopt(dom *hv.Domain, cfg BootConfig, st *State) (*Guest, error) {
 		dom:    dom,
 		prof:   cfg.Profile,
 		layout: layout,
-		procs:  make(map[uint32]*Process),
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g.canarySecret = rng.Uint64() | 1 // same derivation as Boot

@@ -13,7 +13,8 @@ const stackPages = 2
 // Process is the Go-side bookkeeping for a guest process. The
 // authoritative task record lives in guest memory; this tracks the
 // pieces a kernel would keep in non-introspectable caches (allocator
-// cursors, region placement).
+// cursors, region placement). A *Process may be shared with States and
+// other guests (see State), so callers must treat it as read-only.
 type Process struct {
 	PID      uint32
 	UID      uint32
@@ -30,6 +31,8 @@ type Process struct {
 	heapEnd    uint64
 	freeBlocks []heapBlock
 	allocs     map[uint64]allocInfo
+
+	gen uint64 // generation of the guest that may write it in place
 }
 
 type heapBlock struct {
@@ -120,6 +123,7 @@ func (g *Guest) startProcessAt(name string, uid uint32, heapPages, slot int) (ui
 		heapBump: g.prof.UserVirtBase,
 		heapEnd:  g.prof.UserVirtBase + uint64(heapPages)*mem.PageSize,
 		allocs:   make(map[uint64]allocInfo),
+		gen:      g.gen,
 	}
 	g.nextFreePage += totalPages
 	g.procs[pid] = p // registered before record writes so TranslateUser works
@@ -272,7 +276,7 @@ func (g *Guest) writeStackMarker(p *Process) error {
 }
 
 func (g *Guest) doExitProcess(pid uint32) error {
-	p, err := g.Process(pid)
+	p, err := g.writable(pid)
 	if err != nil {
 		return err
 	}
@@ -301,7 +305,7 @@ func (g *Guest) doExitProcess(pid uint32) error {
 }
 
 func (g *Guest) doHideProcess(pid uint32) error {
-	p, err := g.Process(pid)
+	p, err := g.writable(pid)
 	if err != nil {
 		return err
 	}
@@ -316,7 +320,7 @@ func (g *Guest) doHideProcess(pid uint32) error {
 }
 
 func (g *Guest) doUnhideProcess(pid uint32) error {
-	p, err := g.Process(pid)
+	p, err := g.writable(pid)
 	if err != nil {
 		return err
 	}
@@ -331,7 +335,7 @@ func (g *Guest) doUnhideProcess(pid uint32) error {
 }
 
 func (g *Guest) doCloakProcess(pid uint32) error {
-	p, err := g.Process(pid)
+	p, err := g.writable(pid)
 	if err != nil {
 		return err
 	}

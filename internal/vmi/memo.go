@@ -63,11 +63,15 @@ type WalkMemo struct {
 	mu      sync.Mutex
 	entries map[string]*memoEntry
 	stats   MemoStats
+	// trace is the touched-page set of the miss in progress, reused
+	// (cleared) by every miss. A miss holds mu for its whole walk, so
+	// one set serves the context and all its forks.
+	trace map[mem.PFN]struct{}
 }
 
 // NewWalkMemo creates an empty memo.
 func NewWalkMemo() *WalkMemo {
-	return &WalkMemo{entries: make(map[string]*memoEntry)}
+	return &WalkMemo{entries: make(map[string]*memoEntry), trace: make(map[mem.PFN]struct{})}
 }
 
 // Stats returns the memo's cumulative counters.
@@ -147,15 +151,15 @@ func memoized[E any](c *Context, key string, walk func() ([]E, error)) ([]E, err
 		return append([]E(nil), e.result.([]E)...), nil
 	}
 	m.stats.Misses++
-	c.trace = make(map[mem.PFN]struct{})
+	clear(m.trace)
+	c.trace = m.trace
 	res, err := walk()
-	tr := c.trace
 	c.trace = nil
 	if err != nil {
 		return nil, err
 	}
-	pages := make([]mem.PFN, 0, len(tr))
-	for pfn := range tr {
+	pages := make([]mem.PFN, 0, len(m.trace))
+	for pfn := range m.trace {
 		pages = append(pages, pfn)
 	}
 	m.entries[key] = &memoEntry{result: res, pages: pages}

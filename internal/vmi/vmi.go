@@ -58,7 +58,8 @@ type Context struct {
 
 	// memo, when set, memoizes structure walks across epochs; shared
 	// with forks. trace is the touched-page set of the memoized walk
-	// currently running on this context (nil otherwise).
+	// currently running on this context (nil otherwise); it belongs to
+	// the memo, which reuses it for every miss.
 	memo  *WalkMemo
 	trace map[mem.PFN]struct{}
 

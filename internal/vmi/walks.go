@@ -3,6 +3,8 @@ package vmi
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/guestos"
 )
 
 // ProcessInfo is one parsed task record.
@@ -281,12 +283,8 @@ func (c *Context) FileHandles() ([]FileInfo, error) {
 
 // CanaryEntry is one active guest canary-table record (guest-aided
 // scanning): the guest-physical address of a canary and its expected
-// value.
-type CanaryEntry struct {
-	Index int
-	PA    uint64
-	Value uint64
-}
+// value. The guest and the scanner share one record decoder.
+type CanaryEntry = guestos.CanaryEntry
 
 // CanaryTable parses the guest agent's canary lookup table via the
 // crimes_canary_table symbol.
@@ -294,6 +292,8 @@ func (c *Context) CanaryTable() ([]CanaryEntry, error) {
 	return memoized(c, "canary-table", c.canaryTable)
 }
 
+// canaryTable reads the whole table — header and every record, live or
+// not — and decodes it in one pass, sized by the header's live count.
 func (c *Context) canaryTable() ([]CanaryEntry, error) {
 	base, err := c.Symbol("crimes_canary_table")
 	if err != nil {
@@ -307,24 +307,11 @@ func (c *Context) canaryTable() ([]CanaryEntry, error) {
 	if capacity <= 0 || capacity > 1<<20 {
 		return nil, fmt.Errorf("vmi canary table: implausible capacity %d", capacity)
 	}
-	p := c.prof
-	raw := c.scratchBuf(capacity * p.CanaryEntrySize)
+	raw := c.scratchBuf(capacity * c.prof.CanaryEntrySize)
 	if err := c.ReadVA(base+16, raw); err != nil {
 		return nil, fmt.Errorf("vmi canary table: %w", err)
 	}
-	var out []CanaryEntry
-	for i := 0; i < capacity; i++ {
-		rec := raw[i*p.CanaryEntrySize:]
-		if binary.LittleEndian.Uint32(rec[p.CanaryOffState:]) == 0 {
-			continue
-		}
-		out = append(out, CanaryEntry{
-			Index: i,
-			PA:    binary.LittleEndian.Uint64(rec[p.CanaryOffVA:]),
-			Value: binary.LittleEndian.Uint64(rec[p.CanaryOffValue:]),
-		})
-	}
-	return out, nil
+	return guestos.DecodeCanaryTable(c.prof, binary.LittleEndian.Uint32(hdr[0:]), raw), nil
 }
 
 // MMInfo is a parsed memory descriptor (mm_struct / VAD root analogue).
