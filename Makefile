@@ -19,10 +19,11 @@ verify: build
 # Short race pass over just the packages with real concurrency: the
 # sharded checkpoint copy, the concurrent detector scan, the controller
 # that drives both, the fleet scheduler running many controllers on one
-# shared hypervisor, and the observability layer they all emit into —
-# then the traced end-to-end runs.
+# shared hypervisor, the machine frame table whose lock those VMs share
+# (commits exchange frames under it), and the observability layer they
+# all emit into — then the traced end-to-end runs.
 verify-quick: traced-runs
-	$(GO) test -race ./internal/checkpoint ./internal/detect ./internal/core ./internal/hv ./internal/fleet ./internal/cluster ./internal/obs
+	$(GO) test -race ./internal/checkpoint ./internal/detect ./internal/core ./internal/mem ./internal/hv ./internal/fleet ./internal/cluster ./internal/obs
 
 # Traced end-to-end runs under the race detector, the one copy of the
 # commands and their assertions (CI and verify-quick both call this):
@@ -55,12 +56,13 @@ traced-runs:
 # them, the committed-image reader running alongside the copier, the
 # cluster promoting from controller state, guest processes shared
 # copy-on-write across guests and States, module forks sharing the walk
-# memo's trace set) must pass repeatedly on one, two and eight
-# processors — what an epoch reports is a function of its inputs, never
-# of which goroutine won a race.
+# memo's trace set, commits exchanging frames under the machine lock
+# that neighbouring VMs resolve theirs through) must pass repeatedly on
+# one, two and eight processors — what an epoch reports is a function of
+# its inputs, never of which goroutine won a race.
 test-procs:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p $(GO) test -count=5 ./internal/remus ./internal/checkpoint ./internal/core ./internal/cluster ./internal/detect ./internal/guestos ./internal/vmi || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=5 ./internal/remus ./internal/checkpoint ./internal/core ./internal/cluster ./internal/detect ./internal/guestos ./internal/vmi ./internal/mem ./internal/hv || exit 1; \
 	done
 
 # gofmt gate: fail listing any file that is not gofmt-clean.

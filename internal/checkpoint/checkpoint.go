@@ -35,7 +35,8 @@ var ErrClosed = errors.New("checkpoint: checkpointer closed")
 
 // FaultCopyPage is the fault-injection site for the per-page backup
 // copy on the premapped paths: an armed fault fails the commit midway
-// through the copy loop, exercising the undo log.
+// through the copy loop, before any staged page reaches the backup (or,
+// under CoW, midway through the lazy copies, exercising their undo).
 const FaultCopyPage = "checkpoint.copypage"
 
 // maxRemoteRetries bounds in-commit retries of transiently failing
@@ -65,11 +66,12 @@ type Checkpointer struct {
 	remusMode   remus.Mode
 	remusBudget int
 
-	// workers is the pause-path parallelism: the dirty-bitmap scan,
-	// undo capture, and page copy shard across this many goroutines
-	// over disjoint PFN ranges, the disk-block copy overlaps the memory
-	// copy, and remote replication is pipelined out of the pause window
-	// entirely. workers == 1 is the exact serial path.
+	// workers is the pause-path parallelism: the dirty-bitmap scan and
+	// the page copy (with an in-place stage, its undo capture too) shard
+	// across this many goroutines over disjoint PFN ranges, the
+	// disk-block copy overlaps the memory copy, and remote replication is
+	// pipelined out of the pause window entirely. workers == 1 is the
+	// exact serial path.
 	workers int
 
 	dirty   *mem.Bitmap
@@ -84,6 +86,9 @@ type Checkpointer struct {
 	// Premap/Full: global mappings built once.
 	gmPrimary *hv.GlobalMapping
 	gmBackup  *hv.GlobalMapping
+
+	// mem is the eager commit's memory copy, chosen once from opt.
+	mem memStage
 
 	// No-opt: encrypted socket conduit to the restore process.
 	conduit *remus.Conduit
@@ -126,10 +131,10 @@ type Checkpointer struct {
 	// lock a concurrent Send holds.
 	localRepl, remoteRepl cost.ReplicationCounts
 
-	// Undo log: the backup pages/blocks about to be overwritten by the
+	// Disk undo log: the backup blocks about to be overwritten by the
 	// current commit, captured so a mid-commit failure can be unwound
 	// and the backup stays a consistent snapshot of an audited epoch.
-	undoMem  []byte
+	// (The memory stage keeps that invariant itself; see memStage.)
 	undoDisk []byte
 
 	// Copy-on-write commit state (EnableCoW); nil on the eager paths.
@@ -251,10 +256,13 @@ type PhaseTimings struct {
 	Workers int
 	// Scan is the dirty-bitmap scan.
 	Scan time.Duration
-	// Undo is the undo-log capture (backup pages/blocks about to be
-	// overwritten).
+	// Undo is the undo-log capture of the backup disk blocks about to be
+	// overwritten. The memory stage needs none on the premapped path; the
+	// in-place stages (Memcpy, NoOpt) capture their page undo inside
+	// MemCopy.
 	Undo time.Duration
-	// MemCopy is the dirty-page copy into the backup domain.
+	// MemCopy is the dirty-page copy into the backup domain, including
+	// the frame exchange that publishes it on the premapped path.
 	MemCopy time.Duration
 	// DiskCopy is the dirty-block copy into the backup disk; with
 	// workers > 1 it overlaps MemCopy.
@@ -322,19 +330,23 @@ func NewWithParams(h *hv.Hypervisor, primary *hv.Domain, p Params) (*Checkpointe
 		_ = h.DestroyDomain(backup.ID())
 		return nil, err
 	}
-	if opt >= cost.Premap {
+	switch {
+	case opt >= cost.Premap:
 		if c.gmPrimary, err = h.MapAll(primary); err != nil {
 			return fail(fmt.Errorf("checkpoint: premap primary: %w", err))
 		}
 		if c.gmBackup, err = h.MapAll(backup); err != nil {
 			return fail(fmt.Errorf("checkpoint: premap backup: %w", err))
 		}
-	}
-	if opt == cost.NoOpt {
+		c.mem = &exchangeStage{c: c}
+	case opt == cost.Memcpy:
+		c.mem = &inPlaceStage{c: c, write: c.copyMapped}
+	default:
 		key := []byte("crimes-remus-key")
 		if c.conduit, err = remus.NewConduitMode(h, backup, key, c.remusMode, c.remusBudget); err != nil {
 			return fail(err)
 		}
+		c.mem = &inPlaceStage{c: c, write: c.copySocket}
 	}
 	// Initial synchronization: ship every page, as live migration's
 	// final stop-and-copy does.
@@ -656,12 +668,12 @@ func (c *Checkpointer) CheckpointBitmap(dirty *mem.Bitmap) (cost.Counts, error) 
 }
 
 // commitDirty commits the harvested dirty set as one staged sequence:
-// quiesce, scan, disk harvest, undo capture, copy, remote replication,
-// CoW arm, finish. The eager and copy-on-write strategies share every
-// stage and its unwind; they differ only in which pages the two memory
-// stages handle under pause — all of them (eager), or none (CoW, which
-// arms write protection instead and lets the copies land lazily behind
-// the resumed guest). The returned counts carry the commit's exact
+// quiesce, scan, disk harvest, disk undo capture, copy, remote
+// replication, CoW arm, finish. The eager and copy-on-write strategies
+// share every stage and its unwind; they differ only in whether the
+// memory stage runs under pause (eager), or not at all (CoW, which arms
+// write protection instead and lets the copies land lazily behind the
+// resumed guest). The returned counts carry the commit's exact
 // replication traffic in the delta wire modes: what the local conduit
 // and a serial remote ship sent, plus the traffic of the pipelined
 // shipments this commit settled.
@@ -702,31 +714,23 @@ func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 		DirtyPages:  len(dirty),
 		BytesCopied: len(dirty) * mem.PageSize,
 	}
-	// eager is the page set copied (and so undo-logged) under pause. Disk
-	// blocks are always eager: they have no write-fault machinery and are
-	// few.
-	eager := dirty
-	if c.cow != nil {
-		eager = nil
-	}
-
-	// Undo capture. The invariant the undo log protects: the backup is a
-	// consistent snapshot of SOME audited epoch at every instant, so
+	// Disk undo capture. The invariant the undo log protects: the backup
+	// is a consistent snapshot of SOME audited epoch at every instant, so
 	// rollback is always safe — even when a copy path dies halfway
-	// through. Under concurrency that means capture COMPLETES — across
-	// every shard, for memory and disk — before any copy worker writes a
-	// byte into the backup, so a worker failing mid-commit always finds a
-	// complete undo log to restore from.
+	// through. Capture completes before the disk copy writes a block;
+	// the memory stage keeps the same invariant for pages by itself
+	// (memStage). Disk blocks are always eager: they have no write-fault
+	// machinery and are few.
 	undoStart := time.Now()
-	if err := c.captureUndo(eager, diskDirty); err != nil {
+	if err := c.captureDiskUndo(diskDirty); err != nil {
 		// Nothing was modified yet; just restore the dirty logs.
 		c.remark(diskDirty)
 		return cost.Counts{}, err
 	}
 	c.report.Timings.Undo = time.Since(undoStart)
 
-	if err := c.copyEager(eager, diskDirty); err != nil {
-		return c.failCommit(eager, diskDirty, err)
+	if err := c.copyEager(dirty, diskDirty); err != nil {
+		return c.failCommit(diskDirty, err)
 	}
 	if c.disk != nil {
 		counts.DiskBlocks = len(diskDirty)
@@ -744,7 +748,7 @@ func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 			// Arming failed before any protection landed. Converge inline:
 			// the commit completes eagerly instead of lazily.
 			if qerr := c.quiesceCoW(); qerr != nil {
-				return c.failCommit(eager, diskDirty, qerr)
+				return c.failCommit(diskDirty, qerr)
 			}
 		}
 		c.report.Timings.MemCopy = time.Since(armStart)
@@ -771,42 +775,58 @@ func (c *Checkpointer) scanDirty() []mem.PFN {
 	return c.scratch
 }
 
-// copyEager is the copy stage: pages shard across the worker pool, and
-// the disk-block copy is independent of the memory copy (disjoint
-// storage), so with workers > 1 the two overlap. The memory copy's
-// error takes precedence, matching the serial path's report; the caller
-// unwinds either failure via the undo log.
+// copyEager is the copy stage: the memory stage and the disk-block copy
+// are independent (disjoint storage), so with workers > 1 they overlap.
+// The memory stage is applied only once both have succeeded; a disk
+// failure reverts it instead. Either way a failure leaves the backup's
+// memory as it was, and the caller unwinds the disk through its undo
+// log. The memory error takes precedence, matching the serial path's
+// report. Under CoW only the disk is copied here.
 func (c *Checkpointer) copyEager(pages, diskDirty []mem.PFN) error {
-	switch {
-	case c.cow != nil:
+	if c.cow != nil {
 		// No memory copy under pause; MemCopy times the arm stage.
-	case c.disk != nil && c.workers > 1:
-		var diskErr error
+		return c.copyDisk(diskDirty)
+	}
+	var memErr, diskErr error
+	if c.disk != nil && c.workers > 1 {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			diskErr = c.copyDisk(diskDirty)
 		}()
-		memErr := c.copyMemory(pages)
+		memErr = c.stageMemory(pages)
 		wg.Wait()
-		if memErr != nil {
-			return memErr
-		}
-		return diskErr
-	default:
-		if err := c.copyMemory(pages); err != nil {
-			return err
-		}
+	} else if memErr = c.stageMemory(pages); memErr == nil {
+		diskErr = c.copyDisk(diskDirty)
 	}
+	if memErr != nil {
+		return memErr
+	}
+	if diskErr != nil {
+		c.mem.revert(pages)
+		return diskErr
+	}
+	start := time.Now()
+	err := c.mem.apply(pages)
+	c.report.Timings.MemCopy += time.Since(start)
+	return err
+}
+
+// stageMemory runs the memory stage, timed as MemCopy.
+func (c *Checkpointer) stageMemory(pages []mem.PFN) error {
+	start := time.Now()
+	err := c.mem.stage(pages)
+	c.report.Timings.MemCopy = time.Since(start)
+	return err
+}
+
+// copyDisk copies the dirty blocks into the backup disk, when one is
+// attached.
+func (c *Checkpointer) copyDisk(diskDirty []mem.PFN) error {
 	if c.disk == nil {
 		return nil
 	}
-	return c.copyDisk(diskDirty)
-}
-
-// copyDisk copies the dirty blocks into the backup disk.
-func (c *Checkpointer) copyDisk(diskDirty []mem.PFN) error {
 	start := time.Now()
 	err := c.disk.CopyBlocksTo(c.backupDisk, diskDirty)
 	c.report.Timings.DiskCopy = time.Since(start)
@@ -823,11 +843,12 @@ func (c *Checkpointer) remark(diskDirty []mem.PFN) {
 	}
 }
 
-// failCommit is the one unwind of a commit that failed after the undo
-// log was captured: revert what the eager stages wrote into the backup,
+// failCommit is the one unwind of a commit that failed after the disk
+// undo log was captured: revert what the disk copy wrote into the backup
+// (the memory stage has already left the backup's pages as they were),
 // then restore the dirty logs.
-func (c *Checkpointer) failCommit(pages, diskDirty []mem.PFN, err error) (cost.Counts, error) {
-	c.applyUndo(pages, diskDirty)
+func (c *Checkpointer) failCommit(diskDirty []mem.PFN, err error) (cost.Counts, error) {
+	c.applyDiskUndo(diskDirty)
 	c.remark(diskDirty)
 	return cost.Counts{}, err
 }
@@ -856,49 +877,10 @@ func (c *Checkpointer) replicateRemote(dirty []mem.PFN, counts *cost.Counts) {
 	c.report.Timings.RemoteShip = time.Since(shipStart)
 }
 
-// copyMemory dispatches to the optimization level's page-copy path.
-func (c *Checkpointer) copyMemory(dirty []mem.PFN) (err error) {
-	start := time.Now()
-	switch {
-	case c.opt >= cost.Premap:
-		err = c.copyPremapped(dirty)
-	case c.opt == cost.Memcpy:
-		err = c.copyMapped(dirty)
-	default:
-		err = c.copySocket(dirty)
-	}
-	c.report.Timings.MemCopy = time.Since(start)
-	return err
-}
-
-// captureUndo saves the backup pages and disk blocks the commit is
-// about to overwrite into reusable scratch buffers. The page loop
-// shards across the worker pool: each worker reads a disjoint PFN range
-// into a disjoint region of the undo buffer. Capture is complete for
-// every shard before the caller starts any copy worker. Under CoW pages
-// is empty: the memory undo is captured lazily, page by page, as the
-// backup copies land (cowCopyLocked).
-func (c *Checkpointer) captureUndo(pages, diskDirty []mem.PFN) error {
-	need := len(pages) * mem.PageSize
-	if cap(c.undoMem) < need {
-		c.undoMem = make([]byte, need)
-	}
-	c.undoMem = c.undoMem[:need]
-	if len(pages) > 0 {
-		if err := c.runSharded(len(pages), func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				pfn := pages[i]
-				off := i * mem.PageSize
-				if err := c.backup.ReadPhys(uint64(pfn)*mem.PageSize, c.undoMem[off:off+mem.PageSize]); err != nil {
-					return fmt.Errorf("checkpoint: undo capture pfn %d: %w", pfn, err)
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	need = len(diskDirty) * vdisk.BlockSize
+// captureDiskUndo saves the backup disk blocks the commit is about to
+// overwrite into a reusable scratch buffer.
+func (c *Checkpointer) captureDiskUndo(diskDirty []mem.PFN) error {
+	need := len(diskDirty) * vdisk.BlockSize
 	if cap(c.undoDisk) < need {
 		c.undoDisk = make([]byte, need)
 	}
@@ -912,18 +894,9 @@ func (c *Checkpointer) captureUndo(pages, diskDirty []mem.PFN) error {
 	return nil
 }
 
-// applyUndo restores the backup pages and blocks saved by captureUndo,
-// reverting a partially applied commit.
-func (c *Checkpointer) applyUndo(pages, diskDirty []mem.PFN) {
-	for i, pfn := range pages {
-		off := i * mem.PageSize
-		_ = c.backup.WritePhys(uint64(pfn)*mem.PageSize, c.undoMem[off:off+mem.PageSize])
-	}
-	c.applyDiskUndo(diskDirty)
-}
-
-// applyDiskUndo restores the backup disk blocks saved by captureUndo; a
-// lazy CoW copy failure calls it alone (cowFailLocked).
+// applyDiskUndo restores the backup disk blocks saved by
+// captureDiskUndo, after a failed commit or a lazy CoW copy failure
+// (cowFailLocked).
 func (c *Checkpointer) applyDiskUndo(diskDirty []mem.PFN) {
 	for i, b := range diskDirty {
 		off := i * vdisk.BlockSize
@@ -1167,12 +1140,41 @@ func (c *Checkpointer) drainShipper() error {
 	return err
 }
 
-// copyPremapped copies dirty pages through the startup-time global
-// mappings (Optimizations 1+2), sharded across the worker pool over
-// disjoint PFN ranges — pages are independent, so workers never alias.
-func (c *Checkpointer) copyPremapped(dirty []mem.PFN) error {
+// memStage is the eager commit's memory copy, chosen once in
+// NewWithParams from the optimization level. stage brings the primary's
+// dirty pages toward the backup; apply makes a successful stage the
+// backup's memory; revert abandons a successful stage instead (the
+// overlapped disk copy failed). Each stage guarantees that whenever one
+// of its methods returns an error — and after revert — the backup's
+// memory is byte-identical to what it was before stage, so a failed
+// commit needs no memory undo of its own. dirty is the same ascending
+// PFN list in all three calls of one commit.
+type memStage interface {
+	stage(dirty []mem.PFN) error
+	apply(dirty []mem.PFN) error
+	revert(dirty []mem.PFN)
+}
+
+// exchangeStage is the premapped copy (Optimizations 1+2): each dirty
+// page is copied once, through the startup-time global mapping of the
+// primary, into a staging page the checkpointer owns — sharded across
+// the worker pool over disjoint PFN ranges, so workers never alias.
+// apply then exchanges the staging pages with the backup's frames
+// (GlobalMapping.Exchange): the machine pages are swapped, no bytes
+// move, and the pages swapped out are the next commit's staging pages.
+// Until apply the backup is untouched, so a failure at any page leaves
+// nothing to undo.
+type exchangeStage struct {
+	c    *Checkpointer
+	pool [][]byte // staging pages; the first len(dirty) hold the commit
+}
+
+func (s *exchangeStage) stage(dirty []mem.PFN) error {
+	s.grow(len(dirty))
+	c, pool := s.c, s.pool
 	return c.runSharded(len(dirty), func(lo, hi int) error {
-		for _, pfn := range dirty[lo:hi] {
+		for i := lo; i < hi; i++ {
+			pfn := dirty[i]
 			if err := c.hv.Faults().Check(FaultCopyPage); err != nil {
 				return fmt.Errorf("checkpoint: copy pfn %d: %w", pfn, err)
 			}
@@ -1180,14 +1182,83 @@ func (c *Checkpointer) copyPremapped(dirty []mem.PFN) error {
 			if err != nil {
 				return err
 			}
-			dst, err := c.gmBackup.Page(pfn)
-			if err != nil {
-				return err
-			}
-			copy(dst, src)
+			copy(pool[i], src)
 		}
 		return nil
 	})
+}
+
+func (s *exchangeStage) apply(dirty []mem.PFN) error {
+	if err := s.c.gmBackup.Exchange(dirty, s.pool[:len(dirty)]); err != nil {
+		return fmt.Errorf("checkpoint: exchange staged pages: %w", err)
+	}
+	return nil
+}
+
+func (s *exchangeStage) revert([]mem.PFN) {}
+
+// grow makes the pool hold at least n staging pages. The shortfall is
+// allocated as one slab cut into full-capacity page views, never page by
+// page: every launch's initial sync stages the whole guest.
+func (s *exchangeStage) grow(n int) {
+	short := n - len(s.pool)
+	if short <= 0 {
+		return
+	}
+	slab := make([]byte, short*mem.PageSize)
+	pool := make([][]byte, len(s.pool), n)
+	copy(pool, s.pool)
+	for o := 0; o < len(slab); o += mem.PageSize {
+		pool = append(pool, slab[o:o+mem.PageSize:o+mem.PageSize])
+	}
+	s.pool = pool
+}
+
+// inPlaceStage is the unpremapped copy: write — copyMapped
+// (Optimization 1 alone) or copySocket (the Remus baseline, whose
+// restore process decodes against the backup's current pages) —
+// overwrites the backup's pages where they are. stage therefore first
+// saves them into a byte undo buffer, sharded like the copy, and
+// restores it when write fails or the commit is reverted.
+type inPlaceStage struct {
+	c     *Checkpointer
+	write func(dirty []mem.PFN) error
+	undo  []byte
+}
+
+func (s *inPlaceStage) stage(dirty []mem.PFN) error {
+	need := len(dirty) * mem.PageSize
+	if cap(s.undo) < need {
+		s.undo = make([]byte, need)
+	}
+	s.undo = s.undo[:need]
+	backup := s.c.backup
+	if err := s.c.runSharded(len(dirty), func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			off := i * mem.PageSize
+			if err := backup.ReadPhys(uint64(dirty[i])*mem.PageSize, s.undo[off:off+mem.PageSize]); err != nil {
+				return fmt.Errorf("checkpoint: undo capture pfn %d: %w", dirty[i], err)
+			}
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	if err := s.write(dirty); err != nil {
+		s.revert(dirty)
+		return err
+	}
+	return nil
+}
+
+func (s *inPlaceStage) apply([]mem.PFN) error { return nil }
+
+func (s *inPlaceStage) revert(dirty []mem.PFN) {
+	// stage read every one of these pages, so the writes are in range.
+	for i, pfn := range dirty {
+		off := i * mem.PageSize
+		_ = s.c.backup.WritePhys(uint64(pfn)*mem.PageSize, s.undo[off:off+mem.PageSize])
+	}
 }
 
 // copyMapped maps the dirty pages of both VMs for this epoch only

@@ -197,3 +197,64 @@ func TestConcurrentAllocFree(t *testing.T) {
 		t.Fatalf("allocator imbalance: %d free of %d", free, total)
 	}
 }
+
+// One domain's frames are exchanged while a neighbour on the same
+// machine reads, writes and dumps its own memory — the fleet shape, where
+// every VM's checkpointer swaps frames under the frame-table lock the
+// other VMs resolve theirs through. Run under -race.
+func TestExchangeAlongsideNeighbourAccess(t *testing.T) {
+	const pages, rounds = 32, 200
+	h := New(2*pages + 8)
+	a, err := h.CreateDomain("exchanging", pages)
+	if err != nil {
+		t.Fatalf("CreateDomain: %v", err)
+	}
+	b, err := h.CreateDomain("neighbour", pages)
+	if err != nil {
+		t.Fatalf("CreateDomain: %v", err)
+	}
+	gm, err := h.MapAll(a)
+	if err != nil {
+		t.Fatalf("MapAll: %v", err)
+	}
+	pfns := make([]mem.PFN, pages)
+	staging := make([][]byte, pages)
+	for i := range pfns {
+		pfns[i] = mem.PFN(i)
+		staging[i] = make([]byte, mem.PageSize)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		buf := make([]byte, 3*mem.PageSize)
+		for r := 0; r < rounds; r++ {
+			if err := b.WritePhys(uint64(r%(pages-3))*mem.PageSize, buf); err != nil {
+				t.Errorf("neighbour WritePhys: %v", err)
+				return
+			}
+			if err := b.ReadPhys(uint64(r%(pages-3))*mem.PageSize, buf); err != nil {
+				t.Errorf("neighbour ReadPhys: %v", err)
+				return
+			}
+			if r%20 == 0 {
+				if _, err := b.DumpMemory(); err != nil {
+					t.Errorf("neighbour DumpMemory: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	for r := 0; r < rounds; r++ {
+		for i := range staging {
+			staging[i][0] = byte(r)
+		}
+		if err := gm.Exchange(pfns, staging); err != nil {
+			t.Fatalf("Exchange round %d: %v", r, err)
+		}
+		got := make([]byte, 1)
+		if err := a.ReadPhys(uint64(r%pages)*mem.PageSize, got); err != nil || got[0] != byte(r) {
+			t.Fatalf("round %d: ReadPhys = %v, %v; want the exchanged-in page", r, got, err)
+		}
+	}
+	<-done
+}

@@ -275,6 +275,46 @@ func TestGlobalMapping(t *testing.T) {
 	}
 }
 
+// Exchanging through the global mapping swaps what the domain reads at
+// the exchanged PFNs, keeps the mapping on the live frames, and rejects
+// a bad batch — or any batch after Unmap — without swapping anything.
+func TestGlobalMappingExchange(t *testing.T) {
+	h, d := newTestDomain(t, 4)
+	gm, err := h.MapAll(d)
+	if err != nil {
+		t.Fatalf("MapAll: %v", err)
+	}
+	if err := d.WritePhys(1*mem.PageSize, []byte("old")); err != nil {
+		t.Fatalf("WritePhys: %v", err)
+	}
+	staged := make([]byte, mem.PageSize)
+	copy(staged, "new")
+	pages := [][]byte{staged}
+	if err := gm.Exchange([]mem.PFN{1}, pages); err != nil {
+		t.Fatalf("Exchange: %v", err)
+	}
+	got := make([]byte, 3)
+	if err := d.ReadPhys(1*mem.PageSize, got); err != nil || string(got) != "new" {
+		t.Fatalf("ReadPhys after exchange = %q, %v; want \"new\"", got, err)
+	}
+	if p, _ := gm.Page(1); &p[0] != &staged[0] {
+		t.Fatal("mapping does not name the exchanged-in page")
+	}
+	if string(pages[0][:3]) != "old" {
+		t.Fatalf("caller got back %q, want the frame's old page", pages[0][:3])
+	}
+	if err := gm.Exchange([]mem.PFN{3, 2}, [][]byte{make([]byte, mem.PageSize), make([]byte, mem.PageSize)}); !errors.Is(err, mem.ErrBadFrame) {
+		t.Fatalf("descending Exchange: %v, want ErrBadFrame", err)
+	}
+	if p, _ := gm.Page(3); !bytes.Equal(p, make([]byte, mem.PageSize)) {
+		t.Fatal("rejected exchange changed pfn 3")
+	}
+	gm.Unmap()
+	if err := gm.Exchange([]mem.PFN{0}, [][]byte{make([]byte, mem.PageSize)}); !errors.Is(err, ErrBadState) {
+		t.Fatalf("Exchange after Unmap: %v, want ErrBadState", err)
+	}
+}
+
 func TestSnapshotRoundtrip(t *testing.T) {
 	_, d := newTestDomain(t, 4)
 	if err := d.WritePhys(123, []byte("before")); err != nil {

@@ -16,7 +16,8 @@ type ForeignMapping struct {
 }
 
 // MapForeign maps the given guest pages of a domain. Pages remain valid
-// until Unmap is called.
+// until Unmap is called or their frame is exchanged
+// (GlobalMapping.Exchange), whichever comes first.
 func (h *Hypervisor) MapForeign(d *Domain, pfns []mem.PFN) (*ForeignMapping, error) {
 	fm := &ForeignMapping{dom: d, pages: make(map[mem.PFN][]byte, len(pfns))}
 	for _, pfn := range pfns {
@@ -64,7 +65,9 @@ type GlobalMapping struct {
 }
 
 // MapAll builds a global mapping of every page of the domain. The
-// per-page hypercall cost is paid once, here.
+// per-page hypercall cost is paid once, here. Its pages stay valid until
+// Unmap; the mapping's own Exchange keeps them valid across a frame
+// exchange, which no other mapping of the domain survives.
 func (h *Hypervisor) MapAll(d *Domain) (*GlobalMapping, error) {
 	gm := &GlobalMapping{dom: d, frames: make([][]byte, len(d.physmap))}
 	for pfn, mfn := range d.physmap {
@@ -91,6 +94,27 @@ func (gm *GlobalMapping) Page(pfn mem.PFN) ([]byte, error) {
 
 // Len reports the number of premapped pages.
 func (gm *GlobalMapping) Len() int { return len(gm.frames) }
+
+// Exchange swaps the machine pages behind the domain's frames at pfns
+// with the caller's pages (mem.Machine.Exchange): afterwards guest page
+// pfns[i] reads what pages[i] held, and pages[i] holds the frame's old
+// page. No bytes move. The mapping's frame table is updated under the
+// machine's lock, so Page returns the live frame afterwards. It is
+// all-or-nothing: pfns must be strictly ascending and in range and every
+// page exactly one page long, or nothing is swapped.
+//
+// The mapping must be the domain's only long-lived alias of the frames
+// (no CachedMapping, no ForeignMapping kept across the call), and
+// Exchange must not run concurrently with Page.
+func (gm *GlobalMapping) Exchange(pfns []mem.PFN, pages [][]byte) error {
+	if gm.frames == nil {
+		return fmt.Errorf("global mapping of domain %d: exchange after unmap: %w", gm.dom.id, ErrBadState)
+	}
+	if err := gm.dom.hv.machine.Exchange(gm.dom.physmap, pfns, pages, gm.frames); err != nil {
+		return fmt.Errorf("domain %d: %w", gm.dom.id, err)
+	}
+	return nil
+}
 
 // Unmap releases the global mapping.
 func (gm *GlobalMapping) Unmap() {

@@ -94,7 +94,10 @@ type scanEntry struct {
 
 // NewCachedMapping creates a cache over the domain's guest-physical
 // pages, holding at most capacity live mappings (capacity < 1 defaults
-// to the whole domain). No pages are mapped until first use.
+// to the whole domain). No pages are mapped until first use. A cached
+// mapping stays valid until its frame is exchanged
+// (GlobalMapping.Exchange), so a domain whose frames are exchanged — a
+// checkpoint's backup — must have no CachedMapping.
 func NewCachedMapping(d *Domain, capacity int) *CachedMapping {
 	if capacity < 1 || capacity > d.Pages() {
 		capacity = d.Pages()

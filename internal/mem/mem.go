@@ -126,7 +126,9 @@ func (m *Machine) Free(mfn MFN) error {
 // Frame returns the backing page for an allocated machine frame. The
 // returned slice aliases machine memory: writes through it are writes to
 // the machine frame. This is the moral equivalent of Xen's
-// xenforeignmemory_map.
+// xenforeignmemory_map. The alias stays valid until the frame is
+// exchanged (Exchange); after that it names the caller's old page, no
+// longer the frame.
 func (m *Machine) Frame(mfn MFN) ([]byte, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -140,7 +142,7 @@ func (m *Machine) Frame(mfn MFN) ([]byte, error) {
 // calling fn(i, frame) with the frame of mfn(i) for i = 0..n-1 in order,
 // and stops at the first unallocated one. Bulk copies (memory dumps and
 // restores) use it instead of one Frame call per page. fn runs under
-// the lock, so it must not allocate or free frames.
+// the lock, so it must not allocate, free or exchange frames.
 func (m *Machine) EachFrame(n int, mfn func(i int) MFN, fn func(i int, frame []byte)) error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -150,6 +152,55 @@ func (m *Machine) EachFrame(n int, mfn func(i int) MFN, fn func(i int, frame []b
 			return err
 		}
 		fn(i, m.frames[f])
+	}
+	return nil
+}
+
+// Exchange swaps the backing pages of the frames behind pfns with the
+// caller's pages, without moving a byte: afterwards frame physmap[pfns[i]]
+// is backed by what was pages[i], and pages[i] holds the page the frame
+// had. view is the caller's PFN-indexed alias table of the same frames
+// (len(physmap) entries); its entries for pfns are updated under the same
+// write lock, so the table and the machine never disagree.
+//
+// Exchange is all-or-nothing. It rejects, swapping nothing, PFNs that are
+// not strictly ascending (which rules out duplicates) or not below
+// len(physmap), a physmap entry that is not an allocated frame, a page
+// whose length or capacity is not PageSize, and a view of the wrong
+// length. physmap must map distinct PFNs to distinct frames, as a
+// domain's does, and pages must alias no machine frame.
+//
+// Exchange invalidates every other alias of the exchanged frames (Frame,
+// EachFrame): only the one owner of a long-lived alias table — a
+// domain's global mapping — may exchange that domain's frames, so that no
+// alias outlives the swap unnoticed.
+func (m *Machine) Exchange(physmap []MFN, pfns []PFN, pages [][]byte, view [][]byte) error {
+	if len(pages) != len(pfns) {
+		return fmt.Errorf("mem: exchange %d frames with %d pages: %w", len(pfns), len(pages), ErrBadFrame)
+	}
+	if len(view) != len(physmap) {
+		return fmt.Errorf("mem: exchange: view of %d pages for %d frames: %w", len(view), len(physmap), ErrBadFrame)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i, pfn := range pfns {
+		if i > 0 && pfn <= pfns[i-1] {
+			return fmt.Errorf("mem: exchange: pfn %d after %d not ascending: %w", pfn, pfns[i-1], ErrBadFrame)
+		}
+		if uint64(pfn) >= uint64(len(physmap)) {
+			return fmt.Errorf("mem: exchange: pfn %d of %d: %w", pfn, len(physmap), ErrBadFrame)
+		}
+		if err := m.checkLocked(physmap[pfn]); err != nil {
+			return fmt.Errorf("mem: exchange pfn %d: %w", pfn, err)
+		}
+		if len(pages[i]) != PageSize || cap(pages[i]) != PageSize {
+			return fmt.Errorf("mem: exchange pfn %d: page of %d bytes (cap %d): %w", pfn, len(pages[i]), cap(pages[i]), ErrBadFrame)
+		}
+	}
+	for i, pfn := range pfns {
+		f := physmap[pfn]
+		m.frames[f], pages[i] = pages[i], m.frames[f]
+		view[pfn] = m.frames[f]
 	}
 	return nil
 }

@@ -268,3 +268,122 @@ func TestScanWordsParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// exchangeMachine returns a machine with a four-frame "domain" whose
+// physmap maps PFN i to a distinct frame holding byte 0x10+i, plus four
+// caller pages holding 0xA0+i.
+func exchangeMachine(t *testing.T) (*Machine, []MFN, [][]byte) {
+	t.Helper()
+	m := NewMachine(6)
+	physmap, err := m.AllocN(4)
+	if err != nil {
+		t.Fatalf("AllocN: %v", err)
+	}
+	physmap[1], physmap[3] = physmap[3], physmap[1] // frames need not ascend with PFNs
+	pages := make([][]byte, 4)
+	for i, mfn := range physmap {
+		f, _ := m.Frame(mfn)
+		f[0] = byte(0x10 + i)
+		pages[i] = make([]byte, PageSize)
+		pages[i][0] = byte(0xA0 + i)
+	}
+	return m, physmap, pages
+}
+
+func TestExchangeSwapsPages(t *testing.T) {
+	m, physmap, pages := exchangeMachine(t)
+	view := make([][]byte, len(physmap))
+	for pfn, mfn := range physmap {
+		view[pfn], _ = m.Frame(mfn)
+	}
+	in := []*byte{&pages[0][0], &pages[1][0]}
+	if err := m.Exchange(physmap, []PFN{1, 3}, pages[:2], view); err != nil {
+		t.Fatalf("Exchange: %v", err)
+	}
+	for i, pfn := range []PFN{1, 3} {
+		f, _ := m.Frame(physmap[pfn])
+		if &f[0] != in[i] || f[0] != byte(0xA0+i) {
+			t.Fatalf("pfn %d: frame is not the caller's page %d", pfn, i)
+		}
+		if &view[pfn][0] != &f[0] {
+			t.Fatalf("pfn %d: view not updated to the live frame", pfn)
+		}
+		if pages[i][0] != byte(0x10+pfn) {
+			t.Fatalf("page %d holds %#x, want the frame's old page %#x", i, pages[i][0], 0x10+pfn)
+		}
+	}
+	for _, pfn := range []PFN{0, 2} {
+		if f, _ := m.Frame(physmap[pfn]); f[0] != byte(0x10+pfn) || &view[pfn][0] != &f[0] {
+			t.Fatalf("pfn %d: untouched frame changed", pfn)
+		}
+	}
+}
+
+// Every reject case swaps nothing: frames, the caller's pages and the
+// view all keep their identity.
+func TestExchangeAllOrNothing(t *testing.T) {
+	cases := []struct {
+		name  string
+		pfns  []PFN
+		pages func(p [][]byte) [][]byte
+		view  int // view length; 0 = one entry per physmap entry
+		free  bool
+	}{
+		{name: "descending", pfns: []PFN{2, 1}},
+		{name: "duplicate", pfns: []PFN{1, 1}},
+		{name: "out-of-range", pfns: []PFN{0, 4}},
+		{name: "unallocated", pfns: []PFN{0, 2}, free: true},
+		{name: "short-page", pfns: []PFN{0, 1}, pages: func(p [][]byte) [][]byte { return [][]byte{p[0], p[1][:PageSize-1]} }},
+		{name: "over-capacity-page", pfns: []PFN{0, 1}, pages: func(p [][]byte) [][]byte {
+			return [][]byte{p[0], append(p[1][:PageSize:PageSize], 0)[:PageSize]}
+		}},
+		{name: "count-mismatch", pfns: []PFN{0, 1, 2}},
+		{name: "view-length", pfns: []PFN{0, 1}, view: 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, physmap, pages := exchangeMachine(t)
+			if tc.free {
+				if err := m.Free(physmap[2]); err != nil {
+					t.Fatalf("Free: %v", err)
+				}
+			}
+			arg := pages[:2]
+			if tc.pages != nil {
+				arg = tc.pages(pages)
+			}
+			view := make([][]byte, len(physmap))
+			if tc.view > 0 {
+				view = make([][]byte, tc.view)
+			}
+			before := make([]*byte, len(physmap))
+			for pfn, mfn := range physmap {
+				if f, err := m.Frame(mfn); err == nil {
+					before[pfn] = &f[0]
+				}
+			}
+			argBefore := make([]*byte, len(arg))
+			for i, p := range arg {
+				argBefore[i] = &p[0]
+			}
+			if err := m.Exchange(physmap, tc.pfns, arg, view); !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("Exchange: err = %v, want ErrBadFrame", err)
+			}
+			for pfn, mfn := range physmap {
+				if f, err := m.Frame(mfn); err == nil && &f[0] != before[pfn] {
+					t.Fatalf("pfn %d: frame swapped by a rejected exchange", pfn)
+				}
+			}
+			for i, p := range arg {
+				if &p[0] != argBefore[i] {
+					t.Fatalf("caller page %d swapped by a rejected exchange", i)
+				}
+			}
+			for pfn, v := range view {
+				if v != nil {
+					t.Fatalf("view entry %d written by a rejected exchange", pfn)
+				}
+			}
+		})
+	}
+}
