@@ -1,16 +1,17 @@
 // Copy-on-write checkpointing with speculative resume.
 //
-// The eager commit paths copy every dirty page into the backup while
-// the guest is frozen, so the pause window is O(dirty bytes). The CoW
-// path captures only dirty *metadata* under pause — the dirty PFN list
-// and the intent to undo — arms write protection on those pages via the
-// hypervisor's memory-event machinery (one batched hypercall plus a
-// per-page permission flip), and resumes the guest immediately. The
-// pages are then copied into the backup lazily by a background copier
-// goroutine; a guest write faulting on a not-yet-copied page triggers
-// an eager copy-before-write, so the backup always converges to the
-// exact paused-instant snapshot regardless of how the race between the
-// guest and the copier plays out.
+// The eager commit copies every dirty page while the guest is frozen, so
+// the pause window is O(dirty bytes). The CoW commit captures only the
+// dirty PFN list under pause, arms write protection on those pages via
+// the hypervisor's memory-event machinery (one batched hypercall plus a
+// per-page permission flip), and resumes the guest immediately. A
+// background copier then copies each page once, into its staging page;
+// a guest write faulting on a not-yet-staged page stages it first, so
+// every staging page receives the paused-instant bytes however the race
+// between the guest and the copier plays out. The set is published at
+// the next commit boundary (or Quiesce) by the same frame exchange that
+// ends an eager commit; until then the backup still holds the previous
+// commit, untouched.
 //
 // Determinism invariant: the copier never disarms write protection —
 // only guest-side fault delivery (single-shot) or the batched drain at
@@ -25,27 +26,34 @@ import (
 	"errors"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"sync"
 
-	"repro/internal/cost"
 	"repro/internal/mem"
 )
 
-// cowState is the copy-on-write commit machinery of one Checkpointer.
-// Every copy — claimed by the background copier, by a write-fault
-// handler, or by a draining quiesce — happens atomically under mu:
-// claim, lazy undo capture, and backup overwrite are indivisible, so a
-// page is copied exactly once and never torn.
+// ErrConvergence marks a lost publication: a copy-on-write commit whose
+// set could not be staged (or exchanged) after the guest resumed. The
+// backup, memory and disk, still holds the commit before it, but that
+// commit's outputs may already have left, so rolling back to it would
+// contradict them.
+var ErrConvergence = errors.New("checkpoint: cow convergence")
+
+// cowState is the copy-on-write commit: the memStage EnableCoW installs
+// in place of exchangeStage, whose staging pool, per-page copy and
+// exchange it reuses. stage records the set, apply arms it, settle
+// publishes it. Every copy — claimed by the background copier, by a
+// write-fault handler, or by settle's drain — happens under mu, so a
+// page is staged exactly once and never torn.
 type cowState struct {
-	mu        sync.Mutex
-	order     []mem.PFN       // armed pages of the current commit, in scan order
-	pending   map[mem.PFN]int // pages not yet copied -> index into order
-	next      int             // background copier's cursor into order
-	undo      []byte          // lazily-captured backup undo, indexed like order
-	copied    []bool          // per-order-index: copy landed in the backup
-	diskDirty []mem.PFN       // the commit's eagerly-copied disk blocks, for failure undo
-	armed     bool            // write faults are armed for the current order
-	err       error           // first copy failure, surfaced at the next commit
+	ex *exchangeStage
+
+	mu      sync.Mutex
+	order   []mem.PFN       // the unpublished set, ascending; order[i] stages into ex.pool[i]
+	pending map[mem.PFN]int // pages not yet staged -> index into order
+	next    int             // background copier's cursor into order
+	armed   bool            // write faults are armed for the current order
+	err     error           // first staging failure: the set will not be published
 
 	// Cumulative deterministic accounting.
 	commits    int
@@ -68,24 +76,23 @@ func (c *Checkpointer) EnableCoW() error {
 	if c.cow != nil {
 		return errors.New("checkpoint: CoW already enabled")
 	}
-	if c.opt < cost.Premap {
+	ex, ok := c.mem.(*exchangeStage)
+	if !ok {
 		return errors.New("checkpoint: CoW requires premapped frames (optimization Premap or Full)")
 	}
 	cw := &cowState{
+		ex:      ex,
 		pending: make(map[mem.PFN]int),
 		kick:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	c.cow = cw
-	c.primary.SetWriteFaultHandler(c.handleCoWFault)
+	c.cow, c.mem = cw, cw
+	c.primary.SetWriteFaultHandler(cw.handleFault)
 	go pprof.Do(context.Background(), pprof.Labels("vm", c.primary.Name(), "role", "cow-copier"),
-		func(context.Context) { c.cowCopier() })
+		func(context.Context) { cw.copier() })
 	return nil
 }
-
-// CoWEnabled reports whether commits use the copy-on-write path.
-func (c *Checkpointer) CoWEnabled() bool { return c.cow != nil }
 
 // CoWStats are cumulative copy-on-write commit statistics. Write-fault
 // counts live on the primary domain (hv.Domain.WriteFaults), keeping
@@ -105,50 +112,41 @@ func (c *Checkpointer) CoWStats() CoWStats {
 	return CoWStats{Commits: c.cow.commits, ArmedPages: c.cow.armedPages}
 }
 
-// Quiesce drains the copy-on-write pipeline: every still-pending lazy
-// copy is settled inline, the remaining write traps are dropped in one
-// batched reconfiguration, and any deferred copy failure is surfaced.
-// Callers that read the backup as a snapshot (forensic dumps, history
-// retention, rollback) must quiesce first. A no-op when CoW is off.
-func (c *Checkpointer) Quiesce() error {
-	if c.cow == nil {
-		return nil
-	}
-	return c.quiesceCoW()
-}
+// Quiesce publishes the last copy-on-write commit: every still-pending
+// page is staged inline, the remaining write traps are dropped in one
+// batched reconfiguration, and the set is exchanged into the backup. A
+// lost publication is reported once, wrapped in ErrConvergence. Callers
+// that read the backup as a snapshot (forensic dumps, history
+// retention) must quiesce first. A no-op for the eager commit.
+func (c *Checkpointer) Quiesce() error { return c.mem.settle() }
 
-// armCoW records the commit's dirty metadata, write-protects the pages,
-// and kicks the background copier. Runs with the primary paused and the
-// previous commit fully quiesced (pending is empty).
-func (c *Checkpointer) armCoW(dirty, diskDirty []mem.PFN) error {
-	cw := c.cow
+// stage records the commit's dirty set and sizes the staging pool. It
+// runs with the primary paused and the previous set published.
+func (cw *cowState) stage(dirty []mem.PFN) error {
 	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	cw.ex.grow(len(dirty))
 	cw.order = append(cw.order[:0], dirty...)
-	cw.diskDirty = append(cw.diskDirty[:0], diskDirty...)
-	need := len(dirty) * mem.PageSize
-	if cap(cw.undo) < need {
-		cw.undo = make([]byte, need)
-	}
-	cw.undo = cw.undo[:need]
-	if cap(cw.copied) < len(dirty) {
-		cw.copied = make([]bool, len(dirty))
-	}
-	cw.copied = cw.copied[:len(dirty)]
-	for i := range cw.copied {
-		cw.copied[i] = false
-	}
 	for i, pfn := range cw.order {
 		cw.pending[pfn] = i
 	}
 	cw.next = 0
+	return nil
+}
+
+// apply write-protects the recorded set and kicks the copier. If arming
+// fails, no protection landed: the set is published inline, so the
+// commit completes eagerly instead of lazily.
+func (cw *cowState) apply(dirty []mem.PFN) error {
+	cw.mu.Lock()
 	cw.commits++
 	cw.armedPages += len(dirty)
 	cw.mu.Unlock()
 	if len(dirty) == 0 {
 		return nil
 	}
-	if err := c.primary.ArmWriteFaults(cw.order); err != nil {
-		return err
+	if err := cw.ex.c.primary.ArmWriteFaults(dirty); err != nil {
+		return cw.publish()
 	}
 	cw.mu.Lock()
 	cw.armed = true
@@ -160,29 +158,86 @@ func (c *Checkpointer) armCoW(dirty, diskDirty []mem.PFN) error {
 	return nil
 }
 
-// handleCoWFault is the primary domain's write-fault handler: the guest
-// is about to write a protected page. If the page is still pending, it
-// is copied into the backup right now — before the write lands — so the
-// backup still receives the paused-instant bytes. A page the copier
-// already settled needs nothing; the fault was just the (batched-drain)
-// protection firing spuriously, priced but harmless.
-func (c *Checkpointer) handleCoWFault(pfn mem.PFN) {
-	cw := c.cow
+// revert drops a recorded set that was never armed (the overlapped disk
+// copy failed).
+func (cw *cowState) revert([]mem.PFN) {
 	cw.mu.Lock()
-	if idx, ok := cw.pending[pfn]; ok && cw.err == nil {
-		if err := c.cowCopyLocked(idx); err != nil {
-			c.cowFailLocked(err)
+	defer cw.mu.Unlock()
+	cw.order = cw.order[:0]
+	clear(cw.pending)
+}
+
+// settle publishes the last commit's set. On a lost publication the
+// backup's memory was never touched; its disk blocks, copied eagerly by
+// that commit, are reverted to match. The commit's disk list and undo
+// are still in place: settle runs before the next commit harvests.
+func (cw *cowState) settle() error {
+	if err := cw.publish(); err != nil {
+		c := cw.ex.c
+		c.applyDiskUndo(c.diskScratch)
+		return fmt.Errorf("%w: %w", ErrConvergence, err)
+	}
+	return nil
+}
+
+// publish stages every still-pending page inline, drops the remaining
+// write traps in one batched reconfiguration — the deterministic set:
+// armed minus faulted, whatever the copier got to — and, if every page
+// was staged, exchanges the set into the backup. The set is retired
+// either way; the first failure is returned.
+func (cw *cowState) publish() error {
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	for idx := 0; idx < len(cw.order) && len(cw.pending) > 0; idx++ {
+		if _, ok := cw.pending[cw.order[idx]]; ok {
+			cw.stageLocked(idx)
 		}
+	}
+	if cw.armed {
+		cw.ex.c.primary.DisarmWriteFaults(cw.order)
+		cw.armed = false
+	}
+	err := cw.err
+	if err == nil && len(cw.order) > 0 {
+		err = cw.ex.apply(cw.order)
+	}
+	cw.order, cw.err = cw.order[:0], nil
+	return err
+}
+
+// stageLocked stages the pending page order[idx] under mu. The primary
+// still holds its paused-instant bytes: the page is pending, so any
+// guest write would have faulted and staged it first. A failure cancels
+// the set's publication, so nothing is left to stage; the write traps
+// stay armed until publish's batched disarm, firing as cheap spurious
+// faults in the meantime.
+func (cw *cowState) stageLocked(idx int) {
+	if err := cw.ex.stagePage(idx, cw.order[idx]); err != nil {
+		cw.err = err
+		clear(cw.pending)
+		return
+	}
+	delete(cw.pending, cw.order[idx])
+}
+
+// handleFault is the primary domain's write-fault handler: the guest is
+// about to write a protected page. If the page is still pending, it is
+// staged right now — before the write lands. A page already staged
+// needs nothing; the fault was just the (batched-drain) protection
+// firing spuriously, priced but harmless.
+func (cw *cowState) handleFault(pfn mem.PFN) {
+	cw.mu.Lock()
+	if idx, ok := cw.pending[pfn]; ok {
+		cw.stageLocked(idx)
 	}
 	cw.mu.Unlock()
 }
 
-// cowCopier is the background copier goroutine: after each commit arms
-// a set, it walks the order settling pages the guest has not yet
-// faulted on. It copies page-at-a-time under the lock, so the fault
-// handler interleaves rather than waits out the whole batch.
-func (c *Checkpointer) cowCopier() {
-	cw := c.cow
+// copier is the background copier goroutine: after each commit arms a
+// set, it walks the order staging pages the guest has not yet faulted
+// on. It copies page-at-a-time under the lock, so the fault handler
+// interleaves rather than waits out the whole batch.
+func (cw *cowState) copier() {
 	defer close(cw.done)
 	for {
 		select {
@@ -190,111 +245,41 @@ func (c *Checkpointer) cowCopier() {
 			return
 		case <-cw.kick:
 		}
-		for {
-			cw.mu.Lock()
-			idx := -1
-			if cw.err == nil {
-				for cw.next < len(cw.order) {
-					i := cw.next
-					cw.next++
-					if _, ok := cw.pending[cw.order[i]]; ok {
-						idx = i
-						break
-					}
-				}
-			}
-			if idx < 0 {
-				cw.mu.Unlock()
-				break
-			}
-			if err := c.cowCopyLocked(idx); err != nil {
-				c.cowFailLocked(err)
-			}
-			cw.mu.Unlock()
+		for cw.stageNext() {
 		}
 	}
 }
 
-// cowCopyLocked settles one pending page under cw.mu: captures the
-// backup's current content into the lazy undo log, then overwrites it
-// with the primary's — which still holds the paused-instant bytes,
-// because the page is pending (unwritten since the commit: any guest
-// write would have faulted and settled it first). Copies go through the
-// premapped frames, not the domain access path, so they fire no events
-// and take no faults.
-func (c *Checkpointer) cowCopyLocked(idx int) error {
-	cw := c.cow
-	pfn := cw.order[idx]
-	if err := c.hv.Faults().Check(FaultCopyPage); err != nil {
-		return fmt.Errorf("checkpoint: cow copy pfn %d: %w", pfn, err)
-	}
-	src, err := c.gmPrimary.Page(pfn)
-	if err != nil {
-		return err
-	}
-	dst, err := c.gmBackup.Page(pfn)
-	if err != nil {
-		return err
-	}
-	off := idx * mem.PageSize
-	copy(cw.undo[off:off+mem.PageSize], dst)
-	copy(dst, src)
-	cw.copied[idx] = true
-	delete(cw.pending, pfn)
-	return nil
-}
-
-// cowFailLocked cancels the current commit's lazy convergence after a
-// copy failure: every page already copied is reverted from the lazy
-// undo log and the eagerly-committed disk blocks are reverted to match,
-// so the backup drops back to the previous epoch's consistent snapshot
-// (memory and disk together). Remaining pages are dropped from pending
-// — their write traps stay armed until the next quiesce's batched
-// disarm, firing as cheap spurious faults in the meantime. The error is
-// parked for the next commit (or rollback) to surface.
-func (c *Checkpointer) cowFailLocked(err error) {
-	cw := c.cow
-	if cw.err == nil {
-		cw.err = err
-	}
-	for idx, done := range cw.copied {
-		if !done {
-			continue
-		}
-		if dst, derr := c.gmBackup.Page(cw.order[idx]); derr == nil {
-			off := idx * mem.PageSize
-			copy(dst, cw.undo[off:off+mem.PageSize])
-		}
-		cw.copied[idx] = false
-	}
-	c.applyDiskUndo(cw.diskDirty)
-	for pfn := range cw.pending {
-		delete(cw.pending, pfn)
-	}
-}
-
-// quiesceCoW settles every still-pending page inline, drops the
-// remaining write traps in one batched reconfiguration — the
-// deterministic set: armed minus faulted, whatever the copier got to —
-// and returns any deferred copy failure (clearing it; the failed
-// commit's undo has already run).
-func (c *Checkpointer) quiesceCoW() error {
-	cw := c.cow
+// stageNext stages the next pending page at the copier's cursor,
+// reporting whether there was one.
+func (cw *cowState) stageNext() bool {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	for idx := 0; idx < len(cw.order) && cw.err == nil && len(cw.pending) > 0; idx++ {
-		if _, ok := cw.pending[cw.order[idx]]; !ok {
-			continue
-		}
-		if err := c.cowCopyLocked(idx); err != nil {
-			c.cowFailLocked(err)
+	for cw.next < len(cw.order) {
+		i := cw.next
+		cw.next++
+		if _, ok := cw.pending[cw.order[i]]; ok {
+			cw.stageLocked(i)
+			return true
 		}
 	}
-	if cw.armed {
-		c.primary.DisarmWriteFaults(cw.order)
-		cw.armed = false
+	return false
+}
+
+// committedLocked returns the page holding pfn's committed bytes when
+// the unpublished set has it: the primary's while the page is pending
+// (its write trap keeps it at the committed bytes), its staging page
+// once staged. ok is false when the backup holds them.
+func (cw *cowState) committedLocked(pfn mem.PFN) ([]byte, bool) {
+	if _, pending := cw.pending[pfn]; pending {
+		page, err := cw.ex.c.gmPrimary.Page(pfn)
+		return page, err == nil
 	}
-	err := cw.err
-	cw.err = nil
-	return err
+	if cw.err != nil {
+		return nil, false
+	}
+	if i, staged := slices.BinarySearch(cw.order, pfn); staged {
+		return cw.ex.pool[i], true
+	}
+	return nil, false
 }

@@ -2,12 +2,16 @@ package checkpoint
 
 import (
 	"bytes"
+	"errors"
+	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/cost"
 	"repro/internal/fault"
 	"repro/internal/hv"
 	"repro/internal/mem"
+	"repro/internal/vdisk"
 )
 
 func newCoWCheckpointer(t *testing.T) (*hv.Hypervisor, *hv.Domain, *Checkpointer) {
@@ -91,56 +95,158 @@ func TestCoWCommitConvergesToPausedInstant(t *testing.T) {
 	}
 }
 
-// A lazy-copy failure cancels the commit's convergence: the backup
-// reverts to the previous epoch's snapshot and the parked error
-// surfaces at the next quiesce.
-func TestCoWCopyFailureRevertsBackup(t *testing.T) {
-	h, d, c := newCoWCheckpointer(t)
-	inj := fault.NewInjector()
-	h.InjectFaults(inj)
-	pfns := []mem.PFN{1, 2, 3}
-	for _, pfn := range pfns {
-		fillPage(t, d, pfn, 0xAA)
+// stopCopier retires the background copier, so a committed page stays
+// pending until the guest faults on it or a quiesce drains it. Close
+// closes stop again, so it gets a fresh one.
+func stopCopier(c *Checkpointer) {
+	close(c.cow.stop)
+	<-c.cow.done
+	c.cow.stop = make(chan struct{})
+}
+
+// waitStaged waits until no page of the last CoW commit is pending: the
+// copier has staged every one (or a staging failure dropped the rest).
+func waitStaged(t *testing.T, c *Checkpointer) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		c.cow.mu.Lock()
+		n := len(c.cow.pending)
+		c.cow.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("copier left %d pages pending", n)
+		}
+		time.Sleep(time.Millisecond)
 	}
+}
+
+// A lazy-copy failure loses the commit's publication. Whichever copy
+// fails — the first, a middle or the last — and whichever of the copier,
+// a write fault or the quiesce drain claims it, the backup's memory and
+// disk stay at the previous commit, and the error surfaces once, at the
+// next quiesce, as ErrConvergence.
+func TestCoWCopyFailureRevertsBackup(t *testing.T) {
+	const dirty = 8
+	for _, by := range []string{"copier", "fault", "drain"} {
+		for _, at := range []struct {
+			name string
+			n    int
+		}{{"first", 1}, {"middle", dirty / 2}, {"last", dirty}} {
+			t.Run(by+"/"+at.name, func(t *testing.T) {
+				f := newExchangeFixture(t, cost.Full, 2)
+				if err := f.c.EnableCoW(); err != nil {
+					t.Fatalf("EnableCoW: %v", err)
+				}
+				if by != "copier" {
+					stopCopier(f.c)
+				}
+				preMem, err := f.c.Backup().DumpMemory()
+				if err != nil {
+					t.Fatalf("DumpMemory: %v", err)
+				}
+				preDisk := f.c.BackupDisk().Snapshot()
+				f.dirtyEpoch(t, dirty, 0xA5)
+				f.inj.FailNth(FaultCopyPage, f.inj.Calls(FaultCopyPage)+at.n)
+				if _, err := f.c.Checkpoint(); err != nil {
+					t.Fatalf("CoW commit: %v", err)
+				}
+				switch by {
+				case "copier":
+					waitStaged(t, f.c)
+				case "fault":
+					// The guest rewrites the set in order: each write faults
+					// and stages its page before it lands.
+					f.dirtyEpoch(t, dirty, 0x5A)
+				}
+				err = f.c.Quiesce()
+				if !errors.Is(err, ErrConvergence) || !fault.IsInjected(err) {
+					t.Fatalf("Quiesce = %v, want an injected ErrConvergence", err)
+				}
+				if f.inj.Tripped(FaultCopyPage) != 1 {
+					t.Fatal("copy fault never fired")
+				}
+				postMem, err := f.c.Backup().DumpMemory()
+				if err != nil {
+					t.Fatalf("DumpMemory: %v", err)
+				}
+				if !bytes.Equal(preMem.Bytes(), postMem.Bytes()) {
+					t.Fatal("backup memory changed by a lost publication")
+				}
+				if !bytes.Equal(preDisk, f.c.BackupDisk().Snapshot()) {
+					t.Fatal("backup disk not reverted after a lost publication")
+				}
+				// The error was surfaced once, then cleared: the pipeline is
+				// usable again and the next commit converges.
+				if err := f.c.Quiesce(); err != nil {
+					t.Fatalf("error not cleared after surfacing: %v", err)
+				}
+				f.dirtyEpoch(t, dirty, 0xC3)
+				if _, err := f.c.Checkpoint(); err != nil {
+					t.Fatalf("recovery commit: %v", err)
+				}
+				if err := f.c.Quiesce(); err != nil {
+					t.Fatalf("recovery quiesce: %v", err)
+				}
+				if !domainsEqual(t, f.d, f.c.Backup()) || !vdisk.Equal(f.disk, f.c.BackupDisk()) {
+					t.Fatal("backup diverged from the primary after the recovery commit")
+				}
+			})
+		}
+	}
+}
+
+// The backup holds the previous commit until a CoW set is published:
+// with every page of the set staged, the backup still dumps to the
+// previous commit's image, and only the quiesce's exchange makes it the
+// primary as it was at the commit.
+func TestCoWPublishesOnlyAtSettle(t *testing.T) {
+	_, d, c := newPairWorkers(t, cost.Full, parallelTestPages, 2)
+	if err := c.EnableCoW(); err != nil {
+		t.Fatalf("EnableCoW: %v", err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	applyRandomEpoch(t, d, rng)
 	if _, err := c.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint 1: %v", err)
+		t.Fatalf("commit 1: %v", err)
 	}
 	if err := c.Quiesce(); err != nil {
 		t.Fatalf("Quiesce 1: %v", err)
 	}
-
-	for _, pfn := range pfns {
-		fillPage(t, d, pfn, 0xBB)
+	prev, err := c.Backup().DumpMemory()
+	if err != nil {
+		t.Fatalf("DumpMemory: %v", err)
 	}
-	// The very first lazy copy of the next commit fails, whichever of
-	// the copier, a write fault, or the quiesce drain claims it.
-	inj.FailNext(FaultCopyPage, 1, false)
-	if _, err := c.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint 2: %v", err)
+	applyRandomEpoch(t, d, rng)
+	want, err := d.DumpMemory()
+	if err != nil {
+		t.Fatalf("DumpMemory: %v", err)
 	}
-	if err := c.Quiesce(); err == nil {
-		t.Fatal("Quiesce swallowed the injected copy failure")
-	}
-	// The backup dropped back to the previous epoch's snapshot.
-	for _, pfn := range pfns {
-		checkPage(t, c.Backup(), pfn, 0xAA, "backup after failed convergence")
-	}
-	// The error was surfaced once, then cleared: the pipeline is usable
-	// again and the next commit converges.
-	if err := c.Quiesce(); err != nil {
-		t.Fatalf("error not cleared after surfacing: %v", err)
-	}
-	for _, pfn := range pfns {
-		fillPage(t, d, pfn, 0xCC)
+	if bytes.Equal(prev.Bytes(), want.Bytes()) {
+		t.Fatal("epoch 2 changed nothing")
 	}
 	if _, err := c.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint 3: %v", err)
+		t.Fatalf("commit 2: %v", err)
+	}
+	waitStaged(t, c)
+	staged, err := c.Backup().DumpMemory()
+	if err != nil {
+		t.Fatalf("DumpMemory: %v", err)
+	}
+	if !bytes.Equal(staged.Bytes(), prev.Bytes()) {
+		t.Fatal("backup written before the set was published")
 	}
 	if err := c.Quiesce(); err != nil {
-		t.Fatalf("Quiesce 3: %v", err)
+		t.Fatalf("Quiesce 2: %v", err)
 	}
-	for _, pfn := range pfns {
-		checkPage(t, c.Backup(), pfn, 0xCC, "backup after recovered commit")
+	published, err := c.Backup().DumpMemory()
+	if err != nil {
+		t.Fatalf("DumpMemory: %v", err)
+	}
+	if !bytes.Equal(published.Bytes(), want.Bytes()) {
+		t.Fatal("published backup differs from the primary at the commit")
 	}
 }
 
@@ -181,16 +287,12 @@ func readCommitted(t *testing.T, c *Checkpointer, pfn mem.PFN) []byte {
 }
 
 // ReadCommitted serves the image Rollback would restore while the CoW
-// commit is still converging: a page the copier has not settled yet is
-// read from the primary, whose write trap keeps it at the committed
-// bytes; once a guest write faults it into the backup, from the backup.
+// set is unpublished: a page the copier has not staged yet is read from
+// the primary, whose write trap keeps it at the committed bytes; once a
+// guest write faults it into its staging page, from the staging page.
 func TestReadCommittedPendingPageFromPrimary(t *testing.T) {
 	_, d, c := newCoWCheckpointer(t)
-	// Retire the copier so a committed page stays pending until the
-	// guest faults on it. Close closes stop again, so it gets a fresh one.
-	close(c.cow.stop)
-	<-c.cow.done
-	c.cow.stop = make(chan struct{})
+	stopCopier(c)
 	pending := func(pfn mem.PFN) bool {
 		c.cow.mu.Lock()
 		defer c.cow.mu.Unlock()
@@ -216,7 +318,7 @@ func TestReadCommittedPendingPageFromPrimary(t *testing.T) {
 		t.Fatal("guest write did not settle the pending page")
 	}
 	if got := readCommitted(t, c, pfn); !bytes.Equal(got, bytes.Repeat([]byte{0xAA}, mem.PageSize)) {
-		t.Fatal("settled page not read from the backup's committed bytes")
+		t.Fatal("staged page not read from its staging page")
 	}
 }
 
@@ -235,7 +337,7 @@ func TestReadCommittedAlongsideCopier(t *testing.T) {
 		want := bytes.Repeat([]byte{byte(round)}, mem.PageSize)
 		for pfn := mem.PFN(0); pfn < domPages; pfn++ {
 			if pfn%4 == 0 {
-				fillPage(t, d, pfn, 0xFF) // faults the page into the backup
+				fillPage(t, d, pfn, 0xFF) // faults the page into its staging page
 			}
 			if got := readCommitted(t, c, pfn); !bytes.Equal(got, want) {
 				t.Fatalf("round %d pfn %d: committed image differs from the at-commit bytes", round, pfn)

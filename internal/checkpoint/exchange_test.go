@@ -225,45 +225,61 @@ func TestCoWAfterExchangeWritesLiveFrames(t *testing.T) {
 
 // Over many seeded commits the exchange keeps ownership exact: every
 // backup frame is its own page, the global mapping names the machine's
-// live frame, and no staging page is also a backup frame.
+// live frame, and no staging page is also a backup frame — for the
+// eager commit, and for the CoW commit with the guest writing its armed
+// pages while they converge.
 func TestExchangeKeepsPagesDisjoint(t *testing.T) {
-	h, d, c := newPairWorkers(t, cost.Full, parallelTestPages, 2)
-	rng := rand.New(rand.NewSource(23))
-	for i := 0; i < 50; i++ {
-		applyRandomEpoch(t, d, rng)
-		if _, err := c.Checkpoint(); err != nil {
-			t.Fatalf("commit %d: %v", i, err)
-		}
-		owner := make(map[*byte]string, d.Pages())
-		for pfn := 0; pfn < d.Pages(); pfn++ {
-			p, err := c.gmBackup.Page(mem.PFN(pfn))
-			if err != nil {
-				t.Fatalf("gmBackup.Page(%d): %v", pfn, err)
+	for _, cow := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cow=%v", cow), func(t *testing.T) {
+			h, d, c := newPairWorkers(t, cost.Full, parallelTestPages, 2)
+			ex, _ := c.mem.(*exchangeStage)
+			if cow {
+				if err := c.EnableCoW(); err != nil {
+					t.Fatalf("EnableCoW: %v", err)
+				}
+				ex = c.cow.ex
 			}
-			mfn, err := c.Backup().Translate(mem.PFN(pfn))
-			if err != nil {
-				t.Fatalf("Translate(%d): %v", pfn, err)
+			rng := rand.New(rand.NewSource(23))
+			for i := 0; i < 50; i++ {
+				applyRandomEpoch(t, d, rng)
+				if _, err := c.Checkpoint(); err != nil {
+					t.Fatalf("commit %d: %v", i, err)
+				}
+				owner := make(map[*byte]string, d.Pages())
+				for pfn := 0; pfn < d.Pages(); pfn++ {
+					p, err := c.gmBackup.Page(mem.PFN(pfn))
+					if err != nil {
+						t.Fatalf("gmBackup.Page(%d): %v", pfn, err)
+					}
+					mfn, err := c.Backup().Translate(mem.PFN(pfn))
+					if err != nil {
+						t.Fatalf("Translate(%d): %v", pfn, err)
+					}
+					live, err := h.Machine().Frame(mfn)
+					if err != nil {
+						t.Fatalf("Frame(%d): %v", mfn, err)
+					}
+					if &live[0] != &p[0] {
+						t.Fatalf("commit %d: mapping of pfn %d is not the machine's live frame", i, pfn)
+					}
+					if prev, dup := owner[&p[0]]; dup {
+						t.Fatalf("commit %d: pfn %d shares its page with %s", i, pfn, prev)
+					}
+					owner[&p[0]] = fmt.Sprintf("pfn %d", pfn)
+				}
+				for j, p := range ex.pool {
+					if prev, dup := owner[&p[0]]; dup {
+						t.Fatalf("commit %d: staging page %d is also %s", i, j, prev)
+					}
+					owner[&p[0]] = fmt.Sprintf("staging page %d", j)
+				}
 			}
-			live, err := h.Machine().Frame(mfn)
-			if err != nil {
-				t.Fatalf("Frame(%d): %v", mfn, err)
+			if err := c.Quiesce(); err != nil {
+				t.Fatalf("Quiesce: %v", err)
 			}
-			if &live[0] != &p[0] {
-				t.Fatalf("commit %d: mapping of pfn %d is not the machine's live frame", i, pfn)
+			if !domainsEqual(t, d, c.Backup()) {
+				t.Fatal("backup diverged from primary")
 			}
-			if prev, dup := owner[&p[0]]; dup {
-				t.Fatalf("commit %d: pfn %d shares its page with %s", i, pfn, prev)
-			}
-			owner[&p[0]] = fmt.Sprintf("pfn %d", pfn)
-		}
-		for j, p := range c.mem.(*exchangeStage).pool {
-			if prev, dup := owner[&p[0]]; dup {
-				t.Fatalf("commit %d: staging page %d is also %s", i, j, prev)
-			}
-			owner[&p[0]] = fmt.Sprintf("staging page %d", j)
-		}
-	}
-	if !domainsEqual(t, d, c.Backup()) {
-		t.Fatal("backup diverged from primary")
+		})
 	}
 }
