@@ -31,7 +31,9 @@ verify-quick: traced-runs
 # the CoW commit's background copier and write faults live, over the
 # delta+dedup wire, across a host kill, and under the SLO controller.
 # Every run must leave a non-empty trace and metrics dump; the mode's
-# own events and series must be in them.
+# own events and series must be in them. One more run fails a CoW
+# commit's lazy copy after its outputs left: that lost publication must
+# halt the VM (exit status 1, a halt event), never roll it back.
 TRACED_DIR ?= /tmp/crimes-traced-runs
 define traced
 $(GO) run -race ./cmd/crimes $(2) -trace $(TRACED_DIR)/$(1).jsonl -metrics $(TRACED_DIR)/$(1).txt >/dev/null
@@ -41,6 +43,9 @@ traced-runs:
 	mkdir -p $(TRACED_DIR)
 	$(call traced,fleet,-vms 3 -stagger -epochs 2)
 	$(call traced,cow,-vms 3 -stagger -epochs 2 -cow)
+	$(GO) run -race ./cmd/crimes -epochs 4 -cow -fault checkpoint.copypage:30 -trace $(TRACED_DIR)/cow-lost.jsonl -metrics $(TRACED_DIR)/cow-lost.txt >/dev/null 2>$(TRACED_DIR)/cow-lost.err; test $$? -eq 1
+	test -s $(TRACED_DIR)/cow-lost.jsonl && test -s $(TRACED_DIR)/cow-lost.txt
+	grep -q '"phase":"halt"' $(TRACED_DIR)/cow-lost.jsonl
 	$(call traced,delta,-vms 3 -stagger -epochs 2 -remus delta+dedup -opt noopt)
 	grep -q crimes_remus_bytes_total $(TRACED_DIR)/delta.txt
 	$(call traced,cluster,-hosts 3 -vms 6 -epochs 4 -host-kill host1:3)

@@ -35,8 +35,9 @@ import (
 	"repro/internal/volatility"
 )
 
-// ErrHalted is returned from RunEpoch after an incident paused the VM.
-var ErrHalted = errors.New("core: VM halted by incident")
+// ErrHalted is returned from RunEpoch once the VM is halted: by an
+// incident, an unrecoverable fault or a lost copy-on-write publication.
+var ErrHalted = errors.New("core: VM halted")
 
 // Gate bounds how many co-located controllers hold their domains paused
 // at once. Acquire blocks until a pause slot is free; Release returns
@@ -1159,9 +1160,11 @@ func (c *Controller) incident(ep *epochState) error {
 
 // commit checkpoints the audited (or, in async mode, to-be-audited)
 // epoch and folds the commit's report and strategy counters into the
-// result. Unwind: on a mid-commit failure the checkpointer's undo log
-// has restored the backup to the last clean checkpoint; the primary is
-// rolled back to it and resumed.
+// result. Unwind: on a mid-commit failure the backup still holds the
+// last clean checkpoint; the primary is rolled back to it and resumed.
+// A lost copy-on-write publication (checkpoint.ErrConvergence) halts
+// instead: the backup holds the commit before the last, and rolling
+// back to it would contradict outputs that have already left.
 func (c *Controller) commit(ep *epochState) error {
 	res := ep.res
 	var commitStart time.Time
@@ -1180,14 +1183,18 @@ func (c *Controller) commit(ep *epochState) error {
 		res.Recovery.Degradations = append(res.Recovery.Degradations, rep.Warnings...)
 	}
 	if err != nil {
-		c.emit(obs.Event{Phase: obs.PhaseCommit, Err: err.Error(), Action: UnwindRollback,
+		action, unwind := UnwindRollback, c.unwindRollback
+		if errors.Is(err, checkpoint.ErrConvergence) {
+			action, unwind = UnwindHalt, c.haltDomain
+		}
+		c.emit(obs.Event{Phase: obs.PhaseCommit, Err: err.Error(), Action: action,
 			Retries: res.Recovery.Retries})
-		return c.unwindRollback(res, fmt.Errorf("core: epoch %d commit: %w", c.epoch, err))
+		return unwind(res, fmt.Errorf("core: epoch %d commit: %w", c.epoch, err))
 	}
 	if c.cfg.CoW {
-		// The commit quiesced the previous epoch's arm set on entry and
+		// The commit published the previous epoch's set on entry and
 		// armed this epoch's dirty pages on exit: whatever the guest did
-		// not fault on during the epoch was (or will be) settled by the
+		// not fault on during the epoch was (or will be) staged by the
 		// background copier. ArmedPages is the page count write-protected
 		// at this commit, WriteFaults the faults taken during the epoch on
 		// the previous commit's armed pages.
@@ -1228,13 +1235,18 @@ func (c *Controller) commit(ep *epochState) error {
 // releaseAndResume lets the committed epoch's buffered outputs go,
 // retains the checkpoint for forensics, and returns the domain to
 // execution. Unwind: the epoch committed, so a domain that cannot
-// resume is quarantined deliberately.
+// resume is quarantined deliberately — as is one whose commit, its
+// outputs just released, lost its publication while history settled it.
 func (c *Controller) releaseAndResume(ep *epochState) error {
 	res := ep.res
 	c.buf.Release()
 	c.lastState = c.guest.CloneState()
 	if c.cfg.HistoryDepth > 0 {
-		if err := c.retainHistory(); err != nil {
+		err := c.retainHistory()
+		if errors.Is(err, checkpoint.ErrConvergence) {
+			return c.haltDomain(res, fmt.Errorf("core: epoch %d: %w", c.epoch, err))
+		}
+		if err != nil {
 			// History is a forensic nicety, not the safety invariant:
 			// degrade with a warning instead of stranding the domain.
 			res.Recovery.Warnings = append(res.Recovery.Warnings,
@@ -1347,7 +1359,9 @@ const retryBackoff = time.Millisecond
 
 // retryOp runs op, retrying transient failures with exponential
 // virtual-time backoff up to cfg.MaxRetries times. Fatal failures and
-// exhausted budgets return the last error.
+// exhausted budgets return the last error. A lost copy-on-write
+// publication is never retried, whatever failed under it: its set is
+// gone, so a retried commit would land on the commit before it.
 func (c *Controller) retryOp(res *EpochResult, op func() error) error {
 	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
@@ -1355,7 +1369,7 @@ func (c *Controller) retryOp(res *EpochResult, op func() error) error {
 		if err == nil {
 			return nil
 		}
-		if attempt >= c.cfg.MaxRetries || !fault.IsTransient(err) {
+		if attempt >= c.cfg.MaxRetries || !fault.IsTransient(err) || errors.Is(err, checkpoint.ErrConvergence) {
 			return err
 		}
 		res.Recovery.Retries++
@@ -1396,7 +1410,7 @@ func (c *Controller) unwindRollback(res *EpochResult, cause error) error {
 	if err := c.retryOp(res, c.ckpt.Rollback); err != nil {
 		return c.haltDomain(res, errors.Join(cause, err))
 	}
-	// Rollback quiesced the CoW engine: nothing is armed anymore, so the
+	// Rollback published the CoW set: nothing is armed anymore, so the
 	// next commit's lazy drain starts from an empty pool.
 	c.cowPrevArmed = 0
 	c.guest.RestoreState(c.lastState)
@@ -1441,8 +1455,8 @@ func (c *Controller) haltDomain(res *EpochResult, cause error) error {
 // valid base (the first retain after launch, after a failed retain or a
 // failed commit) the image is a full dump.
 func (c *Controller) retainHistory() error {
-	// History snapshots the backup, so the CoW lazy copies armed by the
-	// commit just above must settle first. This makes HistoryDepth > 0
+	// History snapshots the backup, so the CoW set armed by the commit
+	// just above must be published first. This makes HistoryDepth > 0
 	// an effective eager drain every epoch — correct, but it forfeits
 	// most of the CoW pause win.
 	if err := c.ckpt.Quiesce(); err != nil {
@@ -1486,9 +1500,9 @@ func (c *Controller) dirtyList() []mem.PFN {
 func (c *Controller) respond(findings []detect.Finding, scanCounts *detect.ScanCounts) (*Incident, error) {
 	c.buf.Discard()
 
-	// The backup may still be converging on the previous commit's
-	// snapshot (CoW lazy copies in flight): settle it before treating it
-	// as the last-good forensic dump. No-op when CoW is off.
+	// The previous commit's CoW set may still be unpublished (lazy copies
+	// in flight): publish it before treating the backup as the last-good
+	// forensic dump. No-op when CoW is off.
 	if err := c.ckpt.Quiesce(); err != nil {
 		return nil, err
 	}

@@ -57,6 +57,7 @@ func TestFaultInjectedEpochs(t *testing.T) {
 		disk      bool // attach a virtual disk
 		history   bool // retain checkpoint history
 		remote    bool // enable remote replication
+		cow       bool // copy-on-write commit, epoch 1 published before the fault is armed
 
 		wantErr     bool
 		wantUnwind  string
@@ -77,6 +78,10 @@ func TestFaultInjectedEpochs(t *testing.T) {
 		{name: "history-dump-fatal", site: hv.FaultDump, history: true, wantWarn: true},
 		{name: "remote-send-fatal", site: remus.FaultSend, remote: true, wantDegrade: true},
 		{name: "remote-send-transient", site: remus.FaultSend, remote: true, transient: true, wantRetries: true},
+		// Epoch 2's first lazy copy fails after its outputs left; history
+		// settles it before resume, so the lost publication halts there.
+		{name: "cow-lost-publication", site: checkpoint.FaultCopyPage, cow: true, history: true,
+			wantErr: true, wantUnwind: UnwindHalt, wantHalt: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -89,6 +94,9 @@ func TestFaultInjectedEpochs(t *testing.T) {
 			}
 			if tc.history {
 				cfg.HistoryDepth = 2
+			}
+			if tc.cow {
+				cfg.CoW, cfg.Workers = true, 2
 			}
 			ctl, inj, _ := newFaultController(t, cfg)
 			if tc.remote {
@@ -135,6 +143,11 @@ func TestFaultInjectedEpochs(t *testing.T) {
 			// absolute occurrence — send 1 is the initial sync, send 2 epoch
 			// 1's ship, send 3 epoch 2's — because a pipelined shipper may
 			// still be working on epoch 1's ship when FailNext would count.
+			if tc.cow {
+				if err := ctl.Checkpointer().Quiesce(); err != nil {
+					t.Fatalf("Quiesce: %v", err)
+				}
+			}
 			if tc.remote {
 				inj.Fail(tc.site, 3, 1, tc.transient)
 			} else {
