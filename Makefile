@@ -33,7 +33,10 @@ verify-quick: traced-runs
 # Every run must leave a non-empty trace and metrics dump; the mode's
 # own events and series must be in them. One more run fails a CoW
 # commit's lazy copy after its outputs left: that lost publication must
-# halt the VM (exit status 1, a halt event), never roll it back.
+# halt the VM (exit status 1, a halt event), never roll it back. The
+# incident run attacks a CoW VM: the first committed image, the derived
+# audit-fail dump and the rollback from that image, with the copier
+# live, must end in a pinpointed overflow.
 TRACED_DIR ?= /tmp/crimes-traced-runs
 define traced
 $(GO) run -race ./cmd/crimes $(2) -trace $(TRACED_DIR)/$(1).jsonl -metrics $(TRACED_DIR)/$(1).txt >/dev/null
@@ -55,6 +58,8 @@ traced-runs:
 	$(call traced,slo,-vms 8 -stagger -epochs 4 -slo 2500us)
 	grep -q '"slo"' $(TRACED_DIR)/slo.jsonl
 	grep -q crimes_slo_steps_total $(TRACED_DIR)/slo.txt
+	$(call traced,incident,-epochs 3 -cow -attack overflow)
+	grep -q '"action":"pinpointed"' $(TRACED_DIR)/incident.jsonl
 
 # Scheduling-independence gate: the packages with long-lived goroutines
 # (restore loop, pipelined shipper, CoW copier, the controller driving

@@ -16,10 +16,12 @@ import (
 // property arms with HistoryDepth = 2, every history entry equals a full
 // dump of the backup taken right after its epoch, byte for byte and in
 // the vCPU, and carries the guest bookkeeping of that same commit (the
-// newest entry the controller's committed state itself). At an incident
-// the last-good dump equals a full dump of the backup and the
-// audit-fail dump one of the primary as the audit left it. Keeping
-// history changes no finding.
+// newest entry the controller's committed state itself). At an incident,
+// with HistoryDepth 2 and 0 alike, the last-good dump equals a full dump
+// of the backup and the audit-fail dump one of the primary as the audit
+// left it: at depth 0 the last-good dump is the first image of the run
+// and the audit-fail dump is derived from it. Keeping history changes no
+// finding.
 func TestHistoryEvidenceProperty(t *testing.T) {
 	arms := []struct {
 		name   string

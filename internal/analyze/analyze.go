@@ -171,29 +171,28 @@ type Dumps struct {
 	AtAttack  *volatility.Dump // nil when replay was not performed
 }
 
-// CaptureDumps snapshots the backup (last good) and primary (current)
-// domains as full forensic dumps.
+// CaptureDumps takes the last-good dump, the image of the last commit
+// (Checkpointer.Committed), and the audit-fail dump, a full dump of the
+// primary as it stands.
 func CaptureDumps(g *guestos.Guest, ckpt *checkpoint.Checkpointer) (*Dumps, error) {
-	return CaptureDumpsSince(g, ckpt, nil, nil)
+	return CaptureDumpsSince(g, ckpt, nil)
 }
 
-// CaptureDumpsSince is CaptureDumps for a caller that holds the backup's
-// image as of the last commit (lastGood) and the primary's pages dirtied
-// since (dirty): that image is the last-good dump as it stands, and the
-// audit-fail dump shares every page with it except dirty, which are
-// copied from the primary. The domain must have stayed paused since
-// dirty was harvested. A nil lastGood takes both dumps in full.
-func CaptureDumpsSince(g *guestos.Guest, ckpt *checkpoint.Checkpointer, lastGood *hv.Snapshot, dirty []mem.PFN) (*Dumps, error) {
-	goodSnap := lastGood
+// CaptureDumpsSince is CaptureDumps for a primary that has stayed paused
+// since dirty was harvested: it differs from the last commit only in
+// dirty, so the audit-fail dump shares every other page with the
+// last-good one and copies only dirty from the primary. A nil dirty
+// takes the audit-fail dump in full.
+func CaptureDumpsSince(g *guestos.Guest, ckpt *checkpoint.Checkpointer, dirty *mem.Bitmap) (*Dumps, error) {
+	goodSnap, err := ckpt.Committed()
+	if err != nil {
+		return nil, fmt.Errorf("analyze: dump last commit: %w", err)
+	}
 	var badSnap *hv.Snapshot
-	var err error
-	if goodSnap == nil {
-		if goodSnap, err = ckpt.Backup().DumpMemory(); err != nil {
-			return nil, fmt.Errorf("analyze: dump backup: %w", err)
-		}
+	if dirty == nil {
 		badSnap, err = ckpt.Primary().DumpMemory()
 	} else {
-		badSnap, err = ckpt.Primary().DumpDirty(goodSnap, dirty)
+		badSnap, err = ckpt.Primary().DumpDirty(goodSnap, dirty.ScanWords(make([]mem.PFN, 0, dirty.Count())))
 	}
 	if err != nil {
 		return nil, fmt.Errorf("analyze: dump primary: %w", err)

@@ -143,6 +143,11 @@ type Checkpointer struct {
 	// Copy-on-write commit state (EnableCoW); nil on the eager paths.
 	cow *cowState
 
+	// image is Committed's last result, nil until the first call;
+	// published marks the pages the backup has taken since.
+	image     *hv.Snapshot
+	published mem.Bitmap
+
 	report CommitReport
 
 	// closeMu serializes Close so a double close — including concurrent
@@ -544,6 +549,49 @@ func (c *Checkpointer) ReadCommitted(pfn mem.PFN, dst []byte) error {
 		}
 	}
 	return c.backup.ReadPhys(uint64(pfn)*mem.PageSize, dst[:mem.PageSize])
+}
+
+// Committed returns the memory image of the last commit, which Rollback
+// restores and forensics reads. It publishes a pending copy-on-write set
+// first; a lost publication returns ErrConvergence, as Quiesce does. The
+// first call dumps the backup; each later one derives from the previous
+// image, copying only the pages published since. The image is then held
+// for the checkpointer's life; a failed derivation keeps it as the base.
+func (c *Checkpointer) Committed() (*hv.Snapshot, error) {
+	if err := c.mem.settle(); err != nil {
+		return nil, err
+	}
+	if c.image == nil {
+		snap, err := c.backup.DumpMemory()
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint: committed image: %w", err)
+		}
+		c.image, c.published = snap, *mem.NewBitmap(snap.Pages)
+		return snap, nil
+	}
+	// The commit's scan buffer is sized to the guest and free between commits.
+	c.scratch = c.published.ScanWords(c.scratch[:0])
+	if len(c.scratch) == 0 {
+		return c.image, nil
+	}
+	snap, err := c.backup.DumpDirty(c.image, c.scratch)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: committed image: %w", err)
+	}
+	c.published.ClearAll()
+	c.image = snap
+	return snap, nil
+}
+
+// notePublished records pages a memory stage has just made the backup's,
+// for Committed to re-copy; nothing is noted before the first image.
+func (c *Checkpointer) notePublished(pages []mem.PFN) {
+	if c.image == nil {
+		return
+	}
+	for _, pfn := range pages {
+		c.published.Set(int(pfn))
+	}
 }
 
 // Domains returns every domain this checkpointer touches: the primary,
@@ -1121,7 +1169,8 @@ func (c *Checkpointer) drainShipper() error {
 // from the optimization level; EnableCoW replaces exchangeStage with the
 // copy-on-write commit (cowState). stage brings the primary's dirty
 // pages toward the backup; apply makes a successful stage the backup's
-// memory, or under CoW arms it for lazy copying; revert abandons a
+// memory and notes its pages (notePublished), or under CoW arms it for
+// lazy copying, noted when the set is exchanged; revert abandons a
 // successful stage instead (the overlapped disk copy failed); settle
 // publishes a stage whose copies land after the commit returns (CoW)
 // and is a no-op for the eager stages. Each stage guarantees that
@@ -1180,6 +1229,7 @@ func (s *exchangeStage) apply(dirty []mem.PFN) error {
 	if err := s.c.gmBackup.Exchange(dirty, s.pool[:len(dirty)]); err != nil {
 		return fmt.Errorf("checkpoint: exchange staged pages: %w", err)
 	}
+	s.c.notePublished(dirty)
 	return nil
 }
 
@@ -1241,7 +1291,11 @@ func (s *inPlaceStage) stage(dirty []mem.PFN) error {
 	return nil
 }
 
-func (s *inPlaceStage) apply([]mem.PFN) error { return nil }
+// apply only notes the pages: stage already wrote them into the backup.
+func (s *inPlaceStage) apply(dirty []mem.PFN) error {
+	s.c.notePublished(dirty)
+	return nil
+}
 
 func (s *inPlaceStage) settle() error { return nil }
 
@@ -1295,21 +1349,16 @@ func (c *Checkpointer) copySocket(dirty []mem.PFN) error {
 	return sendAcked(c.conduit, &c.localRepl, dirty, fmP.Page)
 }
 
-// Rollback copies the backup's memory back into the primary — the
-// Analyzer's first response step after a failed audit.
+// Rollback restores the primary's memory from Committed and its disk
+// from the backup disk — the Analyzer's first response step after a
+// failed audit. A lost copy-on-write publication fails it.
 func (c *Checkpointer) Rollback() error {
 	if c.closed {
 		return ErrClosed
 	}
-	// Publish a copy-on-write set first: rollback restores the primary
-	// from the backup, so the backup must hold the last commit. A lost
-	// publication leaves the backup — memory and disk — at the commit
-	// before, which is equally consistent to roll back to, so the error
-	// itself needs no separate surfacing here.
-	_ = c.mem.settle()
-	snap, err := c.backup.DumpMemory()
+	snap, err := c.Committed()
 	if err != nil {
-		return fmt.Errorf("checkpoint: rollback dump: %w", err)
+		return fmt.Errorf("checkpoint: rollback: %w", err)
 	}
 	if err := c.primary.RestoreMemory(snap); err != nil {
 		return fmt.Errorf("checkpoint: rollback restore: %w", err)

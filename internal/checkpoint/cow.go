@@ -115,9 +115,10 @@ func (c *Checkpointer) CoWStats() CoWStats {
 // Quiesce publishes the last copy-on-write commit: every still-pending
 // page is staged inline, the remaining write traps are dropped in one
 // batched reconfiguration, and the set is exchanged into the backup. A
-// lost publication is reported once, wrapped in ErrConvergence. Callers
-// that read the backup as a snapshot (forensic dumps, history
-// retention) must quiesce first. A no-op for the eager commit.
+// lost publication is reported once, wrapped in ErrConvergence. A caller
+// that reads the backup domain itself as a snapshot must quiesce first;
+// Committed, the image of the last commit, publishes by itself. A no-op
+// for the eager commit.
 func (c *Checkpointer) Quiesce() error { return c.mem.settle() }
 
 // stage records the commit's dirty set and sizes the staging pool. It

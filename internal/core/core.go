@@ -177,10 +177,6 @@ type Config struct {
 	// that size to the guest and checkpoints it alongside memory (the
 	// paper's disk-snapshot extension).
 	DiskBlocks int
-	// MaxRetries bounds per-operation retries of transiently failing
-	// hypervisor and conduit operations within one epoch (default 3;
-	// negative disables retries entirely).
-	MaxRetries int
 	// Workers is the pause-path parallelism: the dirty-bitmap scan, undo
 	// capture, and page copy shard across this many goroutines, detector
 	// modules scan concurrently, the disk copy overlaps the memory copy,
@@ -283,11 +279,6 @@ func (c *Config) setDefaults() {
 	if c.Deliverer == nil {
 		c.Deliverer = &netbuf.CollectDeliverer{}
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	} else if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	} else if c.Workers < 0 {
@@ -385,13 +376,6 @@ type Controller struct {
 	halted     bool
 
 	history []HistoryEntry
-	// backupImg is the backup's memory image as of the last successful
-	// commit, kept while HistoryDepth > 0 and nil when stale (before the
-	// first retain, after a failed retain or commit). dirtyPFNs is the
-	// reused list of the harvested bitmap that derived images are built
-	// from.
-	backupImg *hv.Snapshot
-	dirtyPFNs []mem.PFN
 
 	// Observability: obs is nil when disabled (every emit is then a
 	// single nil check); obsVM labels this VM's events and metric
@@ -1354,11 +1338,12 @@ func (c *Controller) applySLO(res *EpochResult) {
 }
 
 // retryBackoff is the virtual-time delay charged before the first retry
-// of a transiently failing operation; it doubles on each successive one.
-const retryBackoff = time.Millisecond
+// of a transiently failing operation; it doubles on each successive one,
+// up to maxRetries retries per operation and epoch.
+const retryBackoff, maxRetries = time.Millisecond, 3
 
 // retryOp runs op, retrying transient failures with exponential
-// virtual-time backoff up to cfg.MaxRetries times. Fatal failures and
+// virtual-time backoff up to maxRetries times. Fatal failures and
 // exhausted budgets return the last error. A lost copy-on-write
 // publication is never retried, whatever failed under it: its set is
 // gone, so a retried commit would land on the commit before it.
@@ -1369,7 +1354,7 @@ func (c *Controller) retryOp(res *EpochResult, op func() error) error {
 		if err == nil {
 			return nil
 		}
-		if attempt >= c.cfg.MaxRetries || !fault.IsTransient(err) || errors.Is(err, checkpoint.ErrConvergence) {
+		if attempt >= maxRetries || !fault.IsTransient(err) || errors.Is(err, checkpoint.ErrConvergence) {
 			return err
 		}
 		res.Recovery.Retries++
@@ -1406,7 +1391,6 @@ func (c *Controller) unwindResume(res *EpochResult, remerge bool, cause error) e
 func (c *Controller) unwindRollback(res *EpochResult, cause error) error {
 	res.Recovery.Unwind = UnwindRollback
 	c.buf.Discard()
-	c.backupImg = nil
 	if err := c.retryOp(res, c.ckpt.Rollback); err != nil {
 		return c.haltDomain(res, errors.Join(cause, err))
 	}
@@ -1447,70 +1431,34 @@ func (c *Controller) haltDomain(res *EpochResult, cause error) error {
 	return fmt.Errorf("core: epoch %d: VM halted after unrecoverable fault: %w", c.epoch, cause)
 }
 
-// retainHistory keeps the backup's image after a successful commit,
-// derived from the previous one: the commit copied exactly the harvested
-// dirty pages into the backup, so the new image copies those and shares
-// every other page with the last — O(dirty), not O(guest). That is the
-// same dirty-log completeness every commit already relies on. With no
-// valid base (the first retain after launch, after a failed retain or a
-// failed commit) the image is a full dump.
+// retainHistory keeps the last commit's image with its guest
+// bookkeeping. Committed publishes the CoW set armed by the commit just
+// above, which makes HistoryDepth > 0 an eager drain every epoch —
+// correct, but it forfeits most of the CoW pause win.
 func (c *Controller) retainHistory() error {
-	// History snapshots the backup, so the CoW set armed by the commit
-	// just above must be published first. This makes HistoryDepth > 0
-	// an effective eager drain every epoch — correct, but it forfeits
-	// most of the CoW pause win.
-	if err := c.ckpt.Quiesce(); err != nil {
-		c.backupImg = nil
-		return fmt.Errorf("core: retain history: %w", err)
-	}
-	var snap *hv.Snapshot
-	var err error
-	if c.backupImg == nil {
-		snap, err = c.ckpt.Backup().DumpMemory()
-	} else {
-		snap, err = c.ckpt.Backup().DumpDirty(c.backupImg, c.dirtyList())
-	}
-	c.backupImg = snap
+	snap, err := c.ckpt.Committed()
 	if err != nil {
 		return fmt.Errorf("core: retain history: %w", err)
+	}
+	// Drop the oldest entry in place: a full history allocates nothing.
+	if len(c.history) == c.cfg.HistoryDepth {
+		c.history = append(c.history[:0], c.history[1:]...)
 	}
 	c.history = append(c.history, HistoryEntry{
 		Epoch:    c.epoch,
 		Snapshot: snap,
 		State:    c.lastState,
 	})
-	if len(c.history) > c.cfg.HistoryDepth {
-		c.history = c.history[len(c.history)-c.cfg.HistoryDepth:]
-	}
 	return nil
-}
-
-// dirtyList returns the harvested bitmap's PFNs in a buffer the
-// controller reuses across epochs.
-func (c *Controller) dirtyList() []mem.PFN {
-	if c.dirtyPFNs == nil {
-		c.dirtyPFNs = make([]mem.PFN, 0, c.dirty.Len())
-	}
-	c.dirtyPFNs = c.dirty.ScanWords(c.dirtyPFNs[:0])
-	return c.dirtyPFNs
 }
 
 // respond is the synchronous failed-audit path: discard outputs,
 // capture dumps, optionally replay to pinpoint, and build the report.
 func (c *Controller) respond(findings []detect.Finding, scanCounts *detect.ScanCounts) (*Incident, error) {
 	c.buf.Discard()
-
-	// The previous commit's CoW set may still be unpublished (lazy copies
-	// in flight): publish it before treating the backup as the last-good
-	// forensic dump. No-op when CoW is off.
-	if err := c.ckpt.Quiesce(); err != nil {
-		return nil, err
-	}
-	// The domain has stayed paused since the harvest, so the primary is
-	// the last commit's image plus the harvested pages: the last-good
-	// dump is that image as it stands, the audit-fail dump derives from
-	// it.
-	dumps, err := analyze.CaptureDumpsSince(c.guest, c.ckpt, c.backupImg, c.dirtyList())
+	// The domain has stayed paused since the harvest, so the audit-fail
+	// dump derives from the last-good one and the harvested pages.
+	dumps, err := analyze.CaptureDumpsSince(c.guest, c.ckpt, c.dirty)
 	if err != nil {
 		return nil, err
 	}

@@ -245,19 +245,18 @@ func TestFaultInjectedEpochs(t *testing.T) {
 }
 
 // checkHistoryRecovers follows an hv.dump failure at the second retain
-// (epoch 2, just run along with the clean epoch 3): the failure left no
-// base to derive from, so epoch 3's entry is a full dump sharing no page
-// with epoch 1's, and every entry from then on equals a full dump of the
-// backup taken right after its epoch — the later ones derived again,
-// sharing their unchanged pages with their predecessor.
+// (epoch 2, just run along with the clean epoch 3): a failed derivation
+// keeps its base, so epoch 3's entry is derived from epoch 1's, sharing
+// its unchanged pages, and every entry from then on equals a full dump
+// of the backup taken right after its epoch.
 func checkHistoryRecovers(t *testing.T, ctl *Controller, work func(*guestos.Guest) error) {
 	t.Helper()
 	hist := ctl.History()
 	if len(hist) != 2 || hist[0].Epoch != 1 || hist[1].Epoch != 3 {
 		t.Fatalf("history after a failed retain = %v, want epochs 1 and 3", historyEpochs(hist))
 	}
-	if n := sharedPages(hist[0].Snapshot, hist[1].Snapshot); n != 0 {
-		t.Fatalf("entry after the failed retain shares %d pages with the one before it", n)
+	if sharedPages(hist[0].Snapshot, hist[1].Snapshot) == 0 {
+		t.Fatal("entry after the failed retain was not derived from the one before it")
 	}
 	assertBackupImage(t, ctl, hist[1].Snapshot)
 	for e := 4; e <= 5; e++ {
@@ -432,24 +431,24 @@ func TestRollbackRecommitsEverything(t *testing.T) {
 }
 
 // TestRetryBudgetExhaustion: a transient fault that persists past
-// MaxRetries is treated as fatal and unwinds.
+// maxRetries is treated as fatal and unwinds.
 func TestRetryBudgetExhaustion(t *testing.T) {
 	ctl, inj, _ := newFaultController(t, Config{
 		EpochInterval: 20 * time.Millisecond,
 		Modules:       detect.DefaultModules(),
-		MaxRetries:    2,
 	})
 	if _, err := ctl.RunEpoch(nil); err != nil {
 		t.Fatalf("clean epoch: %v", err)
 	}
-	// 3 transient failures > 2 retries: the op fails for good.
-	inj.FailNext(hv.FaultSuspend, 3, true)
+	// One transient failure more than the retry budget: the op fails for
+	// good.
+	inj.FailNext(hv.FaultSuspend, maxRetries+1, true)
 	res, err := ctl.RunEpoch(nil)
 	if err == nil {
 		t.Fatal("epoch succeeded despite exhausted retry budget")
 	}
-	if res.Recovery.Retries != 2 {
-		t.Fatalf("Retries = %d, want 2", res.Recovery.Retries)
+	if res.Recovery.Retries != maxRetries {
+		t.Fatalf("Retries = %d, want %d", res.Recovery.Retries, maxRetries)
 	}
 	if res.Recovery.Unwind != UnwindResume {
 		t.Fatalf("Unwind = %q, want %q", res.Recovery.Unwind, UnwindResume)

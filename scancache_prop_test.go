@@ -164,7 +164,7 @@ func runPropArm(t *testing.T, seed int64, cfg Config, script []propOp, attack st
 		if err != nil {
 			t.Fatalf("seed %d attack %q epoch %d: %v", seed, attack, e, err)
 		}
-		if cfg.HistoryDepth > 0 {
+		if cfg.HistoryDepth > 0 || res.Incident != nil {
 			fulls.check(t, ctl, res, cfg.ReplayOnIncident)
 		}
 		run.epochs = append(run.epochs, propEpochOutcome{
