@@ -34,6 +34,9 @@ verify-quick: traced-runs
 # own events and series must be in them. One more run fails a CoW
 # commit's lazy copy after its outputs left: that lost publication must
 # halt the VM (exit status 1, a halt event), never roll it back. The
+# rollback run fails an eager commit's staged copy with the exchange
+# stage live: the VM must roll back, restoring the pages its dirty log
+# names from the committed image (exit status 1, a rollback event). The
 # incident run attacks a CoW VM: the first committed image, the derived
 # audit-fail dump and the rollback from that image, with the copier
 # live, must end in a pinpointed overflow.
@@ -49,6 +52,9 @@ traced-runs:
 	$(GO) run -race ./cmd/crimes -epochs 4 -cow -fault checkpoint.copypage:30 -trace $(TRACED_DIR)/cow-lost.jsonl -metrics $(TRACED_DIR)/cow-lost.txt >/dev/null 2>$(TRACED_DIR)/cow-lost.err; test $$? -eq 1
 	test -s $(TRACED_DIR)/cow-lost.jsonl && test -s $(TRACED_DIR)/cow-lost.txt
 	grep -q '"phase":"halt"' $(TRACED_DIR)/cow-lost.jsonl
+	$(GO) run -race ./cmd/crimes -epochs 4 -fault checkpoint.copypage:30 -trace $(TRACED_DIR)/rollback.jsonl -metrics $(TRACED_DIR)/rollback.txt >/dev/null 2>$(TRACED_DIR)/rollback.err; test $$? -eq 1
+	test -s $(TRACED_DIR)/rollback.jsonl && test -s $(TRACED_DIR)/rollback.txt
+	grep -q '"action":"rollback"' $(TRACED_DIR)/rollback.jsonl
 	$(call traced,delta,-vms 3 -stagger -epochs 2 -remus delta+dedup -opt noopt)
 	grep -q crimes_remus_bytes_total $(TRACED_DIR)/delta.txt
 	$(call traced,cluster,-hosts 3 -vms 6 -epochs 4 -host-kill host1:3)

@@ -19,9 +19,11 @@ import (
 // newest entry the controller's committed state itself). At an incident,
 // with HistoryDepth 2 and 0 alike, the last-good dump equals a full dump
 // of the backup and the audit-fail dump one of the primary as the audit
-// left it: at depth 0 the last-good dump is the first image of the run
-// and the audit-fail dump is derived from it. Keeping history changes no
-// finding.
+// left it (the asynchronous audit's included): at depth 0 the last-good
+// dump is the first image of the run and the audit-fail dump is derived
+// from it. After a replay the at-attack dump, derived from the last-good
+// one over the dirty log, equals a full dump of the paused primary.
+// Keeping history changes no finding.
 func TestHistoryEvidenceProperty(t *testing.T) {
 	arms := []struct {
 		name   string
@@ -34,6 +36,8 @@ func TestHistoryEvidenceProperty(t *testing.T) {
 		{"cow", Config{CoW: true}, false},
 		{"combined", Config{CoW: true, ScanCache: ScanCacheOn, Remus: RemusDeltaDedup, Workers: 2}, true},
 		{"replay", Config{ReplayOnIncident: true, ScanCache: ScanCacheOn}, false},
+		{"async", Config{Scan: ScanAsync}, false},
+		{"replay-disk", Config{ReplayOnIncident: true, DiskBlocks: 64}, false},
 	}
 	attacks := []string{"", "overflow", "malware", "hijack", "hidden"}
 	for i, attack := range attacks {
@@ -74,7 +78,9 @@ type evidence struct {
 
 // check holds the controller's evidence after one epoch to full dumps.
 // With replay on, the primary has been rewound past the failed audit by
-// the time the epoch returns, so only the last-good dump is checked.
+// the time the epoch returns: the audit-fail dump is not checked, and
+// the at-attack dump, when the replay pinpointed one, is held to the
+// primary where the replay paused it.
 func (ref evidenceRef) check(t *testing.T, ctl *core.Controller, res *core.EpochResult, replay bool) {
 	t.Helper()
 	ckpt := ctl.Checkpointer()
@@ -92,8 +98,11 @@ func (ref evidenceRef) check(t *testing.T, ctl *core.Controller, res *core.Epoch
 	}
 	if inc := res.Incident; inc != nil {
 		same("last-good dump", inc.Dumps.LastGood.Snapshot, full(ckpt.Backup()))
-		if !replay {
+		switch {
+		case !replay:
 			same("audit-fail dump", inc.Dumps.AuditFail.Snapshot, full(ckpt.Primary()))
+		case inc.Dumps.AtAttack != nil:
+			same("at-attack dump", inc.Dumps.AtAttack.Snapshot, full(ckpt.Primary()))
 		}
 		return
 	}

@@ -172,28 +172,16 @@ type Dumps struct {
 }
 
 // CaptureDumps takes the last-good dump, the image of the last commit
-// (Checkpointer.Committed), and the audit-fail dump, a full dump of the
-// primary as it stands.
+// (Checkpointer.Committed), and the audit-fail dump of the primary as it
+// stands. The primary differs from the last commit only in the pages of
+// its dirty log, so the audit-fail dump shares every other page with the
+// last-good one and copies only those.
 func CaptureDumps(g *guestos.Guest, ckpt *checkpoint.Checkpointer) (*Dumps, error) {
-	return CaptureDumpsSince(g, ckpt, nil)
-}
-
-// CaptureDumpsSince is CaptureDumps for a primary that has stayed paused
-// since dirty was harvested: it differs from the last commit only in
-// dirty, so the audit-fail dump shares every other page with the
-// last-good one and copies only dirty from the primary. A nil dirty
-// takes the audit-fail dump in full.
-func CaptureDumpsSince(g *guestos.Guest, ckpt *checkpoint.Checkpointer, dirty *mem.Bitmap) (*Dumps, error) {
 	goodSnap, err := ckpt.Committed()
 	if err != nil {
 		return nil, fmt.Errorf("analyze: dump last commit: %w", err)
 	}
-	var badSnap *hv.Snapshot
-	if dirty == nil {
-		badSnap, err = ckpt.Primary().DumpMemory()
-	} else {
-		badSnap, err = ckpt.Primary().DumpDirty(goodSnap, dirty.ScanWords(make([]mem.PFN, 0, dirty.Count())))
-	}
+	badSnap, err := dumpSince(ckpt.Primary(), goodSnap)
 	if err != nil {
 		return nil, fmt.Errorf("analyze: dump primary: %w", err)
 	}
@@ -205,12 +193,21 @@ func CaptureDumpsSince(g *guestos.Guest, ckpt *checkpoint.Checkpointer, dirty *m
 }
 
 // CaptureAttackDump snapshots the primary after replay paused it at the
-// attack point.
+// attack point. No commit has happened since the last-good dump, so it
+// derives from that dump over the pages the dirty log names: those the
+// audited epoch wrote, restored by the rollback, and those the replay
+// wrote.
 func (d *Dumps) CaptureAttackDump(g *guestos.Guest) error {
-	snap, err := g.Domain().DumpMemory()
+	snap, err := dumpSince(g.Domain(), d.LastGood.Snapshot)
 	if err != nil {
 		return fmt.Errorf("analyze: dump at attack: %w", err)
 	}
 	d.AtAttack = volatility.NewDump(snap, g.Profile(), g.SystemMap())
 	return nil
+}
+
+// dumpSince snapshots dom from the image of its last commit and the
+// pages written since, which its dirty log names.
+func dumpSince(dom *hv.Domain, committed *hv.Snapshot) (*hv.Snapshot, error) {
+	return dom.DumpDirty(committed, dom.DirtyPages(make([]mem.PFN, 0, dom.DirtyCount())))
 }

@@ -79,11 +79,9 @@ type Checkpointer struct {
 	dirty   *mem.Bitmap
 	scratch []mem.PFN
 
-	// Cached full-range index slices, built lazily: Rollback and the
-	// initial remote sync need "every page" / "every block" lists and
-	// must not reallocate them on every call.
-	allPages    []mem.PFN
-	allDiskBlks []mem.PFN
+	// Cached every-page index slice, built lazily for the initial remote
+	// sync.
+	allPages []mem.PFN
 
 	// Premap/Full: global mappings built once.
 	gmPrimary *hv.GlobalMapping
@@ -384,6 +382,7 @@ func (c *Checkpointer) AttachDisk(d *vdisk.Disk) error {
 	if err := d.CopyBlocksTo(c.backupDisk, blocks); err != nil {
 		return fmt.Errorf("checkpoint: initial disk sync: %w", err)
 	}
+	d.CleanDirty(blocks)
 	return nil
 }
 
@@ -636,18 +635,6 @@ func (c *Checkpointer) allPFNs() []mem.PFN {
 	return c.allPages
 }
 
-// allBlocks returns the cached every-block index slice for the attached
-// disk, building it on first use.
-func (c *Checkpointer) allBlocks() []mem.PFN {
-	if c.allDiskBlks == nil {
-		c.allDiskBlks = make([]mem.PFN, c.disk.Blocks())
-		for i := range c.allDiskBlks {
-			c.allDiskBlks[i] = mem.PFN(i)
-		}
-	}
-	return c.allDiskBlks
-}
-
 // runSharded splits n items into at most c.workers contiguous shards
 // and runs fn(lo, hi) over each shard concurrently. Shards are disjoint
 // index ranges, so workers never alias pages. The returned error is the
@@ -738,14 +725,15 @@ func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 	// stages over the pool. A lost publication fails the commit with
 	// ErrConvergence; the backup still holds the commit before it.
 	if err := c.mem.settle(); err != nil {
-		_ = c.primary.MergeDirty(c.dirty)
 		return cost.Counts{}, err
 	}
 
 	dirty := c.scanDirty()
 
 	// Harvest the disk's dirty blocks up front so the undo log covers
-	// them; a failed commit re-marks them so a retry sees them again.
+	// them. Like the primary's pages, they stay in the disk's log until
+	// the commit succeeds, so a failed commit leaves both logs as they
+	// were and a retry sees the same set.
 	var diskDirty []mem.PFN
 	if c.disk != nil {
 		c.diskScratch = c.disk.HarvestDirty(c.diskScratch[:0])
@@ -769,16 +757,21 @@ func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 	// machinery and are few.
 	undoStart := time.Now()
 	if err := c.captureDiskUndo(diskDirty); err != nil {
-		// Nothing was modified yet; just restore the dirty logs.
-		c.remark(diskDirty)
 		return cost.Counts{}, err
 	}
 	c.report.Timings.Undo = time.Since(undoStart)
 
+	// A failed copy has left the backup's memory as it was; only what
+	// the disk copy wrote is undone.
 	if err := c.copyEager(dirty, diskDirty); err != nil {
-		return c.failCommit(diskDirty, err)
+		c.applyDiskUndo(diskDirty)
+		return cost.Counts{}, err
 	}
+	// The commit stands, so its pages and blocks leave the dirty logs.
+	// c.dirty covers the primary, so the clean cannot fail.
+	_ = c.primary.CleanDirty(c.dirty)
 	if c.disk != nil {
+		c.disk.CleanDirty(diskDirty)
 		counts.DiskBlocks = len(diskDirty)
 		counts.BytesCopied += len(diskDirty) * vdisk.BlockSize
 	}
@@ -862,26 +855,6 @@ func (c *Checkpointer) copyDisk(diskDirty []mem.PFN) error {
 	err := c.disk.CopyBlocksTo(c.backupDisk, diskDirty)
 	c.report.Timings.DiskCopy = time.Since(start)
 	return err
-}
-
-// remark restores the dirty logs a failed commit consumed — the
-// harvested pages back into the primary's log and the harvested blocks
-// back into the disk's — so a retried Checkpoint still covers them.
-func (c *Checkpointer) remark(diskDirty []mem.PFN) {
-	_ = c.primary.MergeDirty(c.dirty)
-	if c.disk != nil {
-		c.disk.MarkDirty(diskDirty)
-	}
-}
-
-// failCommit is the one unwind of a commit that failed after the disk
-// undo log was captured: revert what the disk copy wrote into the backup
-// (the memory stage has already left the backup's pages as they were),
-// then restore the dirty logs.
-func (c *Checkpointer) failCommit(diskDirty []mem.PFN, err error) (cost.Counts, error) {
-	c.applyDiskUndo(diskDirty)
-	c.remark(diskDirty)
-	return cost.Counts{}, err
 }
 
 // replicateRemote ships the committed dirty pages to the remote backup,
@@ -1349,9 +1322,14 @@ func (c *Checkpointer) copySocket(dirty []mem.PFN) error {
 	return sendAcked(c.conduit, &c.localRepl, dirty, fmP.Page)
 }
 
-// Rollback restores the primary's memory from Committed and its disk
-// from the backup disk — the Analyzer's first response step after a
-// failed audit. A lost copy-on-write publication fails it.
+// Rollback returns the primary to the last commit — the Analyzer's
+// first response step after a failed audit. Only the pages in the
+// primary's dirty log may differ from that commit, so exactly those are
+// restored from Committed, and the dirty disk blocks from the backup
+// disk. Both logs keep what they held: the next commit re-copies the
+// restored pages with whatever is written after. A lost copy-on-write
+// publication fails it; once one is reported the log no longer bounds
+// what differs from the backup, which is one more reason the VM halts.
 func (c *Checkpointer) Rollback() error {
 	if c.closed {
 		return ErrClosed
@@ -1360,18 +1338,17 @@ func (c *Checkpointer) Rollback() error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: rollback: %w", err)
 	}
-	if err := c.primary.RestoreMemory(snap); err != nil {
+	// Committed is done with the scan buffer, and settle with the disk's.
+	c.scratch = c.primary.DirtyPages(c.scratch[:0])
+	if err := c.primary.RestoreMemory(snap, c.scratch); err != nil {
 		return fmt.Errorf("checkpoint: rollback restore: %w", err)
 	}
 	if c.disk != nil {
-		if err := c.backupDisk.CopyBlocksTo(c.disk, c.allBlocks()); err != nil {
+		c.diskScratch = c.disk.HarvestDirty(c.diskScratch[:0])
+		if err := c.backupDisk.CopyBlocksTo(c.disk, c.diskScratch); err != nil {
 			return fmt.Errorf("checkpoint: rollback disk: %w", err)
 		}
-		c.disk.MarkAllDirty()
 	}
-	// Everything was rewritten; restart dirty tracking from a full set
-	// so the next checkpoint re-synchronizes.
-	c.primary.MarkAllDirty()
 	return nil
 }
 

@@ -174,13 +174,23 @@ func TestRollbackRestoresPrimary(t *testing.T) {
 	if string(buf) != "clean" {
 		t.Fatalf("after rollback = %q, want %q", buf, "clean")
 	}
-	// The next checkpoint resynchronizes fully.
+	// The restored page stays dirty: the next checkpoint covers it and
+	// the pages written since, not the whole guest.
+	if err := d.WritePhys(5*mem.PageSize, []byte("later")); err != nil {
+		t.Fatalf("WritePhys: %v", err)
+	}
 	counts, err := c.Checkpoint()
 	if err != nil {
 		t.Fatalf("Checkpoint after rollback: %v", err)
 	}
-	if counts.DirtyPages != domPages {
-		t.Fatalf("post-rollback dirty = %d, want full resync %d", counts.DirtyPages, domPages)
+	if counts.DirtyPages != 2 {
+		t.Fatalf("post-rollback commit covered %d pages, want 2 (the restored page and the one written since)", counts.DirtyPages)
+	}
+	if d.DirtyCount() != 0 {
+		t.Fatalf("the commit left %d pages in the dirty log", d.DirtyCount())
+	}
+	if !domainsEqual(t, d, c.Backup()) {
+		t.Fatal("backup differs from the primary after the post-rollback commit")
 	}
 }
 

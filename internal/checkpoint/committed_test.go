@@ -23,45 +23,12 @@ import (
 // pointer.
 func TestCommittedMatchesBackup(t *testing.T) {
 	const commits = 30
-	for _, arm := range []struct {
-		name string
-		opt  cost.Optimization
-		cow  bool
-	}{
-		{"noopt", cost.NoOpt, false},
-		{"memcpy", cost.Memcpy, false},
-		{"premap", cost.Premap, false},
-		{"full", cost.Full, false},
-		{"full-cow", cost.Full, true},
-	} {
+	for _, arm := range stageArms {
 		for _, workers := range []int{1, 2} {
 			for _, disk := range []bool{false, true} {
 				name := fmt.Sprintf("%s/workers=%d/disk=%v", arm.name, workers, disk)
 				t.Run(name, func(t *testing.T) {
-					h := hv.New(3*parallelTestPages + 8)
-					inj := fault.NewInjector()
-					h.InjectFaults(inj)
-					d, err := h.CreateDomain("vm", parallelTestPages)
-					if err != nil {
-						t.Fatalf("CreateDomain: %v", err)
-					}
-					c, err := newCkpt(h, d, arm.opt, workers)
-					if err != nil {
-						t.Fatalf("NewWithParams: %v", err)
-					}
-					t.Cleanup(func() { c.Close() })
-					var vd *vdisk.Disk
-					if disk {
-						vd = vdisk.New(16)
-						if err := c.AttachDisk(vd); err != nil {
-							t.Fatalf("AttachDisk: %v", err)
-						}
-					}
-					if arm.cow {
-						if err := c.EnableCoW(); err != nil {
-							t.Fatalf("EnableCoW: %v", err)
-						}
-					}
+					inj, d, c, vd := newStageFixture(t, arm.opt, arm.cow, workers, disk)
 					rng := rand.New(rand.NewSource(int64(len(name))*7919 + int64(workers)))
 					// unsynced are the pages written since the last successful
 					// commit; mayPublish every page a commit may have published
@@ -189,4 +156,49 @@ func TestCommittedAllocsIndependentOfGuestSize(t *testing.T) {
 	if largeBytes > smallBytes+smallBytes/100 {
 		t.Errorf("bytes per Committed: %d on 512 pages, %d on 4096", smallBytes, largeBytes)
 	}
+}
+
+// stageArms are the commit's memory stages: the in-place ones, the
+// exchange at Premap and Full, and the copy-on-write commit.
+var stageArms = []struct {
+	name string
+	opt  cost.Optimization
+	cow  bool
+}{
+	{"noopt", cost.NoOpt, false},
+	{"memcpy", cost.Memcpy, false},
+	{"premap", cost.Premap, false},
+	{"full", cost.Full, false},
+	{"full-cow", cost.Full, true},
+}
+
+// newStageFixture builds a checkpointer with a fault injector armed on
+// its hypervisor and, when disk is set, a 16-block disk attached.
+func newStageFixture(t *testing.T, opt cost.Optimization, cow bool, workers int, disk bool) (*fault.Injector, *hv.Domain, *Checkpointer, *vdisk.Disk) {
+	t.Helper()
+	h := hv.New(3*parallelTestPages + 8)
+	inj := fault.NewInjector()
+	h.InjectFaults(inj)
+	d, err := h.CreateDomain("vm", parallelTestPages)
+	if err != nil {
+		t.Fatalf("CreateDomain: %v", err)
+	}
+	c, err := newCkpt(h, d, opt, workers)
+	if err != nil {
+		t.Fatalf("NewWithParams: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	var vd *vdisk.Disk
+	if disk {
+		vd = vdisk.New(16)
+		if err := c.AttachDisk(vd); err != nil {
+			t.Fatalf("AttachDisk: %v", err)
+		}
+	}
+	if cow {
+		if err := c.EnableCoW(); err != nil {
+			t.Fatalf("EnableCoW: %v", err)
+		}
+	}
+	return inj, d, c, vd
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/detect"
 	"repro/internal/guestos"
 	"repro/internal/hv"
@@ -51,6 +52,42 @@ func TestAuditErrorUnwindRaisesNoRevert(t *testing.T) {
 	if res.Incident != nil || len(res.Findings) != 0 || ctl.Halted() {
 		t.Fatalf("epoch 4: incident=%v findings=%+v halted=%v, want a clean commit",
 			res.Incident != nil, res.Findings, ctl.Halted())
+	}
+}
+
+// A rollback restores the failed epoch's pages to the last commit and
+// leaves them in the dirty log, so the next audit sees them dirty yet
+// identical to the commit — what the revert diff takes for a
+// write-then-revert. Epoch 3 starts a process, whose task-slab page the
+// rollback of its failed commit restores; epoch 4 runs no work and must
+// commit clean, as must epoch 5 once the log is clean again.
+func TestRollbackUnwindRaisesNoRevert(t *testing.T) {
+	ctl, inj, _ := newFaultController(t, Config{
+		EpochInterval: 20 * time.Millisecond,
+		Modules:       []detect.Module{detect.CrossEpochRevertModule{}},
+	})
+	for e := 1; e <= 2; e++ {
+		if _, err := ctl.RunEpoch(nil); err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
+		}
+	}
+	inj.FailNext(checkpoint.FaultCopyPage, 1, false)
+	res, err := ctl.RunEpoch(func(g *guestos.Guest) error {
+		_, err := g.StartProcess("app", 0, 8)
+		return err
+	})
+	if err == nil || res.Recovery.Unwind != UnwindRollback {
+		t.Fatalf("epoch 3: err=%v, want a commit failure undone by %q", err, UnwindRollback)
+	}
+	for e := 4; e <= 5; e++ {
+		res, err = ctl.RunEpoch(nil)
+		if err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
+		}
+		if res.Incident != nil || len(res.Findings) != 0 || ctl.Halted() {
+			t.Fatalf("epoch %d: incident=%v findings=%+v halted=%v, want a clean commit",
+				e, res.Incident != nil, res.Findings, ctl.Halted())
+		}
 	}
 }
 

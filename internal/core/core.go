@@ -177,13 +177,14 @@ type Config struct {
 	// that size to the guest and checkpoints it alongside memory (the
 	// paper's disk-snapshot extension).
 	DiskBlocks int
-	// Workers is the pause-path parallelism: the dirty-bitmap scan, undo
-	// capture, and page copy shard across this many goroutines, detector
-	// modules scan concurrently, the disk copy overlaps the memory copy,
-	// and remote replication is pipelined out of the pause window. The
-	// default (0) is runtime.GOMAXPROCS(0); 1 (or negative) forces the
-	// exact serial path, which reproduces the paper's Table 1 / Figure 3
-	// / Figure 4 numbers bit-for-bit.
+	// Workers is the pause-path parallelism: the dirty-bitmap scan and
+	// the page copy (at Memcpy and NoOpt its undo capture too) shard
+	// across this many goroutines, detector modules scan concurrently,
+	// the disk copy overlaps the memory copy, and remote replication is
+	// pipelined out of the pause window. The default (0) is
+	// runtime.GOMAXPROCS(0); 1 (or negative) forces the exact serial
+	// path, which reproduces the paper's Table 1 / Figure 3 / Figure 4
+	// numbers bit-for-bit.
 	Workers int
 	// ScanCache selects the audit's read strategy: ScanCacheOff (the
 	// default — direct reads, no modelled mapping cost, bit-identical to
@@ -346,6 +347,11 @@ type Controller struct {
 	// through committed, bound once here so no audit allocates it.
 	lastState *guestos.State
 	committed func(mem.PFN, []byte) error
+	// restored is set from a rollback unwind to the next commit: the
+	// pages the rollback restored stay in the dirty log, dirty yet equal
+	// to the commit, so the audits in between get no committed image to
+	// diff against.
+	restored bool
 
 	// Scan-path acceleration (nil / unused when cfg.ScanCache is off):
 	// scanCache is the cross-epoch page-mapping cache the audit reads
@@ -1045,7 +1051,7 @@ func (c *Controller) acquireGate() {
 // pauseAndHarvest stops the domain at the epoch boundary and harvests
 // the epoch's dirty bitmap. Unwind: until Pause succeeds the domain is
 // still Running, so a pause failure needs none; after it, a failure
-// resumes the domain (nothing was harvested, so nothing is merged back).
+// resumes the domain.
 func (c *Controller) pauseAndHarvest(ep *epochState) error {
 	res := ep.res
 	if err := c.retryOp(res, c.dom.Pause); err != nil {
@@ -1058,11 +1064,11 @@ func (c *Controller) pauseAndHarvest(ep *epochState) error {
 	// deliberately halted) — never silently stranded in Suspended.
 	if err := c.retryOp(res, c.dom.Suspend); err != nil {
 		c.emit(obs.Event{Phase: obs.PhasePause, Err: err.Error(), Action: UnwindResume})
-		return c.unwindResume(res, false, fmt.Errorf("core: epoch %d suspend: %w", c.epoch, err))
+		return c.unwindResume(res, fmt.Errorf("core: epoch %d suspend: %w", c.epoch, err))
 	}
 	if err := c.retryOp(res, func() error { return c.dom.HarvestDirty(c.dirty) }); err != nil {
 		c.emit(obs.Event{Phase: obs.PhasePause, Err: err.Error(), Action: UnwindResume})
-		return c.unwindResume(res, false, fmt.Errorf("core: epoch %d harvest: %w", c.epoch, err))
+		return c.unwindResume(res, fmt.Errorf("core: epoch %d harvest: %w", c.epoch, err))
 	}
 	if c.obs != nil {
 		c.emit(obs.Event{Phase: obs.PhasePause, Pages: c.dirty.Count(), Retries: res.Recovery.Retries})
@@ -1072,9 +1078,9 @@ func (c *Controller) pauseAndHarvest(ep *epochState) error {
 
 // audit is the synchronous audit under pause, scoped to the harvested
 // dirty pages, leaving its findings in ep. Unwind: nothing was committed
-// and no output released, so a failed audit resumes with the harvested
-// dirty pages merged back into the domain's log — the next epoch's audit
-// and checkpoint still cover them.
+// and no output released, so a failed audit just resumes; its pages are
+// still in the domain's dirty log, which only a commit cleans, so the
+// next epoch's audit and checkpoint cover them.
 func (c *Controller) audit(ep *epochState) error {
 	res := ep.res
 	// Epoch-boundary cache invalidation: pages the guest wrote during
@@ -1094,10 +1100,14 @@ func (c *Controller) audit(ep *epochState) error {
 			c.scanMemo.Invalidate(c.dirty)
 		}
 	}
+	committed := c.committed
+	if c.restored {
+		committed = nil
+	}
 	findings, err := c.detector.Scan(&detect.ScanContext{
 		VMI: c.vmiCtx, Dirty: c.dirty, Counts: ep.scanCounts,
 		Packets: c.buf.PendingPackets(), DiskWrites: c.buf.PendingDisks(),
-		Committed: c.committed,
+		Committed: committed,
 	})
 	if c.cfg.ScanCache == ScanCacheUncached {
 		// The no-page-cache baseline tears every mapping down after
@@ -1106,7 +1116,7 @@ func (c *Controller) audit(ep *epochState) error {
 	}
 	if err != nil {
 		c.emit(obs.Event{Phase: obs.PhaseScan, Err: err.Error(), Action: UnwindResume})
-		return c.unwindResume(res, true, fmt.Errorf("core: epoch %d audit: %w", c.epoch, err))
+		return c.unwindResume(res, fmt.Errorf("core: epoch %d audit: %w", c.epoch, err))
 	}
 	ep.findings = findings
 	ev := obs.Event{Phase: obs.PhaseScan, Findings: len(findings)}
@@ -1175,6 +1185,7 @@ func (c *Controller) commit(ep *epochState) error {
 			Retries: res.Recovery.Retries})
 		return unwind(res, fmt.Errorf("core: epoch %d commit: %w", c.epoch, err))
 	}
+	c.restored = false
 	if c.cfg.CoW {
 		// The commit published the previous epoch's set on entry and
 		// armed this epoch's dirty pages on exit: whatever the guest did
@@ -1364,17 +1375,11 @@ func (c *Controller) retryOp(res *EpochResult, op func() error) error {
 }
 
 // unwindResume returns a stopped domain to execution after a pre-commit
-// failure. Nothing was committed or released; when remerge is set the
-// harvested dirty bitmap is merged back into the domain's dirty log so
-// the next checkpoint still covers the failed epoch's pages. If even
+// failure. Nothing was committed or released, and the domain's dirty log
+// still holds the failed epoch's pages for the next checkpoint. If even
 // the unwind fails, the domain is deliberately halted.
-func (c *Controller) unwindResume(res *EpochResult, remerge bool, cause error) error {
+func (c *Controller) unwindResume(res *EpochResult, cause error) error {
 	res.Recovery.Unwind = UnwindResume
-	if remerge {
-		if err := c.dom.MergeDirty(c.dirty); err != nil {
-			return c.haltDomain(res, errors.Join(cause, err))
-		}
-	}
 	if err := c.retryOp(res, c.dom.Resume); err != nil {
 		return c.haltDomain(res, errors.Join(cause, err))
 	}
@@ -1384,10 +1389,9 @@ func (c *Controller) unwindResume(res *EpochResult, remerge bool, cause error) e
 
 // unwindRollback responds to a mid-commit failure: the epoch's buffered
 // outputs are discarded (their epoch will never commit), the primary is
-// rolled back to the last clean checkpoint — which the checkpointer's
-// undo log guarantees the backup still holds — and the domain resumes
-// from there. If the rollback itself fails, the domain is deliberately
-// halted.
+// rolled back to the last clean checkpoint — which a failed commit
+// leaves the backup holding — and the domain resumes from there. If the
+// rollback itself fails, the domain is deliberately halted.
 func (c *Controller) unwindRollback(res *EpochResult, cause error) error {
 	res.Recovery.Unwind = UnwindRollback
 	c.buf.Discard()
@@ -1397,16 +1401,11 @@ func (c *Controller) unwindRollback(res *EpochResult, cause error) error {
 	// Rollback published the CoW set: nothing is armed anymore, so the
 	// next commit's lazy drain starts from an empty pool.
 	c.cowPrevArmed = 0
+	// The restored pages stay in the dirty log: the next audit's
+	// invalidation covers them like any page the guest wrote, and the
+	// revert diff skips them until the next commit.
+	c.restored = true
 	c.guest.RestoreState(c.lastState)
-	// The restore rewrote guest memory without passing through the dirty
-	// log, so no bitmap describes what changed: drop every cached
-	// mapping and memoized walk wholesale.
-	if c.scanCache != nil {
-		c.scanCache.Flush()
-		if c.scanMemo != nil {
-			c.scanMemo.InvalidateAll()
-		}
-	}
 	rollbackCost := cost.Default().Rollback(c.dom.MemBytes())
 	c.virtualNow += rollbackCost
 	c.emit(obs.Event{Phase: obs.PhaseRollback, DurNs: int64(rollbackCost),
@@ -1456,9 +1455,7 @@ func (c *Controller) retainHistory() error {
 // capture dumps, optionally replay to pinpoint, and build the report.
 func (c *Controller) respond(findings []detect.Finding, scanCounts *detect.ScanCounts) (*Incident, error) {
 	c.buf.Discard()
-	// The domain has stayed paused since the harvest, so the audit-fail
-	// dump derives from the last-good one and the harvested pages.
-	dumps, err := analyze.CaptureDumpsSince(c.guest, c.ckpt, c.dirty)
+	dumps, err := analyze.CaptureDumps(c.guest, c.ckpt)
 	if err != nil {
 		return nil, err
 	}

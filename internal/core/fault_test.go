@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -58,6 +59,7 @@ func TestFaultInjectedEpochs(t *testing.T) {
 		history   bool // retain checkpoint history
 		remote    bool // enable remote replication
 		cow       bool // copy-on-write commit, epoch 1 published before the fault is armed
+		uncached  bool // audit through per-epoch mappings, so every audit maps pages
 
 		wantErr     bool
 		wantUnwind  string
@@ -71,6 +73,7 @@ func TestFaultInjectedEpochs(t *testing.T) {
 		{name: "suspend-fatal", site: hv.FaultSuspend, wantErr: true, wantUnwind: UnwindResume},
 		{name: "suspend-transient", site: hv.FaultSuspend, transient: true, wantRetries: true},
 		{name: "harvest-fatal", site: hv.FaultHarvestDirty, wantErr: true, wantUnwind: UnwindResume},
+		{name: "audit-map-fatal", site: hv.FaultMapPage, uncached: true, wantErr: true, wantUnwind: UnwindResume},
 		{name: "memory-copy-fatal", site: checkpoint.FaultCopyPage, wantErr: true, wantUnwind: UnwindRollback},
 		{name: "disk-copy-fatal", site: vdisk.FaultCopy, disk: true, wantErr: true, wantUnwind: UnwindRollback},
 		{name: "resume-fatal", site: hv.FaultResume, wantErr: true, wantUnwind: UnwindHalt, wantHalt: true},
@@ -85,9 +88,13 @@ func TestFaultInjectedEpochs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			rec := &dirtyRecorder{}
 			cfg := Config{
 				EpochInterval: 20 * time.Millisecond,
-				Modules:       detect.DefaultModules(),
+				Modules:       append(detect.DefaultModules(), rec),
+			}
+			if tc.uncached {
+				cfg.ScanCache = ScanCacheUncached
 			}
 			if tc.disk {
 				cfg.DiskBlocks = 16
@@ -225,11 +232,25 @@ func TestFaultInjectedEpochs(t *testing.T) {
 			if state != hv.StateRunning {
 				t.Fatalf("domain stranded in state %v after %s fault", state, tc.site)
 			}
+			// Nothing was committed, so the dirty log still holds epoch 2's
+			// pages: epoch 3 must audit and commit them.
+			failed := ctl.Guest().Domain().DirtyPages(nil)
+			if tc.wantErr && len(failed) == 0 {
+				t.Fatal("the failed epoch left an empty dirty log")
+			}
 
 			// Epoch 3: the follow-up epoch must run cleanly.
 			res, err = ctl.RunEpoch(work)
 			if err != nil {
 				t.Fatalf("follow-up epoch after %s fault: %v", tc.site, err)
+			}
+			for _, pfn := range failed {
+				if !rec.dirty.Test(int(pfn)) {
+					t.Fatalf("page %d, dirty when epoch 2 failed, is missing from epoch 3's audit", pfn)
+				}
+			}
+			if res.Counts.DirtyPages != rec.dirty.Count() {
+				t.Fatalf("epoch 3 committed %d pages, its audit saw %d", res.Counts.DirtyPages, rec.dirty.Count())
 			}
 			if res.Incident != nil {
 				t.Fatalf("follow-up epoch raised a spurious incident: %+v", res.Findings)
@@ -304,6 +325,18 @@ func assertBackupImage(t *testing.T, ctl *Controller, snap *hv.Snapshot) {
 	}
 }
 
+// dirtyRecorder is a detector module that keeps a copy of the dirty
+// bitmap of the last audit it ran in.
+type dirtyRecorder struct{ dirty *mem.Bitmap }
+
+func (r *dirtyRecorder) Name() string { return "dirty-recorder" }
+func (r *dirtyRecorder) Scan(ctx *detect.ScanContext) ([]detect.Finding, error) {
+	if r.dirty == nil {
+		r.dirty = mem.NewBitmap(ctx.Dirty.Len())
+	}
+	return nil, r.dirty.CopyFrom(ctx.Dirty)
+}
+
 // flakyModule fails its first scans, then behaves.
 type flakyModule struct{ fails int }
 
@@ -319,9 +352,9 @@ func (m *flakyModule) Scan(*detect.ScanContext) ([]detect.Finding, error) {
 // TestScanErrorResumesAndPreservesDirtyPages covers the paused-domain
 // leak: a detector error used to strand the domain Suspended and every
 // later call failed with hv.ErrBadState. Now the epoch unwinds — the
-// domain resumes, the harvested dirty pages are merged back so the next
-// checkpoint covers them, and the buffered outputs stay withheld until
-// an epoch passes its audit.
+// domain resumes, the failed epoch's pages stay in the dirty log so the
+// next checkpoint covers them, and the buffered outputs stay withheld
+// until an epoch passes its audit.
 func TestScanErrorResumesAndPreservesDirtyPages(t *testing.T) {
 	ctl, _, out := newFaultController(t, Config{
 		EpochInterval: 20 * time.Millisecond,
@@ -384,8 +417,10 @@ func TestAsyncScanCountsAccounted(t *testing.T) {
 }
 
 // TestRollbackRecommitsEverything: after a mid-commit fault the primary
-// is rolled back to the last clean checkpoint; the next epoch must
-// resynchronize fully.
+// is rolled back to the last clean checkpoint by restoring the pages in
+// its dirty log, which keeps them. The next commit covers exactly those
+// pages and the ones written since — not the whole guest — and leaves
+// the backup equal to the primary.
 func TestRollbackRecommitsEverything(t *testing.T) {
 	ctl, inj, _ := newFaultController(t, Config{
 		EpochInterval: 20 * time.Millisecond,
@@ -419,15 +454,54 @@ func TestRollbackRecommitsEverything(t *testing.T) {
 	if res.Recovery.Unwind != UnwindRollback {
 		t.Fatalf("Unwind = %q, want %q", res.Recovery.Unwind, UnwindRollback)
 	}
-	// Rollback marked the whole VM dirty: the next commit is a full
-	// resync, proving primary and backup re-converge.
-	res, err = ctl.RunEpoch(nil)
+	dom := ctl.Guest().Domain()
+	restored := dom.DirtyPages(nil)
+	if len(restored) == 0 {
+		t.Fatal("rollback emptied the dirty log")
+	}
+	var before []mem.PFN
+	res, err = ctl.RunEpoch(func(g *guestos.Guest) error {
+		if err := g.WriteUser(pid, bufVA, []byte{0xEE}); err != nil {
+			return err
+		}
+		before = dom.DirtyPages(nil)
+		return nil
+	})
 	if err != nil {
 		t.Fatalf("epoch after rollback: %v", err)
 	}
-	if res.Counts.DirtyPages != guestPages {
-		t.Fatalf("post-rollback commit covered %d pages, want full resync %d", res.Counts.DirtyPages, guestPages)
+	if !isSubset(restored, before) {
+		t.Fatalf("restored pages %v left the dirty log before the next commit (%v)", restored, before)
 	}
+	if res.Counts.DirtyPages != len(before) || len(before) >= guestPages {
+		t.Fatalf("post-rollback commit covered %d pages, want the %d restored or written since (guest %d)",
+			res.Counts.DirtyPages, len(before), guestPages)
+	}
+	if n := dom.DirtyCount(); n != 0 {
+		t.Fatalf("the commit left %d pages in the dirty log", n)
+	}
+	primary, err := dom.DumpMemory()
+	if err != nil {
+		t.Fatalf("DumpMemory: %v", err)
+	}
+	backup, err := ctl.Checkpointer().Backup().DumpMemory()
+	if err != nil {
+		t.Fatalf("DumpMemory: %v", err)
+	}
+	if !bytes.Equal(primary.Bytes(), backup.Bytes()) {
+		t.Fatal("backup differs from the primary after the post-rollback commit")
+	}
+}
+
+// isSubset reports whether every PFN of sub, ascending, is in set,
+// ascending.
+func isSubset(sub, set []mem.PFN) bool {
+	for _, pfn := range sub {
+		if _, ok := slices.BinarySearch(set, pfn); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // TestRetryBudgetExhaustion: a transient fault that persists past

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/detect"
 	"repro/internal/guestos"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // TestScanCacheOffKeepsZeroCounters: the default configuration must not
@@ -125,44 +127,61 @@ func TestScanCacheUncachedFlushesEveryEpoch(t *testing.T) {
 	}
 }
 
-// TestScanCacheRollbackFlushes: a checkpoint rollback restores guest
-// memory behind the dirty log's back, so the unwind must drop every
-// cached mapping and memoized walk; the next audit starts cold and
-// still passes.
-func TestScanCacheRollbackFlushes(t *testing.T) {
-	ctl, inj, _ := newFaultController(t, Config{
-		EpochInterval: 20 * time.Millisecond,
-		Modules:       detect.DefaultModules(),
-		ScanCache:     ScanCacheOn,
-	})
-	if _, err := ctl.RunEpoch(dirtyingWork(t)); err != nil {
-		t.Fatalf("warm-up epoch: %v", err)
+// TestScanCacheRollbackKeepsCleanMappings: a rollback restores only the
+// pages in the dirty log, and they stay there, so the unwind keeps every
+// cached mapping and memoized walk. The failed epoch starts a process
+// that the rollback erases; the next audit's invalidation drops the
+// restored pages with the walks that read them, remaps them, and finds
+// exactly what an audit without the cache finds: the hidden process
+// that epoch plants.
+func TestScanCacheRollbackKeepsCleanMappings(t *testing.T) {
+	run := func(mode ScanCacheMode) (live int, res *EpochResult) {
+		ctl, inj, _ := newFaultController(t, Config{
+			EpochInterval: 20 * time.Millisecond,
+			Modules:       detect.DefaultModules(),
+			ScanCache:     mode,
+		})
+		work := dirtyingWork(t)
+		if _, err := ctl.RunEpoch(work); err != nil {
+			t.Fatalf("warm-up epoch: %v", err)
+		}
+		inj.Fail(checkpoint.FaultCopyPage, inj.Calls(checkpoint.FaultCopyPage)+2, 1, false)
+		res, err := ctl.RunEpoch(func(g *guestos.Guest) error {
+			if err := work(g); err != nil {
+				return err
+			}
+			_, err := g.StartProcess("ghost", 0, 4)
+			return err
+		})
+		if err == nil {
+			t.Fatal("mid-commit fault did not fail the epoch")
+		}
+		if res.Recovery.Unwind != UnwindRollback {
+			t.Fatalf("Unwind = %q, want %q", res.Recovery.Unwind, UnwindRollback)
+		}
+		live, _ = ctl.ScanCacheLive()
+		res, err = ctl.RunEpoch(func(g *guestos.Guest) error {
+			_, err := workload.InjectHiddenProcess(g, "lurker")
+			return err
+		})
+		if err != nil {
+			t.Fatalf("epoch after rollback: %v", err)
+		}
+		return live, res
 	}
-	if used, _ := ctl.ScanCacheLive(); used == 0 {
-		t.Fatal("cache empty after warm-up audit")
+	live, warm := run(ScanCacheOn)
+	if live == 0 {
+		t.Fatal("rollback dropped every cached mapping")
 	}
-
-	inj.Fail(checkpoint.FaultCopyPage, inj.Calls(checkpoint.FaultCopyPage)+2, 1, false)
-	res, err := ctl.RunEpoch(dirtyingWork(t))
-	if err == nil {
-		t.Fatal("mid-commit fault did not fail the epoch")
+	if warm.ScanCache.CacheMisses == 0 || warm.ScanCache.CacheHits == 0 {
+		t.Fatalf("post-rollback audit should remap the restored pages and hit the rest, got %+v", warm.ScanCache)
 	}
-	if res.Recovery.Unwind != UnwindRollback {
-		t.Fatalf("Unwind = %q, want %q", res.Recovery.Unwind, UnwindRollback)
+	_, cold := run(ScanCacheOff)
+	if len(cold.Findings) == 0 {
+		t.Fatal("the audit without the cache missed the hidden process")
 	}
-	if used, _ := ctl.ScanCacheLive(); used != 0 {
-		t.Fatalf("rollback left %d live mappings", used)
-	}
-
-	res, err = ctl.RunEpoch(nil)
-	if err != nil {
-		t.Fatalf("epoch after rollback: %v", err)
-	}
-	if res.Incident != nil || len(res.Findings) != 0 {
-		t.Fatalf("cold post-rollback audit misfired: %+v", res.Findings)
-	}
-	if res.ScanCache.CacheMisses == 0 || res.ScanCache.MemoMisses == 0 {
-		t.Fatalf("post-rollback audit should start cold, got %+v", res.ScanCache)
+	if !reflect.DeepEqual(warm.Findings, cold.Findings) {
+		t.Fatalf("post-rollback findings through the kept cache = %+v, without it %+v", warm.Findings, cold.Findings)
 	}
 }
 

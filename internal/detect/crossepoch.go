@@ -199,12 +199,12 @@ func watchedRegions(ctx *ScanContext) ([][2]uint64, error) {
 
 // Scan implements Module.
 func (CrossEpochRevertModule) Scan(ctx *ScanContext) ([]Finding, error) {
-	// No committed image (asynchronous audit, replay forensics) or no
-	// bitmap means nothing to diff against. A rollback restores memory to
-	// the committed image and marks the VM fully dirty — every watched
-	// page would then read as dirty-but-identical. A real in-guest revert
-	// only dirties the handful of pages it touched, so a blanket-dirty
-	// bitmap is a rollback, not an attack.
+	// No committed image (asynchronous audit, replay forensics, an audit
+	// before the commit that follows a rollback, whose restored pages
+	// stay dirty yet match the commit) or no bitmap means nothing to diff
+	// against. A real in-guest revert only dirties the handful of pages
+	// it touched, so a blanket-dirty bitmap — a whole image restored and
+	// marked dirty — is a restore, not an attack.
 	if ctx.Committed == nil || ctx.Dirty == nil ||
 		ctx.Dirty.Count() >= int(ctx.VMI.MemBytes()/mem.PageSize) {
 		return nil, nil

@@ -133,8 +133,8 @@ func TestCrossEpochRevertIgnoresChangedAndCleanPages(t *testing.T) {
 	}
 }
 
-// A rollback restores the committed image and marks every page dirty,
-// so every watched page reads as dirty-but-identical: that is no attack.
+// A whole image restored and marked dirty leaves every watched page
+// dirty-but-identical: that is no attack.
 func TestCrossEpochRevertSkipsBlanketDirtyBitmap(t *testing.T) {
 	g, sc, victim := committedEnv(t)
 	hideRestore(t, g, sc, victim)
@@ -142,7 +142,7 @@ func TestCrossEpochRevertSkipsBlanketDirtyBitmap(t *testing.T) {
 		sc.Dirty.Set(p)
 	}
 	if fs := scanRevert(t, sc); len(fs) != 0 {
-		t.Fatalf("full bitmap after a rollback flagged: %+v", fs)
+		t.Fatalf("full bitmap after a restore flagged: %+v", fs)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/guestos"
 	"repro/internal/hv"
+	"repro/internal/mem"
 	"repro/internal/vdisk"
 )
 
@@ -232,7 +233,7 @@ func TestGuestDevRoutesThroughOpLog(t *testing.T) {
 	if err := disk.Restore(diskBefore); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	_ = dom.RestoreMemory(memBefore)
+	_ = dom.RestoreMemory(memBefore, allPages(dom))
 	g.RestoreState(state)
 	for _, op := range ops {
 		if err := g.Replay(op); err != nil {
@@ -251,4 +252,13 @@ func TestGuestDevRoutesThroughOpLog(t *testing.T) {
 	if err != nil || string(got) != "login root ok" {
 		t.Fatalf("replayed file = %q, %v", got, err)
 	}
+}
+
+// allPages lists every page of d, for restoring a whole snapshot.
+func allPages(d *hv.Domain) []mem.PFN {
+	pfns := make([]mem.PFN, d.Pages())
+	for i := range pfns {
+		pfns[i] = mem.PFN(i)
+	}
+	return pfns
 }

@@ -100,7 +100,7 @@ func (r *cowRig) capture(cg *cowGuest, dom int) *State {
 // Adopt into an empty slot, else by Adopt or RestoreState at random.
 func (r *cowRig) restore(i int, c cowCapture) {
 	r.t.Helper()
-	if err := r.doms[i].RestoreMemory(c.mem); err != nil {
+	if err := r.doms[i].RestoreMemory(c.mem, allPages(r.doms[i])); err != nil {
 		r.t.Fatalf("RestoreMemory: %v", err)
 	}
 	if r.gs[i] == nil || r.rng.Intn(2) == 0 {
@@ -244,7 +244,7 @@ func TestAdoptDoesNotWriteSharedProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateDomain: %v", err)
 	}
-	if err := dom2.RestoreMemory(snap); err != nil {
+	if err := dom2.RestoreMemory(snap, allPages(dom2)); err != nil {
 		t.Fatalf("RestoreMemory: %v", err)
 	}
 	g2, err := Adopt(dom2, BootConfig{Profile: LinuxProfile(), Seed: 42}, s2)

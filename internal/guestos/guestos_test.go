@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/hv"
+	"repro/internal/mem"
 )
 
 const testPages = 512
@@ -475,7 +476,7 @@ func TestReplayIsDeterministic(t *testing.T) {
 	}
 
 	// Roll back and replay.
-	if err := g.Domain().RestoreMemory(snap); err != nil {
+	if err := g.Domain().RestoreMemory(snap, allPages(g.Domain())); err != nil {
 		t.Fatalf("RestoreMemory: %v", err)
 	}
 	g.RestoreState(state)
@@ -632,4 +633,13 @@ func TestMMRecordContents(t *testing.T) {
 	if heapStart != prof.UserVirtBase || heapEnd != p.heapEnd {
 		t.Fatalf("mm heap = [%#x,%#x), want [%#x,%#x)", heapStart, heapEnd, prof.UserVirtBase, p.heapEnd)
 	}
+}
+
+// allPages lists every page of d, for restoring a whole snapshot.
+func allPages(d *hv.Domain) []mem.PFN {
+	pfns := make([]mem.PFN, d.Pages())
+	for i := range pfns {
+		pfns[i] = mem.PFN(i)
+	}
+	return pfns
 }

@@ -104,7 +104,7 @@ func TestCloakProcessReplayDeterminism(t *testing.T) {
 	ops := g.EpochOps()
 	after, _ := dom.DumpMemory()
 
-	_ = dom.RestoreMemory(snap)
+	_ = dom.RestoreMemory(snap, allPages(dom))
 	g.RestoreState(state)
 	for _, op := range ops {
 		if err := g.Replay(op); err != nil {
@@ -265,7 +265,7 @@ func TestTraceSaveLoadReplay(t *testing.T) {
 		t.Fatalf("loaded %d ops, want 4", len(ops))
 	}
 
-	_ = dom.RestoreMemory(snap)
+	_ = dom.RestoreMemory(snap, allPages(dom))
 	g.RestoreState(state)
 	if err := g.ReplayAll(ops); err != nil {
 		t.Fatalf("ReplayAll: %v", err)
@@ -349,7 +349,7 @@ func TestRegistryReplayDeterminism(t *testing.T) {
 	}
 	ops := g.EpochOps()
 	after, _ := dom.DumpMemory()
-	_ = dom.RestoreMemory(snap)
+	_ = dom.RestoreMemory(snap, allPages(dom))
 	g.RestoreState(state)
 	if err := g.ReplayAll(ops); err != nil {
 		t.Fatalf("ReplayAll: %v", err)

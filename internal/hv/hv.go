@@ -25,7 +25,7 @@ const (
 	FaultHarvestDirty = "hv.harvest"      // Domain.HarvestDirty
 	FaultMapPage      = "hv.map"          // per-page MapForeign / MapAll
 	FaultDump         = "hv.dump"         // Domain.DumpMemory, Domain.DumpDirty
-	FaultRestore      = "hv.restore"      // Domain.RestoreMemory
+	FaultRestore      = "hv.restore"      // Domain.RestoreMemory (every rollback)
 	FaultCreateDomain = "hv.createdomain" // Hypervisor.CreateDomain
 )
 
@@ -507,8 +507,10 @@ func (d *Domain) EnableDirtyLogging() {
 // DisableDirtyLogging stops dirty tracking.
 func (d *Domain) DisableDirtyLogging() { d.dirtyLogging = false }
 
-// HarvestDirty copies the current dirty bitmap into dst and clears the
-// log, counting one dirty-read hypercall. dst must cover Pages() bits.
+// HarvestDirty copies the dirty log into dst, counting one dirty-read
+// hypercall. dst must cover Pages() bits. The log is not cleared: it is
+// the set of pages that may differ from the last commit, and only
+// CleanDirty, called by a successful commit, takes pages out of it.
 func (d *Domain) HarvestDirty(dst *mem.Bitmap) error {
 	if err := d.hv.faults.Check(FaultHarvestDirty); err != nil {
 		return fmt.Errorf("harvest dirty for domain %d: %w", d.id, err)
@@ -517,23 +519,23 @@ func (d *Domain) HarvestDirty(dst *mem.Bitmap) error {
 	if err := dst.CopyFrom(d.dirty); err != nil {
 		return fmt.Errorf("harvest dirty for domain %d: %w", d.id, err)
 	}
-	d.dirty.ClearAll()
 	return nil
 }
 
-// MergeDirty ORs a previously harvested bitmap back into the domain's
-// dirty log. The controller uses it to undo a HarvestDirty when the
-// epoch that consumed the bitmap fails before committing, so the next
-// checkpoint still covers those pages.
-func (d *Domain) MergeDirty(src *mem.Bitmap) error {
-	if err := d.dirty.Or(src); err != nil {
-		return fmt.Errorf("merge dirty for domain %d: %w", d.id, err)
+// CleanDirty clears the pages of committed from the dirty log once a
+// commit has made them the backup's; pages outside committed stay dirty.
+func (d *Domain) CleanDirty(committed *mem.Bitmap) error {
+	if err := d.dirty.AndNot(committed); err != nil {
+		return fmt.Errorf("clean dirty for domain %d: %w", d.id, err)
 	}
 	return nil
 }
 
-// DirtyCount reports the number of pages currently marked dirty without
-// clearing the log.
+// DirtyPages appends the pages in the dirty log to dst in ascending
+// order, counting no hypercall.
+func (d *Domain) DirtyPages(dst []mem.PFN) []mem.PFN { return d.dirty.ScanWords(dst) }
+
+// DirtyCount reports the number of pages in the dirty log.
 func (d *Domain) DirtyCount() int { return d.dirty.Count() }
 
 // MarkAllDirty marks every page dirty; used when dirty logging starts so

@@ -141,8 +141,26 @@ func TestDirtyLogging(t *testing.T) {
 	if !bm.Test(0) || !bm.Test(3) || bm.Count() != 2 {
 		t.Fatalf("harvested bitmap wrong: count=%d", bm.Count())
 	}
-	if d.DirtyCount() != 0 {
-		t.Fatalf("dirty log not cleared after harvest: %d", d.DirtyCount())
+	if d.DirtyCount() != 2 {
+		t.Fatalf("harvest cleared the dirty log: %d pages left, want 2", d.DirtyCount())
+	}
+	if got := d.DirtyPages(nil); len(got) != 2 || got[0] != 0 || got[1] != 3 {
+		t.Fatalf("DirtyPages = %v, want [0 3]", got)
+	}
+	// A commit of page 3 alone cleans page 3 alone.
+	committed := mem.NewBitmap(d.Pages())
+	committed.Set(3)
+	if err := d.CleanDirty(committed); err != nil {
+		t.Fatalf("CleanDirty: %v", err)
+	}
+	if got := d.DirtyPages(nil); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("after cleaning page 3 the log holds %v, want [0]", got)
+	}
+	if err := d.CleanDirty(mem.NewBitmap(d.Pages() + 1)); err == nil {
+		t.Fatal("CleanDirty with a bitmap of another length succeeded")
+	}
+	if err := d.CleanDirty(bm); err != nil {
+		t.Fatalf("CleanDirty: %v", err)
 	}
 	d.DisableDirtyLogging()
 	if err := d.WritePhys(0, []byte{1}); err != nil {
@@ -330,7 +348,7 @@ func TestSnapshotRoundtrip(t *testing.T) {
 		t.Fatalf("WritePhys: %v", err)
 	}
 	d.SetVCPU(VCPU{RIP: 99})
-	if err := d.RestoreMemory(snap); err != nil {
+	if err := d.RestoreMemory(snap, allPages(d)); err != nil {
 		t.Fatalf("RestoreMemory: %v", err)
 	}
 	buf := make([]byte, 6)
@@ -355,7 +373,7 @@ func TestSnapshotSizeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DumpMemory: %v", err)
 	}
-	if err := d.RestoreMemory(snap); err == nil {
+	if err := d.RestoreMemory(snap, allPages(d)); err == nil {
 		t.Fatal("RestoreMemory with size mismatch succeeded")
 	}
 	if _, err := d.DumpDirty(snap, nil); err == nil {
@@ -437,7 +455,7 @@ func TestSnapshotIsImmutable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DumpDirty: %v", err)
 	}
-	if err := d.RestoreMemory(derived); err != nil {
+	if err := d.RestoreMemory(derived, allPages(d)); err != nil {
 		t.Fatalf("RestoreMemory: %v", err)
 	}
 	if err := d.WritePhys(1, []byte{9}); err != nil {
@@ -451,6 +469,39 @@ func TestSnapshotIsImmutable(t *testing.T) {
 	}
 	if p, _ := derived.ReadPage(2); p[0] != 0 {
 		t.Fatal("derived snapshot copied a page outside its pfns")
+	}
+}
+
+// RestoreMemory writes back only the pages it is given, and a page past
+// the end fails it before any page is written.
+func TestRestoreMemoryRestoresListedPages(t *testing.T) {
+	_, d := newTestDomain(t, 4)
+	snap, err := d.DumpMemory()
+	if err != nil {
+		t.Fatalf("DumpMemory: %v", err)
+	}
+	for pfn := uint64(0); pfn < 3; pfn++ {
+		if err := d.WritePhys(pfn*mem.PageSize, []byte{9}); err != nil {
+			t.Fatalf("WritePhys: %v", err)
+		}
+	}
+	if err := d.RestoreMemory(snap, []mem.PFN{2, 4}); !errors.Is(err, ErrBadAddress) {
+		t.Fatalf("RestoreMemory of a PFN past the end: err = %v, want ErrBadAddress", err)
+	}
+	var b [1]byte
+	if err := d.ReadPhys(2*mem.PageSize, b[:]); err != nil || b[0] != 9 {
+		t.Fatalf("page 2 = %d (err %v) after a failed restore, want 9", b[0], err)
+	}
+	if err := d.RestoreMemory(snap, []mem.PFN{2, 0}); err != nil {
+		t.Fatalf("RestoreMemory: %v", err)
+	}
+	for pfn, want := range []byte{0, 9, 0} {
+		if err := d.ReadPhys(uint64(pfn)*mem.PageSize, b[:]); err != nil {
+			t.Fatalf("ReadPhys: %v", err)
+		}
+		if b[0] != want {
+			t.Fatalf("page %d = %d after restoring pages 0 and 2, want %d", pfn, b[0], want)
+		}
 	}
 }
 
@@ -562,7 +613,7 @@ func TestSnapshotRestoreIdentityProperty(t *testing.T) {
 				return false
 			}
 		}
-		if err := d.RestoreMemory(before); err != nil {
+		if err := d.RestoreMemory(before, allPages(d)); err != nil {
 			return false
 		}
 		after, err := d.DumpMemory()
@@ -574,4 +625,13 @@ func TestSnapshotRestoreIdentityProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// allPages lists every page of d, for restoring a whole snapshot.
+func allPages(d *Domain) []mem.PFN {
+	pfns := make([]mem.PFN, d.Pages())
+	for i := range pfns {
+		pfns[i] = mem.PFN(i)
+	}
+	return pfns
 }

@@ -183,18 +183,26 @@ func (d *Domain) DumpDirty(base *Snapshot, pfns []mem.PFN) (*Snapshot, error) {
 	return s, nil
 }
 
-// RestoreMemory loads a snapshot into the domain. The snapshot must
-// match the domain's size.
-func (d *Domain) RestoreMemory(s *Snapshot) error {
+// RestoreMemory writes the pages pfns of a snapshot into the domain and
+// loads its vCPU state; every other page keeps its contents. Restoring
+// the pages the domain's dirty log names from the image of the last
+// commit rolls the domain back to that commit. The snapshot must match
+// the domain's size; pfns may come in any order.
+func (d *Domain) RestoreMemory(s *Snapshot, pfns []mem.PFN) error {
 	if s.Pages != len(d.physmap) {
 		return fmt.Errorf("restore domain %d: snapshot has %d pages, domain has %d",
 			d.id, s.Pages, len(d.physmap))
 	}
+	for _, pfn := range pfns {
+		if uint64(pfn) >= uint64(len(d.physmap)) {
+			return fmt.Errorf("restore domain %d pfn %d: %w", d.id, pfn, ErrBadAddress)
+		}
+	}
 	if err := d.hv.faults.Check(FaultRestore); err != nil {
 		return fmt.Errorf("restore domain %d: %w", d.id, err)
 	}
-	err := d.hv.machine.EachFrame(len(d.physmap), func(i int) mem.MFN { return d.physmap[i] },
-		func(i int, frame []byte) { copy(frame, s.page(uint64(i))[:]) })
+	err := d.hv.machine.EachFrame(len(pfns), func(i int) mem.MFN { return d.physmap[pfns[i]] },
+		func(i int, frame []byte) { copy(frame, s.page(uint64(pfns[i]))[:]) })
 	if err != nil {
 		return fmt.Errorf("restore domain %d: %w", d.id, err)
 	}

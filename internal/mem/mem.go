@@ -360,14 +360,14 @@ func (b *Bitmap) ScanWordsParallel(dst []PFN, workers int) []PFN {
 	return dst
 }
 
-// Or sets every bit that is set in src. The bitmaps must be the same
-// length.
-func (b *Bitmap) Or(src *Bitmap) error {
+// AndNot clears every bit that is set in src. The bitmaps must be the
+// same length.
+func (b *Bitmap) AndNot(src *Bitmap) error {
 	if b.nbits != src.nbits {
-		return fmt.Errorf("mem: or bitmap: length mismatch %d != %d", b.nbits, src.nbits)
+		return fmt.Errorf("mem: and-not bitmap: length mismatch %d != %d", b.nbits, src.nbits)
 	}
 	for i, w := range src.words {
-		b.words[i] |= w
+		b.words[i] &^= w
 	}
 	return nil
 }

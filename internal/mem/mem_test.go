@@ -191,6 +191,25 @@ func TestBitmapCopyFrom(t *testing.T) {
 	}
 }
 
+func TestBitmapAndNot(t *testing.T) {
+	a := NewBitmap(100)
+	for _, i := range []int{3, 64, 99} {
+		a.Set(i)
+	}
+	b := NewBitmap(100)
+	b.Set(64)
+	b.Set(70) // not in a: clearing it is a no-op
+	if err := a.AndNot(b); err != nil {
+		t.Fatalf("AndNot: %v", err)
+	}
+	if !a.Test(3) || a.Test(64) || !a.Test(99) || a.Test(70) || a.Count() != 2 {
+		t.Fatalf("AndNot left %v, want [3 99]", a.ScanWords(nil))
+	}
+	if err := a.AndNot(NewBitmap(50)); err == nil {
+		t.Fatal("AndNot with mismatched lengths succeeded, want error")
+	}
+}
+
 func TestBitmapWordScanLastPartialWord(t *testing.T) {
 	// A bit set in the final, partial word must be found exactly once.
 	b := NewBitmap(70)

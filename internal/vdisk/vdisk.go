@@ -106,19 +106,16 @@ func (d *Disk) MarkAllDirty() {
 	}
 }
 
-// HarvestDirty returns the dirty block list and clears the log.
-func (d *Disk) HarvestDirty(dst []mem.PFN) []mem.PFN {
-	dst = d.dirty.ScanWords(dst)
-	d.dirty.ClearAll()
-	return dst
-}
+// HarvestDirty appends the dirty block list to dst without clearing the
+// log: as with a domain's pages, only a successful commit cleans it.
+func (d *Disk) HarvestDirty(dst []mem.PFN) []mem.PFN { return d.dirty.ScanWords(dst) }
 
-// MarkDirty re-marks the given blocks dirty — the undo of a
-// HarvestDirty whose consumer failed before replicating the blocks.
-func (d *Disk) MarkDirty(blocks []mem.PFN) {
+// CleanDirty clears the given blocks from the dirty log once a commit has
+// copied them to the backup disk.
+func (d *Disk) CleanDirty(blocks []mem.PFN) {
 	for _, b := range blocks {
 		if uint64(b) < uint64(d.dirty.Len()) {
-			d.dirty.Set(int(b))
+			d.dirty.Clear(int(b))
 		}
 	}
 }

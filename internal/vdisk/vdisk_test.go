@@ -58,8 +58,12 @@ func TestDirtyTracking(t *testing.T) {
 	if len(blocks) != 2 || blocks[0] != 1 || blocks[1] != 9 {
 		t.Fatalf("harvest = %v", blocks)
 	}
-	if d.DirtyCount() != 0 {
-		t.Fatal("harvest did not clear the log")
+	if d.DirtyCount() != 2 {
+		t.Fatalf("harvest cleared the log: %d blocks left, want 2", d.DirtyCount())
+	}
+	d.CleanDirty([]mem.PFN{9, 99}) // a block past the end is ignored
+	if got := d.HarvestDirty(nil); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("after cleaning block 9 the log holds %v, want [1]", got)
 	}
 }
 

@@ -109,19 +109,6 @@ func (m *WalkMemo) Invalidate(dirty *mem.Bitmap) int {
 	return n
 }
 
-// InvalidateAll drops every memoized walk, returning the number
-// dropped. Used after a rollback restores guest memory wholesale: the
-// restore does not pass through the dirty log, so no bitmap describes
-// what changed.
-func (m *WalkMemo) InvalidateAll() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := len(m.entries)
-	m.stats.Invalidated += n
-	m.entries = make(map[string]*memoEntry)
-	return n
-}
-
 // SetMemo attaches (or detaches, with nil) an incremental-walk memo.
 // Attach only after Preprocess: results memoized before known-good
 // state is captured would reflect boot-time structures with no dirty

@@ -145,23 +145,6 @@ func TestMemoUntouchedWritesKeepEntries(t *testing.T) {
 	}
 }
 
-func TestMemoInvalidateAll(t *testing.T) {
-	_, ctx := bootGuest(t, guestos.LinuxProfile())
-	ctx.SetMemo(NewWalkMemo())
-	if _, err := ctx.ProcessList(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctx.ModuleList(); err != nil {
-		t.Fatal(err)
-	}
-	if n := ctx.Memo().InvalidateAll(); n != 2 {
-		t.Fatalf("InvalidateAll dropped %d, want 2", n)
-	}
-	if ctx.Memo().Entries() != 0 {
-		t.Fatalf("entries = %d after InvalidateAll, want 0", ctx.Memo().Entries())
-	}
-}
-
 func TestMemoSingleFlightAcrossForks(t *testing.T) {
 	g, ctx := bootGuest(t, guestos.LinuxProfile())
 	if _, err := g.StartProcess("nginx", 33, 4); err != nil {
@@ -173,7 +156,11 @@ func TestMemoSingleFlightAcrossForks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx.Memo().InvalidateAll()
+	all := mem.NewBitmap(g.Domain().Pages())
+	for i := 0; i < all.Len(); i++ {
+		all.Set(i)
+	}
+	ctx.Memo().Invalidate(all)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
