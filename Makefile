@@ -34,8 +34,9 @@ verify-quick: traced-runs
 # own events and series must be in them. One more run fails a CoW
 # commit's lazy copy after its outputs left: that lost publication must
 # halt the VM (exit status 1, a halt event), never roll it back. The
-# rollback run fails an eager commit's staged copy with the exchange
-# stage live: the VM must roll back, restoring the pages its dirty log
+# rollback runs fail an eager commit before its publication — a staged
+# copy at Full and at Memcpy, the conduit send at No-opt, one stage at
+# every level: the VM must roll back, restoring the pages its dirty log
 # names from the committed image (exit status 1, a rollback event). The
 # incident run attacks a CoW VM: the first committed image, the derived
 # audit-fail dump and the rollback from that image, with the copier
@@ -45,6 +46,11 @@ define traced
 $(GO) run -race ./cmd/crimes $(2) -trace $(TRACED_DIR)/$(1).jsonl -metrics $(TRACED_DIR)/$(1).txt >/dev/null
 test -s $(TRACED_DIR)/$(1).jsonl && test -s $(TRACED_DIR)/$(1).txt
 endef
+define rollback
+$(GO) run -race ./cmd/crimes $(2) -trace $(TRACED_DIR)/$(1).jsonl -metrics $(TRACED_DIR)/$(1).txt >/dev/null 2>$(TRACED_DIR)/$(1).err; test $$? -eq 1
+test -s $(TRACED_DIR)/$(1).jsonl && test -s $(TRACED_DIR)/$(1).txt
+grep -q '"action":"rollback"' $(TRACED_DIR)/$(1).jsonl
+endef
 traced-runs:
 	mkdir -p $(TRACED_DIR)
 	$(call traced,fleet,-vms 3 -stagger -epochs 2)
@@ -52,9 +58,9 @@ traced-runs:
 	$(GO) run -race ./cmd/crimes -epochs 4 -cow -fault checkpoint.copypage:30 -trace $(TRACED_DIR)/cow-lost.jsonl -metrics $(TRACED_DIR)/cow-lost.txt >/dev/null 2>$(TRACED_DIR)/cow-lost.err; test $$? -eq 1
 	test -s $(TRACED_DIR)/cow-lost.jsonl && test -s $(TRACED_DIR)/cow-lost.txt
 	grep -q '"phase":"halt"' $(TRACED_DIR)/cow-lost.jsonl
-	$(GO) run -race ./cmd/crimes -epochs 4 -fault checkpoint.copypage:30 -trace $(TRACED_DIR)/rollback.jsonl -metrics $(TRACED_DIR)/rollback.txt >/dev/null 2>$(TRACED_DIR)/rollback.err; test $$? -eq 1
-	test -s $(TRACED_DIR)/rollback.jsonl && test -s $(TRACED_DIR)/rollback.txt
-	grep -q '"action":"rollback"' $(TRACED_DIR)/rollback.jsonl
+	$(call rollback,rollback,-epochs 4 -fault checkpoint.copypage:30)
+	$(call rollback,rollback-memcpy,-epochs 4 -opt memcpy -fault checkpoint.copypage:30)
+	$(call rollback,rollback-noopt,-epochs 4 -opt noopt -fault remus.send:2)
 	$(call traced,delta,-vms 3 -stagger -epochs 2 -remus delta+dedup -opt noopt)
 	grep -q crimes_remus_bytes_total $(TRACED_DIR)/delta.txt
 	$(call traced,cluster,-hosts 3 -vms 6 -epochs 4 -host-kill host1:3)
@@ -115,13 +121,18 @@ bench-all: pause-json bench-fleet bench-scan bench-cow bench-remus bench-cluster
 bench-drift: bench-all
 	git diff --exit-code BENCH_*.json internal/experiments/testdata
 
-# Short fuzz pass over the page-wise Volatility scanners and the VMI
-# canary-table decoder: besides never panicking, they must return
-# exactly what their linear reference decoders return — the scanners
-# over the contiguous image, the canary table over any header words.
+# Short fuzz pass over the page-wise Volatility scanners, the VMI
+# canary-table decoder and the v1 and v2 replication restores: besides
+# never panicking, the scanners and the canary table must return exactly
+# what their linear reference decoders return — the scanners over the
+# contiguous image, the canary table over any header words — and a
+# restore that rejects a batch must leave every page of the replica as
+# it was.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPsScan -fuzztime 10s ./internal/volatility
 	$(GO) test -run '^$$' -fuzz '^FuzzCanaryTable$$' -fuzztime 10s ./internal/vmi
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreV1$$' -fuzztime 10s ./internal/remus
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreDecodeV2$$' -fuzztime 10s ./internal/remus
 
 # Everything the CI workflow runs, in the same order, for local use.
 ci: fmt-check static-check build

@@ -34,7 +34,7 @@ import (
 var ErrClosed = errors.New("checkpoint: checkpointer closed")
 
 // FaultCopyPage is the fault-injection site for the per-page copy into
-// a staging page on the premapped paths. An armed fault fails the copy
+// a staging page (Memcpy, Premap, Full). An armed fault fails the copy
 // before any staged page reaches the backup: midway through an eager
 // commit, which fails; or, under CoW, midway through the lazy copies
 // behind the resumed guest, which loses the set's publication
@@ -69,11 +69,10 @@ type Checkpointer struct {
 	remusBudget int
 
 	// workers is the pause-path parallelism: the dirty-bitmap scan and
-	// the page copy (with an in-place stage, its undo capture too) shard
-	// across this many goroutines over disjoint PFN ranges, the
-	// disk-block copy overlaps the memory copy, and remote replication is
-	// pipelined out of the pause window entirely. workers == 1 is the
-	// exact serial path.
+	// the page copy into staging shard across this many goroutines over
+	// disjoint PFN ranges, the disk-block stage overlaps the memory stage,
+	// and remote replication is pipelined out of the pause window
+	// entirely. workers == 1 is the exact serial path.
 	workers int
 
 	dirty   *mem.Bitmap
@@ -87,18 +86,20 @@ type Checkpointer struct {
 	gmPrimary *hv.GlobalMapping
 	gmBackup  *hv.GlobalMapping
 
-	// mem is the commit's memory stage, chosen once from opt; EnableCoW
-	// replaces the premapped one with the copy-on-write commit.
+	// mem is the commit's stage: exchangeStage at every level, which
+	// EnableCoW replaces with the copy-on-write commit.
 	mem memStage
 
 	// No-opt: encrypted socket conduit to the restore process.
 	conduit *remus.Conduit
 
 	// Disk-snapshot extension (§3.1): when attached, the disk's dirty
-	// blocks are replicated to a backup disk at each checkpoint and
-	// rolled back with memory.
+	// blocks are copied into diskStaging at each checkpoint, exchanged
+	// into the backup disk with the memory set, and rolled back with
+	// memory.
 	disk        *vdisk.Disk
 	backupDisk  *vdisk.Disk
+	diskStaging *vdisk.Disk
 	diskScratch []mem.PFN
 
 	// Remote replication (§4.1: "If users desire both high availability
@@ -131,12 +132,6 @@ type Checkpointer struct {
 	// from what each Send returned, never read off a conduit under the
 	// lock a concurrent Send holds.
 	localRepl, remoteRepl cost.ReplicationCounts
-
-	// Disk undo log: the backup blocks about to be overwritten by the
-	// current commit, captured so a mid-commit failure can be unwound
-	// and the backup stays a consistent snapshot of an audited epoch.
-	// (The memory stage keeps that invariant itself; see memStage.)
-	undoDisk []byte
 
 	// Copy-on-write commit state (EnableCoW); nil on the eager paths.
 	cow *cowState
@@ -262,18 +257,17 @@ type PhaseTimings struct {
 	Workers int
 	// Scan is the dirty-bitmap scan.
 	Scan time.Duration
-	// Undo is the undo-log capture of the backup disk blocks about to be
-	// overwritten. The memory stage needs none on the premapped path; the
-	// in-place stages (Memcpy, NoOpt) capture their page undo inside
-	// MemCopy.
+	// Undo reads ~0: no commit keeps an undo log, since nothing reaches
+	// a backup before its set is published whole, so the phase times no
+	// work. It stays for the traced benchmark's checkpoint.undo.
 	Undo time.Duration
-	// MemCopy is the dirty-page copy into the backup domain, including
-	// the frame exchange that publishes it on the premapped path. Under
-	// CoW, whose copies land after the guest resumes, it is the record
-	// of the dirty set plus the arming of its write faults.
+	// MemCopy is the dirty-page copy into staging plus the publication
+	// of memory and disk (the exchanges; at No-opt, the conduit's round
+	// trip). Under CoW, whose copies land after the guest resumes, it is
+	// the record of the dirty set plus the arming of its write faults.
 	MemCopy time.Duration
-	// DiskCopy is the dirty-block copy into the backup disk; with
-	// workers > 1 it overlaps MemCopy.
+	// DiskCopy is the dirty-block copy into staging; with workers > 1 it
+	// overlaps MemCopy.
 	DiskCopy time.Duration
 	// RemoteShip is the remote-replication time spent inside the
 	// commit: the full encrypted round trip when serial, only the
@@ -346,16 +340,13 @@ func NewWithParams(h *hv.Hypervisor, primary *hv.Domain, p Params) (*Checkpointe
 		if c.gmBackup, err = h.MapAll(backup); err != nil {
 			return fail(fmt.Errorf("checkpoint: premap backup: %w", err))
 		}
-		c.mem = &exchangeStage{c: c}
-	case opt == cost.Memcpy:
-		c.mem = &inPlaceStage{c: c, write: c.copyMapped}
-	default:
+	case opt == cost.NoOpt:
 		key := []byte("crimes-remus-key")
 		if c.conduit, err = remus.NewConduitMode(h, backup, key, c.remusMode, c.remusBudget); err != nil {
 			return fail(err)
 		}
-		c.mem = &inPlaceStage{c: c, write: c.copySocket}
 	}
+	c.mem = &exchangeStage{c: c}
 	// Initial synchronization: ship every page, as live migration's
 	// final stop-and-copy does.
 	primary.EnableDirtyLogging()
@@ -373,7 +364,7 @@ func (c *Checkpointer) AttachDisk(d *vdisk.Disk) error {
 		return ErrClosed
 	}
 	c.disk = d
-	c.backupDisk = vdisk.New(d.Blocks())
+	c.backupDisk, c.diskStaging = vdisk.New(d.Blocks()), vdisk.New(d.Blocks())
 	d.InjectFaults(c.hv.Faults())
 	c.backupDisk.InjectFaults(c.hv.Faults())
 	d.EnableDirtyLogging()
@@ -401,8 +392,9 @@ func (c *Checkpointer) EnableRemoteReplication(key []byte) error {
 // EnableRemoteReplicationOn is EnableRemoteReplication with an explicit
 // placement: the replica domain is created (under the given name) on
 // peer, which may be a different host's hypervisor. The conduit's
-// restore side writes directly into the replica domain, so the wire
-// protocol is unchanged; only where the replica lives differs. The
+// restore side stages each batch and exchanges it into the replica
+// domain, so the wire protocol is unchanged; only where the replica lives
+// differs. The
 // cluster control plane uses this to keep each VM's replica anti-affine
 // to its primary.
 func (c *Checkpointer) EnableRemoteReplicationOn(peer *hv.Hypervisor, name string, key []byte) error {
@@ -431,7 +423,7 @@ func (c *Checkpointer) EnableRemoteReplicationOn(peer *hv.Hypervisor, name strin
 	}
 	// Initial full sync of the remote (always synchronous: replication
 	// is not active until the remote holds a complete snapshot).
-	if err := c.shipRemote(c.allPFNs()); err != nil {
+	if err := c.ship(c.remoteConduit, &c.remoteRepl, c.allPFNs()); err != nil {
 		// Unwind completely: replication never became active.
 		_ = conduit.Close()
 		_ = peer.DestroyDomain(remote.ID())
@@ -504,13 +496,16 @@ func (c *Checkpointer) DisableRemoteReplication() error {
 	return errors.Join(shipErr, closeErr, destroyErr)
 }
 
-func (c *Checkpointer) shipRemote(dirty []mem.PFN) error {
+// ship sends the primary's dirty pages, mapped for this batch only,
+// through a conduit and waits for the ack, adding the wire accounting to
+// into: No-opt's local commit and the serial remote replication.
+func (c *Checkpointer) ship(conduit *remus.Conduit, into *cost.ReplicationCounts, dirty []mem.PFN) error {
 	fmP, err := c.hv.MapForeign(c.primary, dirty)
 	if err != nil {
 		return err
 	}
 	defer fmP.Unmap()
-	return sendAcked(c.remoteConduit, &c.remoteRepl, dirty, fmP.Page)
+	return sendAcked(conduit, into, dirty, fmP.Page)
 }
 
 // sendAcked is Conduit.SendCheckpoint that also adds the batch's wire
@@ -705,15 +700,15 @@ func (c *Checkpointer) CheckpointBitmap(dirty *mem.Bitmap) (cost.Counts, error) 
 }
 
 // commitDirty commits the harvested dirty set as one staged sequence:
-// settle, scan, disk harvest, disk undo capture, copy, remote
-// replication. The eager and copy-on-write strategies share every stage
-// and its unwind; they differ only in their memStage: the eager one
-// copies under pause and publishes before the commit returns, the CoW
-// one arms write protection instead, lets the copies land behind the
-// resumed guest and publishes at the next settle. The returned counts
-// carry the commit's exact replication traffic in the delta wire modes:
-// what the local conduit and a serial remote ship sent, plus the
-// traffic of the pipelined shipments this commit settled.
+// settle, scan, disk harvest, stage, publish, remote replication. The
+// eager and copy-on-write strategies share every step; they differ only
+// in their memStage: the eager one stages under pause and publishes
+// before the commit returns, the CoW one arms write protection instead,
+// lets the copies land behind the resumed guest and publishes at the
+// next settle. The returned counts carry the commit's exact replication
+// traffic in the delta wire modes: what the local conduit and a serial
+// remote ship sent, plus the traffic of the pipelined shipments this
+// commit settled.
 func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 	c.report = CommitReport{Timings: PhaseTimings{Workers: c.workers}}
 	c.localRepl, c.remoteRepl = cost.ReplicationCounts{}, cost.ReplicationCounts{}
@@ -722,7 +717,7 @@ func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 	}
 
 	// Settle: the previous commit's set is published before this commit
-	// stages over the pool. A lost publication fails the commit with
+	// stages over the pools. A lost publication fails the commit with
 	// ErrConvergence; the backup still holds the commit before it.
 	if err := c.mem.settle(); err != nil {
 		return cost.Counts{}, err
@@ -730,10 +725,9 @@ func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 
 	dirty := c.scanDirty()
 
-	// Harvest the disk's dirty blocks up front so the undo log covers
-	// them. Like the primary's pages, they stay in the disk's log until
-	// the commit succeeds, so a failed commit leaves both logs as they
-	// were and a retry sees the same set.
+	// Like the primary's pages, the disk's dirty blocks stay in its log
+	// until the commit succeeds, so a failed commit leaves both logs as
+	// they were and a retry sees the same set.
 	var diskDirty []mem.PFN
 	if c.disk != nil {
 		c.diskScratch = c.disk.HarvestDirty(c.diskScratch[:0])
@@ -748,23 +742,14 @@ func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 		DirtyPages:  len(dirty),
 		BytesCopied: len(dirty) * mem.PageSize,
 	}
-	// Disk undo capture. The invariant the undo log protects: the backup
-	// is a consistent snapshot of SOME audited epoch at every instant, so
-	// rollback is always safe — even when a copy path dies halfway
-	// through. Capture completes before the disk copy writes a block;
-	// the memory stage keeps the same invariant for pages by itself
-	// (memStage). Disk blocks are always eager: they have no write-fault
-	// machinery and are few.
+	// Nothing reaches the backup before both stages succeeded and the set
+	// is published whole, so a failed commit leaves its memory and disk at
+	// the previous commit with nothing to undo. The undo phase is empty;
+	// it is still timed (reading ~0) for the traced benchmark's
+	// checkpoint.undo.
 	undoStart := time.Now()
-	if err := c.captureDiskUndo(diskDirty); err != nil {
-		return cost.Counts{}, err
-	}
 	c.report.Timings.Undo = time.Since(undoStart)
-
-	// A failed copy has left the backup's memory as it was; only what
-	// the disk copy wrote is undone.
-	if err := c.copyEager(dirty, diskDirty); err != nil {
-		c.applyDiskUndo(diskDirty)
+	if err := c.stageAndApply(dirty, diskDirty); err != nil {
 		return cost.Counts{}, err
 	}
 	// The commit stands, so its pages and blocks leave the dirty logs.
@@ -802,57 +787,51 @@ func (c *Checkpointer) scanDirty() []mem.PFN {
 	return c.scratch
 }
 
-// copyEager is the copy stage: the memory stage and the disk-block copy
-// are independent (disjoint storage), so with workers > 1 they overlap.
-// The memory stage is applied only once both have succeeded; a disk
-// failure reverts it instead. Either way a failure leaves the backup's
-// memory as it was, and the caller unwinds the disk through its undo
-// log. The memory error takes precedence, matching the serial path's
-// report. Under CoW the memory stage only records the set, and apply
-// arms it.
-func (c *Checkpointer) copyEager(pages, diskDirty []mem.PFN) error {
+// stageAndApply stages the commit and publishes it. The memory stage and
+// the disk stage are independent (disjoint storage), so with workers > 1
+// they overlap. Only once both have succeeded does apply publish them —
+// memory, then disk — or, under CoW, record and arm the set for settle
+// to publish. The memory error takes precedence, matching the serial
+// path's report.
+func (c *Checkpointer) stageAndApply(pages, blocks []mem.PFN) error {
 	var memErr, diskErr error
+	stageMemory := func() {
+		start := time.Now()
+		memErr = c.mem.stage(pages)
+		c.report.Timings.MemCopy = time.Since(start)
+	}
 	if c.disk != nil && c.workers > 1 {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			diskErr = c.copyDisk(diskDirty)
+			diskErr = c.stageDisk(blocks)
 		}()
-		memErr = c.stageMemory(pages)
+		stageMemory()
 		wg.Wait()
-	} else if memErr = c.stageMemory(pages); memErr == nil {
-		diskErr = c.copyDisk(diskDirty)
+	} else if stageMemory(); memErr == nil {
+		diskErr = c.stageDisk(blocks)
 	}
 	if memErr != nil {
 		return memErr
 	}
 	if diskErr != nil {
-		c.mem.revert(pages)
 		return diskErr
 	}
 	start := time.Now()
-	err := c.mem.apply(pages)
+	err := c.mem.apply(pages, blocks)
 	c.report.Timings.MemCopy += time.Since(start)
 	return err
 }
 
-// stageMemory runs the memory stage, timed as MemCopy.
-func (c *Checkpointer) stageMemory(pages []mem.PFN) error {
-	start := time.Now()
-	err := c.mem.stage(pages)
-	c.report.Timings.MemCopy = time.Since(start)
-	return err
-}
-
-// copyDisk copies the dirty blocks into the backup disk, when one is
-// attached.
-func (c *Checkpointer) copyDisk(diskDirty []mem.PFN) error {
+// stageDisk copies the dirty blocks into the staging disk, when a disk
+// is attached.
+func (c *Checkpointer) stageDisk(blocks []mem.PFN) error {
 	if c.disk == nil {
 		return nil
 	}
 	start := time.Now()
-	err := c.disk.CopyBlocksTo(c.backupDisk, diskDirty)
+	err := c.disk.CopyBlocksTo(c.diskStaging, blocks)
 	c.report.Timings.DiskCopy = time.Since(start)
 	return err
 }
@@ -881,33 +860,6 @@ func (c *Checkpointer) replicateRemote(dirty []mem.PFN, counts *cost.Counts) {
 	c.report.Timings.RemoteShip = time.Since(shipStart)
 }
 
-// captureDiskUndo saves the backup disk blocks the commit is about to
-// overwrite into a reusable scratch buffer.
-func (c *Checkpointer) captureDiskUndo(diskDirty []mem.PFN) error {
-	need := len(diskDirty) * vdisk.BlockSize
-	if cap(c.undoDisk) < need {
-		c.undoDisk = make([]byte, need)
-	}
-	c.undoDisk = c.undoDisk[:need]
-	for i, b := range diskDirty {
-		off := i * vdisk.BlockSize
-		if err := c.backupDisk.ReadBlock(int(b), c.undoDisk[off:off+vdisk.BlockSize]); err != nil {
-			return fmt.Errorf("checkpoint: undo capture block %d: %w", b, err)
-		}
-	}
-	return nil
-}
-
-// applyDiskUndo restores the backup disk blocks saved by
-// captureDiskUndo, after a failed commit or a lost CoW publication
-// (cowState.settle).
-func (c *Checkpointer) applyDiskUndo(diskDirty []mem.PFN) {
-	for i, b := range diskDirty {
-		off := i * vdisk.BlockSize
-		_ = c.backupDisk.WriteBlock(int(b), 0, c.undoDisk[off:off+vdisk.BlockSize])
-	}
-}
-
 // shipSerial ships dirty pages to the remote backup inside the commit,
 // retrying transient conduit failures up to maxRemoteRetries times. A
 // pipeline left running by an earlier parallel commit (the worker count
@@ -918,7 +870,7 @@ func (c *Checkpointer) shipSerial(dirty []mem.PFN) error {
 		return err
 	}
 	for retries := 0; ; retries++ {
-		err := c.shipRemote(dirty)
+		err := c.ship(c.remoteConduit, &c.remoteRepl, dirty)
 		if err == nil {
 			return nil
 		}
@@ -1138,45 +1090,56 @@ func (c *Checkpointer) drainShipper() error {
 	return err
 }
 
-// memStage is the commit's memory stage, chosen once in NewWithParams
-// from the optimization level; EnableCoW replaces exchangeStage with the
-// copy-on-write commit (cowState). stage brings the primary's dirty
-// pages toward the backup; apply makes a successful stage the backup's
-// memory and notes its pages (notePublished), or under CoW arms it for
-// lazy copying, noted when the set is exchanged; revert abandons a
-// successful stage instead (the overlapped disk copy failed); settle
-// publishes a stage whose copies land after the commit returns (CoW)
-// and is a no-op for the eager stages. Each stage guarantees that
-// whenever stage, apply or revert returns an error — and after revert —
-// the backup's memory is byte-identical to what it was before stage, so
-// a failed commit needs no memory undo of its own. dirty is the same
-// ascending PFN list in stage, apply and revert of one commit.
+// memStage is the commit's stage, the one way bytes reach the backup.
+// stage copies the dirty pages into staging pages, leaving the backup
+// untouched; apply publishes them with the disk blocks staged beside
+// them (memory, then disk, each all-or-nothing) and notes the pages
+// (notePublished), or under CoW records and arms the set for settle to
+// publish; settle is a no-op for the eager stage. No failure — of a
+// stage, of apply, or a lost CoW publication — leaves anything to undo.
+// dirty is the same ascending PFN list in stage and apply of one commit.
 type memStage interface {
 	stage(dirty []mem.PFN) error
-	apply(dirty []mem.PFN) error
-	revert(dirty []mem.PFN)
+	apply(dirty, blocks []mem.PFN) error
 	settle() error
 }
 
-// exchangeStage is the premapped copy (Optimizations 1+2): each dirty
-// page is copied once, through the startup-time global mapping of the
-// primary, into a staging page the checkpointer owns — sharded across
-// the worker pool over disjoint PFN ranges, so workers never alias.
-// apply then exchanges the staging pages with the backup's frames
-// (GlobalMapping.Exchange): the machine pages are swapped, no bytes
-// move, and the pages swapped out are the next commit's staging pages.
-// Until apply the backup is untouched, so a failure at any page leaves
-// nothing to undo.
+// exchangeStage is the eager commit at every optimization level, which
+// chooses only where the staged bytes come from: the primary's global
+// mapping at Premap and Full; at Memcpy a foreign mapping of its dirty
+// pages for this epoch (the exchange maps the backup's too, as
+// Optimization 1 maps both VMs); at No-opt the decoded wire records of
+// the conduit's restore process, which stages the batch itself and
+// exchanges it into the backup before it acks. Each page is copied once,
+// sharded over disjoint PFN ranges; the exchange swaps machine pages, no
+// bytes move, and the pages swapped out stage the next commit.
 type exchangeStage struct {
 	c    *Checkpointer
 	pool [][]byte // staging pages; the first len(dirty) hold the commit
 }
 
 func (s *exchangeStage) stage(dirty []mem.PFN) error {
-	s.grow(len(dirty))
-	return s.c.runSharded(len(dirty), func(lo, hi int) error {
+	c := s.c
+	if c.conduit != nil {
+		return nil
+	}
+	var src pageSource
+	if c.gmPrimary != nil {
+		src = c.gmPrimary
+	} else {
+		// Memcpy: mapping is a hypercall path, so it runs serially; the
+		// mapping is read-only during the sharded copy.
+		fm, err := c.hv.MapForeign(c.primary, dirty)
+		if err != nil {
+			return err
+		}
+		defer fm.Unmap()
+		src = fm
+	}
+	s.pool = mem.GrowPages(s.pool, len(dirty))
+	return c.runSharded(len(dirty), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			if err := s.stagePage(i, dirty[i]); err != nil {
+			if err := s.stagePage(i, dirty[i], src); err != nil {
 				return err
 			}
 		}
@@ -1184,143 +1147,64 @@ func (s *exchangeStage) stage(dirty []mem.PFN) error {
 	})
 }
 
-// stagePage copies the primary's page pfn into staging page i, the one
-// per-page copy of both commit strategies.
-func (s *exchangeStage) stagePage(i int, pfn mem.PFN) error {
+// pageSource is a mapping of the primary a stage copies from: its global
+// mapping, or at Memcpy the epoch's foreign mapping.
+type pageSource interface {
+	Page(pfn mem.PFN) ([]byte, error)
+}
+
+// stagePage copies the primary's page pfn, read through src, into
+// staging page i: the one per-page copy of both commit strategies.
+func (s *exchangeStage) stagePage(i int, pfn mem.PFN, src pageSource) error {
 	if err := s.c.hv.Faults().Check(FaultCopyPage); err != nil {
 		return fmt.Errorf("checkpoint: copy pfn %d: %w", pfn, err)
 	}
-	src, err := s.c.gmPrimary.Page(pfn)
+	page, err := src.Page(pfn)
 	if err != nil {
 		return err
 	}
-	copy(s.pool[i], src)
+	copy(s.pool[i], page)
 	return nil
 }
 
-func (s *exchangeStage) apply(dirty []mem.PFN) error {
-	if err := s.c.gmBackup.Exchange(dirty, s.pool[:len(dirty)]); err != nil {
+// apply publishes memory, then disk. ExchangeBlocks rejects no harvested
+// (ascending) list the disk stage accepted, so once memory is published
+// the disk exchange cannot fail: both land in one step.
+func (s *exchangeStage) apply(dirty, blocks []mem.PFN) error {
+	if err := s.exchange(dirty); err != nil {
+		return err
+	}
+	s.c.notePublished(dirty)
+	if len(blocks) == 0 {
+		return nil
+	}
+	return s.c.backupDisk.ExchangeBlocks(s.c.diskStaging, blocks)
+}
+
+// exchange publishes the staged memory set into the backup's frames.
+func (s *exchangeStage) exchange(dirty []mem.PFN) error {
+	c := s.c
+	if c.conduit != nil {
+		return c.ship(c.conduit, &c.localRepl, dirty)
+	}
+	var err error
+	if c.gmBackup != nil {
+		err = c.gmBackup.Exchange(dirty, s.pool[:len(dirty)])
+	} else {
+		var fm *hv.ForeignMapping
+		if fm, err = c.hv.MapForeign(c.backup, dirty); err != nil {
+			return err
+		}
+		err = c.backup.Exchange(dirty, s.pool[:len(dirty)])
+		fm.Unmap()
+	}
+	if err != nil {
 		return fmt.Errorf("checkpoint: exchange staged pages: %w", err)
 	}
-	s.c.notePublished(dirty)
 	return nil
 }
-
-func (s *exchangeStage) revert([]mem.PFN) {}
 
 func (s *exchangeStage) settle() error { return nil }
-
-// grow makes the pool hold at least n staging pages. The shortfall is
-// allocated as one slab cut into full-capacity page views, never page by
-// page: every launch's initial sync stages the whole guest.
-func (s *exchangeStage) grow(n int) {
-	short := n - len(s.pool)
-	if short <= 0 {
-		return
-	}
-	slab := make([]byte, short*mem.PageSize)
-	pool := make([][]byte, len(s.pool), n)
-	copy(pool, s.pool)
-	for o := 0; o < len(slab); o += mem.PageSize {
-		pool = append(pool, slab[o:o+mem.PageSize:o+mem.PageSize])
-	}
-	s.pool = pool
-}
-
-// inPlaceStage is the unpremapped copy: write — copyMapped
-// (Optimization 1 alone) or copySocket (the Remus baseline, whose
-// restore process decodes against the backup's current pages) —
-// overwrites the backup's pages where they are. stage therefore first
-// saves them into a byte undo buffer, sharded like the copy, and
-// restores it when write fails or the commit is reverted.
-type inPlaceStage struct {
-	c     *Checkpointer
-	write func(dirty []mem.PFN) error
-	undo  []byte
-}
-
-func (s *inPlaceStage) stage(dirty []mem.PFN) error {
-	need := len(dirty) * mem.PageSize
-	if cap(s.undo) < need {
-		s.undo = make([]byte, need)
-	}
-	s.undo = s.undo[:need]
-	backup := s.c.backup
-	if err := s.c.runSharded(len(dirty), func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			off := i * mem.PageSize
-			if err := backup.ReadPhys(uint64(dirty[i])*mem.PageSize, s.undo[off:off+mem.PageSize]); err != nil {
-				return fmt.Errorf("checkpoint: undo capture pfn %d: %w", dirty[i], err)
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := s.write(dirty); err != nil {
-		s.revert(dirty)
-		return err
-	}
-	return nil
-}
-
-// apply only notes the pages: stage already wrote them into the backup.
-func (s *inPlaceStage) apply(dirty []mem.PFN) error {
-	s.c.notePublished(dirty)
-	return nil
-}
-
-func (s *inPlaceStage) settle() error { return nil }
-
-func (s *inPlaceStage) revert(dirty []mem.PFN) {
-	// stage read every one of these pages, so the writes are in range.
-	for i, pfn := range dirty {
-		off := i * mem.PageSize
-		_ = s.c.backup.WritePhys(uint64(pfn)*mem.PageSize, s.undo[off:off+mem.PageSize])
-	}
-}
-
-// copyMapped maps the dirty pages of both VMs for this epoch only
-// (serially: mapping is a hypercall path), then copies with the worker
-// pool (Optimization 1 alone). The mappings are read-only during the
-// sharded copy, so concurrent Page lookups are safe.
-func (c *Checkpointer) copyMapped(dirty []mem.PFN) error {
-	fmP, err := c.hv.MapForeign(c.primary, dirty)
-	if err != nil {
-		return err
-	}
-	defer fmP.Unmap()
-	fmB, err := c.hv.MapForeign(c.backup, dirty)
-	if err != nil {
-		return err
-	}
-	defer fmB.Unmap()
-	return c.runSharded(len(dirty), func(lo, hi int) error {
-		for _, pfn := range dirty[lo:hi] {
-			src, err := fmP.Page(pfn)
-			if err != nil {
-				return err
-			}
-			dst, err := fmB.Page(pfn)
-			if err != nil {
-				return err
-			}
-			copy(dst, src)
-		}
-		return nil
-	})
-}
-
-// copySocket ships the dirty pages through the encrypted Remus conduit
-// to the restore process (the unoptimized baseline).
-func (c *Checkpointer) copySocket(dirty []mem.PFN) error {
-	fmP, err := c.hv.MapForeign(c.primary, dirty)
-	if err != nil {
-		return err
-	}
-	defer fmP.Unmap()
-	return sendAcked(c.conduit, &c.localRepl, dirty, fmP.Page)
-}
 
 // Rollback returns the primary to the last commit — the Analyzer's
 // first response step after a failed audit. Only the pages in the

@@ -158,8 +158,8 @@ func TestCommittedAllocsIndependentOfGuestSize(t *testing.T) {
 	}
 }
 
-// stageArms are the commit's memory stages: the in-place ones, the
-// exchange at Premap and Full, and the copy-on-write commit.
+// stageArms are the commit's stages: the eager exchange at every level,
+// each staging from its own source, and the copy-on-write commit.
 var stageArms = []struct {
 	name string
 	opt  cost.Optimization

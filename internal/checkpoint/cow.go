@@ -10,8 +10,9 @@
 // every staging page receives the paused-instant bytes however the race
 // between the guest and the copier plays out. The set is published at
 // the next commit boundary (or Quiesce) by the same frame exchange that
-// ends an eager commit; until then the backup still holds the previous
-// commit, untouched.
+// ends an eager commit, together with the disk blocks the commit staged
+// under pause; until then the backup, memory and disk, still holds the
+// previous commit, untouched.
 //
 // Determinism invariant: the copier never disarms write protection —
 // only guest-side fault delivery (single-shot) or the batched drain at
@@ -33,23 +34,25 @@ import (
 )
 
 // ErrConvergence marks a lost publication: a copy-on-write commit whose
-// set could not be staged (or exchanged) after the guest resumed. The
-// backup, memory and disk, still holds the commit before it, but that
-// commit's outputs may already have left, so rolling back to it would
-// contradict them.
+// set could not be staged (or exchanged) after the guest resumed. Memory
+// and disk are published in one step, so the backup holds the commit
+// before it in both, with nothing reverted; but that commit's outputs
+// may already have left, so rolling back to it would contradict them.
 var ErrConvergence = errors.New("checkpoint: cow convergence")
 
 // cowState is the copy-on-write commit: the memStage EnableCoW installs
 // in place of exchangeStage, whose staging pool, per-page copy and
-// exchange it reuses. stage records the set, apply arms it, settle
-// publishes it. Every copy — claimed by the background copier, by a
-// write-fault handler, or by settle's drain — happens under mu, so a
-// page is staged exactly once and never torn.
+// publication it reuses. stage copies nothing, apply records the set once
+// the disk stage has succeeded and arms it, settle publishes it. Every
+// copy — claimed by the background copier, by a write-fault handler, or
+// by settle's drain — happens under mu, so a page is staged exactly once
+// and never torn.
 type cowState struct {
 	ex *exchangeStage
 
 	mu      sync.Mutex
 	order   []mem.PFN       // the unpublished set, ascending; order[i] stages into ex.pool[i]
+	blocks  []mem.PFN       // the disk blocks staged with the set, published with it
 	pending map[mem.PFN]int // pages not yet staged -> index into order
 	next    int             // background copier's cursor into order
 	armed   bool            // write faults are armed for the current order
@@ -76,12 +79,11 @@ func (c *Checkpointer) EnableCoW() error {
 	if c.cow != nil {
 		return errors.New("checkpoint: CoW already enabled")
 	}
-	ex, ok := c.mem.(*exchangeStage)
-	if !ok {
+	if c.gmPrimary == nil {
 		return errors.New("checkpoint: CoW requires premapped frames (optimization Premap or Full)")
 	}
 	cw := &cowState{
-		ex:      ex,
+		ex:      c.mem.(*exchangeStage),
 		pending: make(map[mem.PFN]int),
 		kick:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
@@ -121,32 +123,26 @@ func (c *Checkpointer) CoWStats() CoWStats {
 // for the eager commit.
 func (c *Checkpointer) Quiesce() error { return c.mem.settle() }
 
-// stage records the commit's dirty set and sizes the staging pool. It
-// runs with the primary paused and the previous set published.
-func (cw *cowState) stage(dirty []mem.PFN) error {
+// stage copies nothing: the copies land after the guest resumes.
+func (cw *cowState) stage([]mem.PFN) error { return nil }
+
+// apply records the commit's dirty set and disk blocks, write-protects
+// the set and kicks the copier, with the primary paused and both stages
+// done. A set with no pages, or whose arming failed (no protection
+// landed), is published inline: the commit completes eagerly.
+func (cw *cowState) apply(dirty, blocks []mem.PFN) error {
 	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	cw.ex.grow(len(dirty))
+	cw.commits++
+	cw.armedPages += len(dirty)
+	cw.ex.pool = mem.GrowPages(cw.ex.pool, len(dirty))
 	cw.order = append(cw.order[:0], dirty...)
+	cw.blocks = append(cw.blocks[:0], blocks...)
 	for i, pfn := range cw.order {
 		cw.pending[pfn] = i
 	}
 	cw.next = 0
-	return nil
-}
-
-// apply write-protects the recorded set and kicks the copier. If arming
-// fails, no protection landed: the set is published inline, so the
-// commit completes eagerly instead of lazily.
-func (cw *cowState) apply(dirty []mem.PFN) error {
-	cw.mu.Lock()
-	cw.commits++
-	cw.armedPages += len(dirty)
 	cw.mu.Unlock()
-	if len(dirty) == 0 {
-		return nil
-	}
-	if err := cw.ex.c.primary.ArmWriteFaults(dirty); err != nil {
+	if len(dirty) == 0 || cw.ex.c.primary.ArmWriteFaults(dirty) != nil {
 		return cw.publish()
 	}
 	cw.mu.Lock()
@@ -159,23 +155,10 @@ func (cw *cowState) apply(dirty []mem.PFN) error {
 	return nil
 }
 
-// revert drops a recorded set that was never armed (the overlapped disk
-// copy failed).
-func (cw *cowState) revert([]mem.PFN) {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	cw.order = cw.order[:0]
-	clear(cw.pending)
-}
-
-// settle publishes the last commit's set. On a lost publication the
-// backup's memory was never touched; its disk blocks, copied eagerly by
-// that commit, are reverted to match. The commit's disk list and undo
-// are still in place: settle runs before the next commit harvests.
+// settle publishes the last commit's set. On a lost publication neither
+// its pages nor its disk blocks reached the backup.
 func (cw *cowState) settle() error {
 	if err := cw.publish(); err != nil {
-		c := cw.ex.c
-		c.applyDiskUndo(c.diskScratch)
 		return fmt.Errorf("%w: %w", ErrConvergence, err)
 	}
 	return nil
@@ -184,8 +167,8 @@ func (cw *cowState) settle() error {
 // publish stages every still-pending page inline, drops the remaining
 // write traps in one batched reconfiguration — the deterministic set:
 // armed minus faulted, whatever the copier got to — and, if every page
-// was staged, exchanges the set into the backup. The set is retired
-// either way; the first failure is returned.
+// was staged, publishes the set and its disk blocks into the backup. The
+// set is retired either way; the first failure is returned.
 func (cw *cowState) publish() error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
@@ -199,10 +182,10 @@ func (cw *cowState) publish() error {
 		cw.armed = false
 	}
 	err := cw.err
-	if err == nil && len(cw.order) > 0 {
-		err = cw.ex.apply(cw.order)
+	if err == nil && len(cw.order)+len(cw.blocks) > 0 {
+		err = cw.ex.apply(cw.order, cw.blocks)
 	}
-	cw.order, cw.err = cw.order[:0], nil
+	cw.order, cw.blocks, cw.err = cw.order[:0], cw.blocks[:0], nil
 	return err
 }
 
@@ -213,7 +196,7 @@ func (cw *cowState) publish() error {
 // stay armed until publish's batched disarm, firing as cheap spurious
 // faults in the meantime.
 func (cw *cowState) stageLocked(idx int) {
-	if err := cw.ex.stagePage(idx, cw.order[idx]); err != nil {
+	if err := cw.ex.stagePage(idx, cw.order[idx], cw.ex.c.gmPrimary); err != nil {
 		cw.err = err
 		clear(cw.pending)
 		return

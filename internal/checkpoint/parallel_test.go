@@ -55,8 +55,8 @@ func applyRandomEpoch(t *testing.T, d *hv.Domain, rng *rand.Rand) {
 
 // TestParallelCopyMatchesSerial runs identical randomized epochs
 // through a serial and a parallel checkpointer and asserts the backups
-// are byte-identical after every commit — the sharded copy, scan, and
-// undo capture must be indistinguishable from the serial path.
+// are byte-identical after every commit — the sharded scan and copy
+// into staging must be indistinguishable from the serial path.
 func TestParallelCopyMatchesSerial(t *testing.T) {
 	for _, opt := range []cost.Optimization{cost.Memcpy, cost.Full} {
 		for _, workers := range []int{4, 8} {
@@ -103,10 +103,10 @@ func TestParallelCopyMatchesSerial(t *testing.T) {
 }
 
 // TestParallelWorkerFaultRestoresUndo injects a copy-page fault that
-// fires inside one of several concurrent copy workers and asserts the
-// undo invariant still holds: capture completed across all shards
-// before any worker wrote, so the backup (memory and disk) rewinds to
-// the last clean checkpoint and a retry converges.
+// fires inside one of several concurrent copy workers and asserts that
+// no shard's staged pages, nor the overlapped disk stage, reached the
+// backup: memory and disk are the last clean checkpoint, with nothing to
+// undo, and a retry converges.
 func TestParallelWorkerFaultRestoresUndo(t *testing.T) {
 	h := hv.New(2*parallelTestPages + 8)
 	inj := fault.NewInjector()

@@ -123,9 +123,10 @@ func TestEnableRemoteReplicationReleasesOnFailure(t *testing.T) {
 }
 
 // TestPartialCommitUndoRestoresBackup drives the commit into a failure
-// midway through the page-copy loop and asserts the undo log's
-// invariant: the backup (memory and disk) is still byte-identical to
-// the last clean checkpoint, and a retried commit converges.
+// midway through the page-copy loop and asserts what staging guarantees
+// without an undo log: the backup (memory and disk) is still
+// byte-identical to the last clean checkpoint, and a retried commit
+// converges.
 func TestPartialCommitUndoRestoresBackup(t *testing.T) {
 	h, d, inj, _, _ := newFaultHV(t, 2*domPages+8)
 	c, err := newCkpt(h, d, cost.Full, 1)
@@ -164,7 +165,7 @@ func TestPartialCommitUndoRestoresBackup(t *testing.T) {
 		t.Fatal("mid-commit fault did not fail the checkpoint")
 	}
 
-	// The undo log restored the backup to the last clean snapshot.
+	// Nothing was published: the backup is the last clean snapshot.
 	postMem, err := c.Backup().DumpMemory()
 	if err != nil {
 		t.Fatalf("DumpMemory: %v", err)

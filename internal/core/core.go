@@ -178,9 +178,9 @@ type Config struct {
 	// paper's disk-snapshot extension).
 	DiskBlocks int
 	// Workers is the pause-path parallelism: the dirty-bitmap scan and
-	// the page copy (at Memcpy and NoOpt its undo capture too) shard
+	// the page copy into staging (at Memcpy, Premap and Full) shard
 	// across this many goroutines, detector modules scan concurrently,
-	// the disk copy overlaps the memory copy, and remote replication is
+	// the disk stage overlaps the memory stage, and remote replication is
 	// pipelined out of the pause window. The default (0) is
 	// runtime.GOMAXPROCS(0); 1 (or negative) forces the exact serial
 	// path, which reproduces the paper's Table 1 / Figure 3 / Figure 4
@@ -201,13 +201,13 @@ type Config struct {
 	// fleet divides its host-wide mapping budget across VMs with this.
 	ScanCacheCapacity int
 	// CoW enables the copy-on-write commit strategy: under pause the
-	// commit captures only dirty metadata (the dirty PFN list and undo
-	// intent), write-protects those pages via the hypervisor's memory-
-	// event machinery, and resumes the guest immediately. Pages are then
-	// copied into the backup lazily by a background copier; a guest
-	// write to a not-yet-copied page takes a fault that performs an
-	// eager copy-before-write, so the backup still converges to the
-	// exact paused-instant snapshot. Requires Opt >= cost.Premap (the
+	// commit stages the dirty disk blocks and captures only the dirty PFN
+	// list, write-protects those pages via the hypervisor's memory-event
+	// machinery, and resumes the guest immediately. Pages are then staged
+	// lazily by a background copier; a guest write to a not-yet-staged
+	// page takes a fault that performs an eager copy-before-write, and
+	// the next commit boundary publishes the set with its disk blocks, so
+	// the backup still converges to the exact paused-instant snapshot. Requires Opt >= cost.Premap (the
 	// copier and fault handler use the premapped global frames) and the
 	// synchronous audit (Scan == ScanSync). The zero value (off) keeps
 	// the eager commit path bit-for-bit identical to previous releases.

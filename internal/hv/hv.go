@@ -333,8 +333,6 @@ type Domain struct {
 	ringMu sync.Mutex
 	ring   []MemEvent
 
-	bytesWritten uint64 // cumulative guest-physical bytes written
-
 	calls Hypercalls // per-domain attribution; guarded by hv.callsMu
 }
 
@@ -358,10 +356,6 @@ func (d *Domain) VCPU() VCPU { return d.vcpu }
 
 // SetVCPU replaces the domain's vCPU state.
 func (d *Domain) SetVCPU(v VCPU) { d.vcpu = v }
-
-// BytesWritten reports cumulative bytes written to guest memory, used by
-// workload accounting.
-func (d *Domain) BytesWritten() uint64 { return d.bytesWritten }
 
 // Calls returns the hypercall counters attributed to this domain, so a
 // fleet can account per-VM costs without cross-charging co-located
@@ -483,7 +477,6 @@ func (d *Domain) access(paddr uint64, buf []byte, write bool) error {
 			if d.dirtyLogging {
 				d.dirty.Set(int(pfn))
 			}
-			d.bytesWritten += uint64(n)
 			if watched {
 				d.fireEvent(pfn, uint64(inPage), n, AccessWrite, buf[off:off+n])
 			}

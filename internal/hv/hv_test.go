@@ -333,6 +333,34 @@ func TestGlobalMappingExchange(t *testing.T) {
 	}
 }
 
+// A domain without a global mapping exchanges its own frames; a
+// destroyed one refuses.
+func TestDomainExchange(t *testing.T) {
+	h, d := newTestDomain(t, 4)
+	if err := d.WritePhys(2*mem.PageSize, []byte("old")); err != nil {
+		t.Fatalf("WritePhys: %v", err)
+	}
+	staged := make([]byte, mem.PageSize)
+	copy(staged, "new")
+	pages := [][]byte{staged}
+	if err := d.Exchange([]mem.PFN{2}, pages); err != nil {
+		t.Fatalf("Exchange: %v", err)
+	}
+	got := make([]byte, 3)
+	if err := d.ReadPhys(2*mem.PageSize, got); err != nil || string(got) != "new" {
+		t.Fatalf("ReadPhys after exchange = %q, %v; want \"new\"", got, err)
+	}
+	if string(pages[0][:3]) != "old" {
+		t.Fatalf("caller got back %q, want the frame's old page", pages[0][:3])
+	}
+	if err := h.DestroyDomain(d.ID()); err != nil {
+		t.Fatalf("DestroyDomain: %v", err)
+	}
+	if err := d.Exchange([]mem.PFN{2}, pages); !errors.Is(err, ErrBadState) {
+		t.Fatalf("Exchange on a destroyed domain: %v, want ErrBadState", err)
+	}
+}
+
 func TestSnapshotRoundtrip(t *testing.T) {
 	_, d := newTestDomain(t, 4)
 	if err := d.WritePhys(123, []byte("before")); err != nil {

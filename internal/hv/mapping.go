@@ -122,3 +122,18 @@ func (gm *GlobalMapping) Unmap() {
 	gm.dom.hv.countCalls(gm.dom, func(c *Hypercalls) { c.UnmapPage += n })
 	gm.frames = nil
 }
+
+// Exchange is GlobalMapping.Exchange for a domain that has no global
+// mapping — a Memcpy or No-opt backup, a remote replica — so no alias
+// table needs updating; a domain with one must exchange through it, or
+// its table goes stale. No ForeignMapping may be used across the call.
+// It fails with ErrBadState on a destroyed domain.
+func (d *Domain) Exchange(pfns []mem.PFN, pages [][]byte) error {
+	if d.state == StateDestroyed {
+		return fmt.Errorf("exchange frames of destroyed domain %d: %w", d.id, ErrBadState)
+	}
+	if err := d.hv.machine.Exchange(d.physmap, pfns, pages, nil); err != nil {
+		return fmt.Errorf("domain %d: %w", d.id, err)
+	}
+	return nil
+}

@@ -161,24 +161,26 @@ func (m *Machine) EachFrame(n int, mfn func(i int) MFN, fn func(i int, frame []b
 // is backed by what was pages[i], and pages[i] holds the page the frame
 // had. view is the caller's PFN-indexed alias table of the same frames
 // (len(physmap) entries); its entries for pfns are updated under the same
-// write lock, so the table and the machine never disagree.
+// write lock, so the table and the machine never disagree. view is nil
+// when the domain has no such table.
 //
 // Exchange is all-or-nothing. It rejects, swapping nothing, PFNs that are
 // not strictly ascending (which rules out duplicates) or not below
 // len(physmap), a physmap entry that is not an allocated frame, a page
-// whose length or capacity is not PageSize, and a view of the wrong
-// length. physmap must map distinct PFNs to distinct frames, as a
+// whose length or capacity is not PageSize, and a non-nil view of the
+// wrong length. physmap must map distinct PFNs to distinct frames, as a
 // domain's does, and pages must alias no machine frame.
 //
 // Exchange invalidates every other alias of the exchanged frames (Frame,
-// EachFrame): only the one owner of a long-lived alias table — a
-// domain's global mapping — may exchange that domain's frames, so that no
-// alias outlives the swap unnoticed.
+// EachFrame): a domain's frames are exchanged either by the one owner of
+// its long-lived alias table — its global mapping — or, when it has
+// none, by the domain itself, so that no alias outlives the swap
+// unnoticed.
 func (m *Machine) Exchange(physmap []MFN, pfns []PFN, pages [][]byte, view [][]byte) error {
 	if len(pages) != len(pfns) {
 		return fmt.Errorf("mem: exchange %d frames with %d pages: %w", len(pfns), len(pages), ErrBadFrame)
 	}
-	if len(view) != len(physmap) {
+	if view != nil && len(view) != len(physmap) {
 		return fmt.Errorf("mem: exchange: view of %d pages for %d frames: %w", len(view), len(physmap), ErrBadFrame)
 	}
 	m.mu.Lock()
@@ -200,9 +202,29 @@ func (m *Machine) Exchange(physmap []MFN, pfns []PFN, pages [][]byte, view [][]b
 	for i, pfn := range pfns {
 		f := physmap[pfn]
 		m.frames[f], pages[i] = pages[i], m.frames[f]
-		view[pfn] = m.frames[f]
+		if view != nil {
+			view[pfn] = m.frames[f]
+		}
 	}
 	return nil
+}
+
+// GrowPages returns pool holding at least n pages of PageSize bytes, for
+// staging pages an Exchange swaps into frames. The shortfall is allocated
+// as one slab cut into full-capacity page views, never page by page: a
+// full synchronization stages the whole guest.
+func GrowPages(pool [][]byte, n int) [][]byte {
+	short := n - len(pool)
+	if short <= 0 {
+		return pool
+	}
+	slab := make([]byte, short*PageSize)
+	grown := make([][]byte, len(pool), n)
+	copy(grown, pool)
+	for o := 0; o < len(slab); o += PageSize {
+		grown = append(grown, slab[o:o+PageSize:o+PageSize])
+	}
+	return grown
 }
 
 func (m *Machine) checkLocked(mfn MFN) error {

@@ -406,3 +406,37 @@ func TestExchangeAllOrNothing(t *testing.T) {
 		})
 	}
 }
+
+// A domain with no alias table exchanges with a nil view: the frames
+// still swap, all-or-nothing as ever.
+func TestExchangeWithoutView(t *testing.T) {
+	m, physmap, pages := exchangeMachine(t)
+	if err := m.Exchange(physmap, []PFN{2, 1}, pages[:2], nil); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("descending Exchange without a view: %v, want ErrBadFrame", err)
+	}
+	if err := m.Exchange(physmap, []PFN{2}, pages[:1], nil); err != nil {
+		t.Fatalf("Exchange without a view: %v", err)
+	}
+	if f, _ := m.Frame(physmap[2]); f[0] != 0xA0 || pages[0][0] != 0x12 {
+		t.Fatalf("frame holds %#x and the caller %#x, want 0xa0 and the old 0x12", f[0], pages[0][0])
+	}
+}
+
+// GrowPages adds only the shortfall, as full-capacity pages, and keeps
+// the pages it already held.
+func TestGrowPages(t *testing.T) {
+	pool := GrowPages(nil, 2)
+	first := &pool[0][0]
+	pool = GrowPages(pool, 5)
+	if len(pool) != 5 || &pool[0][0] != first {
+		t.Fatalf("grown pool of %d pages, first page kept: %v", len(pool), &pool[0][0] == first)
+	}
+	for i, p := range pool {
+		if len(p) != PageSize || cap(p) != PageSize {
+			t.Fatalf("page %d: len %d cap %d, want %d", i, len(p), cap(p), PageSize)
+		}
+	}
+	if got := GrowPages(pool, 3); len(got) != 5 {
+		t.Fatalf("GrowPages to fewer pages returned %d, want the pool unchanged", len(got))
+	}
+}

@@ -2,9 +2,11 @@
 // that CRIMES' Optimization 1 replaces: dirty pages are serialized
 // writev-style, encrypted (Remus pipes checkpoints through ssh even for
 // local backups), and streamed over a connection to a Restore process
-// that writes them into the backup VM. The channel acknowledges each
-// checkpoint batch, as Remus releases its network buffer only after the
-// backup acknowledges a complete checkpoint.
+// that stages each batch and exchanges it into the backup VM whole. The
+// channel acknowledges each checkpoint batch after its exchange, as Remus
+// releases its network buffer only after the backup acknowledges a
+// complete checkpoint; the backup holds exactly one acknowledged
+// checkpoint at every instant.
 package remus
 
 import (
@@ -74,6 +76,10 @@ type Conduit struct {
 	done    chan struct{}
 	restErr error
 
+	// staging is the restore process's staging area, owned by its
+	// goroutine.
+	staging *restoreStage
+
 	// Observability handles (nil/inert when disabled). Set once via
 	// SetObserver before the conduit carries instrumented traffic.
 	ackNs     *obs.Histogram
@@ -101,15 +107,19 @@ func (c *Conduit) TamperNextBatch(offset int, mask byte) {
 	c.tamperArmed, c.tamperOff, c.tamperMask = true, offset, mask
 }
 
-// applyTamper mutates buf per the armed one-shot tamper. Caller holds mu.
-func (c *Conduit) applyTamper(buf []byte) {
-	if !c.tamperArmed {
-		return
+// writeChunk encrypts and writes buf, the batch's bytes from offset base
+// on, flipping the armed tamper's byte when it falls inside. Caller holds
+// mu, and disarms the one-shot tamper once the batch is written.
+func (c *Conduit) writeChunk(buf []byte, base int) error {
+	c.enc.XORKeyStream(buf, buf)
+	if o := c.tamperOff - base; c.tamperArmed && o >= 0 && o < len(buf) {
+		buf[o] ^= c.tamperMask
 	}
-	c.tamperArmed = false
-	if c.tamperOff >= 0 && c.tamperOff < len(buf) {
-		buf[c.tamperOff] ^= c.tamperMask
+	if _, err := c.conn.Write(buf); err != nil {
+		return fmt.Errorf("remus: send checkpoint: %w", err)
 	}
+	c.sentBytes.Add(int64(len(buf)))
+	return nil
 }
 
 // SetObserver wires the conduit's metrics: the backup's ack round-trip
@@ -155,15 +165,14 @@ func NewConduitMode(h *hv.Hypervisor, backup *hv.Domain, key []byte, mode Mode, 
 		enc:     cipher.NewCTR(encBlock, iv),
 		mode:    mode,
 		done:    make(chan struct{}),
+		staging: &restoreStage{backup: backup},
 	}
-	dec := cipher.NewCTR(decBlock, iv)
-	restore := c.restore
 	if mode != ModeRaw {
 		c.table = newVersionTable(budgetPages)
-		restore = c.restoreV2
 	}
+	r := newWireReader(restoreSide, cipher.NewCTR(decBlock, iv))
 	go pprof.Do(context.Background(), pprof.Labels("vm", backup.Name(), "role", "restore"), func(context.Context) {
-		restore(restoreSide, ackRestore, dec)
+		c.restore(restoreSide, ackRestore, func() error { return c.staging.apply(r, mode != ModeRaw) })
 	})
 	return c, nil
 }
@@ -202,20 +211,27 @@ func (c *Conduit) Send(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) (Stre
 	return c.sendV2(pfns, page)
 }
 
+// rawChunk bounds the records sendRaw gathers for one write. CTR
+// encryption is positional, so a batch written in chunks puts the same
+// bytes on the wire, and a full sync needs no guest-sized send buffer
+// beside the pages the restore side stages.
+const rawChunk = 256
+
 // sendRaw serializes one batch in the v1 wire format under c.mu: the
 // 4-byte count header followed by a full 8-byte PFN + raw page record
 // per dirty page.
 func (c *Conduit) sendRaw(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) error {
-	// writev-style: gather the whole batch into one buffer, encrypt,
-	// and write it in a single call.
-	need := 4 + len(pfns)*(8+mem.PageSize)
+	// writev-style: gather up to rawChunk records into one buffer,
+	// encrypt, and write them in a single call.
+	const rec = 8 + mem.PageSize
+	need := 4 + min(len(pfns), rawChunk)*rec
 	if cap(c.sendBuf) < need {
 		c.sendBuf = make([]byte, need)
 	}
 	buf := c.sendBuf[:need]
 	binary.LittleEndian.PutUint32(buf[0:], uint32(len(pfns)))
-	off := 4
-	for _, pfn := range pfns {
+	off, base := 4, 0
+	for i, pfn := range pfns {
 		binary.LittleEndian.PutUint64(buf[off:], uint64(pfn))
 		off += 8
 		p, err := page(pfn)
@@ -224,13 +240,18 @@ func (c *Conduit) sendRaw(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) er
 		}
 		copy(buf[off:], p)
 		off += mem.PageSize
+		if off+rec > len(buf) && i+1 < len(pfns) {
+			if err := c.writeChunk(buf[:off], base); err != nil {
+				return err
+			}
+			base, off = base+off, 0
+		}
 	}
-	c.enc.XORKeyStream(buf, buf)
-	c.applyTamper(buf)
-	if _, err := c.conn.Write(buf); err != nil {
-		return fmt.Errorf("remus: send checkpoint: %w", err)
+	err := c.writeChunk(buf[:off], base)
+	c.tamperArmed = false
+	if err != nil {
+		return err
 	}
-	c.sentBytes.Add(int64(len(buf)))
 	c.trimSendBuf(need)
 	return nil
 }
@@ -284,37 +305,15 @@ func (c *Conduit) AwaitAck() error {
 	return nil
 }
 
-// restore is the backup-side process: it decrypts incoming batches and
-// writes the pages into the backup domain, acknowledging each batch.
-func (c *Conduit) restore(conn, ackConn net.Conn, dec cipher.Stream) {
+// restore is the backup-side process: apply reads, validates, stages and
+// publishes one batch; then the batch is acknowledged. Any failure tears
+// the conduit's restore side down so blocked senders unblock and can
+// read the recorded cause.
+func (c *Conduit) restore(conn, ackConn net.Conn, apply func() error) {
 	defer close(c.done)
-	hdr := make([]byte, 4)
-	rec := make([]byte, 8+mem.PageSize)
 	for {
-		if _, err := io.ReadFull(conn, hdr); err != nil {
+		if err := apply(); err != nil {
 			c.failRestore(conn, ackConn, err)
-			return
-		}
-		dec.XORKeyStream(hdr, hdr)
-		count := binary.LittleEndian.Uint32(hdr)
-		fail := error(nil)
-		for i := uint32(0); i < count; i++ {
-			if _, err := io.ReadFull(conn, rec); err != nil {
-				c.failRestore(conn, ackConn, err)
-				return
-			}
-			dec.XORKeyStream(rec, rec)
-			if fail != nil {
-				continue // drain the batch
-			}
-			pfn := mem.PFN(binary.LittleEndian.Uint64(rec))
-			pa := uint64(pfn) * mem.PageSize
-			if err := c.backup.WritePhys(pa, rec[8:]); err != nil {
-				fail = err
-			}
-		}
-		if fail != nil {
-			c.failRestore(conn, ackConn, fail)
 			return
 		}
 		if _, err := ackConn.Write([]byte{ackByte}); err != nil {
@@ -366,9 +365,9 @@ func (c *Conduit) Close() error {
 }
 
 // Handoff settles the replication session for promotion: the channel is
-// torn down, the restore side drains (the channel is synchronous, so
-// every acknowledged batch has already been written), and the backup
-// domain — holding the last acknowledged checkpoint — is returned to
+// torn down, the restore side drains (a batch is acknowledged only after
+// its exchange, and a batch cut short is never exchanged), and the backup
+// domain — holding exactly the last acknowledged checkpoint — is returned to
 // the caller, which takes ownership. After a host failure the cluster
 // control plane boots the returned domain as the VM's new primary. An
 // error means a restore failed mid-session and the backup must not be

@@ -7,8 +7,9 @@
 // zero page, or duplicate of another shipped page), or the raw page
 // when the encoded form would be no smaller. The restore side needs no
 // table of its own: the backup domain IS the mirror of every
-// last-shipped version, so deltas apply against it and duplicate
-// references read from it.
+// last-shipped version, so deltas decode against its current pages and
+// duplicate references read from it — or from a page staged earlier in
+// the same batch, which the sender's table already holds.
 package remus
 
 import (
@@ -22,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"net"
 
 	"repro/internal/cost"
 	"repro/internal/mem"
@@ -78,7 +78,7 @@ const (
 	opDelta = 0x01 // payload: 2-byte LE length + XOR-delta runs
 	opSame  = 0x02 // no payload: page equals its last-shipped version
 	opZero  = 0x03 // no payload: page is all zeroes
-	opDup   = 0x04 // payload: 8-byte LE PFN whose current backup copy to clone
+	opDup   = 0x04 // payload: 8-byte LE PFN whose last-shipped copy to clone
 )
 
 var zeroPage [mem.PageSize]byte
@@ -398,12 +398,11 @@ func (c *Conduit) sendV2(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) (St
 		buf = c.encodePage(buf, pfn, p, &d)
 	}
 	c.sendBuf = buf
-	c.enc.XORKeyStream(buf, buf)
-	c.applyTamper(buf)
-	if _, err := c.conn.Write(buf); err != nil {
-		return StreamStats{}, fmt.Errorf("remus: send checkpoint: %w", err)
+	err := c.writeChunk(buf, 0)
+	c.tamperArmed = false
+	if err != nil {
+		return StreamStats{}, err
 	}
-	c.sentBytes.Add(int64(len(buf)))
 	d.Batches = 1
 	d.Pages = len(pfns)
 	d.WireBytes = int64(len(buf))
@@ -458,17 +457,17 @@ func (c *Conduit) encodePage(buf []byte, pfn mem.PFN, p []byte, d *StreamStats) 
 // bulk decrypt per chunk instead of one per record field.
 const wireChunk = 64 << 10
 
-// wireReader is the v2 restore side's view of the encrypted stream: the
-// pipe is read a chunk at a time, each chunk decrypted as it arrives (CTR
-// is positional, so chunking does not change the plaintext), and record
-// fields are handed out as slices of the buffer.
+// wireReader is the restore side's view of the encrypted stream (v1 and
+// v2): the pipe is read a chunk at a time, each chunk decrypted as it
+// arrives (CTR is positional, so chunking does not change the
+// plaintext), and record fields are handed out as slices of the buffer.
 type wireReader struct{ *bufio.Reader }
 
 func newWireReader(src io.Reader, dec cipher.Stream) wireReader {
 	return wireReader{bufio.NewReaderSize(cipher.StreamReader{S: dec, R: src}, wireChunk)}
 }
 
-// next returns the next n (<= mem.PageSize) plaintext bytes, valid until
+// next returns the next n (<= wireChunk) plaintext bytes, valid until
 // the following call. A stream that ends inside them is
 // io.ErrUnexpectedEOF; one that ends before the first is io.EOF.
 func (b wireReader) next(n int) ([]byte, error) {
@@ -481,108 +480,4 @@ func (b wireReader) next(n int) ([]byte, error) {
 	}
 	_, _ = b.Discard(n) // cannot fail: Peek just buffered n bytes
 	return p, nil
-}
-
-// restoreV2 is the backup-side loop for the v2 protocol: apply one
-// validated batch, acknowledge it, repeat. Any failure tears the
-// conduit's restore side down so blocked senders unblock and can read
-// the recorded cause.
-func (c *Conduit) restoreV2(conn, ackConn net.Conn, dec cipher.Stream) {
-	defer close(c.done)
-	r := newWireReader(conn, dec)
-	pageBuf := make([]byte, mem.PageSize)
-	for {
-		if err := c.applyBatchV2(r, pageBuf); err != nil {
-			c.failRestore(conn, ackConn, err)
-			return
-		}
-		if _, err := ackConn.Write([]byte{ackByte}); err != nil {
-			c.failRestore(conn, ackConn, err)
-			return
-		}
-	}
-}
-
-// applyBatchV2 reads, validates, and applies one v2 batch to the backup
-// domain. It fails closed: malformed counts, out-of-range PFNs, bad
-// opcodes, oversized deltas, and truncated records all return an error
-// before any unvalidated byte reaches the domain — a rejected record
-// never partially applies.
-func (c *Conduit) applyBatchV2(r wireReader, pageBuf []byte) error {
-	hdr, err := r.next(4)
-	if err != nil {
-		return err
-	}
-	count := binary.LittleEndian.Uint32(hdr)
-	pages := uint64(c.backup.Pages())
-	if uint64(count) > pages {
-		return fmt.Errorf("remus: restore: batch of %d pages exceeds domain's %d", count, pages)
-	}
-	for i := uint32(0); i < count; i++ {
-		head, err := r.next(9)
-		if err != nil {
-			return fmt.Errorf("remus: restore: record header: %w", err)
-		}
-		pfn, op := binary.LittleEndian.Uint64(head[:8]), head[8]
-		if pfn >= pages {
-			return fmt.Errorf("remus: restore: pfn %d out of range", pfn)
-		}
-		pa := pfn * mem.PageSize
-		switch op {
-		case opRaw:
-			raw, err := r.next(mem.PageSize)
-			if err != nil {
-				return fmt.Errorf("remus: restore: raw page: %w", err)
-			}
-			if err := c.backup.WritePhys(pa, raw); err != nil {
-				return err
-			}
-		case opDelta:
-			ln, err := r.next(2)
-			if err != nil {
-				return fmt.Errorf("remus: restore: delta length: %w", err)
-			}
-			n := int(binary.LittleEndian.Uint16(ln))
-			if n >= mem.PageSize {
-				return fmt.Errorf("remus: restore: %d-byte delta not shorter than a page", n)
-			}
-			delta, err := r.next(n)
-			if err != nil {
-				return fmt.Errorf("remus: restore: delta payload: %w", err)
-			}
-			if err := c.backup.ReadPhys(pa, pageBuf); err != nil {
-				return err
-			}
-			if err := applyDelta(pageBuf, delta); err != nil {
-				return err
-			}
-			if err := c.backup.WritePhys(pa, pageBuf); err != nil {
-				return err
-			}
-		case opSame:
-			// No payload: the backup already holds this page.
-		case opZero:
-			if err := c.backup.WritePhys(pa, zeroPage[:]); err != nil {
-				return err
-			}
-		case opDup:
-			refb, err := r.next(8)
-			if err != nil {
-				return fmt.Errorf("remus: restore: dup reference: %w", err)
-			}
-			ref := binary.LittleEndian.Uint64(refb)
-			if ref >= pages {
-				return fmt.Errorf("remus: restore: dup reference pfn %d out of range", ref)
-			}
-			if err := c.backup.ReadPhys(ref*mem.PageSize, pageBuf); err != nil {
-				return err
-			}
-			if err := c.backup.WritePhys(pa, pageBuf); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("remus: restore: bad opcode %#x", op)
-		}
-	}
-	return nil
 }

@@ -2,9 +2,12 @@
 // paper's disk-snapshot extension (§3.1: "CRIMES focuses on
 // checkpointing CPU and memory state, but this can easily be extended
 // to include disk snapshots as well"). An attached disk is replicated
-// VM state: its dirty blocks are propagated to a backup disk at every
-// checkpoint and rolled back together with memory after a failed audit,
-// so a detected attack cannot leave effects on storage either.
+// VM state: at every checkpoint its dirty blocks are copied into a
+// staging disk (CopyBlocksTo) and then exchanged into the backup disk
+// (ExchangeBlocks) in the same step that publishes the memory set, so the
+// backup disk never holds part of a commit; after a failed audit they are
+// rolled back together with memory, so a detected attack cannot leave
+// effects on storage either.
 package vdisk
 
 import (
@@ -134,6 +137,25 @@ func (d *Disk) CopyBlocksTo(dst *Disk, blocks []mem.PFN) error {
 			return fmt.Errorf("vdisk: copy block %d: %w", b, ErrBadBlock)
 		}
 		copy(dst.blocks[b], d.blocks[b])
+	}
+	return nil
+}
+
+// ExchangeBlocks swaps the given blocks with those of staged, a disk of
+// the same size that CopyBlocksTo filled: no bytes move, and none is
+// marked dirty. It is all-or-nothing — blocks must be strictly ascending
+// and in range, as a harvested dirty list is, or nothing is swapped.
+func (d *Disk) ExchangeBlocks(staged *Disk, blocks []mem.PFN) error {
+	if staged.Blocks() != d.Blocks() {
+		return fmt.Errorf("vdisk: exchange with %d-block disk from %d: %w", staged.Blocks(), d.Blocks(), ErrSizeMismatch)
+	}
+	for i, b := range blocks {
+		if uint64(b) >= uint64(len(d.blocks)) || (i > 0 && b <= blocks[i-1]) {
+			return fmt.Errorf("vdisk: exchange block %d (not ascending or of %d): %w", b, len(d.blocks), ErrBadBlock)
+		}
+	}
+	for _, b := range blocks {
+		d.blocks[b], staged.blocks[b] = staged.blocks[b], d.blocks[b]
 	}
 	return nil
 }

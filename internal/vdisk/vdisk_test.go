@@ -85,6 +85,45 @@ func TestCopyBlocksTo(t *testing.T) {
 	}
 }
 
+// The exchange swaps a staging disk's blocks in whole, or — on a bad
+// block list or a disk of another size — not at all.
+func TestExchangeBlocks(t *testing.T) {
+	src, staging, dst := New(4), New(4), New(4)
+	_ = src.WriteBlock(1, 0, []byte("one"))
+	_ = src.WriteBlock(3, 0, []byte("three"))
+	blocks := []mem.PFN{1, 3}
+	if err := src.CopyBlocksTo(staging, blocks); err != nil {
+		t.Fatalf("CopyBlocksTo: %v", err)
+	}
+	for _, bad := range []struct {
+		name    string
+		blocks  []mem.PFN
+		staging *Disk
+		want    error
+	}{
+		{"descending", []mem.PFN{3, 1}, staging, ErrBadBlock},
+		{"duplicate", []mem.PFN{1, 1}, staging, ErrBadBlock},
+		{"out-of-range", []mem.PFN{1, 4}, staging, ErrBadBlock},
+		{"size", blocks, New(8), ErrSizeMismatch},
+	} {
+		if err := dst.ExchangeBlocks(bad.staging, bad.blocks); !errors.Is(err, bad.want) {
+			t.Fatalf("%s: ExchangeBlocks = %v, want %v", bad.name, err, bad.want)
+		}
+		if !Equal(dst, New(4)) {
+			t.Fatalf("%s: a rejected exchange changed the disk", bad.name)
+		}
+	}
+	if err := dst.ExchangeBlocks(staging, blocks); err != nil {
+		t.Fatalf("ExchangeBlocks: %v", err)
+	}
+	if !Equal(src, dst) {
+		t.Fatal("disks differ after the exchange")
+	}
+	if !Equal(staging, New(4)) {
+		t.Fatal("the staging disk did not get the old blocks back")
+	}
+}
+
 func TestSnapshotRestore(t *testing.T) {
 	d := New(4)
 	_ = d.WriteBlock(0, 0, []byte("before"))
