@@ -511,9 +511,8 @@ func parseFault(spec string) (*crimes.FaultInjector, error) {
 func reportCommit(rep crimes.CommitReport) {
 	t := rep.Timings
 	if t.Workers > 1 {
-		fmt.Printf("  parallel: workers=%d scan=%v undo=%v memcpy=%v diskcopy=%v ship=%v\n",
-			t.Workers,
-			t.Scan.Round(time.Microsecond), t.Undo.Round(time.Microsecond),
+		fmt.Printf("  parallel: workers=%d scan=%v memcpy=%v diskcopy=%v ship=%v\n",
+			t.Workers, t.Scan.Round(time.Microsecond),
 			t.MemCopy.Round(time.Microsecond), t.DiskCopy.Round(time.Microsecond),
 			t.RemoteShip.Round(time.Microsecond))
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -130,6 +132,19 @@ func TestSystemMapFormat(t *testing.T) {
 		if len(parts) != 3 || len(parts[0]) != 16 {
 			t.Fatalf("malformed System.map line %q", line)
 		}
+	}
+	syms := g.Symbols()
+	var names []string
+	for n := range syms {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var want strings.Builder
+	for _, n := range names {
+		fmt.Fprintf(&want, "%016x T %s\n", syms[n], n)
+	}
+	if sm != want.String() {
+		t.Fatalf("System.map =\n%s\nwant\n%s", sm, want.String())
 	}
 }
 

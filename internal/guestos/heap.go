@@ -201,20 +201,31 @@ func DecodeCanaryTable(prof *Profile, live uint32, body []byte) []CanaryEntry {
 		out = make([]CanaryEntry, 0, n)
 	}
 	for i := 0; i < capacity; i++ {
-		rec := body[i*prof.CanaryEntrySize:]
-		if binary.LittleEndian.Uint32(rec[prof.CanaryOffState:]) == 0 {
+		e, live := DecodeCanaryRecord(prof, i, body[i*prof.CanaryEntrySize:])
+		if !live {
 			continue
 		}
 		if len(out) == cap(out) {
 			out = append(make([]CanaryEntry, 0, capacity), out...)
 		}
-		out = append(out, CanaryEntry{
-			Index: i,
-			PA:    binary.LittleEndian.Uint64(rec[prof.CanaryOffVA:]),
-			Value: binary.LittleEndian.Uint64(rec[prof.CanaryOffValue:]),
-		})
+		out = append(out, e)
 	}
 	return out
+}
+
+// DecodeCanaryRecord decodes the record at table index i, held in the
+// first prof.CanaryEntrySize bytes of rec; live is false for a free
+// slot (state word zero). It is the one record decoder: the whole-table
+// decode above and the scanner's incremental canary index both use it.
+func DecodeCanaryRecord(prof *Profile, i int, rec []byte) (e CanaryEntry, live bool) {
+	if binary.LittleEndian.Uint32(rec[prof.CanaryOffState:]) == 0 {
+		return CanaryEntry{}, false
+	}
+	return CanaryEntry{
+		Index: i,
+		PA:    binary.LittleEndian.Uint64(rec[prof.CanaryOffVA:]),
+		Value: binary.LittleEndian.Uint64(rec[prof.CanaryOffValue:]),
+	}, true
 }
 
 func alignUp(n, align int) int {

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/hv"
 	"repro/internal/vdisk"
@@ -329,17 +329,28 @@ func (g *Guest) Symbols() map[string]uint64 {
 
 // SystemMap renders the kernel symbol table in System.map format
 // ("<hex address> T <name>" lines), which the VMI layer parses during
-// initialization exactly as LibVMI parses a real System.map.
+// initialization exactly as LibVMI parses a real System.map. It appends
+// into one buffer rather than formatting through fmt, whose pooled
+// printers make the allocation count depend on when the collector last
+// ran.
 func (g *Guest) SystemMap() string {
 	syms := g.Symbols()
 	names := make([]string, 0, len(syms))
+	size := 0
 	for n := range syms {
 		names = append(names, n)
+		size += len("0000000000000000 T \n") + len(n)
 	}
 	sort.Strings(names)
-	var b strings.Builder
+	b := make([]byte, 0, size)
+	var hex [16]byte
 	for _, n := range names {
-		fmt.Fprintf(&b, "%016x T %s\n", syms[n], n)
+		digits := strconv.AppendUint(hex[:0], syms[n], 16)
+		b = append(b, "0000000000000000"[len(digits):]...)
+		b = append(b, digits...)
+		b = append(b, " T "...)
+		b = append(b, n...)
+		b = append(b, '\n')
 	}
-	return b.String()
+	return string(b)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/guestos"
+	"repro/internal/mem"
 )
 
 // TestCanaryHeaderCountIsAHint rewrites the table header's live count —
@@ -160,5 +161,136 @@ func FuzzCanaryTable(f *testing.F) {
 		ctx.SetMemo(NewWalkMemo())
 		check("miss")
 		check("hit")
+	})
+}
+
+// FuzzCanaryIndex drives the memo's canary index through a sequence of
+// guest epochs and checks every lookup against the linear reference.
+// The table (capacity 1000, header at guest-physical 0) fills pages 0-5
+// of a 16-page guest; canaries live on pages 8-15. The fuzz input is a
+// list of 4-byte operations — rewrite a record's canary address, value
+// or state (some records straddle a page boundary), rewrite the
+// header's live count or capacity, write a canary page — and epoch
+// ends. At each epoch end the pages written since the last one are fed
+// to Invalidate, and DirtyCanaries (memoized and cold) must return
+// exactly the reference table filtered by those pages, and CanaryTable
+// the whole reference table — or all of them fail.
+func FuzzCanaryIndex(f *testing.F) {
+	const (
+		pages       = 16
+		capacity    = 1000
+		canaryFirst = 8
+		recSize     = 24
+	)
+	// Record 340 starts on page 1 and its state word is the first word
+	// of page 2: flipping it dirties page 2 only.
+	const straddler = 340
+	op := func(kind, a, b, c byte) []byte { return []byte{kind, a, b, c} }
+	cat := func(ops ...[]byte) []byte { return slices.Concat(ops...) }
+	f.Add(cat(op(5, 0, 0, 0), op(3, 0, 0, 9), op(4, 0, 0, 0)))                                 // retire the straddler
+	f.Add(cat(op(5, 0, 0, 0), op(4, 0, 0, 0), op(5, 0, 0, 1), op(3, 0, 0, 9), op(4, 0, 0, 0))) // retire it, revive it
+	f.Add(cat(op(0, 1, 84, 1), op(3, 1, 84, 1), op(4, 0, 0, 0), op(4, 0, 0, 0)))               // rewrite a value, then an untouched epoch
+	f.Add(cat(op(1, 0, 3, 0), op(4, 0, 0, 0), op(2, 0, 0, 0), op(4, 0, 0, 0)))                 // the count, then the capacity word
+	f.Add(cat(op(2, 3, 0, 0), op(4, 0, 0, 0), op(2, 0, 0, 0), op(3, 0, 0, 9), op(4, 0, 0, 0))) // an implausible capacity, then back
+	f.Add(cat(op(2, 2, 0, 0), op(0, 3, 231, 2), op(3, 7, 0, 0), op(4, 0, 0, 0)))               // a larger capacity
+	f.Add(cat(op(2, 1, 0, 0), op(3, 0, 0, 9), op(4, 0, 0, 0), op(5, 0, 0, 0), op(4, 0, 0, 0))) // a smaller capacity
+	f.Add(cat(op(0, 0, 12, 0), op(0, 0, 12, 201), op(3, 0, 0, 1), op(4, 0, 0, 0)))             // move a canary, off the guest
+	prof := guestos.LinuxProfile()
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		m := make(flatMem, pages*mem.PageSize)
+		dirty := mem.NewBitmap(pages)
+		write := func(pa uint64, b []byte) {
+			if pa+uint64(len(b)) > uint64(len(m)) {
+				return
+			}
+			copy(m[pa:], b)
+			for p := pa >> mem.PageShift; p <= (pa+uint64(len(b))-1)>>mem.PageShift; p++ {
+				dirty.Set(int(p))
+			}
+		}
+		u32 := func(pa uint64, v uint32) { write(pa, binary.LittleEndian.AppendUint32(nil, v)) }
+		u64 := func(pa uint64, v uint64) { write(pa, binary.LittleEndian.AppendUint64(nil, v)) }
+		canaryPA := func(a, b byte) uint64 {
+			return canaryFirst*mem.PageSize + (uint64(a)<<8|uint64(b))*8%((pages-canaryFirst)*mem.PageSize)
+		}
+		recPA := func(slot int) uint64 { return 16 + uint64(slot*recSize) }
+		// Boot: every third slot and the straddler live, canaries spread
+		// over pages 8-15.
+		binary.LittleEndian.PutUint32(m[4:], capacity)
+		for i := 0; i < capacity; i++ {
+			if i%3 != 0 && i != straddler {
+				continue
+			}
+			u64(recPA(i)+uint64(prof.CanaryOffVA), canaryPA(byte(i>>8), byte(i)))
+			u64(recPA(i)+uint64(prof.CanaryOffValue), uint64(i))
+			u32(recPA(i)+uint64(prof.CanaryOffState), 1)
+			u32(0, binary.LittleEndian.Uint32(m)+1)
+		}
+		sym := map[string]uint64{"crimes_canary_table": prof.KernelVirtBase}
+		cold := &Context{r: m, prof: prof, symbols: sym}
+		memo := NewWalkMemo()
+		warm := &Context{r: m, prof: prof, symbols: sym, memo: memo}
+
+		epoch := 0
+		check := func() {
+			epoch++
+			memo.Invalidate(dirty)
+			all, refErr := refCanaryTable(prof, m)
+			var want []CanaryEntry
+			for _, e := range all {
+				if pfn := e.PA >> mem.PageShift; pfn < pages && dirty.Test(int(pfn)) {
+					want = append(want, e)
+				}
+			}
+			for _, c := range []struct {
+				name string
+				ctx  *Context
+			}{{"memoized", warm}, {"cold", cold}} {
+				got, err := c.ctx.DirtyCanaries(dirty)
+				if (err != nil) != (refErr != nil) {
+					t.Fatalf("epoch %d %s: error %v, reference error %v", epoch, c.name, err, refErr)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("epoch %d %s: dirty canaries\n%v\nreference\n%v", epoch, c.name, got, want)
+				}
+			}
+			got, err := warm.CanaryTable()
+			if (err != nil) != (refErr != nil) || !slices.Equal(got, all) {
+				t.Fatalf("epoch %d: memoized table %d entries (error %v), reference %d (error %v)",
+					epoch, len(got), err, len(all), refErr)
+			}
+			dirty.ClearAll()
+		}
+		check() // builds the index
+		for ; len(ops) >= 4; ops = ops[4:] {
+			kind, a, b, c := ops[0]%6, ops[1], ops[2], ops[3]
+			slot := int(uint16(a)<<8|uint16(b)) % capacity
+			switch kind {
+			case 0: // one field of one record
+				switch c % 3 {
+				case 0:
+					pa := canaryPA(a, c)
+					if c > 200 {
+						pa = uint64(c) << 40 // off the guest
+					}
+					u64(recPA(slot)+uint64(prof.CanaryOffVA), pa)
+				case 1:
+					u64(recPA(slot)+uint64(prof.CanaryOffValue), uint64(c))
+				case 2:
+					u32(recPA(slot)+uint64(prof.CanaryOffState), uint32(c>>7))
+				}
+			case 1: // the live count, a hint
+				u32(0, uint32(a)<<8|uint32(b))
+			case 2: // the capacity
+				u32(4, []uint32{capacity, capacity - 1, capacity + 700, 1<<20 + 1, 0}[a%5])
+			case 3: // a canary page
+				write(canaryPA(a, b), []byte{c})
+			case 4:
+				check()
+			case 5: // the straddler's state word
+				u32(recPA(straddler)+uint64(prof.CanaryOffState), uint32(c&1))
+			}
+		}
+		check()
 	})
 }

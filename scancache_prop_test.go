@@ -2,14 +2,18 @@ package crimes
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/detect"
+	"repro/internal/fault"
 	"repro/internal/guestos"
 	"repro/internal/hv"
 	"repro/internal/workload"
@@ -299,5 +303,185 @@ func TestScanCacheReexports(t *testing.T) {
 	m, err := ParseScanCacheMode("on")
 	if err != nil || m != ScanCacheOn {
 		t.Fatalf("ParseScanCacheMode = %v, %v", m, err)
+	}
+}
+
+// A rollback and a tampered canary table are invisible to the scan
+// cache too. The canary index is refreshed only from the dirty pages the
+// walk memo is fed, so each script below replays on the cache-off and
+// the cache-on arm and every epoch's findings, incident and unwind must
+// agree:
+//   - rollback: an epoch that frees and registers canaries fails its
+//     commit and is rolled back (its table pages revert, and stay in the
+//     dirty log); a clean epoch follows, then an overflow;
+//   - tamper-value: the guest rewrites a live record's expected value
+//     and rewrites its canary's page;
+//   - tamper-state: the guest frees a live record by its state word and
+//     overwrites the canary (an evasion on both arms), restores the
+//     state without touching the canary's page, then rewrites that page.
+func TestScanCacheRollbackAndTamperEquivalence(t *testing.T) {
+	type outcome struct {
+		findings []Finding
+		incident bool
+		unwind   string
+	}
+	// A script returns one work function per epoch, sharing its own
+	// state, and the epoch whose commit fails (0: none).
+	type script func() (epochs []func(*guestos.Guest) error, failCommit int)
+
+	var pid uint32
+	var vas []uint64
+	setup := func(g *guestos.Guest) error {
+		var err error
+		if pid, err = g.StartProcess("app", 0, 8); err != nil {
+			return err
+		}
+		vas = vas[:0]
+		for i := 0; i < 12; i++ {
+			va, err := g.Malloc(pid, 16+8*i)
+			if err != nil {
+				return err
+			}
+			vas = append(vas, va)
+		}
+		return nil
+	}
+	// record returns the live record in the middle of the table and its
+	// guest-physical address.
+	record := func(g *guestos.Guest) (guestos.CanaryEntry, uint64, error) {
+		live, err := g.ActiveCanaries()
+		if err != nil {
+			return guestos.CanaryEntry{}, 0, err
+		}
+		e := live[len(live)/2]
+		return e, g.Layout().CanaryTablePA + 16 + uint64(e.Index*g.Profile().CanaryEntrySize), nil
+	}
+	writeU32 := func(g *guestos.Guest, pa uint64, v uint32) error {
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], v)
+		return g.Domain().WritePhys(pa, b[:])
+	}
+	var tampered guestos.CanaryEntry
+	var tamperedPA uint64
+	scripts := map[string]script{
+		"rollback": func() ([]func(*guestos.Guest) error, int) {
+			return []func(*guestos.Guest) error{
+				setup,
+				func(g *guestos.Guest) error {
+					for _, i := range []int{0, 3, 7} {
+						if err := g.Free(pid, vas[i]); err != nil {
+							return err
+						}
+					}
+					for i := 0; i < 5; i++ {
+						if _, err := g.Malloc(pid, 200+8*i); err != nil {
+							return err
+						}
+					}
+					return g.WriteUser(pid, vas[5], []byte{1, 2, 3})
+				},
+				func(g *guestos.Guest) error {
+					if err := g.Free(pid, vas[2]); err != nil {
+						return err
+					}
+					for i := 0; i < 3; i++ {
+						if _, err := g.Malloc(pid, 40+8*i); err != nil {
+							return err
+						}
+					}
+					return g.WriteUser(pid, vas[1], []byte{4, 5})
+				},
+				func(g *guestos.Guest) error {
+					_, err := workload.InjectOverflow(g, pid, 64, 16)
+					return err
+				},
+			}, 2
+		},
+		"tamper-value": func() ([]func(*guestos.Guest) error, int) {
+			return []func(*guestos.Guest) error{
+				setup,
+				func(g *guestos.Guest) error {
+					e, pa, err := record(g)
+					if err != nil {
+						return err
+					}
+					var v [8]byte
+					binary.LittleEndian.PutUint64(v[:], e.Value^0xFF)
+					if err := g.Domain().WritePhys(pa+uint64(g.Profile().CanaryOffValue), v[:]); err != nil {
+						return err
+					}
+					// Rewrite the canary's own bytes unchanged: its page
+					// is dirty, its value is not.
+					binary.LittleEndian.PutUint64(v[:], e.Value)
+					return g.Domain().WritePhys(e.PA, v[:])
+				},
+			}, 0
+		},
+		"tamper-state": func() ([]func(*guestos.Guest) error, int) {
+			smash := func(g *guestos.Guest) error {
+				return g.Domain().WritePhys(tampered.PA, []byte{0x41, 0x41, 0x41, 0x41, 0x41, 0x41, 0x41, 0x41})
+			}
+			return []func(*guestos.Guest) error{
+				setup,
+				func(g *guestos.Guest) error {
+					var err error
+					if tampered, tamperedPA, err = record(g); err != nil {
+						return err
+					}
+					if err := writeU32(g, tamperedPA+uint64(g.Profile().CanaryOffState), 0); err != nil {
+						return err
+					}
+					return smash(g)
+				},
+				func(g *guestos.Guest) error {
+					return writeU32(g, tamperedPA+uint64(g.Profile().CanaryOffState), 1)
+				},
+				smash,
+			}, 0
+		},
+	}
+	run := func(name string, mode ScanCacheMode) []outcome {
+		inj := fault.NewInjector()
+		h := hv.New(2*propPages + 64)
+		h.InjectFaults(inj)
+		ctl, err := core.Launch(h, core.GuestSpec{
+			Name: "guest", Pages: propPages, Boot: guestos.BootConfig{Seed: 41},
+		}, Config{Modules: DefaultModules(), EpochInterval: 20 * time.Millisecond, ScanCache: mode})
+		if err != nil {
+			t.Fatalf("%s: Launch: %v", name, err)
+		}
+		defer ctl.Close()
+		epochs, failCommit := scripts[name]()
+		var out []outcome
+		for e, work := range epochs {
+			if e+1 == failCommit {
+				inj.Fail(checkpoint.FaultCopyPage, inj.Calls(checkpoint.FaultCopyPage)+1, 1, false)
+			}
+			res, err := ctl.RunEpoch(work)
+			if err != nil && (res == nil || res.Recovery.Unwind != UnwindRollback) {
+				t.Fatalf("%s arm %v epoch %d: %v", name, mode, e+1, err)
+			}
+			out = append(out, outcome{res.Findings, res.Incident != nil, res.Recovery.Unwind})
+			if res.Incident != nil {
+				break
+			}
+		}
+		return out
+	}
+	for name := range scripts {
+		off, on := run(name, ScanCacheOff), run(name, ScanCacheOn)
+		if !reflect.DeepEqual(on, off) {
+			t.Errorf("%s: cache-on outcomes diverge:\n%+v\nvs cache-off:\n%+v", name, on, off)
+		}
+		last := off[len(off)-1]
+		if !last.incident || last.findings[0].Kind != detect.KindBufferOverflow {
+			t.Errorf("%s: last epoch %+v, want an overflow incident", name, last)
+		}
+		if name == "rollback" && (len(off) != 4 || off[1].unwind != UnwindRollback || len(off[2].findings) != 0) {
+			t.Errorf("rollback: outcomes %+v, want a rollback at epoch 2 and a clean epoch 3", off)
+		}
+		if name == "tamper-state" && len(off) != 4 {
+			t.Errorf("tamper-state: outcomes %+v, want the incident at epoch 4 only", off)
+		}
 	}
 }
