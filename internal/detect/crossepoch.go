@@ -104,11 +104,11 @@ func (m *TransientCensusModule) Scan(ctx *ScanContext) ([]Finding, error) {
 // currentAlivePIDs merges both kernel process views so a hidden-but-
 // alive process still counts as observed.
 func currentAlivePIDs(ctx *ScanContext) (map[uint32]bool, error) {
-	listed, err := ctx.VMI.ProcessList()
+	listed, err := ctx.VMI.ProcessListView()
 	if err != nil {
 		return nil, err
 	}
-	hashed, err := ctx.VMI.PIDHashList()
+	hashed, err := ctx.VMI.PIDHashListView()
 	if err != nil {
 		return nil, err
 	}

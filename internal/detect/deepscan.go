@@ -62,11 +62,11 @@ type rawCandidate struct {
 // addresses reachable from either, the reference set a sweep candidate
 // is suspicious for missing from.
 func knownTaskSet(ctx *ScanContext) (map[uint64]bool, error) {
-	listed, err := ctx.VMI.ProcessList()
+	listed, err := ctx.VMI.ProcessListView()
 	if err != nil {
 		return nil, err
 	}
-	hashed, err := ctx.VMI.PIDHashList()
+	hashed, err := ctx.VMI.PIDHashListView()
 	if err != nil {
 		return nil, err
 	}

@@ -68,6 +68,57 @@ func TestMemoHitResultIsMutationSafe(t *testing.T) {
 	}
 }
 
+// A view aliases the memo's stored walk, and the memo never writes a
+// stored walk: invalidation drops it and the next miss stores a new one,
+// so a view taken before a task-list change still reads what it read.
+func TestMemoViewOutlivesInvalidation(t *testing.T) {
+	g, ctx := bootGuest(t, guestos.LinuxProfile())
+	dom := g.Domain()
+	if _, err := g.StartProcess("nginx", 33, 4); err != nil {
+		t.Fatal(err)
+	}
+	ctx.SetMemo(NewWalkMemo())
+	old, err := ctx.ProcessListView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := ctx.ProcessListView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hit) == 0 || &hit[0] != &old[0] {
+		t.Fatal("a memo hit's view is not the stored walk")
+	}
+	want := append([]ProcessInfo(nil), old...)
+
+	dom.EnableDirtyLogging()
+	if _, err := g.StartProcess("newproc", 33, 4); err != nil {
+		t.Fatal(err)
+	}
+	dirty := mem.NewBitmap(dom.Pages())
+	if err := dom.HarvestDirty(dirty); err != nil {
+		t.Fatal(err)
+	}
+	if n := ctx.Memo().Invalidate(dirty); n == 0 {
+		t.Fatal("Invalidate dropped nothing after a task-list mutation")
+	}
+	fresh, err := ctx.ProcessListView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh) != len(want)+1 {
+		t.Fatalf("post-invalidation view has %d processes, want %d", len(fresh), len(want)+1)
+	}
+	if len(old) != len(want) {
+		t.Fatalf("the earlier view changed length: %d, want %d", len(old), len(want))
+	}
+	for i := range want {
+		if old[i] != want[i] {
+			t.Fatalf("the earlier view's process %d changed: %+v, want %+v", i, old[i], want[i])
+		}
+	}
+}
+
 func TestMemoInvalidatesOnDirtyPage(t *testing.T) {
 	g, ctx := bootGuest(t, guestos.LinuxProfile())
 	dom := g.Domain()
