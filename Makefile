@@ -122,19 +122,23 @@ bench-drift: bench-all
 	git diff --exit-code BENCH_*.json internal/experiments/testdata
 
 # Short fuzz pass over the page-wise Volatility scanners, the VMI
-# canary-table decoder and incremental canary index, and the v1 and v2
-# replication restores: besides never panicking, the scanners and the
-# canary table must return exactly what their linear reference decoders
-# return — the scanners over the contiguous image, the canary table over
-# any header words, the index after any sequence of table and canary
-# writes fed through the dirty bitmap — and a restore that rejects a
-# batch must leave every page of the replica as it was.
+# canary-table decoder and incremental canary index, the v1 and v2
+# replication restores, and the committed image: besides never
+# panicking, the scanners and the canary table must return exactly what
+# their linear reference decoders return — the scanners over the
+# contiguous image, the canary table over any header words, the index
+# after any sequence of table and canary writes fed through the dirty
+# bitmap — a restore that rejects a batch must leave every page of the
+# replica as it was, and every committed image, which aliases the
+# backup's pages, must keep the bytes it was returned with through any
+# sequence of writes, commits, faults and rollbacks.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPsScan -fuzztime 10s ./internal/volatility
 	$(GO) test -run '^$$' -fuzz '^FuzzCanaryTable$$' -fuzztime 10s ./internal/vmi
 	$(GO) test -run '^$$' -fuzz '^FuzzCanaryIndex$$' -fuzztime 10s ./internal/vmi
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreV1$$' -fuzztime 10s ./internal/remus
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreDecodeV2$$' -fuzztime 10s ./internal/remus
+	$(GO) test -run '^$$' -fuzz '^FuzzCommittedImage$$' -fuzztime 10s ./internal/checkpoint
 
 # Everything the CI workflow runs, in the same order, for local use.
 ci: fmt-check static-check build

@@ -547,16 +547,19 @@ func (c *Checkpointer) ReadCommitted(pfn mem.PFN, dst []byte) error {
 
 // Committed returns the memory image of the last commit, which Rollback
 // restores and forensics reads. It publishes a pending copy-on-write set
-// first; a lost publication returns ErrConvergence, as Quiesce does. The
-// first call dumps the backup; each later one derives from the previous
-// image, copying only the pages published since. The image is then held
-// for the checkpointer's life; a failed derivation keeps it as the base.
+// first; a lost publication returns ErrConvergence, as Quiesce does. No
+// page is copied: the image aliases the backup's pages, which only a
+// frame exchange replaces and none writes in place (see exchangeStage).
+// The first call aliases the whole backup; each later one derives from
+// the previous image, taking only the pages published since. The image
+// is then held for the checkpointer's life, and past it; a failed
+// derivation keeps it as the base.
 func (c *Checkpointer) Committed() (*hv.Snapshot, error) {
 	if err := c.mem.settle(); err != nil {
 		return nil, err
 	}
 	if c.image == nil {
-		snap, err := c.backup.DumpMemory()
+		snap, err := c.backup.AliasMemory()
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: committed image: %w", err)
 		}
@@ -568,7 +571,7 @@ func (c *Checkpointer) Committed() (*hv.Snapshot, error) {
 	if len(c.scratch) == 0 {
 		return c.image, nil
 	}
-	snap, err := c.backup.DumpDirty(c.image, c.scratch)
+	snap, err := c.backup.AliasDirty(c.image, c.scratch)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: committed image: %w", err)
 	}
@@ -578,7 +581,7 @@ func (c *Checkpointer) Committed() (*hv.Snapshot, error) {
 }
 
 // notePublished records pages a memory stage has just made the backup's,
-// for Committed to re-copy; nothing is noted before the first image.
+// for Committed to take; nothing is noted before the first image.
 func (c *Checkpointer) notePublished(pages []mem.PFN) {
 	if c.image == nil {
 		return
@@ -919,8 +922,10 @@ type shipResult struct {
 // fit. The PFN list must be snapshotted along with the data: dirty
 // aliases the checkpointer's reusable scratch slice, which the next
 // epoch's scan overwrites while this shipment may still be in flight. A
-// buffer more than four times too large is dropped rather than reused,
-// so one huge epoch (a post-rollback full resync) does not pin its
+// buffer grows to twice what it must hold, so a dirty count that
+// wanders upwards epoch by epoch does not reallocate at every new peak;
+// one more than four times too large is dropped rather than reused, so
+// one huge epoch (a post-rollback full resync) does not pin its
 // snapshot for the rest of the session.
 func (c *Checkpointer) newShipment(dirty []mem.PFN) shipment {
 	var s shipment
@@ -929,7 +934,10 @@ func (c *Checkpointer) newShipment(dirty []mem.PFN) shipment {
 	}
 	need := len(dirty) * mem.PageSize
 	if cap(s.data) < need || cap(s.data) > 4*need+sparePages*mem.PageSize {
-		s.data = make([]byte, need)
+		s.data = make([]byte, need, 2*need)
+	}
+	if cap(s.pfns) < len(dirty) {
+		s.pfns = make([]mem.PFN, 0, 2*len(dirty))
 	}
 	s.data = s.data[:need]
 	s.pfns = append(s.pfns[:0], dirty...)
@@ -1112,10 +1120,13 @@ type memStage interface {
 // the conduit's restore process, which stages the batch itself and
 // exchanges it into the backup before it acks. Each page is copied once,
 // sharded over disjoint PFN ranges; the exchange swaps machine pages, no
-// bytes move, and the pages swapped out stage the next commit.
+// bytes move, and the pages swapped out stage the next commit — except
+// those a committed image holds, which the exchange drops and
+// mem.RecyclePages replaces, so no image page is ever staged over.
 type exchangeStage struct {
 	c    *Checkpointer
 	pool [][]byte // staging pages; the first len(dirty) hold the commit
+	prev int      // the page count of the last set published
 }
 
 func (s *exchangeStage) stage(dirty []mem.PFN) error {
@@ -1201,6 +1212,7 @@ func (s *exchangeStage) exchange(dirty []mem.PFN) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: exchange staged pages: %w", err)
 	}
+	s.pool, s.prev = mem.RecyclePages(s.pool, s.prev), len(dirty)
 	return nil
 }
 

@@ -247,3 +247,48 @@ func BenchmarkPipelinedShip(b *testing.B) {
 		b.Fatalf("replication degraded: %v", rep.Warnings)
 	}
 }
+
+// A dirty count that oscillates while its peak creeps up — a few pages
+// more at every high, staying within twice the first epoch — reuses one
+// snapshot buffer instead of growing it to each new peak, and a buffer
+// left by one huge epoch is still dropped rather than pinned. An
+// allocation shows as a buffer that is not the one before, so nothing
+// else running in the test binary can move the count.
+func TestShipmentBufferAllocsOverOscillatingDirtyCounts(t *testing.T) {
+	const low, high, cycles = 320, 500, 60
+	pfns := make([]mem.PFN, 8*high)
+	for i := range pfns {
+		pfns[i] = mem.PFN(i)
+	}
+	c := &Checkpointer{}
+	var data *byte
+	var list *mem.PFN
+	allocs := 0
+	cycle := func(n int) shipment {
+		s := c.newShipment(pfns[:n])
+		if len(s.data) != n*mem.PageSize || len(s.pfns) != n {
+			t.Fatalf("shipment for %d pages holds %d bytes, %d pfns", n, len(s.data), len(s.pfns))
+		}
+		if &s.data[0] != data {
+			data, allocs = &s.data[0], allocs+1
+		}
+		if &s.pfns[0] != list {
+			list, allocs = &s.pfns[0], allocs+1
+		}
+		c.shipFree = append(c.shipFree, s) // settled
+		return s
+	}
+	cycle(low)
+	allocs = 0
+	for k := 0; k < cycles; k++ {
+		cycle(low)
+		cycle(high + 2*k)
+	}
+	if allocs != 0 {
+		t.Errorf("%d buffers allocated over %d oscillating epochs with a creeping peak, want 0", allocs, 2*cycles)
+	}
+	cycle(len(pfns))
+	if s := cycle(low / 4); cap(s.data) > 4*len(s.data)+sparePages*mem.PageSize {
+		t.Errorf("a %d-page shipment after a %d-page one kept a %d-byte buffer", low/4, len(pfns), cap(s.data))
+	}
+}

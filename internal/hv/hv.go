@@ -24,7 +24,7 @@ const (
 	FaultResume       = "hv.resume"       // Domain.Resume
 	FaultHarvestDirty = "hv.harvest"      // Domain.HarvestDirty
 	FaultMapPage      = "hv.map"          // per-page MapForeign / MapAll
-	FaultDump         = "hv.dump"         // Domain.DumpMemory, Domain.DumpDirty
+	FaultDump         = "hv.dump"         // Domain.DumpMemory, DumpDirty, AliasMemory, AliasDirty
 	FaultRestore      = "hv.restore"      // Domain.RestoreMemory (every rollback)
 	FaultCreateDomain = "hv.createdomain" // Hypervisor.CreateDomain
 )
@@ -285,7 +285,9 @@ func (h *Hypervisor) Domain(id DomainID) (*Domain, error) {
 	return d, nil
 }
 
-// DestroyDomain releases a domain and its machine frames.
+// DestroyDomain releases a domain and its machine frames. A page a
+// snapshot aliases (AliasMemory, AliasDirty) stays the snapshot's: its
+// frame is detached from it, never cleared for the next domain.
 func (h *Hypervisor) DestroyDomain(id DomainID) error {
 	h.mu.Lock()
 	d, ok := h.domains[id]

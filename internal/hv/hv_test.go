@@ -3,6 +3,8 @@ package hv
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -498,6 +500,93 @@ func TestSnapshotIsImmutable(t *testing.T) {
 	if p, _ := derived.ReadPage(2); p[0] != 0 {
 		t.Fatal("derived snapshot copied a page outside its pfns")
 	}
+	aliasedImagesSurviveExchanges(t)
+}
+
+// aliasedImagesSurviveExchanges is TestSnapshotIsImmutable for images
+// that alias a domain's pages: a domain written only by frame exchange,
+// as a checkpoint backup is, goes through 50 exchanges from one recycled
+// staging pool, with an image aliased after each and every image kept.
+// Each keeps the bytes it had when it was taken — through the
+// exchanges, the destruction of the domain, and new domains allocated
+// over its frames and written.
+func aliasedImagesSurviveExchanges(t *testing.T) {
+	t.Helper()
+	const pages, exchanges = 130, 50 // a three-leaf table
+	h := New(2*pages + 8)
+	d, err := h.CreateDomain("backup", pages)
+	if err != nil {
+		t.Fatalf("CreateDomain: %v", err)
+	}
+	type kept struct {
+		snap *Snapshot
+		want []byte
+	}
+	image, err := d.AliasMemory()
+	if err != nil {
+		t.Fatalf("AliasMemory: %v", err)
+	}
+	images := []kept{{image, image.Bytes()}}
+	check := func(when string) {
+		t.Helper()
+		for i, k := range images {
+			if !bytes.Equal(k.snap.Bytes(), k.want) {
+				t.Fatalf("%s: image %d changed", when, i)
+			}
+		}
+	}
+	var pool [][]byte
+	prev := 0
+	rng := rand.New(rand.NewSource(5))
+	for e := 0; e < exchanges; e++ {
+		var pfns []mem.PFN
+		for pfn := 0; pfn < pages; pfn++ {
+			if rng.Intn(4) == 0 {
+				pfns = append(pfns, mem.PFN(pfn))
+			}
+		}
+		pool = mem.GrowPages(pool, len(pfns))
+		for i := range pfns {
+			rng.Read(pool[i])
+		}
+		if err := d.Exchange(pfns, pool[:len(pfns)]); err != nil {
+			t.Fatalf("exchange %d: %v", e, err)
+		}
+		pool, prev = mem.RecyclePages(pool, prev), len(pfns)
+		if e%3 == 2 {
+			continue // the next image takes two exchanges' pages
+		}
+		var published []mem.PFN
+		for pfn := 0; pfn < pages; pfn++ {
+			a, _ := image.ReadPage(mem.PFN(pfn))
+			var b [mem.PageSize]byte
+			if err := d.ReadPhys(uint64(pfn)*mem.PageSize, b[:]); err != nil {
+				t.Fatalf("ReadPhys: %v", err)
+			}
+			if !bytes.Equal(a, b[:]) {
+				published = append(published, mem.PFN(pfn))
+			}
+		}
+		if image, err = d.AliasDirty(image, published); err != nil {
+			t.Fatalf("AliasDirty after exchange %d: %v", e, err)
+		}
+		images = append(images, kept{image, image.Bytes()})
+		check(fmt.Sprintf("exchange %d", e))
+	}
+	if err := h.DestroyDomain(d.ID()); err != nil {
+		t.Fatalf("DestroyDomain: %v", err)
+	}
+	fill := bytes.Repeat([]byte{0xEE}, pages*mem.PageSize)
+	for _, name := range []string{"next", "after"} {
+		n, err := h.CreateDomain(name, pages)
+		if err != nil {
+			t.Fatalf("CreateDomain: %v", err)
+		}
+		if err := n.WritePhys(0, fill); err != nil {
+			t.Fatalf("WritePhys: %v", err)
+		}
+	}
+	check("new domains written over the freed frames")
 }
 
 // RestoreMemory writes back only the pages it is given, and a page past

@@ -98,7 +98,8 @@ func (gm *GlobalMapping) Len() int { return len(gm.frames) }
 // Exchange swaps the machine pages behind the domain's frames at pfns
 // with the caller's pages (mem.Machine.Exchange): afterwards guest page
 // pfns[i] reads what pages[i] held, and pages[i] holds the frame's old
-// page. No bytes move. The mapping's frame table is updated under the
+// page, or nil when a snapshot holds that page (AliasMemory). No bytes
+// move. The mapping's frame table is updated under the
 // machine's lock, so Page returns the live frame afterwards. It is
 // all-or-nothing: pfns must be strictly ascending and in range and every
 // page exactly one page long, or nothing is swapped.

@@ -11,12 +11,14 @@ import (
 //
 // The image is a page table over 4 KiB pages that are never written
 // after the snapshot is built, so snapshots derived from one another
-// (DumpDirty) share every page they did not re-copy, and a snapshot may
-// be kept, shared between goroutines and read concurrently without
-// copying. The table is a radix tree of fixed fan-out: deriving a
-// snapshot copies the root and the nodes on the paths to the re-copied
-// pages, so its cost in time and bytes depends on how many pages
-// changed, not on the size of the guest.
+// (DumpDirty, AliasDirty) share every page they did not re-copy, and a
+// snapshot may be kept, shared between goroutines and read concurrently
+// without copying. A dump copies its pages; an alias (AliasMemory,
+// AliasDirty) shares them with the domain's frames, which the machine
+// then never writes in place (mem.Machine.Expose). The table is a radix
+// tree of fixed fan-out: deriving a snapshot copies the root and the
+// nodes on the paths to the re-copied pages, so its cost in time and
+// bytes depends on how many pages changed, not on the size of the guest.
 type Snapshot struct {
 	Name  string
 	Pages int
@@ -138,6 +140,32 @@ func (d *Domain) DumpMemory() (*Snapshot, error) {
 	return fromImage(d.name, d.vcpu, image), nil
 }
 
+// AliasMemory is DumpMemory without the copy: the snapshot's pages are
+// the domain's current pages themselves, so it costs only its page
+// table. It is for a domain whose frames are written by nothing but a
+// frame exchange — a checkpoint backup: Expose marks the frames, so an
+// exchange drops each page the snapshot holds instead of recycling it,
+// and DestroyDomain leaves it to the snapshot instead of clearing it for
+// the next domain. A write through WritePhys or a mapping would change
+// the snapshot.
+func (d *Domain) AliasMemory() (*Snapshot, error) {
+	if d.state == StateDestroyed {
+		return nil, fmt.Errorf("dump domain %d: %w", d.id, ErrBadState)
+	}
+	if err := d.hv.faults.Check(FaultDump); err != nil {
+		return nil, fmt.Errorf("dump domain %d: %w", d.id, err)
+	}
+	n := len(d.physmap)
+	s := newSnapshot(d.name, n, d.vcpu)
+	pool := s.newNodes(func(shift uint) int { return (n + 1<<shift - 1) >> shift })
+	err := d.hv.machine.Expose(n, func(i int) mem.MFN { return d.physmap[i] },
+		func(i int, frame []byte) { s.leafFor(nil, uint64(i), &pool)[i&fanMask] = (*page)(frame) })
+	if err != nil {
+		return nil, fmt.Errorf("dump domain %d: %w", d.id, err)
+	}
+	return s, nil
+}
+
 // DumpDirty captures a snapshot of the domain that shares every page of
 // base except pfns, which it copies from the domain. It equals a full
 // DumpMemory exactly when the domain differs from base in no page
@@ -145,20 +173,57 @@ func (d *Domain) DumpMemory() (*Snapshot, error) {
 // for every checkpoint commit. base must have been taken from a domain
 // of the same size; pfns may come in any order.
 func (d *Domain) DumpDirty(base *Snapshot, pfns []mem.PFN) (*Snapshot, error) {
+	s, pool, err := d.derive(base, pfns)
+	if err != nil {
+		return nil, err
+	}
+	slab := make([]page, len(pfns))
+	err = d.hv.machine.EachFrame(len(pfns), func(i int) mem.MFN { return d.physmap[pfns[i]] },
+		func(i int, frame []byte) {
+			copy(slab[i][:], frame)
+			s.leafFor(base, uint64(pfns[i]), &pool)[pfns[i]&fanMask] = &slab[i]
+		})
+	if err != nil {
+		return nil, fmt.Errorf("dump domain %d: %w", d.id, err)
+	}
+	return s, nil
+}
+
+// AliasDirty is DumpDirty without the copy: the snapshot takes the
+// domain's current pages for pfns themselves, as AliasMemory does, and
+// shares the rest with base, so deriving it costs only the page-table
+// nodes on the paths to pfns.
+func (d *Domain) AliasDirty(base *Snapshot, pfns []mem.PFN) (*Snapshot, error) {
+	s, pool, err := d.derive(base, pfns)
+	if err != nil {
+		return nil, err
+	}
+	err = d.hv.machine.Expose(len(pfns), func(i int) mem.MFN { return d.physmap[pfns[i]] },
+		func(i int, frame []byte) { s.leafFor(base, uint64(pfns[i]), &pool)[pfns[i]&fanMask] = (*page)(frame) })
+	if err != nil {
+		return nil, fmt.Errorf("dump domain %d: %w", d.id, err)
+	}
+	return s, nil
+}
+
+// derive checks a derivation of base over pfns and returns the new
+// snapshot, sharing base's whole table so far, with the node pools the
+// paths to pfns take.
+func (d *Domain) derive(base *Snapshot, pfns []mem.PFN) (*Snapshot, nodes, error) {
 	if d.state == StateDestroyed {
-		return nil, fmt.Errorf("dump domain %d: %w", d.id, ErrBadState)
+		return nil, nodes{}, fmt.Errorf("dump domain %d: %w", d.id, ErrBadState)
 	}
 	if base.Pages != len(d.physmap) {
-		return nil, fmt.Errorf("dump domain %d: base has %d pages, domain has %d",
+		return nil, nodes{}, fmt.Errorf("dump domain %d: base has %d pages, domain has %d",
 			d.id, base.Pages, len(d.physmap))
 	}
 	for _, pfn := range pfns {
 		if uint64(pfn) >= uint64(len(d.physmap)) {
-			return nil, fmt.Errorf("dump domain %d pfn %d: %w", d.id, pfn, ErrBadAddress)
+			return nil, nodes{}, fmt.Errorf("dump domain %d pfn %d: %w", d.id, pfn, ErrBadAddress)
 		}
 	}
 	if err := d.hv.faults.Check(FaultDump); err != nil {
-		return nil, fmt.Errorf("dump domain %d: %w", d.id, err)
+		return nil, nodes{}, fmt.Errorf("dump domain %d: %w", d.id, err)
 	}
 	s := newSnapshot(d.name, base.Pages, d.vcpu)
 	s.root = base.root
@@ -171,16 +236,7 @@ func (d *Domain) DumpDirty(base *Snapshot, pfns []mem.PFN) (*Snapshot, error) {
 		}
 		return runs
 	})
-	slab := make([]page, len(pfns))
-	err := d.hv.machine.EachFrame(len(pfns), func(i int) mem.MFN { return d.physmap[pfns[i]] },
-		func(i int, frame []byte) {
-			copy(slab[i][:], frame)
-			s.leafFor(base, uint64(pfns[i]), &pool)[pfns[i]&fanMask] = &slab[i]
-		})
-	if err != nil {
-		return nil, fmt.Errorf("dump domain %d: %w", d.id, err)
-	}
-	return s, nil
+	return s, pool, nil
 }
 
 // RestoreMemory writes the pages pfns of a snapshot into the domain and

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -38,18 +39,29 @@ var (
 // allocator is safe for concurrent use: fleet workers create and destroy
 // domains (and resolve frames) from parallel epoch loops.
 type Machine struct {
-	mu        sync.RWMutex
-	frames    [][]byte
-	allocated []bool
-	free      []MFN
+	mu     sync.RWMutex
+	frames [][]byte
+	state  []frameState
+	free   []MFN
 }
+
+// frameState is one frame's flags, kept in one byte so that Exchange
+// finds a frame's exposure on the line its allocation check just read.
+type frameState uint8
+
+const (
+	frameAllocated frameState = 1 << iota
+	// frameExposed: a reader keeps the frame's current page (Expose),
+	// which is never handed to a writer again.
+	frameExposed
+)
 
 // NewMachine creates a machine with the given number of page frames.
 func NewMachine(frames int) *Machine {
 	m := &Machine{
-		frames:    make([][]byte, frames),
-		allocated: make([]bool, frames),
-		free:      make([]MFN, 0, frames),
+		frames: make([][]byte, frames),
+		state:  make([]frameState, frames),
+		free:   make([]MFN, 0, frames),
 	}
 	for i := frames - 1; i >= 0; i-- {
 		m.free = append(m.free, MFN(i))
@@ -80,7 +92,7 @@ func (m *Machine) allocLocked() (MFN, error) {
 	}
 	mfn := m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
-	m.allocated[mfn] = true
+	m.state[mfn] = frameAllocated
 	if m.frames[mfn] == nil {
 		m.frames[mfn] = make([]byte, PageSize)
 	} else {
@@ -111,14 +123,20 @@ func (m *Machine) AllocN(n int) ([]MFN, error) {
 	return out, nil
 }
 
-// Free releases a machine frame back to the pool.
+// Free releases a machine frame back to the pool. An exposed frame's
+// page stays with the readers that hold it: the frame is detached from
+// it, and the next Alloc of the frame makes a fresh page instead of
+// clearing that one.
 func (m *Machine) Free(mfn MFN) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.checkLocked(mfn); err != nil {
 		return err
 	}
-	m.allocated[mfn] = false
+	if m.state[mfn]&frameExposed != 0 {
+		m.frames[mfn] = nil
+	}
+	m.state[mfn] = 0
 	m.free = append(m.free, mfn)
 	return nil
 }
@@ -156,13 +174,36 @@ func (m *Machine) EachFrame(n int, mfn func(i int) MFN, fn func(i int, frame []b
 	return nil
 }
 
+// Expose is EachFrame for a reader that keeps the frames' pages: fn may
+// retain frame past the call, so from then on nothing writes that page in
+// place. Each frame is marked exposed until its page leaves it: Exchange
+// then drops the page instead of handing it to the caller's staging
+// pool, and Free detaches it instead of leaving it for the next Alloc to
+// clear. Expose takes the write lock, since it sets the marks; fn must
+// not allocate, free or exchange frames.
+func (m *Machine) Expose(n int, mfn func(i int) MFN, fn func(i int, frame []byte)) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range n {
+		f := mfn(i)
+		if err := m.checkLocked(f); err != nil {
+			return err
+		}
+		m.state[f] |= frameExposed
+		fn(i, m.frames[f])
+	}
+	return nil
+}
+
 // Exchange swaps the backing pages of the frames behind pfns with the
 // caller's pages, without moving a byte: afterwards frame physmap[pfns[i]]
 // is backed by what was pages[i], and pages[i] holds the page the frame
-// had. view is the caller's PFN-indexed alias table of the same frames
-// (len(physmap) entries); its entries for pfns are updated under the same
-// write lock, so the table and the machine never disagree. view is nil
-// when the domain has no such table.
+// had — unless that page was exposed (Expose): then it is left to the
+// readers holding it and pages[i] is nil, for the caller to replace
+// (RecyclePages). view is the caller's PFN-indexed alias table of the
+// same frames (len(physmap) entries); its entries for pfns are updated
+// under the same write lock, so the table and the machine never
+// disagree. view is nil when the domain has no such table.
 //
 // Exchange is all-or-nothing. It rejects, swapping nothing, PFNs that are
 // not strictly ascending (which rules out duplicates) or not below
@@ -202,6 +243,10 @@ func (m *Machine) Exchange(physmap []MFN, pfns []PFN, pages [][]byte, view [][]b
 	for i, pfn := range pfns {
 		f := physmap[pfn]
 		m.frames[f], pages[i] = pages[i], m.frames[f]
+		if m.state[f]&frameExposed != 0 {
+			pages[i] = nil
+			m.state[f] &^= frameExposed
+		}
 		if view != nil {
 			view[pfn] = m.frames[f]
 		}
@@ -227,8 +272,40 @@ func GrowPages(pool [][]byte, n int) [][]byte {
 	return grown
 }
 
+// StageSpare is the staging-page count a pool always keeps.
+const StageSpare = 64
+
+// RecyclePages readies a staging pool for the next set once an Exchange
+// has published a set from it. The pool keeps no more than four times
+// prev, the page count of the set published before that one (at least
+// StageSpare), so neither a full synchronization nor a one-off burst
+// pins a guest-sized pool; and every page the exchange dropped (nil) is
+// replaced, all from one slab, so no staging page is ever one an image
+// holds.
+func RecyclePages(pool [][]byte, prev int) [][]byte {
+	if keep := max(StageSpare, 4*prev); len(pool) > keep {
+		pool = slices.Clone(pool[:keep])
+	}
+	dropped := 0
+	for _, p := range pool {
+		if p == nil {
+			dropped++
+		}
+	}
+	if dropped == 0 {
+		return pool
+	}
+	slab := make([]byte, dropped*PageSize)
+	for i, p := range pool {
+		if p == nil {
+			pool[i], slab = slab[:PageSize:PageSize], slab[PageSize:]
+		}
+	}
+	return pool
+}
+
 func (m *Machine) checkLocked(mfn MFN) error {
-	if uint64(mfn) >= uint64(len(m.frames)) || !m.allocated[mfn] {
+	if uint64(mfn) >= uint64(len(m.frames)) || m.state[mfn]&frameAllocated == 0 {
 		return fmt.Errorf("mem: frame %d: %w", mfn, ErrBadFrame)
 	}
 	return nil

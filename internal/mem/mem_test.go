@@ -440,3 +440,87 @@ func TestGrowPages(t *testing.T) {
 		t.Fatalf("GrowPages to fewer pages returned %d, want the pool unchanged", len(got))
 	}
 }
+
+// An exposed page goes to no writer again: Exchange drops it (nil)
+// instead of handing it back, Free detaches it instead of leaving it
+// for the next Alloc to clear, and the mark leaves with the page. A
+// frame that was never exposed keeps its page across Free and Alloc.
+func TestExposedPagesAreNeverReused(t *testing.T) {
+	m := NewMachine(3)
+	physmap, err := m.AllocN(3)
+	if err != nil {
+		t.Fatalf("AllocN: %v", err)
+	}
+	var held [][]byte
+	if err := m.Expose(2, func(i int) MFN { return physmap[i] },
+		func(_ int, frame []byte) { frame[0] = 0x5A; held = append(held, frame) }); err != nil {
+		t.Fatalf("Expose: %v", err)
+	}
+	pages := [][]byte{make([]byte, PageSize), make([]byte, PageSize)}
+	staged := pages[1]
+	if err := m.Exchange(physmap, []PFN{1, 2}, pages, nil); err != nil {
+		t.Fatalf("Exchange: %v", err)
+	}
+	if pages[0] != nil {
+		t.Fatal("Exchange handed an exposed page back for staging")
+	}
+	if pages[1] == nil || &pages[1][0] == &staged[0] {
+		t.Fatal("Exchange dropped a page that was never exposed")
+	}
+	// The page exchanged into pfn 1 was never exposed: exchanging it out
+	// again hands it back.
+	again := [][]byte{make([]byte, PageSize)}
+	if err := m.Exchange(physmap, []PFN{1}, again, nil); err != nil || again[0] == nil {
+		t.Fatalf("second Exchange of pfn 1: handed back %v, err %v", again[0] != nil, err)
+	}
+	plain, _ := m.Frame(physmap[2])
+	for _, mfn := range physmap {
+		if err := m.Free(mfn); err != nil {
+			t.Fatalf("Free: %v", err)
+		}
+	}
+	if _, err := m.AllocN(3); err != nil {
+		t.Fatalf("AllocN: %v", err)
+	}
+	for i, p := range held {
+		if p[0] != 0x5A {
+			t.Fatalf("exposed page %d was cleared or rewritten after Free and Alloc", i)
+		}
+	}
+	if f, _ := m.Frame(physmap[2]); &f[0] != &plain[0] || f[0] != 0 {
+		t.Fatal("a never-exposed frame did not keep its (cleared) page across Free and Alloc")
+	}
+	if f, _ := m.Frame(physmap[0]); &f[0] == &held[0][0] || f[0] != 0 {
+		t.Fatal("a freed exposed frame came back with the page its reader holds")
+	}
+}
+
+// RecyclePages keeps at most four times the previous set (StageSpare at
+// least), keeps the pages it does not trim, and replaces every dropped
+// page with a fresh full-capacity one, all in one allocation.
+func TestRecyclePages(t *testing.T) {
+	pool := GrowPages(nil, 8*StageSpare)
+	if got := RecyclePages(pool, 0); len(got) != StageSpare {
+		t.Fatalf("after a first set, pool of %d pages, want StageSpare = %d", len(got), StageSpare)
+	}
+	if got := RecyclePages(pool, 3*StageSpare); len(got) != len(pool) {
+		t.Fatalf("a pool within four times the previous set was trimmed to %d", len(got))
+	}
+	pool = GrowPages(nil, StageSpare)
+	kept := &pool[1][0]
+	allocs := testing.AllocsPerRun(10, func() {
+		pool[0], pool[5] = nil, nil
+		pool = RecyclePages(pool, StageSpare)
+	})
+	if allocs != 1 {
+		t.Fatalf("replacing two dropped pages took %v allocations, want 1", allocs)
+	}
+	if &pool[1][0] != kept {
+		t.Fatal("RecyclePages replaced a page it was not asked to")
+	}
+	for i, p := range pool {
+		if len(p) != PageSize || cap(p) != PageSize {
+			t.Fatalf("page %d: len %d cap %d after recycling, want %d", i, len(p), cap(p), PageSize)
+		}
+	}
+}

@@ -76,6 +76,14 @@ type Conduit struct {
 	done    chan struct{}
 	restErr error
 
+	// broken is the first failure of a batch whose encoding had begun
+	// (guarded by mu). Such a batch may have left part of its bytes on
+	// the wire, and in the v2 modes it has updated the shipped-version
+	// table for pages the backup never received, so every later Send
+	// would decode against the wrong stream or base: the conduit fails
+	// closed and returns this error from then on.
+	broken error
+
 	// staging is the restore process's staging area, owned by its
 	// goroutine.
 	staging *restoreStage
@@ -192,7 +200,10 @@ func (c *Conduit) SendCheckpoint(pfns []mem.PFN, page func(mem.PFN) ([]byte, err
 
 // Send serializes, encrypts, and transmits one checkpoint batch without
 // waiting for the backup's acknowledgement. Every successful Send must
-// eventually be paired with one AwaitAck; acks arrive in send order. It
+// eventually be paired with one AwaitAck; acks arrive in send order. A
+// batch that fails once its encoding has begun breaks the conduit: that
+// Send and every later one return its error (an injected FaultSend fires
+// before, and leaves the conduit usable). It
 // returns the batch's own v2 wire accounting (zero in ModeRaw), so a
 // caller's per-batch bookkeeping never has to take the conduit lock that
 // a concurrent Send holds for its whole encode.
@@ -202,13 +213,23 @@ func (c *Conduit) Send(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) (Stre
 	if c.closed {
 		return StreamStats{}, ErrClosed
 	}
+	if c.broken != nil {
+		return StreamStats{}, c.broken
+	}
 	if err := c.hv.Faults().Check(FaultSend); err != nil {
 		return StreamStats{}, fmt.Errorf("remus: send checkpoint: %w", err)
 	}
+	var d StreamStats
+	var err error
 	if c.mode == ModeRaw {
-		return StreamStats{}, c.sendRaw(pfns, page)
+		err = c.sendRaw(pfns, page)
+	} else {
+		d, err = c.sendV2(pfns, page)
 	}
-	return c.sendV2(pfns, page)
+	if err != nil {
+		c.broken = err
+	}
+	return d, err
 }
 
 // rawChunk bounds the records sendRaw gathers for one write. CTR

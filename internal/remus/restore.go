@@ -11,9 +11,6 @@ import (
 	"repro/internal/mem"
 )
 
-// restoreSpare is the staging-page count a restore pool always keeps.
-const restoreSpare = 64
-
 // restoreStage is the restore process's staging area. A batch's records
 // are decoded into staging pages, never into the backup; after the
 // batch's last record publish exchanges them into the backup's frames in
@@ -34,7 +31,7 @@ type restoreStage struct {
 // The pool grows with the pages staged, up to the batch's count.
 func (s *restoreStage) slot() []byte {
 	if n := len(s.pfns); n == len(s.pool) {
-		s.pool = mem.GrowPages(s.pool, min(s.count, 2*n+restoreSpare))
+		s.pool = mem.GrowPages(s.pool, min(s.count, 2*n+mem.StageSpare))
 	}
 	return s.pool[len(s.pfns)]
 }
@@ -63,19 +60,17 @@ func (s *restoreStage) lastShipped(pfn mem.PFN, dst []byte) error {
 
 // publish exchanges the staged batch into the backup. The exchange
 // rejects a PFN staged twice, so such a batch changes nothing either.
-// Afterwards the pool keeps no more than four times the previous batch's
-// pages (at least restoreSpare), so neither the initial full sync nor a
-// one-off burst pins a guest-sized pool.
+// Afterwards mem.RecyclePages trims the pool to four times the previous
+// batch's pages, so neither the initial full sync nor a one-off burst
+// pins a guest-sized pool, and replaces the pages a committed image of
+// the backup holds (the local No-opt backup's), which the exchange drops.
 func (s *restoreStage) publish() error {
 	n := len(s.pfns)
 	if !s.sorted {
 		sort.Sort(s)
 	}
 	err := s.backup.Exchange(s.pfns, s.pool[:n])
-	if keep := max(restoreSpare, 4*s.prev); len(s.pool) > keep {
-		s.pool = slices.Clone(s.pool[:keep])
-	}
-	s.prev = n
+	s.pool, s.prev = mem.RecyclePages(s.pool, s.prev), n
 	return err
 }
 

@@ -187,10 +187,10 @@ func TestDupReadsPageStagedEarlierInBatch(t *testing.T) {
 
 // The initial full sync stages the whole guest, but the restore pool does
 // not keep it: after the sync and through small steady-state batches it
-// holds no more than restoreSpare staging pages, and the replica still
+// holds no more than mem.StageSpare staging pages, and the replica still
 // converges.
 func TestRestorePoolNotGuestSizedAfterInitialSync(t *testing.T) {
-	const pages = 4 * restoreSpare
+	const pages = 4 * mem.StageSpare
 	for _, mode := range []Mode{ModeRaw, ModeDeltaDedup} {
 		t.Run(mode.String(), func(t *testing.T) {
 			h, primary, backup, c := newModeConduitPair(t, pages, mode, 0)
@@ -205,8 +205,8 @@ func TestRestorePoolNotGuestSizedAfterInitialSync(t *testing.T) {
 				t.Fatalf("initial sync: %v", err)
 			}
 			// The ack follows the publication, so the pool is settled here.
-			if n := len(c.staging.pool); n > restoreSpare {
-				t.Fatalf("restore pool holds %d pages after a %d-page initial sync, want <= %d", n, pages, restoreSpare)
+			if n := len(c.staging.pool); n > mem.StageSpare {
+				t.Fatalf("restore pool holds %d pages after a %d-page initial sync, want <= %d", n, pages, mem.StageSpare)
 			}
 			for e := 0; e < 5; e++ {
 				pfns := []mem.PFN{mem.PFN(e), mem.PFN(3*e + 1), mem.PFN(pages - 1 - e)}
@@ -218,7 +218,7 @@ func TestRestorePoolNotGuestSizedAfterInitialSync(t *testing.T) {
 				if err := c.SendCheckpoint(pfns, pageReader(h, primary)); err != nil {
 					t.Fatalf("epoch %d: %v", e, err)
 				}
-				if n := len(c.staging.pool); n > restoreSpare {
+				if n := len(c.staging.pool); n > mem.StageSpare {
 					t.Fatalf("epoch %d: restore pool holds %d pages", e, n)
 				}
 			}

@@ -379,3 +379,55 @@ func TestTruncatedBatchUnblocksAckWaiter(t *testing.T) {
 		})
 	}
 }
+
+// A batch that fails after its encoding began must not leave the
+// conduit claiming what the backup never received. The third page read
+// of a batch fails after the first two pages' new contents went into
+// the shipped-version table; sending the same pages again must then
+// either be refused or leave the backup equal to the primary — never
+// ship "same" or a delta against contents the backup does not hold.
+func TestFailedBatchBreaksConduit(t *testing.T) {
+	for _, mode := range []Mode{ModeRaw, ModeDelta, ModeDeltaDedup} {
+		t.Run(mode.String(), func(t *testing.T) {
+			const pages = 8
+			h, primary, backup, c := newModeConduitPair(t, pages, mode, 0)
+			pfns := []mem.PFN{0, 1, 2, 3, 4}
+			rng := rand.New(rand.NewSource(3))
+			page := make([]byte, mem.PageSize)
+			write := func() {
+				for _, pfn := range pfns {
+					rng.Read(page)
+					if err := primary.WritePhys(uint64(pfn)*mem.PageSize, page); err != nil {
+						t.Fatalf("WritePhys: %v", err)
+					}
+				}
+			}
+			write()
+			if err := c.SendCheckpoint(pfns, pageReader(h, primary)); err != nil {
+				t.Fatalf("first SendCheckpoint: %v", err)
+			}
+			write()
+			errRead := errors.New("page read failed")
+			reads := 0
+			failing := func(pfn mem.PFN) ([]byte, error) {
+				if reads++; reads == 3 {
+					return nil, errRead
+				}
+				return pageReader(h, primary)(pfn)
+			}
+			if _, err := c.Send(pfns, failing); !errors.Is(err, errRead) {
+				t.Fatalf("Send with a failing page read: err = %v, want the read error", err)
+			}
+			if _, err := c.Send(pfns, pageReader(h, primary)); err != nil {
+				if !errors.Is(err, errRead) {
+					t.Fatalf("Send after the failed batch: err = %v, want the first failure", err)
+				}
+				return // refused: the conduit failed closed
+			}
+			if err := c.AwaitAck(); err != nil {
+				t.Fatalf("AwaitAck: %v", err)
+			}
+			domainPagesEqual(t, primary, backup, pages)
+		})
+	}
+}
