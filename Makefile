@@ -139,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreV1$$' -fuzztime 10s ./internal/remus
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreDecodeV2$$' -fuzztime 10s ./internal/remus
 	$(GO) test -run '^$$' -fuzz '^FuzzCommittedImage$$' -fuzztime 10s ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz '^FuzzDemandZeroMachine$$' -fuzztime 10s ./internal/mem
 
 # Everything the CI workflow runs, in the same order, for local use.
 ci: fmt-check static-check build

@@ -294,8 +294,9 @@ type Params struct {
 }
 
 // NewWithParams creates a checkpointer for the primary domain: it
-// allocates the backup domain (doubling the VM's memory cost, §3.3) and
-// performs the initial full synchronization. It is the only constructor.
+// allocates the backup domain (doubling the VM's memory cost, §3.3, for
+// the pages the guest has written: frames are demand-zero) and performs
+// the initial full synchronization. It is the only constructor.
 func NewWithParams(h *hv.Hypervisor, primary *hv.Domain, p Params) (*Checkpointer, error) {
 	if p.Workers < 1 {
 		p.Workers = 1
@@ -347,10 +348,18 @@ func NewWithParams(h *hv.Hypervisor, primary *hv.Domain, p Params) (*Checkpointe
 		}
 	}
 	c.mem = &exchangeStage{c: c}
-	// Initial synchronization: ship every page, as live migration's
-	// final stop-and-copy does.
+	// Initial synchronization, as live migration's final stop-and-copy:
+	// the pages the fresh backup does not already hold. A page the primary
+	// never wrote reads zero there too, so only written pages are staged.
+	// The No-opt conduit still ships every page: its sender's
+	// shipped-version table learns each one, as a remote replica's does,
+	// and its restore stages none that reads zero on both sides.
 	primary.EnableDirtyLogging()
-	primary.MarkAllDirty()
+	if c.conduit != nil {
+		primary.MarkAllDirty()
+	} else {
+		primary.MarkWrittenDirty()
+	}
 	if _, err := c.Checkpoint(); err != nil {
 		return fail(fmt.Errorf("checkpoint: initial sync: %w", err))
 	}
@@ -1121,8 +1130,9 @@ type memStage interface {
 // exchanges it into the backup before it acks. Each page is copied once,
 // sharded over disjoint PFN ranges; the exchange swaps machine pages, no
 // bytes move, and the pages swapped out stage the next commit — except
-// those a committed image holds, which the exchange drops and
-// mem.RecyclePages replaces, so no image page is ever staged over.
+// those a committed image holds, which the exchange drops, and the
+// none a never-written backup frame had: mem.RecyclePages replaces both
+// nils, so no image page is ever staged over.
 type exchangeStage struct {
 	c    *Checkpointer
 	pool [][]byte // staging pages; the first len(dirty) hold the commit

@@ -224,7 +224,8 @@ func TestCoWAfterExchangeWritesLiveFrames(t *testing.T) {
 }
 
 // Over many seeded commits the exchange keeps ownership exact: every
-// backup frame is its own page, the global mapping names the machine's
+// backup frame that holds a page holds its own (the rest read the shared
+// zero page), the global mapping names the machine's
 // live frame, and no staging page is also a backup frame — for the
 // eager commit, and for the CoW commit with the guest writing its armed
 // pages while they converge.
@@ -261,6 +262,13 @@ func TestExchangeKeepsPagesDisjoint(t *testing.T) {
 					}
 					if &live[0] != &p[0] {
 						t.Fatalf("commit %d: mapping of pfn %d is not the machine's live frame", i, pfn)
+					}
+					if !h.Machine().Written(mfn) {
+						// A never-written frame reads the one shared zero page.
+						if !bytes.Equal(p, make([]byte, mem.PageSize)) {
+							t.Fatalf("commit %d: never-written pfn %d does not read zero", i, pfn)
+						}
+						continue
 					}
 					if prev, dup := owner[&p[0]]; dup {
 						t.Fatalf("commit %d: pfn %d shares its page with %s", i, pfn, prev)

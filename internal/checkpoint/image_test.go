@@ -13,6 +13,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hv"
 	"repro/internal/mem"
+	"repro/internal/remus"
 )
 
 // Committed copies no page: the first image and every derived one
@@ -155,6 +156,121 @@ func TestRetainedImagesReadAlongsideCommits(t *testing.T) {
 			stop.Store(true)
 			wg.Wait()
 		})
+	}
+}
+
+// A guest whose memory is mostly never written gives its frames pages
+// of their own as it first writes them, while the CoW copier stages the
+// last commit's set behind it, the pipelined shipper replicates to a
+// delta+dedup replica, and readers check retained images (whose
+// never-written pages are the shared zero page). Run under -race, it
+// shows a first write races with none of them; the backup and the
+// replica end equal to the primary, and the pages the guest never wrote
+// hold no page there either.
+func TestFirstWritesAlongsideCopierShipperAndImages(t *testing.T) {
+	const pages, rounds = parallelTestPages, 30
+	h := hv.New(3*pages + 8)
+	d, err := h.CreateDomain("vm", pages)
+	if err != nil {
+		t.Fatalf("CreateDomain: %v", err)
+	}
+	if err := d.WritePhys(0, []byte("boot")); err != nil {
+		t.Fatalf("WritePhys: %v", err)
+	}
+	c, err := NewWithParams(h, d, Params{Opt: cost.Full, Workers: 2, Remus: remus.ModeDeltaDedup})
+	if err != nil {
+		t.Fatalf("NewWithParams: %v", err)
+	}
+	if err := c.EnableCoW(); err != nil {
+		t.Fatalf("EnableCoW: %v", err)
+	}
+	if err := c.EnableRemoteReplication([]byte("0123456789abcdef")); err != nil {
+		t.Fatalf("EnableRemoteReplication: %v", err)
+	}
+	remote := c.Remote()
+	type kept struct {
+		snap *hv.Snapshot
+		want []byte
+	}
+	var (
+		mu     sync.Mutex
+		images []kept
+		stop   atomic.Bool
+		wg     sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			mu.Lock()
+			held := images
+			mu.Unlock()
+			for i, k := range held {
+				for pfn := 0; pfn < k.snap.Pages; pfn++ {
+					p, _ := k.snap.ReadPage(mem.PFN(pfn))
+					if !bytes.Equal(p, k.want[pfn*mem.PageSize:(pfn+1)*mem.PageSize]) {
+						t.Errorf("image %d changed at pfn %d", i, pfn)
+						return
+					}
+				}
+			}
+			runtime.Gosched()
+		}
+	}()
+	rng := rand.New(rand.NewSource(5))
+	fresh := rng.Perm(pages - 1) // pages 1..pages-1, never written yet
+	for i := range fresh {
+		fresh[i]++
+	}
+	for i := 0; i < rounds && !t.Failed(); i++ {
+		// The guest runs behind the copier and the shipper of the last
+		// commit: four first writes (one all zero, which gives no page),
+		// and rewrites of pages that already hold data.
+		for k := 0; k < 4 && len(fresh) > 0; k++ {
+			pfn := fresh[0]
+			fresh = fresh[1:]
+			b := byte(1 + rng.Intn(255))
+			if k == 3 {
+				b = 0
+			}
+			if err := d.WritePhys(uint64(pfn)*mem.PageSize+uint64(rng.Intn(mem.PageSize-8)), bytes.Repeat([]byte{b}, 8)); err != nil {
+				t.Fatalf("WritePhys: %v", err)
+			}
+		}
+		if err := d.WritePhys(0, []byte{byte(i)}); err != nil {
+			t.Fatalf("WritePhys: %v", err)
+		}
+		if _, err := c.Checkpoint(); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+		if i%3 == 0 {
+			snap, err := c.Committed()
+			if err != nil {
+				t.Fatalf("Committed %d: %v", i, err)
+			}
+			mu.Lock()
+			images = append(images, kept{snap, snap.Bytes()})
+			mu.Unlock()
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if c.LastReport().RemoteDegraded {
+		t.Fatal("remote replication degraded")
+	}
+	for _, dom := range []*hv.Domain{c.Backup(), remote} {
+		if !domainsEqual(t, d, dom) {
+			t.Fatalf("%s differs from the primary", dom.Name())
+		}
+		for _, pfn := range fresh {
+			mfn, _ := dom.Translate(mem.PFN(pfn))
+			if h.Machine().Written(mfn) {
+				t.Fatalf("%s pfn %d: the guest never wrote it, yet its frame holds a page", dom.Name(), pfn)
+			}
+		}
 	}
 }
 

@@ -24,6 +24,10 @@ func newFaultHV(t *testing.T, frames int) (*hv.Hypervisor, *hv.Domain, *fault.In
 	if err != nil {
 		t.Fatalf("CreateDomain: %v", err)
 	}
+	// The initial sync copies only written pages: give it one to copy.
+	if err := d.WritePhys(mem.PageSize+5, []byte("guest data")); err != nil {
+		t.Fatalf("WritePhys: %v", err)
+	}
 	return h, d, inj, h.Machine().FreeFrames(), h.DomainCount()
 }
 

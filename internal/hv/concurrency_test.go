@@ -1,6 +1,7 @@
 package hv
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -216,6 +217,11 @@ func TestExchangeAlongsideNeighbourAccess(t *testing.T) {
 	gm, err := h.MapAll(a)
 	if err != nil {
 		t.Fatalf("MapAll: %v", err)
+	}
+	// Give every frame a page, so each exchange hands one back (a
+	// never-written frame hands back nil).
+	if err := a.WritePhys(0, bytes.Repeat([]byte{0xEE}, pages*mem.PageSize)); err != nil {
+		t.Fatalf("WritePhys: %v", err)
 	}
 	pfns := make([]mem.PFN, pages)
 	staging := make([][]byte, pages)

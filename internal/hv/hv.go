@@ -457,6 +457,7 @@ func (d *Domain) access(paddr uint64, buf []byte, write bool) error {
 	// watches armed, so the common case must not pay per-page event
 	// bookkeeping.
 	watched := d.watchCount.Load() != 0
+	m := d.hv.machine
 	off := 0
 	for off < len(buf) {
 		pfn := mem.PFN((paddr + uint64(off)) >> mem.PageShift)
@@ -465,17 +466,18 @@ func (d *Domain) access(paddr uint64, buf []byte, write bool) error {
 		if n > len(buf)-off {
 			n = len(buf) - off
 		}
-		frame, err := d.hv.machine.Frame(d.physmap[pfn])
-		if err != nil {
-			return fmt.Errorf("domain %d pfn %d: %w", d.id, pfn, err)
-		}
+		mfn := d.physmap[pfn]
 		if write {
 			if watched {
 				// The write trap fires before the bytes land, EPT-style:
 				// the handler observes the page's pre-write contents.
 				d.deliverWriteFault(pfn)
 			}
-			copy(frame[inPage:inPage+n], buf[off:off+n])
+			// A never-written frame gets its page here, on its first
+			// non-zero write.
+			if err := m.Write(mfn, inPage, buf[off:off+n]); err != nil {
+				return fmt.Errorf("domain %d pfn %d: %w", d.id, pfn, err)
+			}
 			if d.dirtyLogging {
 				d.dirty.Set(int(pfn))
 			}
@@ -483,7 +485,7 @@ func (d *Domain) access(paddr uint64, buf []byte, write bool) error {
 				d.fireEvent(pfn, uint64(inPage), n, AccessWrite, buf[off:off+n])
 			}
 		} else {
-			copy(buf[off:off+n], frame[inPage:inPage+n])
+			copy(buf[off:off+n], m.Page(mfn)[inPage:inPage+n])
 			if watched {
 				d.fireEvent(pfn, uint64(inPage), n, AccessRead, nil)
 			}
@@ -533,11 +535,23 @@ func (d *Domain) DirtyPages(dst []mem.PFN) []mem.PFN { return d.dirty.ScanWords(
 // DirtyCount reports the number of pages in the dirty log.
 func (d *Domain) DirtyCount() int { return d.dirty.Count() }
 
-// MarkAllDirty marks every page dirty; used when dirty logging starts so
-// the first checkpoint copies the whole VM (as live migration does).
+// MarkAllDirty marks every page dirty, so the next checkpoint ships the
+// whole VM, zero pages included (the No-opt conduit's initial sync).
 func (d *Domain) MarkAllDirty() {
 	for i := 0; i < d.dirty.Len(); i++ {
 		d.dirty.Set(i)
+	}
+}
+
+// MarkWrittenDirty marks dirty every page whose frame holds a page of its
+// own (mem.Machine.Written). The rest read zero, as every page of a
+// freshly created domain does, so a first checkpoint into a fresh backup
+// need copy only these.
+func (d *Domain) MarkWrittenDirty() {
+	for pfn, mfn := range d.physmap {
+		if d.hv.machine.Written(mfn) {
+			d.dirty.Set(pfn)
+		}
 	}
 }
 

@@ -12,14 +12,15 @@ import (
 // for every dirty page, which CRIMES' Pre-map optimization avoids.
 type ForeignMapping struct {
 	dom   *Domain
-	pages map[mem.PFN][]byte
+	pages map[mem.PFN]mem.MFN
 }
 
-// MapForeign maps the given guest pages of a domain. Pages remain valid
-// until Unmap is called or their frame is exchanged
-// (GlobalMapping.Exchange), whichever comes first.
+// MapForeign maps the given guest pages of a domain until Unmap is
+// called. Like every mapping it resolves a page's frame through the
+// machine at each Page call, so it sees a frame exchange and a
+// never-written frame's first write.
 func (h *Hypervisor) MapForeign(d *Domain, pfns []mem.PFN) (*ForeignMapping, error) {
-	fm := &ForeignMapping{dom: d, pages: make(map[mem.PFN][]byte, len(pfns))}
+	fm := &ForeignMapping{dom: d, pages: make(map[mem.PFN]mem.MFN, len(pfns))}
 	for _, pfn := range pfns {
 		if uint64(pfn) >= uint64(len(d.physmap)) {
 			return nil, fmt.Errorf("map foreign pfn %d: %w", pfn, ErrBadAddress)
@@ -27,23 +28,24 @@ func (h *Hypervisor) MapForeign(d *Domain, pfns []mem.PFN) (*ForeignMapping, err
 		if err := h.faults.Check(FaultMapPage); err != nil {
 			return nil, fmt.Errorf("map foreign pfn %d: %w", pfn, err)
 		}
-		frame, err := h.machine.Frame(d.physmap[pfn])
-		if err != nil {
+		if _, err := h.machine.Frame(d.physmap[pfn]); err != nil {
 			return nil, fmt.Errorf("map foreign pfn %d: %w", pfn, err)
 		}
 		h.countCalls(d, func(c *Hypercalls) { c.MapPage++ })
-		fm.pages[pfn] = frame
+		fm.pages[pfn] = d.physmap[pfn]
 	}
 	return fm, nil
 }
 
-// Page returns the mapped view of a guest page.
+// Page returns the mapped view of a guest page: the frame's current page
+// (mem.Machine.Page), the shared zero page for a never-written one. The
+// view is read-only; writes go through Domain.WritePhys.
 func (fm *ForeignMapping) Page(pfn mem.PFN) ([]byte, error) {
-	p, ok := fm.pages[pfn]
+	mfn, ok := fm.pages[pfn]
 	if !ok {
 		return nil, fmt.Errorf("foreign mapping: pfn %d not mapped: %w", pfn, ErrBadAddress)
 	}
-	return p, nil
+	return fm.dom.hv.machine.Page(mfn)[:], nil
 }
 
 // Len reports the number of mapped pages.
@@ -56,84 +58,75 @@ func (fm *ForeignMapping) Unmap() {
 	fm.pages = nil
 }
 
-// GlobalMapping is CRIMES Optimization 2: the full PFN-to-MFN table is
-// resolved once at startup into a flat array (constant-time lookups,
-// no per-epoch map/unmap hypercalls).
+// GlobalMapping is CRIMES Optimization 2: every page of the domain is
+// mapped once at startup, so a lookup is constant-time and costs no
+// per-epoch map/unmap hypercalls. It keeps no page table of its own:
+// Page resolves the frame's current page through the machine,
+// lock-free, so the mapping stays right across a frame exchange and a
+// never-written frame's first write.
 type GlobalMapping struct {
-	dom    *Domain
-	frames [][]byte
+	dom *Domain
+	n   int // pages mapped; 0 after Unmap
 }
 
 // MapAll builds a global mapping of every page of the domain. The
-// per-page hypercall cost is paid once, here. Its pages stay valid until
-// Unmap; the mapping's own Exchange keeps them valid across a frame
-// exchange, which no other mapping of the domain survives.
+// per-page hypercall cost is paid once, here.
 func (h *Hypervisor) MapAll(d *Domain) (*GlobalMapping, error) {
-	gm := &GlobalMapping{dom: d, frames: make([][]byte, len(d.physmap))}
 	for pfn, mfn := range d.physmap {
 		if err := h.faults.Check(FaultMapPage); err != nil {
 			return nil, fmt.Errorf("map all pfn %d: %w", pfn, err)
 		}
-		frame, err := h.machine.Frame(mfn)
-		if err != nil {
+		if _, err := h.machine.Frame(mfn); err != nil {
 			return nil, fmt.Errorf("map all pfn %d: %w", pfn, err)
 		}
 		h.countCalls(d, func(c *Hypercalls) { c.MapPage++ })
-		gm.frames[pfn] = frame
 	}
-	return gm, nil
+	return &GlobalMapping{dom: d, n: len(d.physmap)}, nil
 }
 
-// Page returns the premapped view of a guest page in O(1).
+// Page returns the premapped view of a guest page in O(1): the frame's
+// current page, the shared zero page for a never-written one. The view is
+// read-only, and it is the frame's page until the frame is exchanged or
+// first written; callers take a fresh view per access.
 func (gm *GlobalMapping) Page(pfn mem.PFN) ([]byte, error) {
-	if uint64(pfn) >= uint64(len(gm.frames)) {
+	if uint64(pfn) >= uint64(gm.n) {
 		return nil, fmt.Errorf("global mapping: pfn %d: %w", pfn, ErrBadAddress)
 	}
-	return gm.frames[pfn], nil
+	return gm.dom.hv.machine.Page(gm.dom.physmap[pfn])[:], nil
 }
 
 // Len reports the number of premapped pages.
-func (gm *GlobalMapping) Len() int { return len(gm.frames) }
+func (gm *GlobalMapping) Len() int { return gm.n }
 
-// Exchange swaps the machine pages behind the domain's frames at pfns
-// with the caller's pages (mem.Machine.Exchange): afterwards guest page
-// pfns[i] reads what pages[i] held, and pages[i] holds the frame's old
-// page, or nil when a snapshot holds that page (AliasMemory). No bytes
-// move. The mapping's frame table is updated under the
-// machine's lock, so Page returns the live frame afterwards. It is
-// all-or-nothing: pfns must be strictly ascending and in range and every
-// page exactly one page long, or nothing is swapped.
-//
-// The mapping must be the domain's only long-lived alias of the frames
-// (no CachedMapping, no ForeignMapping kept across the call), and
-// Exchange must not run concurrently with Page.
+// Exchange is Domain.Exchange through the mapping, which must not have
+// been unmapped: afterwards guest page pfns[i] reads what pages[i] held,
+// and Page returns it.
 func (gm *GlobalMapping) Exchange(pfns []mem.PFN, pages [][]byte) error {
-	if gm.frames == nil {
+	if gm.n == 0 {
 		return fmt.Errorf("global mapping of domain %d: exchange after unmap: %w", gm.dom.id, ErrBadState)
 	}
-	if err := gm.dom.hv.machine.Exchange(gm.dom.physmap, pfns, pages, gm.frames); err != nil {
-		return fmt.Errorf("domain %d: %w", gm.dom.id, err)
-	}
-	return nil
+	return gm.dom.Exchange(pfns, pages)
 }
 
 // Unmap releases the global mapping.
 func (gm *GlobalMapping) Unmap() {
-	n := len(gm.frames)
-	gm.dom.hv.countCalls(gm.dom, func(c *Hypercalls) { c.UnmapPage += n })
-	gm.frames = nil
+	gm.dom.hv.countCalls(gm.dom, func(c *Hypercalls) { c.UnmapPage += gm.n })
+	gm.n = 0
 }
 
-// Exchange is GlobalMapping.Exchange for a domain that has no global
-// mapping — a Memcpy or No-opt backup, a remote replica — so no alias
-// table needs updating; a domain with one must exchange through it, or
-// its table goes stale. No ForeignMapping may be used across the call.
-// It fails with ErrBadState on a destroyed domain.
+// Exchange swaps the machine pages behind the domain's frames at pfns
+// with the caller's pages (mem.Machine.Exchange): afterwards guest page
+// pfns[i] reads what pages[i] held, and pages[i] holds the frame's old
+// page — or nil when the frame had none (it read zero) or a snapshot
+// holds that page (AliasMemory). No bytes move. It is all-or-nothing:
+// pfns must be strictly ascending and in range and every page exactly one
+// page long, or nothing is swapped. Every mapping of the domain sees the
+// swap. It fails with ErrBadState on a destroyed domain.
 func (d *Domain) Exchange(pfns []mem.PFN, pages [][]byte) error {
 	if d.state == StateDestroyed {
 		return fmt.Errorf("exchange frames of destroyed domain %d: %w", d.id, ErrBadState)
 	}
-	if err := d.hv.machine.Exchange(d.physmap, pfns, pages, nil); err != nil {
+	if err := d.hv.machine.Exchange(d.physmap, pfns, pages); err != nil {
 		return fmt.Errorf("domain %d: %w", d.id, err)
 	}
 	return nil

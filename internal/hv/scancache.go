@@ -86,18 +86,18 @@ type CachedMapping struct {
 	stats ScanCacheStats
 }
 
-// scanEntry is one cached page mapping.
+// scanEntry is one cached page mapping. It holds no page: a hit resolves
+// the frame's current one through the machine.
 type scanEntry struct {
-	pfn   mem.PFN
-	frame []byte
+	pfn mem.PFN
 }
 
 // NewCachedMapping creates a cache over the domain's guest-physical
 // pages, holding at most capacity live mappings (capacity < 1 defaults
 // to the whole domain). No pages are mapped until first use. A cached
-// mapping stays valid until its frame is exchanged
-// (GlobalMapping.Exchange), so a domain whose frames are exchanged — a
-// checkpoint's backup — must have no CachedMapping.
+// mapping resolves its frame's current page at every hit, so it sees a
+// never-written frame's first write, and a frame exchange, without a
+// remap.
 func NewCachedMapping(d *Domain, capacity int) *CachedMapping {
 	if capacity < 1 || capacity > d.Pages() {
 		capacity = d.Pages()
@@ -145,9 +145,9 @@ func (cm *CachedMapping) Stats() ScanCacheStats {
 	return cm.stats
 }
 
-// Page returns a mapped view of a guest page, mapping it on miss. The
-// returned slice is valid until the page is evicted, invalidated, or
-// flushed.
+// Page returns a mapped view of a guest page, mapping it on miss: the
+// frame's current page, the shared zero page for a never-written one
+// (mem.Machine.Page). The view is read-only.
 func (cm *CachedMapping) Page(pfn mem.PFN) ([]byte, error) {
 	cm.mu.Lock()
 	defer cm.mu.Unlock()
@@ -158,7 +158,7 @@ func (cm *CachedMapping) pageLocked(pfn mem.PFN) ([]byte, error) {
 	if el, ok := cm.pages[pfn]; ok {
 		cm.lru.MoveToFront(el)
 		cm.stats.Hits++
-		return el.Value.(*scanEntry).frame, nil
+		return cm.dom.hv.machine.Page(cm.dom.physmap[pfn])[:], nil
 	}
 	d := cm.dom
 	if uint64(pfn) >= uint64(len(d.physmap)) {
@@ -177,7 +177,7 @@ func (cm *CachedMapping) pageLocked(pfn mem.PFN) ([]byte, error) {
 		cm.evictLocked(cm.lru.Back())
 		cm.stats.Evictions++
 	}
-	cm.pages[pfn] = cm.lru.PushFront(&scanEntry{pfn: pfn, frame: frame})
+	cm.pages[pfn] = cm.lru.PushFront(&scanEntry{pfn: pfn})
 	return frame, nil
 }
 

@@ -15,7 +15,8 @@ import (
 // snapshot may be kept, shared between goroutines and read concurrently
 // without copying. A dump copies its pages; an alias (AliasMemory,
 // AliasDirty) shares them with the domain's frames, which the machine
-// then never writes in place (mem.Machine.Expose). The table is a radix
+// then never writes in place (mem.Machine.Expose), and holds the shared
+// zero page for every frame that never had a page. The table is a radix
 // tree of fixed fan-out: deriving a snapshot copies the root and the
 // nodes on the paths to the re-copied pages, so its cost in time and
 // bytes depends on how many pages changed, not on the size of the guest.
@@ -34,7 +35,7 @@ const (
 	fanMask = fan - 1
 )
 
-type page = [mem.PageSize]byte
+type page = mem.Page
 
 // leaf maps fan consecutive PFNs to their pages.
 type leaf [fan]*page
@@ -141,8 +142,9 @@ func (d *Domain) DumpMemory() (*Snapshot, error) {
 }
 
 // AliasMemory is DumpMemory without the copy: the snapshot's pages are
-// the domain's current pages themselves, so it costs only its page
-// table. It is for a domain whose frames are written by nothing but a
+// the domain's current pages themselves — the shared zero page for a
+// never-written frame — so it costs only its page table. It is for a
+// domain whose frames are written by nothing but a
 // frame exchange — a checkpoint backup: Expose marks the frames, so an
 // exchange drops each page the snapshot holds instead of recycling it,
 // and DestroyDomain leaves it to the snapshot instead of clearing it for
@@ -240,7 +242,9 @@ func (d *Domain) derive(base *Snapshot, pfns []mem.PFN) (*Snapshot, nodes, error
 }
 
 // RestoreMemory writes the pages pfns of a snapshot into the domain and
-// loads its vCPU state; every other page keeps its contents. Restoring
+// loads its vCPU state; every other page keeps its contents. A
+// never-written frame gets a page only if its restored page is not all
+// zero (mem.Machine.Store). Restoring
 // the pages the domain's dirty log names from the image of the last
 // commit rolls the domain back to that commit. The snapshot must match
 // the domain's size; pfns may come in any order.
@@ -257,8 +261,8 @@ func (d *Domain) RestoreMemory(s *Snapshot, pfns []mem.PFN) error {
 	if err := d.hv.faults.Check(FaultRestore); err != nil {
 		return fmt.Errorf("restore domain %d: %w", d.id, err)
 	}
-	err := d.hv.machine.EachFrame(len(pfns), func(i int) mem.MFN { return d.physmap[pfns[i]] },
-		func(i int, frame []byte) { copy(frame, s.page(uint64(pfns[i]))[:]) })
+	err := d.hv.machine.Store(len(pfns), func(i int) mem.MFN { return d.physmap[pfns[i]] },
+		func(i int) *page { return s.page(uint64(pfns[i])) })
 	if err != nil {
 		return fmt.Errorf("restore domain %d: %w", d.id, err)
 	}

@@ -5,11 +5,13 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 const (
@@ -38,12 +40,25 @@ var (
 // Machine models host physical memory as a pool of page frames. The
 // allocator is safe for concurrent use: fleet workers create and destroy
 // domains (and resolve frames) from parallel epoch loops.
+//
+// Frames are demand-zero: a newly allocated frame holds no page and reads
+// as the one shared zero page, which nothing ever writes. It gets a page
+// of its own on its first non-zero write (Write, Store) or when an
+// Exchange swaps one in. Each frame's page is an atomic pointer, so a
+// reader resolves it without the lock (Page); the lock guards the
+// allocation state and every change of a frame's page.
 type Machine struct {
-	mu     sync.RWMutex
-	frames [][]byte
-	state  []frameState
-	free   []MFN
+	mu    sync.RWMutex
+	pages []atomic.Pointer[Page]
+	state []frameState
+	free  []MFN
 }
+
+// Page is the contents of one machine page.
+type Page = [PageSize]byte
+
+// zero is the page every frame without one of its own reads as.
+var zero Page
 
 // frameState is one frame's flags, kept in one byte so that Exchange
 // finds a frame's exposure on the line its allocation check just read.
@@ -56,12 +71,13 @@ const (
 	frameExposed
 )
 
-// NewMachine creates a machine with the given number of page frames.
+// NewMachine creates a machine with the given number of page frames. No
+// page is allocated until a frame is written.
 func NewMachine(frames int) *Machine {
 	m := &Machine{
-		frames: make([][]byte, frames),
-		state:  make([]frameState, frames),
-		free:   make([]MFN, 0, frames),
+		pages: make([]atomic.Pointer[Page], frames),
+		state: make([]frameState, frames),
+		free:  make([]MFN, 0, frames),
 	}
 	for i := frames - 1; i >= 0; i-- {
 		m.free = append(m.free, MFN(i))
@@ -70,7 +86,7 @@ func NewMachine(frames int) *Machine {
 }
 
 // TotalFrames reports the machine's frame count.
-func (m *Machine) TotalFrames() int { return len(m.frames) }
+func (m *Machine) TotalFrames() int { return len(m.pages) }
 
 // FreeFrames reports how many frames remain unallocated.
 func (m *Machine) FreeFrames() int {
@@ -79,7 +95,10 @@ func (m *Machine) FreeFrames() int {
 	return len(m.free)
 }
 
-// Alloc allocates a single zeroed machine frame.
+// Alloc allocates a single machine frame that reads as zeroes. A frame
+// that still holds the page of an earlier allocation has it cleared and
+// keeps it, so domain churn allocates nothing; any other frame holds no
+// page and reads as the shared zero page until it is first written.
 func (m *Machine) Alloc() (MFN, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -93,10 +112,8 @@ func (m *Machine) allocLocked() (MFN, error) {
 	mfn := m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
 	m.state[mfn] = frameAllocated
-	if m.frames[mfn] == nil {
-		m.frames[mfn] = make([]byte, PageSize)
-	} else {
-		clearPage(m.frames[mfn])
+	if p := m.pages[mfn].Load(); p != nil {
+		clear(p[:])
 	}
 	return mfn, nil
 }
@@ -125,8 +142,8 @@ func (m *Machine) AllocN(n int) ([]MFN, error) {
 
 // Free releases a machine frame back to the pool. An exposed frame's
 // page stays with the readers that hold it: the frame is detached from
-// it, and the next Alloc of the frame makes a fresh page instead of
-// clearing that one.
+// it, and its next allocation holds no page instead of clearing that
+// one.
 func (m *Machine) Free(mfn MFN) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -134,33 +151,108 @@ func (m *Machine) Free(mfn MFN) error {
 		return err
 	}
 	if m.state[mfn]&frameExposed != 0 {
-		m.frames[mfn] = nil
+		m.pages[mfn].Store(nil)
 	}
 	m.state[mfn] = 0
 	m.free = append(m.free, mfn)
 	return nil
 }
 
-// Frame returns the backing page for an allocated machine frame. The
-// returned slice aliases machine memory: writes through it are writes to
-// the machine frame. This is the moral equivalent of Xen's
-// xenforeignmemory_map. The alias stays valid until the frame is
-// exchanged (Exchange); after that it names the caller's old page, no
-// longer the frame.
+// Page returns the page frame mfn reads as, without taking the lock: its
+// own page, or the shared zero page while it has none. The caller
+// vouches that the frame is allocated (a live domain's frame) and must
+// not write the page. It stays the frame's page until the frame's first
+// write gives it one or an Exchange swaps it out; a mapping resolves the
+// frame again on every access rather than keep it.
+func (m *Machine) Page(mfn MFN) *Page {
+	if p := m.pages[mfn].Load(); p != nil {
+		return p
+	}
+	return &zero
+}
+
+// Written reports whether frame mfn holds a page of its own: it was
+// written, or exchanged into, since it was first allocated, or it kept a
+// page from an earlier allocation. A frame that has none reads zero.
+func (m *Machine) Written(mfn MFN) bool { return m.pages[mfn].Load() != nil }
+
+// Frame is Page for a caller that does not vouch for the frame: it fails
+// with ErrBadFrame unless mfn is allocated. The slice aliases machine
+// memory and is read-only, the moral equivalent of a read-only
+// xenforeignmemory_map; a write goes through Write or Store, which give a
+// never-written frame its page first.
 func (m *Machine) Frame(mfn MFN) ([]byte, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if err := m.checkLocked(mfn); err != nil {
 		return nil, err
 	}
-	return m.frames[mfn], nil
+	return m.Page(mfn)[:], nil
+}
+
+// Write copies data into frame mfn from byte off of the page on; data
+// must end within the page. A never-written frame gets its own page
+// first, unless data is all zero, which it already reads: a zero write
+// leaves it without one. As with Page, the caller vouches that the frame
+// is allocated; only giving it a page checks. Write and Store are the
+// only ways bytes reach a frame in place.
+func (m *Machine) Write(mfn MFN, off int, data []byte) error {
+	p := m.pages[mfn].Load()
+	if p == nil {
+		if isZero(data) {
+			return nil
+		}
+		m.mu.Lock()
+		err := m.checkLocked(mfn)
+		if err == nil {
+			p = m.ownPageLocked(mfn, data)
+		}
+		m.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	copy(p[off:], data)
+	return nil
+}
+
+// Store copies page src(i) into frame mfn(i) for i = 0..n-1 in order,
+// under one hold of the lock, and stops at the first unallocated frame.
+// As with Write, a never-written frame gets its own page only when its
+// source is not all zero. Bulk restores use it.
+func (m *Machine) Store(n int, mfn func(i int) MFN, src func(i int) *Page) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range n {
+		f := mfn(i)
+		if err := m.checkLocked(f); err != nil {
+			return err
+		}
+		if p := m.ownPageLocked(f, src(i)[:]); p != nil {
+			*p = *src(i)
+		}
+	}
+	return nil
+}
+
+// ownPageLocked returns frame f's own page for a write of data, giving
+// the frame a zeroed one first unless data is all zero; it returns nil
+// when the frame has no page and the write needs none.
+func (m *Machine) ownPageLocked(f MFN, data []byte) *Page {
+	p := m.pages[f].Load()
+	if p == nil && !isZero(data) {
+		p = new(Page)
+		m.pages[f].Store(p)
+	}
+	return p
 }
 
 // EachFrame resolves n frames under one read lock of the frame table,
-// calling fn(i, frame) with the frame of mfn(i) for i = 0..n-1 in order,
-// and stops at the first unallocated one. Bulk copies (memory dumps and
-// restores) use it instead of one Frame call per page. fn runs under
-// the lock, so it must not allocate, free or exchange frames.
+// calling fn(i, frame) with the page frame mfn(i) reads as (Page) for
+// i = 0..n-1 in order, and stops at the first unallocated one. Bulk
+// copies out of a domain (memory dumps) use it instead of one Frame call
+// per page. frame is read-only, and fn runs under the lock, so it must
+// not allocate, free, write or exchange frames.
 func (m *Machine) EachFrame(n int, mfn func(i int) MFN, fn func(i int, frame []byte)) error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -169,18 +261,19 @@ func (m *Machine) EachFrame(n int, mfn func(i int) MFN, fn func(i int, frame []b
 		if err := m.checkLocked(f); err != nil {
 			return err
 		}
-		fn(i, m.frames[f])
+		fn(i, m.Page(f)[:])
 	}
 	return nil
 }
 
 // Expose is EachFrame for a reader that keeps the frames' pages: fn may
 // retain frame past the call, so from then on nothing writes that page in
-// place. Each frame is marked exposed until its page leaves it: Exchange
-// then drops the page instead of handing it to the caller's staging
-// pool, and Free detaches it instead of leaving it for the next Alloc to
-// clear. Expose takes the write lock, since it sets the marks; fn must
-// not allocate, free or exchange frames.
+// place. Each frame that holds a page of its own is marked exposed until
+// the page leaves it: Exchange then drops the page instead of handing it
+// to the caller's staging pool, and Free detaches it instead of leaving
+// it for the next Alloc to clear. A frame without one hands fn the zero
+// page and stays unmarked. Expose takes the write lock, since it sets the
+// marks; fn must not allocate, free, write or exchange frames.
 func (m *Machine) Expose(n int, mfn func(i int) MFN, fn func(i int, frame []byte)) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -189,8 +282,10 @@ func (m *Machine) Expose(n int, mfn func(i int) MFN, fn func(i int, frame []byte
 		if err := m.checkLocked(f); err != nil {
 			return err
 		}
-		m.state[f] |= frameExposed
-		fn(i, m.frames[f])
+		if m.Written(f) {
+			m.state[f] |= frameExposed
+		}
+		fn(i, m.Page(f)[:])
 	}
 	return nil
 }
@@ -198,31 +293,24 @@ func (m *Machine) Expose(n int, mfn func(i int) MFN, fn func(i int, frame []byte
 // Exchange swaps the backing pages of the frames behind pfns with the
 // caller's pages, without moving a byte: afterwards frame physmap[pfns[i]]
 // is backed by what was pages[i], and pages[i] holds the page the frame
-// had — unless that page was exposed (Expose): then it is left to the
-// readers holding it and pages[i] is nil, for the caller to replace
-// (RecyclePages). view is the caller's PFN-indexed alias table of the
-// same frames (len(physmap) entries); its entries for pfns are updated
-// under the same write lock, so the table and the machine never
-// disagree. view is nil when the domain has no such table.
+// had. It is nil instead, for the caller to replace (RecyclePages), when
+// the frame had no page of its own (it read as the zero page) or its page
+// was exposed (Expose) and is left to the readers holding it.
 //
 // Exchange is all-or-nothing. It rejects, swapping nothing, PFNs that are
 // not strictly ascending (which rules out duplicates) or not below
-// len(physmap), a physmap entry that is not an allocated frame, a page
-// whose length or capacity is not PageSize, and a non-nil view of the
-// wrong length. physmap must map distinct PFNs to distinct frames, as a
-// domain's does, and pages must alias no machine frame.
+// len(physmap), a physmap entry that is not an allocated frame, and a
+// page whose length or capacity is not PageSize, and the shared zero
+// page itself. physmap must map
+// distinct PFNs to distinct frames, as a domain's does, and pages must
+// alias no machine frame.
 //
-// Exchange invalidates every other alias of the exchanged frames (Frame,
-// EachFrame): a domain's frames are exchanged either by the one owner of
-// its long-lived alias table — its global mapping — or, when it has
-// none, by the domain itself, so that no alias outlives the swap
-// unnoticed.
-func (m *Machine) Exchange(physmap []MFN, pfns []PFN, pages [][]byte, view [][]byte) error {
+// A page read from the frames before the call (Page, Frame, EachFrame)
+// is the old one afterwards; mappings resolve the frame again on every
+// access, so they see the swap.
+func (m *Machine) Exchange(physmap []MFN, pfns []PFN, pages [][]byte) error {
 	if len(pages) != len(pfns) {
 		return fmt.Errorf("mem: exchange %d frames with %d pages: %w", len(pfns), len(pages), ErrBadFrame)
-	}
-	if view != nil && len(view) != len(physmap) {
-		return fmt.Errorf("mem: exchange: view of %d pages for %d frames: %w", len(view), len(physmap), ErrBadFrame)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -239,16 +327,18 @@ func (m *Machine) Exchange(physmap []MFN, pfns []PFN, pages [][]byte, view [][]b
 		if len(pages[i]) != PageSize || cap(pages[i]) != PageSize {
 			return fmt.Errorf("mem: exchange pfn %d: page of %d bytes (cap %d): %w", pfn, len(pages[i]), cap(pages[i]), ErrBadFrame)
 		}
+		if (*Page)(pages[i]) == &zero {
+			return fmt.Errorf("mem: exchange pfn %d: the shared zero page: %w", pfn, ErrBadFrame)
+		}
 	}
 	for i, pfn := range pfns {
 		f := physmap[pfn]
-		m.frames[f], pages[i] = pages[i], m.frames[f]
+		old := m.pages[f].Swap((*Page)(pages[i]))
+		pages[i] = nil
 		if m.state[f]&frameExposed != 0 {
-			pages[i] = nil
 			m.state[f] &^= frameExposed
-		}
-		if view != nil {
-			view[pfn] = m.frames[f]
+		} else if old != nil {
+			pages[i] = old[:]
 		}
 	}
 	return nil
@@ -256,8 +346,7 @@ func (m *Machine) Exchange(physmap []MFN, pfns []PFN, pages [][]byte, view [][]b
 
 // GrowPages returns pool holding at least n pages of PageSize bytes, for
 // staging pages an Exchange swaps into frames. The shortfall is allocated
-// as one slab cut into full-capacity page views, never page by page: a
-// full synchronization stages the whole guest.
+// as one slab cut into full-capacity page views, never page by page.
 func GrowPages(pool [][]byte, n int) [][]byte {
 	short := n - len(pool)
 	if short <= 0 {
@@ -279,9 +368,10 @@ const StageSpare = 64
 // has published a set from it. The pool keeps no more than four times
 // prev, the page count of the set published before that one (at least
 // StageSpare), so neither a full synchronization nor a one-off burst
-// pins a guest-sized pool; and every page the exchange dropped (nil) is
-// replaced, all from one slab, so no staging page is ever one an image
-// holds.
+// pins a guest-sized pool; and every page the exchange handed back as
+// nil — an image holds it, or the frame had none — is replaced, all from
+// one slab, so no staging page is ever one an image holds. A frame
+// without a page hands back nil only the first time it is exchanged.
 func RecyclePages(pool [][]byte, prev int) [][]byte {
 	if keep := max(StageSpare, 4*prev); len(pool) > keep {
 		pool = slices.Clone(pool[:keep])
@@ -305,17 +395,14 @@ func RecyclePages(pool [][]byte, prev int) [][]byte {
 }
 
 func (m *Machine) checkLocked(mfn MFN) error {
-	if uint64(mfn) >= uint64(len(m.frames)) || m.state[mfn]&frameAllocated == 0 {
+	if uint64(mfn) >= uint64(len(m.pages)) || m.state[mfn]&frameAllocated == 0 {
 		return fmt.Errorf("mem: frame %d: %w", mfn, ErrBadFrame)
 	}
 	return nil
 }
 
-func clearPage(p []byte) {
-	for i := range p {
-		p[i] = 0
-	}
-}
+// isZero reports whether p holds only zero bytes.
+func isZero(p []byte) bool { return bytes.Equal(p, zero[:len(p)]) }
 
 // Bitmap is a dirty-page bitmap, one bit per PFN.
 type Bitmap struct {

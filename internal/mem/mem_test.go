@@ -53,6 +53,11 @@ func TestFrameWriteVisibility(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
+	// A never-written frame reads the shared zero page; its first
+	// non-zero write gives it a page of its own, which Frame then aliases.
+	if err := m.Write(mfn, 1, []byte{1}); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
 	p1, err := m.Frame(mfn)
 	if err != nil {
 		t.Fatalf("Frame: %v", err)
@@ -76,8 +81,9 @@ func TestFrameReuseIsZeroed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
-	p, _ := m.Frame(mfn)
-	p[100] = 0xFF
+	if err := m.Write(mfn, 100, []byte{0xFF}); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
 	if err := m.Free(mfn); err != nil {
 		t.Fatalf("Free: %v", err)
 	}
@@ -88,6 +94,9 @@ func TestFrameReuseIsZeroed(t *testing.T) {
 	p2, _ := m.Frame(mfn2)
 	if p2[100] != 0 {
 		t.Fatalf("reused frame not zeroed: byte 100 = %#x", p2[100])
+	}
+	if !m.Written(mfn2) {
+		t.Fatal("a reused frame dropped its page instead of clearing it")
 	}
 }
 
@@ -301,8 +310,9 @@ func exchangeMachine(t *testing.T) (*Machine, []MFN, [][]byte) {
 	physmap[1], physmap[3] = physmap[3], physmap[1] // frames need not ascend with PFNs
 	pages := make([][]byte, 4)
 	for i, mfn := range physmap {
-		f, _ := m.Frame(mfn)
-		f[0] = byte(0x10 + i)
+		if err := m.Write(mfn, 0, []byte{byte(0x10 + i)}); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
 		pages[i] = make([]byte, PageSize)
 		pages[i][0] = byte(0xA0 + i)
 	}
@@ -311,12 +321,12 @@ func exchangeMachine(t *testing.T) (*Machine, []MFN, [][]byte) {
 
 func TestExchangeSwapsPages(t *testing.T) {
 	m, physmap, pages := exchangeMachine(t)
-	view := make([][]byte, len(physmap))
+	before := make([]*Page, len(physmap))
 	for pfn, mfn := range physmap {
-		view[pfn], _ = m.Frame(mfn)
+		before[pfn] = m.Page(mfn)
 	}
 	in := []*byte{&pages[0][0], &pages[1][0]}
-	if err := m.Exchange(physmap, []PFN{1, 3}, pages[:2], view); err != nil {
+	if err := m.Exchange(physmap, []PFN{1, 3}, pages[:2]); err != nil {
 		t.Fatalf("Exchange: %v", err)
 	}
 	for i, pfn := range []PFN{1, 3} {
@@ -324,28 +334,27 @@ func TestExchangeSwapsPages(t *testing.T) {
 		if &f[0] != in[i] || f[0] != byte(0xA0+i) {
 			t.Fatalf("pfn %d: frame is not the caller's page %d", pfn, i)
 		}
-		if &view[pfn][0] != &f[0] {
-			t.Fatalf("pfn %d: view not updated to the live frame", pfn)
+		if &m.Page(physmap[pfn])[0] != &f[0] {
+			t.Fatalf("pfn %d: Page does not resolve the live frame", pfn)
 		}
 		if pages[i][0] != byte(0x10+pfn) {
 			t.Fatalf("page %d holds %#x, want the frame's old page %#x", i, pages[i][0], 0x10+pfn)
 		}
 	}
 	for _, pfn := range []PFN{0, 2} {
-		if f, _ := m.Frame(physmap[pfn]); f[0] != byte(0x10+pfn) || &view[pfn][0] != &f[0] {
+		if f, _ := m.Frame(physmap[pfn]); f[0] != byte(0x10+pfn) || m.Page(physmap[pfn]) != before[pfn] {
 			t.Fatalf("pfn %d: untouched frame changed", pfn)
 		}
 	}
 }
 
-// Every reject case swaps nothing: frames, the caller's pages and the
-// view all keep their identity.
+// Every reject case swaps nothing: frames and the caller's pages keep
+// their identity.
 func TestExchangeAllOrNothing(t *testing.T) {
 	cases := []struct {
 		name  string
 		pfns  []PFN
 		pages func(p [][]byte) [][]byte
-		view  int // view length; 0 = one entry per physmap entry
 		free  bool
 	}{
 		{name: "descending", pfns: []PFN{2, 1}},
@@ -357,7 +366,7 @@ func TestExchangeAllOrNothing(t *testing.T) {
 			return [][]byte{p[0], append(p[1][:PageSize:PageSize], 0)[:PageSize]}
 		}},
 		{name: "count-mismatch", pfns: []PFN{0, 1, 2}},
-		{name: "view-length", pfns: []PFN{0, 1}, view: 3},
+		{name: "zero-page", pfns: []PFN{0, 1}, pages: func(p [][]byte) [][]byte { return [][]byte{p[0], zero[:]} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -371,10 +380,6 @@ func TestExchangeAllOrNothing(t *testing.T) {
 			if tc.pages != nil {
 				arg = tc.pages(pages)
 			}
-			view := make([][]byte, len(physmap))
-			if tc.view > 0 {
-				view = make([][]byte, tc.view)
-			}
 			before := make([]*byte, len(physmap))
 			for pfn, mfn := range physmap {
 				if f, err := m.Frame(mfn); err == nil {
@@ -385,7 +390,7 @@ func TestExchangeAllOrNothing(t *testing.T) {
 			for i, p := range arg {
 				argBefore[i] = &p[0]
 			}
-			if err := m.Exchange(physmap, tc.pfns, arg, view); !errors.Is(err, ErrBadFrame) {
+			if err := m.Exchange(physmap, tc.pfns, arg); !errors.Is(err, ErrBadFrame) {
 				t.Fatalf("Exchange: err = %v, want ErrBadFrame", err)
 			}
 			for pfn, mfn := range physmap {
@@ -398,27 +403,35 @@ func TestExchangeAllOrNothing(t *testing.T) {
 					t.Fatalf("caller page %d swapped by a rejected exchange", i)
 				}
 			}
-			for pfn, v := range view {
-				if v != nil {
-					t.Fatalf("view entry %d written by a rejected exchange", pfn)
-				}
-			}
 		})
 	}
 }
 
-// A domain with no alias table exchanges with a nil view: the frames
-// still swap, all-or-nothing as ever.
+// Exchange keeps no caller's alias table (mappings resolve frames
+// through the machine): the frames swap, all-or-nothing as ever, and a
+// frame that never had a page hands back nil.
 func TestExchangeWithoutView(t *testing.T) {
 	m, physmap, pages := exchangeMachine(t)
-	if err := m.Exchange(physmap, []PFN{2, 1}, pages[:2], nil); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("descending Exchange without a view: %v, want ErrBadFrame", err)
+	if err := m.Exchange(physmap, []PFN{2, 1}, pages[:2]); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("descending Exchange: %v, want ErrBadFrame", err)
 	}
-	if err := m.Exchange(physmap, []PFN{2}, pages[:1], nil); err != nil {
-		t.Fatalf("Exchange without a view: %v", err)
+	if err := m.Exchange(physmap, []PFN{2}, pages[:1]); err != nil {
+		t.Fatalf("Exchange: %v", err)
 	}
 	if f, _ := m.Frame(physmap[2]); f[0] != 0xA0 || pages[0][0] != 0x12 {
 		t.Fatalf("frame holds %#x and the caller %#x, want 0xa0 and the old 0x12", f[0], pages[0][0])
+	}
+	fresh, err := m.Alloc()
+	if err != nil {
+		t.Fatalf("Alloc: %v", err)
+	}
+	one := [][]byte{make([]byte, PageSize)}
+	one[0][7] = 7
+	if err := m.Exchange([]MFN{fresh}, []PFN{0}, one); err != nil || one[0] != nil {
+		t.Fatalf("Exchange of a never-written frame handed back a page (%v), err %v", one[0] != nil, err)
+	}
+	if m.Page(fresh)[7] != 7 || !m.Written(fresh) {
+		t.Fatal("the exchanged-in page is not the frame's")
 	}
 }
 
@@ -451,14 +464,19 @@ func TestExposedPagesAreNeverReused(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AllocN: %v", err)
 	}
+	for _, mfn := range physmap {
+		if err := m.Write(mfn, 0, []byte{0x5A}); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+	}
 	var held [][]byte
 	if err := m.Expose(2, func(i int) MFN { return physmap[i] },
-		func(_ int, frame []byte) { frame[0] = 0x5A; held = append(held, frame) }); err != nil {
+		func(_ int, frame []byte) { held = append(held, frame) }); err != nil {
 		t.Fatalf("Expose: %v", err)
 	}
 	pages := [][]byte{make([]byte, PageSize), make([]byte, PageSize)}
 	staged := pages[1]
-	if err := m.Exchange(physmap, []PFN{1, 2}, pages, nil); err != nil {
+	if err := m.Exchange(physmap, []PFN{1, 2}, pages); err != nil {
 		t.Fatalf("Exchange: %v", err)
 	}
 	if pages[0] != nil {
@@ -470,7 +488,7 @@ func TestExposedPagesAreNeverReused(t *testing.T) {
 	// The page exchanged into pfn 1 was never exposed: exchanging it out
 	// again hands it back.
 	again := [][]byte{make([]byte, PageSize)}
-	if err := m.Exchange(physmap, []PFN{1}, again, nil); err != nil || again[0] == nil {
+	if err := m.Exchange(physmap, []PFN{1}, again); err != nil || again[0] == nil {
 		t.Fatalf("second Exchange of pfn 1: handed back %v, err %v", again[0] != nil, err)
 	}
 	plain, _ := m.Frame(physmap[2])

@@ -58,6 +58,17 @@ func (s *restoreStage) lastShipped(pfn mem.PFN, dst []byte) error {
 	return s.backup.ReadPhys(uint64(pfn)*mem.PageSize, dst)
 }
 
+// readsZero reports whether pfn already reads zero (lastShipped, read
+// into the free staging page scratch). A zero page onto it — opZero, or
+// a raw zero page — stages nothing, as opSame: a full sync into a fresh
+// domain stages, and gives frames to, only the pages that hold data.
+func (s *restoreStage) readsZero(pfn mem.PFN, scratch []byte) (bool, error) {
+	if err := s.lastShipped(pfn, scratch); err != nil {
+		return false, err
+	}
+	return bytes.Equal(scratch, zeroPage[:]), nil
+}
+
 // publish exchanges the staged batch into the backup. The exchange
 // rejects a PFN staged twice, so such a batch changes nothing either.
 // Afterwards mem.RecyclePages trims the pool to four times the previous
@@ -120,6 +131,13 @@ func (s *restoreStage) apply(r wireReader, v2 bool) error {
 		page := s.slot()
 		switch op {
 		case opZero:
+			zero, err := s.readsZero(mem.PFN(pfn), page)
+			if err != nil {
+				return err
+			}
+			if zero {
+				continue
+			}
 			clear(page)
 		case opRaw:
 			raw, err := r.next(mem.PageSize)
@@ -127,13 +145,11 @@ func (s *restoreStage) apply(r wireReader, v2 bool) error {
 				return fmt.Errorf("remus: restore: raw page: %w", err)
 			}
 			if bytes.Equal(raw, zeroPage[:]) {
-				// A raw zero page onto one that already reads zero stages
-				// nothing, as opSame: a v1 full sync into a fresh domain
-				// stages only the pages that hold data.
-				if err := s.lastShipped(mem.PFN(pfn), page); err != nil {
+				zero, err := s.readsZero(mem.PFN(pfn), page)
+				if err != nil {
 					return err
 				}
-				if bytes.Equal(page, zeroPage[:]) {
+				if zero {
 					continue
 				}
 			}

@@ -185,21 +185,26 @@ func TestDupReadsPageStagedEarlierInBatch(t *testing.T) {
 	}
 }
 
-// The initial full sync stages the whole guest, but the restore pool does
-// not keep it: after the sync and through small steady-state batches it
-// holds no more than mem.StageSpare staging pages, and the replica still
-// converges.
+// The initial full sync does not leave a guest-sized restore pool
+// behind, on any wire, and a zero page onto a replica frame that already
+// reads zero — a raw zero page, or an opZero record — stages nothing, so
+// only the pages holding data get frames of their own.
 func TestRestorePoolNotGuestSizedAfterInitialSync(t *testing.T) {
 	const pages = 4 * mem.StageSpare
-	for _, mode := range []Mode{ModeRaw, ModeDeltaDedup} {
+	for _, mode := range []Mode{ModeRaw, ModeDelta, ModeDeltaDedup} {
 		t.Run(mode.String(), func(t *testing.T) {
 			h, primary, backup, c := newModeConduitPair(t, pages, mode, 0)
 			all := make([]mem.PFN, pages)
+			data := 0
 			for i := range all {
 				all[i] = mem.PFN(i)
+				if i%3 == 0 {
+					continue // a page the guest never wrote
+				}
 				if err := primary.WritePhys(uint64(i)*mem.PageSize, []byte{byte(i), byte(i >> 8), 1}); err != nil {
 					t.Fatalf("WritePhys: %v", err)
 				}
+				data++
 			}
 			if err := c.SendCheckpoint(all, pageReader(h, primary)); err != nil {
 				t.Fatalf("initial sync: %v", err)
@@ -207,6 +212,9 @@ func TestRestorePoolNotGuestSizedAfterInitialSync(t *testing.T) {
 			// The ack follows the publication, so the pool is settled here.
 			if n := len(c.staging.pool); n > mem.StageSpare {
 				t.Fatalf("restore pool holds %d pages after a %d-page initial sync, want <= %d", n, pages, mem.StageSpare)
+			}
+			if got := writtenFrames(h, backup); got != data {
+				t.Fatalf("initial sync gave %d replica frames a page, want the %d that hold data", got, data)
 			}
 			for e := 0; e < 5; e++ {
 				pfns := []mem.PFN{mem.PFN(e), mem.PFN(3*e + 1), mem.PFN(pages - 1 - e)}
@@ -223,8 +231,22 @@ func TestRestorePoolNotGuestSizedAfterInitialSync(t *testing.T) {
 				}
 			}
 			domainPagesEqual(t, primary, backup, pages)
+			if got, want := writtenFrames(h, backup), writtenFrames(h, primary); got != want {
+				t.Fatalf("replica has %d frames with a page, primary %d", got, want)
+			}
 		})
 	}
+}
+
+// writtenFrames counts d's frames that hold a page of their own.
+func writtenFrames(h *hv.Hypervisor, d *hv.Domain) int {
+	n := 0
+	for pfn := range d.Pages() {
+		if mfn, err := d.Translate(mem.PFN(pfn)); err == nil && h.Machine().Written(mfn) {
+			n++
+		}
+	}
+	return n
 }
 
 // A raw batch longer than rawChunk goes out in several writes and arrives

@@ -135,7 +135,7 @@ func hashLane(acc, w uint64) uint64 {
 type ventry struct {
 	pfn  mem.PFN
 	hash uint64
-	data []byte // mem.PageSize copy of the last-shipped contents
+	data []byte // the last-shipped contents: zeroPage until first non-zero, then a private copy
 
 	// Dedup bucket links: entries sharing a hash form a ring in insertion
 	// order, so re-indexing a page on every content change allocates
@@ -191,8 +191,12 @@ func (t *versionTable) findDup(pfn mem.PFN, hash uint64, page []byte) (mem.PFN, 
 
 // update records page as pfn's last-shipped version, evicting the
 // least-recently-shipped entry when the budget is exceeded. An evicted
-// page simply loses its delta/dedup base and ships raw next time.
+// page simply loses its delta/dedup base and ships raw next time. A zero
+// page is recorded as the shared zeroPage, which nothing writes: an
+// entry copies page into a buffer of its own from its first non-zero
+// update on, so a full sync of a mostly zero guest keeps few copies.
 func (t *versionTable) update(pfn mem.PFN, hash uint64, page []byte) {
+	zero := hash == zeroHash && bytes.Equal(page, zeroPage[:])
 	if el, ok := t.entries[pfn]; ok {
 		e := el.Value.(*ventry)
 		if e.hash != hash {
@@ -200,7 +204,12 @@ func (t *versionTable) update(pfn mem.PFN, hash uint64, page []byte) {
 			e.hash = hash
 			t.index(e)
 		}
-		copy(e.data, page)
+		switch {
+		case &e.data[0] != &zeroPage[0]:
+			copy(e.data, page)
+		case !zero:
+			e.data = append(make([]byte, 0, mem.PageSize), page...)
+		}
 		t.lru.MoveToFront(el)
 		return
 	}
@@ -211,7 +220,10 @@ func (t *versionTable) update(pfn mem.PFN, hash uint64, page []byte) {
 		delete(t.entries, old.pfn)
 		t.lru.Remove(back)
 	}
-	e := &ventry{pfn: pfn, hash: hash, data: append(make([]byte, 0, mem.PageSize), page...)}
+	e := &ventry{pfn: pfn, hash: hash, data: zeroPage[:]}
+	if !zero {
+		e.data = append(make([]byte, 0, mem.PageSize), page...)
+	}
 	t.entries[pfn] = t.lru.PushFront(e)
 	t.index(e)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/hv"
@@ -200,6 +201,70 @@ func TestVersionTableBudgetEviction(t *testing.T) {
 		t.Fatalf("after eviction raw=%d delta=%d, want 1/2", raw, delta)
 	}
 	domainPagesEqual(t, primary, backup, pages)
+}
+
+// The shipped-version table keeps no private copy of a zero page: a full
+// sync of a never-written guest records every entry as the one shared
+// zeroPage, an entry gets a buffer of its own at its first non-zero
+// update and keeps it when the page turns zero again, and nothing writes
+// the shared page.
+func TestVersionTableSharesZeroPages(t *testing.T) {
+	const pages = 1024
+	for _, mode := range []Mode{ModeDelta, ModeDeltaDedup} {
+		t.Run(mode.String(), func(t *testing.T) {
+			h, primary, backup, c := newModeConduitPair(t, pages, mode, 0)
+			all := make([]mem.PFN, pages)
+			for i := range all {
+				all[i] = mem.PFN(i)
+			}
+			// Encode the full sync into a buffer that fits it, so only the
+			// table allocates. The replica reads zero everywhere, as the
+			// table then claims.
+			buf := make([]byte, 0, pages*(9+mem.PageSize))
+			var d StreamStats
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, pfn := range all {
+				buf = c.encodePage(buf[:0], pfn, zeroPage[:], &d)
+			}
+			runtime.ReadMemStats(&after)
+			// A page copy per entry would be 4 MiB; entries, list elements
+			// and the maps take a few hundred bytes each.
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > pages*mem.PageSize/8 {
+				t.Fatalf("full sync of %d zero pages allocated %d bytes, want < %d", pages, grew, pages*mem.PageSize/8)
+			}
+			if n := privateCopies(c); n != 0 {
+				t.Fatalf("table holds %d private copies after a zero full sync, want 0", n)
+			}
+			for round, b := range []byte{0x5A, 0} {
+				page := bytes.Repeat([]byte{b}, mem.PageSize)
+				if err := primary.WritePhys(7*mem.PageSize, page); err != nil {
+					t.Fatalf("WritePhys: %v", err)
+				}
+				if err := c.SendCheckpoint([]mem.PFN{7}, pageReader(h, primary)); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				if n := privateCopies(c); n != 1 {
+					t.Fatalf("round %d: table holds %d private copies, want 1 (pfn 7's)", round, n)
+				}
+			}
+			if !bytes.Equal(zeroPage[:], make([]byte, mem.PageSize)) {
+				t.Fatal("the shared zero page was written")
+			}
+			domainPagesEqual(t, primary, backup, pages)
+		})
+	}
+}
+
+// privateCopies counts the table entries that hold a buffer of their own.
+func privateCopies(c *Conduit) int {
+	n := 0
+	for _, el := range c.table.entries {
+		if e := el.Value.(*ventry); &e.data[0] != &zeroPage[0] {
+			n++
+		}
+	}
+	return n
 }
 
 // encode/apply round-trip over adversarial page pairs.
