@@ -2,7 +2,8 @@ GO ?= go
 
 .PHONY: build test verify verify-quick bench bench-all pause-json bench-fleet \
 	bench-scan bench-cow bench-remus bench-cluster bench-web experiments-golden \
-	fmt-check static-check ci bench-drift scenarios test-procs traced-runs loc fuzz-smoke
+	fmt-check static-check ci bench-drift scenarios test-procs traced-runs loc fuzz-smoke \
+	race-share
 
 build:
 	$(GO) build ./...
@@ -17,30 +18,28 @@ verify: build
 	$(GO) test -race ./...
 
 # Short race pass over just the packages with real concurrency: the
-# sharded checkpoint copy, the concurrent detector scan, the controller
-# that drives both, the fleet scheduler running many controllers on one
-# shared hypervisor, the machine frame table whose lock those VMs share
-# (commits exchange frames under it), and the observability layer they
-# all emit into — then the traced end-to-end runs.
+# checkpoint's shipper and disk stage, the concurrent detector scan, the
+# controller that drives both, the fleet scheduler running many
+# controllers on one shared hypervisor, the machine frame table whose
+# lock those VMs share (commits share and exchange frames under it), and
+# the observability layer they all emit into — then the traced
+# end-to-end runs.
 verify-quick: traced-runs
 	$(GO) test -race ./internal/checkpoint ./internal/detect ./internal/core ./internal/mem ./internal/hv ./internal/fleet ./internal/cluster ./internal/obs
 
 # Traced end-to-end runs under the race detector, the one copy of the
 # commands and their assertions (CI and verify-quick both call this):
 # many VMs emitting into one shared tracer and registry — eagerly, with
-# the CoW commit's background copier and write faults live, over the
-# delta+dedup wire, across a host kill, and under the SLO controller.
-# Every run must leave a non-empty trace and metrics dump; the mode's
-# own events and series must be in them. One more run fails a CoW
-# commit's lazy copy after its outputs left: that lost publication must
-# halt the VM (exit status 1, a halt event), never roll it back. The
-# rollback runs fail an eager commit before its publication — a staged
-# copy at Full and at Memcpy, the conduit send at No-opt, one stage at
-# every level: the VM must roll back, restoring the pages its dirty log
-# names from the committed image (exit status 1, a rollback event). The
-# incident run attacks a CoW VM: the first committed image, the derived
-# audit-fail dump and the rollback from that image, with the copier
-# live, must end in a pinpointed overflow.
+# the CoW commit's write faults live, over the delta+dedup wire, across
+# a host kill, and under the SLO controller. Every run must leave a
+# non-empty trace and metrics dump; the mode's own events and series
+# must be in them. The rollback runs fail a commit before its
+# publication — a page's copy fault at Full, at Full under CoW and at
+# Memcpy, the conduit send at No-opt: the VM must roll back, sharing the
+# pages its dirty log names back from the committed image (exit status
+# 1, a rollback event). The incident run attacks a CoW VM: the first
+# committed image, the derived audit-fail dump and the rollback from
+# that image must end in a pinpointed overflow.
 TRACED_DIR ?= /tmp/crimes-traced-runs
 define traced
 $(GO) run -race ./cmd/crimes $(2) -trace $(TRACED_DIR)/$(1).jsonl -metrics $(TRACED_DIR)/$(1).txt >/dev/null
@@ -55,10 +54,8 @@ traced-runs:
 	mkdir -p $(TRACED_DIR)
 	$(call traced,fleet,-vms 3 -stagger -epochs 2)
 	$(call traced,cow,-vms 3 -stagger -epochs 2 -cow)
-	$(GO) run -race ./cmd/crimes -epochs 4 -cow -fault checkpoint.copypage:30 -trace $(TRACED_DIR)/cow-lost.jsonl -metrics $(TRACED_DIR)/cow-lost.txt >/dev/null 2>$(TRACED_DIR)/cow-lost.err; test $$? -eq 1
-	test -s $(TRACED_DIR)/cow-lost.jsonl && test -s $(TRACED_DIR)/cow-lost.txt
-	grep -q '"phase":"halt"' $(TRACED_DIR)/cow-lost.jsonl
 	$(call rollback,rollback,-epochs 4 -fault checkpoint.copypage:30)
+	$(call rollback,rollback-cow,-epochs 4 -cow -fault checkpoint.copypage:30)
 	$(call rollback,rollback-memcpy,-epochs 4 -opt memcpy -fault checkpoint.copypage:30)
 	$(call rollback,rollback-noopt,-epochs 4 -opt noopt -fault remus.send:2)
 	$(call traced,delta,-vms 3 -stagger -epochs 2 -remus delta+dedup -opt noopt)
@@ -74,14 +71,14 @@ traced-runs:
 	grep -q '"action":"pinpointed"' $(TRACED_DIR)/incident.jsonl
 
 # Scheduling-independence gate: the packages with long-lived goroutines
-# (restore loop, pipelined shipper, CoW copier, the controller driving
-# them, the committed-image reader running alongside the copier, the
-# cluster promoting from controller state, guest processes shared
-# copy-on-write across guests and States, module forks sharing the walk
-# memo's trace set, commits exchanging frames under the machine lock
-# that neighbouring VMs resolve theirs through) must pass repeatedly on
-# one, two and eight processors — what an epoch reports is a function of
-# its inputs, never of which goroutine won a race.
+# (restore loop, pipelined shipper, the controller driving them, the
+# committed-image readers running alongside commits, the cluster
+# promoting from controller state, guest processes shared copy-on-write
+# across guests and States, module forks sharing the walk memo's trace
+# set, commits sharing frames under the machine lock that neighbouring
+# VMs resolve theirs through) must pass repeatedly on one, two and eight
+# processors — what an epoch reports is a function of its inputs, never
+# of which goroutine won a race.
 test-procs:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p $(GO) test -count=5 ./internal/remus ./internal/checkpoint ./internal/core ./internal/cluster ./internal/detect ./internal/guestos ./internal/vmi ./internal/mem ./internal/hv || exit 1; \
@@ -141,11 +138,21 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCommittedImage$$' -fuzztime 10s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzDemandZeroMachine$$' -fuzztime 10s ./internal/mem
 
+# Page sharing under the race detector, ten times over: a commit shares
+# the dirty pages with the backup and the guest copies a page on its
+# next write, with no lock, so the order of a guest's copy against the
+# commit, the pipelined shipper, the readers of committed images and a
+# neighbouring VM's commits is the invariant, and one -race pass samples
+# few interleavings.
+race-share:
+	$(GO) test -race -count=10 -run 'TestShare|TestZeroWritten|TestExchangeAlongsideNeighbourAccess' ./internal/mem ./internal/hv ./internal/checkpoint
+
 # Everything the CI workflow runs, in the same order, for local use.
 ci: fmt-check static-check build
 	$(GO) vet ./...
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race ./...
+	$(MAKE) race-share
 	$(MAKE) fuzz-smoke
 	$(MAKE) test-procs
 	$(MAKE) traced-runs

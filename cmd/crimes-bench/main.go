@@ -30,7 +30,7 @@ func run() (retErr error) {
 		list    = flag.Bool("list", false, "list experiment IDs and exit")
 		exp     = flag.String("exp", "", "run a single experiment by ID")
 		csvDir  = flag.String("csv", "", "also write <id>.csv files for plottable figures into this directory")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (goroutines labeled vm, role=shipper|cow-copier|restore)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (goroutines labeled vm, role=shipper|restore)")
 		memProf = flag.String("memprofile", "", "write an allocation profile of the run to this file on exit")
 	)
 	// One -<name>-json flag per benchmark artifact.

@@ -10,9 +10,8 @@ import (
 // The CoW equivalence property: the copy-on-write commit strategy is an
 // optimization, not a semantic change. For randomized workloads, clean
 // or under attack, every epoch's findings and incident outcome must be
-// identical with CoW on and off, and once the background copier is
-// quiesced the backup must hold byte-for-byte the same snapshot the
-// eager commit path produces. Scripts reuse the scan-cache property
+// identical with CoW on and off, and the backup must hold byte-for-byte
+// the same snapshot the eager commit path produces. Scripts reuse the scan-cache property
 // generator so both suites draw from the same workload distribution.
 
 func TestCoWPropertyEquivalence(t *testing.T) {

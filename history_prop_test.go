@@ -23,7 +23,9 @@ import (
 // dump is the first image of the run and the audit-fail dump is derived
 // from it. After a replay the at-attack dump, derived from the last-good
 // one over the dirty log, equals a full dump of the paused primary.
-// Keeping history changes no finding.
+// Keeping history changes no finding. The asynchronous audit of a CoW
+// commit, which scans the backup the commit just shared its pages into,
+// gives the findings, incidents and digests of the eager one.
 func TestHistoryEvidenceProperty(t *testing.T) {
 	arms := []struct {
 		name   string
@@ -37,14 +39,17 @@ func TestHistoryEvidenceProperty(t *testing.T) {
 		{"combined", Config{CoW: true, ScanCache: ScanCacheOn, Remus: RemusDeltaDedup, Workers: 2}, true},
 		{"replay", Config{ReplayOnIncident: true, ScanCache: ScanCacheOn}, false},
 		{"async", Config{Scan: ScanAsync}, false},
+		{"async-cow", Config{Scan: ScanAsync, CoW: true}, false},
 		{"replay-disk", Config{ReplayOnIncident: true, DiskBlocks: 64}, false},
 	}
 	attacks := []string{"", "overflow", "malware", "hijack", "hidden"}
 	for i, attack := range attacks {
 		seed := int64(900 + 41*i)
 		script := genScript(seed)
+		plains := make(map[string]*propRun, len(arms))
 		for _, arm := range arms {
 			plain := runPropArm(t, seed, arm.cfg, script, attack, arm.remote)
+			plains[arm.name] = plain
 			cfg := arm.cfg
 			cfg.HistoryDepth = 2
 			kept := runPropArm(t, seed, cfg, script, attack, arm.remote)
@@ -61,6 +66,18 @@ func TestHistoryEvidenceProperty(t *testing.T) {
 			}
 			if attack != "" && !kept.epochs[len(kept.epochs)-1].incident {
 				t.Errorf("seed %d arm %s: attack %q went undetected", seed, arm.name, attack)
+			}
+		}
+		eager, cow := plains["async"], plains["async-cow"]
+		if len(cow.epochs) != len(eager.epochs) || cow.primaryDigest != eager.primaryDigest || cow.backupDigest != eager.backupDigest {
+			t.Errorf("seed %d attack %q: the async CoW arm ran %d epochs to other digests than the async arm's %d",
+				seed, attack, len(cow.epochs), len(eager.epochs))
+			continue
+		}
+		for e := range eager.epochs {
+			if !reflect.DeepEqual(cow.epochs[e].findings, eager.epochs[e].findings) ||
+				cow.epochs[e].incident != eager.epochs[e].incident {
+				t.Errorf("seed %d attack %q epoch %d: the async CoW audit differs from the async one", seed, attack, e+1)
 			}
 		}
 	}

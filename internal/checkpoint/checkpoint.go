@@ -33,12 +33,10 @@ import (
 // ErrClosed is returned after Close.
 var ErrClosed = errors.New("checkpoint: checkpointer closed")
 
-// FaultCopyPage is the fault-injection site for the per-page copy into
-// a staging page (Memcpy, Premap, Full). An armed fault fails the copy
-// before any staged page reaches the backup: midway through an eager
-// commit, which fails; or, under CoW, midway through the lazy copies
-// behind the resumed guest, which loses the set's publication
-// (ErrConvergence).
+// FaultCopyPage is the fault-injection site for the per-page step of a
+// commit that shares the dirty pages with the backup (Memcpy, Premap,
+// Full). Every page passes it before any is shared, so an armed fault
+// fails the commit with the backup untouched.
 const FaultCopyPage = "checkpoint.copypage"
 
 // maxRemoteRetries bounds in-commit retries of transiently failing
@@ -53,9 +51,9 @@ const maxRemoteRetries = 3
 const maxShipsInFlight = 2
 
 // Checkpointer keeps a backup domain synchronized with a primary by
-// copying dirty pages at every epoch boundary. The backup is always the
-// most recent clean snapshot (the paper keeps it on the local host for
-// security rather than remote for availability).
+// handing it the dirty pages at every epoch boundary. The backup is
+// always the most recent clean snapshot (the paper keeps it on the local
+// host for security rather than remote for availability).
 type Checkpointer struct {
 	hv      *hv.Hypervisor
 	primary *hv.Domain
@@ -69,7 +67,7 @@ type Checkpointer struct {
 	remusBudget int
 
 	// workers is the pause-path parallelism: the dirty-bitmap scan and
-	// the page copy into staging shard across this many goroutines over
+	// the remote-shipment snapshot shard across this many goroutines over
 	// disjoint PFN ranges, the disk-block stage overlaps the memory stage,
 	// and remote replication is pipelined out of the pause window
 	// entirely. workers == 1 is the exact serial path.
@@ -85,10 +83,6 @@ type Checkpointer struct {
 	// Premap/Full: global mappings built once.
 	gmPrimary *hv.GlobalMapping
 	gmBackup  *hv.GlobalMapping
-
-	// mem is the commit's stage: exchangeStage at every level, which
-	// EnableCoW replaces with the copy-on-write commit.
-	mem memStage
 
 	// No-opt: encrypted socket conduit to the restore process.
 	conduit *remus.Conduit
@@ -133,7 +127,7 @@ type Checkpointer struct {
 	// lock a concurrent Send holds.
 	localRepl, remoteRepl cost.ReplicationCounts
 
-	// Copy-on-write commit state (EnableCoW); nil on the eager paths.
+	// Copy-on-write accounting (EnableCoW); nil on the eager paths.
 	cow *cowState
 
 	// image is Committed's last result, nil until the first call;
@@ -261,10 +255,11 @@ type PhaseTimings struct {
 	// a backup before its set is published whole, so the phase times no
 	// work. It stays for the traced benchmark's checkpoint.undo.
 	Undo time.Duration
-	// MemCopy is the dirty-page copy into staging plus the publication
-	// of memory and disk (the exchanges; at No-opt, the conduit's round
-	// trip). Under CoW, whose copies land after the guest resumes, it is
-	// the record of the dirty set plus the arming of its write faults.
+	// MemCopy is the memory stage (the copy fault pass, at Memcpy with
+	// the epoch's mapping) plus the publication of memory and disk: the
+	// share and the block exchange, at No-opt the conduit's round trip.
+	// No page is copied in it; the guest copies a shared page on its
+	// next write.
 	MemCopy time.Duration
 	// DiskCopy is the dirty-block copy into staging; with workers > 1 it
 	// overlaps MemCopy.
@@ -347,10 +342,9 @@ func NewWithParams(h *hv.Hypervisor, primary *hv.Domain, p Params) (*Checkpointe
 			return fail(err)
 		}
 	}
-	c.mem = &exchangeStage{c: c}
 	// Initial synchronization, as live migration's final stop-and-copy:
 	// the pages the fresh backup does not already hold. A page the primary
-	// never wrote reads zero there too, so only written pages are staged.
+	// never wrote reads zero there too, so only written pages are shared.
 	// The No-opt conduit still ships every page: its sender's
 	// shipped-version table learns each one, as a remote replica's does,
 	// and its restore stages none that reads zero on both sides.
@@ -536,37 +530,22 @@ func (c *Checkpointer) Backup() *hv.Domain { return c.backup }
 func (c *Checkpointer) Primary() *hv.Domain { return c.primary }
 
 // ReadCommitted copies page pfn of the last committed memory image into
-// dst (one page): the image Rollback would restore. That is the backup's
-// page — unless pfn belongs to a copy-on-write set not yet published:
-// then it is the primary's page while the page is pending (the write
-// trap keeps it at the committed bytes), and its staging page once the
-// page is staged. The read holds the CoW lock, so it never sees a page
-// mid-copy or mid-exchange.
+// dst (one page): the image Rollback would restore, which the backup
+// holds from the moment a commit returns.
 func (c *Checkpointer) ReadCommitted(pfn mem.PFN, dst []byte) error {
-	if cw := c.cow; cw != nil {
-		cw.mu.Lock()
-		defer cw.mu.Unlock()
-		if page, ok := cw.committedLocked(pfn); ok {
-			copy(dst, page)
-			return nil
-		}
-	}
 	return c.backup.ReadPhys(uint64(pfn)*mem.PageSize, dst[:mem.PageSize])
 }
 
 // Committed returns the memory image of the last commit, which Rollback
-// restores and forensics reads. It publishes a pending copy-on-write set
-// first; a lost publication returns ErrConvergence, as Quiesce does. No
-// page is copied: the image aliases the backup's pages, which only a
-// frame exchange replaces and none writes in place (see exchangeStage).
-// The first call aliases the whole backup; each later one derives from
-// the previous image, taking only the pages published since. The image
-// is then held for the checkpointer's life, and past it; a failed
-// derivation keeps it as the base.
+// restores and forensics reads. No page is copied: the image aliases the
+// backup's pages, which no one writes in place (see publishMemory). The
+// first call aliases the whole backup; each later one derives from the
+// previous image, taking only the pages published since. The image is
+// then held for the checkpointer's life, and past it; a failed derivation
+// keeps it as the base. Under CoW it ends the last commit's write
+// accounting first (disarmCoW).
 func (c *Checkpointer) Committed() (*hv.Snapshot, error) {
-	if err := c.mem.settle(); err != nil {
-		return nil, err
-	}
+	c.disarmCoW()
 	if c.image == nil {
 		snap, err := c.backup.AliasMemory()
 		if err != nil {
@@ -589,8 +568,8 @@ func (c *Checkpointer) Committed() (*hv.Snapshot, error) {
 	return snap, nil
 }
 
-// notePublished records pages a memory stage has just made the backup's,
-// for Committed to take; nothing is noted before the first image.
+// notePublished records pages a commit has just made the backup's, for
+// Committed to take; nothing is noted before the first image.
 func (c *Checkpointer) notePublished(pages []mem.PFN) {
 	if c.image == nil {
 		return
@@ -712,28 +691,19 @@ func (c *Checkpointer) CheckpointBitmap(dirty *mem.Bitmap) (cost.Counts, error) 
 }
 
 // commitDirty commits the harvested dirty set as one staged sequence:
-// settle, scan, disk harvest, stage, publish, remote replication. The
-// eager and copy-on-write strategies share every step; they differ only
-// in their memStage: the eager one stages under pause and publishes
-// before the commit returns, the CoW one arms write protection instead,
-// lets the copies land behind the resumed guest and publishes at the
-// next settle. The returned counts carry the commit's exact replication
-// traffic in the delta wire modes: what the local conduit and a serial
-// remote ship sent, plus the traffic of the pipelined shipments this
-// commit settled.
+// scan, disk harvest, stage, publish, remote replication. The eager and
+// copy-on-write strategies share every step; CoW only arms write traps on
+// the published set, for the accounting its pricing reads. The returned
+// counts carry the commit's exact replication traffic in the delta wire
+// modes: what the local conduit and a serial remote ship sent, plus the
+// traffic of the pipelined shipments this commit settled.
 func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 	c.report = CommitReport{Timings: PhaseTimings{Workers: c.workers}}
 	c.localRepl, c.remoteRepl = cost.ReplicationCounts{}, cost.ReplicationCounts{}
 	if c.obsr != nil {
 		defer c.observeCommit()
 	}
-
-	// Settle: the previous commit's set is published before this commit
-	// stages over the pools. A lost publication fails the commit with
-	// ErrConvergence; the backup still holds the commit before it.
-	if err := c.mem.settle(); err != nil {
-		return cost.Counts{}, err
-	}
+	c.disarmCoW()
 
 	dirty := c.scanDirty()
 
@@ -746,9 +716,9 @@ func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 		diskDirty = c.diskScratch
 	}
 
-	// BytesCopied keeps the memory bytes under CoW too — they are still
-	// copied, just off the pause-window critical path; the cost model's
-	// CoW pricing is what moves them out of the pause.
+	// BytesCopied counts the paper's copy of every dirty page, which the
+	// cost model prices, although the commit shares the pages and the
+	// guest copies only those it writes again.
 	counts := cost.Counts{
 		TotalPages:  c.primary.Pages(),
 		DirtyPages:  len(dirty),
@@ -764,6 +734,7 @@ func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 	if err := c.stageAndApply(dirty, diskDirty); err != nil {
 		return cost.Counts{}, err
 	}
+	c.armCoW(dirty)
 	// The commit stands, so its pages and blocks leave the dirty logs.
 	// c.dirty covers the primary, so the clean cannot fail.
 	_ = c.primary.CleanDirty(c.dirty)
@@ -801,39 +772,101 @@ func (c *Checkpointer) scanDirty() []mem.PFN {
 
 // stageAndApply stages the commit and publishes it. The memory stage and
 // the disk stage are independent (disjoint storage), so with workers > 1
-// they overlap. Only once both have succeeded does apply publish them —
-// memory, then disk — or, under CoW, record and arm the set for settle
-// to publish. The memory error takes precedence, matching the serial
-// path's report.
+// they overlap. Only once both have succeeded does publish make them the
+// backup's — memory, then disk.
 func (c *Checkpointer) stageAndApply(pages, blocks []mem.PFN) error {
-	var memErr, diskErr error
-	stageMemory := func() {
-		start := time.Now()
-		memErr = c.mem.stage(pages)
-		c.report.Timings.MemCopy = time.Since(start)
-	}
+	var err error
 	if c.disk != nil && c.workers > 1 {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			diskErr = c.stageDisk(blocks)
-		}()
-		stageMemory()
-		wg.Wait()
-	} else if stageMemory(); memErr == nil {
-		diskErr = c.stageDisk(blocks)
+		err = c.stageOverlapped(pages, blocks)
+	} else if err = c.stageMemory(pages); err == nil {
+		err = c.stageDisk(blocks)
 	}
-	if memErr != nil {
-		return memErr
-	}
-	if diskErr != nil {
-		return diskErr
+	if err != nil {
+		return err
 	}
 	start := time.Now()
-	err := c.mem.apply(pages, blocks)
+	err = c.publish(pages, blocks)
 	c.report.Timings.MemCopy += time.Since(start)
 	return err
+}
+
+// stageOverlapped runs the disk stage beside the memory stage. The memory
+// error takes precedence, matching the serial path's report.
+func (c *Checkpointer) stageOverlapped(pages, blocks []mem.PFN) error {
+	diskErr := make(chan error, 1)
+	go func() { diskErr <- c.stageDisk(blocks) }()
+	if err := c.stageMemory(pages); err != nil {
+		<-diskErr
+		return err
+	}
+	return <-diskErr
+}
+
+// stageMemory readies the memory half of a commit without touching the
+// backup. At Memcpy, Premap and Full every dirty page passes the copy
+// fault site, so a fault fails the commit before any page is shared; at
+// Memcpy the primary's dirty pages are mapped for the epoch meanwhile, as
+// Optimization 1 maps both VMs. No-opt stages nothing here: its restore
+// process stages the shipped batch. The stage is timed as MemCopy.
+func (c *Checkpointer) stageMemory(dirty []mem.PFN) error {
+	start := time.Now()
+	defer func() { c.report.Timings.MemCopy = time.Since(start) }()
+	if c.conduit != nil {
+		return nil
+	}
+	if c.gmPrimary == nil {
+		fm, err := c.hv.MapForeign(c.primary, dirty)
+		if err != nil {
+			return err
+		}
+		defer fm.Unmap()
+	}
+	for _, pfn := range dirty {
+		if err := c.hv.Faults().Check(FaultCopyPage); err != nil {
+			return fmt.Errorf("checkpoint: copy pfn %d: %w", pfn, err)
+		}
+	}
+	return nil
+}
+
+// publish makes the staged commit the backup's: memory, then disk.
+// ExchangeBlocks rejects no harvested (ascending) list the disk stage
+// accepted, so once memory is published the disk exchange cannot fail:
+// both land in one step.
+func (c *Checkpointer) publish(dirty, blocks []mem.PFN) error {
+	if err := c.publishMemory(dirty); err != nil {
+		return err
+	}
+	c.notePublished(dirty)
+	if len(blocks) == 0 {
+		return nil
+	}
+	return c.backupDisk.ExchangeBlocks(c.diskStaging, blocks)
+}
+
+// publishMemory makes the dirty pages the backup's. At Memcpy, Premap and
+// Full the backup's frames take the primary's pages by reference
+// (hv.Domain.ShareTo), at Memcpy with the backup's dirty pages mapped for
+// the epoch. No byte moves under pause: the guest copies a page on its
+// next write to it (mem.Machine.Write), and nothing writes the backup's
+// pages in place, so the backup and every image aliasing it keep the
+// commit. At No-opt the conduit ships the pages, and its restore process
+// exchanges the batch into the backup before it acks.
+func (c *Checkpointer) publishMemory(dirty []mem.PFN) error {
+	if c.conduit != nil {
+		return c.ship(c.conduit, &c.localRepl, dirty)
+	}
+	if c.gmBackup == nil {
+		fm, err := c.hv.MapForeign(c.backup, dirty)
+		if err != nil {
+			return err
+		}
+		defer fm.Unmap()
+	}
+	if err := c.primary.ShareTo(c.backup, dirty); err != nil {
+		return fmt.Errorf("checkpoint: share dirty pages: %w", err)
+	}
+	return nil
 }
 
 // stageDisk copies the dirty blocks into the staging disk, when a disk
@@ -986,8 +1019,7 @@ func (c *Checkpointer) enqueueShipment(dirty []mem.PFN) bool {
 	}
 	s := c.newShipment(dirty)
 	// Snapshot through the worker pool, shards writing disjoint regions.
-	// The paused primary holds exactly the committed epoch's bytes for
-	// either commit strategy (a CoW set is published only later).
+	// The paused primary holds exactly the committed epoch's bytes.
 	if err := c.runSharded(len(dirty), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			off := i * mem.PageSize
@@ -1107,135 +1139,13 @@ func (c *Checkpointer) drainShipper() error {
 	return err
 }
 
-// memStage is the commit's stage, the one way bytes reach the backup.
-// stage copies the dirty pages into staging pages, leaving the backup
-// untouched; apply publishes them with the disk blocks staged beside
-// them (memory, then disk, each all-or-nothing) and notes the pages
-// (notePublished), or under CoW records and arms the set for settle to
-// publish; settle is a no-op for the eager stage. No failure — of a
-// stage, of apply, or a lost CoW publication — leaves anything to undo.
-// dirty is the same ascending PFN list in stage and apply of one commit.
-type memStage interface {
-	stage(dirty []mem.PFN) error
-	apply(dirty, blocks []mem.PFN) error
-	settle() error
-}
-
-// exchangeStage is the eager commit at every optimization level, which
-// chooses only where the staged bytes come from: the primary's global
-// mapping at Premap and Full; at Memcpy a foreign mapping of its dirty
-// pages for this epoch (the exchange maps the backup's too, as
-// Optimization 1 maps both VMs); at No-opt the decoded wire records of
-// the conduit's restore process, which stages the batch itself and
-// exchanges it into the backup before it acks. Each page is copied once,
-// sharded over disjoint PFN ranges; the exchange swaps machine pages, no
-// bytes move, and the pages swapped out stage the next commit — except
-// those a committed image holds, which the exchange drops, and the
-// none a never-written backup frame had: mem.RecyclePages replaces both
-// nils, so no image page is ever staged over.
-type exchangeStage struct {
-	c    *Checkpointer
-	pool [][]byte // staging pages; the first len(dirty) hold the commit
-	prev int      // the page count of the last set published
-}
-
-func (s *exchangeStage) stage(dirty []mem.PFN) error {
-	c := s.c
-	if c.conduit != nil {
-		return nil
-	}
-	var src pageSource
-	if c.gmPrimary != nil {
-		src = c.gmPrimary
-	} else {
-		// Memcpy: mapping is a hypercall path, so it runs serially; the
-		// mapping is read-only during the sharded copy.
-		fm, err := c.hv.MapForeign(c.primary, dirty)
-		if err != nil {
-			return err
-		}
-		defer fm.Unmap()
-		src = fm
-	}
-	s.pool = mem.GrowPages(s.pool, len(dirty))
-	return c.runSharded(len(dirty), func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := s.stagePage(i, dirty[i], src); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// pageSource is a mapping of the primary a stage copies from: its global
-// mapping, or at Memcpy the epoch's foreign mapping.
-type pageSource interface {
-	Page(pfn mem.PFN) ([]byte, error)
-}
-
-// stagePage copies the primary's page pfn, read through src, into
-// staging page i: the one per-page copy of both commit strategies.
-func (s *exchangeStage) stagePage(i int, pfn mem.PFN, src pageSource) error {
-	if err := s.c.hv.Faults().Check(FaultCopyPage); err != nil {
-		return fmt.Errorf("checkpoint: copy pfn %d: %w", pfn, err)
-	}
-	page, err := src.Page(pfn)
-	if err != nil {
-		return err
-	}
-	copy(s.pool[i], page)
-	return nil
-}
-
-// apply publishes memory, then disk. ExchangeBlocks rejects no harvested
-// (ascending) list the disk stage accepted, so once memory is published
-// the disk exchange cannot fail: both land in one step.
-func (s *exchangeStage) apply(dirty, blocks []mem.PFN) error {
-	if err := s.exchange(dirty); err != nil {
-		return err
-	}
-	s.c.notePublished(dirty)
-	if len(blocks) == 0 {
-		return nil
-	}
-	return s.c.backupDisk.ExchangeBlocks(s.c.diskStaging, blocks)
-}
-
-// exchange publishes the staged memory set into the backup's frames.
-func (s *exchangeStage) exchange(dirty []mem.PFN) error {
-	c := s.c
-	if c.conduit != nil {
-		return c.ship(c.conduit, &c.localRepl, dirty)
-	}
-	var err error
-	if c.gmBackup != nil {
-		err = c.gmBackup.Exchange(dirty, s.pool[:len(dirty)])
-	} else {
-		var fm *hv.ForeignMapping
-		if fm, err = c.hv.MapForeign(c.backup, dirty); err != nil {
-			return err
-		}
-		err = c.backup.Exchange(dirty, s.pool[:len(dirty)])
-		fm.Unmap()
-	}
-	if err != nil {
-		return fmt.Errorf("checkpoint: exchange staged pages: %w", err)
-	}
-	s.pool, s.prev = mem.RecyclePages(s.pool, s.prev), len(dirty)
-	return nil
-}
-
-func (s *exchangeStage) settle() error { return nil }
-
 // Rollback returns the primary to the last commit — the Analyzer's
 // first response step after a failed audit. Only the pages in the
 // primary's dirty log may differ from that commit, so exactly those are
-// restored from Committed, and the dirty disk blocks from the backup
-// disk. Both logs keep what they held: the next commit re-copies the
-// restored pages with whatever is written after. A lost copy-on-write
-// publication fails it; once one is reported the log no longer bounds
-// what differs from the backup, which is one more reason the VM halts.
+// restored from Committed, by sharing the image's pages back into the
+// primary (hv.Domain.RestoreMemory), and the dirty disk blocks are copied
+// from the backup disk. Both logs keep what they held: the next commit
+// shares the restored pages again with whatever is written after.
 func (c *Checkpointer) Rollback() error {
 	if c.closed {
 		return ErrClosed
@@ -1244,7 +1154,7 @@ func (c *Checkpointer) Rollback() error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: rollback: %w", err)
 	}
-	// Committed is done with the scan buffer, and settle with the disk's.
+	// Committed is done with the scan buffer.
 	c.scratch = c.primary.DirtyPages(c.scratch[:0])
 	if err := c.primary.RestoreMemory(snap, c.scratch); err != nil {
 		return fmt.Errorf("checkpoint: rollback restore: %w", err)
@@ -1271,14 +1181,7 @@ func (c *Checkpointer) Close() error {
 		return nil
 	}
 	c.closed = true
-	if c.cow != nil {
-		// Stop the background copier, then publish the last set inline so
-		// the backup is a complete snapshot for post-mortem use.
-		close(c.cow.stop)
-		<-c.cow.done
-		_ = c.mem.settle()
-		c.primary.SetWriteFaultHandler(nil)
-	}
+	c.disarmCoW()
 	if err := c.drainShipper(); err != nil {
 		if c.remote != nil {
 			c.degradeRemote(err)

@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -75,7 +74,7 @@ func TestCommittedMatchesBackup(t *testing.T) {
 						// Unfired schedules must not outlive their commit.
 						inj.Reset()
 						if err != nil {
-							if !fault.IsInjected(err) || (site == FaultCopyPage && !errors.Is(err, ErrConvergence)) {
+							if !fault.IsInjected(err) || site != hv.FaultDump {
 								t.Fatalf("commit %d: Committed: %v", i, err)
 							}
 							continue

@@ -2,10 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/cost"
 	"repro/internal/fault"
@@ -53,10 +51,21 @@ func checkPage(t *testing.T, d *hv.Domain, pfn mem.PFN, want byte, what string) 
 	}
 }
 
-// The CoW commit must deliver the exact paused-instant snapshot: pages
-// overwritten by the guest right after resume reach the backup with
-// their at-commit contents (copied eagerly by the write fault), and
-// pages the guest leaves alone converge lazily.
+// pageOf returns the machine page behind page pfn of dom.
+func pageOf(t *testing.T, dom *hv.Domain, m *mem.Machine, pfn mem.PFN) *mem.Page {
+	t.Helper()
+	mfn, err := dom.Translate(pfn)
+	if err != nil {
+		t.Fatalf("Translate(%d): %v", pfn, err)
+	}
+	return m.Page(mfn)
+}
+
+// The CoW commit delivers the exact paused-instant snapshot, and the
+// backup holds it as the commit returns: pages the guest overwrites
+// right after resume take their write faults and keep their at-commit
+// contents in the backup, and the rest need nothing more. Committed ends
+// the set's write accounting, dropping the traps left.
 func TestCoWCommitConvergesToPausedInstant(t *testing.T) {
 	_, d, c := newCoWCheckpointer(t)
 	pfns := []mem.PFN{1, 2, 3, 4}
@@ -70,24 +79,26 @@ func TestCoWCommitConvergesToPausedInstant(t *testing.T) {
 	if counts.DirtyPages == 0 {
 		t.Fatal("commit saw no dirty pages")
 	}
+	for _, pfn := range pfns {
+		checkPage(t, c.Backup(), pfn, 0xAA, "backup at the commit")
+	}
 
 	// The guest rewrites half the committed set immediately — those
 	// writes fault and must not reach the backup.
 	fillPage(t, d, 1, 0xBB)
 	fillPage(t, d, 2, 0xBB)
-	if d.WriteFaults() == 0 {
-		t.Fatal("post-resume writes to armed pages took no write faults")
-	}
-
-	if err := c.Quiesce(); err != nil {
-		t.Fatalf("Quiesce: %v", err)
+	if got := d.WriteFaults(); got != 2 {
+		t.Fatalf("post-resume writes to two armed pages took %d write faults, want 2", got)
 	}
 	for _, pfn := range pfns {
-		checkPage(t, c.Backup(), pfn, 0xAA, "backup after quiesce")
+		checkPage(t, c.Backup(), pfn, 0xAA, "backup after the guest's writes")
 	}
 	checkPage(t, d, 1, 0xBB, "primary keeps the new write")
+	if _, err := c.Committed(); err != nil {
+		t.Fatalf("Committed: %v", err)
+	}
 	if d.WatchCount() != 0 {
-		t.Fatalf("WatchCount = %d after quiesce, want 0 (traps drained)", d.WatchCount())
+		t.Fatalf("WatchCount = %d after Committed, want 0 (traps dropped)", d.WatchCount())
 	}
 	st := c.CoWStats()
 	if st.Commits != 1 || st.ArmedPages == 0 {
@@ -95,39 +106,16 @@ func TestCoWCommitConvergesToPausedInstant(t *testing.T) {
 	}
 }
 
-// stopCopier retires the background copier, so a committed page stays
-// pending until the guest faults on it or a quiesce drains it. Close
-// closes stop again, so it gets a fresh one.
-func stopCopier(c *Checkpointer) {
-	close(c.cow.stop)
-	<-c.cow.done
-	c.cow.stop = make(chan struct{})
-}
-
-// waitStaged waits until no page of the last CoW commit is pending: the
-// copier has staged every one (or a staging failure dropped the rest).
-func waitStaged(t *testing.T, c *Checkpointer) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		c.cow.mu.Lock()
-		n := len(c.cow.pending)
-		c.cow.mu.Unlock()
-		if n == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("copier left %d pages pending", n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// A lazy-copy failure loses the commit's publication. Whichever copy
-// fails — the first, a middle or the last — and whichever of the copier,
-// a write fault or the quiesce drain claims it, the backup's memory and
-// disk stay at the previous commit, and the error surfaces once, at the
-// next quiesce, as ErrConvergence.
+// A copy fault fails the CoW commit under pause, before any page is
+// shared. The three arms are the three ways a page of a CoW set was once
+// copied after the guest resumed — by a background copier, by the
+// guest's write fault, by the drain at the next settle — each of which
+// could lose the set's publication; now each only names what follows the
+// failed commit: nothing (copier), the guest rewriting the set (fault),
+// or a committed image taken (drain). Whichever copy fails — the first,
+// a middle or the last — the backup's memory and disk stay at the
+// previous commit, no trap is armed for the failed set, and the retried
+// commit converges.
 func TestCoWCopyFailureRevertsBackup(t *testing.T) {
 	const dirty = 8
 	for _, by := range []string{"copier", "fault", "drain"} {
@@ -140,9 +128,6 @@ func TestCoWCopyFailureRevertsBackup(t *testing.T) {
 				if err := f.c.EnableCoW(); err != nil {
 					t.Fatalf("EnableCoW: %v", err)
 				}
-				if by != "copier" {
-					stopCopier(f.c)
-				}
 				preMem, err := f.c.Backup().DumpMemory()
 				if err != nil {
 					t.Fatalf("DumpMemory: %v", err)
@@ -150,45 +135,36 @@ func TestCoWCopyFailureRevertsBackup(t *testing.T) {
 				preDisk := f.c.BackupDisk().Snapshot()
 				f.dirtyEpoch(t, dirty, 0xA5)
 				f.inj.FailNth(FaultCopyPage, f.inj.Calls(FaultCopyPage)+at.n)
-				if _, err := f.c.Checkpoint(); err != nil {
-					t.Fatalf("CoW commit: %v", err)
-				}
-				switch by {
-				case "copier":
-					waitStaged(t, f.c)
-				case "fault":
-					// The guest rewrites the set in order: each write faults
-					// and stages its page before it lands.
-					f.dirtyEpoch(t, dirty, 0x5A)
-				}
-				err = f.c.Quiesce()
-				if !errors.Is(err, ErrConvergence) || !fault.IsInjected(err) {
-					t.Fatalf("Quiesce = %v, want an injected ErrConvergence", err)
+				_, err = f.c.Checkpoint()
+				if err == nil || !fault.IsInjected(err) {
+					t.Fatalf("CoW commit with a copy fault = %v, want an injected failure", err)
 				}
 				if f.inj.Tripped(FaultCopyPage) != 1 {
 					t.Fatal("copy fault never fired")
+				}
+				if st := f.c.CoWStats(); st.Commits != 0 || f.d.WatchCount() != 0 {
+					t.Fatalf("failed commit counted (%+v) or armed %d traps", st, f.d.WatchCount())
+				}
+				switch by {
+				case "fault":
+					f.dirtyEpoch(t, dirty, 0x5A)
+				case "drain":
+					if _, err := f.c.Committed(); err != nil {
+						t.Fatalf("Committed: %v", err)
+					}
 				}
 				postMem, err := f.c.Backup().DumpMemory()
 				if err != nil {
 					t.Fatalf("DumpMemory: %v", err)
 				}
 				if !bytes.Equal(preMem.Bytes(), postMem.Bytes()) {
-					t.Fatal("backup memory changed by a lost publication")
+					t.Fatal("backup memory changed by a failed commit")
 				}
 				if !bytes.Equal(preDisk, f.c.BackupDisk().Snapshot()) {
-					t.Fatal("backup disk not reverted after a lost publication")
+					t.Fatal("backup disk changed by a failed commit")
 				}
-				// The error was surfaced once, then cleared: the pipeline is
-				// usable again and the next commit converges.
-				if err := f.c.Quiesce(); err != nil {
-					t.Fatalf("error not cleared after surfacing: %v", err)
-				}
-				f.dirtyEpoch(t, dirty, 0xC3)
 				if _, err := f.c.Checkpoint(); err != nil {
 					t.Fatalf("recovery commit: %v", err)
-				}
-				if err := f.c.Quiesce(); err != nil {
-					t.Fatalf("recovery quiesce: %v", err)
 				}
 				if !domainsEqual(t, f.d, f.c.Backup()) || !vdisk.Equal(f.disk, f.c.BackupDisk()) {
 					t.Fatal("backup diverged from the primary after the recovery commit")
@@ -198,61 +174,36 @@ func TestCoWCopyFailureRevertsBackup(t *testing.T) {
 	}
 }
 
-// The backup holds the previous commit until a CoW set is published:
-// with every page of the set staged, the backup still dumps to the
-// previous commit's image, and only the quiesce's exchange makes it the
-// primary as it was at the commit.
-func TestCoWPublishesOnlyAtSettle(t *testing.T) {
+// The backup holds a CoW commit from the moment the commit returns, and
+// keeps it while the guest rewrites the set: nothing is left to settle.
+func TestCoWPublishesAtCommit(t *testing.T) {
 	_, d, c := newPairWorkers(t, cost.Full, parallelTestPages, 2)
 	if err := c.EnableCoW(); err != nil {
 		t.Fatalf("EnableCoW: %v", err)
 	}
 	rng := rand.New(rand.NewSource(11))
-	applyRandomEpoch(t, d, rng)
-	if _, err := c.Checkpoint(); err != nil {
-		t.Fatalf("commit 1: %v", err)
-	}
-	if err := c.Quiesce(); err != nil {
-		t.Fatalf("Quiesce 1: %v", err)
-	}
-	prev, err := c.Backup().DumpMemory()
-	if err != nil {
-		t.Fatalf("DumpMemory: %v", err)
-	}
-	applyRandomEpoch(t, d, rng)
-	want, err := d.DumpMemory()
-	if err != nil {
-		t.Fatalf("DumpMemory: %v", err)
-	}
-	if bytes.Equal(prev.Bytes(), want.Bytes()) {
-		t.Fatal("epoch 2 changed nothing")
-	}
-	if _, err := c.Checkpoint(); err != nil {
-		t.Fatalf("commit 2: %v", err)
-	}
-	waitStaged(t, c)
-	staged, err := c.Backup().DumpMemory()
-	if err != nil {
-		t.Fatalf("DumpMemory: %v", err)
-	}
-	if !bytes.Equal(staged.Bytes(), prev.Bytes()) {
-		t.Fatal("backup written before the set was published")
-	}
-	if err := c.Quiesce(); err != nil {
-		t.Fatalf("Quiesce 2: %v", err)
-	}
-	published, err := c.Backup().DumpMemory()
-	if err != nil {
-		t.Fatalf("DumpMemory: %v", err)
-	}
-	if !bytes.Equal(published.Bytes(), want.Bytes()) {
-		t.Fatal("published backup differs from the primary at the commit")
+	for i := 0; i < 3; i++ {
+		applyRandomEpoch(t, d, rng)
+		want, err := d.DumpMemory()
+		if err != nil {
+			t.Fatalf("DumpMemory: %v", err)
+		}
+		if _, err := c.Checkpoint(); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+		applyRandomEpoch(t, d, rng)
+		got, err := c.Backup().DumpMemory()
+		if err != nil {
+			t.Fatalf("DumpMemory: %v", err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("commit %d: backup differs from the primary at the commit", i)
+		}
 	}
 }
 
-// Rollback must drain the in-flight lazy copies before restoring the
-// primary from the backup, so the primary lands on the settled
-// paused-instant snapshot with no write traps left behind.
+// Rollback restores the paused-instant snapshot into the primary and
+// leaves no write traps behind.
 func TestCoWRollbackRestoresPausedInstant(t *testing.T) {
 	_, d, c := newCoWCheckpointer(t)
 	pfns := []mem.PFN{1, 2, 3, 4}
@@ -262,7 +213,7 @@ func TestCoWRollbackRestoresPausedInstant(t *testing.T) {
 	if _, err := c.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	// Dirty the primary after resume, then roll back mid-convergence.
+	// Dirty the primary after resume, then roll back.
 	fillPage(t, d, 2, 0xBB)
 	fillPage(t, d, 4, 0xBB)
 	if err := c.Rollback(); err != nil {
@@ -286,46 +237,39 @@ func readCommitted(t *testing.T, c *Checkpointer, pfn mem.PFN) []byte {
 	return got
 }
 
-// ReadCommitted serves the image Rollback would restore while the CoW
-// set is unpublished: a page the copier has not staged yet is read from
-// the primary, whose write trap keeps it at the committed bytes; once a
-// guest write faults it into its staging page, from the staging page.
+// A committed page the guest has not written again is one page, held by
+// the primary and the backup alike, and ReadCommitted reads it; the
+// guest's next write copies it away from the primary, and the backup
+// keeps the committed bytes in the page it holds.
 func TestReadCommittedPendingPageFromPrimary(t *testing.T) {
-	_, d, c := newCoWCheckpointer(t)
-	stopCopier(c)
-	pending := func(pfn mem.PFN) bool {
-		c.cow.mu.Lock()
-		defer c.cow.mu.Unlock()
-		_, ok := c.cow.pending[pfn]
-		return ok
-	}
-
+	h, d, c := newCoWCheckpointer(t)
+	m := h.Machine()
 	const pfn = 5
 	fillPage(t, d, pfn, 0xAA)
 	if _, err := c.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	if !pending(pfn) {
-		t.Fatal("committed page is not pending with the copier stopped")
+	committed := pageOf(t, c.Backup(), m, pfn)
+	if pageOf(t, d, m, pfn) != committed {
+		t.Fatal("the commit copied the page instead of sharing it")
 	}
-	checkPage(t, c.Backup(), pfn, 0x00, "backup before the lazy copy")
-	if got := readCommitted(t, c, pfn); !bytes.Equal(got, bytes.Repeat([]byte{0xAA}, mem.PageSize)) {
-		t.Fatal("pending page not read from the primary's committed bytes")
+	want := bytes.Repeat([]byte{0xAA}, mem.PageSize)
+	if got := readCommitted(t, c, pfn); !bytes.Equal(got, want) {
+		t.Fatal("shared page does not read the committed bytes")
 	}
 
 	fillPage(t, d, pfn, 0xBB)
-	if pending(pfn) {
-		t.Fatal("guest write did not settle the pending page")
+	if pageOf(t, d, m, pfn) == committed || pageOf(t, c.Backup(), m, pfn) != committed {
+		t.Fatal("the guest's write did not copy the page away from the backup's")
 	}
-	if got := readCommitted(t, c, pfn); !bytes.Equal(got, bytes.Repeat([]byte{0xAA}, mem.PageSize)) {
-		t.Fatal("staged page not read from its staging page")
+	if got := readCommitted(t, c, pfn); !bytes.Equal(got, want) {
+		t.Fatal("the guest's write reached the committed page")
 	}
 }
 
-// With the copier live, every committed page reads back at its
-// at-commit bytes however the copier and the guest's faults interleave
-// with the reads.
-func TestReadCommittedAlongsideCopier(t *testing.T) {
+// Every committed page reads back at its at-commit bytes, commit after
+// commit, however the guest's copies on write interleave with the reads.
+func TestReadCommittedAcrossGuestCopies(t *testing.T) {
 	_, d, c := newCoWCheckpointer(t)
 	for round := 1; round <= 3; round++ {
 		for pfn := mem.PFN(0); pfn < domPages; pfn++ {
@@ -337,7 +281,7 @@ func TestReadCommittedAlongsideCopier(t *testing.T) {
 		want := bytes.Repeat([]byte{byte(round)}, mem.PageSize)
 		for pfn := mem.PFN(0); pfn < domPages; pfn++ {
 			if pfn%4 == 0 {
-				fillPage(t, d, pfn, 0xFF) // faults the page into its staging page
+				fillPage(t, d, pfn, 0xFF) // copies the page away from the backup's
 			}
 			if got := readCommitted(t, c, pfn); !bytes.Equal(got, want) {
 				t.Fatalf("round %d pfn %d: committed image differs from the at-commit bytes", round, pfn)

@@ -223,28 +223,43 @@ func TestCoWAfterExchangeWritesLiveFrames(t *testing.T) {
 	}
 }
 
-// Over many seeded commits the exchange keeps ownership exact: every
-// backup frame that holds a page holds its own (the rest read the shared
-// zero page), the global mapping names the machine's
-// live frame, and no staging page is also a backup frame — for the
-// eager commit, and for the CoW commit with the guest writing its armed
-// pages while they converge.
+// Over many seeded commits the share keeps ownership exact: the global
+// mapping names the machine's live frame; every backup frame that holds
+// a page holds one no other backup page holds (the rest read the shared
+// zero page) and that no primary page holds but its own PFN's; and a
+// page the guest writes after the commit is copied away from the
+// backup's, which keeps the committed bytes — for the eager commit, and
+// for the CoW commit with the guest writing its armed pages.
 func TestExchangeKeepsPagesDisjoint(t *testing.T) {
 	for _, cow := range []bool{false, true} {
 		t.Run(fmt.Sprintf("cow=%v", cow), func(t *testing.T) {
 			h, d, c := newPairWorkers(t, cost.Full, parallelTestPages, 2)
-			ex, _ := c.mem.(*exchangeStage)
+			m := h.Machine()
 			if cow {
 				if err := c.EnableCoW(); err != nil {
 					t.Fatalf("EnableCoW: %v", err)
 				}
-				ex = c.cow.ex
 			}
 			rng := rand.New(rand.NewSource(23))
 			for i := 0; i < 50; i++ {
+				before, err := c.Backup().DumpMemory()
+				if err != nil {
+					t.Fatalf("DumpMemory: %v", err)
+				}
 				applyRandomEpoch(t, d, rng)
+				after, err := c.Backup().DumpMemory()
+				if err != nil {
+					t.Fatalf("DumpMemory: %v", err)
+				}
+				if !bytes.Equal(before.Bytes(), after.Bytes()) {
+					t.Fatalf("epoch %d: the guest's writes reached the backup", i)
+				}
 				if _, err := c.Checkpoint(); err != nil {
 					t.Fatalf("commit %d: %v", i, err)
+				}
+				primary := make(map[*mem.Page]mem.PFN, d.Pages())
+				for pfn := 0; pfn < d.Pages(); pfn++ {
+					primary[pageOf(t, d, m, mem.PFN(pfn))] = mem.PFN(pfn)
 				}
 				owner := make(map[*byte]string, d.Pages())
 				for pfn := 0; pfn < d.Pages(); pfn++ {
@@ -256,14 +271,14 @@ func TestExchangeKeepsPagesDisjoint(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Translate(%d): %v", pfn, err)
 					}
-					live, err := h.Machine().Frame(mfn)
+					live, err := m.Frame(mfn)
 					if err != nil {
 						t.Fatalf("Frame(%d): %v", mfn, err)
 					}
 					if &live[0] != &p[0] {
 						t.Fatalf("commit %d: mapping of pfn %d is not the machine's live frame", i, pfn)
 					}
-					if !h.Machine().Written(mfn) {
+					if !m.Written(mfn) {
 						// A never-written frame reads the one shared zero page.
 						if !bytes.Equal(p, make([]byte, mem.PageSize)) {
 							t.Fatalf("commit %d: never-written pfn %d does not read zero", i, pfn)
@@ -274,16 +289,10 @@ func TestExchangeKeepsPagesDisjoint(t *testing.T) {
 						t.Fatalf("commit %d: pfn %d shares its page with %s", i, pfn, prev)
 					}
 					owner[&p[0]] = fmt.Sprintf("pfn %d", pfn)
-				}
-				for j, p := range ex.pool {
-					if prev, dup := owner[&p[0]]; dup {
-						t.Fatalf("commit %d: staging page %d is also %s", i, j, prev)
+					if at, ok := primary[(*mem.Page)(p)]; ok && at != mem.PFN(pfn) {
+						t.Fatalf("commit %d: backup pfn %d holds the primary's page of pfn %d", i, pfn, at)
 					}
-					owner[&p[0]] = fmt.Sprintf("staging page %d", j)
 				}
-			}
-			if err := c.Quiesce(); err != nil {
-				t.Fatalf("Quiesce: %v", err)
 			}
 			if !domainsEqual(t, d, c.Backup()) {
 				t.Fatal("backup diverged from primary")

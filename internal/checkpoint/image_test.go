@@ -2,7 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
-	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -98,11 +98,10 @@ func committedSpend(t *testing.T, pages int) (first, derived spend) {
 }
 
 // Images kept by readers on other goroutines hold still while the owner
-// goes on committing — every stage, eager and copy-on-write, exchanging
-// frames under the images' pages, the CoW copier and write faults
-// staging behind the resumed guest, the pools recycling — and deriving
-// new images. Run under -race, it also shows no reader touches a page a
-// writer does.
+// goes on committing — every level, eager and copy-on-write, sharing
+// pages into the frames under the images, the guest copying shared pages
+// on write, spare pages reused — and deriving new images. Run under
+// -race, it also shows no reader touches a page a writer does.
 func TestRetainedImagesReadAlongsideCommits(t *testing.T) {
 	const rounds = 30
 	for _, arm := range stageArms {
@@ -160,16 +159,18 @@ func TestRetainedImagesReadAlongsideCommits(t *testing.T) {
 }
 
 // A guest whose memory is mostly never written gives its frames pages
-// of their own as it first writes them, while the CoW copier stages the
-// last commit's set behind it, the pipelined shipper replicates to a
-// delta+dedup replica, and readers check retained images (whose
-// never-written pages are the shared zero page). Run under -race, it
-// shows a first write races with none of them; the backup and the
-// replica end equal to the primary, and the pages the guest never wrote
-// hold no page there either.
-func TestFirstWritesAlongsideCopierShipperAndImages(t *testing.T) {
+// of their own as it first writes them, and copies a page it shares with
+// the backup before rewriting it, while the pipelined shipper replicates
+// each commit to a delta+dedup replica and readers check retained images
+// (whose never-written pages are the shared zero page). Run under -race,
+// it shows a guest write races with none of them. No image page changes
+// after its image was taken, and no backup page changes while the backup
+// holds it; the backup and the replica end equal to the primary, and the
+// pages the guest never wrote hold no page there either.
+func TestSharedPagesAlongsideShipperAndImages(t *testing.T) {
 	const pages, rounds = parallelTestPages, 30
 	h := hv.New(3*pages + 8)
+	m := h.Machine()
 	d, err := h.CreateDomain("vm", pages)
 	if err != nil {
 		t.Fatalf("CreateDomain: %v", err)
@@ -217,31 +218,60 @@ func TestFirstWritesAlongsideCopierShipperAndImages(t *testing.T) {
 			runtime.Gosched()
 		}
 	}()
+	// published is each backup page's bytes as its commit published it.
+	type held struct {
+		page *mem.Page
+		want mem.Page
+	}
+	published := make([]held, pages)
+	checkBackup := func(when string) {
+		t.Helper()
+		for pfn := range published {
+			if p := pageOf(t, c.Backup(), m, mem.PFN(pfn)); p == published[pfn].page && *p != published[pfn].want {
+				t.Fatalf("%s: backup page of pfn %d changed after its commit", when, pfn)
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(5))
 	fresh := rng.Perm(pages - 1) // pages 1..pages-1, never written yet
 	for i := range fresh {
 		fresh[i]++
 	}
+	var written []int
 	for i := 0; i < rounds && !t.Failed(); i++ {
-		// The guest runs behind the copier and the shipper of the last
-		// commit: four first writes (one all zero, which gives no page),
-		// and rewrites of pages that already hold data.
+		// The guest runs behind the shipper of the last commit: four
+		// first writes (one all zero, which gives no page), and rewrites
+		// of pages it shares with the backup.
 		for k := 0; k < 4 && len(fresh) > 0; k++ {
 			pfn := fresh[0]
 			fresh = fresh[1:]
 			b := byte(1 + rng.Intn(255))
 			if k == 3 {
 				b = 0
+			} else {
+				written = append(written, pfn)
 			}
 			if err := d.WritePhys(uint64(pfn)*mem.PageSize+uint64(rng.Intn(mem.PageSize-8)), bytes.Repeat([]byte{b}, 8)); err != nil {
+				t.Fatalf("WritePhys: %v", err)
+			}
+		}
+		for k := 0; k < 3 && len(written) > 0; k++ {
+			pfn := written[rng.Intn(len(written))]
+			if err := d.WritePhys(uint64(pfn)*mem.PageSize+uint64(rng.Intn(mem.PageSize-8)), []byte{byte(i), 1, 2, 3}); err != nil {
 				t.Fatalf("WritePhys: %v", err)
 			}
 		}
 		if err := d.WritePhys(0, []byte{byte(i)}); err != nil {
 			t.Fatalf("WritePhys: %v", err)
 		}
+		checkBackup(fmt.Sprintf("round %d writes", i))
 		if _, err := c.Checkpoint(); err != nil {
 			t.Fatalf("commit %d: %v", i, err)
+		}
+		checkBackup(fmt.Sprintf("commit %d", i))
+		for pfn := range published {
+			p := pageOf(t, c.Backup(), m, mem.PFN(pfn))
+			published[pfn] = held{p, *p}
 		}
 		if i%3 == 0 {
 			snap, err := c.Committed()
@@ -267,7 +297,7 @@ func TestFirstWritesAlongsideCopierShipperAndImages(t *testing.T) {
 		}
 		for _, pfn := range fresh {
 			mfn, _ := dom.Translate(mem.PFN(pfn))
-			if h.Machine().Written(mfn) {
+			if m.Written(mfn) {
 				t.Fatalf("%s pfn %d: the guest never wrote it, yet its frame holds a page", dom.Name(), pfn)
 			}
 		}
@@ -391,10 +421,7 @@ func FuzzCommittedImage(f *testing.F) {
 			case 2:
 				snap, err := c.Committed()
 				if err != nil {
-					if !fault.IsInjected(err) || !errors.Is(err, ErrConvergence) {
-						t.Fatalf("Committed: %v", err)
-					}
-					continue
+					t.Fatalf("Committed: %v", err)
 				}
 				full, err := c.Backup().DumpMemory()
 				if err != nil {
@@ -408,9 +435,20 @@ func FuzzCommittedImage(f *testing.F) {
 					ring = ring[1:]
 				}
 				ring = append(ring, kept{snap, want})
-			case 3:
-				if err := c.Rollback(); err != nil && !(fault.IsInjected(err) && errors.Is(err, ErrConvergence)) {
+			case 3: // roll back, sharing the image's pages into the primary
+				if err := c.Rollback(); err != nil {
 					t.Fatalf("Rollback: %v", err)
+				}
+				snap, err := c.Committed()
+				if err != nil {
+					t.Fatalf("Committed: %v", err)
+				}
+				now, err := d.DumpMemory()
+				if err != nil {
+					t.Fatalf("DumpMemory: %v", err)
+				}
+				if !bytes.Equal(now.Bytes(), snap.Bytes()) {
+					t.Fatalf("op %d: primary differs from the committed image after Rollback", i)
 				}
 			case 4: // fail one page copy of the next commit
 				inj.Fail(FaultCopyPage, inj.Calls(FaultCopyPage)+1+int(next(&i))%4, 1, false)

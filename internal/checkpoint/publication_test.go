@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -14,21 +13,19 @@ import (
 	"repro/internal/vdisk"
 )
 
-// The copy-on-write publication, exhaustively. Each step of the protocol
-// is one critical section under cowState.mu — the copier's stageNext, a
-// guest write's handleFault, publish, and committedLocked behind
-// ReadCommitted — so with the copier goroutine retired the test makes
-// every step itself. Over a three-page set plus one staged disk block it
-// runs every sequence of up to four copier steps and guest writes, with
-// the first, second or third copy failing or none, and then settles. The
-// oracle is sequential: ReadCommitted returns the paused instant's bytes
-// at every step until a copy fails, and the previous commit's from then
-// on (the set will not be published); after settle the backup's memory
-// and disk both equal the paused instant, or settle reports
-// ErrConvergence and both equal the previous commit.
+// The share, exhaustively. A CoW commit shares a three-page set plus one
+// staged disk block with the backup. Then every sequence of up to four
+// steps runs — a committed image taken (event 0) or a guest write to
+// set[i-1] and the block (event i) — and the guest rewrites the whole set
+// for a next commit, in which the first, second or third page's copy
+// fault fires, or none. The oracle is sequential: after every step the
+// backup's memory and disk, ReadCommitted and every image taken equal
+// the paused instant, and the primary reads what the guest wrote. The
+// next commit either fails with the backup still at the paused instant,
+// and a rollback returns the primary there, or makes the backup the
+// primary as it stood; the images never change.
 func TestCoWPublicationExhaustive(t *testing.T) {
 	set := []mem.PFN{2, 5, 7}
-	// Event 0 is a copier step; event i > 0 is a guest write to set[i-1].
 	var seqs [][]int
 	var gen func(prefix []int)
 	gen = func(prefix []int) {
@@ -72,7 +69,6 @@ func runPublication(t *testing.T, set []mem.PFN, seq []int, failAt int) {
 	if err := c.EnableCoW(); err != nil {
 		t.Fatalf("EnableCoW: %v", err)
 	}
-	stopCopier(c)
 	epoch := func(tag byte) {
 		for _, pfn := range set {
 			fillPage(t, d, pfn, tag+byte(pfn))
@@ -89,79 +85,87 @@ func runPublication(t *testing.T, set []mem.PFN, seq []int, failAt int) {
 		return s.Bytes()
 	}
 
-	// The previous commit, published.
+	// The commit before, then the paused instant of the commit under test.
 	epoch(0x10)
 	if _, err := c.Checkpoint(); err != nil {
 		t.Fatalf("commit 1: %v", err)
 	}
-	if err := c.Quiesce(); err != nil {
-		t.Fatalf("publish commit 1: %v", err)
-	}
-	prevMem, prevDisk := dump(d), vd.Snapshot()
-
-	// The paused instant of the commit under test.
 	epoch(0x40)
 	pausedMem, pausedDisk := dump(d), vd.Snapshot()
 	if _, err := c.Checkpoint(); err != nil {
 		t.Fatalf("commit 2: %v", err)
 	}
-	if failAt > 0 {
-		inj.FailNth(FaultCopyPage, inj.Calls(FaultCopyPage)+failAt)
-	}
 
-	checkCommitted := func(step string) {
+	wantPrimary := slices.Clone(pausedMem)
+	var images []*hv.Snapshot
+	check := func(step string) {
 		t.Helper()
-		want := pausedMem
-		if inj.Tripped(FaultCopyPage) > 0 {
-			want = prevMem
+		if !bytes.Equal(dump(c.Backup()), pausedMem) || !bytes.Equal(c.BackupDisk().Snapshot(), pausedDisk) {
+			t.Fatalf("%s: the backup is not the paused instant", step)
 		}
 		for pfn := mem.PFN(0); pfn < pages; pfn++ {
 			off := int(pfn) * mem.PageSize
-			if got := readCommitted(t, c, pfn); !bytes.Equal(got, want[off:off+mem.PageSize]) {
-				t.Fatalf("%s: ReadCommitted(%d) is neither the paused instant's nor, after a lost copy, the previous commit's", step, pfn)
+			if got := readCommitted(t, c, pfn); !bytes.Equal(got, pausedMem[off:off+mem.PageSize]) {
+				t.Fatalf("%s: ReadCommitted(%d) is not the paused instant's", step, pfn)
+			}
+		}
+		for i, snap := range images {
+			if !bytes.Equal(snap.Bytes(), pausedMem) {
+				t.Fatalf("%s: image %d changed", step, i)
 			}
 		}
 	}
-	checkCommitted("after commit")
+	check("after commit")
 	for i, e := range seq {
 		step := fmt.Sprintf("step %d", i)
 		if e == 0 {
-			c.cow.stageNext()
+			snap, err := c.Committed()
+			if err != nil {
+				t.Fatalf("%s: Committed: %v", step, err)
+			}
+			images = append(images, snap)
 		} else {
-			// The write trap runs handleFault before the bytes land.
 			fillPage(t, d, set[e-1], 0xE0+byte(i))
+			off := int(set[e-1]) * mem.PageSize
+			copy(wantPrimary[off:off+mem.PageSize], bytes.Repeat([]byte{0xE0 + byte(i)}, mem.PageSize))
 			if err := vd.WriteBlock(block, 0, []byte{0xE0 + byte(i)}); err != nil {
 				t.Fatalf("WriteBlock: %v", err)
 			}
 		}
-		checkCommitted(step)
+		check(step)
+		if !bytes.Equal(dump(d), wantPrimary) {
+			t.Fatalf("%s: the primary does not read what the guest wrote", step)
+		}
 	}
 
-	err = c.cow.settle()
-	lost := inj.Tripped(FaultCopyPage) > 0
-	if failAt > 0 && !lost {
-		t.Fatal("the copy fault never fired")
+	epoch(0x70)
+	if failAt > 0 {
+		inj.FailNth(FaultCopyPage, inj.Calls(FaultCopyPage)+failAt)
 	}
-	wantMem, wantDisk := pausedMem, pausedDisk
-	switch {
-	case lost:
-		if !errors.Is(err, ErrConvergence) || !fault.IsInjected(err) {
-			t.Fatalf("settle after a failed copy = %v, want an injected ErrConvergence", err)
+	_, err = c.Checkpoint()
+	if failAt == 0 {
+		if err != nil {
+			t.Fatalf("commit 3: %v", err)
 		}
-		wantMem, wantDisk = prevMem, prevDisk
-	case err != nil:
-		t.Fatalf("settle: %v", err)
+		if !bytes.Equal(dump(c.Backup()), dump(d)) || !vdisk.Equal(vd, c.BackupDisk()) {
+			t.Fatal("commit 3 left the backup different from the primary")
+		}
+	} else {
+		if err == nil || !fault.IsInjected(err) || inj.Tripped(FaultCopyPage) != 1 {
+			t.Fatalf("commit 3 with a copy fault = %v, want one injected failure", err)
+		}
+		check("failed commit 3")
+		if err := c.Rollback(); err != nil {
+			t.Fatalf("Rollback: %v", err)
+		}
+		if !bytes.Equal(dump(d), pausedMem) || !bytes.Equal(vd.Snapshot(), pausedDisk) {
+			t.Fatal("rollback did not return the primary to the paused instant")
+		}
+		check("rollback")
 	}
-	if !bytes.Equal(dump(c.Backup()), wantMem) {
-		t.Fatalf("backup memory after settle (err=%v) is not the expected commit", err)
-	}
-	if !bytes.Equal(c.BackupDisk().Snapshot(), wantDisk) {
-		t.Fatalf("backup disk after settle (err=%v) is not the expected commit", err)
-	}
-	for pfn := mem.PFN(0); pfn < pages; pfn++ {
-		off := int(pfn) * mem.PageSize
-		if got := readCommitted(t, c, pfn); !bytes.Equal(got, wantMem[off:off+mem.PageSize]) {
-			t.Fatalf("after settle: ReadCommitted(%d) differs from the backup", pfn)
+	for i, snap := range images {
+		if !bytes.Equal(snap.Bytes(), pausedMem) {
+			t.Fatalf("image %d changed by commit 3", i)
 		}
 	}
 }

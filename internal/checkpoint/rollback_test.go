@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -20,8 +19,7 @@ import (
 // equals Committed byte for byte, the disk equals the backup disk, both
 // logs keep what they held, and the next commit covers that log plus the
 // pages written after it. An hv.restore fault fails Rollback and leaves
-// the primary to the next one. A lost copy-on-write publication, which
-// halts a controller, ends the run wherever it is reported.
+// the primary to the next one.
 func TestRollbackRestoresDirtyPages(t *testing.T) {
 	const rounds = 20
 	for _, arm := range stageArms {
@@ -50,14 +48,6 @@ func TestRollbackRestoresDirtyPages(t *testing.T) {
 						// An epoch, committed or failed by a fault.
 						write()
 						site := []string{"", FaultCopyPage, vdisk.FaultCopy, hv.FaultRestore}[rng.Intn(4)]
-						if arm.cow {
-							// A lost publication ends a CoW run: only the last round loses one.
-							if i == rounds-1 {
-								site = FaultCopyPage
-							} else if site == FaultCopyPage {
-								site = ""
-							}
-						}
 						switch site {
 						case FaultCopyPage:
 							inj.Fail(site, inj.Calls(site)+1+rng.Intn(d.DirtyCount()), 1, false)
@@ -65,9 +55,6 @@ func TestRollbackRestoresDirtyPages(t *testing.T) {
 							inj.FailNext(site, 1, false)
 						}
 						_, err := c.Checkpoint()
-						if arm.cow && errors.Is(err, ErrConvergence) {
-							return
-						}
 						if err != nil && !fault.IsInjected(err) {
 							t.Fatalf("round %d: Checkpoint: %v", i, err)
 						}
@@ -89,9 +76,6 @@ func TestRollbackRestoresDirtyPages(t *testing.T) {
 						err = c.Rollback()
 						tripped += inj.Tripped(site)
 						inj.Reset()
-						if arm.cow && errors.Is(err, ErrConvergence) {
-							return
-						}
 						if err != nil {
 							t.Fatalf("round %d: Rollback: %v", i, err)
 						}

@@ -200,17 +200,14 @@ type Config struct {
 	// a value past the domain size) caches up to the whole domain. A
 	// fleet divides its host-wide mapping budget across VMs with this.
 	ScanCacheCapacity int
-	// CoW enables the copy-on-write commit strategy: under pause the
-	// commit stages the dirty disk blocks and captures only the dirty PFN
-	// list, write-protects those pages via the hypervisor's memory-event
-	// machinery, and resumes the guest immediately. Pages are then staged
-	// lazily by a background copier; a guest write to a not-yet-staged
-	// page takes a fault that performs an eager copy-before-write, and
-	// the next commit boundary publishes the set with its disk blocks, so
-	// the backup still converges to the exact paused-instant snapshot. Requires Opt >= cost.Premap (the
-	// copier and fault handler use the premapped global frames) and the
-	// synchronous audit (Scan == ScanSync). The zero value (off) keeps
-	// the eager commit path bit-for-bit identical to previous releases.
+	// CoW prices and counts the commit as copy-on-write: the commit
+	// write-protects its dirty pages via the hypervisor's memory-event
+	// machinery, the guest's next write to each takes a counted fault, and
+	// the cost model prices the protect, the faults and the lazy copy of
+	// the rest instead of an eager copy under pause. The commit itself is
+	// the same for both: it shares the dirty pages with the backup and
+	// the guest copies a page when it writes it again. Requires Opt >=
+	// cost.Premap. The zero value (off) keeps the eager pricing.
 	CoW bool
 	// Remus selects the replication conduit's wire protocol: RemusRaw
 	// (the default — full encrypted page copies, bit-identical to
@@ -421,9 +418,6 @@ type coreMetrics struct {
 // backup domain and performs the initial synchronization.
 func New(h *hv.Hypervisor, g *guestos.Guest, cfg Config) (*Controller, error) {
 	cfg.setDefaults()
-	if cfg.CoW && cfg.Scan != ScanSync {
-		return nil, fmt.Errorf("core: CoW commit requires the synchronous audit: the async audit scans the backup, which is still converging while the guest runs")
-	}
 	c := &Controller{
 		cfg:   cfg,
 		hv:    h,
@@ -507,10 +501,9 @@ func New(h *hv.Hypervisor, g *guestos.Guest, cfg Config) (*Controller, error) {
 
 // armCheckpointer configures the freshly built checkpointer for the
 // controller's strategy: the disk to checkpoint alongside memory (which
-// it returns, not yet attached to the guest), the copy-on-write commit —
-// whose own check rejects an Opt below Premap, the copier and fault
-// handler running over the premapped global frames — and, for the
-// asynchronous audit, introspection of the backup domain.
+// it returns, not yet attached to the guest), the copy-on-write
+// accounting — whose own check rejects an Opt below Premap — and, for
+// the asynchronous audit, introspection of the backup domain.
 func (c *Controller) armCheckpointer(g *guestos.Guest) (*vdisk.Disk, error) {
 	var disk *vdisk.Disk
 	if c.cfg.DiskBlocks > 0 {
@@ -1156,9 +1149,6 @@ func (c *Controller) incident(ep *epochState) error {
 // epoch and folds the commit's report and strategy counters into the
 // result. Unwind: on a mid-commit failure the backup still holds the
 // last clean checkpoint; the primary is rolled back to it and resumed.
-// A lost copy-on-write publication (checkpoint.ErrConvergence) halts
-// instead: the backup holds the commit before the last, and rolling
-// back to it would contradict outputs that have already left.
 func (c *Controller) commit(ep *epochState) error {
 	res := ep.res
 	var commitStart time.Time
@@ -1177,22 +1167,17 @@ func (c *Controller) commit(ep *epochState) error {
 		res.Recovery.Degradations = append(res.Recovery.Degradations, rep.Warnings...)
 	}
 	if err != nil {
-		action, unwind := UnwindRollback, c.unwindRollback
-		if errors.Is(err, checkpoint.ErrConvergence) {
-			action, unwind = UnwindHalt, c.haltDomain
-		}
-		c.emit(obs.Event{Phase: obs.PhaseCommit, Err: err.Error(), Action: action,
+		c.emit(obs.Event{Phase: obs.PhaseCommit, Err: err.Error(), Action: UnwindRollback,
 			Retries: res.Recovery.Retries})
-		return unwind(res, fmt.Errorf("core: epoch %d commit: %w", c.epoch, err))
+		return c.unwindRollback(res, fmt.Errorf("core: epoch %d commit: %w", c.epoch, err))
 	}
 	c.restored = false
 	if c.cfg.CoW {
-		// The commit published the previous epoch's set on entry and
-		// armed this epoch's dirty pages on exit: whatever the guest did
-		// not fault on during the epoch was (or will be) staged by the
-		// background copier. ArmedPages is the page count write-protected
-		// at this commit, WriteFaults the faults taken during the epoch on
-		// the previous commit's armed pages.
+		// The commit disarmed the previous epoch's set on entry and armed
+		// this epoch's dirty pages on exit. ArmedPages is the page count
+		// write-protected at this commit, WriteFaults the faults taken
+		// during the epoch on the previous commit's armed pages, and the
+		// rest of that set is what the priced lazy copy drained.
 		now := c.cowSnap()
 		res.CoW.ArmedPages = now.ArmedPages - ep.cowBefore.ArmedPages
 		res.CoW.WriteFaults = now.WriteFaults - ep.cowBefore.WriteFaults
@@ -1230,18 +1215,13 @@ func (c *Controller) commit(ep *epochState) error {
 // releaseAndResume lets the committed epoch's buffered outputs go,
 // retains the checkpoint for forensics, and returns the domain to
 // execution. Unwind: the epoch committed, so a domain that cannot
-// resume is quarantined deliberately — as is one whose commit, its
-// outputs just released, lost its publication while history settled it.
+// resume is quarantined deliberately.
 func (c *Controller) releaseAndResume(ep *epochState) error {
 	res := ep.res
 	c.buf.Release()
 	c.lastState = c.guest.CloneState()
 	if c.cfg.HistoryDepth > 0 {
-		err := c.retainHistory()
-		if errors.Is(err, checkpoint.ErrConvergence) {
-			return c.haltDomain(res, fmt.Errorf("core: epoch %d: %w", c.epoch, err))
-		}
-		if err != nil {
+		if err := c.retainHistory(); err != nil {
 			// History is a forensic nicety, not the safety invariant:
 			// degrade with a warning instead of stranding the domain.
 			res.Recovery.Warnings = append(res.Recovery.Warnings,
@@ -1355,9 +1335,7 @@ const retryBackoff, maxRetries = time.Millisecond, 3
 
 // retryOp runs op, retrying transient failures with exponential
 // virtual-time backoff up to maxRetries times. Fatal failures and
-// exhausted budgets return the last error. A lost copy-on-write
-// publication is never retried, whatever failed under it: its set is
-// gone, so a retried commit would land on the commit before it.
+// exhausted budgets return the last error.
 func (c *Controller) retryOp(res *EpochResult, op func() error) error {
 	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
@@ -1365,7 +1343,7 @@ func (c *Controller) retryOp(res *EpochResult, op func() error) error {
 		if err == nil {
 			return nil
 		}
-		if attempt >= maxRetries || !fault.IsTransient(err) || errors.Is(err, checkpoint.ErrConvergence) {
+		if attempt >= maxRetries || !fault.IsTransient(err) {
 			return err
 		}
 		res.Recovery.Retries++
@@ -1398,8 +1376,8 @@ func (c *Controller) unwindRollback(res *EpochResult, cause error) error {
 	if err := c.retryOp(res, c.ckpt.Rollback); err != nil {
 		return c.haltDomain(res, errors.Join(cause, err))
 	}
-	// Rollback published the CoW set: nothing is armed anymore, so the
-	// next commit's lazy drain starts from an empty pool.
+	// Rollback disarmed the CoW set: nothing is armed anymore, so the
+	// next commit's lazy drain starts from nothing.
 	c.cowPrevArmed = 0
 	// The restored pages stay in the dirty log: the next audit's
 	// invalidation covers them like any page the guest wrote, and the
@@ -1431,9 +1409,9 @@ func (c *Controller) haltDomain(res *EpochResult, cause error) error {
 }
 
 // retainHistory keeps the last commit's image with its guest
-// bookkeeping. Committed publishes the CoW set armed by the commit just
-// above, which makes HistoryDepth > 0 an eager drain every epoch —
-// correct, but it forfeits most of the CoW pause win.
+// bookkeeping. Committed disarms the CoW set armed by the commit just
+// above, so with HistoryDepth > 0 CoW is priced as an eager drain every
+// epoch, as taking the image would force it.
 func (c *Controller) retainHistory() error {
 	snap, err := c.ckpt.Committed()
 	if err != nil {

@@ -58,7 +58,7 @@ func TestFaultInjectedEpochs(t *testing.T) {
 		disk      bool // attach a virtual disk
 		history   bool // retain checkpoint history
 		remote    bool // enable remote replication
-		cow       bool // copy-on-write commit, epoch 1 published before the fault is armed
+		cow       bool // copy-on-write commit
 		uncached  bool // audit through per-epoch mappings, so every audit maps pages
 
 		wantErr     bool
@@ -81,10 +81,10 @@ func TestFaultInjectedEpochs(t *testing.T) {
 		{name: "history-dump-fatal", site: hv.FaultDump, history: true, wantWarn: true},
 		{name: "remote-send-fatal", site: remus.FaultSend, remote: true, wantDegrade: true},
 		{name: "remote-send-transient", site: remus.FaultSend, remote: true, transient: true, wantRetries: true},
-		// Epoch 2's first lazy copy fails after its outputs left; history
-		// settles it before resume, so the lost publication halts there.
-		{name: "cow-lost-publication", site: checkpoint.FaultCopyPage, cow: true, history: true,
-			wantErr: true, wantUnwind: UnwindHalt, wantHalt: true},
+		// Epoch 2's first page copy fails in the CoW commit, under pause,
+		// as in an eager one: the epoch rolls back.
+		{name: "cow-copy-fatal", site: checkpoint.FaultCopyPage, cow: true, history: true,
+			wantErr: true, wantUnwind: UnwindRollback},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -150,11 +150,6 @@ func TestFaultInjectedEpochs(t *testing.T) {
 			// absolute occurrence — send 1 is the initial sync, send 2 epoch
 			// 1's ship, send 3 epoch 2's — because a pipelined shipper may
 			// still be working on epoch 1's ship when FailNext would count.
-			if tc.cow {
-				if err := ctl.Checkpointer().Quiesce(); err != nil {
-					t.Fatalf("Quiesce: %v", err)
-				}
-			}
 			if tc.remote {
 				inj.Fail(tc.site, 3, 1, tc.transient)
 			} else {

@@ -13,16 +13,15 @@ import (
 	"repro/internal/vmi"
 )
 
-// A copy-on-write commit whose lazy copy fails after its outputs were
-// released has lost its publication: the backup still holds the commit
-// before it. The controller must neither roll back to that commit — the
-// released outputs and the guest's bookkeeping have moved past it — nor
-// commit on top of it as if nothing was lost, even when the failure is
-// transient. Epoch 2 starts a process and commits lazily, and its first
-// lazy copy fails. From then on, every clean commit must leave the
-// backup equal to the paused primary, and at the end the VM is halted
-// or its bookkeeping matches its memory.
-func TestLostPublicationHalts(t *testing.T) {
+// A copy fault in a copy-on-write commit fails the commit under pause,
+// before any page is shared: the backup still holds the last commit and
+// no output of the failed epoch has left, so the controller rolls back
+// (fatal) or retries (transient) and the VM runs on — it never halts for
+// it. Epoch 2 starts a process and its commit's first page copy fails.
+// From then on, every clean commit must leave the backup equal to the
+// paused primary, and at the end the running VM's bookkeeping matches
+// its memory.
+func TestCoWCopyFaultRollsBack(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		history   int
@@ -69,22 +68,26 @@ func TestLostPublicationHalts(t *testing.T) {
 			if _, err := ctl.RunEpoch(work); err != nil {
 				t.Fatalf("epoch 1: %v", err)
 			}
-			// Publish epoch 1, so the next copy is epoch 2's first lazy one.
-			if err := ckpt.Quiesce(); err != nil {
-				t.Fatalf("Quiesce: %v", err)
-			}
 			inj.FailNext(checkpoint.FaultCopyPage, 1, tc.transient)
-			for e := 2; e <= 4 && !ctl.Halted(); e++ {
-				if _, err := ctl.RunEpoch(work); err != nil || ctl.Halted() {
-					continue
+			for e := 2; e <= 4; e++ {
+				res, err := ctl.RunEpoch(work)
+				if ctl.Halted() {
+					t.Fatalf("epoch %d: a copy fault halted the VM: %v", e, err)
 				}
-				// Without history epoch 2's copies are still in flight; a
-				// quiesce here would take the failure from the controller.
-				if tc.history == 0 && e == 2 {
-					continue
+				if e == 2 {
+					want := UnwindRollback
+					if tc.transient {
+						want = UnwindNone
+					}
+					if res == nil || res.Recovery.Unwind != want || (err == nil) != tc.transient {
+						t.Fatalf("epoch 2 with a copy fault: err %v, result %+v; want unwind %q", err, res, want)
+					}
+					if err != nil {
+						continue
+					}
 				}
-				if err := ckpt.Quiesce(); err != nil {
-					t.Fatalf("epoch %d: a clean commit left a lost publication behind: %v", e, err)
+				if err != nil {
+					t.Fatalf("epoch %d: %v", e, err)
 				}
 				primary, err := ctl.Guest().Domain().DumpMemory()
 				if err != nil {
@@ -99,10 +102,7 @@ func TestLostPublicationHalts(t *testing.T) {
 				}
 			}
 			if inj.Tripped(checkpoint.FaultCopyPage) == 0 {
-				t.Fatal("lazy copy fault never fired")
-			}
-			if ctl.Halted() {
-				return
+				t.Fatal("copy fault never fired")
 			}
 			g := ctl.Guest()
 			v, err := vmi.NewContext(g.Domain(), g.Profile(), g.SystemMap())

@@ -51,8 +51,7 @@ func (s ScanCacheCounts) Summary(live string) string {
 
 // CoWCounts are the real copy-on-write commit counts one epoch
 // produced. All three are deterministic functions of the guest's
-// behavior — the background copier's racy eager/lazy split never
-// appears here, so CoW pricing is reproducible run to run.
+// behavior, so CoW pricing is reproducible run to run.
 type CoWCounts struct {
 	ArmedPages  int `json:"armed,omitempty" series:"crimes_cow_total,op=armed"`              // dirty pages write-protected at this commit
 	WriteFaults int `json:"write_faults,omitempty" series:"crimes_cow_total,op=write_fault"` // write faults taken on armed pages since the previous commit

@@ -94,9 +94,9 @@ func runCowArm(ws int, cow bool) (*cowArmResult, error) {
 		}
 		// Rewrite one 8-byte stamp per hot page, skipping a
 		// rotating quarter of the set each epoch: the skipped
-		// pages stay armed until the background copier settles
-		// them, so the steady state exercises both the write-fault
-		// and the lazy-drain path.
+		// pages stay armed until the next commit drops their
+		// traps, so the steady state exercises both the
+		// write-fault and the lazy-drain pricing.
 		var stamp [8]byte
 		for p := 0; p < ws; p++ {
 			if ws >= 4 && (p+e)%4 == 0 {

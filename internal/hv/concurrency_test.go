@@ -199,13 +199,15 @@ func TestConcurrentAllocFree(t *testing.T) {
 	}
 }
 
-// One domain's frames are exchanged while a neighbour on the same
-// machine reads, writes and dumps its own memory — the fleet shape, where
-// every VM's checkpointer swaps frames under the frame-table lock the
-// other VMs resolve theirs through. Run under -race.
+// One domain's frames are exchanged, and shared into a backup whose
+// pages it then copies on write, while a neighbour on the same machine
+// reads, writes, shares and dumps its own memory — the fleet shape, where
+// every VM's commit swaps frames under the frame-table lock the other
+// VMs resolve theirs through, and every VM's writes copy shared pages
+// with no lock at all. Run under -race.
 func TestExchangeAlongsideNeighbourAccess(t *testing.T) {
 	const pages, rounds = 32, 200
-	h := New(2*pages + 8)
+	h := New(4*pages + 8)
 	a, err := h.CreateDomain("exchanging", pages)
 	if err != nil {
 		t.Fatalf("CreateDomain: %v", err)
@@ -214,9 +216,13 @@ func TestExchangeAlongsideNeighbourAccess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateDomain: %v", err)
 	}
-	gm, err := h.MapAll(a)
+	aBackup, err := h.CreateDomain("exchanging-backup", pages)
 	if err != nil {
-		t.Fatalf("MapAll: %v", err)
+		t.Fatalf("CreateDomain: %v", err)
+	}
+	bBackup, err := h.CreateDomain("neighbour-backup", pages)
+	if err != nil {
+		t.Fatalf("CreateDomain: %v", err)
 	}
 	// Give every frame a page, so each exchange hands one back (a
 	// never-written frame hands back nil).
@@ -248,18 +254,40 @@ func TestExchangeAlongsideNeighbourAccess(t *testing.T) {
 					return
 				}
 			}
+			if r%7 == 0 {
+				if err := b.ShareTo(bBackup, pfns); err != nil {
+					t.Errorf("neighbour ShareTo: %v", err)
+					return
+				}
+			}
 		}
 	}()
 	for r := 0; r < rounds; r++ {
 		for i := range staging {
 			staging[i][0] = byte(r)
 		}
-		if err := gm.Exchange(pfns, staging); err != nil {
+		if err := a.Exchange(pfns, staging); err != nil {
 			t.Fatalf("Exchange round %d: %v", r, err)
 		}
+		// A shared frame's page stays with the backup: nil, replaced here.
+		staging = mem.RecyclePages(staging, pages)
 		got := make([]byte, 1)
 		if err := a.ReadPhys(uint64(r%pages)*mem.PageSize, got); err != nil || got[0] != byte(r) {
 			t.Fatalf("round %d: ReadPhys = %v, %v; want the exchanged-in page", r, got, err)
+		}
+		if err := a.ShareTo(aBackup, pfns); err != nil {
+			t.Fatalf("ShareTo round %d: %v", r, err)
+		}
+		off := uint64(r%pages)*mem.PageSize + 1
+		shared := make([]byte, 1)
+		if err := a.ReadPhys(off, shared); err != nil {
+			t.Fatalf("ReadPhys round %d: %v", r, err)
+		}
+		if err := a.WritePhys(off, []byte{^shared[0]}); err != nil {
+			t.Fatalf("WritePhys round %d: %v", r, err)
+		}
+		if err := aBackup.ReadPhys(off, got); err != nil || got[0] != shared[0] {
+			t.Fatalf("round %d: backup reads %v, %v after the source's write; want the shared %v", r, got, err, shared)
 		}
 	}
 	<-done

@@ -100,8 +100,8 @@ var accessKinds = [...]AccessKind{AccessRead, AccessWrite, AccessExec}
 
 // watchEntry is the per-page watch state: independent event-watch
 // refcounts per access kind, so co-watching subsystems (honeypot decoys,
-// forensic tripwires, the CoW copier) never clobber each other, plus a
-// single-shot write-fault arm for copy-on-write checkpointing.
+// forensic tripwires) never clobber each other, plus a single-shot
+// write-fault arm for copy-on-write checkpointing.
 type watchEntry struct {
 	refs  [len(accessKinds)]int
 	fault bool
@@ -264,7 +264,7 @@ func (h *Hypervisor) CreateDomain(name string, pages int) (*Domain, error) {
 		physmap: mfns,
 		state:   StateRunning,
 		dirty:   mem.NewBitmap(pages),
-		watches: make(map[mem.PFN]*watchEntry),
+		watches: make(map[mem.PFN]watchEntry),
 	}
 	h.mu.Lock()
 	d.id = h.nextID
@@ -322,15 +322,18 @@ type Domain struct {
 	dirtyLogging bool
 	dirty        *mem.Bitmap
 
-	// watchMu guards watches, writeFaults, and faultHandler. watchCount
-	// mirrors len(watches) so the access hot path can skip the lock when
-	// no watches are armed. ringMu guards the event ring separately so
+	// spares gives the domain's frames pages of their own on writes and
+	// takes back the backup pages its commits replace (ShareTo).
+	spares mem.Spares
+
+	// watchMu guards watches and writeFaults. watchCount mirrors
+	// len(watches) so the access hot path can skip the lock when no
+	// watches are armed. ringMu guards the event ring separately so
 	// pollers never contend with the fault path.
-	watchMu      sync.RWMutex
-	watches      map[mem.PFN]*watchEntry
-	watchCount   atomic.Int32
-	writeFaults  uint64
-	faultHandler func(mem.PFN)
+	watchMu     sync.RWMutex
+	watches     map[mem.PFN]watchEntry
+	watchCount  atomic.Int32
+	writeFaults uint64
 
 	ringMu sync.Mutex
 	ring   []MemEvent
@@ -469,13 +472,13 @@ func (d *Domain) access(paddr uint64, buf []byte, write bool) error {
 		mfn := d.physmap[pfn]
 		if write {
 			if watched {
-				// The write trap fires before the bytes land, EPT-style:
-				// the handler observes the page's pre-write contents.
+				// The write trap fires before the bytes land, EPT-style.
 				d.deliverWriteFault(pfn)
 			}
-			// A never-written frame gets its page here, on its first
-			// non-zero write.
-			if err := m.Write(mfn, inPage, buf[off:off+n]); err != nil {
+			// A frame without a page of its own — never written, or
+			// sharing its page with the backup since the last commit —
+			// gets one here, before the bytes land.
+			if err := m.Write(&d.spares, mfn, inPage, buf[off:off+n]); err != nil {
 				return fmt.Errorf("domain %d pfn %d: %w", d.id, pfn, err)
 			}
 			if d.dirtyLogging {
@@ -567,16 +570,12 @@ func (d *Domain) WatchPage(pfn mem.PFN, access AccessKind) error {
 	d.hv.countCalls(d, func(c *Hypercalls) { c.EventConfig++ })
 	d.watchMu.Lock()
 	e := d.watches[pfn]
-	if e == nil {
-		e = &watchEntry{}
-		d.watches[pfn] = e
-		d.watchCount.Add(1)
-	}
 	for i, a := range accessKinds {
 		if access&a != 0 {
 			e.refs[i]++
 		}
 	}
+	d.setWatch(pfn, e)
 	d.watchMu.Unlock()
 	return nil
 }
@@ -588,18 +587,32 @@ func (d *Domain) WatchPage(pfn mem.PFN, access AccessKind) error {
 func (d *Domain) UnwatchPage(pfn mem.PFN, access AccessKind) {
 	d.hv.countCalls(d, func(c *Hypercalls) { c.EventConfig++ })
 	d.watchMu.Lock()
-	if e := d.watches[pfn]; e != nil {
-		for i, a := range accessKinds {
-			if access&a != 0 && e.refs[i] > 0 {
-				e.refs[i]--
-			}
-		}
-		if e.empty() {
-			delete(d.watches, pfn)
-			d.watchCount.Add(-1)
+	e := d.watches[pfn]
+	for i, a := range accessKinds {
+		if access&a != 0 && e.refs[i] > 0 {
+			e.refs[i]--
 		}
 	}
+	d.setWatch(pfn, e)
 	d.watchMu.Unlock()
+}
+
+// setWatch stores pfn's entry, forgetting the page once the entry is
+// empty and keeping watchCount in step; the caller holds watchMu.
+// Entries are values, so arming and disarming pages allocates nothing
+// once the table has grown.
+func (d *Domain) setWatch(pfn mem.PFN, e watchEntry) {
+	_, had := d.watches[pfn]
+	switch {
+	case !e.empty():
+		d.watches[pfn] = e
+		if !had {
+			d.watchCount.Add(1)
+		}
+	case had:
+		delete(d.watches, pfn)
+		d.watchCount.Add(-1)
+	}
 }
 
 // WatchCount reports how many pages currently carry any watch or
@@ -609,12 +622,12 @@ func (d *Domain) WatchCount() int {
 }
 
 // ArmWriteFaults write-protects a batch of guest pages for copy-on-write
-// checkpointing: the next write to each page synchronously invokes the
-// domain's write-fault handler (before the write lands), then the arm is
-// consumed. The whole batch is one event-configuration hypercall — the
-// point of CoW is that protecting N pages is radically cheaper than
-// copying them. Arms are all-or-nothing: a bad PFN fails the call before
-// any page is protected.
+// checkpointing: the next write to each page takes a write fault (before
+// the write lands), which WriteFaults counts, and the arm is consumed.
+// The whole batch is one event-configuration hypercall — the point of
+// CoW is that protecting N pages is radically cheaper than copying them.
+// Arms are all-or-nothing: a bad PFN fails the call before any page is
+// protected.
 func (d *Domain) ArmWriteFaults(pfns []mem.PFN) error {
 	if len(pfns) == 0 {
 		return nil
@@ -628,12 +641,8 @@ func (d *Domain) ArmWriteFaults(pfns []mem.PFN) error {
 	d.watchMu.Lock()
 	for _, pfn := range pfns {
 		e := d.watches[pfn]
-		if e == nil {
-			e = &watchEntry{}
-			d.watches[pfn] = e
-			d.watchCount.Add(1)
-		}
 		e.fault = true
+		d.setWatch(pfn, e)
 	}
 	d.watchMu.Unlock()
 	return nil
@@ -650,28 +659,14 @@ func (d *Domain) DisarmWriteFaults(pfns []mem.PFN) int {
 	cleared := 0
 	d.watchMu.Lock()
 	for _, pfn := range pfns {
-		if e := d.watches[pfn]; e != nil && e.fault {
+		if e := d.watches[pfn]; e.fault {
 			e.fault = false
+			d.setWatch(pfn, e)
 			cleared++
-			if e.empty() {
-				delete(d.watches, pfn)
-				d.watchCount.Add(-1)
-			}
 		}
 	}
 	d.watchMu.Unlock()
 	return cleared
-}
-
-// SetWriteFaultHandler installs the function invoked synchronously when
-// an armed page takes its write fault. The handler runs on the writing
-// goroutine with no domain locks held, before the faulting bytes land,
-// so it may read the page's pre-write contents (via a premapped frame,
-// not ReadPhys, to avoid re-entering the access path).
-func (d *Domain) SetWriteFaultHandler(h func(mem.PFN)) {
-	d.watchMu.Lock()
-	d.faultHandler = h
-	d.watchMu.Unlock()
 }
 
 // WriteFaults reports the cumulative number of write faults this domain
@@ -684,27 +679,15 @@ func (d *Domain) WriteFaults() uint64 {
 }
 
 // deliverWriteFault consumes a single-shot write-fault arm on pfn, if
-// one is set, and invokes the handler. The arm is cleared before the
-// handler runs (the fault is the protection being lifted), so re-entrant
-// writes from the handler cannot fault again.
+// one is set, and counts the fault.
 func (d *Domain) deliverWriteFault(pfn mem.PFN) {
 	d.watchMu.Lock()
-	e := d.watches[pfn]
-	if e == nil || !e.fault {
-		d.watchMu.Unlock()
-		return
+	if e := d.watches[pfn]; e.fault {
+		e.fault = false
+		d.setWatch(pfn, e)
+		d.writeFaults++
 	}
-	e.fault = false
-	if e.empty() {
-		delete(d.watches, pfn)
-		d.watchCount.Add(-1)
-	}
-	d.writeFaults++
-	h := d.faultHandler
 	d.watchMu.Unlock()
-	if h != nil {
-		h(pfn)
-	}
 }
 
 // PollEvents drains and returns the pending memory events.
@@ -719,7 +702,7 @@ func (d *Domain) PollEvents() []MemEvent {
 func (d *Domain) fireEvent(pfn mem.PFN, off uint64, n int, access AccessKind, data []byte) {
 	d.watchMu.RLock()
 	e := d.watches[pfn]
-	match := e != nil && e.kinds()&access != 0
+	match := e.kinds()&access != 0
 	d.watchMu.RUnlock()
 	if !match {
 		return

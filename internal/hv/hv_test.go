@@ -295,43 +295,57 @@ func TestGlobalMapping(t *testing.T) {
 	}
 }
 
-// Exchanging through the global mapping swaps what the domain reads at
-// the exchanged PFNs, keeps the mapping on the live frames, and rejects
-// a bad batch — or any batch after Unmap — without swapping anything.
-func TestGlobalMappingExchange(t *testing.T) {
+// ShareTo hands the target domain the source's pages by reference: both
+// read the same page, seen through a global mapping too, until either
+// writes it, which copies it first and leaves the other's bytes alone. A
+// never-written page shares no page; a bad batch shares nothing, and a
+// destroyed domain refuses.
+func TestShareToSharesUntilWritten(t *testing.T) {
 	h, d := newTestDomain(t, 4)
-	gm, err := h.MapAll(d)
+	b, err := h.CreateDomain("backup", 4)
+	if err != nil {
+		t.Fatalf("CreateDomain: %v", err)
+	}
+	gm, err := h.MapAll(b)
 	if err != nil {
 		t.Fatalf("MapAll: %v", err)
 	}
+	defer gm.Unmap()
 	if err := d.WritePhys(1*mem.PageSize, []byte("old")); err != nil {
 		t.Fatalf("WritePhys: %v", err)
 	}
-	staged := make([]byte, mem.PageSize)
-	copy(staged, "new")
-	pages := [][]byte{staged}
-	if err := gm.Exchange([]mem.PFN{1}, pages); err != nil {
-		t.Fatalf("Exchange: %v", err)
+	if err := d.ShareTo(b, []mem.PFN{1, 3, 9}); !errors.Is(err, mem.ErrBadFrame) {
+		t.Fatalf("ShareTo past the end: %v, want ErrBadFrame", err)
+	}
+	if p, _ := gm.Page(1); p[0] != 0 {
+		t.Fatal("a rejected share changed pfn 1")
+	}
+	if err := d.ShareTo(b, []mem.PFN{1, 3}); err != nil {
+		t.Fatalf("ShareTo: %v", err)
+	}
+	src, _ := d.Translate(1)
+	dst, _ := b.Translate(1)
+	if p, _ := gm.Page(1); &p[0] != &h.Machine().Page(src)[0] || string(p[:3]) != "old" {
+		t.Fatal("the target does not hold the source's page")
+	}
+	if z, _ := b.Translate(3); h.Machine().Written(z) {
+		t.Fatal("sharing a never-written page gave the target a page")
+	}
+	if err := d.WritePhys(1*mem.PageSize, []byte("new")); err != nil {
+		t.Fatalf("WritePhys: %v", err)
 	}
 	got := make([]byte, 3)
-	if err := d.ReadPhys(1*mem.PageSize, got); err != nil || string(got) != "new" {
-		t.Fatalf("ReadPhys after exchange = %q, %v; want \"new\"", got, err)
+	if err := b.ReadPhys(1*mem.PageSize, got); err != nil || string(got) != "old" {
+		t.Fatalf("target reads %q (err %v) after the source's write, want \"old\"", got, err)
 	}
-	if p, _ := gm.Page(1); &p[0] != &staged[0] {
-		t.Fatal("mapping does not name the exchanged-in page")
+	if h.Machine().Page(src) == h.Machine().Page(dst) {
+		t.Fatal("the source's write did not copy the shared page")
 	}
-	if string(pages[0][:3]) != "old" {
-		t.Fatalf("caller got back %q, want the frame's old page", pages[0][:3])
+	if err := h.DestroyDomain(b.ID()); err != nil {
+		t.Fatalf("DestroyDomain: %v", err)
 	}
-	if err := gm.Exchange([]mem.PFN{3, 2}, [][]byte{make([]byte, mem.PageSize), make([]byte, mem.PageSize)}); !errors.Is(err, mem.ErrBadFrame) {
-		t.Fatalf("descending Exchange: %v, want ErrBadFrame", err)
-	}
-	if p, _ := gm.Page(3); !bytes.Equal(p, make([]byte, mem.PageSize)) {
-		t.Fatal("rejected exchange changed pfn 3")
-	}
-	gm.Unmap()
-	if err := gm.Exchange([]mem.PFN{0}, [][]byte{make([]byte, mem.PageSize)}); !errors.Is(err, ErrBadState) {
-		t.Fatalf("Exchange after Unmap: %v, want ErrBadState", err)
+	if err := d.ShareTo(b, []mem.PFN{1}); !errors.Is(err, ErrBadState) {
+		t.Fatalf("ShareTo a destroyed domain: %v, want ErrBadState", err)
 	}
 }
 

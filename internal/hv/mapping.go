@@ -86,8 +86,9 @@ func (h *Hypervisor) MapAll(d *Domain) (*GlobalMapping, error) {
 
 // Page returns the premapped view of a guest page in O(1): the frame's
 // current page, the shared zero page for a never-written one. The view is
-// read-only, and it is the frame's page until the frame is exchanged or
-// first written; callers take a fresh view per access.
+// read-only, and it is the frame's page until the frame is given another
+// (a write to a shared frame, a share, an exchange); callers take a fresh
+// view per access.
 func (gm *GlobalMapping) Page(pfn mem.PFN) ([]byte, error) {
 	if uint64(pfn) >= uint64(gm.n) {
 		return nil, fmt.Errorf("global mapping: pfn %d: %w", pfn, ErrBadAddress)
@@ -98,16 +99,6 @@ func (gm *GlobalMapping) Page(pfn mem.PFN) ([]byte, error) {
 // Len reports the number of premapped pages.
 func (gm *GlobalMapping) Len() int { return gm.n }
 
-// Exchange is Domain.Exchange through the mapping, which must not have
-// been unmapped: afterwards guest page pfns[i] reads what pages[i] held,
-// and Page returns it.
-func (gm *GlobalMapping) Exchange(pfns []mem.PFN, pages [][]byte) error {
-	if gm.n == 0 {
-		return fmt.Errorf("global mapping of domain %d: exchange after unmap: %w", gm.dom.id, ErrBadState)
-	}
-	return gm.dom.Exchange(pfns, pages)
-}
-
 // Unmap releases the global mapping.
 func (gm *GlobalMapping) Unmap() {
 	gm.dom.hv.countCalls(gm.dom, func(c *Hypercalls) { c.UnmapPage += gm.n })
@@ -117,17 +108,35 @@ func (gm *GlobalMapping) Unmap() {
 // Exchange swaps the machine pages behind the domain's frames at pfns
 // with the caller's pages (mem.Machine.Exchange): afterwards guest page
 // pfns[i] reads what pages[i] held, and pages[i] holds the frame's old
-// page — or nil when the frame had none (it read zero) or a snapshot
-// holds that page (AliasMemory). No bytes move. It is all-or-nothing:
-// pfns must be strictly ascending and in range and every page exactly one
-// page long, or nothing is swapped. Every mapping of the domain sees the
-// swap. It fails with ErrBadState on a destroyed domain.
+// page — or nil when the frame had none (it read zero) or a snapshot or
+// another domain holds that page (AliasMemory, ShareTo). No bytes move.
+// It is all-or-nothing: pfns must be strictly ascending and in range and
+// every page exactly one page long, or nothing is swapped. Every mapping
+// of the domain sees the swap. It fails with ErrBadState on a destroyed
+// domain. The remus restore side publishes a batch with it.
 func (d *Domain) Exchange(pfns []mem.PFN, pages [][]byte) error {
 	if d.state == StateDestroyed {
 		return fmt.Errorf("exchange frames of destroyed domain %d: %w", d.id, ErrBadState)
 	}
 	if err := d.hv.machine.Exchange(d.physmap, pfns, pages); err != nil {
 		return fmt.Errorf("domain %d: %w", d.id, err)
+	}
+	return nil
+}
+
+// ShareTo makes each page pfns of dst hold d's page by reference
+// (mem.Machine.Share): no byte moves, and the next write to the page in
+// either domain copies it first. The page dst held before becomes a
+// spare for d's writes unless a snapshot holds it. A checkpoint commit shares the
+// primary's dirty pages into the backup with it. It is all-or-nothing: a
+// PFN out of either domain's range shares nothing. It fails with
+// ErrBadState if either domain is destroyed.
+func (d *Domain) ShareTo(dst *Domain, pfns []mem.PFN) error {
+	if d.state == StateDestroyed || dst.state == StateDestroyed {
+		return fmt.Errorf("share frames of domain %d into %d: %w", d.id, dst.id, ErrBadState)
+	}
+	if err := d.hv.machine.Share(&d.spares, d.physmap, dst.physmap, pfns); err != nil {
+		return fmt.Errorf("share domain %d into %d: %w", d.id, dst.id, err)
 	}
 	return nil
 }

@@ -143,13 +143,12 @@ func (d *Domain) DumpMemory() (*Snapshot, error) {
 
 // AliasMemory is DumpMemory without the copy: the snapshot's pages are
 // the domain's current pages themselves — the shared zero page for a
-// never-written frame — so it costs only its page table. It is for a
-// domain whose frames are written by nothing but a
-// frame exchange — a checkpoint backup: Expose marks the frames, so an
-// exchange drops each page the snapshot holds instead of recycling it,
-// and DestroyDomain leaves it to the snapshot instead of clearing it for
-// the next domain. A write through WritePhys or a mapping would change
-// the snapshot.
+// never-written frame — so it costs only its page table. Expose marks
+// the frames, so a write copies each page the snapshot holds before it
+// lands, a share or an exchange drops it instead of reusing it, and
+// DestroyDomain leaves it to the snapshot instead of clearing it for the
+// next domain. A checkpoint backup, whose frames only commits change,
+// pays no copy for it.
 func (d *Domain) AliasMemory() (*Snapshot, error) {
 	if d.state == StateDestroyed {
 		return nil, fmt.Errorf("dump domain %d: %w", d.id, ErrBadState)
@@ -241,10 +240,11 @@ func (d *Domain) derive(base *Snapshot, pfns []mem.PFN) (*Snapshot, nodes, error
 	return s, pool, nil
 }
 
-// RestoreMemory writes the pages pfns of a snapshot into the domain and
-// loads its vCPU state; every other page keeps its contents. A
-// never-written frame gets a page only if its restored page is not all
-// zero (mem.Machine.Store). Restoring
+// RestoreMemory gives the domain the pages pfns of a snapshot and loads
+// its vCPU state; every other page keeps its contents. No byte moves: the
+// frames hold the snapshot's pages by reference (mem.Machine.Install), a
+// zero page as no page at all, and each copies its page before the
+// domain's next write to it, so the snapshot stays as it was. Restoring
 // the pages the domain's dirty log names from the image of the last
 // commit rolls the domain back to that commit. The snapshot must match
 // the domain's size; pfns may come in any order.
@@ -261,7 +261,7 @@ func (d *Domain) RestoreMemory(s *Snapshot, pfns []mem.PFN) error {
 	if err := d.hv.faults.Check(FaultRestore); err != nil {
 		return fmt.Errorf("restore domain %d: %w", d.id, err)
 	}
-	err := d.hv.machine.Store(len(pfns), func(i int) mem.MFN { return d.physmap[pfns[i]] },
+	err := d.hv.machine.Install(len(pfns), func(i int) mem.MFN { return d.physmap[pfns[i]] },
 		func(i int) *page { return s.page(uint64(pfns[i])) })
 	if err != nil {
 		return fmt.Errorf("restore domain %d: %w", d.id, err)

@@ -80,30 +80,13 @@ func TestWatchPageRefcounted(t *testing.T) {
 	}
 }
 
-// A write fault is single-shot, delivered before the bytes land (the
-// handler observes pre-write contents), and consumed by delivery.
+// A write fault is single-shot: the first write to an armed page takes
+// it, counted, and consumes the arm; the write lands as any other does.
 func TestWriteFaultSingleShotPreWrite(t *testing.T) {
-	h, d := newTestDomain(t, 4)
+	_, d := newTestDomain(t, 4)
 	if err := d.WritePhys(2*mem.PageSize, []byte("old!")); err != nil {
 		t.Fatalf("WritePhys: %v", err)
 	}
-	gm, err := h.MapAll(d)
-	if err != nil {
-		t.Fatalf("MapAll: %v", err)
-	}
-	defer gm.Unmap()
-
-	var faults []mem.PFN
-	var seen []byte
-	d.SetWriteFaultHandler(func(pfn mem.PFN) {
-		faults = append(faults, pfn)
-		p, err := gm.Page(pfn)
-		if err != nil {
-			t.Errorf("Page(%d): %v", pfn, err)
-			return
-		}
-		seen = append([]byte(nil), p[:4]...)
-	})
 	if err := d.ArmWriteFaults([]mem.PFN{1, 2}); err != nil {
 		t.Fatalf("ArmWriteFaults: %v", err)
 	}
@@ -114,22 +97,20 @@ func TestWriteFaultSingleShotPreWrite(t *testing.T) {
 	if err := d.WritePhys(2*mem.PageSize, []byte("new!")); err != nil {
 		t.Fatalf("WritePhys: %v", err)
 	}
-	if len(faults) != 1 || faults[0] != 2 {
-		t.Fatalf("faults = %v, want [2]", faults)
-	}
-	if !bytes.Equal(seen, []byte("old!")) {
-		t.Fatalf("handler saw %q, want the pre-write contents %q", seen, "old!")
-	}
 	if got := d.WriteFaults(); got != 1 {
 		t.Fatalf("WriteFaults = %d, want 1", got)
+	}
+	got := make([]byte, 4)
+	if err := d.ReadPhys(2*mem.PageSize, got); err != nil || !bytes.Equal(got, []byte("new!")) {
+		t.Fatalf("page 2 reads %q (err %v) after the faulting write, want %q", got, err, "new!")
 	}
 
 	// The arm was consumed: a second write does not re-fault.
 	if err := d.WritePhys(2*mem.PageSize, []byte("more")); err != nil {
 		t.Fatalf("WritePhys: %v", err)
 	}
-	if len(faults) != 1 {
-		t.Fatalf("second write re-faulted: faults = %v", faults)
+	if got := d.WriteFaults(); got != 1 {
+		t.Fatalf("second write re-faulted: WriteFaults = %d", got)
 	}
 	if d.WatchCount() != 1 {
 		t.Fatalf("WatchCount = %d, want 1 (page 1 still armed)", d.WatchCount())
@@ -173,14 +154,11 @@ func TestWatchAndFaultCoexist(t *testing.T) {
 	if err := d.ArmWriteFaults([]mem.PFN{2}); err != nil {
 		t.Fatalf("ArmWriteFaults: %v", err)
 	}
-	fired := 0
-	d.SetWriteFaultHandler(func(mem.PFN) { fired++ })
-
 	if err := d.WritePhys(2*mem.PageSize, []byte{1}); err != nil {
 		t.Fatalf("WritePhys: %v", err)
 	}
-	if fired != 1 {
-		t.Fatalf("fault handler fired %d times, want 1", fired)
+	if got := d.WriteFaults(); got != 1 {
+		t.Fatalf("write faults taken = %d, want 1", got)
 	}
 	if evs := d.PollEvents(); len(evs) != 1 {
 		t.Fatalf("watch event count = %d, want 1", len(evs))
@@ -189,8 +167,8 @@ func TestWatchAndFaultCoexist(t *testing.T) {
 	if err := d.WritePhys(2*mem.PageSize, []byte{2}); err != nil {
 		t.Fatalf("WritePhys: %v", err)
 	}
-	if fired != 1 {
-		t.Fatalf("consumed fault re-fired: %d", fired)
+	if got := d.WriteFaults(); got != 1 {
+		t.Fatalf("consumed fault re-fired: %d", got)
 	}
 	if evs := d.PollEvents(); len(evs) != 1 {
 		t.Fatalf("watch lost after fault consumption: %d events", len(evs))
@@ -212,19 +190,7 @@ func TestWatchAndFaultCoexist(t *testing.T) {
 // writes. Run under -race this guards the watch table's locking.
 func TestWatchFaultConcurrency(t *testing.T) {
 	const pages = 64
-	h, d := newTestDomain(t, pages)
-	gm, err := h.MapAll(d)
-	if err != nil {
-		t.Fatalf("MapAll: %v", err)
-	}
-	defer gm.Unmap()
-	d.SetWriteFaultHandler(func(pfn mem.PFN) {
-		// Touch the page through the premapped frame, as the CoW
-		// copier's eager copy-before-write does.
-		if _, err := gm.Page(pfn); err != nil {
-			t.Errorf("Page(%d): %v", pfn, err)
-		}
-	})
+	_, d := newTestDomain(t, pages)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

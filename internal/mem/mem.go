@@ -42,11 +42,15 @@ var (
 // domains (and resolve frames) from parallel epoch loops.
 //
 // Frames are demand-zero: a newly allocated frame holds no page and reads
-// as the one shared zero page, which nothing ever writes. It gets a page
-// of its own on its first non-zero write (Write, Store) or when an
-// Exchange swaps one in. Each frame's page is an atomic pointer, so a
-// reader resolves it without the lock (Page); the lock guards the
-// allocation state and every change of a frame's page.
+// as the one shared zero page, which nothing ever writes. A frame may
+// also hold a page by reference that another frame or a snapshot holds
+// too (Share, Install, Expose); such a frame is never written in place.
+// Write gives a frame a page of its own — zeroed, or a copy of the page
+// it held — on its first non-zero write or its first write after sharing,
+// from the writer's spare pages (Spares). Each frame's page is an atomic
+// pointer, so a reader resolves it without the lock (Page); the lock
+// guards the allocation state and every change of a frame's page other
+// than a write to it.
 type Machine struct {
 	mu    sync.RWMutex
 	pages []atomic.Pointer[Page]
@@ -60,16 +64,44 @@ type Page = [PageSize]byte
 // zero is the page every frame without one of its own reads as.
 var zero Page
 
-// frameState is one frame's flags, kept in one byte so that Exchange
-// finds a frame's exposure on the line its allocation check just read.
+// frameState is one frame's flags, kept in one byte so that a write finds
+// them on the line its page load just read.
 type frameState uint8
 
 const (
 	frameAllocated frameState = 1 << iota
-	// frameExposed: a reader keeps the frame's current page (Expose),
-	// which is never handed to a writer again.
+	// frameExposed: a snapshot holds the frame's current page (Expose,
+	// Install), so the page is never written in place and never becomes
+	// a spare.
 	frameExposed
+	// frameShared: another frame may hold the frame's current page
+	// (Share), so the page is never written in place.
+	frameShared
 )
+
+// Spares are pages no frame and no snapshot holds, for writes that give a
+// frame a page of its own: pages a commit's Share took out of frames, and
+// fresh slabs. A domain keeps one list for its writes and commits, which
+// its single owner makes in turn, so a copy on write takes no lock.
+type Spares struct{ pages []*Page }
+
+// spareSlab is how many pages Spares grows by, in one allocation, when a
+// write finds it empty.
+const spareSlab = 64
+
+// take returns a spare page, growing the list by one slab when it is
+// empty. The page holds stale bytes.
+func (s *Spares) take() *Page {
+	if len(s.pages) == 0 {
+		slab := make([]Page, spareSlab)
+		for i := range slab {
+			s.pages = append(s.pages, &slab[i])
+		}
+	}
+	p := s.pages[len(s.pages)-1]
+	s.pages = s.pages[:len(s.pages)-1]
+	return p
+}
 
 // NewMachine creates a machine with the given number of page frames. No
 // page is allocated until a frame is written.
@@ -96,9 +128,9 @@ func (m *Machine) FreeFrames() int {
 }
 
 // Alloc allocates a single machine frame that reads as zeroes. A frame
-// that still holds the page of an earlier allocation has it cleared and
-// keeps it, so domain churn allocates nothing; any other frame holds no
-// page and reads as the shared zero page until it is first written.
+// that kept the page of its own from an earlier allocation has it cleared
+// and keeps it, so domain churn allocates nothing; any other frame holds
+// no page and reads as the shared zero page until it is first written.
 func (m *Machine) Alloc() (MFN, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -140,17 +172,17 @@ func (m *Machine) AllocN(n int) ([]MFN, error) {
 	return out, nil
 }
 
-// Free releases a machine frame back to the pool. An exposed frame's
-// page stays with the readers that hold it: the frame is detached from
-// it, and its next allocation holds no page instead of clearing that
-// one.
+// Free releases a machine frame back to the pool. A page of its own stays
+// with the frame, for its next allocation to clear. A page a snapshot or
+// another frame may hold stays with them: the frame is detached from it,
+// and its next allocation holds no page.
 func (m *Machine) Free(mfn MFN) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.checkLocked(mfn); err != nil {
 		return err
 	}
-	if m.state[mfn]&frameExposed != 0 {
+	if m.state[mfn]&(frameExposed|frameShared) != 0 {
 		m.pages[mfn].Store(nil)
 	}
 	m.state[mfn] = 0
@@ -159,11 +191,11 @@ func (m *Machine) Free(mfn MFN) error {
 }
 
 // Page returns the page frame mfn reads as, without taking the lock: its
-// own page, or the shared zero page while it has none. The caller
+// current page, or the shared zero page while it has none. The caller
 // vouches that the frame is allocated (a live domain's frame) and must
-// not write the page. It stays the frame's page until the frame's first
-// write gives it one or an Exchange swaps it out; a mapping resolves the
-// frame again on every access rather than keep it.
+// not write the page. It stays the frame's page until a write, a Share,
+// an Install or an Exchange gives the frame another; a mapping resolves
+// the frame again on every access rather than keep it.
 func (m *Machine) Page(mfn MFN) *Page {
 	if p := m.pages[mfn].Load(); p != nil {
 		return p
@@ -171,16 +203,17 @@ func (m *Machine) Page(mfn MFN) *Page {
 	return &zero
 }
 
-// Written reports whether frame mfn holds a page of its own: it was
-// written, or exchanged into, since it was first allocated, or it kept a
-// page from an earlier allocation. A frame that has none reads zero.
+// Written reports whether frame mfn holds a page: it was written, or
+// given one by a Share, an Install or an Exchange, since it was first
+// allocated, or it kept a page of its own from an earlier allocation. A
+// frame that has none reads zero.
 func (m *Machine) Written(mfn MFN) bool { return m.pages[mfn].Load() != nil }
 
 // Frame is Page for a caller that does not vouch for the frame: it fails
 // with ErrBadFrame unless mfn is allocated. The slice aliases machine
 // memory and is read-only, the moral equivalent of a read-only
-// xenforeignmemory_map; a write goes through Write or Store, which give a
-// never-written frame its page first.
+// xenforeignmemory_map; a write goes through Write, which gives the frame
+// a page of its own first.
 func (m *Machine) Frame(mfn MFN) ([]byte, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -191,24 +224,21 @@ func (m *Machine) Frame(mfn MFN) ([]byte, error) {
 }
 
 // Write copies data into frame mfn from byte off of the page on; data
-// must end within the page. A never-written frame gets its own page
-// first, unless data is all zero, which it already reads: a zero write
-// leaves it without one. As with Page, the caller vouches that the frame
-// is allocated; only giving it a page checks. Write and Store are the
-// only ways bytes reach a frame in place.
-func (m *Machine) Write(mfn MFN, off int, data []byte) error {
+// must end within the page. A frame whose page is its own is written in
+// place. Any other gets its own page from sp first (own) — a frame with
+// none only when data is not all zero, which it already reads. Write
+// takes no lock: the caller, the frame's domain's owner, vouches that the
+// frame is allocated (only giving it a page checks) and changes it in no
+// other way meanwhile. Write is the only way bytes reach a frame in
+// place.
+func (m *Machine) Write(sp *Spares, mfn MFN, off int, data []byte) error {
 	p := m.pages[mfn].Load()
-	if p == nil {
-		if isZero(data) {
+	if p == nil || m.state[mfn]&(frameExposed|frameShared) != 0 {
+		if p == nil && isZero(data) {
 			return nil
 		}
-		m.mu.Lock()
-		err := m.checkLocked(mfn)
-		if err == nil {
-			p = m.ownPageLocked(mfn, data)
-		}
-		m.mu.Unlock()
-		if err != nil {
+		var err error
+		if p, err = m.own(sp, mfn, off, off+len(data)); err != nil {
 			return err
 		}
 	}
@@ -216,11 +246,82 @@ func (m *Machine) Write(mfn MFN, off int, data []byte) error {
 	return nil
 }
 
-// Store copies page src(i) into frame mfn(i) for i = 0..n-1 in order,
-// under one hold of the lock, and stops at the first unallocated frame.
-// As with Write, a never-written frame gets its own page only when its
-// source is not all zero. Bulk restores use it.
-func (m *Machine) Store(n int, mfn func(i int) MFN, src func(i int) *Page) error {
+// own gives frame mfn a page from sp holding what the frame reads — zero,
+// or the bytes of the page it shares — outside [lo, hi), which the write
+// about to land covers, and returns it. The page it held stays with the
+// frames and snapshots that hold it too.
+func (m *Machine) own(sp *Spares, mfn MFN, lo, hi int) (*Page, error) {
+	if err := m.checkLocked(mfn); err != nil {
+		return nil, err
+	}
+	p := sp.take()
+	if old := m.pages[mfn].Load(); old != nil {
+		copy(p[:lo], old[:lo])
+		copy(p[hi:], old[hi:])
+	} else {
+		clear(p[:lo])
+		clear(p[hi:])
+	}
+	m.pages[mfn].Store(p)
+	m.state[mfn] &^= frameExposed | frameShared
+	return p, nil
+}
+
+// Share makes frame to[pfn] hold frame from[pfn]'s page, by reference,
+// for each pfn, and marks both frames shared, so the next write to either
+// copies the page first. No byte moves. A frame without a page shares
+// none, and a snapshot's hold on from[pfn]'s page (Install) passes on.
+//
+// The page to[pfn] held before goes to sp, the spares of from's writes,
+// unless it is the one it now shares or a snapshot holds it (Expose,
+// Install). That is the only way a page becomes a spare. It rests on the
+// pairing a checkpoint keeps: frame to[pfn] takes pages only from frame
+// from[pfn], whose pages are never exposed, so once from[pfn] has copied
+// away (its PFN is dirty) to[pfn] holds the old page alone.
+//
+// from and to must map PFNs to distinct frames, as two domains' physmaps
+// do. Share is all-or-nothing: it rejects, sharing nothing, a PFN not
+// below both physmaps' lengths or whose frame on either side is not
+// allocated.
+func (m *Machine) Share(sp *Spares, from, to []MFN, pfns []PFN) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, pfn := range pfns {
+		if uint64(pfn) >= uint64(min(len(from), len(to))) {
+			return fmt.Errorf("mem: share pfn %d of %d: %w", pfn, min(len(from), len(to)), ErrBadFrame)
+		}
+		if err := m.checkLocked(from[pfn]); err != nil {
+			return fmt.Errorf("mem: share pfn %d: %w", pfn, err)
+		}
+		if err := m.checkLocked(to[pfn]); err != nil {
+			return fmt.Errorf("mem: share pfn %d: %w", pfn, err)
+		}
+	}
+	for _, pfn := range pfns {
+		src, dst := from[pfn], to[pfn]
+		p := m.pages[src].Load()
+		if old := m.pages[dst].Swap(p); old != p {
+			if old != nil && m.state[dst]&frameExposed == 0 {
+				sp.pages = append(sp.pages, old)
+			}
+			m.state[dst] &^= frameExposed
+		}
+		if p != nil {
+			m.state[src] |= frameShared
+			m.state[dst] |= frameShared | m.state[src]&frameExposed
+		}
+	}
+	return nil
+}
+
+// Install makes frame mfn(i) hold page src(i) of a snapshot, by
+// reference, for i = 0..n-1 in order, under one hold of the lock, and
+// stops at the first unallocated frame. The frame is marked exposed, so
+// it never writes the page in place and the page never becomes a spare;
+// the shared zero page is installed as no page at all. The page the
+// frame held is left to whatever else holds it and is not reused.
+// Rolling back by restoring from a snapshot uses it.
+func (m *Machine) Install(n int, mfn func(i int) MFN, src func(i int) *Page) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i := range n {
@@ -228,23 +329,18 @@ func (m *Machine) Store(n int, mfn func(i int) MFN, src func(i int) *Page) error
 		if err := m.checkLocked(f); err != nil {
 			return err
 		}
-		if p := m.ownPageLocked(f, src(i)[:]); p != nil {
-			*p = *src(i)
+		p := src(i)
+		if p == &zero {
+			p = nil
+		}
+		if m.pages[f].Swap(p) != p {
+			m.state[f] &^= frameExposed | frameShared
+		}
+		if p != nil {
+			m.state[f] |= frameExposed
 		}
 	}
 	return nil
-}
-
-// ownPageLocked returns frame f's own page for a write of data, giving
-// the frame a zeroed one first unless data is all zero; it returns nil
-// when the frame has no page and the write needs none.
-func (m *Machine) ownPageLocked(f MFN, data []byte) *Page {
-	p := m.pages[f].Load()
-	if p == nil && !isZero(data) {
-		p = new(Page)
-		m.pages[f].Store(p)
-	}
-	return p
 }
 
 // EachFrame resolves n frames under one read lock of the frame table,
@@ -268,10 +364,10 @@ func (m *Machine) EachFrame(n int, mfn func(i int) MFN, fn func(i int, frame []b
 
 // Expose is EachFrame for a reader that keeps the frames' pages: fn may
 // retain frame past the call, so from then on nothing writes that page in
-// place. Each frame that holds a page of its own is marked exposed until
-// the page leaves it: Exchange then drops the page instead of handing it
-// to the caller's staging pool, and Free detaches it instead of leaving
-// it for the next Alloc to clear. A frame without one hands fn the zero
+// place. Each frame that holds a page is marked exposed until the page
+// leaves it: a write then copies the page first, Share and Exchange drop
+// it instead of reusing it, and Free detaches it instead of leaving it
+// for the next Alloc to clear. A frame without one hands fn the zero
 // page and stays unmarked. Expose takes the write lock, since it sets the
 // marks; fn must not allocate, free, write or exchange frames.
 func (m *Machine) Expose(n int, mfn func(i int) MFN, fn func(i int, frame []byte)) error {
@@ -294,8 +390,9 @@ func (m *Machine) Expose(n int, mfn func(i int) MFN, fn func(i int, frame []byte
 // caller's pages, without moving a byte: afterwards frame physmap[pfns[i]]
 // is backed by what was pages[i], and pages[i] holds the page the frame
 // had. It is nil instead, for the caller to replace (RecyclePages), when
-// the frame had no page of its own (it read as the zero page) or its page
-// was exposed (Expose) and is left to the readers holding it.
+// the frame had no page (it read as the zero page) or its page was
+// exposed (Expose) or shared (Share) and is left to the others holding
+// it.
 //
 // Exchange is all-or-nothing. It rejects, swapping nothing, PFNs that are
 // not strictly ascending (which rules out duplicates) or not below
@@ -335,11 +432,10 @@ func (m *Machine) Exchange(physmap []MFN, pfns []PFN, pages [][]byte) error {
 		f := physmap[pfn]
 		old := m.pages[f].Swap((*Page)(pages[i]))
 		pages[i] = nil
-		if m.state[f]&frameExposed != 0 {
-			m.state[f] &^= frameExposed
-		} else if old != nil {
+		if old != nil && m.state[f]&(frameExposed|frameShared) == 0 {
 			pages[i] = old[:]
 		}
+		m.state[f] &^= frameExposed | frameShared
 	}
 	return nil
 }

@@ -55,7 +55,7 @@ func TestFrameWriteVisibility(t *testing.T) {
 	}
 	// A never-written frame reads the shared zero page; its first
 	// non-zero write gives it a page of its own, which Frame then aliases.
-	if err := m.Write(mfn, 1, []byte{1}); err != nil {
+	if err := m.Write(new(Spares), mfn, 1, []byte{1}); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	p1, err := m.Frame(mfn)
@@ -81,7 +81,7 @@ func TestFrameReuseIsZeroed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
-	if err := m.Write(mfn, 100, []byte{0xFF}); err != nil {
+	if err := m.Write(new(Spares), mfn, 100, []byte{0xFF}); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	if err := m.Free(mfn); err != nil {
@@ -310,7 +310,7 @@ func exchangeMachine(t *testing.T) (*Machine, []MFN, [][]byte) {
 	physmap[1], physmap[3] = physmap[3], physmap[1] // frames need not ascend with PFNs
 	pages := make([][]byte, 4)
 	for i, mfn := range physmap {
-		if err := m.Write(mfn, 0, []byte{byte(0x10 + i)}); err != nil {
+		if err := m.Write(new(Spares), mfn, 0, []byte{byte(0x10 + i)}); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
 		pages[i] = make([]byte, PageSize)
@@ -465,7 +465,7 @@ func TestExposedPagesAreNeverReused(t *testing.T) {
 		t.Fatalf("AllocN: %v", err)
 	}
 	for _, mfn := range physmap {
-		if err := m.Write(mfn, 0, []byte{0x5A}); err != nil {
+		if err := m.Write(new(Spares), mfn, 0, []byte{0x5A}); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
 	}
@@ -540,5 +540,123 @@ func TestRecyclePages(t *testing.T) {
 		if len(p) != PageSize || cap(p) != PageSize {
 			t.Fatalf("page %d: len %d cap %d after recycling, want %d", i, len(p), cap(p), PageSize)
 		}
+	}
+}
+
+// set returns the spare pages as a set.
+func (s *Spares) set() map[*Page]bool {
+	out := make(map[*Page]bool, len(s.pages))
+	for _, p := range s.pages {
+		out[p] = true
+	}
+	return out
+}
+
+// A commit's Share hands the backup frame the primary's page and makes a
+// spare for the primary's writes of the page it replaced — but never of a page something still
+// holds: one an image holds (Expose), the very page being installed
+// again (a dirty page rolled back and not written since), or one a freed
+// frame still held; and Free and Alloc never clear a shared page. The
+// next write to a shared frame copies it, from the spares.
+func TestShareSparesOnlyUnheldPages(t *testing.T) {
+	m := NewMachine(6)
+	primary, err := m.AllocN(3)
+	if err != nil {
+		t.Fatalf("AllocN: %v", err)
+	}
+	backup, err := m.AllocN(3)
+	if err != nil {
+		t.Fatalf("AllocN: %v", err)
+	}
+	all := []PFN{0, 1, 2}
+	var sp Spares
+	write := func(pfn PFN, b byte) {
+		t.Helper()
+		if err := m.Write(&sp, primary[pfn], 0, []byte{b}); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+	}
+	for pfn := range all {
+		write(PFN(pfn), 0x10)
+	}
+	if err := m.Share(&sp, primary, backup, all); err != nil {
+		t.Fatalf("Share: %v", err)
+	}
+	first := make([]*Page, 3)
+	for pfn := range all {
+		if first[pfn] = m.Page(backup[pfn]); first[pfn] != m.Page(primary[pfn]) {
+			t.Fatalf("pfn %d: the backup does not hold the primary's page", pfn)
+		}
+	}
+	// An image holds pfn 0's page; pfn 1 is not written, so the next share
+	// installs its page again, as after a rollback; pfn 2 is written,
+	// which copies it.
+	var image []byte
+	if err := m.Expose(1, func(int) MFN { return backup[0] }, func(_ int, f []byte) { image = f }); err != nil {
+		t.Fatalf("Expose: %v", err)
+	}
+	write(0, 0x20)
+	write(2, 0x20)
+	if m.Page(primary[2]) == first[2] || first[2][0] != 0x10 {
+		t.Fatal("a write to a shared frame did not copy the page first")
+	}
+	if err := m.Share(&sp, primary, backup, all); err != nil {
+		t.Fatalf("Share: %v", err)
+	}
+	got := sp.set()
+	if got[first[0]] || got[first[1]] || !got[first[2]] {
+		t.Fatalf("spares after the second share: image page %v, reinstalled page %v, replaced page %v; want only the last",
+			got[first[0]], got[first[1]], got[first[2]])
+	}
+	if image[0] != 0x10 {
+		t.Fatal("the image's page changed")
+	}
+	// Free and Alloc detach a shared page instead of clearing it.
+	if err := m.Free(backup[1]); err != nil {
+		t.Fatalf("Free: %v", err)
+	}
+	if _, err := m.Alloc(); err != nil {
+		t.Fatalf("Alloc: %v", err)
+	}
+	if first[1][0] != 0x10 || m.Page(primary[1]) != first[1] {
+		t.Fatal("freeing and reallocating the backup frame cleared the page the primary shares")
+	}
+	if m.Written(backup[1]) {
+		t.Fatal("a reallocated frame kept a shared page")
+	}
+	// A spare is what the next copy takes.
+	write(1, 0x30)
+	if m.Page(primary[1]) != first[2] || first[1][0] != 0x10 {
+		t.Fatal("the copy did not take the spare page, or wrote the shared one")
+	}
+}
+
+// Sharing and copying on write allocate nothing once the spares hold a
+// commit's worth of pages: the share hands the replaced pages back for
+// the next round of writes, and neither takes a lock.
+func TestShareAndCopyAllocateNothingInSteadyState(t *testing.T) {
+	const pages = 32
+	m := NewMachine(2 * pages)
+	primary, _ := m.AllocN(pages)
+	backup, _ := m.AllocN(pages)
+	all := make([]PFN, pages)
+	for i := range all {
+		all[i] = PFN(i)
+	}
+	var sp Spares
+	round := func() {
+		for _, mfn := range primary {
+			if err := m.Write(&sp, mfn, 8, []byte{1, 2, 3}); err != nil {
+				t.Fatalf("Write: %v", err)
+			}
+		}
+		if err := m.Share(&sp, primary, backup, all); err != nil {
+			t.Fatalf("Share: %v", err)
+		}
+	}
+	round()
+	round()
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("a share plus a copy of every page allocated %v times, want 0", allocs)
 	}
 }

@@ -11,8 +11,7 @@ import (
 // heap profile into memPath; either path may be empty. The returned stop
 // function ends the CPU profile and writes the heap profile, and must be
 // called once when the run is over. The long-lived goroutines of the
-// replication path carry pprof labels (vm, role=shipper|cow-copier|
-// restore), so `go tool pprof -tagfocus role=shipper` splits a profile
+// replication path carry pprof labels (vm, role=shipper|restore), so `go tool pprof -tagfocus role=shipper` splits a profile
 // by pipeline stage.
 func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	var cpu *os.File

@@ -305,9 +305,9 @@ func Catalog() []Scenario {
 				"revert, an early one sees the still-hidden victim"),
 		dkom("cross-epoch-cow", 6, Expectation{Outcome: OutcomeDetected, ByEpoch: 2,
 			Kinds: []detect.Kind{detect.KindWriteRevert}},
-			"the diff reads the committed image the copy-on-write commit is still "+
-				"converging on — the backup's page, or the primary's while its lazy copy is "+
-				"pending — and sees the same byte-identical revert as the eager commit"),
+			"the diff reads the committed image, which the copy-on-write commit hands "+
+				"the backup as it returns, and sees the same byte-identical revert as the "+
+				"eager commit"),
 	)
 
 	// --- repl-tamper: attacker on the replication channel -----------
