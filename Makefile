@@ -130,22 +130,31 @@ bench-drift: bench-all
 # backup's pages, must keep the bytes it was returned with through any
 # sequence of writes, commits, faults and rollbacks.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzPsScan -fuzztime 10s ./internal/volatility
-	$(GO) test -run '^$$' -fuzz '^FuzzCanaryTable$$' -fuzztime 10s ./internal/vmi
-	$(GO) test -run '^$$' -fuzz '^FuzzCanaryIndex$$' -fuzztime 10s ./internal/vmi
-	$(GO) test -run '^$$' -fuzz '^FuzzRestoreV1$$' -fuzztime 10s ./internal/remus
-	$(GO) test -run '^$$' -fuzz '^FuzzRestoreDecodeV2$$' -fuzztime 10s ./internal/remus
-	$(GO) test -run '^$$' -fuzz '^FuzzCommittedImage$$' -fuzztime 10s ./internal/checkpoint
-	$(GO) test -run '^$$' -fuzz '^FuzzDemandZeroMachine$$' -fuzztime 10s ./internal/mem
+	$(FUZZ) -fuzz FuzzPsScan ./internal/volatility
+	$(FUZZ) -fuzz '^FuzzCanaryTable$$' ./internal/vmi
+	$(FUZZ) -fuzz '^FuzzCanaryIndex$$' ./internal/vmi
+	$(FUZZ) -fuzz '^FuzzRestoreV1$$' ./internal/remus
+	$(FUZZ) -fuzz '^FuzzRestoreDecodeV2$$' ./internal/remus
+	$(FUZZ) -fuzz '^FuzzCommittedImage$$' ./internal/checkpoint
+	$(FUZZ) -fuzz '^FuzzDemandZeroMachine$$' ./internal/mem
+
+# FUZZ runs one fuzz target for ten seconds. Minimizing a new
+# interesting input runs the target over and over without counting the
+# runs, and for inputs of a few kilobytes its passes over every byte and
+# every span of bytes outlast the whole run; so each minimization is
+# bounded to 100 runs. A failing input is still reported, less minimized.
+FUZZ = $(GO) test -run '^$$' -fuzztime 10s -fuzzminimizetime 100x
 
 # Page sharing under the race detector, ten times over: a commit shares
 # the dirty pages with the backup and the guest copies a page on its
 # next write, with no lock, so the order of a guest's copy against the
 # commit, the pipelined shipper, the readers of committed images and a
-# neighbouring VM's commits is the invariant, and one -race pass samples
-# few interleavings.
+# neighbouring VM's commits is the invariant; a pipelined shipment's
+# pages come from the spares the guest's copies take from, and must stay
+# the shipment's until its ack. One -race pass samples few
+# interleavings.
 race-share:
-	$(GO) test -race -count=10 -run 'TestShare|TestZeroWritten|TestExchangeAlongsideNeighbourAccess' ./internal/mem ./internal/hv ./internal/checkpoint
+	$(GO) test -race -count=10 -run 'TestShare|TestZeroWritten|TestExchangeAlongsideNeighbourAccess|TestShipmentPagesHeldUntilAck' ./internal/mem ./internal/hv ./internal/checkpoint
 
 # Everything the CI workflow runs, in the same order, for local use.
 ci: fmt-check static-check build

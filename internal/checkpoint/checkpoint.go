@@ -5,8 +5,9 @@
 //	No-opt:  Remus path — per-epoch foreign mapping of dirty pages,
 //	         serialization through an encrypted socket to a Restore
 //	         process, bit-by-bit dirty bitmap scan.
-//	Memcpy:  Optimization 1 — direct in-memory copy into the backup
-//	         domain's frames (maps both VMs' pages each epoch).
+//	Memcpy:  Optimization 1 — the backup's frames take the dirty pages
+//	         in memory, by reference, instead of through the socket
+//	         (maps both VMs' pages each epoch, as the paper's copy does).
 //	Pre-map: Optimization 2 — the full PFN-to-MFN mapping of both VMs
 //	         resolved once at startup into flat arrays.
 //	Full:    Optimization 3 — word-granularity dirty bitmap scanning.
@@ -113,13 +114,15 @@ type Checkpointer struct {
 	// goroutine. The in-flight window is bounded: a commit that would
 	// overfill it first settles the oldest shipment (see settleShipment),
 	// which is the only point a commit ever waits for the shipper.
-	// shipFree holds the snapshot buffers of settled shipments for reuse;
-	// drained totals the shipments settled outside any commit.
-	shipCh   chan shipment
+	// ships are the window's slots, which enqueued shipments take in
+	// turn (shipNext counts them); drained totals the shipments settled
+	// outside any commit.
+	shipCh   chan *shipment
 	shipRes  chan shipResult
 	shipDone chan struct{}
+	ships    [maxShipsInFlight]shipment
+	shipNext int
 	inFlight int
-	shipFree []shipment
 	drained  ShipReport
 
 	// The current commit's exact v2 wire accounting, per conduit: summed
@@ -941,62 +944,31 @@ func (c *Checkpointer) degradeRemote(cause error) {
 }
 
 // shipment is one committed checkpoint queued for pipelined remote
-// replication: the dirty PFNs plus a snapshot of their committed
-// contents, taken from the paused primary so the resumed (and again
-// mutating) guest cannot tear the data mid-ship.
+// replication: the dirty PFNs plus a copy of their committed contents,
+// taken from the paused primary so the resumed (and again mutating) guest
+// cannot tear the data mid-ship. The copy lives in pages taken from the
+// primary's spares, which go back to them when the shipment settles.
 type shipment struct {
-	pfns []mem.PFN
-	data []byte // len(pfns) * mem.PageSize
+	pfns  []mem.PFN
+	pages []*mem.Page
 }
 
 // shipResult is the shipper goroutine's outcome for one shipment: the
-// error and retry count, the exact wire accounting of what it sent, and
-// the shipment itself so its buffers can be reused.
+// error and retry count, and the exact wire accounting of what it sent.
 type shipResult struct {
 	err     error
 	retries int
 	repl    cost.ReplicationCounts
-	ship    shipment
 }
-
-// newShipment returns a shipment for dirty with its PFN list copied and
-// its data buffer sized, reusing a settled shipment's buffers when they
-// fit. The PFN list must be snapshotted along with the data: dirty
-// aliases the checkpointer's reusable scratch slice, which the next
-// epoch's scan overwrites while this shipment may still be in flight. A
-// buffer grows to twice what it must hold, so a dirty count that
-// wanders upwards epoch by epoch does not reallocate at every new peak;
-// one more than four times too large is dropped rather than reused, so
-// one huge epoch (a post-rollback full resync) does not pin its
-// snapshot for the rest of the session.
-func (c *Checkpointer) newShipment(dirty []mem.PFN) shipment {
-	var s shipment
-	if n := len(c.shipFree); n > 0 {
-		s, c.shipFree = c.shipFree[n-1], c.shipFree[:n-1]
-	}
-	need := len(dirty) * mem.PageSize
-	if cap(s.data) < need || cap(s.data) > 4*need+sparePages*mem.PageSize {
-		s.data = make([]byte, need, 2*need)
-	}
-	if cap(s.pfns) < len(dirty) {
-		s.pfns = make([]mem.PFN, 0, 2*len(dirty))
-	}
-	s.data = s.data[:need]
-	s.pfns = append(s.pfns[:0], dirty...)
-	return s
-}
-
-// sparePages is the snapshot-buffer slack newShipment always tolerates,
-// so small epochs of varying size share one buffer.
-const sparePages = 64
 
 // enqueueShipment snapshots the committed pages from the paused primary
-// and hands them to the shipper goroutine, blocking only when the
-// in-flight window is full. It reports whether the shipment was enqueued;
-// false means replication degraded while settling the window.
+// into pages taken from its spares and hands them to the shipper
+// goroutine, blocking only when the in-flight window is full. It reports
+// whether the shipment was enqueued; false means replication degraded
+// while settling the window.
 func (c *Checkpointer) enqueueShipment(dirty []mem.PFN) bool {
 	if c.shipCh == nil {
-		c.shipCh = make(chan shipment, maxShipsInFlight)
+		c.shipCh = make(chan *shipment, maxShipsInFlight)
 		c.shipRes = make(chan shipResult, maxShipsInFlight)
 		c.shipDone = make(chan struct{})
 		conduit, in, out, done := c.remoteConduit, c.shipCh, c.shipRes, c.shipDone
@@ -1017,13 +989,21 @@ func (c *Checkpointer) enqueueShipment(dirty []mem.PFN) bool {
 			return false
 		}
 	}
-	s := c.newShipment(dirty)
-	// Snapshot through the worker pool, shards writing disjoint regions.
+	// The window's slots are used in turn, and the one this shipment takes
+	// was settled: at most maxShipsInFlight-1 later ones are in flight.
+	// The PFN list is copied along with the data: dirty aliases the
+	// checkpointer's scan buffer, which the next epoch overwrites.
+	s := &c.ships[c.shipNext%maxShipsInFlight]
+	s.pfns = append(s.pfns[:0], dirty...)
+	s.pages = s.pages[:0]
+	for range dirty {
+		s.pages = append(s.pages, c.primary.Spares().Take())
+	}
+	// Snapshot through the worker pool, shards writing disjoint pages.
 	// The paused primary holds exactly the committed epoch's bytes.
 	if err := c.runSharded(len(dirty), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			off := i * mem.PageSize
-			if err := c.primary.ReadPhys(uint64(dirty[i])*mem.PageSize, s.data[off:off+mem.PageSize]); err != nil {
+			if err := c.primary.ReadPhys(uint64(dirty[i])*mem.PageSize, s.pages[i][:]); err != nil {
 				return err
 			}
 		}
@@ -1031,11 +1011,13 @@ func (c *Checkpointer) enqueueShipment(dirty []mem.PFN) bool {
 	}); err != nil {
 		// Snapshot failure is local, not a conduit failure; degrade the
 		// same way rather than fail the already-committed epoch.
+		c.primary.Spares().Give(s.pages...)
 		_ = c.stopShipper(c.settleInCommit)
 		c.degradeRemote(fmt.Errorf("checkpoint: snapshot for remote ship: %w", err))
 		return false
 	}
 	c.shipCh <- s
+	c.shipNext++
 	c.inFlight++
 	return true
 }
@@ -1046,10 +1028,10 @@ func (c *Checkpointer) enqueueShipment(dirty []mem.PFN) bool {
 // execution. Transient conduit failures are retried in place; each
 // shipment's result is delivered in order for a commit (or the final
 // drain) to settle.
-func shipper(conduit *remus.Conduit, in <-chan shipment, out chan<- shipResult, done chan<- struct{}) {
+func shipper(conduit *remus.Conduit, in <-chan *shipment, out chan<- shipResult, done chan<- struct{}) {
 	defer close(done)
 	for s := range in {
-		res := shipResult{ship: s}
+		var res shipResult
 		for {
 			res.err = shipSnapshot(conduit, s, &res.repl)
 			if res.err == nil || !fault.IsTransient(res.err) || res.retries >= maxRemoteRetries {
@@ -1063,26 +1045,26 @@ func shipper(conduit *remus.Conduit, in <-chan shipment, out chan<- shipResult, 
 
 // shipSnapshot sends one snapshotted shipment over the conduit and
 // waits for its ack.
-func shipSnapshot(conduit *remus.Conduit, s shipment, into *cost.ReplicationCounts) error {
+func shipSnapshot(conduit *remus.Conduit, s *shipment, into *cost.ReplicationCounts) error {
 	return sendAcked(conduit, into, s.pfns, func(pfn mem.PFN) ([]byte, error) {
 		i := sort.Search(len(s.pfns), func(i int) bool { return s.pfns[i] >= pfn })
 		if i >= len(s.pfns) || s.pfns[i] != pfn {
 			return nil, fmt.Errorf("checkpoint: shipment missing pfn %d", pfn)
 		}
-		return s.data[i*mem.PageSize : (i+1)*mem.PageSize], nil
+		return s.pages[i][:], nil
 	})
 }
 
 // settleShipment consumes the oldest in-flight shipment's result,
 // waiting for the shipper to deliver it, hands the outcome to note, and
-// returns the shipment's persistent failure, if any. Its snapshot
-// buffers go back on the free list.
+// returns the shipment's persistent failure, if any. The shipper is done
+// with the shipment's pages, so they go back to the primary's spares.
 func (c *Checkpointer) settleShipment(note func(ShipReport)) error {
 	res := <-c.shipRes
+	s := &c.ships[(c.shipNext-c.inFlight)%maxShipsInFlight]
 	c.inFlight--
-	if len(c.shipFree) < maxShipsInFlight {
-		c.shipFree = append(c.shipFree, res.ship)
-	}
+	c.primary.Spares().Give(s.pages...)
+	clear(s.pages)
 	r := ShipReport{Retries: res.retries, Repl: res.repl}
 	if res.err == nil {
 		r.Acked = 1

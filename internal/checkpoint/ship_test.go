@@ -1,6 +1,8 @@
 package checkpoint
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -131,14 +133,14 @@ func TestPipelinedAccountingExact(t *testing.T) {
 // manualShipper takes the shipper goroutine's place: the test moves each
 // shipment from the queue to the results by hand, so nothing but the
 // commit path allocates while allocations are counted.
-func manualShipper(c *Checkpointer) (ship func() shipment, stop func()) {
-	in := make(chan shipment, maxShipsInFlight)
+func manualShipper(c *Checkpointer) (ship func() *shipment, stop func()) {
+	in := make(chan *shipment, maxShipsInFlight)
 	out := make(chan shipResult, maxShipsInFlight)
 	done := make(chan struct{})
 	c.shipCh, c.shipRes, c.shipDone = in, out, done
-	ship = func() shipment {
+	ship = func() *shipment {
 		s := <-in
-		out <- shipResult{ship: s}
+		out <- shipResult{}
 		return s
 	}
 	stop = func() {
@@ -150,9 +152,15 @@ func manualShipper(c *Checkpointer) (ship func() shipment, stop func()) {
 	return ship, stop
 }
 
-// Once the window has filled, a pipelined enqueue recycles the snapshot
-// buffers of the shipment it settles: no allocation per epoch beyond the
-// shard closure, and no more buffers alive than the window holds.
+// lastShipment is the shipment the last enqueue put in the window.
+func lastShipment(c *Checkpointer) *shipment {
+	return &c.ships[(c.shipNext-1)%maxShipsInFlight]
+}
+
+// Once the window has filled, a pipelined enqueue takes the pages the
+// shipment it settles gave back to the primary's spares: no allocation
+// per epoch beyond the shard closure, and no more pages out than the
+// window holds.
 func TestEnqueueShipmentRecyclesBuffers(t *testing.T) {
 	_, _, c := newPipelined(t, parallelTestPages)
 	ship, stop := manualShipper(c)
@@ -162,20 +170,23 @@ func TestEnqueueShipmentRecyclesBuffers(t *testing.T) {
 	for i := range dirty {
 		dirty[i] = mem.PFN(2 * i)
 	}
-	buffers := map[*byte]bool{}
+	pages := map[*mem.Page]bool{}
 	enqueue := func(dirty []mem.PFN) {
 		if c.inFlight == maxShipsInFlight {
-			buffers[&ship().data[0]] = true
+			ship()
 		}
 		if !c.enqueueShipment(dirty) {
 			t.Fatal("enqueueShipment degraded")
+		}
+		for _, p := range lastShipment(c).pages {
+			pages[p] = true
 		}
 	}
 	for i := 0; i < 10; i++ {
 		enqueue(dirty)
 	}
-	if len(buffers) != maxShipsInFlight {
-		t.Fatalf("10 shipments used %d snapshot buffers, want the window's %d", len(buffers), maxShipsInFlight)
+	if want := maxShipsInFlight * len(dirty); len(pages) != want {
+		t.Fatalf("10 shipments of %d pages used %d snapshot pages, want the window's %d", len(dirty), len(pages), want)
 	}
 	// A single page takes the snapshot inline (no worker goroutines), so
 	// all that is left to allocate is the shard closure every runSharded
@@ -188,27 +199,6 @@ func TestEnqueueShipmentRecyclesBuffers(t *testing.T) {
 	})
 	if avg := testing.AllocsPerRun(50, func() { enqueue(one) }); avg > closure {
 		t.Fatalf("steady-state enqueueShipment allocates %.1f times per epoch, want only runSharded's %.1f", avg, closure)
-	}
-}
-
-// A snapshot buffer far larger than the epoch needs is dropped, not
-// pinned: one post-rollback full resync must not hold two guest-sized
-// buffers for the rest of the session.
-func TestEnqueueShipmentDropsOversizedBuffer(t *testing.T) {
-	_, _, c := newPipelined(t, 8*sparePages)
-	ship, stop := manualShipper(c)
-	defer stop()
-
-	if !c.enqueueShipment(c.allPFNs()) {
-		t.Fatal("enqueueShipment degraded")
-	}
-	big := ship()
-	c.settleShipment(func(ShipReport) {})
-	if !c.enqueueShipment(c.allPFNs()[:1]) {
-		t.Fatal("enqueueShipment degraded")
-	}
-	if small := ship(); cap(small.data) >= cap(big.data) {
-		t.Fatalf("1-page shipment kept the %d-byte buffer of a %d-page one", cap(small.data), len(big.pfns))
 	}
 }
 
@@ -233,7 +223,7 @@ func BenchmarkPipelinedShip(b *testing.B) {
 		}
 	}
 	for i := 0; i < 2*maxShipsInFlight; i++ {
-		epoch() // fill the window and the free list
+		epoch() // fill the window and the spares
 	}
 	b.SetBytes(dirtyPages * mem.PageSize)
 	b.ReportAllocs()
@@ -248,47 +238,131 @@ func BenchmarkPipelinedShip(b *testing.B) {
 	}
 }
 
-// A dirty count that oscillates while its peak creeps up — a few pages
-// more at every high, staying within twice the first epoch — reuses one
-// snapshot buffer instead of growing it to each new peak, and a buffer
-// left by one huge epoch is still dropped rather than pinned. An
-// allocation shows as a buffer that is not the one before, so nothing
-// else running in the test binary can move the count.
+// Dirty counts that oscillate below the largest epoch's take their
+// snapshot pages from what settled shipments gave back to the primary's
+// spares, and their lists from the window's slots: after the window has
+// held two epochs at the peak, no page and no list is allocated, and the
+// snapshot holds the committed bytes. An allocation shows as a page or a
+// list never seen before, so nothing else running in the test binary can
+// move the count.
 func TestShipmentBufferAllocsOverOscillatingDirtyCounts(t *testing.T) {
 	const low, high, cycles = 320, 500, 60
-	pfns := make([]mem.PFN, 8*high)
+	_, d, c := newPipelined(t, high)
+	ship, stop := manualShipper(c)
+	defer stop()
+	pfns := make([]mem.PFN, high)
 	for i := range pfns {
 		pfns[i] = mem.PFN(i)
+		if err := d.WritePhys(uint64(i)*mem.PageSize, []byte{byte(i), byte(i >> 8), 1}); err != nil {
+			t.Fatalf("WritePhys: %v", err)
+		}
 	}
-	c := &Checkpointer{}
-	var data *byte
-	var list *mem.PFN
+	seen := map[*mem.Page]bool{}
+	lists := map[any]bool{}
 	allocs := 0
-	cycle := func(n int) shipment {
-		s := c.newShipment(pfns[:n])
-		if len(s.data) != n*mem.PageSize || len(s.pfns) != n {
-			t.Fatalf("shipment for %d pages holds %d bytes, %d pfns", n, len(s.data), len(s.pfns))
+	cycle := func(n int) {
+		if c.inFlight == maxShipsInFlight {
+			ship()
 		}
-		if &s.data[0] != data {
-			data, allocs = &s.data[0], allocs+1
+		if !c.enqueueShipment(pfns[:n]) {
+			t.Fatal("enqueueShipment degraded")
 		}
-		if &s.pfns[0] != list {
-			list, allocs = &s.pfns[0], allocs+1
+		s := lastShipment(c)
+		if len(s.pages) != n || len(s.pfns) != n {
+			t.Fatalf("shipment for %d pages holds %d pages, %d pfns", n, len(s.pages), len(s.pfns))
 		}
-		c.shipFree = append(c.shipFree, s) // settled
-		return s
+		for _, list := range []any{&s.pfns[0], &s.pages[0]} {
+			if !lists[list] {
+				lists[list], allocs = true, allocs+1
+			}
+		}
+		for i, p := range s.pages {
+			if !seen[p] {
+				seen[p], allocs = true, allocs+1
+			}
+			if p[0] != byte(i) || p[1] != byte(i>>8) || p[2] != 1 {
+				t.Fatalf("shipment page %d does not hold pfn %d's bytes", i, s.pfns[i])
+			}
+		}
 	}
-	cycle(low)
+	cycle(high)
+	cycle(high)
 	allocs = 0
 	for k := 0; k < cycles; k++ {
-		cycle(low)
-		cycle(high + 2*k)
+		cycle(low + k*(high-low)/cycles)
+		cycle(high - k)
 	}
 	if allocs != 0 {
-		t.Errorf("%d buffers allocated over %d oscillating epochs with a creeping peak, want 0", allocs, 2*cycles)
+		t.Errorf("%d pages and lists allocated over %d oscillating epochs below the peak, want 0", allocs, 2*cycles)
 	}
-	cycle(len(pfns))
-	if s := cycle(low / 4); cap(s.data) > 4*len(s.data)+sparePages*mem.PageSize {
-		t.Errorf("a %d-page shipment after a %d-page one kept a %d-byte buffer", low/4, len(pfns), cap(s.data))
+}
+
+// With the pipelined shipper live (Workers=2, the window full), the guest
+// writes and commits while shipments travel, and no page a shipment holds
+// is handed to a writer before its ack: no frame of the primary holds
+// one, and each keeps the bytes of the commit it snapshotted, through
+// the guest's copies on write that take pages from the same spares. The
+// window is drained every few commits, and then the replica holds the
+// committed image exactly. Run under -race (make race-share), it also
+// shows the shipper reads no page a writer touches.
+func TestShipmentPagesHeldUntilAck(t *testing.T) {
+	const rounds, drainEvery = 24, 6
+	h, d, c := newPipelined(t, parallelTestPages)
+	if err := c.EnableCoW(); err != nil {
+		t.Fatalf("EnableCoW: %v", err)
+	}
+	m := h.Machine()
+	rng := rand.New(rand.NewSource(9))
+	var images []*hv.Snapshot
+	checkInFlight := func(when string) {
+		t.Helper()
+		inFrames := make(map[*mem.Page]bool, d.Pages())
+		for pfn := range d.Pages() {
+			inFrames[pageOf(t, d, m, mem.PFN(pfn))] = true
+		}
+		for k := 0; k < c.inFlight; k++ {
+			s := &c.ships[(c.shipNext-1-k)%maxShipsInFlight]
+			image := images[len(images)-1-k]
+			for i, p := range s.pages {
+				if inFrames[p] {
+					t.Fatalf("%s: a page shipment -%d holds for pfn %d is a primary frame's", when, k, s.pfns[i])
+				}
+				want, err := image.ReadPage(s.pfns[i])
+				if err != nil {
+					t.Fatalf("ReadPage: %v", err)
+				}
+				if !bytes.Equal(p[:], want) {
+					t.Fatalf("%s: shipment -%d's page for pfn %d changed before its ack", when, k, s.pfns[i])
+				}
+			}
+		}
+	}
+	for n := 1; n <= rounds; n++ {
+		mixedEpoch(t, d, rng)
+		checkInFlight(fmt.Sprintf("round %d, after the guest's writes", n))
+		if _, err := c.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint %d: %v", n, err)
+		}
+		if rep := c.LastReport(); rep.RemoteDegraded {
+			t.Fatalf("checkpoint %d: replication degraded: %v", n, rep.Warnings)
+		}
+		image, err := c.Committed()
+		if err != nil {
+			t.Fatalf("Committed: %v", err)
+		}
+		images = append(images, image)
+		checkInFlight(fmt.Sprintf("round %d, after the commit", n))
+		if n%drainEvery == 0 {
+			if err := c.drainShipper(); err != nil {
+				t.Fatalf("drain after round %d: %v", n, err)
+			}
+			remote, err := c.Remote().DumpMemory()
+			if err != nil {
+				t.Fatalf("DumpMemory: %v", err)
+			}
+			if !bytes.Equal(remote.Bytes(), image.Bytes()) {
+				t.Fatalf("round %d: the drained replica is not the committed image", n)
+			}
+		}
 	}
 }

@@ -178,8 +178,8 @@ type Config struct {
 	// paper's disk-snapshot extension).
 	DiskBlocks int
 	// Workers is the pause-path parallelism: the dirty-bitmap scan and
-	// the page copy into staging (at Memcpy, Premap and Full) shard
-	// across this many goroutines, detector modules scan concurrently,
+	// the pipelined remote shipment's snapshot of the committed pages
+	// shard across this many goroutines, detector modules scan concurrently,
 	// the disk stage overlaps the memory stage, and remote replication is
 	// pipelined out of the pause window. The default (0) is
 	// runtime.GOMAXPROCS(0); 1 (or negative) forces the exact serial

@@ -224,16 +224,15 @@ func TestExchangeAlongsideNeighbourAccess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateDomain: %v", err)
 	}
-	// Give every frame a page, so each exchange hands one back (a
-	// never-written frame hands back nil).
+	// Give every frame a page, so each exchange has one to replace (a
+	// never-written frame has none).
 	if err := a.WritePhys(0, bytes.Repeat([]byte{0xEE}, pages*mem.PageSize)); err != nil {
 		t.Fatalf("WritePhys: %v", err)
 	}
 	pfns := make([]mem.PFN, pages)
-	staging := make([][]byte, pages)
+	staging := make([]*mem.Page, pages)
 	for i := range pfns {
 		pfns[i] = mem.PFN(i)
-		staging[i] = make([]byte, mem.PageSize)
 	}
 	done := make(chan struct{})
 	go func() {
@@ -263,14 +262,15 @@ func TestExchangeAlongsideNeighbourAccess(t *testing.T) {
 		}
 	}()
 	for r := 0; r < rounds; r++ {
+		// A shared frame's page stays with the backup; an own one goes
+		// back to a's spares, for the next round to stage in.
 		for i := range staging {
+			staging[i] = a.Spares().Take()
 			staging[i][0] = byte(r)
 		}
 		if err := a.Exchange(pfns, staging); err != nil {
 			t.Fatalf("Exchange round %d: %v", r, err)
 		}
-		// A shared frame's page stays with the backup: nil, replaced here.
-		staging = mem.RecyclePages(staging, pages)
 		got := make([]byte, 1)
 		if err := a.ReadPhys(uint64(r%pages)*mem.PageSize, got); err != nil || got[0] != byte(r) {
 			t.Fatalf("round %d: ReadPhys = %v, %v; want the exchanged-in page", r, got, err)

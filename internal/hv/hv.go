@@ -323,7 +323,8 @@ type Domain struct {
 	dirty        *mem.Bitmap
 
 	// spares gives the domain's frames pages of their own on writes and
-	// takes back the backup pages its commits replace (ShareTo).
+	// exchanges, and takes back the backup pages its commits replace
+	// (ShareTo) and the pages its exchanges replace (Spares).
 	spares mem.Spares
 
 	// watchMu guards watches and writeFaults. watchCount mirrors

@@ -349,30 +349,36 @@ func TestShareToSharesUntilWritten(t *testing.T) {
 	}
 }
 
-// A domain without a global mapping exchanges its own frames; a
-// destroyed one refuses.
+// A domain without a global mapping exchanges its own frames, and the
+// page a frame held goes back to the domain's spares; a destroyed domain
+// refuses.
 func TestDomainExchange(t *testing.T) {
 	h, d := newTestDomain(t, 4)
 	if err := d.WritePhys(2*mem.PageSize, []byte("old")); err != nil {
 		t.Fatalf("WritePhys: %v", err)
 	}
-	staged := make([]byte, mem.PageSize)
-	copy(staged, "new")
-	pages := [][]byte{staged}
-	if err := d.Exchange([]mem.PFN{2}, pages); err != nil {
+	mfn, err := d.Translate(2)
+	if err != nil {
+		t.Fatalf("Translate: %v", err)
+	}
+	old := h.Machine().Page(mfn)
+	staged := d.Spares().Take()
+	copy(staged[:], "new")
+	spares := d.Spares().Len()
+	if err := d.Exchange([]mem.PFN{2}, []*mem.Page{staged}); err != nil {
 		t.Fatalf("Exchange: %v", err)
 	}
 	got := make([]byte, 3)
 	if err := d.ReadPhys(2*mem.PageSize, got); err != nil || string(got) != "new" {
 		t.Fatalf("ReadPhys after exchange = %q, %v; want \"new\"", got, err)
 	}
-	if string(pages[0][:3]) != "old" {
-		t.Fatalf("caller got back %q, want the frame's old page", pages[0][:3])
+	if d.Spares().Len() != spares+1 || d.Spares().Take() != old || string(old[:3]) != "old" {
+		t.Fatal("the frame's old page did not go back to the domain's spares")
 	}
 	if err := h.DestroyDomain(d.ID()); err != nil {
 		t.Fatalf("DestroyDomain: %v", err)
 	}
-	if err := d.Exchange([]mem.PFN{2}, pages); !errors.Is(err, ErrBadState) {
+	if err := d.Exchange([]mem.PFN{2}, []*mem.Page{d.Spares().Take()}); !errors.Is(err, ErrBadState) {
 		t.Fatalf("Exchange on a destroyed domain: %v, want ErrBadState", err)
 	}
 }
@@ -519,8 +525,8 @@ func TestSnapshotIsImmutable(t *testing.T) {
 
 // aliasedImagesSurviveExchanges is TestSnapshotIsImmutable for images
 // that alias a domain's pages: a domain written only by frame exchange,
-// as a checkpoint backup is, goes through 50 exchanges from one recycled
-// staging pool, with an image aliased after each and every image kept.
+// as a checkpoint backup is, goes through 50 exchanges staged in pages
+// from its spares, with an image aliased after each and every image kept.
 // Each keeps the bytes it had when it was taken — through the
 // exchanges, the destruction of the domain, and new domains allocated
 // over its frames and written.
@@ -549,8 +555,6 @@ func aliasedImagesSurviveExchanges(t *testing.T) {
 			}
 		}
 	}
-	var pool [][]byte
-	prev := 0
 	rng := rand.New(rand.NewSource(5))
 	for e := 0; e < exchanges; e++ {
 		var pfns []mem.PFN
@@ -559,14 +563,14 @@ func aliasedImagesSurviveExchanges(t *testing.T) {
 				pfns = append(pfns, mem.PFN(pfn))
 			}
 		}
-		pool = mem.GrowPages(pool, len(pfns))
-		for i := range pfns {
-			rng.Read(pool[i])
+		staged := make([]*mem.Page, len(pfns))
+		for i := range staged {
+			staged[i] = d.Spares().Take()
+			rng.Read(staged[i][:])
 		}
-		if err := d.Exchange(pfns, pool[:len(pfns)]); err != nil {
+		if err := d.Exchange(pfns, staged); err != nil {
 			t.Fatalf("exchange %d: %v", e, err)
 		}
-		pool, prev = mem.RecyclePages(pool, prev), len(pfns)
 		if e%3 == 2 {
 			continue // the next image takes two exchanges' pages
 		}

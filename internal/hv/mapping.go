@@ -104,39 +104,3 @@ func (gm *GlobalMapping) Unmap() {
 	gm.dom.hv.countCalls(gm.dom, func(c *Hypercalls) { c.UnmapPage += gm.n })
 	gm.n = 0
 }
-
-// Exchange swaps the machine pages behind the domain's frames at pfns
-// with the caller's pages (mem.Machine.Exchange): afterwards guest page
-// pfns[i] reads what pages[i] held, and pages[i] holds the frame's old
-// page — or nil when the frame had none (it read zero) or a snapshot or
-// another domain holds that page (AliasMemory, ShareTo). No bytes move.
-// It is all-or-nothing: pfns must be strictly ascending and in range and
-// every page exactly one page long, or nothing is swapped. Every mapping
-// of the domain sees the swap. It fails with ErrBadState on a destroyed
-// domain. The remus restore side publishes a batch with it.
-func (d *Domain) Exchange(pfns []mem.PFN, pages [][]byte) error {
-	if d.state == StateDestroyed {
-		return fmt.Errorf("exchange frames of destroyed domain %d: %w", d.id, ErrBadState)
-	}
-	if err := d.hv.machine.Exchange(d.physmap, pfns, pages); err != nil {
-		return fmt.Errorf("domain %d: %w", d.id, err)
-	}
-	return nil
-}
-
-// ShareTo makes each page pfns of dst hold d's page by reference
-// (mem.Machine.Share): no byte moves, and the next write to the page in
-// either domain copies it first. The page dst held before becomes a
-// spare for d's writes unless a snapshot holds it. A checkpoint commit shares the
-// primary's dirty pages into the backup with it. It is all-or-nothing: a
-// PFN out of either domain's range shares nothing. It fails with
-// ErrBadState if either domain is destroyed.
-func (d *Domain) ShareTo(dst *Domain, pfns []mem.PFN) error {
-	if d.state == StateDestroyed || dst.state == StateDestroyed {
-		return fmt.Errorf("share frames of domain %d into %d: %w", d.id, dst.id, ErrBadState)
-	}
-	if err := d.hv.machine.Share(&d.spares, d.physmap, dst.physmap, pfns); err != nil {
-		return fmt.Errorf("share domain %d into %d: %w", d.id, dst.id, err)
-	}
-	return nil
-}

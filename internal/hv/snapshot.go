@@ -321,3 +321,42 @@ func (s *Snapshot) Bytes() []byte {
 	_ = s.ReadPhys(0, out) // in range by construction
 	return out
 }
+
+// Exchange makes guest page pfns[i] hold pages[i], which the caller took
+// from the domain's spares (Spares) and filled, without moving a byte
+// (mem.Machine.Exchange). The page a frame held goes back to the spares
+// unless a snapshot or another domain holds it (AliasMemory, ShareTo). It
+// is all-or-nothing: pfns must be strictly ascending and in range, or
+// nothing is swapped and the pages stay the caller's. Every mapping of
+// the domain sees the swap. It fails with ErrBadState on a destroyed
+// domain. The remus restore side publishes a batch with it.
+func (d *Domain) Exchange(pfns []mem.PFN, pages []*mem.Page) error {
+	if d.state == StateDestroyed {
+		return fmt.Errorf("exchange frames of destroyed domain %d: %w", d.id, ErrBadState)
+	}
+	if err := d.hv.machine.Exchange(&d.spares, d.physmap, pfns, pages); err != nil {
+		return fmt.Errorf("domain %d: %w", d.id, err)
+	}
+	return nil
+}
+
+// Spares returns the domain's spare pages (mem.Spares), for its single
+// writer only: the goroutine that writes, commits or restores into it.
+func (d *Domain) Spares() *mem.Spares { return &d.spares }
+
+// ShareTo makes each page pfns of dst hold d's page by reference
+// (mem.Machine.Share): no byte moves, and the next write to the page in
+// either domain copies it first. The page dst held before becomes a
+// spare for d's writes unless a snapshot holds it. A checkpoint commit shares the
+// primary's dirty pages into the backup with it. It is all-or-nothing: a
+// PFN out of either domain's range shares nothing. It fails with
+// ErrBadState if either domain is destroyed.
+func (d *Domain) ShareTo(dst *Domain, pfns []mem.PFN) error {
+	if d.state == StateDestroyed || dst.state == StateDestroyed {
+		return fmt.Errorf("share frames of domain %d into %d: %w", d.id, dst.id, ErrBadState)
+	}
+	if err := d.hv.machine.Share(&d.spares, d.physmap, dst.physmap, pfns); err != nil {
+		return fmt.Errorf("share domain %d into %d: %w", d.id, dst.id, err)
+	}
+	return nil
+}

@@ -10,13 +10,21 @@ import (
 // a snapshot's page (a rollback), and Share (a commit) — against an
 // eagerly materialised reference, where every allocated frame simply is
 // a page of its own. Frames pair up as a checkpoint pairs a primary's
-// frame with its backup's: even frame k shares into frame k+1 only, and
-// only the backup side is exposed, as Share's contract asks. Every read must match the
-// reference, so a write to a frame sharing its page never shows through
-// the other; a frame never given a page must read the shared zero page; a
-// page a snapshot holds (Expose, Install) must keep its bytes; no spare
-// page may be one a frame or a snapshot holds; and the shared zero page
-// must still be all zero at the end.
+// frame with its backup's, as Share's contract asks: even frame k shares
+// into frame k+1 only; only the backup side is exposed; and a backup
+// frame takes pages from Share alone, so it is never written, exchanged
+// or installed over, and is freed only with its primary. Every read must
+// match the reference, so a write to a frame sharing its page never shows
+// through the other; a frame never given a page must read the shared
+// zero page; a page a snapshot holds (Expose, Install) must keep its
+// bytes; no spare page may be one a frame or a snapshot holds, nor be
+// listed twice; an exchange must put each page it stages from the spares
+// into its frame and give the spares exactly the old pages nothing else
+// holds; and the shared zero page must still be all zero at the end. The
+// checks after a step cost the same however long the history: the
+// snapshot pages are a set, looked up rather than walked, and a step
+// compares the bytes of only the pages it could have written; every
+// snapshot page's bytes are compared once more at the end.
 func FuzzDemandZeroMachine(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 0, 9, 5, 3, 4, 0x5A, 3, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 4, 0, 3, 0, 5, 0, 1, 4, 1})
@@ -31,13 +39,19 @@ func FuzzDemandZeroMachine(f *testing.F) {
 		// aliased marks a frame whose page a snapshot or another frame may
 		// hold: it was exposed, installed or shared and not written since.
 		aliased := make(map[MFN]bool)
-		type held struct {
-			page *Page
-			want Page
+		held := make(map[*Page]*Page) // snapshot page -> a copy of the bytes it must keep
+		var kept []*Page              // held's pages, in the order handed out
+		keep := func(p *Page) {
+			if want := held[p]; want != nil && *want != *p {
+				t.Fatal("a snapshot page changed after it was handed out")
+			} else if want == nil {
+				want = new(Page)
+				*want = *p
+				held[p] = want
+				kept = append(kept, p)
+			}
 		}
-		var kept []held
-		var pool [][]byte
-		var sp Spares // the writes' and the shares' spare pages
+		var sp Spares // the writes', the shares' and the exchanges' spare pages
 		next := func() int {
 			if len(ops) == 0 {
 				return 0
@@ -55,13 +69,24 @@ func FuzzDemandZeroMachine(f *testing.F) {
 			}
 			return out
 		}
-		pick := func() (MFN, bool) {
-			live := allocated()
+		// primaries are the allocated even frames, which alone take pages
+		// other than by Share.
+		primaries := func() []MFN {
+			var out []MFN
+			for _, mfn := range allocated() {
+				if mfn%2 == 0 {
+					out = append(out, mfn)
+				}
+			}
+			return out
+		}
+		pickOf := func(live []MFN) (MFN, bool) {
 			if len(live) == 0 {
 				return 0, false
 			}
 			return live[next()%len(live)], true
 		}
+		pick := func() (MFN, bool) { return pickOf(allocated()) }
 		check := func(mfn MFN) {
 			got, err := m.Frame(mfn)
 			if err != nil {
@@ -75,31 +100,43 @@ func FuzzDemandZeroMachine(f *testing.F) {
 			}
 		}
 		// invariants holds after every step: every frame reads the
-		// reference, every snapshot page keeps its bytes, and the spare
-		// list holds no page anything else does.
+		// reference, no page the step may have written (touched) is a
+		// snapshot's with other bytes than it was handed out with, and the
+		// spare list holds no page anything else does, nor one twice. The
+		// spares are mirrored as a set (spare, listed), which a step
+		// changes only past the longest prefix of the list it left alone.
+		var touched []*Page
+		spare := make(map[*Page]bool)
+		var listed []*Page
 		invariants := func(step int) {
 			t.Helper()
 			for _, mfn := range allocated() {
 				check(mfn)
 			}
-			inUse := make(map[*Page]bool)
-			for mfn := range MFN(frames) {
-				if p := m.pages[mfn].Load(); p != nil {
-					inUse[p] = true
+			for _, p := range touched {
+				if want := held[p]; want != nil && *p != *want {
+					t.Fatalf("step %d: a snapshot page changed after it was handed out", step)
 				}
 			}
-			for i, h := range kept {
-				if *h.page != h.want {
-					t.Fatalf("step %d: snapshot page %d changed after it was handed out", step, i)
-				}
-				inUse[h.page] = true
+			touched = touched[:0]
+			k := 0
+			for k < min(len(listed), len(sp.pages)) && listed[k] == sp.pages[k] {
+				k++
 			}
-			spare := make(map[*Page]bool, len(sp.pages))
-			for _, p := range sp.pages {
-				if inUse[p] || spare[p] || p == &zero {
-					t.Fatalf("step %d: a spare page is held elsewhere or listed twice", step)
+			for _, p := range listed[k:] {
+				delete(spare, p)
+			}
+			for _, p := range sp.pages[k:] {
+				if held[p] != nil || spare[p] || p == &zero {
+					t.Fatalf("step %d: a spare page is a snapshot's or listed twice", step)
 				}
 				spare[p] = true
+			}
+			listed = append(listed[:k], sp.pages[k:]...)
+			for mfn := range MFN(frames) {
+				if p := m.pages[mfn].Load(); p != nil && spare[p] {
+					t.Fatalf("step %d: frame %d holds a spare page", step, mfn)
+				}
 			}
 		}
 		for step := 0; len(ops) > 0; step++ {
@@ -115,17 +152,23 @@ func FuzzDemandZeroMachine(f *testing.F) {
 				if err != nil {
 					t.Fatalf("Alloc: %v", err)
 				}
+				touched = append(touched, m.Page(mfn))
 				ref[mfn] = new(Page)
-			case 1: // Free
+			case 1: // Free a frame, and a backup frame's primary with it
 				if mfn, ok := pick(); ok {
-					if err := m.Free(mfn); err != nil {
-						t.Fatalf("Free(%d): %v", mfn, err)
+					for _, f := range []MFN{mfn, mfn &^ 1} {
+						if ref[f] == nil {
+							continue
+						}
+						if err := m.Free(f); err != nil {
+							t.Fatalf("Free(%d): %v", f, err)
+						}
+						delete(ref, f)
+						delete(aliased, f)
 					}
-					delete(ref, mfn)
-					delete(aliased, mfn)
 				}
-			case 2: // Write: partial, zero or not, into any frame
-				mfn, ok := pick()
+			case 2: // Write: partial, zero or not, into a primary frame
+				mfn, ok := pickOf(primaries())
 				off := (next() << 4) % PageSize
 				n := min(1+next()*17, PageSize-off)
 				v := byte(next())
@@ -137,6 +180,7 @@ func FuzzDemandZeroMachine(f *testing.F) {
 				if err := m.Write(&sp, mfn, off, data); err != nil {
 					t.Fatalf("Write(%d): %v", mfn, err)
 				}
+				touched = append(touched, before, m.Page(mfn))
 				copy(ref[mfn][off:], data)
 				switch {
 				case v == 0 && !had && m.Written(mfn):
@@ -153,8 +197,8 @@ func FuzzDemandZeroMachine(f *testing.F) {
 				if mfn, ok := pick(); ok {
 					check(mfn)
 				}
-			case 4: // Exchange an ascending subset of the allocated frames
-				physmap := allocated()
+			case 4: // Exchange an ascending subset of the primary frames
+				physmap := primaries()
 				mask := next()
 				var pfns []PFN
 				for i := range physmap {
@@ -162,39 +206,44 @@ func FuzzDemandZeroMachine(f *testing.F) {
 						pfns = append(pfns, PFN(i))
 					}
 				}
-				pool = GrowPages(pool, len(pfns))
 				fill := byte(next())
-				for i := range pfns {
-					clear(pool[i])
-					pool[i][i] = fill
-				}
-				staged := make([]Page, len(pfns))
-				had := make([]bool, len(pfns))
+				staged := make([]*Page, len(pfns))
+				old := make([]*Page, len(pfns))
 				for i, pfn := range pfns {
-					staged[i], had[i] = Page(pool[i]), m.Written(physmap[pfn])
+					staged[i], old[i] = sp.Take(), m.pages[physmap[pfn]].Load()
+					*staged[i] = Page{}
+					staged[i][i] = fill
 				}
-				if err := m.Exchange(physmap, pfns, pool[:len(pfns)]); err != nil {
+				spares := len(sp.pages)
+				if err := m.Exchange(&sp, physmap, pfns, staged); err != nil {
 					t.Fatalf("Exchange: %v", err)
 				}
+				// The spares gain exactly the old pages nothing else holds,
+				// in PFN order.
+				var back []*Page
 				for i, pfn := range pfns {
 					mfn := physmap[pfn]
-					back := pool[i]
-					switch {
-					case aliased[mfn] && back != nil:
-						t.Fatalf("Exchange handed back frame %d's page, which is held elsewhere", mfn)
-					case !aliased[mfn] && had[i] && back == nil:
-						t.Fatalf("Exchange dropped frame %d's page, which nothing else holds", mfn)
-					case !had[i] && back != nil:
-						t.Fatalf("Exchange handed back a page for frame %d, which had none", mfn)
-					case back != nil && !bytes.Equal(back, ref[mfn][:]):
-						t.Fatalf("Exchange handed back a page that is not frame %d's old one", mfn)
-					case back != nil && (*Page)(back) == &zero:
-						t.Fatal("Exchange handed back the shared zero page")
+					if m.Page(mfn) != staged[i] {
+						t.Fatalf("Exchange did not put the page staged for pfn %d into frame %d", pfn, mfn)
 					}
-					*ref[mfn] = staged[i]
+					if old[i] != nil && !aliased[mfn] {
+						if !bytes.Equal(old[i][:], ref[mfn][:]) {
+							t.Fatalf("frame %d held other bytes than the reference before the exchange", mfn)
+						}
+						back = append(back, old[i])
+					}
+					*ref[mfn] = *staged[i]
 					delete(aliased, mfn)
 				}
-				pool = RecyclePages(pool, len(pfns))
+				if got := sp.pages[spares:]; len(got) != len(back) {
+					t.Fatalf("Exchange gave the spares %d pages, want the %d old pages nothing else holds", len(got), len(back))
+				} else {
+					for i := range back {
+						if got[i] != back[i] {
+							t.Fatalf("Exchange gave the spares a page that is not an old one nothing else holds")
+						}
+					}
+				}
 			case 5: // Expose some backup frames and keep their pages
 				physmap := allocated()
 				mask := next()
@@ -205,7 +254,9 @@ func FuzzDemandZeroMachine(f *testing.F) {
 					}
 				}
 				err := m.Expose(len(sel), func(i int) MFN { return sel[i] }, func(i int, frame []byte) {
-					kept = append(kept, held{page: (*Page)(frame), want: Page(frame)})
+					if p := (*Page)(frame); p != &zero {
+						keep(p)
+					}
 				})
 				if err != nil {
 					t.Fatalf("Expose: %v", err)
@@ -215,8 +266,8 @@ func FuzzDemandZeroMachine(f *testing.F) {
 						aliased[mfn] = true
 					}
 				}
-			case 6: // Install a snapshot's page: the zero page, a kept page, or new data
-				mfn, ok := pick()
+			case 6: // Install a snapshot's page into a primary frame: the zero page, a kept page, or new data
+				mfn, ok := pickOf(primaries())
 				kind, v := next()%3, byte(next())
 				if !ok {
 					continue
@@ -224,11 +275,11 @@ func FuzzDemandZeroMachine(f *testing.F) {
 				src := &zero
 				switch {
 				case kind == 1 && len(kept) > 0:
-					src = kept[int(v)%len(kept)].page
+					src = kept[int(v)%len(kept)]
 				case kind > 0:
 					src = new(Page)
 					src[int(v)*16] = v | 1
-					kept = append(kept, held{page: src, want: *src})
+					keep(src)
 				}
 				if err := m.Install(1, func(int) MFN { return mfn }, func(int) *Page { return src }); err != nil {
 					t.Fatalf("Install(%d): %v", mfn, err)
@@ -270,6 +321,11 @@ func FuzzDemandZeroMachine(f *testing.F) {
 				}
 			}
 			invariants(step)
+		}
+		for p, want := range held {
+			if *p != *want {
+				t.Fatal("a snapshot page changed after it was handed out")
+			}
 		}
 		if zero != (Page{}) {
 			t.Fatal("the shared zero page was written")

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -78,30 +77,6 @@ const (
 	// (Share), so the page is never written in place.
 	frameShared
 )
-
-// Spares are pages no frame and no snapshot holds, for writes that give a
-// frame a page of its own: pages a commit's Share took out of frames, and
-// fresh slabs. A domain keeps one list for its writes and commits, which
-// its single owner makes in turn, so a copy on write takes no lock.
-type Spares struct{ pages []*Page }
-
-// spareSlab is how many pages Spares grows by, in one allocation, when a
-// write finds it empty.
-const spareSlab = 64
-
-// take returns a spare page, growing the list by one slab when it is
-// empty. The page holds stale bytes.
-func (s *Spares) take() *Page {
-	if len(s.pages) == 0 {
-		slab := make([]Page, spareSlab)
-		for i := range slab {
-			s.pages = append(s.pages, &slab[i])
-		}
-	}
-	p := s.pages[len(s.pages)-1]
-	s.pages = s.pages[:len(s.pages)-1]
-	return p
-}
 
 // NewMachine creates a machine with the given number of page frames. No
 // page is allocated until a frame is written.
@@ -254,7 +229,7 @@ func (m *Machine) own(sp *Spares, mfn MFN, lo, hi int) (*Page, error) {
 	if err := m.checkLocked(mfn); err != nil {
 		return nil, err
 	}
-	p := sp.take()
+	p := sp.Take()
 	if old := m.pages[mfn].Load(); old != nil {
 		copy(p[:lo], old[:lo])
 		copy(p[hi:], old[hi:])
@@ -274,10 +249,15 @@ func (m *Machine) own(sp *Spares, mfn MFN, lo, hi int) (*Page, error) {
 //
 // The page to[pfn] held before goes to sp, the spares of from's writes,
 // unless it is the one it now shares or a snapshot holds it (Expose,
-// Install). That is the only way a page becomes a spare. It rests on the
-// pairing a checkpoint keeps: frame to[pfn] takes pages only from frame
-// from[pfn], whose pages are never exposed, so once from[pfn] has copied
-// away (its PFN is dirty) to[pfn] holds the old page alone.
+// Install). With Exchange, that is the only way a page a frame held
+// becomes a spare. It rests on the pairing a checkpoint keeps: frame
+// to[pfn] takes pages only from frame from[pfn], by Share, and keeps each
+// until the next Share (it is not written, exchanged, installed over, or
+// freed without from[pfn]); from[pfn]'s pages are exposed only through
+// to[pfn]. So once from[pfn] has copied away (its PFN is dirty) to[pfn]
+// holds the old page alone, and its mark says whether a snapshot holds
+// it too. A to[pfn] given a page any other way loses the mark of a page
+// that from[pfn] still holds.
 //
 // from and to must map PFNs to distinct frames, as two domains' physmaps
 // do. Share is all-or-nothing: it rejects, sharing nothing, a PFN not
@@ -386,26 +366,23 @@ func (m *Machine) Expose(n int, mfn func(i int) MFN, fn func(i int, frame []byte
 	return nil
 }
 
-// Exchange swaps the backing pages of the frames behind pfns with the
-// caller's pages, without moving a byte: afterwards frame physmap[pfns[i]]
-// is backed by what was pages[i], and pages[i] holds the page the frame
-// had. It is nil instead, for the caller to replace (RecyclePages), when
-// the frame had no page (it read as the zero page) or its page was
-// exposed (Expose) or shared (Share) and is left to the others holding
-// it.
+// Exchange makes frame physmap[pfns[i]] hold pages[i], for each i,
+// without moving a byte. The page a frame held goes to sp, the spares the
+// pages came from (Spares.Take), unless the frame had none (it read as
+// the zero page) or a snapshot or another frame holds it (Expose,
+// Install, Share): that page is left to its holders.
 //
-// Exchange is all-or-nothing. It rejects, swapping nothing, PFNs that are
-// not strictly ascending (which rules out duplicates) or not below
-// len(physmap), a physmap entry that is not an allocated frame, and a
-// page whose length or capacity is not PageSize, and the shared zero
-// page itself. physmap must map
-// distinct PFNs to distinct frames, as a domain's does, and pages must
-// alias no machine frame.
+// Exchange is all-or-nothing. It rejects, swapping nothing and leaving
+// the pages with the caller, a count of pages other than of PFNs, PFNs
+// that are not strictly ascending (which rules out duplicates) or not
+// below len(physmap), and a physmap entry that is not an allocated frame.
+// physmap must map distinct PFNs to distinct frames, as a domain's does,
+// and no frame or snapshot may hold the pages.
 //
 // A page read from the frames before the call (Page, Frame, EachFrame)
 // is the old one afterwards; mappings resolve the frame again on every
 // access, so they see the swap.
-func (m *Machine) Exchange(physmap []MFN, pfns []PFN, pages [][]byte) error {
+func (m *Machine) Exchange(sp *Spares, physmap []MFN, pfns []PFN, pages []*Page) error {
 	if len(pages) != len(pfns) {
 		return fmt.Errorf("mem: exchange %d frames with %d pages: %w", len(pfns), len(pages), ErrBadFrame)
 	}
@@ -421,74 +398,49 @@ func (m *Machine) Exchange(physmap []MFN, pfns []PFN, pages [][]byte) error {
 		if err := m.checkLocked(physmap[pfn]); err != nil {
 			return fmt.Errorf("mem: exchange pfn %d: %w", pfn, err)
 		}
-		if len(pages[i]) != PageSize || cap(pages[i]) != PageSize {
-			return fmt.Errorf("mem: exchange pfn %d: page of %d bytes (cap %d): %w", pfn, len(pages[i]), cap(pages[i]), ErrBadFrame)
-		}
-		if (*Page)(pages[i]) == &zero {
-			return fmt.Errorf("mem: exchange pfn %d: the shared zero page: %w", pfn, ErrBadFrame)
-		}
 	}
 	for i, pfn := range pfns {
 		f := physmap[pfn]
-		old := m.pages[f].Swap((*Page)(pages[i]))
-		pages[i] = nil
-		if old != nil && m.state[f]&(frameExposed|frameShared) == 0 {
-			pages[i] = old[:]
+		if old := m.pages[f].Swap(pages[i]); old != nil && m.state[f]&(frameExposed|frameShared) == 0 {
+			sp.Give(old)
 		}
 		m.state[f] &^= frameExposed | frameShared
 	}
 	return nil
 }
 
-// GrowPages returns pool holding at least n pages of PageSize bytes, for
-// staging pages an Exchange swaps into frames. The shortfall is allocated
-// as one slab cut into full-capacity page views, never page by page.
-func GrowPages(pool [][]byte, n int) [][]byte {
-	short := n - len(pool)
-	if short <= 0 {
-		return pool
-	}
-	slab := make([]byte, short*PageSize)
-	grown := make([][]byte, len(pool), n)
-	copy(grown, pool)
-	for o := 0; o < len(slab); o += PageSize {
-		grown = append(grown, slab[o:o+PageSize:o+PageSize])
-	}
-	return grown
-}
+// Spares are pages no frame and no snapshot holds: the only pool of page
+// buffers on the checkpoint path. A write takes one for a frame (Write),
+// and so does a caller that fills pages before it swaps them into frames
+// (Exchange) or copies a commit into them. Share and Exchange return the
+// pages they replace, and a caller the pages it is done with (Give). A
+// domain keeps one list, for its single owner, so nothing on it locks.
+type Spares struct{ pages []*Page }
 
-// StageSpare is the staging-page count a pool always keeps.
-const StageSpare = 64
+// SpareSlab is how many pages Spares grows by, in one allocation, when a
+// Take finds it empty.
+const SpareSlab = 64
 
-// RecyclePages readies a staging pool for the next set once an Exchange
-// has published a set from it. The pool keeps no more than four times
-// prev, the page count of the set published before that one (at least
-// StageSpare), so neither a full synchronization nor a one-off burst
-// pins a guest-sized pool; and every page the exchange handed back as
-// nil — an image holds it, or the frame had none — is replaced, all from
-// one slab, so no staging page is ever one an image holds. A frame
-// without a page hands back nil only the first time it is exchanged.
-func RecyclePages(pool [][]byte, prev int) [][]byte {
-	if keep := max(StageSpare, 4*prev); len(pool) > keep {
-		pool = slices.Clone(pool[:keep])
-	}
-	dropped := 0
-	for _, p := range pool {
-		if p == nil {
-			dropped++
+// Take returns a spare page, growing the list by one slab when it is
+// empty. The page holds stale bytes.
+func (s *Spares) Take() *Page {
+	if len(s.pages) == 0 {
+		slab := make([]Page, SpareSlab)
+		for i := range slab {
+			s.pages = append(s.pages, &slab[i])
 		}
 	}
-	if dropped == 0 {
-		return pool
-	}
-	slab := make([]byte, dropped*PageSize)
-	for i, p := range pool {
-		if p == nil {
-			pool[i], slab = slab[:PageSize:PageSize], slab[PageSize:]
-		}
-	}
-	return pool
+	p := s.pages[len(s.pages)-1]
+	s.pages = s.pages[:len(s.pages)-1]
+	return p
 }
+
+// Give hands pages back to the spares. The caller vouches that no frame,
+// snapshot or goroutine holds them any more.
+func (s *Spares) Give(pages ...*Page) { s.pages = append(s.pages, pages...) }
+
+// Len reports how many spare pages the list holds.
+func (s *Spares) Len() int { return len(s.pages) }
 
 func (m *Machine) checkLocked(mfn MFN) error {
 	if uint64(mfn) >= uint64(len(m.pages)) || m.state[mfn]&frameAllocated == 0 {

@@ -299,8 +299,8 @@ func TestScanWordsParallelMatchesSerial(t *testing.T) {
 
 // exchangeMachine returns a machine with a four-frame "domain" whose
 // physmap maps PFN i to a distinct frame holding byte 0x10+i, plus four
-// caller pages holding 0xA0+i.
-func exchangeMachine(t *testing.T) (*Machine, []MFN, [][]byte) {
+// caller pages, taken from the returned spares, holding 0xA0+i.
+func exchangeMachine(t *testing.T) (*Machine, []MFN, []*Page, *Spares) {
 	t.Helper()
 	m := NewMachine(6)
 	physmap, err := m.AllocN(4)
@@ -308,77 +308,80 @@ func exchangeMachine(t *testing.T) (*Machine, []MFN, [][]byte) {
 		t.Fatalf("AllocN: %v", err)
 	}
 	physmap[1], physmap[3] = physmap[3], physmap[1] // frames need not ascend with PFNs
-	pages := make([][]byte, 4)
+	sp := new(Spares)
+	pages := make([]*Page, 4)
 	for i, mfn := range physmap {
-		if err := m.Write(new(Spares), mfn, 0, []byte{byte(0x10 + i)}); err != nil {
+		if err := m.Write(sp, mfn, 0, []byte{byte(0x10 + i)}); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
-		pages[i] = make([]byte, PageSize)
-		pages[i][0] = byte(0xA0 + i)
 	}
-	return m, physmap, pages
+	for i := range pages {
+		pages[i] = sp.Take()
+		*pages[i] = Page{byte(0xA0 + i)}
+	}
+	return m, physmap, pages, sp
 }
 
+// Exchange swaps the caller's pages into the frames and gives the frames'
+// old pages, which nothing else holds, to the spares.
 func TestExchangeSwapsPages(t *testing.T) {
-	m, physmap, pages := exchangeMachine(t)
+	m, physmap, pages, sp := exchangeMachine(t)
 	before := make([]*Page, len(physmap))
 	for pfn, mfn := range physmap {
 		before[pfn] = m.Page(mfn)
 	}
-	in := []*byte{&pages[0][0], &pages[1][0]}
-	if err := m.Exchange(physmap, []PFN{1, 3}, pages[:2]); err != nil {
+	in := []*Page{pages[0], pages[1]}
+	if err := m.Exchange(sp, physmap, []PFN{1, 3}, pages[:2]); err != nil {
 		t.Fatalf("Exchange: %v", err)
 	}
+	spares := sp.set()
 	for i, pfn := range []PFN{1, 3} {
 		f, _ := m.Frame(physmap[pfn])
-		if &f[0] != in[i] || f[0] != byte(0xA0+i) {
+		if &f[0] != &in[i][0] || f[0] != byte(0xA0+i) {
 			t.Fatalf("pfn %d: frame is not the caller's page %d", pfn, i)
 		}
-		if &m.Page(physmap[pfn])[0] != &f[0] {
+		if m.Page(physmap[pfn]) != in[i] {
 			t.Fatalf("pfn %d: Page does not resolve the live frame", pfn)
 		}
-		if pages[i][0] != byte(0x10+pfn) {
-			t.Fatalf("page %d holds %#x, want the frame's old page %#x", i, pages[i][0], 0x10+pfn)
+		if !spares[before[pfn]] || before[pfn][0] != byte(0x10+pfn) {
+			t.Fatalf("pfn %d: the frame's old page did not go to the spares whole", pfn)
+		}
+		if spares[in[i]] {
+			t.Fatalf("pfn %d: the page exchanged in is also a spare", pfn)
 		}
 	}
 	for _, pfn := range []PFN{0, 2} {
 		if f, _ := m.Frame(physmap[pfn]); f[0] != byte(0x10+pfn) || m.Page(physmap[pfn]) != before[pfn] {
 			t.Fatalf("pfn %d: untouched frame changed", pfn)
 		}
+		if spares[before[pfn]] {
+			t.Fatalf("pfn %d: an untouched frame's page became a spare", pfn)
+		}
 	}
 }
 
-// Every reject case swaps nothing: frames and the caller's pages keep
-// their identity.
+// Every reject case swaps nothing: frames keep their pages, the spares
+// gain none, and the caller keeps its pages.
 func TestExchangeAllOrNothing(t *testing.T) {
 	cases := []struct {
 		name  string
 		pfns  []PFN
-		pages func(p [][]byte) [][]byte
+		pages int
 		free  bool
 	}{
-		{name: "descending", pfns: []PFN{2, 1}},
-		{name: "duplicate", pfns: []PFN{1, 1}},
-		{name: "out-of-range", pfns: []PFN{0, 4}},
-		{name: "unallocated", pfns: []PFN{0, 2}, free: true},
-		{name: "short-page", pfns: []PFN{0, 1}, pages: func(p [][]byte) [][]byte { return [][]byte{p[0], p[1][:PageSize-1]} }},
-		{name: "over-capacity-page", pfns: []PFN{0, 1}, pages: func(p [][]byte) [][]byte {
-			return [][]byte{p[0], append(p[1][:PageSize:PageSize], 0)[:PageSize]}
-		}},
-		{name: "count-mismatch", pfns: []PFN{0, 1, 2}},
-		{name: "zero-page", pfns: []PFN{0, 1}, pages: func(p [][]byte) [][]byte { return [][]byte{p[0], zero[:]} }},
+		{name: "descending", pfns: []PFN{2, 1}, pages: 2},
+		{name: "duplicate", pfns: []PFN{1, 1}, pages: 2},
+		{name: "out-of-range", pfns: []PFN{0, 4}, pages: 2},
+		{name: "unallocated", pfns: []PFN{0, 2}, pages: 2, free: true},
+		{name: "count-mismatch", pfns: []PFN{0, 1, 2}, pages: 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, physmap, pages := exchangeMachine(t)
+			m, physmap, pages, sp := exchangeMachine(t)
 			if tc.free {
 				if err := m.Free(physmap[2]); err != nil {
 					t.Fatalf("Free: %v", err)
 				}
-			}
-			arg := pages[:2]
-			if tc.pages != nil {
-				arg = tc.pages(pages)
 			}
 			before := make([]*byte, len(physmap))
 			for pfn, mfn := range physmap {
@@ -386,11 +389,9 @@ func TestExchangeAllOrNothing(t *testing.T) {
 					before[pfn] = &f[0]
 				}
 			}
-			argBefore := make([]*byte, len(arg))
-			for i, p := range arg {
-				argBefore[i] = &p[0]
-			}
-			if err := m.Exchange(physmap, tc.pfns, arg); !errors.Is(err, ErrBadFrame) {
+			spares := sp.Len()
+			arg := pages[:tc.pages]
+			if err := m.Exchange(sp, physmap, tc.pfns, arg); !errors.Is(err, ErrBadFrame) {
 				t.Fatalf("Exchange: err = %v, want ErrBadFrame", err)
 			}
 			for pfn, mfn := range physmap {
@@ -398,9 +399,12 @@ func TestExchangeAllOrNothing(t *testing.T) {
 					t.Fatalf("pfn %d: frame swapped by a rejected exchange", pfn)
 				}
 			}
+			if sp.Len() != spares {
+				t.Fatalf("a rejected exchange changed the spares from %d pages to %d", spares, sp.Len())
+			}
 			for i, p := range arg {
-				if &p[0] != argBefore[i] {
-					t.Fatalf("caller page %d swapped by a rejected exchange", i)
+				if p != pages[i] || p[0] != byte(0xA0+i) {
+					t.Fatalf("caller page %d swapped or changed by a rejected exchange", i)
 				}
 			}
 		})
@@ -409,63 +413,47 @@ func TestExchangeAllOrNothing(t *testing.T) {
 
 // Exchange keeps no caller's alias table (mappings resolve frames
 // through the machine): the frames swap, all-or-nothing as ever, and a
-// frame that never had a page hands back nil.
+// frame that never had a page gives the spares none.
 func TestExchangeWithoutView(t *testing.T) {
-	m, physmap, pages := exchangeMachine(t)
-	if err := m.Exchange(physmap, []PFN{2, 1}, pages[:2]); !errors.Is(err, ErrBadFrame) {
+	m, physmap, pages, sp := exchangeMachine(t)
+	if err := m.Exchange(sp, physmap, []PFN{2, 1}, pages[:2]); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("descending Exchange: %v, want ErrBadFrame", err)
 	}
-	if err := m.Exchange(physmap, []PFN{2}, pages[:1]); err != nil {
+	old := m.Page(physmap[2])
+	if err := m.Exchange(sp, physmap, []PFN{2}, pages[:1]); err != nil {
 		t.Fatalf("Exchange: %v", err)
 	}
-	if f, _ := m.Frame(physmap[2]); f[0] != 0xA0 || pages[0][0] != 0x12 {
-		t.Fatalf("frame holds %#x and the caller %#x, want 0xa0 and the old 0x12", f[0], pages[0][0])
+	if f, _ := m.Frame(physmap[2]); f[0] != 0xA0 || !sp.set()[old] || old[0] != 0x12 {
+		t.Fatalf("frame holds %#x, want 0xa0 and the old 0x12 page among the spares", f[0])
 	}
 	fresh, err := m.Alloc()
 	if err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
-	one := [][]byte{make([]byte, PageSize)}
-	one[0][7] = 7
-	if err := m.Exchange([]MFN{fresh}, []PFN{0}, one); err != nil || one[0] != nil {
-		t.Fatalf("Exchange of a never-written frame handed back a page (%v), err %v", one[0] != nil, err)
+	one := sp.Take()
+	*one = Page{7: 7}
+	spares := sp.Len()
+	if err := m.Exchange(sp, []MFN{fresh}, []PFN{0}, []*Page{one}); err != nil || sp.Len() != spares {
+		t.Fatalf("Exchange of a never-written frame: spares %d -> %d, err %v", spares, sp.Len(), err)
 	}
-	if m.Page(fresh)[7] != 7 || !m.Written(fresh) {
+	if m.Page(fresh) != one || !m.Written(fresh) {
 		t.Fatal("the exchanged-in page is not the frame's")
 	}
 }
 
-// GrowPages adds only the shortfall, as full-capacity pages, and keeps
-// the pages it already held.
-func TestGrowPages(t *testing.T) {
-	pool := GrowPages(nil, 2)
-	first := &pool[0][0]
-	pool = GrowPages(pool, 5)
-	if len(pool) != 5 || &pool[0][0] != first {
-		t.Fatalf("grown pool of %d pages, first page kept: %v", len(pool), &pool[0][0] == first)
-	}
-	for i, p := range pool {
-		if len(p) != PageSize || cap(p) != PageSize {
-			t.Fatalf("page %d: len %d cap %d, want %d", i, len(p), cap(p), PageSize)
-		}
-	}
-	if got := GrowPages(pool, 3); len(got) != 5 {
-		t.Fatalf("GrowPages to fewer pages returned %d, want the pool unchanged", len(got))
-	}
-}
-
-// An exposed page goes to no writer again: Exchange drops it (nil)
-// instead of handing it back, Free detaches it instead of leaving it
-// for the next Alloc to clear, and the mark leaves with the page. A
-// frame that was never exposed keeps its page across Free and Alloc.
+// An exposed page goes to no writer again: Exchange drops it instead of
+// giving it to the spares, Free detaches it instead of leaving it for the
+// next Alloc to clear, and the mark leaves with the page. A frame that
+// was never exposed keeps its page across Free and Alloc.
 func TestExposedPagesAreNeverReused(t *testing.T) {
 	m := NewMachine(3)
 	physmap, err := m.AllocN(3)
 	if err != nil {
 		t.Fatalf("AllocN: %v", err)
 	}
+	var sp Spares
 	for _, mfn := range physmap {
-		if err := m.Write(new(Spares), mfn, 0, []byte{0x5A}); err != nil {
+		if err := m.Write(&sp, mfn, 0, []byte{0x5A}); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
 	}
@@ -474,22 +462,20 @@ func TestExposedPagesAreNeverReused(t *testing.T) {
 		func(_ int, frame []byte) { held = append(held, frame) }); err != nil {
 		t.Fatalf("Expose: %v", err)
 	}
-	pages := [][]byte{make([]byte, PageSize), make([]byte, PageSize)}
-	staged := pages[1]
-	if err := m.Exchange(physmap, []PFN{1, 2}, pages); err != nil {
+	exposed, plainOld := m.Page(physmap[1]), m.Page(physmap[2])
+	staged := sp.Take()
+	if err := m.Exchange(&sp, physmap, []PFN{1, 2}, []*Page{sp.Take(), staged}); err != nil {
 		t.Fatalf("Exchange: %v", err)
 	}
-	if pages[0] != nil {
-		t.Fatal("Exchange handed an exposed page back for staging")
-	}
-	if pages[1] == nil || &pages[1][0] == &staged[0] {
-		t.Fatal("Exchange dropped a page that was never exposed")
+	if spares := sp.set(); spares[exposed] || !spares[plainOld] {
+		t.Fatalf("spares after the exchange: exposed page %v, never-exposed page %v; want only the latter",
+			spares[exposed], spares[plainOld])
 	}
 	// The page exchanged into pfn 1 was never exposed: exchanging it out
-	// again hands it back.
-	again := [][]byte{make([]byte, PageSize)}
-	if err := m.Exchange(physmap, []PFN{1}, again); err != nil || again[0] == nil {
-		t.Fatalf("second Exchange of pfn 1: handed back %v, err %v", again[0] != nil, err)
+	// again makes it a spare.
+	again := m.Page(physmap[1])
+	if err := m.Exchange(&sp, physmap, []PFN{1}, []*Page{sp.Take()}); err != nil || !sp.set()[again] {
+		t.Fatalf("second Exchange of pfn 1: page made a spare %v, err %v", sp.set()[again], err)
 	}
 	plain, _ := m.Frame(physmap[2])
 	for _, mfn := range physmap {
@@ -510,36 +496,6 @@ func TestExposedPagesAreNeverReused(t *testing.T) {
 	}
 	if f, _ := m.Frame(physmap[0]); &f[0] == &held[0][0] || f[0] != 0 {
 		t.Fatal("a freed exposed frame came back with the page its reader holds")
-	}
-}
-
-// RecyclePages keeps at most four times the previous set (StageSpare at
-// least), keeps the pages it does not trim, and replaces every dropped
-// page with a fresh full-capacity one, all in one allocation.
-func TestRecyclePages(t *testing.T) {
-	pool := GrowPages(nil, 8*StageSpare)
-	if got := RecyclePages(pool, 0); len(got) != StageSpare {
-		t.Fatalf("after a first set, pool of %d pages, want StageSpare = %d", len(got), StageSpare)
-	}
-	if got := RecyclePages(pool, 3*StageSpare); len(got) != len(pool) {
-		t.Fatalf("a pool within four times the previous set was trimmed to %d", len(got))
-	}
-	pool = GrowPages(nil, StageSpare)
-	kept := &pool[1][0]
-	allocs := testing.AllocsPerRun(10, func() {
-		pool[0], pool[5] = nil, nil
-		pool = RecyclePages(pool, StageSpare)
-	})
-	if allocs != 1 {
-		t.Fatalf("replacing two dropped pages took %v allocations, want 1", allocs)
-	}
-	if &pool[1][0] != kept {
-		t.Fatal("RecyclePages replaced a page it was not asked to")
-	}
-	for i, p := range pool {
-		if len(p) != PageSize || cap(p) != PageSize {
-			t.Fatalf("page %d: len %d cap %d after recycling, want %d", i, len(p), cap(p), PageSize)
-		}
 	}
 }
 

@@ -17,23 +17,23 @@ import (
 // one all-or-nothing step (hv.Domain.Exchange), and only then is the
 // batch acknowledged. So the backup holds exactly one acknowledged
 // checkpoint at every instant: a malformed, truncated or tampered batch
-// changes no page, wherever its bad record sits.
+// changes no page, wherever its bad record sits. The staging pages come
+// from the backup's spares, and the pages they replace go back to them:
+// the restore goroutine is the backup's only writer until Handoff.
 type restoreStage struct {
 	backup *hv.Domain
-	pfns   []mem.PFN // the batch's staged pages, in arrival order until publish
-	pool   [][]byte  // pool[i] holds pfns[i]'s staged contents
-	sorted bool      // pfns arrived ascending, as every sender ships them
-	count  int       // the batch's record count
-	prev   int       // the previous batch's staged page count
+	pfns   []mem.PFN   // the batch's staged pages, in arrival order until publish
+	pages  []*mem.Page // pages[i] holds pfns[i]'s staged contents; one more may wait as the next slot
+	sorted bool        // pfns arrived ascending, as every sender ships them
 }
 
 // slot is the staging page of the next record, which add stages as pfn.
-// The pool grows with the pages staged, up to the batch's count.
+// A record that stages nothing leaves it for the next one.
 func (s *restoreStage) slot() []byte {
-	if n := len(s.pfns); n == len(s.pool) {
-		s.pool = mem.GrowPages(s.pool, min(s.count, 2*n+mem.StageSpare))
+	if len(s.pages) == len(s.pfns) {
+		s.pages = append(s.pages, s.backup.Spares().Take())
 	}
-	return s.pool[len(s.pfns)]
+	return s.pages[len(s.pfns)][:]
 }
 
 func (s *restoreStage) add(pfn mem.PFN) {
@@ -52,7 +52,7 @@ func (s *restoreStage) lastShipped(pfn mem.PFN, dst []byte) error {
 		ok = i >= 0
 	}
 	if ok {
-		copy(dst, s.pool[i])
+		copy(dst, s.pages[i][:])
 		return nil
 	}
 	return s.backup.ReadPhys(uint64(pfn)*mem.PageSize, dst)
@@ -71,18 +71,11 @@ func (s *restoreStage) readsZero(pfn mem.PFN, scratch []byte) (bool, error) {
 
 // publish exchanges the staged batch into the backup. The exchange
 // rejects a PFN staged twice, so such a batch changes nothing either.
-// Afterwards mem.RecyclePages trims the pool to four times the previous
-// batch's pages, so neither the initial full sync nor a one-off burst
-// pins a guest-sized pool, and replaces the pages a committed image of
-// the backup holds (the local No-opt backup's), which the exchange drops.
 func (s *restoreStage) publish() error {
-	n := len(s.pfns)
 	if !s.sorted {
 		sort.Sort(s)
 	}
-	err := s.backup.Exchange(s.pfns, s.pool[:n])
-	s.pool, s.prev = mem.RecyclePages(s.pool, s.prev), n
-	return err
+	return s.backup.Exchange(s.pfns, s.pages[:len(s.pfns)])
 }
 
 // Len, Less and Swap order the staged batch by PFN, pages alongside.
@@ -90,16 +83,34 @@ func (s *restoreStage) Len() int           { return len(s.pfns) }
 func (s *restoreStage) Less(i, j int) bool { return s.pfns[i] < s.pfns[j] }
 func (s *restoreStage) Swap(i, j int) {
 	s.pfns[i], s.pfns[j] = s.pfns[j], s.pfns[i]
-	s.pool[i], s.pool[j] = s.pool[j], s.pool[i]
+	s.pages[i], s.pages[j] = s.pages[j], s.pages[i]
 }
 
-// apply restores one batch: a 4-byte count, then per page an 8-byte PFN
+// apply restores one batch (stage, then publish) and gives the staging
+// pages the backup's frames did not take back to its spares: the waiting
+// slot, or every page of a batch that fails.
+func (s *restoreStage) apply(r wireReader, v2 bool) error {
+	err := s.stage(r, v2)
+	if err == nil {
+		err = s.publish()
+	}
+	taken := 0
+	if err == nil {
+		taken = len(s.pfns)
+	}
+	s.backup.Spares().Give(s.pages[taken:]...)
+	clear(s.pages)
+	s.pages = s.pages[:0]
+	return err
+}
+
+// stage decodes one batch: a 4-byte count, then per page an 8-byte PFN
 // and — on the v2 wire — an opcode and its payload; v1 records are raw
 // pages. It fails closed: a count beyond the domain (rejected before
 // anything is staged), out-of-range PFNs, bad opcodes, oversized deltas
 // and truncated records all return an error before the batch is
 // published.
-func (s *restoreStage) apply(r wireReader, v2 bool) error {
+func (s *restoreStage) stage(r wireReader, v2 bool) error {
 	hdr, err := r.next(4)
 	if err != nil {
 		return err
@@ -108,7 +119,7 @@ func (s *restoreStage) apply(r wireReader, v2 bool) error {
 	if uint64(count) > pages {
 		return fmt.Errorf("remus: restore: batch of %d pages exceeds domain's %d", count, pages)
 	}
-	s.pfns, s.sorted, s.count = s.pfns[:0], true, int(count)
+	s.pfns, s.sorted = s.pfns[:0], true
 	head := 8
 	if v2 {
 		head = 9
@@ -190,5 +201,5 @@ func (s *restoreStage) apply(r wireReader, v2 bool) error {
 		}
 		s.add(mem.PFN(pfn))
 	}
-	return s.publish()
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -185,12 +186,14 @@ func TestDupReadsPageStagedEarlierInBatch(t *testing.T) {
 	}
 }
 
-// The initial full sync does not leave a guest-sized restore pool
-// behind, on any wire, and a zero page onto a replica frame that already
-// reads zero — a raw zero page, or an opZero record — stages nothing, so
-// only the pages holding data get frames of their own.
+// The initial full sync does not leave a guest-sized pool behind, on any
+// wire: the staging pages come from the replica's spares and stay in its
+// frames, so the spares hold less than one slab afterwards, and each later
+// batch takes back the pages it replaces. A zero page onto a replica
+// frame that already reads zero — a raw zero page, or an opZero record —
+// stages nothing, so only the pages holding data get frames of their own.
 func TestRestorePoolNotGuestSizedAfterInitialSync(t *testing.T) {
-	const pages = 4 * mem.StageSpare
+	const pages = 4 * mem.SpareSlab
 	for _, mode := range []Mode{ModeRaw, ModeDelta, ModeDeltaDedup} {
 		t.Run(mode.String(), func(t *testing.T) {
 			h, primary, backup, c := newModeConduitPair(t, pages, mode, 0)
@@ -209,9 +212,9 @@ func TestRestorePoolNotGuestSizedAfterInitialSync(t *testing.T) {
 			if err := c.SendCheckpoint(all, pageReader(h, primary)); err != nil {
 				t.Fatalf("initial sync: %v", err)
 			}
-			// The ack follows the publication, so the pool is settled here.
-			if n := len(c.staging.pool); n > mem.StageSpare {
-				t.Fatalf("restore pool holds %d pages after a %d-page initial sync, want <= %d", n, pages, mem.StageSpare)
+			// The ack follows the publication, so the spares are settled here.
+			if n := backup.Spares().Len(); n >= mem.SpareSlab {
+				t.Fatalf("replica spares hold %d pages after a %d-page initial sync, want < %d", n, pages, mem.SpareSlab)
 			}
 			if got := writtenFrames(h, backup); got != data {
 				t.Fatalf("initial sync gave %d replica frames a page, want the %d that hold data", got, data)
@@ -226,8 +229,8 @@ func TestRestorePoolNotGuestSizedAfterInitialSync(t *testing.T) {
 				if err := c.SendCheckpoint(pfns, pageReader(h, primary)); err != nil {
 					t.Fatalf("epoch %d: %v", e, err)
 				}
-				if n := len(c.staging.pool); n > mem.StageSpare {
-					t.Fatalf("epoch %d: restore pool holds %d pages", e, n)
+				if n := backup.Spares().Len(); n >= mem.SpareSlab+len(pfns) {
+					t.Fatalf("epoch %d: replica spares hold %d pages", e, n)
 				}
 			}
 			domainPagesEqual(t, primary, backup, pages)
@@ -236,6 +239,86 @@ func TestRestorePoolNotGuestSizedAfterInitialSync(t *testing.T) {
 			}
 		})
 	}
+}
+
+// After warm-up a batch's restore — decoded, staged and exchanged into
+// the replica — allocates nothing, on the v1 and the v2 wire: the staging
+// pages come from the replica's spares, and the exchange gives the pages
+// it replaces back to them. The batch is decoded from memory on this
+// goroutine, so only the restore side is counted; the least of three
+// runs is taken, so an allocation elsewhere in the test binary does not
+// count.
+func TestRestoreBatchAllocatesNothing(t *testing.T) {
+	const pages, batch = 256, 64
+	page := func(pfn, round int) []byte {
+		p := make([]byte, mem.PageSize)
+		p[0], p[1], p[pfn] = byte(pfn), byte(round), 0xEE
+		return p
+	}
+	v1 := binary.LittleEndian.AppendUint32(nil, batch)
+	var records [][]byte
+	for pfn := 0; pfn < batch; pfn++ {
+		v1 = append(binary.LittleEndian.AppendUint64(v1, uint64(pfn)), page(pfn, 1)...)
+		switch pfn % 4 {
+		case 0:
+			records = append(records, fuzzRecord(uint64(pfn), opRaw, page(pfn, 1)...))
+		case 1:
+			delta, _ := encodeDelta(nil, page(pfn, 0), page(pfn, 1))
+			payload := append(binary.LittleEndian.AppendUint16(nil, uint16(len(delta))), delta...)
+			records = append(records, fuzzRecord(uint64(pfn), opDelta, payload...))
+		case 2:
+			records = append(records, fuzzRecord(uint64(pfn), opDup, binary.LittleEndian.AppendUint64(nil, uint64(pfn-2))...))
+		default:
+			records = append(records, fuzzRecord(uint64(pfn), opSame))
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		batch []byte
+		v2    bool
+	}{{"v1", v1, false}, {"v2", fuzzBatch(records...), true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := hv.New(pages + 4)
+			backup, err := h.CreateDomain("replica", pages)
+			if err != nil {
+				t.Fatalf("CreateDomain: %v", err)
+			}
+			for pfn := 0; pfn < pages; pfn++ {
+				if err := backup.WritePhys(uint64(pfn)*mem.PageSize, page(pfn, 0)); err != nil {
+					t.Fatalf("WritePhys: %v", err)
+				}
+			}
+			s := &restoreStage{backup: backup}
+			r := newWireReader(&repeatReader{b: tc.batch}, nopStream{})
+			apply := func() {
+				if err := s.apply(r, tc.v2); err != nil {
+					t.Fatalf("apply: %v", err)
+				}
+			}
+			for range 3 {
+				apply()
+			}
+			least := math.Inf(1)
+			for range 3 {
+				least = min(least, testing.AllocsPerRun(20, apply))
+			}
+			if least != 0 {
+				t.Fatalf("restoring a %d-page batch allocated %v times, want 0", batch, least)
+			}
+		})
+	}
+}
+
+// repeatReader reads b over and over, never reaching an end.
+type repeatReader struct {
+	b   []byte
+	off int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := copy(p, r.b[r.off:])
+	r.off = (r.off + n) % len(r.b)
+	return n, nil
 }
 
 // writtenFrames counts d's frames that hold a page of their own.
